@@ -1,21 +1,19 @@
 // Kernel throughput sweep with a built-in correctness gate.
 //
 // Measures gemm/gemm_nt/gemm_tn at several square sizes: the serial
-// reference, the blocked tier (SIMD forced off) at thread counts
-// {1, 2, hardware}, and the SIMD tier at hardware threads — the
-// configuration production search runs actually use. Every non-reference
-// measurement is first verified bitwise against the reference result — a
-// bench that reports speed on wrong bits is worse than no bench.
+// reference and the blocked tier at thread counts {1, 2, hardware}. Every
+// blocked measurement is first verified bitwise against the reference
+// result — a bench that reports speed on wrong bits is worse than no bench.
 //
 // Usage:
 //   bench_kernels [--json PATH] [--require-speedup X] [--max-size N]
 //
 // Writes a JSON record per (op, size, threads) to PATH (default
 // BENCH_kernels.json) and prints a GF/s + speedup table. Exits nonzero if
-// any blocked result mismatches the reference, or if the pooled gemm
-// speedup at the largest size falls below --require-speedup (default 1.0 —
-// "never slower than the reference"; CI passes 1.0, the acceptance target
-// for sizes >= 256 is 2.0).
+// any blocked result mismatches the reference, or if the hardware-threads
+// ("tmax") gemm speedup at the largest size falls below --require-speedup
+// (default 1.0 — "never slower than the reference"; CI passes 1.0, the
+// acceptance target for sizes >= 256 is 2.0).
 
 #include <algorithm>
 #include <chrono>
@@ -52,7 +50,7 @@ struct Record {
   std::string op;
   std::size_t size = 0;
   std::size_t threads = 0;   // 0 = serial reference row (informational)
-  std::string config;        // stable label: "ref", "t1", "t2", "tmax", "simd"
+  std::string config;        // stable label: "ref", "t1", "t2", "tmax"
   double gflops = 0.0;
   double speedup = 1.0;  // vs the reference row of the same (op, size)
 };
@@ -63,7 +61,6 @@ struct Record {
 int config_rank(const std::string& config) {
   if (config == "ref") return 0;
   if (config == "tmax") return 1000;
-  if (config == "simd") return 2000;
   return std::stoi(config.substr(1));
 }
 
@@ -128,7 +125,7 @@ int main(int argc, char** argv) {
 
   std::vector<Record> records;
   bool bits_ok = true;
-  double gate_speedup = 0.0;  // simd-tier gemm speedup at the largest size
+  double gate_speedup = 0.0;  // tmax gemm speedup at the largest size
 
   std::cout << std::left << std::setw(9) << "op" << std::setw(6) << "n"
             << std::setw(9) << "threads" << std::setw(10) << "GF/s"
@@ -152,41 +149,29 @@ int main(int argc, char** argv) {
                 << std::setw(9) << "ref" << std::setw(10) << std::fixed
                 << std::setprecision(2) << ref_gflops << "1.00\n";
 
-      // Blocked tier (SIMD forced off) at each thread count, then the SIMD
-      // tier at hardware threads — the default production configuration.
-      struct Variant {
-        std::string config;
-        std::size_t threads;
-        ncnas::tensor::SimdMode simd;
-      };
-      std::vector<Variant> variants;
+      // Blocked tier at each thread count.
       for (std::size_t t : thread_counts) {
-        variants.push_back({t == hw ? "tmax" : "t" + std::to_string(t), t,
-                            ncnas::tensor::SimdMode::kOff});
-      }
-      variants.push_back({"simd", hw, ncnas::tensor::SimdMode::kOn});
-      for (const Variant& v : variants) {
-        KernelConfig cfg = KernelConfig::parallel(v.threads);
+        const std::string config = t == hw ? "tmax" : "t" + std::to_string(t);
+        KernelConfig cfg = KernelConfig::parallel(t);
         cfg.min_blocked_flops = 0;
-        cfg.simd = v.simd;
         KernelConfigGuard guard(cfg);
         Tensor got({n, n});
         op.kernel(a, b, got);
         if (!bytes_equal(want, got)) {
           std::cerr << "BIT MISMATCH: " << op.name << " n=" << n
-                    << " config=" << v.config << "\n";
+                    << " config=" << config << "\n";
           bits_ok = false;
           continue;
         }
         const double dt = time_best_seconds(iters, [&] { op.kernel(a, b, got); });
         const double gflops = flops / dt / 1e9;
         const double speedup = ref_dt / dt;
-        records.push_back({op.name, n, v.threads, v.config, gflops, speedup});
+        records.push_back({op.name, n, t, config, gflops, speedup});
         std::cout << std::left << std::setw(9) << op.name << std::setw(6) << n
-                  << std::setw(9) << v.config << std::setw(10) << std::fixed
+                  << std::setw(9) << config << std::setw(10) << std::fixed
                   << std::setprecision(2) << gflops << std::setprecision(2)
                   << speedup << "\n";
-        if (std::string(op.name) == "gemm" && n == sizes.back() && v.config == "simd") {
+        if (std::string(op.name) == "gemm" && n == sizes.back() && config == "tmax") {
           gate_speedup = speedup;
         }
       }
@@ -226,11 +211,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (gate_speedup < require_speedup) {
-    std::cerr << "FAIL: simd-tier gemm speedup " << gate_speedup << " at n="
+    std::cerr << "FAIL: tmax gemm speedup " << gate_speedup << " at n="
               << sizes.back() << " is below required " << require_speedup << "\n";
     return 1;
   }
-  std::cout << "OK: simd-tier gemm speedup at n=" << sizes.back() << " is "
+  std::cout << "OK: tmax gemm speedup at n=" << sizes.back() << " is "
             << std::setprecision(2) << gate_speedup << "x (required "
             << require_speedup << "x)\n";
   return 0;

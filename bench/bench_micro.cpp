@@ -30,9 +30,9 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(96)->Arg(256);
 
 // Blocked-kernel sweep: sizes x thread counts. Thread arg 0 means "hardware
-// concurrency" (resolved by KernelConfig::parallel). The serial reference at
-// the same size is BM_Gemm above; bench_kernels produces the full GF/s +
-// speedup table and BENCH_kernels.json.
+// concurrency" (resolved by KernelConfig::parallel). BM_Gemm above runs the
+// default config (serial blocked); bench_kernels produces the full GF/s +
+// speedup-over-reference table and BENCH_kernels.json.
 void BM_GemmBlocked(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t threads = static_cast<std::size_t>(state.range(1));

@@ -13,10 +13,11 @@
 // all-agents-converged stopping rule.
 //
 // Kernel policy: the training hot path (Trainer/Lstm/layers) runs on the
-// process-wide tensor::KernelConfig. Installing a blocked/parallel config
-// before search() speeds up reward estimation without changing any reward
-// bit — the kernels are bit-identical across thread counts by design, which
-// is why KernelConfig stays out of config_fingerprint().
+// process-wide tensor::KernelConfig (blocked kernels by default). Installing
+// a pooled config before search() speeds up reward estimation without
+// changing any reward bit — the kernels are bit-identical across thread
+// counts by design, which is why KernelConfig stays out of
+// config_fingerprint().
 #pragma once
 
 #include <functional>

@@ -1,13 +1,12 @@
 // Process-wide kernel execution policy for the dense linear-algebra layer.
 //
-// The default (threads == 0) keeps the original serial reference kernels —
-// the seed behaviour, bit for bit. Opting in (threads >= 1) switches
-// gemm/gemm_nt/gemm_tn and the large elementwise helpers to cache-blocked
-// kernels; threads > 1 additionally spreads row blocks of the output across
-// a dedicated internal ThreadPool (separate from the search driver's pool,
-// so nested use cannot deadlock). On the blocked path, SimdMode selects the
-// runtime-dispatched SIMD micro-kernel tier (AVX2 on x86-64, NEON on
-// aarch64) — same bytes, fewer instructions.
+// gemm/gemm_nt/gemm_tn run the cache-blocked kernels once a problem clears
+// min_blocked_flops, and the serial reference kernels below it. The default
+// (threads == 1) runs them on the calling thread; threads > 1 additionally
+// spreads row blocks of the output, and the large elementwise helpers, across
+// a dedicated internal ThreadPool (separate from the search driver's pool, so
+// nested use cannot deadlock). A search driver already runs evaluations in
+// parallel on its own pool, so the default stays serial.
 //
 // Determinism is a hard design rule, not an aspiration: every output element
 // is produced by exactly one task and accumulated in the same (k-ascending)
@@ -24,70 +23,44 @@ namespace ncnas::tensor {
 
 class ThreadPool;
 
-/// Policy for the runtime-dispatched SIMD micro-kernel tier.
-///
-/// The SIMD tier substitutes explicit vector micro-kernels (AVX2+FMA on
-/// x86-64, NEON on aarch64) for the scalar blocked micro-kernels. It is only
-/// ever *eligible* when this translation unit set was compiled optimized with
-/// FMA contraction available (see simd_available()): the scalar kernels then
-/// compile to the exact per-element fused-multiply-add chains the SIMD
-/// kernels issue explicitly, so both tiers produce identical bytes. In any
-/// other build the tier silently resolves to the blocked kernels.
-enum class SimdMode : int {
-  kAuto = 0,  ///< Use the SIMD tier whenever it is available (the default).
-  kOff = 1,   ///< Never use SIMD micro-kernels, even when available.
-  kOn = 2,    ///< Request SIMD; falls back to blocked when unavailable.
-};
-
 struct KernelConfig {
-  /// 0 = serial reference kernels (the default; the seed code path).
-  /// >= 1 = blocked kernels; > 1 also parallelizes across an internal pool.
-  std::size_t threads = 0;
+  /// 1 = blocked kernels on the calling thread (the default); > 1 also
+  /// parallelizes across an internal pool of that many threads.
+  std::size_t threads = 1;
   /// Rows of the output handled per task (MC). Each task owns its rows
   /// exclusively — the "one writer per output element" half of the rule.
   std::size_t block_rows = 64;
   /// Columns of B processed per cache pass (NC); rounded up internally to a
   /// whole number of packed micro-panels.
   std::size_t block_cols = 256;
-  /// m*n*k below which gemm stays on the reference kernels even in blocked
-  /// mode. Purely a dispatch heuristic: both paths produce identical bits,
-  /// this only skips pack/dispatch overhead on tiny problems.
+  /// m*n*k below which gemm stays on the reference kernels. Purely a
+  /// dispatch heuristic: both paths produce identical bits, this only skips
+  /// pack/dispatch overhead on tiny problems. SIZE_MAX keeps every gemm on
+  /// the reference kernels (the tests' oracle configuration).
   std::size_t min_blocked_flops = 16 * 1024;
   /// Element count below which the elementwise helpers stay serial.
   std::size_t min_parallel_elems = 32 * 1024;
-  /// SIMD micro-kernel policy (only consulted on the blocked path; the
-  /// serial reference kernels never dispatch to SIMD). The NCNAS_SIMD
-  /// environment variable acts as a process-wide kill switch: "off"/"0"
-  /// disables the tier regardless of this field.
-  SimdMode simd = SimdMode::kAuto;
 
-  /// Blocked kernels requested (serial when threads == 1).
-  [[nodiscard]] bool blocked() const noexcept { return threads >= 1; }
   /// Blocked kernels spread over the internal pool.
   [[nodiscard]] bool pooled() const noexcept { return threads > 1; }
-  /// True when this config's blocked path will use SIMD micro-kernels:
-  /// blocked() and the simd policy resolves on and simd_available().
-  [[nodiscard]] bool simd_active() const noexcept;
 
-  /// Blocked + pooled config; `threads` 0 picks hardware concurrency.
+  /// Default config with `threads` kernel threads; 0 picks hardware
+  /// concurrency.
   [[nodiscard]] static KernelConfig parallel(std::size_t threads = 0);
-  /// The default: serial reference kernels.
-  [[nodiscard]] static KernelConfig serial() noexcept { return {}; }
 
-  /// Whether the SIMD tier can run in this process: the library was built
-  /// optimized with FMA contraction (x86) or for aarch64, the CPU supports
-  /// the ISA (AVX2+FMA checked at runtime on x86), and the NCNAS_SIMD
-  /// environment variable does not say "off".
-  [[nodiscard]] static bool simd_available() noexcept;
-  /// ISA label of the available SIMD tier: "avx2", "neon", or "" when
-  /// simd_available() is false.
+  /// Compile-time label of the vector ISA the kernels were built for:
+  /// "avx2" (x86-64 with AVX2 and FMA), "neon" (aarch64), or "". Whether the
+  /// compiler contracts a*b+c into a fused multiply-add decides the exact
+  /// bits every gemm produces, so result digests pinned on one machine are
+  /// only comparable on a build with the same label; benchmarks key their
+  /// pinned digests on it.
   [[nodiscard]] static const char* simd_isa() noexcept;
 };
 
 /// Installs `cfg` process-wide. Fields are individually atomic, but the
 /// switch is not transactional: do not call while kernels are executing on
 /// other threads (set it at startup, or between phases, as the tests do).
-/// Throws std::invalid_argument on zero block sizes.
+/// Throws std::invalid_argument on zero threads or zero block sizes.
 void set_kernel_config(const KernelConfig& cfg);
 
 /// The currently installed policy.

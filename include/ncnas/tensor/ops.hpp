@@ -1,24 +1,19 @@
 // Dense linear-algebra kernels used by the nn layers.
 //
-// Three tiers, selected by the process-wide KernelConfig (kernel_config.hpp):
+// Two tiers; which one a gemm runs on depends only on its size (see
+// KernelConfig::min_blocked_flops in kernel_config.hpp):
 //
-//  * Reference kernels (`*_ref`, the default): the original single-threaded
-//    triple loops. These are the oracles — simple enough to be obviously
-//    correct, and the bit-exact ground truth kernel_diff_test compares
-//    against.
-//  * Blocked kernels (opt-in): cache-blocked, B-panel-packed micro-kernels,
-//    parallelized over row blocks of the output on a dedicated internal
-//    ThreadPool. Deterministic by construction — each output element is
-//    written by exactly one task and accumulated in the same k-ascending
-//    order at every thread count — so results stay bit-identical across
-//    1..N threads and against the reference kernels.
-//  * SIMD kernels (on by default where eligible, see KernelConfig::simd):
-//    explicit AVX2+FMA / NEON micro-kernels consuming the same packed
-//    panels as the blocked tier. They issue the identical per-element FMA
-//    accumulation chain the compiler produces for the scalar tiers under
-//    -ffp-contract (the build gate in kernel_config.cpp guarantees this),
-//    so all three tiers remain bit-identical. Ragged edges of every problem
-//    are always handled by the scalar micro-kernels.
+//  * Blocked kernels (the default for every problem above the threshold):
+//    cache-blocked, B-panel-packed micro-kernels, optionally parallelized
+//    over row blocks of the output on a dedicated internal ThreadPool.
+//    Deterministic by construction — each output element is written by
+//    exactly one task and accumulated in the same k-ascending order at every
+//    thread count — so results stay bit-identical across 1..N threads and
+//    against the reference kernels.
+//  * Reference kernels (`*_ref`, and every problem below the threshold): the
+//    original single-threaded triple loops. These are the oracles — simple
+//    enough to be obviously correct, and the bit-exact ground truth
+//    kernel_diff_test compares against.
 //
 // Both gemm and gemm_nt share one packed-panel driver: gemm_nt packs B^T
 // into the same k-major panel layout and runs the exact same micro-kernels,
@@ -43,20 +38,18 @@ namespace ncnas::tensor {
 
 /// The execution tier a gemm dispatches to (see the header comment).
 enum class GemmPath {
-  kReference = 0,  ///< serial triple loop (small sizes, or blocking off)
-  kBlocked = 1,    ///< packed-panel scalar micro-kernels
-  kSimd = 2,       ///< packed-panel SIMD micro-kernels (interior only)
+  kReference = 0,  ///< serial triple loop (below min_blocked_flops)
+  kBlocked = 1,    ///< packed-panel micro-kernels
 };
 
 /// The tier a gemm/gemm_nt/gemm_tn of dims (m, k, n) would run on under the
 /// currently installed KernelConfig. Pure planning — no work is done. All
 /// three variants share one dispatch rule, so one introspection covers them;
-/// tests use this to pin the reference/blocked crossover and to assert the
-/// SIMD tier actually engages when expected.
+/// tests use this to pin the reference/blocked crossover.
 [[nodiscard]] GemmPath planned_gemm_path(std::size_t m, std::size_t k, std::size_t n);
 
-/// C = A(m,k) * B(k,n). Shapes validated; C is overwritten. Dispatches to
-/// the blocked kernel when the installed KernelConfig asks for it.
+/// C = A(m,k) * B(k,n). Shapes validated; C is overwritten. Runs on the
+/// tier planned_gemm_path() names.
 void gemm(const Tensor& a, const Tensor& b, Tensor& c);
 
 /// C = A(m,k) * B(n,k)^T.

@@ -8,7 +8,6 @@
 #include "ncnas/tensor/arena.hpp"
 #include "ncnas/tensor/kernel_config.hpp"
 #include "ncnas/tensor/thread_pool.hpp"
-#include "simd_kernels.hpp"
 
 namespace ncnas::tensor {
 
@@ -128,18 +127,6 @@ void gemm_tn_ref_impl(const float* pa, const float* pb, float* pc, const GemmDim
 constexpr std::size_t kPanelWidth = 32;  // NR: columns per packed B panel
 constexpr std::size_t kMicroRows = 4;    // MR: C rows per micro-kernel step
 
-// The SIMD micro-kernels consume the same packed panels the scalar ones do.
-static_assert(simd::kSimdPanelWidth == kPanelWidth,
-              "SIMD kernel panel width must match the pack layout");
-
-/// The SIMD micro-kernel table the given config dispatches to, or nullptr
-/// for the scalar micro-kernels. Centralised so the gemm drivers and the
-/// elementwise ops apply one policy (config says SIMD, build supports it,
-/// CPU supports it, NCNAS_SIMD doesn't veto it).
-const simd::KernelTable* simd_table(const KernelConfig& cfg) {
-  return cfg.simd_active() ? simd::active_table() : nullptr;
-}
-
 /// Grain of the deterministic chunking used by the elementwise helpers.
 /// Fixed — never derived from the thread count — so chunk boundaries (and
 /// therefore bytes) are identical no matter how many workers execute them.
@@ -233,10 +220,10 @@ void gemm_micro_edge(const float* pa, const float* bp, float* pc, std::size_t k,
 
 /// Shared blocked driver for gemm and gemm_nt. The only difference between
 /// the two ops is how B reaches the k-major packed panels (pack_b_panel vs
-/// pack_bt_panel); every kernel downstream of packing — scalar micro-kernels
-/// and the SIMD table alike — is identical, which is both the perf story
-/// (gemm_nt used to run a strided dot kernel that never vectorized) and the
-/// determinism story (one accumulation order to verify, not two).
+/// pack_bt_panel); every kernel downstream of packing is identical, which is
+/// both the perf story (gemm_nt used to run a strided dot kernel that never
+/// vectorized) and the determinism story (one accumulation order to verify,
+/// not two).
 ///
 /// The pack buffer comes from the per-thread arena: steady-state calls do
 /// zero heap allocations (the old std::vector alloc'd k*n floats per call).
@@ -260,7 +247,6 @@ void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const Gemm
     }
   });
 
-  const simd::KernelTable* tbl = simd_table(cfg);
   const std::size_t panels_per_pass = std::max<std::size_t>(1, cfg.block_cols / kPanelWidth);
   const std::size_t nblocks = div_up(d.m, cfg.block_rows);
   run_tasks(cfg.pooled(), nblocks, [&](std::size_t blk) {
@@ -273,13 +259,7 @@ void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const Gemm
         const std::size_t w = std::min(kPanelWidth, d.n - j0);
         const float* bp = packed + j0 * d.k;
         if (w == kPanelWidth) {
-          // SIMD handles only full-width panels; bit-safe to mix with the
-          // scalar edge path because equality is a per-element property.
-          if (tbl != nullptr) {
-            tbl->gemm_panel(pa, bp, pc, d.k, d.n, i0, i1, j0);
-          } else {
-            gemm_micro_full<kPanelWidth>(pa, bp, pc, d.k, d.n, i0, i1, j0);
-          }
+          gemm_micro_full<kPanelWidth>(pa, bp, pc, d.k, d.n, i0, i1, j0);
         } else {
           gemm_micro_edge(pa, bp, pc, d.k, d.n, i0, i1, j0, w);
         }
@@ -330,21 +310,10 @@ void gemm_tn_micro_r1(const float* pa, const float* pb, float* pc, const GemmDim
 
 void gemm_tn_blocked(const float* pa, const float* pb, float* pc, const GemmDims& d,
                      const KernelConfig& cfg) {
-  const simd::KernelTable* tbl = simd_table(cfg);
-  const std::size_t n_full = tbl != nullptr ? tbl->gemm_tn_full_cols(d.n) : 0;
   const std::size_t nblocks = div_up(d.m, cfg.block_rows);
   run_tasks(cfg.pooled(), nblocks, [&](std::size_t blk) {
     const std::size_t i0 = blk * cfg.block_rows;
     const std::size_t i1 = std::min(i0 + cfg.block_rows, d.m);
-    if (tbl != nullptr && n_full > 0) {
-      tbl->gemm_tn_block(pa, pb, pc, d.m, d.k, d.n, i0, i1, n_full);
-      // Leftover columns [n_full, n) — fewer than one vector chunk — go to
-      // the scalar edge kernel, one sub-width pass per row.
-      for (std::size_t i = i0; n_full < d.n && i < i1; ++i) {
-        gemm_tn_micro_r1(pa, pb, pc, d, i, n_full, d.n - n_full);
-      }
-      return;
-    }
     std::size_t i = i0;
     for (; i + kMicroRows <= i1; i += kMicroRows) {
       std::size_t j0 = 0;
@@ -366,13 +335,12 @@ void gemm_tn_blocked(const float* pa, const float* pb, float* pc, const GemmDims
 }
 
 /// Which tier a gemm of these dims runs under cfg. One rule for all three
-/// variants: below min_blocked_flops the blocking/packing overhead loses to
-/// the plain reference loop (this is what fixes the small-size gemm_nt
-/// regression — tiny matmuls now take the reference path outright), above
-/// it the blocked drivers run, upgraded to the SIMD table when eligible.
+/// variants, on problem size alone: below min_blocked_flops the
+/// blocking/packing overhead loses to the plain reference loop (this is what
+/// fixes the small-size gemm_nt regression — tiny matmuls take the reference
+/// path outright), at or above it the blocked drivers run.
 GemmPath plan_path(const GemmDims& d, const KernelConfig& cfg) {
-  if (!cfg.blocked() || d.m * d.k * d.n < cfg.min_blocked_flops) return GemmPath::kReference;
-  return cfg.simd_active() ? GemmPath::kSimd : GemmPath::kBlocked;
+  return d.m * d.k * d.n < cfg.min_blocked_flops ? GemmPath::kReference : GemmPath::kBlocked;
 }
 
 // 2*m*k*n multiply-adds; bytes = read A, read B, write C (float32).
@@ -489,13 +457,8 @@ void axpy(float alpha, const Tensor& x, Tensor& y) {
   prof.add_work(2.0 * static_cast<double>(y.size()), 12.0 * static_cast<double>(y.size()));
   float* py = y.data();
   const float* px = x.data();
-  const simd::KernelTable* tbl = simd_table(kernel_config());
   parallel_elems(y.size(), [&](std::size_t b, std::size_t e) {
-    if (tbl != nullptr) {
-      tbl->axpy_range(alpha, px, py, b, e);
-    } else {
-      for (std::size_t i = b; i < e; ++i) py[i] += alpha * px[i];
-    }
+    for (std::size_t i = b; i < e; ++i) py[i] += alpha * px[i];
   });
 }
 
@@ -503,13 +466,8 @@ void scale_inplace(Tensor& y, float alpha) {
   obs::ProfileScope prof("scale_inplace");
   prof.add_work(static_cast<double>(y.size()), 8.0 * static_cast<double>(y.size()));
   float* py = y.data();
-  const simd::KernelTable* tbl = simd_table(kernel_config());
   parallel_elems(y.size(), [&](std::size_t b, std::size_t e) {
-    if (tbl != nullptr) {
-      tbl->scale_range(alpha, py, b, e);
-    } else {
-      for (std::size_t i = b; i < e; ++i) py[i] *= alpha;
-    }
+    for (std::size_t i = b; i < e; ++i) py[i] *= alpha;
   });
 }
 
@@ -526,15 +484,10 @@ void add_row_bias(Tensor& y, const Tensor& bias) {
                        static_cast<double>(n)));
   float* py = y.data();
   const float* pb = bias.data();
-  const simd::KernelTable* tbl = simd_table(kernel_config());
   parallel_rows(m, n, [&](std::size_t rb, std::size_t re) {
-    if (tbl != nullptr) {
-      tbl->add_bias_rows(py, pb, n, rb, re);
-    } else {
-      for (std::size_t i = rb; i < re; ++i) {
-        float* row = py + i * n;
-        for (std::size_t j = 0; j < n; ++j) row[j] += pb[j];
-      }
+    for (std::size_t i = rb; i < re; ++i) {
+      float* row = py + i * n;
+      for (std::size_t j = 0; j < n; ++j) row[j] += pb[j];
     }
   });
 }
@@ -552,17 +505,12 @@ void accumulate_col_sums(const Tensor& g, Tensor& out) {
                        2.0 * static_cast<double>(n)));
   const float* pg = g.data();
   float* po = out.data();
-  const simd::KernelTable* tbl = simd_table(kernel_config());
   // Parallel over column ranges: each out[j] has a single writer, and its
   // accumulation stays row-ascending — the serial order — per column.
   parallel_rows(n, m, [&](std::size_t jb, std::size_t je) {
-    if (tbl != nullptr) {
-      tbl->col_sum_cols(pg, po, m, n, jb, je);
-    } else {
-      for (std::size_t i = 0; i < m; ++i) {
-        const float* row = pg + i * n;
-        for (std::size_t j = jb; j < je; ++j) po[j] += row[j];
-      }
+    for (std::size_t i = 0; i < m; ++i) {
+      const float* row = pg + i * n;
+      for (std::size_t j = jb; j < je; ++j) po[j] += row[j];
     }
   });
 }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -17,27 +18,33 @@
 
 namespace ncnas::testing {
 
-/// One kernel-tier configuration a parameterized suite runs under: a thread
-/// count (0 = serial reference kernels) and whether the SIMD tier may engage.
+/// One kernel-tier configuration a parameterized suite runs under: the
+/// reference kernels only (threads == 0), or the blocked kernels on that many
+/// kernel threads.
 struct KernelMode {
   std::size_t threads;
-  tensor::SimdMode simd;
+  /// Unused. gtest prints a parameter's raw bytes into every discovered test
+  /// name, so this keeps the 16-byte layout those names were registered with.
+  std::int32_t reserved = 1;
 };
 
-/// Parameterized fixture that re-runs a suite under each kernel mode.
-/// Dispatch thresholds are zeroed and blocks shrunk so even the tiny
-/// problems gradchecks use genuinely exercise the blocked paths (including
-/// edge panels) instead of falling back to the reference.
+/// Parameterized fixture that re-runs a suite under each kernel mode. In the
+/// blocked modes dispatch thresholds are zeroed and blocks shrunk so even the
+/// tiny problems gradchecks use genuinely exercise the blocked paths
+/// (including edge panels) instead of falling back to the reference.
 class KernelModeTest : public ::testing::TestWithParam<KernelMode> {
  protected:
   void SetUp() override {
     tensor::KernelConfig cfg;
-    cfg.threads = GetParam().threads;
-    cfg.simd = GetParam().simd;
     cfg.block_rows = 8;
     cfg.block_cols = 32;
-    cfg.min_blocked_flops = 0;
     cfg.min_parallel_elems = 0;
+    if (GetParam().threads == 0) {
+      cfg.min_blocked_flops = SIZE_MAX;
+    } else {
+      cfg.threads = GetParam().threads;
+      cfg.min_blocked_flops = 0;
+    }
     guard_.emplace(cfg);
   }
   void TearDown() override { guard_.reset(); }
@@ -46,18 +53,11 @@ class KernelModeTest : public ::testing::TestWithParam<KernelMode> {
   std::optional<tensor::KernelConfigGuard> guard_;
 };
 
-/// The modes every kernel-mode suite runs under: reference, blocked (SIMD
-/// forced off) serially and on the hardware's worth of pool threads, and the
-/// SIMD tier at the same two thread counts. On machines where the SIMD tier
-/// is unavailable the simd entries degrade to the blocked tier — still a
-/// valid (if redundant) run, so no skipping logic is needed.
+/// The modes every kernel-mode suite runs under: reference, and blocked
+/// serially and on the hardware's worth of pool threads.
 inline std::vector<KernelMode> kernel_mode_params() {
   const std::size_t hw = std::max<std::size_t>(2, std::thread::hardware_concurrency());
-  return {{0, tensor::SimdMode::kOff},
-          {1, tensor::SimdMode::kOff},
-          {hw, tensor::SimdMode::kOff},
-          {1, tensor::SimdMode::kOn},
-          {hw, tensor::SimdMode::kOn}};
+  return {{.threads = 0}, {.threads = 1}, {.threads = hw}};
 }
 
 /// Stable, unique test-name suffix per mode (the hardware entry can never
@@ -65,9 +65,8 @@ inline std::vector<KernelMode> kernel_mode_params() {
 inline std::string kernel_mode_name(const ::testing::TestParamInfo<KernelMode>& info) {
   const KernelMode& m = info.param;
   if (m.threads == 0) return "ref";
-  const std::string tier = m.simd == tensor::SimdMode::kOn ? "simd" : "blocked";
-  if (m.threads == 1) return tier + "_serial";
-  return tier + "_t" + std::to_string(m.threads);
+  if (m.threads == 1) return "blocked_serial";
+  return "blocked_t" + std::to_string(m.threads);
 }
 
 /// Scalar probe loss: L = sum_i w_i * y_i with fixed pseudo-random weights,

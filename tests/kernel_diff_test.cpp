@@ -7,8 +7,10 @@
 // is a determinism bug, not noise.
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,7 +27,6 @@ using ncnas::tensor::GemmPath;
 using ncnas::tensor::KernelConfig;
 using ncnas::tensor::KernelConfigGuard;
 using ncnas::tensor::Rng;
-using ncnas::tensor::SimdMode;
 using ncnas::tensor::Tensor;
 
 std::size_t hardware_threads() {
@@ -35,10 +36,9 @@ std::size_t hardware_threads() {
 /// The thread counts the suite sweeps, per the issue: 1, 2, hardware.
 std::vector<std::size_t> thread_counts() { return {1, 2, hardware_threads()}; }
 
-KernelConfig test_config(std::size_t threads, SimdMode simd = SimdMode::kAuto) {
+KernelConfig test_config(std::size_t threads) {
   KernelConfig cfg;
   cfg.threads = threads;
-  cfg.simd = simd;
   cfg.block_rows = 8;    // small enough that every sweep shape spans blocks
   cfg.block_cols = 32;   // two packed panels per cache pass
   cfg.min_blocked_flops = 0;    // force the blocked path even for 1x1x1
@@ -46,23 +46,16 @@ KernelConfig test_config(std::size_t threads, SimdMode simd = SimdMode::kAuto) {
   return cfg;
 }
 
-/// One non-reference tier configuration in the differential sweep: the
-/// scalar blocked kernels (SIMD forced off) and the SIMD tier, each at
-/// several thread counts. Where the SIMD tier is unavailable its entries
-/// degrade to the blocked tier, which keeps the sweep valid everywhere.
-struct TierMode {
-  std::size_t threads;
-  SimdMode simd;
-  const char* label;
-};
+/// Every gemm on the reference kernels: the oracle configuration.
+KernelConfig reference_config() {
+  KernelConfig cfg;
+  cfg.min_blocked_flops = SIZE_MAX;
+  return cfg;
+}
 
-std::vector<TierMode> tier_sweep() {
-  static const std::size_t hw = hardware_threads();
-  return {{1, SimdMode::kOff, "blocked_t1"},
-          {2, SimdMode::kOff, "blocked_t2"},
-          {hw, SimdMode::kOff, "blocked_tmax"},
-          {1, SimdMode::kOn, "simd_t1"},
-          {hw, SimdMode::kOn, "simd_tmax"}};
+/// The reference tier, then the blocked tier serially and on the pool.
+std::vector<KernelConfig> tier_configs() {
+  return {reference_config(), test_config(1), test_config(hardware_threads())};
 }
 
 Tensor random_tensor(const ncnas::tensor::Shape& shape, Rng& rng) {
@@ -106,14 +99,14 @@ TEST_F(KernelDiff, GemmMatchesReferenceBitwiseAcrossShapesAndThreads) {
     const Tensor b = random_tensor({s.k, s.n}, rng_);
     Tensor want({s.m, s.n});
     ncnas::tensor::gemm_ref(a, b, want);
-    for (const TierMode& tm : tier_sweep()) {
-      KernelConfigGuard guard(test_config(tm.threads, tm.simd));
+    for (std::size_t t : thread_counts()) {
+      KernelConfigGuard guard(test_config(t));
       Tensor got({s.m, s.n});
       // Poison the output first: the blocked kernel must fully overwrite C.
       for (float& v : got.flat()) v = -123.75f;
       ncnas::tensor::gemm(a, b, got);
       EXPECT_TRUE(bytes_equal(want, got))
-          << "gemm " << s.m << "x" << s.k << "x" << s.n << " tier=" << tm.label
+          << "gemm " << s.m << "x" << s.k << "x" << s.n << " threads=" << t
           << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
     }
   }
@@ -125,13 +118,13 @@ TEST_F(KernelDiff, GemmNtMatchesReferenceBitwiseAcrossShapesAndThreads) {
     const Tensor b = random_tensor({s.n, s.k}, rng_);
     Tensor want({s.m, s.n});
     ncnas::tensor::gemm_nt_ref(a, b, want);
-    for (const TierMode& tm : tier_sweep()) {
-      KernelConfigGuard guard(test_config(tm.threads, tm.simd));
+    for (std::size_t t : thread_counts()) {
+      KernelConfigGuard guard(test_config(t));
       Tensor got({s.m, s.n});
       for (float& v : got.flat()) v = -123.75f;
       ncnas::tensor::gemm_nt(a, b, got);
       EXPECT_TRUE(bytes_equal(want, got))
-          << "gemm_nt " << s.m << "x" << s.k << "x" << s.n << " tier=" << tm.label
+          << "gemm_nt " << s.m << "x" << s.k << "x" << s.n << " threads=" << t
           << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
     }
   }
@@ -143,13 +136,13 @@ TEST_F(KernelDiff, GemmTnMatchesReferenceBitwiseAcrossShapesAndThreads) {
     const Tensor b = random_tensor({s.k, s.n}, rng_);
     Tensor want({s.m, s.n});
     ncnas::tensor::gemm_tn_ref(a, b, want);
-    for (const TierMode& tm : tier_sweep()) {
-      KernelConfigGuard guard(test_config(tm.threads, tm.simd));
+    for (std::size_t t : thread_counts()) {
+      KernelConfigGuard guard(test_config(t));
       Tensor got({s.m, s.n});
       for (float& v : got.flat()) v = -123.75f;
       ncnas::tensor::gemm_tn(a, b, got);
       EXPECT_TRUE(bytes_equal(want, got))
-          << "gemm_tn " << s.m << "x" << s.k << "x" << s.n << " tier=" << tm.label
+          << "gemm_tn " << s.m << "x" << s.k << "x" << s.n << " threads=" << t
           << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
     }
   }
@@ -232,14 +225,16 @@ TEST_F(KernelDiff, ZeroTimesNanPropagatesNan) {
   Tensor b({3, 2});
   for (float& v : b.flat()) v = 1.0f;
   b(1, 0) = std::numeric_limits<float>::quiet_NaN();
-  for (std::size_t t : {0UL, 1UL, hardware_threads()}) {
-    KernelConfigGuard guard(test_config(t));
+  for (const KernelConfig& cfg : tier_configs()) {
+    KernelConfigGuard guard(cfg);
+    SCOPED_TRACE(::testing::Message() << "threads=" << cfg.threads
+                                      << " min_blocked_flops=" << cfg.min_blocked_flops);
     Tensor c({2, 2});
     ncnas::tensor::gemm(a, b, c);
-    EXPECT_TRUE(std::isnan(c(0, 0))) << "threads=" << t;  // 0 * NaN in play
-    EXPECT_TRUE(std::isnan(c(1, 0))) << "threads=" << t;  // 4 * NaN in play
-    EXPECT_FLOAT_EQ(c(0, 1), 3.0f) << "threads=" << t;    // NaN column only
-    EXPECT_FLOAT_EQ(c(1, 1), 4.5f) << "threads=" << t;
+    EXPECT_TRUE(std::isnan(c(0, 0)));  // 0 * NaN in play
+    EXPECT_TRUE(std::isnan(c(1, 0)));  // 4 * NaN in play
+    EXPECT_FLOAT_EQ(c(0, 1), 3.0f);    // NaN column only
+    EXPECT_FLOAT_EQ(c(1, 1), 4.5f);
   }
 }
 
@@ -250,11 +245,13 @@ TEST_F(KernelDiff, ZeroTimesInfPropagatesNan) {
   Tensor b({2, 1});
   b(0, 0) = std::numeric_limits<float>::infinity();
   b(1, 0) = 7.0f;
-  for (std::size_t t : {0UL, 1UL, hardware_threads()}) {
-    KernelConfigGuard guard(test_config(t));
+  for (const KernelConfig& cfg : tier_configs()) {
+    KernelConfigGuard guard(cfg);
+    SCOPED_TRACE(::testing::Message() << "threads=" << cfg.threads
+                                      << " min_blocked_flops=" << cfg.min_blocked_flops);
     Tensor c({1, 1});
     ncnas::tensor::gemm(a, b, c);
-    EXPECT_TRUE(std::isnan(c(0, 0))) << "threads=" << t;  // 0 * inf = NaN
+    EXPECT_TRUE(std::isnan(c(0, 0)));  // 0 * inf = NaN
   }
 }
 
@@ -266,11 +263,13 @@ TEST_F(KernelDiff, GemmTnZeroTimesNanPropagatesNan) {
   Tensor b({2, 1});
   b(0, 0) = std::numeric_limits<float>::quiet_NaN();
   b(1, 0) = 2.0f;
-  for (std::size_t t : {0UL, 1UL, hardware_threads()}) {
-    KernelConfigGuard guard(test_config(t));
+  for (const KernelConfig& cfg : tier_configs()) {
+    KernelConfigGuard guard(cfg);
+    SCOPED_TRACE(::testing::Message() << "threads=" << cfg.threads
+                                      << " min_blocked_flops=" << cfg.min_blocked_flops);
     Tensor c({1, 1});
     ncnas::tensor::gemm_tn(a, b, c);
-    EXPECT_TRUE(std::isnan(c(0, 0))) << "threads=" << t;
+    EXPECT_TRUE(std::isnan(c(0, 0)));
   }
 }
 
@@ -287,14 +286,14 @@ TEST_F(KernelDiff, ElementwiseOpsMatchSerialBitwise) {
   Tensor want_scale = y0;
   ncnas::tensor::scale_inplace(want_scale, -1.72f);
 
-  for (const TierMode& tm : tier_sweep()) {
-    KernelConfigGuard guard(test_config(tm.threads, tm.simd));
+  for (std::size_t t : thread_counts()) {
+    KernelConfigGuard guard(test_config(t));
     Tensor got_axpy = y0;
     ncnas::tensor::axpy(0.37f, x, got_axpy);
-    EXPECT_TRUE(bytes_equal(want_axpy, got_axpy)) << "axpy tier=" << tm.label;
+    EXPECT_TRUE(bytes_equal(want_axpy, got_axpy)) << "axpy threads=" << t;
     Tensor got_scale = y0;
     ncnas::tensor::scale_inplace(got_scale, -1.72f);
-    EXPECT_TRUE(bytes_equal(want_scale, got_scale)) << "scale tier=" << tm.label;
+    EXPECT_TRUE(bytes_equal(want_scale, got_scale)) << "scale threads=" << t;
   }
 }
 
@@ -310,14 +309,14 @@ TEST_F(KernelDiff, RowwiseOpsMatchSerialBitwise) {
   Tensor want_colsum = colsum0;
   ncnas::tensor::accumulate_col_sums(g, want_colsum);
 
-  for (const TierMode& tm : tier_sweep()) {
-    KernelConfigGuard guard(test_config(tm.threads, tm.simd));
+  for (std::size_t t : thread_counts()) {
+    KernelConfigGuard guard(test_config(t));
     Tensor got_bias = y0;
     ncnas::tensor::add_row_bias(got_bias, bias);
-    EXPECT_TRUE(bytes_equal(want_bias, got_bias)) << "add_row_bias tier=" << tm.label;
+    EXPECT_TRUE(bytes_equal(want_bias, got_bias)) << "add_row_bias threads=" << t;
     Tensor got_colsum = colsum0;
     ncnas::tensor::accumulate_col_sums(g, got_colsum);
-    EXPECT_TRUE(bytes_equal(want_colsum, got_colsum)) << "accumulate_col_sums tier=" << tm.label;
+    EXPECT_TRUE(bytes_equal(want_colsum, got_colsum)) << "accumulate_col_sums threads=" << t;
   }
 }
 
@@ -363,69 +362,72 @@ TEST_F(KernelDiff, ShapeValidationStillThrowsInBlockedMode) {
 TEST_F(KernelDiff, ReferenceBlockedCrossoverPinned) {
   // Pins the small-size cutoff that fixed the gemm_nt regression: below
   // min_blocked_flops every gemm variant takes the reference path outright
-  // (no blocking/packing overhead), at or above it the blocked tiers run.
+  // (no blocking/packing overhead), at or above it the blocked tier runs.
   KernelConfig cfg = KernelConfig::parallel(1);
-  cfg.simd = SimdMode::kOff;
   cfg.min_blocked_flops = 1000;
   KernelConfigGuard guard(cfg);
   using ncnas::tensor::planned_gemm_path;
   EXPECT_EQ(planned_gemm_path(9, 9, 9), GemmPath::kReference);     // 729 < 1000
   EXPECT_EQ(planned_gemm_path(10, 10, 10), GemmPath::kBlocked);    // exactly 1000
   EXPECT_EQ(planned_gemm_path(16, 16, 16), GemmPath::kBlocked);
-  // The default threshold keeps genuinely tiny products on the reference
-  // path even in fully parallel configs.
+  {
+    // The default config runs the blocked tier on anything past the
+    // threshold and keeps genuinely tiny products on the reference path.
+    KernelConfigGuard defaults{KernelConfig{}};
+    EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked);
+    EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference);
+  }
+  // The same threshold holds in fully parallel configs.
   KernelConfigGuard defaults{KernelConfig::parallel()};
   EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference);
-  EXPECT_EQ(planned_gemm_path(64, 64, 64),
-            KernelConfig::simd_available() ? GemmPath::kSimd : GemmPath::kBlocked);
+  EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked);
 }
 
-TEST_F(KernelDiff, SimdTierEngagesExactlyWhenEligible) {
+TEST_F(KernelDiff, GemmTierDependsOnlyOnSizeThreshold) {
+  // There are two tiers, reference and blocked, and the choice between them
+  // is made by min_blocked_flops alone: the thread count only decides
+  // whether the blocked tier is pooled, never which tier runs.
   using ncnas::tensor::planned_gemm_path;
-  {
-    // threads == 0 is the serial reference tier; SIMD must never engage.
-    KernelConfigGuard guard{KernelConfig{}};
-    EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kReference);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    KernelConfig cfg;
+    cfg.threads = threads;
+    KernelConfigGuard guard(cfg);
+    EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked) << threads;
+    EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference) << threads;
   }
-  {
-    KernelConfigGuard guard(test_config(1, SimdMode::kOff));
-    EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked);
-  }
-  {
-    KernelConfigGuard guard(test_config(1, SimdMode::kOn));
-    const GemmPath p = planned_gemm_path(64, 64, 64);
-    if (KernelConfig::simd_available()) {
-      EXPECT_EQ(p, GemmPath::kSimd);
-      EXPECT_STRNE(KernelConfig::simd_isa(), "");
-    } else {
-      EXPECT_EQ(p, GemmPath::kBlocked);
-      EXPECT_STREQ(KernelConfig::simd_isa(), "");
-    }
-  }
+  // SIZE_MAX is the reference-only oracle configuration.
+  KernelConfigGuard reference{reference_config()};
+  EXPECT_EQ(planned_gemm_path(512, 512, 512), GemmPath::kReference);
+  // The ISA label is informational only: it names the build, not a tier.
+  const std::string isa = KernelConfig::simd_isa();
+  EXPECT_TRUE(isa.empty() || isa == "avx2" || isa == "neon") << isa;
 }
 
-TEST_F(KernelDiff, SimdNanPropagationMatchesReference) {
-  // NaN/Inf travel through the SIMD micro-kernels exactly as through the
-  // reference loops — including values that only touch the panel interior
-  // vs only the scalar edge region of the same product.
+TEST_F(KernelDiff, NanPropagationMatchesReference) {
+  // NaN/Inf travel through the blocked micro-kernels exactly as through the
+  // reference loops — including values that only touch a full-width panel
+  // vs only the edge panel of the same product.
   const std::size_t m = 9, k = 13, n = 47;  // 47 = one full panel + edge 15
   Tensor a = random_tensor({m, k}, rng_);
   Tensor b = random_tensor({k, n}, rng_);
   a(3, 5) = std::numeric_limits<float>::quiet_NaN();
-  b(7, 2) = std::numeric_limits<float>::infinity();   // interior column
+  b(7, 2) = std::numeric_limits<float>::infinity();   // full-panel column
   b(2, 40) = -std::numeric_limits<float>::infinity();  // edge column
   Tensor want({m, n});
   ncnas::tensor::gemm_ref(a, b, want);
-  for (const TierMode& tm : tier_sweep()) {
-    KernelConfigGuard guard(test_config(tm.threads, tm.simd));
+  for (std::size_t t : thread_counts()) {
+    KernelConfigGuard guard(test_config(t));
     Tensor got({m, n});
     ncnas::tensor::gemm(a, b, got);
-    EXPECT_TRUE(bytes_equal(want, got)) << "tier=" << tm.label;
+    EXPECT_TRUE(bytes_equal(want, got)) << "threads=" << t;
   }
 }
 
 TEST_F(KernelDiff, SetKernelConfigRejectsZeroBlocks) {
   KernelConfig cfg;
+  cfg.threads = 0;
+  EXPECT_THROW(ncnas::tensor::set_kernel_config(cfg), std::invalid_argument);
+  cfg = KernelConfig{};
   cfg.block_rows = 0;
   EXPECT_THROW(ncnas::tensor::set_kernel_config(cfg), std::invalid_argument);
   cfg = KernelConfig{};

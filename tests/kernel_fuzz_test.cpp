@@ -1,9 +1,9 @@
 // Seeded randomized differential fuzz harness for the kernel tiers.
 //
 // Every iteration draws a random problem (shape, construction path, special
-// values, aliasing) and a random non-reference kernel configuration (thread
-// count, tier, block geometry, dispatch thresholds), then requires the
-// result to be byte-for-byte identical to the serial reference kernels.
+// values, aliasing) and a random kernel configuration (thread count, block
+// geometry, dispatch thresholds), then requires the result to be
+// byte-for-byte identical to the serial reference kernels.
 // 1000 iterations per op; the base seed prints at startup and can be
 // overridden with --seed=N to replay a failing run exactly.
 //
@@ -37,7 +37,6 @@ namespace {
 using ncnas::tensor::KernelConfig;
 using ncnas::tensor::KernelConfigGuard;
 using ncnas::tensor::Rng;
-using ncnas::tensor::SimdMode;
 using ncnas::tensor::Tensor;
 
 std::uint64_t g_seed = 0xF0221DBeefULL;
@@ -75,17 +74,15 @@ class Fuzz {
     return 66 + static_cast<std::size_t>(rng_.uniform_int(80));
   }
 
-  /// A random non-reference kernel configuration.
+  /// A random kernel configuration.
   KernelConfig config() {
     KernelConfig cfg;
     cfg.threads = 1 + rng_.uniform_int(hardware_threads());
-    const double tier = rng_.uniform();
-    cfg.simd = tier < 0.4 ? SimdMode::kOff : (tier < 0.8 ? SimdMode::kOn : SimdMode::kAuto);
     static constexpr std::size_t kRows[] = {1, 3, 4, 8, 16, 64, 256};
     static constexpr std::size_t kCols[] = {1, 16, 32, 48, 64, 256};
     cfg.block_rows = kRows[rng_.uniform_int(std::size(kRows))];
     cfg.block_cols = kCols[rng_.uniform_int(std::size(kCols))];
-    // Mostly force the blocked tiers; sometimes leave real thresholds in so
+    // Mostly force the blocked tier; sometimes leave real thresholds in so
     // the reference fallback and its crossover get fuzzed too.
     cfg.min_blocked_flops = rng_.uniform() < 0.8 ? 0 : KernelConfig{}.min_blocked_flops;
     cfg.min_parallel_elems = rng_.uniform() < 0.8 ? 0 : KernelConfig{}.min_parallel_elems;
@@ -144,8 +141,7 @@ void fuzz_gemm(std::uint64_t salt, const char* name,
     op(a, b, got);
     ASSERT_TRUE(bytes_equal(want, got))
         << name << " iter=" << it << " " << m << "x" << k << "x" << n
-        << " threads=" << cfg.threads << " simd=" << static_cast<int>(cfg.simd)
-        << " blocks=" << cfg.block_rows << "x" << cfg.block_cols
+        << " threads=" << cfg.threads << " blocks=" << cfg.block_rows << "x" << cfg.block_cols
         << " min_flops=" << cfg.min_blocked_flops << " (replay with --seed=" << g_seed << ")";
   }
 }
@@ -192,8 +188,7 @@ TEST(KernelFuzz, AxpyScaleAllTiersBitwiseVsReference) {
     ncnas::tensor::scale_inplace(got, alpha);
     ASSERT_TRUE(bytes_equal(want, got))
         << "axpy/scale iter=" << it << " n=" << n << " alias=" << alias
-        << " threads=" << cfg.threads << " simd=" << static_cast<int>(cfg.simd)
-        << " (replay with --seed=" << g_seed << ")";
+        << " threads=" << cfg.threads << " (replay with --seed=" << g_seed << ")";
   }
 }
 
@@ -222,7 +217,7 @@ TEST(KernelFuzz, RowwiseOpsAllTiersBitwiseVsReference) {
     ncnas::tensor::accumulate_col_sums(g, got_sums);
     ASSERT_TRUE(bytes_equal(want_bias, got_bias) && bytes_equal(want_sums, got_sums))
         << "rowwise iter=" << it << " " << m << "x" << n << " threads=" << cfg.threads
-        << " simd=" << static_cast<int>(cfg.simd) << " (replay with --seed=" << g_seed << ")";
+        << " (replay with --seed=" << g_seed << ")";
   }
 }
 

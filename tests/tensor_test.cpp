@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 
@@ -163,7 +164,7 @@ KernelConfig pooled_config() {
 
 TEST(KernelDeterminism, RandomShapesByteIdenticalSerialVsParallel) {
   // Property test: same seed + same shapes => byte-identical buffers whether
-  // the kernels run serially (reference) or blocked on the pool.
+  // the serial reference kernels or the blocked kernels on the pool run.
   Rng rng(20260806);
   for (int iter = 0; iter < 40; ++iter) {
     const std::size_t m = 1 + rng.uniform_int(48);
@@ -176,9 +177,9 @@ TEST(KernelDeterminism, RandomShapesByteIdenticalSerialVsParallel) {
     for (float& v : at.flat()) v = static_cast<float>(rng.normal());
 
     Tensor c_serial({m, n}), cnt_serial({m, n}), ctn_serial({m, n});
-    gemm(a, bn, c_serial);  // default config: serial reference
-    gemm_nt(a, bt, cnt_serial);
-    gemm_tn(at, bn, ctn_serial);
+    gemm_ref(a, bn, c_serial);
+    gemm_nt_ref(a, bt, cnt_serial);
+    gemm_tn_ref(at, bn, ctn_serial);
 
     KernelConfigGuard guard(pooled_config());
     Tensor c_par({m, n}), cnt_par({m, n}), ctn_par({m, n});
@@ -194,8 +195,8 @@ TEST(KernelDeterminism, RandomShapesByteIdenticalSerialVsParallel) {
 TEST(KernelDeterminism, SearchResultBitIdenticalAcrossKernelTiers) {
   // The end-to-end guarantee: a full driver strategy pass (controller LSTM,
   // PPO updates, reward-estimation training) produces a bit-identical
-  // SearchResult on every kernel tier — serial reference, blocked on the
-  // pool with SIMD forced off, and the SIMD tier — for every strategy.
+  // SearchResult on every kernel tier — serial reference, the default
+  // config, and blocked on the pool — for every strategy.
   data::Nt3Dims dims;
   dims.train = 64;
   dims.valid = 32;
@@ -217,16 +218,20 @@ TEST(KernelDeterminism, SearchResultBitIdenticalAcrossKernelTiers) {
     cfg.seed = 11;
     const std::string tag = "strategy " + std::to_string(static_cast<int>(strategy));
 
-    const nas::SearchResult baseline = nas::SearchDriver(s, ds, cfg).run();
+    nas::SearchResult baseline;
+    {
+      KernelConfig reference;
+      reference.min_blocked_flops = SIZE_MAX;  // every gemm on the reference kernels
+      KernelConfigGuard guard(reference);
+      baseline = nas::SearchDriver(s, ds, cfg).run();
+    }
 
     struct Tier {
       const char* label;
-      SimdMode simd;
+      KernelConfig kernels;
     };
-    for (const Tier tier : {Tier{"blocked", SimdMode::kOff}, Tier{"simd", SimdMode::kOn}}) {
-      KernelConfig kcfg = pooled_config();
-      kcfg.simd = tier.simd;
-      KernelConfigGuard guard(kcfg);
+    for (const Tier& tier : {Tier{"default", KernelConfig{}}, Tier{"pooled", pooled_config()}}) {
+      KernelConfigGuard guard(tier.kernels);
       const nas::SearchResult got = nas::SearchDriver(s, ds, cfg).run();
 
       ASSERT_EQ(baseline.evals.size(), got.evals.size()) << tag << " tier " << tier.label;

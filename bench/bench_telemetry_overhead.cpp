@@ -66,7 +66,6 @@ void BM_SearchRun_WithTelemetry(benchmark::State& state) {
     nas::SearchResult res = nas::SearchDriver(sp, ds, cfg).run();
     evals += res.evals.size();
     benchmark::DoNotOptimize(res.end_time);
-    benchmark::DoNotOptimize(telemetry.trace().recorded());
   }
   state.counters["evals"] =
       benchmark::Counter(static_cast<double>(evals), benchmark::Counter::kAvgIterations);
@@ -74,8 +73,8 @@ void BM_SearchRun_WithTelemetry(benchmark::State& state) {
 BENCHMARK(BM_SearchRun_WithTelemetry)->Unit(benchmark::kMillisecond);
 
 void BM_SearchRun_WithJournalAndWatchdog(benchmark::State& state) {
-  // The heaviest observation configuration: metrics + trace + structured
-  // journal + the watchdog subscriber re-checking every event.
+  // The heaviest observation configuration: metrics + the event fold +
+  // structured journal + the watchdog subscriber re-checking every event.
   const space::SearchSpace sp = space::nt3_small_space();
   const data::Dataset& ds = small_dataset();
   std::size_t evals = 0;
@@ -206,16 +205,5 @@ void BM_ProfileScopeDisabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProfileScopeDisabled);
-
-void BM_TraceSpanRecord(benchmark::State& state) {
-  obs::TraceRecorder rec(1 << 16);
-  double t = 0.0;
-  for (auto _ : state) {
-    rec.span("agent_cycle", "driver", t, 1.0, 0, {{"batch", 11.0}});
-    t += 1.0;
-  }
-  benchmark::DoNotOptimize(rec.recorded());
-}
-BENCHMARK(BM_TraceSpanRecord);
 
 }  // namespace

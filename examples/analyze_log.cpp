@@ -6,9 +6,10 @@
 //   ./examples/analyze_log nas_logs/<tag>.log <space-name> [--journal <file>]...
 //
 // With --journal the tool also replays a structured journal (JSONL written by
-// Telemetry::export_journal_jsonl) of the same run and cross-checks its final
-// eval count and best reward against the result log — a divergence means the
-// two artifacts are from different runs (exit 1).
+// Telemetry::export_journal_jsonl) of the same run and cross-checks it against
+// the result log with nas::reconcile (eval count, best reward, cache, shared
+// and timeout counts, fault, checkpoint and ladder counters) — a divergence
+// means the two artifacts are from different runs (exit 1).
 //
 // --journal may repeat for a checkpointed run that was interrupted and
 // resumed: pass the journals in process order (original first, each resumed
@@ -37,6 +38,7 @@
 #include "ncnas/analytics/arch_stats.hpp"
 #include "ncnas/analytics/report.hpp"
 #include "ncnas/analytics/series.hpp"
+#include "ncnas/nas/driver.hpp"
 #include "ncnas/nas/result_io.hpp"
 #include "ncnas/obs/journal.hpp"
 #include "ncnas/obs/profiler.hpp"
@@ -136,43 +138,7 @@ int main(int argc, char** argv) {
       std::cerr << e.what() << "\n";
       return 1;
     }
-    float log_best = -std::numeric_limits<float>::infinity();
-    for (const auto& e : res->evals) log_best = std::max(log_best, e.reward);
-
-    if (sum.evals != res->evals.size()) {
-      mismatches.push_back("journal has " + std::to_string(sum.evals) + " evals, log has " +
-                           std::to_string(res->evals.size()));
-    }
-    if (!res->evals.empty() && sum.best_reward != log_best) {
-      mismatches.push_back("journal best reward " + analytics::fmt(sum.best_reward) +
-                           ", log best reward " + analytics::fmt(log_best));
-    }
-    // Fault accounting is recorded on both sides with the same no-deadline
-    // convention, so a faulty run's journal must reconcile counter-for-counter.
-    const auto check_fault = [&](const char* what, std::size_t journal_n, std::size_t log_n) {
-      if (journal_n == log_n) return;
-      mismatches.push_back("journal has " + std::to_string(journal_n) + " " + what +
-                           ", log has " + std::to_string(log_n));
-    };
-    check_fault("retries", sum.retries, res->retries);
-    check_fault("retry-exhausted evals", sum.exhausted, res->exhausted);
-    check_fault("lost results", sum.lost_results, res->lost_results);
-    check_fault("crashed workers", sum.crashed_workers, res->crashed_workers);
-    check_fault("dead agents", sum.dead_agents, res->dead_agents);
-    // Checkpoint accounting follows the same no-deadline convention, so a
-    // merged lineage must reconcile with the final result counter-for-counter.
-    check_fault("checkpoints", sum.checkpoints, res->checkpoints_written);
-    check_fault("resumes", sum.resumes, res->resumes);
-    // Shared-cache hits are journaled as eval_cached events with a `shared`
-    // marker, so the stitched lineage must agree with the result counter.
-    check_fault("shared cache hits", sum.shared_cache_hits, res->shared_cache_hits);
-    // Ladder accounting is journaled as ladder_rung events with the same
-    // no-deadline convention, so a multi-fidelity run's journal must
-    // reconcile counter-for-counter too.
-    check_fault("ladder trainings", sum.ladder_trainings, res->ladder_trainings);
-    check_fault("ladder promotions", sum.ladder_promotions, res->ladder_promotions);
-    check_fault("ladder warm starts", sum.ladder_warm_starts, res->ladder_warm_starts);
-    check_fault("ladder rung hits", sum.ladder_rung_hits, res->ladder_rung_hits);
+    mismatches = nas::reconcile(*res, sum);
   }
 
   // ---- profile cross-check (requires the journal's train_wall_ms stream) ----

@@ -1,20 +1,20 @@
 // Runs a small Combo search with telemetry enabled and emits every export
 // format the obs subsystem supports:
 //
-//   telemetry_metrics.prom   Prometheus text exposition (scrape-style)
-//   telemetry_metrics.om     OpenMetrics exposition (exporter-rendered)
-//   telemetry_trace.json     Chrome trace — load in about://tracing or
-//                            https://ui.perfetto.dev (one row per agent)
-//   telemetry_trace.jsonl    one event per line for log pipelines
+//   telemetry_metrics.prom   OpenMetrics text exposition (what /metrics
+//                            serves); the run fails unless it validates
+//   telemetry_trace.json     Chrome trace rendered from the journal — load
+//                            in about://tracing or https://ui.perfetto.dev
+//                            (one row per agent)
 //   telemetry_journal.jsonl  the structured run journal (replay it with
 //                            examples/run_report)
 //   telemetry_profile.json   flat profile + roofline inputs (diff two runs
 //                            with examples/perf_diff)
 //
 // plus the analytics report's telemetry section on stdout, with a
-// reconciliation of the instrumented counters against SearchResult, of
-// the journal's event counts against the counters, and of the profiler's
-// eval wall time against the journal's per-eval train_wall_ms.
+// reconciliation of the journal replay against SearchResult (nas::reconcile)
+// and of the profiler's eval wall time against the journal's per-eval
+// train_wall_ms.
 //
 //   ./examples/telemetry_dump [--serve <port>] [--linger <s>]
 //                             [--cadence <virtual-s>] [--live-journal <file>]
@@ -29,7 +29,6 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <thread>
 
 #include "ncnas/analytics/report.hpp"
@@ -116,37 +115,18 @@ int main(int argc, char** argv) {
   std::cout << "\n== telemetry ==\n";
   analytics::print_telemetry(std::cout, snap.metrics);
 
-  std::cout << "\n== reconciliation (telemetry vs SearchResult) ==\n";
+  std::cout << "\n== reconciliation (journal replay vs SearchResult) ==\n";
   const auto check = [](const char* what, std::uint64_t a, std::uint64_t b) {
     std::cout << (a == b ? "  ok   " : "  FAIL ") << what << ": " << a << " vs " << b << '\n';
     return a == b;
   };
-  bool ok = true;
-  const obs::MetricsSnapshot& m = snap.metrics;
-  ok &= check("cache hits", m.counter_value("ncnas_cache_hits_total"), res.cache_hits);
-  ok &= check("timeouts", m.counter_value("ncnas_eval_timeouts_total"), res.timeouts);
-  ok &= check("ppo updates", m.counter_value("ncnas_ppo_updates_total"), res.ppo_updates);
-  ok &= check("evals = hits + real", m.counter_value("ncnas_evals_total"),
-              m.counter_value("ncnas_cache_hits_total") +
-                  m.counter_value("ncnas_real_evals_total"));
-
-  std::cout << "\n== reconciliation (journal vs counters) ==\n";
-  std::map<obs::JournalEventType, std::uint64_t> by_type;
-  for (const obs::JournalEvent& e : snap.journal) ++by_type[e.type];
-  ok &= check("eval_cached events", by_type[obs::JournalEventType::kEvalCached],
-              m.counter_value("ncnas_cache_hits_total"));
-  ok &= check("eval_finished events", by_type[obs::JournalEventType::kEvalFinished],
-              m.counter_value("ncnas_real_evals_total"));
-  ok &= check("eval_timeout events", by_type[obs::JournalEventType::kEvalTimeout],
-              m.counter_value("ncnas_eval_timeouts_total"));
-  ok &= check("ppo_update events", by_type[obs::JournalEventType::kPpoUpdate],
-              m.counter_value("ncnas_ppo_updates_total"));
-  ok &= check("ps_exchange events", by_type[obs::JournalEventType::kPsExchange],
-              m.counter_value("ncnas_ps_exchanges_total"));
-  ok &= check("straggler events", by_type[obs::JournalEventType::kStragglerDetected],
-              m.counter_value("ncnas_watchdog_stragglers_total"));
-  ok &= check("stall events", by_type[obs::JournalEventType::kAgentStalled],
-              m.counter_value("ncnas_watchdog_stalls_total"));
+  const std::vector<std::string> mismatches =
+      nas::reconcile(res, obs::summarize_journal(snap.journal));
+  for (const std::string& m : mismatches) std::cout << "  FAIL " << m << '\n';
+  if (mismatches.empty()) {
+    std::cout << "  ok   " << res.evals.size() << " evals and every counter\n";
+  }
+  bool ok = mismatches.empty();
 
   const obs::WatchdogReport health = telemetry.watchdog()->report();
   std::cout << "\n== watchdog ==\n"
@@ -213,20 +193,26 @@ int main(int argc, char** argv) {
     }
     ++artifacts;
   };
-  write_artifact("telemetry_metrics.prom", [&](std::ostream& o) { telemetry.dump_prometheus(o); });
-  write_artifact("telemetry_metrics.om",
-                 [&](std::ostream& o) { obs::render_openmetrics(snap.metrics, o); });
+  const std::string metrics_text = obs::openmetrics_text(snap.metrics);
+  std::string om_error;
+  const bool prom_ok = obs::validate_openmetrics(metrics_text, &om_error);
+  std::cout << (prom_ok ? "  ok   " : "  FAIL ") << "telemetry_metrics.prom OpenMetrics conformance"
+            << (prom_ok ? "" : ": " + om_error) << "\n";
+  ok &= prom_ok;
+  write_artifact("telemetry_metrics.prom", [&](std::ostream& o) { o << metrics_text; });
   write_artifact("telemetry_trace.json", [&](std::ostream& o) { telemetry.export_chrome_trace(o); });
-  write_artifact("telemetry_trace.jsonl", [&](std::ostream& o) { telemetry.export_trace_jsonl(o); });
   write_artifact("telemetry_journal.jsonl",
                  [&](std::ostream& o) { telemetry.export_journal_jsonl(o); });
   write_artifact("telemetry_profile.json", [&](std::ostream& o) { telemetry.export_profile_json(o); });
-  std::cout << "\nwrote " << artifacts << "/6 artifacts: telemetry_metrics.prom,"
-            << " telemetry_metrics.om, telemetry_trace.json ("
-            << telemetry.trace().recorded() << " events, " << telemetry.trace().dropped()
-            << " dropped), telemetry_trace.jsonl, telemetry_journal.jsonl ("
-            << snap.journal.size() << " events), telemetry_profile.json ("
-            << snap.profile.flat().size() << " scopes)\n";
+  std::size_t eval_spans = 0;
+  for (const obs::JournalEvent& e : snap.journal) {
+    eval_spans += e.type == obs::JournalEventType::kEvalDispatched ? 1 : 0;
+  }
+  std::cout << "\nwrote " << artifacts << "/4 artifacts: telemetry_metrics.prom,"
+            << " telemetry_trace.json (" << eval_spans << " eval spans),"
+            << " telemetry_journal.jsonl (" << snap.journal.size()
+            << " events), telemetry_profile.json (" << snap.profile.flat().size()
+            << " scopes)\n";
 
   if (exporter_on && linger_seconds > 0.0) {
     std::cout << "lingering " << linger_seconds << "s for live scrapes on port "

@@ -31,7 +31,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E434B50u;
 /// carries shared_cache_hits, and agent-cache keys are context-prefixed.
 /// v3: EvalRecord/EvalResult carry the fidelity rung and SearchResult
 /// carries the four ladder counters.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// v4: SearchResult's cache_hits, shared_cache_hits and timeouts are no
+/// longer stored; they are counted over the records at the end of the run.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Raised on any malformed, truncated, corrupted, or mismatched snapshot.
 /// Never silently loads bad state — the error message says what failed.

@@ -156,6 +156,7 @@ struct SearchResult {
   std::vector<EvalRecord> evals;   ///< ordered by completion time
   double end_time = 0.0;           ///< when the search stopped (virtual s)
   bool converged_early = false;
+  // Counts over `evals` (records past the deadline are already dropped).
   std::size_t cache_hits = 0;
   /// Subset of cache_hits served from SearchConfig::shared_cache (0 when no
   /// shared cache is attached).
@@ -199,6 +200,14 @@ struct SearchResult {
   /// (floored) evaluations — neither reward is a measurement.
   [[nodiscard]] std::vector<EvalRecord> top_k(std::size_t k) const;
 };
+
+/// Cross-checks a result against the replay of its journal (or journal
+/// lineage): eval count, best reward, cache/shared/timeout counts, PPO
+/// updates, the fault, checkpoint and resume counters, and the ladder
+/// counters. Returns one human-readable line per mismatch; empty = the two
+/// artifacts tell the same story.
+[[nodiscard]] std::vector<std::string> reconcile(const SearchResult& result,
+                                                 const obs::RunSummary& sum);
 
 class SearchDriver {
  public:

@@ -16,8 +16,9 @@
 // The driver invokes the PS at deterministic virtual times, so no locking is
 // needed; the PS is pure bookkeeping. When a Telemetry sink is attached the
 // PS reports barrier-wait time (A2C), gradient staleness and async-window
-// depth (A3C), and delta-apply counts; `now` on submit() carries the
-// driver's virtual clock for those measurements.
+// depth (A3C), and delta-apply counts, and emits one ps_exchange event per
+// completed exchange plus a barrier_timeout event per forced release; `now`
+// on submit() carries the driver's virtual clock for those measurements.
 #pragma once
 
 #include <cstdint>
@@ -133,12 +134,9 @@ class ParameterServer {
   std::vector<double> arrival_time_;
   obs::Telemetry* telemetry_ = nullptr;
   obs::Counter* delta_applies_ = nullptr;
-  obs::Counter* exchanges_ = nullptr;
-  obs::Counter* barrier_timeouts_ = nullptr;
   obs::Histogram* staleness_ = nullptr;
   obs::Histogram* barrier_wait_ = nullptr;
   obs::Gauge* window_depth_ = nullptr;
-  obs::Journal* journal_ = nullptr;
 };
 
 }  // namespace ncnas::nas

@@ -35,7 +35,6 @@
 #include "ncnas/obs/metrics.hpp"
 #include "ncnas/obs/stopwatch.hpp"
 #include "ncnas/obs/telemetry.hpp"
-#include "ncnas/obs/trace.hpp"
 #include "ncnas/nn/layers.hpp"
 #include "ncnas/nn/loss.hpp"
 #include "ncnas/nn/lstm.hpp"

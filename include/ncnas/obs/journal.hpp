@@ -5,13 +5,14 @@
 // records made the Theta runs diagnosable (Figures 4–13: reward
 // trajectories, utilization, straggler and timeout accounting).
 //
-// Layering: the driver emits the eval_* events at the same harvest points
-// where the SearchResult counters increment, so a journal replay reconciles
-// with the result exactly; the ParameterServer and PPO controller emit their
-// own exchange/update events through the same opt-in Telemetry bundle.
-// Consumers attach either live (subscribe(), e.g. the HealthWatchdog) or
-// post-hoc (export_jsonl -> import_jsonl -> summarize_journal, e.g. the
-// examples/run_report tool).
+// Layering: every search fact is emitted once, through Telemetry::emit, as
+// one of these typed events. The driver, ParameterServer, PPO controller and
+// watchdog all emit that way; the telemetry's always-on RunSummary fold turns
+// the stream into the ncnas_*_total counters, and the journal (when enabled)
+// records the same stream. Consumers attach either live (subscribe(), e.g.
+// the HealthWatchdog) or post-hoc (export_jsonl -> import_jsonl ->
+// summarize_journal, e.g. the examples/run_report tool); the Chrome trace is
+// rendered from the recorded events (export_chrome_trace).
 //
 // The schema is versioned (kJournalSchemaVersion): every exported line
 // carries "v", import_jsonl rejects lines from a newer schema, and unknown
@@ -185,6 +186,11 @@ struct AgentActivity {
 /// applies the driver's own deadline rule (events past wall_time_s are
 /// dropped), so `evals` / `best_reward` match the SearchResult exactly.
 struct RunSummary {
+  /// Folds one event in. The deadline is whatever run_started (or, for a
+  /// resumed process, run_resumed) last declared, so an in-order live stream
+  /// folds to the same counts as summarize_journal over the recorded journal.
+  void apply(const JournalEvent& e);
+
   bool has_run_started = false;
   bool has_run_finished = false;
   int strategy = -1;  ///< SearchStrategy index from run_started; -1 if absent
@@ -256,7 +262,7 @@ struct RunSummary {
 
   float best_reward = -std::numeric_limits<float>::infinity();
   double best_reward_t = 0.0;
-  std::vector<std::pair<double, float>> rewards;  ///< (t, reward), sorted by t
+  std::vector<std::pair<double, float>> rewards;  ///< (t, reward), sorted by t (stable)
   std::map<std::uint32_t, AgentActivity> per_agent;
   std::vector<double> ps_wait_seconds;  ///< sync-exchange barrier waits
   std::vector<double> ps_staleness;     ///< async-exchange gradient staleness
@@ -265,8 +271,17 @@ struct RunSummary {
   [[nodiscard]] double agent_rate_per_min(std::uint32_t agent) const;
 };
 
-/// Replays a journal (as exported/imported) into a RunSummary.
+/// Replays a journal (as exported/imported) into a RunSummary: a pre-scan
+/// for the deadline, then RunSummary::apply over every event.
 [[nodiscard]] RunSummary summarize_journal(const std::vector<JournalEvent>& events);
+
+/// Chrome trace format ({"traceEvents": [...]}, load via about://tracing or
+/// https://ui.perfetto.dev) rendered from journal events on the virtual clock
+/// (microseconds), one row per agent (`tid` = agent id, -1 for run-level
+/// events): an `eval` span per eval_dispatched event, an `a2c_barrier_wait`
+/// span per sync ps_exchange, and an instant for every other event, each
+/// carrying the event's payload as args. No events -> an empty document.
+void export_chrome_trace(const std::vector<JournalEvent>& events, std::ostream& os);
 
 /// Stitches the journal of a resumed process onto the journal of the process
 /// it replaced. `resumed` must contain a run_resumed event whose prior_events

@@ -5,8 +5,8 @@
 // Instruments are registered once by name and returned by stable reference;
 // updates are lock-free (relaxed atomics), so evaluator threads on the pool
 // can record into the same registry the driver thread uses. A snapshot()
-// copies everything into plain structs for analysis or a Prometheus-style
-// text dump (`# TYPE` lines, `_bucket{le=...}` cumulative histogram rows).
+// copies everything into plain structs for analysis or an OpenMetrics text
+// exposition (obs::openmetrics_text in exporter.hpp).
 #pragma once
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -116,9 +115,6 @@ struct MetricsSnapshot {
   [[nodiscard]] std::uint64_t counter_value(const std::string& name) const;
   [[nodiscard]] double gauge_value(const std::string& name) const;
   [[nodiscard]] const HistogramSample* histogram(const std::string& name) const;
-
-  /// Prometheus text exposition format.
-  void to_prometheus(std::ostream& os) const;
 };
 
 class MetricsRegistry {
@@ -134,7 +130,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-  void dump_prometheus(std::ostream& os) const;
 
  private:
   mutable std::mutex mu_;  // guards the maps only; instruments are atomic

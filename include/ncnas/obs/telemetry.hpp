@@ -1,14 +1,22 @@
 // Telemetry — the bundle handed to the search stack via
-// SearchConfig::telemetry: one MetricsRegistry, one TraceRecorder, and an
+// SearchConfig::telemetry: one MetricsRegistry, one event stream, and an
 // optional structured Journal with an optional HealthWatchdog on top.
 // A null pointer disables all instrumentation (zero overhead, bit-identical
 // search results); a live instance collects every signal for the whole run.
+//
+// Every search fact (an evaluation, a PPO update, an exchange, a fault, a
+// checkpoint, a rung, a watchdog verdict) enters through emit() exactly once.
+// emit() always folds the event into a RunSummary the bundle owns — the
+// ncnas_*_total counters that have a journal event behind them are rendered
+// from that fold — and, once enable_journal() was called, records it in the
+// journal too. The Chrome trace is rendered from the recorded journal.
 //
 // Canonical metric names and the journal event schema emitted by the
 // instrumented internals are documented in README.md §Observability.
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <ostream>
 
 #include "ncnas/obs/exporter.hpp"
@@ -16,7 +24,6 @@
 #include "ncnas/obs/metrics.hpp"
 #include "ncnas/obs/profiler.hpp"
 #include "ncnas/obs/stopwatch.hpp"
-#include "ncnas/obs/trace.hpp"
 #include "ncnas/obs/watchdog.hpp"
 
 namespace ncnas::obs {
@@ -24,40 +31,42 @@ namespace ncnas::obs {
 /// Plain-data capture of a Telemetry instance at one point in time; safe to
 /// keep in a SearchResult after the registry itself is gone.
 struct TelemetrySnapshot {
-  MetricsSnapshot metrics;
-  std::vector<TraceEvent> trace;
+  MetricsSnapshot metrics;            ///< registry instruments + fold counters
   std::vector<JournalEvent> journal;  ///< empty when the journal is disabled
   ProfileSnapshot profile;            ///< empty when the profiler is disabled
 };
 
 class Telemetry {
  public:
-  explicit Telemetry(std::size_t trace_capacity = 1 << 16) : trace_(trace_capacity) {}
+  Telemetry() = default;
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
-  [[nodiscard]] TraceRecorder& trace() noexcept { return trace_; }
-  [[nodiscard]] const TraceRecorder& trace() const noexcept { return trace_; }
+
+  /// Records one search fact: folds it into the run summary and, when the
+  /// journal is enabled, appends it there (notifying subscribers). Thread-safe.
+  void emit(JournalEventType type, double t, std::uint32_t agent = kNoAgent,
+            std::vector<JournalField> payload = {});
 
   /// Opt into the structured journal. Idempotent; call before handing the
-  /// bundle to a driver so the instrumented layers resolve the pointer.
+  /// bundle to a driver so the first events are recorded.
   Journal& enable_journal(std::size_t reserve = 1024) {
     if (!journal_) journal_ = std::make_unique<Journal>(reserve);
     return *journal_;
   }
-  /// Null until enable_journal(); instrumented layers treat null as "off".
+  /// Null until enable_journal().
   [[nodiscard]] Journal* journal() noexcept { return journal_.get(); }
   [[nodiscard]] const Journal* journal() const noexcept { return journal_.get(); }
 
   /// Opt into health watching (enables the journal too). The watchdog
-  /// subscribes to the journal and writes verdicts into both the journal and
-  /// the metrics registry. Idempotent; `cfg` applies on first call only.
+  /// subscribes to the journal and emits its verdicts back through emit().
+  /// Idempotent; `cfg` applies on first call only.
   HealthWatchdog& enable_watchdog(WatchdogConfig cfg = {}) {
     if (!watchdog_) {
       Journal& journal = enable_journal();
-      watchdog_ = std::make_unique<HealthWatchdog>(cfg, &journal, &metrics_);
+      watchdog_ = std::make_unique<HealthWatchdog>(cfg, this);
       HealthWatchdog* w = watchdog_.get();
       journal.subscribe([w](const JournalEvent& e) { w->on_event(e); });
     }
@@ -90,19 +99,13 @@ class Telemetry {
   [[nodiscard]] Exporter* exporter() noexcept { return exporter_.get(); }
   [[nodiscard]] const Exporter* exporter() const noexcept { return exporter_.get(); }
 
-  [[nodiscard]] TelemetrySnapshot snapshot() const {
-    return {metrics_.snapshot(), trace_.snapshot(),
-            journal_ ? journal_->snapshot() : std::vector<JournalEvent>{},
-            profiler_ ? profiler_->snapshot() : ProfileSnapshot{}};
-  }
+  /// The registry's instruments plus the fold counters, sorted by name.
+  [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
+  [[nodiscard]] TelemetrySnapshot snapshot() const;
 
-  void dump_prometheus(std::ostream& os) const { metrics_.dump_prometheus(os); }
-  void export_chrome_trace(std::ostream& os) const {
-    TraceRecorder::export_chrome(trace_.snapshot(), os, trace_.dropped());
-  }
-  void export_trace_jsonl(std::ostream& os) const {
-    TraceRecorder::export_jsonl(trace_.snapshot(), os, trace_.dropped());
-  }
+  /// Chrome trace of the recorded journal; a disabled journal writes an
+  /// empty (valid) trace document.
+  void export_chrome_trace(std::ostream& os) const;
   /// Writes the journal JSONL; a disabled journal writes nothing.
   void export_journal_jsonl(std::ostream& os) const {
     if (journal_) journal_->export_jsonl(os);
@@ -118,7 +121,8 @@ class Telemetry {
 
  private:
   MetricsRegistry metrics_;
-  TraceRecorder trace_;
+  mutable std::mutex fold_mu_;  // guards fold_
+  RunSummary fold_;
   std::unique_ptr<Journal> journal_;
   std::unique_ptr<HealthWatchdog> watchdog_;
   std::unique_ptr<Profiler> profiler_;

@@ -13,11 +13,12 @@
 //   the run advances past its last activity by more than the stall window
 //   (`stall_seconds`, or `stall_multiple` x expected duration when 0).
 //
-// Verdicts go three ways at once: into the WatchdogReport (for tooling),
-// into metrics (`ncnas_watchdog_stragglers_total` / `_stalls_total`), and
-// back into the journal as straggler_detected / agent_stalled events, so an
-// exported journal carries its own health annotations. The same on_event()
-// entry point serves live subscription and offline replay (run_report).
+// Verdicts go into the WatchdogReport (for tooling) and back into the event
+// stream as straggler_detected / agent_stalled events through
+// Telemetry::emit, so an exported journal carries its own health annotations
+// and `ncnas_watchdog_stragglers_total` / `_stalls_total` count them. The
+// same on_event() entry point serves live subscription and offline replay
+// (run_report).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,8 @@
 #include "ncnas/obs/metrics.hpp"
 
 namespace ncnas::obs {
+
+class Telemetry;  // telemetry.hpp includes this header; break the cycle
 
 struct WatchdogConfig {
   /// Finished evals slower than multiple x expected duration are stragglers.
@@ -70,12 +73,10 @@ struct WatchdogReport {
 
 class HealthWatchdog {
  public:
-  /// `journal` (optional) receives verdict events; `metrics` (optional)
-  /// receives the straggler/stall counters and the expectation gauge. Both
-  /// must outlive the watchdog. With both null the watchdog only accumulates
-  /// its report — the replay configuration run_report uses.
-  explicit HealthWatchdog(WatchdogConfig cfg = {}, Journal* journal = nullptr,
-                          MetricsRegistry* metrics = nullptr);
+  /// `telemetry` (optional, must outlive the watchdog) receives the verdict
+  /// events and the expectation gauge. With null the watchdog only
+  /// accumulates its report — the replay configuration run_report uses.
+  explicit HealthWatchdog(WatchdogConfig cfg = {}, Telemetry* telemetry = nullptr);
   HealthWatchdog(const HealthWatchdog&) = delete;
   HealthWatchdog& operator=(const HealthWatchdog&) = delete;
 
@@ -91,9 +92,7 @@ class HealthWatchdog {
   [[nodiscard]] double stall_window_locked() const;
 
   WatchdogConfig cfg_;
-  Journal* journal_;
-  Counter* straggler_counter_ = nullptr;
-  Counter* stall_counter_ = nullptr;
+  Telemetry* telemetry_;
   Gauge* expected_gauge_ = nullptr;
 
   mutable std::mutex mu_;

@@ -62,14 +62,15 @@ class Controller {
   /// One PPO update over a batch of rollouts with terminal `rewards`
   /// (reward b scores rollout b). Runs cfg.epochs passes with the
   /// controller's internal Adam optimizer. `now`/`agent_id` are only read by
-  /// the telemetry journal (the driver passes its virtual clock and the
+  /// the telemetry's ppo_update event (the driver passes its virtual clock and the
   /// owning agent); both default so standalone callers stay unchanged.
   PpoStats ppo_update(std::span<const Rollout> rollouts, std::span<const float> rewards,
                       const PpoConfig& cfg, double now = 0.0,
                       std::uint32_t agent_id = obs::kNoAgent);
 
   /// Attach a telemetry sink (null to detach). ppo_update() then records its
-  /// real wall time and publishes the latest loss/entropy/KL as gauges.
+  /// real wall time, publishes the latest loss/entropy/KL as gauges, and
+  /// emits one ppo_update event.
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// --- parameter-server interface ------------------------------------------
@@ -109,8 +110,8 @@ class Controller {
   nn::ParamPtr bv_;     // [1]
   nn::Adam adam_;
 
+  obs::Telemetry* telemetry_ = nullptr;
   obs::Histogram* ppo_wall_ms_ = nullptr;
-  obs::Journal* journal_ = nullptr;
   obs::Gauge* ppo_policy_loss_ = nullptr;
   obs::Gauge* ppo_value_loss_ = nullptr;
   obs::Gauge* ppo_entropy_ = nullptr;

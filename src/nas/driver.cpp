@@ -57,6 +57,40 @@ std::vector<EvalRecord> SearchResult::top_k(std::size_t k) const {
   return out;
 }
 
+std::vector<std::string> reconcile(const SearchResult& result, const obs::RunSummary& sum) {
+  std::vector<std::string> out;
+  const auto check = [&out](const char* what, std::size_t journal, std::size_t recorded) {
+    if (journal == recorded) return;
+    out.push_back("journal has " + std::to_string(journal) + " " + what + ", result has " +
+                  std::to_string(recorded));
+  };
+  check("evals", sum.evals, result.evals.size());
+  if (!result.evals.empty()) {
+    float best = -std::numeric_limits<float>::infinity();
+    for (const EvalRecord& e : result.evals) best = std::max(best, e.reward);
+    if (sum.best_reward != best) {
+      out.push_back("journal best reward " + std::to_string(sum.best_reward) +
+                    ", result best reward " + std::to_string(best));
+    }
+  }
+  check("cache hits", sum.cache_hits, result.cache_hits);
+  check("shared cache hits", sum.shared_cache_hits, result.shared_cache_hits);
+  check("timeouts", sum.timeouts, result.timeouts);
+  check("ppo updates", sum.ppo_updates, result.ppo_updates);
+  check("retries", sum.retries, result.retries);
+  check("retry-exhausted evals", sum.exhausted, result.exhausted);
+  check("lost results", sum.lost_results, result.lost_results);
+  check("crashed workers", sum.crashed_workers, result.crashed_workers);
+  check("dead agents", sum.dead_agents, result.dead_agents);
+  check("checkpoints", sum.checkpoints, result.checkpoints_written);
+  check("resumes", sum.resumes, result.resumes);
+  check("ladder trainings", sum.ladder_trainings, result.ladder_trainings);
+  check("ladder promotions", sum.ladder_promotions, result.ladder_promotions);
+  check("ladder warm starts", sum.ladder_warm_starts, result.ladder_warm_starts);
+  check("ladder rung hits", sum.ladder_rung_hits, result.ladder_rung_hits);
+  return out;
+}
+
 namespace {
 
 struct AgentState {
@@ -92,66 +126,23 @@ struct Completion {
   }
 };
 
-/// Pre-resolved instrument handles so the hot loop never touches the
-/// registry maps. Only constructed when SearchConfig::telemetry is set; all
-/// instrumentation sites are guarded on this, keeping the null path free.
+/// Pre-resolved registry instruments so the hot loop never touches the
+/// registry maps. Only constructed when SearchConfig::telemetry is set. The
+/// search facts themselves go through Telemetry::emit, which derives the
+/// ncnas_*_total counters that have an event behind them.
 struct Instruments {
-  obs::Counter* evals;
-  obs::Counter* cache_hits;
-  obs::Counter* shared_hits;
-  obs::Counter* real_evals;
-  obs::Counter* timeouts;
   obs::Counter* cycles;
-  obs::Counter* ppo_updates;
-  // Fault-injection and recovery counters (untouched on a fault-free run).
-  obs::Counter* fault_failures;
-  obs::Counter* fault_retries;
-  obs::Counter* fault_exhausted;
-  obs::Counter* fault_lost;
-  obs::Counter* fault_crashes;
-  obs::Counter* fault_dead;
-  obs::Counter* fault_ps_dropped;
-  obs::Counter* fault_ps_delayed;
-  obs::Counter* checkpoints;
-  // Fidelity-ladder counters (untouched on flat runs).
-  obs::Counter* fidelity_trainings;
-  obs::Counter* fidelity_promotions;
-  obs::Counter* fidelity_warm_starts;
-  obs::Counter* fidelity_rung_hits;
   obs::Gauge* streak_min;
   obs::Histogram* cycle_latency;
   obs::Histogram* eval_sim;
-  obs::TraceRecorder* trace;
-  obs::Journal* journal;    ///< null unless Telemetry::enable_journal() was called
   obs::Exporter* exporter;  ///< null unless Telemetry::enable_exporter() was called
 
   explicit Instruments(obs::Telemetry& t) {
     obs::MetricsRegistry& m = t.metrics();
-    evals = &m.counter("ncnas_evals_total");
-    cache_hits = &m.counter("ncnas_cache_hits_total");
-    shared_hits = &m.counter("ncnas_shared_cache_hits_total");
-    real_evals = &m.counter("ncnas_real_evals_total");
-    timeouts = &m.counter("ncnas_eval_timeouts_total");
     cycles = &m.counter("ncnas_agent_cycles_total");
-    ppo_updates = &m.counter("ncnas_ppo_updates_total");
-    fault_failures = &m.counter("ncnas_fault_eval_failures_total");
-    fault_retries = &m.counter("ncnas_fault_retries_total");
-    fault_exhausted = &m.counter("ncnas_fault_exhausted_total");
-    fault_lost = &m.counter("ncnas_fault_lost_results_total");
-    fault_crashes = &m.counter("ncnas_fault_workers_crashed_total");
-    fault_dead = &m.counter("ncnas_fault_dead_agents_total");
-    fault_ps_dropped = &m.counter("ncnas_fault_ps_dropped_total");
-    fault_ps_delayed = &m.counter("ncnas_fault_ps_delayed_total");
-    checkpoints = &m.counter("ncnas_checkpoints_total");
-    fidelity_trainings = &m.counter("ncnas_fidelity_rung_trainings_total");
-    fidelity_promotions = &m.counter("ncnas_fidelity_promotions_total");
-    fidelity_warm_starts = &m.counter("ncnas_fidelity_warm_starts_total");
-    fidelity_rung_hits = &m.counter("ncnas_fidelity_rung_hits_total");
     streak_min = &m.gauge("ncnas_convergence_streak_min");
     cycle_latency = &m.histogram("ncnas_cycle_latency_seconds", obs::exp_buckets(4.0, 2.0, 14));
     eval_sim = &m.histogram("ncnas_eval_sim_duration_seconds", obs::exp_buckets(4.0, 2.0, 14));
-    trace = &t.trace();
-    journal = t.journal();
     exporter = t.exporter();
   }
 };
@@ -260,6 +251,7 @@ class SearchRun {
 
  private:
   bool process_completion(const Completion& done);  // true = converged, stop
+  void emit_record(const EvalRecord& rec);
   bool dispatch_faulty(AgentState& agent, std::vector<double>& worker_free,
                        const exec::EvalResult& r, EvalRecord& rec, double t,
                        double& batch_done, std::size_t budget_units);
@@ -296,6 +288,9 @@ class SearchRun {
   std::string shared_ctx_;
   float floor_reward_;
   exec::UtilizationMonitor monitor_;
+  // Both null/empty without telemetry; every emit site is guarded on tel_ so
+  // the null path builds no payloads.
+  obs::Telemetry* tel_;
   std::optional<Instruments> inst_;
   std::optional<ParameterServer> ps_;
   std::vector<AgentState> agents_;
@@ -343,7 +338,8 @@ SearchRun::SearchRun(const space::SearchSpace& space, const data::Dataset& datas
                       ? (ladder_ ? ladder_->context_key() : evaluator_.context_key())
                       : std::string()),
       floor_reward_(evaluator_.reward_floor()),
-      monitor_(config_.cluster.total_workers()) {
+      monitor_(config_.cluster.total_workers()),
+      tel_(config_.telemetry) {
   if (shared_ != nullptr && ladder_) {
     // Every rung consults (and feeds) the process-wide store under its own
     // rung context, so promotions can be seeded by another tenant's rungs.
@@ -387,14 +383,14 @@ SearchRun::SearchRun(const space::SearchSpace& space, const data::Dataset& datas
 }
 
 void SearchRun::bootstrap() {
-  if (inst_ && inst_->journal != nullptr) {
-    inst_->journal->append(obs::JournalEventType::kRunStarted, 0.0, obs::kNoAgent,
-                           {{"agents", static_cast<double>(N_)},
-                            {"workers", static_cast<double>(W_)},
-                            {"batch", static_cast<double>(M_)},
-                            {"wall_time_s", config_.wall_time_seconds},
-                            {"strategy", static_cast<double>(config_.strategy)},
-                            {"seed", static_cast<double>(config_.seed)}});
+  if (tel_ != nullptr) {
+    tel_->emit(obs::JournalEventType::kRunStarted, 0.0, obs::kNoAgent,
+               {{"agents", static_cast<double>(N_)},
+                {"workers", static_cast<double>(W_)},
+                {"batch", static_cast<double>(M_)},
+                {"wall_time_s", config_.wall_time_seconds},
+                {"strategy", static_cast<double>(config_.strategy)},
+                {"seed", static_cast<double>(config_.seed)}});
   }
 
   // Register the plan's worker crashes up front: the planned death times are
@@ -411,13 +407,10 @@ void SearchRun::bootstrap() {
         agent.crash_at[w] = when;
         ++result_.crashed_workers;
         monitor_.add_capacity_loss(when);
-        if (inst_) {
-          inst_->fault_crashes->inc();
-          if (inst_->journal != nullptr) {
-            inst_->journal->append(obs::JournalEventType::kWorkerCrashed, 0.0,
-                                   static_cast<std::uint32_t>(agent.id),
-                                   {{"worker", static_cast<double>(w)}, {"at", when}});
-          }
+        if (tel_ != nullptr) {
+          tel_->emit(obs::JournalEventType::kWorkerCrashed, 0.0,
+                     static_cast<std::uint32_t>(agent.id),
+                     {{"worker", static_cast<double>(w)}, {"at", when}});
         }
       }
     }
@@ -469,25 +462,31 @@ SearchResult SearchRun::run() {
     return e.time > config_.wall_time_seconds;
   });
 
+  // Counted over the returned records, after the deadline cut, so they agree
+  // with the records themselves and with summarize_journal.
   std::unordered_set<std::string> unique;
-  for (const EvalRecord& e : result_.evals) unique.insert(space::arch_key(e.arch));
+  for (const EvalRecord& e : result_.evals) {
+    unique.insert(space::arch_key(e.arch));
+    result_.cache_hits += e.cache_hit ? 1 : 0;
+    result_.shared_cache_hits += e.shared_hit ? 1 : 0;
+    result_.timeouts += e.timed_out ? 1 : 0;
+  }
   result_.unique_archs = unique.size();
 
   result_.utilization = monitor_.series(result_.end_time, result_.utilization_bucket);
 
-  if (inst_ && inst_->journal != nullptr) {
+  if (tel_ != nullptr) {
     float best = -std::numeric_limits<float>::infinity();
     for (const EvalRecord& e : result_.evals) best = std::max(best, e.reward);
-    inst_->journal->append(
-        obs::JournalEventType::kRunFinished, result_.end_time, obs::kNoAgent,
-        {{"end_time_s", result_.end_time},
-         {"evals", static_cast<double>(result_.evals.size())},
-         {"best_reward", result_.evals.empty() ? 0.0 : static_cast<double>(best)},
-         {"cache_hits", static_cast<double>(result_.cache_hits)},
-         {"timeouts", static_cast<double>(result_.timeouts)},
-         {"ppo_updates", static_cast<double>(result_.ppo_updates)},
-         {"converged", result_.converged_early ? 1.0 : 0.0},
-         {"wall_time_s", config_.wall_time_seconds}});
+    tel_->emit(obs::JournalEventType::kRunFinished, result_.end_time, obs::kNoAgent,
+               {{"end_time_s", result_.end_time},
+                {"evals", static_cast<double>(result_.evals.size())},
+                {"best_reward", result_.evals.empty() ? 0.0 : static_cast<double>(best)},
+                {"cache_hits", static_cast<double>(result_.cache_hits)},
+                {"timeouts", static_cast<double>(result_.timeouts)},
+                {"ppo_updates", static_cast<double>(result_.ppo_updates)},
+                {"converged", result_.converged_early ? 1.0 : 0.0},
+                {"wall_time_s", config_.wall_time_seconds}});
   }
 
   // Final unconditional publication, after run_finished hits the journal so
@@ -497,10 +496,9 @@ SearchResult SearchRun::run() {
     publish_progress(result_.end_time, /*finished=*/true);
   }
 
-  if (config_.telemetry != nullptr) {
+  if (tel_ != nullptr) {
     result_.telemetry_enabled = true;
-    result_.telemetry =
-        std::make_shared<const obs::TelemetrySnapshot>(config_.telemetry->snapshot());
+    result_.telemetry = std::make_shared<const obs::TelemetrySnapshot>(tel_->snapshot());
   }
   return std::move(result_);
 }
@@ -519,8 +517,6 @@ void SearchRun::publish_progress(double t, bool finished) {
   p.converged = result_.converged_early;
   p.evals_done = result_.evals.size();
   p.real_evals = real_evals_;
-  p.cache_hits = result_.cache_hits;
-  p.timeouts = result_.timeouts;
   p.ppo_updates = result_.ppo_updates;
   p.batches_in_flight = queue_.size();
   p.retries = result_.retries;
@@ -543,6 +539,8 @@ void SearchRun::publish_progress(double t, bool finished) {
     ++a.evals;
     if (e.cache_hit) ++a.hits;
     if (e.timed_out) ++a.timeouts;
+    p.cache_hits += e.cache_hit ? 1 : 0;
+    p.timeouts += e.timed_out ? 1 : 0;
     if (e.reward > a.best) a.best = e.reward;
     a.has_best = true;
     if (e.reward > p.best_reward || !p.has_best) {
@@ -605,13 +603,10 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
     // other tenants either.
     if (config_.use_cache) agent.cache->erase(rec.arch);
     if (shared_ != nullptr) shared_->erase(shared_ctx_, key);
-    if (inst_) {
-      inst_->fault_exhausted->inc();
-      if (inst_->journal != nullptr) {
-        inst_->journal->append(obs::JournalEventType::kEvalExhausted, at, aid,
-                               {{"attempts", static_cast<double>(attempts)},
-                                {"reward", static_cast<double>(floor_reward_)}});
-      }
+    if (tel_ != nullptr) {
+      tel_->emit(obs::JournalEventType::kEvalExhausted, at, aid,
+                 {{"attempts", static_cast<double>(attempts)},
+                  {"reward", static_cast<double>(floor_reward_)}});
     }
   };
 
@@ -662,14 +657,11 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
       fail_time = end;
       emit_failed = false;
       ++result_.lost_results;
-      if (inst_) {
-        inst_->fault_lost->inc();
-        if (inst_->journal != nullptr) {
-          inst_->journal->append(obs::JournalEventType::kResultLost, end, aid,
-                                 {{"attempt", static_cast<double>(attempt)},
-                                  {"worker", static_cast<double>(slot)},
-                                  {"duration_s", dur}});
-        }
+      if (tel_ != nullptr) {
+        tel_->emit(obs::JournalEventType::kResultLost, end, aid,
+                   {{"attempt", static_cast<double>(attempt)},
+                    {"worker", static_cast<double>(slot)},
+                    {"duration_s", dur}});
       }
     } else {
       // Success (possibly slowed — the watchdog sees the stretched span).
@@ -679,29 +671,21 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
       rec.attempts = attempt + 1;
       batch_done = std::max(batch_done, end);
       real_evals_ += budget_units;
-      if (inst_) {
-        inst_->trace->span("eval", "exec", start, dur, aid,
-                           {{"reward", rec.reward},
-                            {"timed_out", rec.timed_out ? 1.0 : 0.0}});
-        if (inst_->journal != nullptr) {
-          inst_->journal->append(obs::JournalEventType::kEvalDispatched, start, aid,
-                                 {{"duration_s", dur},
-                                  {"worker", static_cast<double>(slot)},
-                                  {"train_wall_ms", r.train_wall_ms},
-                                  {"attempt", static_cast<double>(attempt)}});
-        }
+      if (tel_ != nullptr) {
+        tel_->emit(obs::JournalEventType::kEvalDispatched, start, aid,
+                   {{"duration_s", dur},
+                    {"worker", static_cast<double>(slot)},
+                    {"train_wall_ms", r.train_wall_ms},
+                    {"attempt", static_cast<double>(attempt)}});
       }
       return true;
     }
 
-    if (emit_failed && inst_) {
-      inst_->fault_failures->inc();
-      if (inst_->journal != nullptr) {
-        inst_->journal->append(obs::JournalEventType::kEvalFailed, fail_time, aid,
-                               {{"attempt", static_cast<double>(attempt)},
-                                {"worker", static_cast<double>(slot)},
-                                {"reason", fail_reason}});
-      }
+    if (emit_failed && tel_ != nullptr) {
+      tel_->emit(obs::JournalEventType::kEvalFailed, fail_time, aid,
+                 {{"attempt", static_cast<double>(attempt)},
+                  {"worker", static_cast<double>(slot)},
+                  {"reason", fail_reason}});
     }
     ++attempt;
     if (attempt > max_retries) {
@@ -712,13 +696,9 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
     const double backoff = fx_->backoff(attempt);
     ready = fail_time + backoff;
     ++result_.retries;
-    if (inst_) {
-      inst_->fault_retries->inc();
-      if (inst_->journal != nullptr) {
-        inst_->journal->append(obs::JournalEventType::kEvalRetried, ready, aid,
-                               {{"attempt", static_cast<double>(attempt)},
-                                {"backoff_s", backoff}});
-      }
+    if (tel_ != nullptr) {
+      tel_->emit(obs::JournalEventType::kEvalRetried, ready, aid,
+                 {{"attempt", static_cast<double>(attempt)}, {"backoff_s", backoff}});
     }
   }
 }
@@ -818,22 +798,15 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       result_.ladder_promotions += rs.survivors;
       result_.ladder_warm_starts += rs.warm_starts;
       result_.ladder_rung_hits += rs.rung_hits;
-      if (inst_) {
-        inst_->fidelity_trainings->inc(rs.trainings);
-        inst_->fidelity_promotions->inc(rs.survivors);
-        inst_->fidelity_warm_starts->inc(rs.warm_starts);
-        inst_->fidelity_rung_hits->inc(rs.rung_hits);
-        if (inst_->journal != nullptr) {
-          inst_->journal->append(obs::JournalEventType::kLadderRung, t,
-                                 static_cast<std::uint32_t>(agent.id),
-                                 {{"rung", static_cast<double>(rs.rung)},
-                                  {"candidates", static_cast<double>(rs.candidates)},
-                                  {"survivors", static_cast<double>(rs.survivors)},
-                                  {"trainings", static_cast<double>(rs.trainings)},
-                                  {"warm_starts", static_cast<double>(rs.warm_starts)},
-                                  {"rung_hits", static_cast<double>(rs.rung_hits)},
-                                  {"timeouts", static_cast<double>(rs.timeouts)}});
-        }
+      if (tel_ != nullptr) {
+        tel_->emit(obs::JournalEventType::kLadderRung, t, static_cast<std::uint32_t>(agent.id),
+                   {{"rung", static_cast<double>(rs.rung)},
+                    {"candidates", static_cast<double>(rs.candidates)},
+                    {"survivors", static_cast<double>(rs.survivors)},
+                    {"trainings", static_cast<double>(rs.trainings)},
+                    {"warm_starts", static_cast<double>(rs.warm_starts)},
+                    {"rung_hits", static_cast<double>(rs.rung_hits)},
+                    {"timeouts", static_cast<double>(rs.timeouts)}});
       }
     }
   } else {
@@ -877,11 +850,6 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
     rec.arch = agent.archs[m];
     if (r.cache_hit) {
       rec.time = t;
-      if (inst_) {
-        inst_->trace->instant("eval_cached", "exec", t, static_cast<std::uint32_t>(agent.id),
-                              {{"reward", rec.reward},
-                               {"shared", rec.shared_hit ? 1.0 : 0.0}});
-      }
     } else if (fx_ == nullptr) {
       const auto slot = static_cast<std::size_t>(
           std::min_element(worker_free.begin(), worker_free.end()) - worker_free.begin());
@@ -892,18 +860,12 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       rec.time = end;
       batch_done = std::max(batch_done, end);
       real_evals_ += budget_units[m];
-      if (inst_) {
-        inst_->trace->span("eval", "exec", start, r.sim_duration,
-                           static_cast<std::uint32_t>(agent.id),
-                           {{"reward", rec.reward},
-                            {"timed_out", rec.timed_out ? 1.0 : 0.0}});
-        if (inst_->journal != nullptr) {
-          inst_->journal->append(obs::JournalEventType::kEvalDispatched, start,
-                                 static_cast<std::uint32_t>(agent.id),
-                                 {{"duration_s", r.sim_duration},
-                                  {"worker", static_cast<double>(slot)},
-                                  {"train_wall_ms", r.train_wall_ms}});
-        }
+      if (tel_ != nullptr) {
+        tel_->emit(obs::JournalEventType::kEvalDispatched, start,
+                   static_cast<std::uint32_t>(agent.id),
+                   {{"duration_s", r.sim_duration},
+                    {"worker", static_cast<double>(slot)},
+                    {"train_wall_ms", r.train_wall_ms}});
       }
     } else if (!dispatch_faulty(agent, worker_free, r, rec, t, batch_done, budget_units[m]) &&
                !agent.dead) {
@@ -913,13 +875,9 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       agent.dead = true;
       agent.stopped = true;
       ++result_.dead_agents;
-      if (inst_) {
-        inst_->fault_dead->inc();
-        if (inst_->journal != nullptr) {
-          inst_->journal->append(obs::JournalEventType::kAgentDead, t,
-                                 static_cast<std::uint32_t>(agent.id),
-                                 {{"workers", static_cast<double>(W_)}});
-        }
+      if (tel_ != nullptr) {
+        tel_->emit(obs::JournalEventType::kAgentDead, t, static_cast<std::uint32_t>(agent.id),
+                   {{"workers", static_cast<double>(W_)}});
       }
     }
     agent.records.push_back(std::move(rec));
@@ -931,10 +889,6 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
   if (inst_) {
     inst_->cycles->inc();
     inst_->cycle_latency->observe(scheduled - t);
-    inst_->trace->span("agent_cycle", "driver", t, scheduled - t,
-                       static_cast<std::uint32_t>(agent.id),
-                       {{"batch", static_cast<double>(M_)},
-                        {"misses", static_cast<double>(miss_index.size())}});
   }
   queue_.push({scheduled, seq_++, agent.id});
 }
@@ -966,6 +920,40 @@ void SearchRun::a2c_release_stuck(double now) {
   a2c_begin_round(release_t + config_.agent_overhead_seconds);
 }
 
+// The record's journal facts, stamped with its own completion time so a
+// replay applies the same deadline the returned records get.
+void SearchRun::emit_record(const EvalRecord& rec) {
+  const auto aid = static_cast<std::uint32_t>(rec.agent);
+  if (rec.cache_hit) {
+    std::vector<obs::JournalField> fields{{"reward", rec.reward},
+                                          {"timed_out", rec.timed_out ? 1.0 : 0.0}};
+    // Only shared hits carry the marker, so pre-existing journals (and
+    // their replays) are byte-for-byte unchanged.
+    if (rec.shared_hit) fields.push_back({"shared", 1.0});
+    tel_->emit(obs::JournalEventType::kEvalCached, rec.time, aid, std::move(fields));
+  } else {
+    // Same deadline as ncnas_real_evals_total, so the histogram's count
+    // equals that counter.
+    if (rec.time <= config_.wall_time_seconds) inst_->eval_sim->observe(rec.sim_duration);
+    std::vector<obs::JournalField> fields{{"reward", rec.reward},
+                                          {"duration_s", rec.sim_duration},
+                                          {"timed_out", rec.timed_out ? 1.0 : 0.0},
+                                          {"params", static_cast<double>(rec.params)}};
+    if (rec.failed) {
+      fields.push_back({"failed", 1.0});
+      fields.push_back({"attempts", static_cast<double>(rec.attempts)});
+    }
+    // Only ladder runs reach a non-zero rung, so flat journals (and their
+    // replays) are byte-for-byte unchanged.
+    if (rec.rung != 0) fields.push_back({"rung", static_cast<double>(rec.rung)});
+    tel_->emit(obs::JournalEventType::kEvalFinished, rec.time, aid, std::move(fields));
+  }
+  if (rec.timed_out) {
+    tel_->emit(obs::JournalEventType::kEvalTimeout, rec.time, aid,
+               {{"duration_s", rec.sim_duration}});
+  }
+}
+
 bool SearchRun::process_completion(const Completion& done) {
   NCNAS_PROF_SCOPE("driver/harvest");
   AgentState& agent = agents_[done.agent];
@@ -980,63 +968,13 @@ bool SearchRun::process_completion(const Completion& done) {
     all_cached = all_cached && rec.cache_hit;
     if (rec.cache_hit) rec.time = t;  // resolved when the batch closes
     rewards.push_back(rec.reward);
-    if (rec.cache_hit) ++result_.cache_hits;
-    if (rec.shared_hit) ++result_.shared_cache_hits;
-    if (rec.timed_out) ++result_.timeouts;
-    if (inst_) {
-      inst_->evals->inc();
-      if (rec.cache_hit) {
-        inst_->cache_hits->inc();
-        if (rec.shared_hit) inst_->shared_hits->inc();
-      } else {
-        inst_->real_evals->inc();
-        inst_->eval_sim->observe(rec.sim_duration);
-      }
-      if (rec.timed_out) inst_->timeouts->inc();
-      // Journal events are emitted at the same harvest point the counters
-      // increment, with the record's own completion time, so a journal
-      // replay reconciles with both the counters and SearchResult.evals.
-      if (inst_->journal != nullptr) {
-        const auto aid = static_cast<std::uint32_t>(agent.id);
-        if (rec.cache_hit) {
-          std::vector<obs::JournalField> fields{
-              {"reward", rec.reward},
-              {"timed_out", rec.timed_out ? 1.0 : 0.0}};
-          // Only shared hits carry the marker, so pre-existing journals (and
-          // their replays) are byte-for-byte unchanged.
-          if (rec.shared_hit) fields.push_back({"shared", 1.0});
-          inst_->journal->append(obs::JournalEventType::kEvalCached, rec.time, aid,
-                                 std::move(fields));
-        } else {
-          std::vector<obs::JournalField> fields{
-              {"reward", rec.reward},
-              {"duration_s", rec.sim_duration},
-              {"timed_out", rec.timed_out ? 1.0 : 0.0},
-              {"params", static_cast<double>(rec.params)}};
-          if (rec.failed) {
-            fields.push_back({"failed", 1.0});
-            fields.push_back({"attempts", static_cast<double>(rec.attempts)});
-          }
-          // Only ladder runs reach a non-zero rung, so flat journals (and
-          // their replays) are byte-for-byte unchanged.
-          if (rec.rung != 0) fields.push_back({"rung", static_cast<double>(rec.rung)});
-          inst_->journal->append(obs::JournalEventType::kEvalFinished, rec.time, aid,
-                                 std::move(fields));
-        }
-        if (rec.timed_out) {
-          inst_->journal->append(obs::JournalEventType::kEvalTimeout, rec.time, aid,
-                                 {{"duration_s", rec.sim_duration}});
-        }
-      }
-    }
+    if (tel_ != nullptr) emit_record(rec);
     result_.evals.push_back(rec);
   }
   agent.cached_streak = all_cached ? agent.cached_streak + 1 : 0;
-  if (inst_ && inst_->journal != nullptr &&
-      agent.cached_streak == config_.convergence_streak) {
-    inst_->journal->append(obs::JournalEventType::kAgentConverged, t,
-                           static_cast<std::uint32_t>(agent.id),
-                           {{"streak", static_cast<double>(agent.cached_streak)}});
+  if (tel_ != nullptr && agent.cached_streak == config_.convergence_streak) {
+    tel_->emit(obs::JournalEventType::kAgentConverged, t, static_cast<std::uint32_t>(agent.id),
+               {{"streak", static_cast<double>(agent.cached_streak)}});
   }
   if (inst_) {
     std::size_t min_streak = agents_[0].cached_streak;
@@ -1092,17 +1030,9 @@ bool SearchRun::process_completion(const Completion& done) {
   }
 
   // Local PPO epochs, then exchange the parameter delta through the PS.
-  const rl::PpoStats ppo_stats = agent.controller->ppo_update(
+  (void)agent.controller->ppo_update(
       agent.rollouts, rewards, config_.ppo, t, static_cast<std::uint32_t>(agent.id));
   ++result_.ppo_updates;
-  if (inst_) {
-    inst_->ppo_updates->inc();
-    inst_->trace->instant("ppo_update", "rl", t, static_cast<std::uint32_t>(agent.id),
-                          {{"policy_loss", ppo_stats.policy_loss},
-                           {"value_loss", ppo_stats.value_loss},
-                           {"entropy", ppo_stats.entropy},
-                           {"approx_kl", ppo_stats.approx_kl}});
-  }
   std::vector<float> delta = agent.controller->get_flat();
   for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= agent.theta_pull[i];
 
@@ -1117,23 +1047,16 @@ bool SearchRun::process_completion(const Completion& done) {
       if (ef.drop) {
         // The delta is lost in flight; the agent carries on with the stale
         // parameters it already holds.
-        if (inst_) {
-          inst_->fault_ps_dropped->inc();
-          if (inst_->journal != nullptr) {
-            inst_->journal->append(obs::JournalEventType::kPsDropped, t,
-                                   static_cast<std::uint32_t>(agent.id), {{"mode", 1.0}});
-          }
+        if (tel_ != nullptr) {
+          tel_->emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
+                     {{"mode", 1.0}});
         }
       } else {
         if (ef.delay_seconds > 0.0) {
           resume += ef.delay_seconds;  // the exchange round trip stretches
-          if (inst_) {
-            inst_->fault_ps_delayed->inc();
-            if (inst_->journal != nullptr) {
-              inst_->journal->append(obs::JournalEventType::kPsDelayed, t,
-                                     static_cast<std::uint32_t>(agent.id),
-                                     {{"mode", 1.0}, {"delay_s", ef.delay_seconds}});
-            }
+          if (tel_ != nullptr) {
+            tel_->emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
+                       {{"mode", 1.0}, {"delay_s", ef.delay_seconds}});
           }
         }
         ps_->submit(agent.id, delta, t);
@@ -1156,24 +1079,17 @@ bool SearchRun::process_completion(const Completion& done) {
       if (ef.drop) {
         // The delta never reaches the barrier; the agent idles while the
         // round is resolved for it (submit next round as usual).
-        if (inst_) {
-          inst_->fault_ps_dropped->inc();
-          if (inst_->journal != nullptr) {
-            inst_->journal->append(obs::JournalEventType::kPsDropped, t,
-                                   static_cast<std::uint32_t>(agent.id), {{"mode", 0.0}});
-          }
+        if (tel_ != nullptr) {
+          tel_->emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
+                     {{"mode", 0.0}});
         }
       } else {
         double arrival = t;
         if (ef.delay_seconds > 0.0) {
           arrival += ef.delay_seconds;
-          if (inst_) {
-            inst_->fault_ps_delayed->inc();
-            if (inst_->journal != nullptr) {
-              inst_->journal->append(obs::JournalEventType::kPsDelayed, t,
-                                     static_cast<std::uint32_t>(agent.id),
-                                     {{"mode", 0.0}, {"delay_s", ef.delay_seconds}});
-            }
+          if (tel_ != nullptr) {
+            tel_->emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
+                       {{"mode", 0.0}, {"delay_s", ef.delay_seconds}});
           }
         }
         a2c_round_time_ = std::max(a2c_round_time_, arrival);
@@ -1207,21 +1123,19 @@ void SearchRun::maybe_checkpoint(double t) {
   // covers everything up to and including this checkpoint, and a resumed
   // run's counters reconcile with the merged journal 1:1.
   ++result_.checkpoints_written;
-  if (inst_) inst_->checkpoints->inc();
   ckpt::ByteWriter payload;
   serialize_state(payload);
-  if (inst_ && inst_->journal != nullptr) {
-    inst_->journal->append(obs::JournalEventType::kCheckpointWritten, t, obs::kNoAgent,
-                           {{"ordinal", static_cast<double>(result_.checkpoints_written)},
-                            {"bytes", static_cast<double>(payload.size())}});
+  if (tel_ != nullptr) {
+    tel_->emit(obs::JournalEventType::kCheckpointWritten, t, obs::kNoAgent,
+               {{"ordinal", static_cast<double>(result_.checkpoints_written)},
+                {"bytes", static_cast<double>(payload.size())}});
   }
   ckpt::SnapshotHeader header;
   header.fingerprint = fingerprint_;
   header.space_name = space_->name();
   header.virtual_time = t;
   header.journal_events =
-      journal_base_ +
-      (inst_ && inst_->journal != nullptr ? inst_->journal->size() : 0);
+      journal_base_ + (tel_ != nullptr && tel_->journal() != nullptr ? tel_->journal()->size() : 0);
   header.ordinal = result_.checkpoints_written;
   const std::string path = writer_->write(header, payload.bytes());
   const double interval = writer_->config().interval_seconds;
@@ -1267,9 +1181,6 @@ void SearchRun::serialize_state(ckpt::ByteWriter& w) const {
   for (const EvalRecord& e : result_.evals) put_record(w, e);
   w.f64(result_.end_time);
   w.flag(result_.converged_early);
-  w.u64(result_.cache_hits);
-  w.u64(result_.shared_cache_hits);
-  w.u64(result_.timeouts);
   w.u64(result_.unique_archs);
   w.u64(result_.ppo_updates);
   w.u64(result_.retries);
@@ -1411,9 +1322,6 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
   for (std::uint64_t i = 0; i < evals; ++i) result_.evals.push_back(get_record(in));
   result_.end_time = in.f64();
   result_.converged_early = in.flag();
-  result_.cache_hits = in.u64();
-  result_.shared_cache_hits = in.u64();
-  result_.timeouts = in.u64();
   result_.unique_archs = in.u64();
   result_.ppo_updates = in.u64();
   result_.retries = in.u64();
@@ -1558,14 +1466,13 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
   }
 
   ++result_.resumes;
-  if (inst_ && inst_->journal != nullptr) {
-    inst_->journal->append(obs::JournalEventType::kRunResumed, header.virtual_time,
-                           obs::kNoAgent,
-                           {{"from_t", header.virtual_time},
-                            {"prior_events", static_cast<double>(header.journal_events)},
-                            {"ordinal", static_cast<double>(header.ordinal)},
-                            {"wall_time_s", config_.wall_time_seconds},
-                            {"strategy", static_cast<double>(config_.strategy)}});
+  if (tel_ != nullptr) {
+    tel_->emit(obs::JournalEventType::kRunResumed, header.virtual_time, obs::kNoAgent,
+               {{"from_t", header.virtual_time},
+                {"prior_events", static_cast<double>(header.journal_events)},
+                {"ordinal", static_cast<double>(header.ordinal)},
+                {"wall_time_s", config_.wall_time_seconds},
+                {"strategy", static_cast<double>(config_.strategy)}});
   }
   journal_base_ = header.journal_events;
   init_checkpointing(header.virtual_time);

@@ -26,19 +26,13 @@ void ParameterServer::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry_ == nullptr) {
     delta_applies_ = nullptr;
-    exchanges_ = nullptr;
-    barrier_timeouts_ = nullptr;
     staleness_ = nullptr;
     barrier_wait_ = nullptr;
     window_depth_ = nullptr;
-    journal_ = nullptr;
     return;
   }
   obs::MetricsRegistry& m = telemetry_->metrics();
   delta_applies_ = &m.counter("ncnas_ps_delta_applies_total");
-  exchanges_ = &m.counter("ncnas_ps_exchanges_total");
-  barrier_timeouts_ = &m.counter("ncnas_a2c_barrier_timeouts_total");
-  journal_ = telemetry_->journal();
   // Staleness is counted in PS updates that landed between an agent's pull
   // and its submit; 0 means the agent trained on fresh parameters.
   staleness_ = &m.histogram("ncnas_a3c_gradient_staleness_updates",
@@ -73,16 +67,10 @@ bool ParameterServer::submit(std::size_t agent, std::span<const float> delta, do
 
   if (mode_ == Mode::kAsync) {
     // An async exchange completes at the submit itself.
-    if (exchanges_ != nullptr) exchanges_->inc();
-    const auto staleness =
-        static_cast<double>(updates_applied_ - pulled_version_[agent]);
-    if (staleness_ != nullptr) staleness_->observe(staleness);
     if (telemetry_ != nullptr) {
-      telemetry_->trace().instant("ps_submit", "ps", now, static_cast<std::uint32_t>(agent),
-                                  {{"staleness", staleness}});
-    }
-    if (journal_ != nullptr) {
-      journal_->append(obs::JournalEventType::kPsExchange, now,
+      const auto staleness = static_cast<double>(updates_applied_ - pulled_version_[agent]);
+      staleness_->observe(staleness);
+      telemetry_->emit(obs::JournalEventType::kPsExchange, now,
                        static_cast<std::uint32_t>(agent),
                        {{"mode", 1.0}, {"staleness", staleness}});
     }
@@ -148,11 +136,9 @@ bool ParameterServer::try_release(double now) {
   for (std::size_t a = 0; a < num_agents_; ++a) {
     if (active_[a] && !submitted_[a]) ++absent;
   }
-  if (barrier_timeouts_ != nullptr) barrier_timeouts_->inc();
-  if (journal_ != nullptr) {
-    journal_->append(obs::JournalEventType::kBarrierTimeout, now, obs::kNoAgent,
-                     {{"absent", static_cast<double>(absent)},
-                      {"timeout_s", absent_timeout_}});
+  if (telemetry_ != nullptr) {
+    telemetry_->emit(obs::JournalEventType::kBarrierTimeout, now, obs::kNoAgent,
+                     {{"absent", static_cast<double>(absent)}, {"timeout_s", absent_timeout_}});
   }
   release_round(now);
   return true;
@@ -222,19 +208,12 @@ void ParameterServer::release_round(double now) {
       if (!submitted_[a]) continue;
       const double wait = now - arrival_time_[a];
       barrier_wait_->observe(wait);
-      telemetry_->trace().span("a2c_barrier_wait", "ps", arrival_time_[a], wait,
-                               static_cast<std::uint32_t>(a));
-      // A sync exchange completes only at barrier release: one count and one
-      // journal event per agent of the round, stamped at the release time
-      // (the paper's A2C sawtooth: wait_s is the idle gap). Submissions of a
-      // round the deadline cut short are deliberately not counted, so the
-      // counter and the journal always agree.
-      if (exchanges_ != nullptr) exchanges_->inc();
-      if (journal_ != nullptr) {
-        journal_->append(obs::JournalEventType::kPsExchange, now,
-                         static_cast<std::uint32_t>(a),
-                         {{"mode", 0.0}, {"wait_s", wait}});
-      }
+      // A sync exchange completes only at barrier release: one event per
+      // agent of the round, stamped at the release time (the paper's A2C
+      // sawtooth: wait_s is the idle gap). Submissions of a round the
+      // deadline cut short are deliberately not counted.
+      telemetry_->emit(obs::JournalEventType::kPsExchange, now, static_cast<std::uint32_t>(a),
+                       {{"mode", 0.0}, {"wait_s", wait}});
     }
   }
 

@@ -778,7 +778,7 @@ void Exporter::publish(double vt, ProgressSnapshot progress) {
   last_vt_ = vt;
   PublishedSnapshot snap;
   snap.virtual_time = vt;
-  snap.metrics = telemetry_->metrics().snapshot();
+  snap.metrics = telemetry_->metrics_snapshot();
   if (const Journal* journal = telemetry_->journal(); journal != nullptr) {
     snap.journal_offset = journal_seen_;
     snap.journal_delta = journal->snapshot_since(journal_seen_);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <iomanip>
 #include <istream>
 #include <sstream>
@@ -40,7 +41,7 @@ void write_json_number(std::ostream& os, double v) {
     os << 0;  // JSON has no Inf/NaN; clamp rather than emit invalid output
     return;
   }
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
+  if (std::abs(v) < 1e15 && v == static_cast<double>(static_cast<long long>(v))) {
     os << static_cast<long long>(v);
   } else {
     std::ostringstream tmp;
@@ -124,11 +125,15 @@ struct Parser {
     ws();
     return i < s.size() && s[i] == c;
   }
+  // The dialect is ASCII (every key and type name the writer emits is), so
+  // a byte >= 0x80, raw or escaped, can only come from corruption; refusing
+  // it keeps everything re-rendered from imported events valid UTF-8.
   std::string string() {
     expect('"');
     std::string out;
     while (i < s.size() && s[i] != '"') {
       char c = s[i++];
+      if (static_cast<unsigned char>(c) >= 0x80) fail("non-ASCII byte in string");
       if (c == '\\' && i < s.size()) {
         const char esc = s[i++];
         switch (esc) {
@@ -137,7 +142,14 @@ struct Parser {
           case 'r': c = '\r'; break;
           case 'u': {
             if (i + 4 > s.size()) fail("truncated escape");
-            c = static_cast<char>(std::stoi(std::string(s.substr(i, 4)), nullptr, 16));
+            int code = 0;
+            for (std::size_t k = 0; k < 4; ++k) {
+              const int digit = hex_digit(s[i + k]);
+              if (digit < 0) fail("malformed escape");
+              code = code * 16 + digit;
+            }
+            if (code >= 0x80) fail("non-ASCII escape in string");
+            c = static_cast<char>(code);
             i += 4;
             break;
           }
@@ -160,7 +172,19 @@ struct Parser {
       ++i;
     }
     if (i == start) fail("expected number");
-    return std::stod(std::string(s.substr(start, i - start)));
+    // strtod, not stod: an out-of-range literal saturates (to +-inf or 0)
+    // instead of throwing an exception that is not a runtime_error.
+    const std::string text(s.substr(start, i - start));
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size()) fail("malformed number");
+    return v;
+  }
+  static int hex_digit(char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
   }
 };
 
@@ -197,6 +221,38 @@ ParsedLine parse_line(std::string_view line) {
   }
   p.expect('}');
   return out;
+}
+
+// Payload values come back from disk as arbitrary doubles. Every conversion
+// to an integer goes through here, so a corrupt journal saturates instead of
+// reaching an out-of-range (undefined) float-to-integer cast.
+template <typename Int>
+Int to_int(double v, double lo, double hi) {
+  return static_cast<Int>(v >= lo ? std::min(v, hi) : lo);
+}
+
+std::size_t to_count(double v) { return to_int<std::size_t>(v, 0.0, 9.0e15); }
+
+float to_reward(double v) {
+  return static_cast<float>(std::clamp(v, -static_cast<double>(std::numeric_limits<float>::max()),
+                                       static_cast<double>(std::numeric_limits<float>::max())));
+}
+
+/// The run-level header fields: run_started declares them; a resumed
+/// process's journal opens with run_resumed instead, which repeats the
+/// deadline (and strategy) so the deadline rule still applies when the
+/// prior journal is unavailable.
+void read_header(RunSummary& sum, const JournalEvent& e) {
+  if (e.type == JournalEventType::kRunStarted) {
+    sum.has_run_started = true;
+    sum.strategy = to_int<int>(e.field("strategy", -1.0), -1.0, 1e6);
+    sum.agents_declared = to_count(e.field("agents"));
+    sum.workers_per_agent = to_count(e.field("workers"));
+    if (e.has_field("wall_time_s")) sum.wall_time_s = e.field("wall_time_s");
+  } else if (e.type == JournalEventType::kRunResumed && !sum.has_run_started) {
+    if (e.has_field("wall_time_s")) sum.wall_time_s = e.field("wall_time_s");
+    if (sum.strategy < 0) sum.strategy = to_int<int>(e.field("strategy", -1.0), -1.0, 1e6);
+  }
 }
 
 }  // namespace
@@ -356,9 +412,9 @@ std::vector<JournalEvent> Journal::import_jsonl(std::istream& is) {
     if (v == parsed.numbers.end()) {
       throw std::runtime_error("journal import: line without schema version");
     }
-    if (static_cast<int>(v->second) > kJournalSchemaVersion) {
+    if (v->second >= kJournalSchemaVersion + 1) {  // integer part is newer
       throw std::runtime_error("journal import: schema version " +
-                               std::to_string(static_cast<int>(v->second)) +
+                               std::to_string(to_int<long long>(v->second, 0.0, 1e15)) +
                                " is newer than supported version " +
                                std::to_string(kJournalSchemaVersion));
     }
@@ -373,10 +429,10 @@ std::vector<JournalEvent> Journal::import_jsonl(std::istream& is) {
     e.type = *type;
     if (const auto it = parsed.numbers.find("t"); it != parsed.numbers.end()) e.t = it->second;
     if (const auto it = parsed.numbers.find("seq"); it != parsed.numbers.end()) {
-      e.seq = static_cast<std::uint64_t>(it->second);
+      e.seq = to_count(it->second);
     }
     if (const auto it = parsed.numbers.find("agent"); it != parsed.numbers.end()) {
-      e.agent = it->second < 0 ? kNoAgent : static_cast<std::uint32_t>(it->second);
+      e.agent = it->second < 0 ? kNoAgent : to_int<std::uint32_t>(it->second, 0.0, kNoAgent);
     }
     e.payload = parsed.payload;
     out.push_back(std::move(e));
@@ -394,160 +450,149 @@ double RunSummary::agent_rate_per_min(std::uint32_t agent) const {
   return static_cast<double>(it->second.evals) / (span / 60.0);
 }
 
+void RunSummary::apply(const JournalEvent& e) {
+  if (e.agent != kNoAgent) {
+    AgentActivity& a = per_agent[e.agent];
+    a.last_event_t = std::max(a.last_event_t, e.t);
+  }
+  switch (e.type) {
+    case JournalEventType::kRunStarted:
+      read_header(*this, e);
+      break;
+    case JournalEventType::kRunFinished:
+      has_run_finished = true;
+      end_time_s = e.field("end_time_s", e.t);
+      converged = e.field("converged") != 0.0;
+      break;
+    case JournalEventType::kEvalFinished:
+    case JournalEventType::kEvalCached: {
+      if (e.t > wall_time_s) break;  // the driver's deadline filter
+      const bool cached = e.type == JournalEventType::kEvalCached;
+      const float reward = to_reward(e.field("reward"));
+      ++evals;
+      if (cached) {
+        ++cache_hits;
+        if (e.field("shared") != 0.0) ++shared_cache_hits;
+      } else {
+        ++real_evals;
+      }
+      AgentActivity& a = per_agent[e.agent];
+      ++a.evals;
+      if (cached) ++a.cached;
+      if (e.field("timed_out") != 0.0) ++a.timeouts;
+      a.best_reward = std::max(a.best_reward, reward);
+      // Inserting after every equal timestamp keeps the vector exactly what
+      // a stable sort of the emission order by t would give.
+      const auto at = std::upper_bound(rewards.begin(), rewards.end(), e.t,
+                                       [](double t, const auto& r) { return t < r.first; });
+      rewards.emplace(at, e.t, reward);
+      if (reward > best_reward) {
+        best_reward = reward;
+        best_reward_t = e.t;
+      }
+      break;
+    }
+    case JournalEventType::kEvalTimeout:
+      if (e.t <= wall_time_s) ++timeouts;
+      break;
+    case JournalEventType::kEvalDispatched:
+      break;
+    case JournalEventType::kPpoUpdate:
+      ++ppo_updates;
+      ++per_agent[e.agent].ppo_updates;
+      break;
+    case JournalEventType::kPsExchange:
+      ++ps_exchanges;
+      if (e.field("mode") == 0.0) {
+        ps_wait_seconds.push_back(e.field("wait_s"));
+      } else {
+        ps_staleness.push_back(e.field("staleness"));
+      }
+      break;
+    case JournalEventType::kAgentConverged:
+      if (std::find(converged_agents.begin(), converged_agents.end(), e.agent) ==
+          converged_agents.end()) {
+        converged_agents.push_back(e.agent);
+      }
+      break;
+    case JournalEventType::kStragglerDetected:
+      ++stragglers;
+      break;
+    case JournalEventType::kAgentStalled:
+      ++stalls;
+      break;
+    // Fault and recovery events count unconditionally (no deadline filter):
+    // a retry or crash is real even when the record it fed was cut by the
+    // deadline, matching the SearchResult fault counters.
+    case JournalEventType::kEvalFailed:
+      ++eval_failures;
+      break;
+    case JournalEventType::kEvalRetried:
+      ++retries;
+      break;
+    case JournalEventType::kEvalExhausted:
+      ++exhausted;
+      break;
+    case JournalEventType::kResultLost:
+      ++lost_results;
+      break;
+    case JournalEventType::kWorkerCrashed:
+      ++crashed_workers;
+      break;
+    case JournalEventType::kAgentDead:
+      ++dead_agents;
+      break;
+    case JournalEventType::kPsDropped:
+      ++ps_dropped;
+      break;
+    case JournalEventType::kPsDelayed:
+      ++ps_delayed;
+      break;
+    case JournalEventType::kBarrierTimeout:
+      ++barrier_timeouts;
+      break;
+    case JournalEventType::kCheckpointWritten:
+      ++checkpoints;
+      break;
+    case JournalEventType::kRunResumed:
+      read_header(*this, e);
+      ++resumes;
+      resume_times.push_back(e.field("from_t", e.t));
+      break;
+    // Ladder events mirror the SearchResult ladder counters (no deadline
+    // filter: rung trainings are real worker time whenever they ran).
+    case JournalEventType::kLadderRung: {
+      ++ladder_rung_events;
+      const std::size_t candidates = to_count(e.field("candidates"));
+      const std::size_t survivors = to_count(e.field("survivors"));
+      const std::size_t trainings = to_count(e.field("trainings"));
+      const std::size_t warm_starts = to_count(e.field("warm_starts"));
+      const std::size_t rung_hits = to_count(e.field("rung_hits"));
+      const std::size_t rung_timeouts = to_count(e.field("timeouts"));
+      ladder_trainings += trainings;
+      ladder_promotions += survivors;
+      ladder_warm_starts += warm_starts;
+      ladder_rung_hits += rung_hits;
+      ladder_timeouts += rung_timeouts;
+      LadderRungTotals& rt = ladder_rungs[to_int<std::uint32_t>(e.field("rung"), 0.0, 1e9)];
+      rt.candidates += candidates;
+      rt.survivors += survivors;
+      rt.trainings += trainings;
+      rt.warm_starts += warm_starts;
+      rt.rung_hits += rung_hits;
+      rt.timeouts += rung_timeouts;
+      break;
+    }
+  }
+}
+
 RunSummary summarize_journal(const std::vector<JournalEvent>& events) {
   RunSummary sum;
-  // First pass for the deadline: eval events past the configured wall time
-  // are dropped from SearchResult.evals, and the replay must match.
-  for (const JournalEvent& e : events) {
-    if (e.type == JournalEventType::kRunStarted) {
-      sum.has_run_started = true;
-      sum.strategy = static_cast<int>(e.field("strategy", -1.0));
-      sum.agents_declared = static_cast<std::size_t>(e.field("agents"));
-      sum.workers_per_agent = static_cast<std::size_t>(e.field("workers"));
-      if (e.has_field("wall_time_s")) sum.wall_time_s = e.field("wall_time_s");
-    } else if (e.type == JournalEventType::kRunResumed) {
-      // A resumed process's journal opens with run_resumed instead of
-      // run_started; it repeats the deadline (and strategy) so the deadline
-      // rule still applies when the prior journal is unavailable.
-      if (!sum.has_run_started) {
-        if (e.has_field("wall_time_s")) sum.wall_time_s = e.field("wall_time_s");
-        if (sum.strategy < 0) sum.strategy = static_cast<int>(e.field("strategy", -1.0));
-      }
-    }
-  }
-
-  for (const JournalEvent& e : events) {
-    if (e.agent != kNoAgent) {
-      AgentActivity& a = sum.per_agent[e.agent];
-      a.last_event_t = std::max(a.last_event_t, e.t);
-    }
-    switch (e.type) {
-      case JournalEventType::kRunStarted:
-        break;  // handled above
-      case JournalEventType::kRunFinished:
-        sum.has_run_finished = true;
-        sum.end_time_s = e.field("end_time_s", e.t);
-        sum.converged = e.field("converged") != 0.0;
-        break;
-      case JournalEventType::kEvalFinished:
-      case JournalEventType::kEvalCached: {
-        if (e.t > sum.wall_time_s) break;  // the driver's deadline filter
-        const bool cached = e.type == JournalEventType::kEvalCached;
-        const auto reward = static_cast<float>(e.field("reward"));
-        ++sum.evals;
-        if (cached) {
-          ++sum.cache_hits;
-          if (e.field("shared") != 0.0) ++sum.shared_cache_hits;
-        } else {
-          ++sum.real_evals;
-        }
-        AgentActivity& a = sum.per_agent[e.agent];
-        ++a.evals;
-        if (cached) ++a.cached;
-        if (e.field("timed_out") != 0.0) ++a.timeouts;
-        a.best_reward = std::max(a.best_reward, reward);
-        sum.rewards.emplace_back(e.t, reward);
-        if (reward > sum.best_reward) {
-          sum.best_reward = reward;
-          sum.best_reward_t = e.t;
-        }
-        break;
-      }
-      case JournalEventType::kEvalTimeout:
-        if (e.t <= sum.wall_time_s) ++sum.timeouts;
-        break;
-      case JournalEventType::kEvalDispatched:
-        break;
-      case JournalEventType::kPpoUpdate:
-        ++sum.ppo_updates;
-        ++sum.per_agent[e.agent].ppo_updates;
-        break;
-      case JournalEventType::kPsExchange:
-        ++sum.ps_exchanges;
-        if (e.field("mode") == 0.0) {
-          sum.ps_wait_seconds.push_back(e.field("wait_s"));
-        } else {
-          sum.ps_staleness.push_back(e.field("staleness"));
-        }
-        break;
-      case JournalEventType::kAgentConverged:
-        if (std::find(sum.converged_agents.begin(), sum.converged_agents.end(), e.agent) ==
-            sum.converged_agents.end()) {
-          sum.converged_agents.push_back(e.agent);
-        }
-        break;
-      case JournalEventType::kStragglerDetected:
-        ++sum.stragglers;
-        break;
-      case JournalEventType::kAgentStalled:
-        ++sum.stalls;
-        break;
-      // Fault and recovery events count unconditionally (no deadline
-      // filter), matching the SearchResult fault counters which increment at
-      // the moment the fault is handled.
-      case JournalEventType::kEvalFailed:
-        ++sum.eval_failures;
-        break;
-      case JournalEventType::kEvalRetried:
-        ++sum.retries;
-        break;
-      case JournalEventType::kEvalExhausted:
-        ++sum.exhausted;
-        break;
-      case JournalEventType::kResultLost:
-        ++sum.lost_results;
-        break;
-      case JournalEventType::kWorkerCrashed:
-        ++sum.crashed_workers;
-        break;
-      case JournalEventType::kAgentDead:
-        ++sum.dead_agents;
-        break;
-      case JournalEventType::kPsDropped:
-        ++sum.ps_dropped;
-        break;
-      case JournalEventType::kPsDelayed:
-        ++sum.ps_delayed;
-        break;
-      case JournalEventType::kBarrierTimeout:
-        ++sum.barrier_timeouts;
-        break;
-      case JournalEventType::kCheckpointWritten:
-        ++sum.checkpoints;
-        break;
-      case JournalEventType::kRunResumed:
-        ++sum.resumes;
-        sum.resume_times.push_back(e.field("from_t", e.t));
-        break;
-      // Ladder events mirror the SearchResult ladder counters (no deadline
-      // filter: rung trainings are real worker time whenever they ran).
-      case JournalEventType::kLadderRung: {
-        ++sum.ladder_rung_events;
-        const auto candidates = static_cast<std::size_t>(e.field("candidates"));
-        const auto survivors = static_cast<std::size_t>(e.field("survivors"));
-        const auto trainings = static_cast<std::size_t>(e.field("trainings"));
-        const auto warm_starts = static_cast<std::size_t>(e.field("warm_starts"));
-        const auto rung_hits = static_cast<std::size_t>(e.field("rung_hits"));
-        const auto timeouts = static_cast<std::size_t>(e.field("timeouts"));
-        sum.ladder_trainings += trainings;
-        sum.ladder_promotions += survivors;
-        sum.ladder_warm_starts += warm_starts;
-        sum.ladder_rung_hits += rung_hits;
-        sum.ladder_timeouts += timeouts;
-        RunSummary::LadderRungTotals& rt =
-            sum.ladder_rungs[static_cast<std::uint32_t>(e.field("rung"))];
-        rt.candidates += candidates;
-        rt.survivors += survivors;
-        rt.trainings += trainings;
-        rt.warm_starts += warm_starts;
-        rt.rung_hits += rung_hits;
-        rt.timeouts += timeouts;
-        break;
-      }
-    }
-  }
-  std::stable_sort(sum.rewards.begin(), sum.rewards.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Pre-scan for the deadline: eval events past the configured wall time are
+  // dropped from SearchResult.evals, and the replay must match even when the
+  // header event is not the first line.
+  for (const JournalEvent& e : events) read_header(sum, e);
+  for (const JournalEvent& e : events) sum.apply(e);
   if (sum.end_time_s == 0.0 && !sum.rewards.empty()) {
     sum.end_time_s = sum.rewards.back().first;
   }
@@ -562,10 +607,10 @@ std::vector<JournalEvent> merge_resumed_journal(std::vector<JournalEvent> prior,
   if (it == resumed.end()) {
     throw std::runtime_error("merge_resumed_journal: resumed journal has no run_resumed event");
   }
-  const auto watermark = static_cast<std::size_t>(it->field("prior_events", -1.0));
   if (it->field("prior_events", -1.0) < 0.0) {
     throw std::runtime_error("merge_resumed_journal: run_resumed carries no prior_events");
   }
+  const std::size_t watermark = to_count(it->field("prior_events"));
   if (prior.size() < watermark) {
     throw std::runtime_error(
         "merge_resumed_journal: prior journal has " + std::to_string(prior.size()) +
@@ -703,6 +748,55 @@ void export_run_summary_json(const RunSummary& sum, std::ostream& os) {
   }
   os << ']';
   os << "}\n";
+}
+
+void export_chrome_trace(const std::vector<JournalEvent>& events, std::ostream& os) {
+  os << "{\"traceEvents\":[";
+  bool first = true;
+  for (const JournalEvent& e : events) {
+    // Spans: an evaluation occupies its worker from dispatch for duration_s;
+    // a sync exchange idles its agent from arrival until the barrier release
+    // the event is stamped with (the A2C sawtooth).
+    const char* name = journal_event_name(e.type);
+    const char* cat = "journal";
+    double start = e.t;
+    double dur = -1.0;  // < 0: instant
+    if (e.type == JournalEventType::kEvalDispatched) {
+      name = "eval";
+      cat = "exec";
+      dur = e.field("duration_s");
+    } else if (e.type == JournalEventType::kPsExchange && e.field("mode") == 0.0) {
+      name = "a2c_barrier_wait";
+      cat = "ps";
+      dur = e.field("wait_s");
+      start = e.t - dur;
+    }
+    os << (first ? "\n" : ",\n") << "{\"name\":\"" << name << "\",\"cat\":\"" << cat
+       << "\",\"ph\":\"" << (dur >= 0.0 ? 'X' : 'i') << "\",\"ts\":";
+    first = false;
+    write_json_number(os, start * 1e6);
+    if (dur >= 0.0) {
+      os << ",\"dur\":";
+      write_json_number(os, dur * 1e6);
+    } else {
+      os << ",\"s\":\"t\"";  // instant scope: thread
+    }
+    os << ",\"pid\":0,\"tid\":";
+    if (e.agent == kNoAgent) {
+      os << -1;
+    } else {
+      os << e.agent;
+    }
+    os << ",\"args\":{";
+    for (std::size_t i = 0; i < e.payload.size(); ++i) {
+      if (i) os << ',';
+      write_json_string(os, e.payload[i].key);
+      os << ':';
+      write_json_number(os, e.payload[i].value);
+    }
+    os << "}}";
+  }
+  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 }  // namespace ncnas::obs

@@ -1,9 +1,7 @@
 #include "ncnas/obs/metrics.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace ncnas::obs {
@@ -99,63 +97,6 @@ const HistogramSample* MetricsSnapshot::histogram(const std::string& name) const
   return nullptr;
 }
 
-namespace {
-
-void write_number(std::ostream& os, double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
-    os << static_cast<long long>(v);
-  } else {
-    os << std::setprecision(9) << v;
-  }
-}
-
-}  // namespace
-
-void MetricsSnapshot::to_prometheus(std::ostream& os) const {
-  // Registered names may carry an inline `{label="..."}` suffix (the
-  // multi-tenant convention); the TYPE line only ever shows the bare name,
-  // deduplicated across the label variants of a family.
-  const auto bare_name = [](const std::string& name) {
-    const std::size_t brace = name.find('{');
-    return brace == std::string::npos ? name : name.substr(0, brace);
-  };
-  std::string last_type;
-  for (const CounterSample& c : counters) {
-    const std::string bare = bare_name(c.name);
-    if (bare != last_type) {
-      os << "# TYPE " << bare << " counter\n";
-      last_type = bare;
-    }
-    os << c.name << ' ' << c.value << '\n';
-  }
-  last_type.clear();
-  for (const GaugeSample& g : gauges) {
-    const std::string bare = bare_name(g.name);
-    if (bare != last_type) {
-      os << "# TYPE " << bare << " gauge\n";
-      last_type = bare;
-    }
-    os << g.name << ' ';
-    write_number(os, g.value);
-    os << '\n';
-  }
-  for (const HistogramSample& h : histograms) {
-    os << "# TYPE " << h.name << " histogram\n";
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      cum += h.buckets[i];
-      os << h.name << "_bucket{le=\"";
-      write_number(os, h.bounds[i]);
-      os << "\"} " << cum << '\n';
-    }
-    cum += h.buckets.empty() ? 0 : h.buckets.back();
-    os << h.name << "_bucket{le=\"+Inf\"} " << cum << '\n';
-    os << h.name << "_sum ";
-    write_number(os, h.sum);
-    os << '\n' << h.name << "_count " << h.count << '\n';
-  }
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
@@ -199,7 +140,5 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   return snap;
 }
-
-void MetricsRegistry::dump_prometheus(std::ostream& os) const { snapshot().to_prometheus(os); }
 
 }  // namespace ncnas::obs

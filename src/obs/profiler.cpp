@@ -13,6 +13,8 @@
 #include <thread>
 #include <unordered_map>
 
+#include "ncnas/obs/journal.hpp"
+
 namespace ncnas::obs {
 
 namespace detail {
@@ -237,43 +239,6 @@ std::vector<FlatProfileEntry> ProfileSnapshot::flat() const {
 
 namespace {
 
-// Local copies of the JSON helpers (trace.cpp keeps its own in an anonymous
-// namespace; these stay file-local for the same reason).
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c)) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void write_json_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << 0;
-    return;
-  }
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
-    os << static_cast<long long>(v);
-  } else {
-    std::ostringstream tmp;
-    tmp << std::setprecision(12) << v;
-    os << tmp.str();
-  }
-}
-
 void write_tree_text(std::ostream& os, const ProfileNode& node, int depth) {
   std::ostringstream label;
   for (int i = 0; i < depth; ++i) label << "  ";
@@ -318,7 +283,7 @@ void ProfileSnapshot::export_json(std::ostream& os) const {
     const FlatProfileEntry& e = entries[i];
     if (i) os << ',';
     os << "\n{\"name\": ";
-    write_escaped(os, e.name);
+    write_json_string(os, e.name);
     os << ", \"calls\": " << e.calls << ", \"total_ms\": ";
     write_json_number(os, e.total_ms);
     os << ", \"self_ms\": ";

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 
+#include "ncnas/obs/telemetry.hpp"
+
 namespace ncnas::obs {
 
-HealthWatchdog::HealthWatchdog(WatchdogConfig cfg, Journal* journal, MetricsRegistry* metrics)
-    : cfg_(cfg), journal_(journal) {
-  if (metrics != nullptr) {
-    straggler_counter_ = &metrics->counter("ncnas_watchdog_stragglers_total");
-    stall_counter_ = &metrics->counter("ncnas_watchdog_stalls_total");
-    expected_gauge_ = &metrics->gauge("ncnas_watchdog_expected_eval_seconds");
+HealthWatchdog::HealthWatchdog(WatchdogConfig cfg, Telemetry* telemetry)
+    : cfg_(cfg), telemetry_(telemetry) {
+  if (telemetry_ != nullptr) {
+    expected_gauge_ = &telemetry_->metrics().gauge("ncnas_watchdog_expected_eval_seconds");
   }
 }
 
@@ -83,25 +83,20 @@ void HealthWatchdog::on_event(const JournalEvent& e) {
     report_.stalls.insert(report_.stalls.end(), new_stalls.begin(), new_stalls.end());
   }
 
-  // Metrics and journal emission happen outside mu_ so a concurrent report()
-  // or another subscriber can never deadlock against us.
-  if (expected_gauge_ != nullptr && expected_now > 0.0) expected_gauge_->set(expected_now);
+  // Emission happens outside mu_ so a concurrent report() or another
+  // subscriber can never deadlock against us.
+  if (telemetry_ == nullptr) return;
+  if (expected_now > 0.0) expected_gauge_->set(expected_now);
   for (const StragglerVerdict& v : new_stragglers) {
-    if (straggler_counter_ != nullptr) straggler_counter_->inc();
-    if (journal_ != nullptr) {
-      journal_->append(T::kStragglerDetected, v.t, v.agent,
-                       {{"duration_s", v.duration_s},
-                        {"expected_s", v.expected_s},
-                        {"multiple", cfg_.straggler_multiple},
-                        {"timed_out", v.timed_out ? 1.0 : 0.0}});
-    }
+    telemetry_->emit(T::kStragglerDetected, v.t, v.agent,
+                     {{"duration_s", v.duration_s},
+                      {"expected_s", v.expected_s},
+                      {"multiple", cfg_.straggler_multiple},
+                      {"timed_out", v.timed_out ? 1.0 : 0.0}});
   }
   for (const StallVerdict& v : new_stalls) {
-    if (stall_counter_ != nullptr) stall_counter_->inc();
-    if (journal_ != nullptr) {
-      journal_->append(T::kAgentStalled, v.t, v.agent,
-                       {{"silent_s", v.silent_s}, {"window_s", v.window_s}});
-    }
+    telemetry_->emit(T::kAgentStalled, v.t, v.agent,
+                     {{"silent_s", v.silent_s}, {"window_s", v.window_s}});
   }
 }
 

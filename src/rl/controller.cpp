@@ -140,9 +140,9 @@ space::ArchEncoding Controller::greedy() const {
 }
 
 void Controller::set_telemetry(obs::Telemetry* telemetry) {
+  telemetry_ = telemetry;
   if (telemetry == nullptr) {
     ppo_wall_ms_ = nullptr;
-    journal_ = nullptr;
     ppo_policy_loss_ = nullptr;
     ppo_value_loss_ = nullptr;
     ppo_entropy_ = nullptr;
@@ -151,7 +151,6 @@ void Controller::set_telemetry(obs::Telemetry* telemetry) {
   }
   obs::MetricsRegistry& m = telemetry->metrics();
   ppo_wall_ms_ = &m.histogram("ncnas_ppo_update_wall_ms", obs::exp_buckets(0.25, 2.0, 16));
-  journal_ = telemetry->journal();
   ppo_policy_loss_ = &m.gauge("ncnas_ppo_policy_loss");
   ppo_value_loss_ = &m.gauge("ncnas_ppo_value_loss");
   ppo_entropy_ = &m.gauge("ncnas_ppo_entropy");
@@ -309,8 +308,8 @@ PpoStats Controller::ppo_update(std::span<const Rollout> rollouts,
     ppo_entropy_->set(stats.entropy);
     ppo_approx_kl_->set(stats.approx_kl);
   }
-  if (journal_ != nullptr) {
-    journal_->append(obs::JournalEventType::kPpoUpdate, now, agent_id,
+  if (telemetry_ != nullptr) {
+    telemetry_->emit(obs::JournalEventType::kPpoUpdate, now, agent_id,
                      {{"policy_loss", stats.policy_loss},
                       {"value_loss", stats.value_loss},
                       {"entropy", stats.entropy},

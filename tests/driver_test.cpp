@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <sstream>
+
 #include "ncnas/nas/driver.hpp"
 #include "ncnas/space/spaces.hpp"
 
@@ -203,6 +207,7 @@ TEST(Driver, TelemetryCountersReconcileWithResult) {
   const std::uint64_t hits = m.counter_value("ncnas_cache_hits_total");
   const std::uint64_t real = m.counter_value("ncnas_real_evals_total");
   EXPECT_GT(evals, 0u);
+  EXPECT_EQ(evals, res.evals.size());
   EXPECT_EQ(evals, hits + real);
   EXPECT_EQ(hits, res.cache_hits);
   EXPECT_EQ(m.counter_value("ncnas_eval_timeouts_total"), res.timeouts);
@@ -215,47 +220,186 @@ TEST(Driver, TelemetryCountersReconcileWithResult) {
   EXPECT_EQ(sim->count, real);
   EXPECT_GT(m.counter_value("ncnas_agent_cycles_total"), 0u);
   EXPECT_GT(m.counter_value("ncnas_ps_delta_applies_total"), 0u);
+  EXPECT_GT(m.counter_value("ncnas_ps_exchanges_total"), 0u);
 
-  // The journal tells the same story as the counters, event for event.
-  std::size_t j_cached = 0, j_finished = 0, j_timeouts = 0, j_ppo = 0, j_exchanges = 0;
-  for (const obs::JournalEvent& e : res.telemetry->journal) {
-    switch (e.type) {
-      case obs::JournalEventType::kEvalCached: ++j_cached; break;
-      case obs::JournalEventType::kEvalFinished: ++j_finished; break;
-      case obs::JournalEventType::kEvalTimeout: ++j_timeouts; break;
-      case obs::JournalEventType::kPpoUpdate: ++j_ppo; break;
-      case obs::JournalEventType::kPsExchange: ++j_exchanges; break;
-      default: break;
-    }
-  }
-  EXPECT_EQ(j_cached, hits);
-  EXPECT_EQ(j_finished, real);
-  EXPECT_EQ(j_timeouts, m.counter_value("ncnas_eval_timeouts_total"));
-  EXPECT_EQ(j_ppo, res.ppo_updates);
-  EXPECT_EQ(j_exchanges, m.counter_value("ncnas_ps_exchanges_total"));
-  EXPECT_GT(j_exchanges, 0u);
+  // The journal replay tells the same story as the result.
+  const obs::RunSummary sum = obs::summarize_journal(res.telemetry->journal);
+  EXPECT_EQ(reconcile(res, sum), std::vector<std::string>{});
+  EXPECT_EQ(sum.ps_exchanges, m.counter_value("ncnas_ps_exchanges_total"));
 }
 
 TEST(Driver, TelemetryTraceHasCycleSpansPerAgent) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
   obs::Telemetry tel;
+  tel.enable_journal();  // the trace is rendered from the recorded journal
   SearchConfig cfg = small_config(SearchStrategy::kA2C);
   cfg.telemetry = &tel;
   (void)SearchDriver(s, ds, cfg).run();
 
-  std::vector<std::size_t> cycle_spans(cfg.cluster.num_agents, 0);
+  std::ostringstream os;
+  tel.export_chrome_trace(os);
+  // One event per line; count the eval spans per row (tid = agent id).
+  std::vector<std::size_t> eval_spans(cfg.cluster.num_agents, 0);
   std::size_t barrier_spans = 0;
-  for (const obs::TraceEvent& e : tel.trace().snapshot()) {
-    if (e.name == "agent_cycle") {
-      EXPECT_EQ(e.phase, 'X');
-      ASSERT_LT(e.tid, cycle_spans.size());
-      ++cycle_spans[e.tid];
-    }
-    if (e.name == "a2c_barrier_wait") ++barrier_spans;
+  std::istringstream lines(os.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const bool eval = line.find("\"name\":\"eval\",") != std::string::npos;
+    const bool barrier = line.find("\"name\":\"a2c_barrier_wait\",") != std::string::npos;
+    if (!eval && !barrier) continue;
+    EXPECT_NE(line.find("\"ph\":\"X\""), std::string::npos) << line;
+    const std::size_t at = line.find("\"tid\":");
+    ASSERT_NE(at, std::string::npos) << line;
+    const std::size_t tid = std::stoul(line.substr(at + 6));
+    ASSERT_LT(tid, eval_spans.size());
+    if (eval) ++eval_spans[tid];
+    if (barrier) ++barrier_spans;
   }
-  for (std::size_t n : cycle_spans) EXPECT_GE(n, 1u);
+  for (std::size_t n : eval_spans) EXPECT_GE(n, 1u);
   EXPECT_GT(barrier_spans, 0u);
+}
+
+// SearchResult's cache_hits, shared_cache_hits and timeouts count the
+// returned records, so records the deadline cuts are not counted either.
+TEST(Driver, DeadlineCutRecordsAreNotCountedInResultCounters) {
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  bool saw_cut_cached_record = false;
+  for (const std::uint64_t seed : {7u, 8u, 9u}) {
+    SearchConfig cfg = small_config(SearchStrategy::kA3C);
+    cfg.cluster = {.num_agents = 4, .workers_per_agent = 2};
+    cfg.wall_time_seconds = 900.0;
+    cfg.seed = seed;
+    obs::Telemetry tel;
+    tel.enable_journal();
+    cfg.telemetry = &tel;
+    const SearchResult res = SearchDriver(s, ds, cfg).run();
+    for (const obs::JournalEvent& e : res.telemetry->journal) {
+      saw_cut_cached_record |=
+          e.type == obs::JournalEventType::kEvalCached && e.t > cfg.wall_time_seconds;
+    }
+    std::size_t hits = 0, shared = 0, timeouts = 0;
+    for (const EvalRecord& e : res.evals) {
+      hits += e.cache_hit ? 1 : 0;
+      shared += e.shared_hit ? 1 : 0;
+      timeouts += e.timed_out ? 1 : 0;
+    }
+    EXPECT_EQ(res.cache_hits, hits) << "seed " << seed;
+    EXPECT_EQ(res.shared_cache_hits, shared) << "seed " << seed;
+    EXPECT_EQ(res.timeouts, timeouts) << "seed " << seed;
+    EXPECT_EQ(reconcile(res, obs::summarize_journal(res.telemetry->journal)),
+              std::vector<std::string>{})
+        << "seed " << seed;
+  }
+  // The scenario this test exists for must actually occur.
+  EXPECT_TRUE(saw_cut_cached_record);
+}
+
+// Every counter that is a view of the event fold equals the same field of a
+// replay of the recorded journal, for every strategy, a fault plan, a
+// ladder, and a resumed process.
+TEST(Driver, FoldCountersEqualJournalSummary) {
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  const auto expect_counters_match = [](const obs::Telemetry& tel, const std::string& what) {
+    const obs::MetricsSnapshot m = tel.metrics_snapshot();
+    const obs::RunSummary sum = obs::summarize_journal(tel.journal()->snapshot());
+    const std::pair<const char*, std::size_t> expected[] = {
+        {"ncnas_evals_total", sum.evals},
+        {"ncnas_cache_hits_total", sum.cache_hits},
+        {"ncnas_shared_cache_hits_total", sum.shared_cache_hits},
+        {"ncnas_real_evals_total", sum.real_evals},
+        {"ncnas_eval_timeouts_total", sum.timeouts},
+        {"ncnas_ppo_updates_total", sum.ppo_updates},
+        {"ncnas_fault_eval_failures_total", sum.eval_failures},
+        {"ncnas_fault_retries_total", sum.retries},
+        {"ncnas_fault_exhausted_total", sum.exhausted},
+        {"ncnas_fault_lost_results_total", sum.lost_results},
+        {"ncnas_fault_workers_crashed_total", sum.crashed_workers},
+        {"ncnas_fault_dead_agents_total", sum.dead_agents},
+        {"ncnas_fault_ps_dropped_total", sum.ps_dropped},
+        {"ncnas_fault_ps_delayed_total", sum.ps_delayed},
+        {"ncnas_checkpoints_total", sum.checkpoints},
+        {"ncnas_fidelity_rung_trainings_total", sum.ladder_trainings},
+        {"ncnas_fidelity_promotions_total", sum.ladder_promotions},
+        {"ncnas_fidelity_warm_starts_total", sum.ladder_warm_starts},
+        {"ncnas_fidelity_rung_hits_total", sum.ladder_rung_hits},
+        {"ncnas_ps_exchanges_total", sum.ps_exchanges},
+        {"ncnas_a2c_barrier_timeouts_total", sum.barrier_timeouts},
+        {"ncnas_watchdog_stragglers_total", sum.stragglers},
+        {"ncnas_watchdog_stalls_total", sum.stalls},
+    };
+    for (const auto& [name, value] : expected) {
+      const bool present = std::any_of(m.counters.begin(), m.counters.end(),
+                                       [&](const obs::CounterSample& c) { return c.name == name; });
+      EXPECT_TRUE(present) << what << ": " << name;
+      EXPECT_EQ(m.counter_value(name), value) << what << ": " << name;
+    }
+    EXPECT_GT(sum.evals, 0u) << what;
+  };
+  const auto run = [&](SearchConfig cfg, const std::string& what) {
+    obs::Telemetry tel;
+    tel.enable_watchdog({.expected_seconds = 30.0});  // verdicts are folded too
+    cfg.telemetry = &tel;
+    (void)SearchDriver(s, ds, cfg).run();
+    expect_counters_match(tel, what);
+  };
+
+  for (const SearchStrategy strategy : {SearchStrategy::kA3C, SearchStrategy::kA2C,
+                                        SearchStrategy::kRandom, SearchStrategy::kEvolution}) {
+    SearchConfig cfg = small_config(strategy);
+    cfg.wall_time_seconds = 600.0;
+    run(cfg, strategy_name(strategy));
+  }
+
+  exec::FaultPlan plan;
+  plan.seed = 7;
+  plan.eval_failure_prob = 0.25;
+  plan.lost_result_prob = 0.1;
+  plan.ps_drop_prob = 0.2;
+  plan.ps_delay_prob = 0.2;
+  plan.ps_delay_seconds = 15.0;
+  plan.max_retries = 1;
+  plan.barrier_timeout_seconds = 120.0;
+  plan.worker_crashes.push_back({.agent = 1, .worker = 0, .time = 300.0});
+  const exec::FaultInjector faults(plan);
+  SearchConfig faulty = small_config(SearchStrategy::kA2C);
+  faulty.wall_time_seconds = 600.0;
+  faulty.faults = &faults;
+  run(faulty, "fault plan");
+
+  SearchConfig ladder = small_config(SearchStrategy::kA3C);
+  ladder.wall_time_seconds = 600.0;
+  ladder.ladder.eta = 2;
+  ladder.ladder.rungs = {{.epochs = 1, .subset_fraction = 1.0},
+                         {.epochs = 2, .subset_fraction = 1.0}};
+  run(ladder, "ladder");
+
+  // A resumed process folds (and records) only its own events.
+  ckpt::CheckpointConfig ckpt_cfg;
+  ckpt_cfg.directory = ::testing::TempDir() + "ncnas_driver_fold_resume";
+  std::filesystem::remove_all(ckpt_cfg.directory);
+  ckpt_cfg.interval_seconds = 120.0;
+  ckpt_cfg.abort_after_snapshots = 2;
+  SearchConfig resumed = small_config(SearchStrategy::kA3C);
+  resumed.wall_time_seconds = 600.0;
+  resumed.checkpoint = &ckpt_cfg;
+  std::string snapshot;
+  try {
+    (void)SearchDriver(s, ds, resumed).run();
+  } catch (const ckpt::SearchInterrupted& e) {
+    snapshot = e.snapshot_path();
+  }
+  ASSERT_FALSE(snapshot.empty());
+  ckpt_cfg.abort_after_snapshots = 0;
+  obs::Telemetry tel;
+  tel.enable_journal();
+  resumed.telemetry = &tel;
+  (void)resume_search(snapshot, s, ds, resumed);
+  EXPECT_EQ(obs::summarize_journal(tel.journal()->snapshot()).resumes, 1u);
+  expect_counters_match(tel, "resumed");
+  std::filesystem::remove_all(ckpt_cfg.directory);
 }
 
 TEST(Driver, TelemetryDisabledLeavesResultsBitIdentical) {

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -319,7 +318,7 @@ TEST(Exporter, HttpServesPublishedPayloadsOnEphemeralPort) {
   std::string error;
   EXPECT_TRUE(validate_openmetrics(*body, &error)) << error;
 
-  t.metrics().counter("ncnas_evals_total").inc(5);
+  for (int i = 0; i < 5; ++i) t.emit(JournalEventType::kEvalCached, 1.0, 0, {{"reward", 0.5}});
   ProgressSnapshot p;
   p.strategy = "RDM";
   p.evals_done = 5;
@@ -497,29 +496,17 @@ TEST(Exporter, FinalScrapeReconcilesWithJournalSummary) {
   const RunSummary sum = summarize_journal(events);
   EXPECT_TRUE(sum.has_run_finished);
 
-  // The counters count every harvested completion; the journal records one
-  // event per harvest. Raw event counts must match the counters exactly.
-  std::map<JournalEventType, std::uint64_t> by_type;
-  for (const JournalEvent& e : events) ++by_type[e.type];
+  // The counters are a view of the same event fold summarize_journal runs,
+  // deadline filter included, so they equal its totals — and the result's.
   const MetricsSnapshot& m = cap.final_metrics;
-  EXPECT_EQ(m.counter_value("ncnas_evals_total"),
-            by_type[JournalEventType::kEvalFinished] + by_type[JournalEventType::kEvalCached]);
-  EXPECT_EQ(m.counter_value("ncnas_real_evals_total"),
-            by_type[JournalEventType::kEvalFinished]);
-  EXPECT_EQ(m.counter_value("ncnas_cache_hits_total"),
-            by_type[JournalEventType::kEvalCached]);
-  EXPECT_EQ(m.counter_value("ncnas_eval_timeouts_total"),
-            by_type[JournalEventType::kEvalTimeout]);
+  EXPECT_EQ(m.counter_value("ncnas_evals_total"), sum.evals);
+  EXPECT_EQ(m.counter_value("ncnas_real_evals_total"), sum.real_evals);
+  EXPECT_EQ(m.counter_value("ncnas_cache_hits_total"), sum.cache_hits);
+  EXPECT_EQ(m.counter_value("ncnas_eval_timeouts_total"), sum.timeouts);
   EXPECT_EQ(m.counter_value("ncnas_ppo_updates_total"), sum.ppo_updates);
   EXPECT_EQ(m.counter_value("ncnas_ps_exchanges_total"), sum.ps_exchanges);
   EXPECT_EQ(m.counter_value("ncnas_exporter_errors_total"), 0u);
-
-  // summarize_journal applies the driver's deadline filter, so its totals
-  // reconcile with the SearchResult, not the raw counters.
-  EXPECT_EQ(cap.result.evals.size(), sum.evals);
-  EXPECT_EQ(cap.result.cache_hits, sum.cache_hits);
-  EXPECT_EQ(cap.result.timeouts, sum.timeouts);
-  EXPECT_EQ(cap.result.ppo_updates, sum.ppo_updates);
+  EXPECT_EQ(nas::reconcile(cap.result, sum), std::vector<std::string>{});
   EXPECT_EQ(cap.final_progress.evals_done, cap.result.evals.size());
 }
 

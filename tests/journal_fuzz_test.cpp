@@ -1,0 +1,228 @@
+// Seeded mutation fuzz harness for the journal reader, the one trust
+// boundary every derived view (counters, run reports, the Chrome trace)
+// now sits behind.
+//
+// The corpus is a real exported journal: an A2C search with a fault plan and
+// a fidelity ladder, so every event type the driver emits appears in it.
+// Each iteration mutates that text — bit flips, truncations, line splices,
+// or huge/odd numbers — and requires:
+//   - Journal::import_jsonl either returns events or throws
+//     std::runtime_error (nothing else, no crash);
+//   - summarize_journal, export_chrome_trace and export_run_summary_json
+//     never crash on what it returned, and both JSON documents are
+//     well-formed;
+//   - what the writer emits for those events reads back with no error.
+// Run under ASan+UBSan, "never crash" includes undefined behaviour.
+//
+// --seed=N / --runs=N / FAILING SEED replay as in fuzz_seed.hpp.
+
+#include <algorithm>
+#include <cstdint>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "fuzz_seed.hpp"
+#include "json_check.hpp"
+#include "ncnas/nas/driver.hpp"
+#include "ncnas/space/spaces.hpp"
+#include "ncnas/tensor/rng.hpp"
+
+namespace {
+
+using namespace ncnas;
+
+std::uint64_t g_seed = 0x10C0FFEEULL;
+constexpr int kIters = 64;
+
+/// The exported journal of a small faulty ladder search (built once).
+const std::string& corpus() {
+  static const std::string text = [] {
+    const space::SearchSpace s = space::nt3_small_space();
+    const data::Dataset ds =
+        data::make_nt3(5, {.train = 32, .valid = 16, .length = 64, .motif = 6});
+    exec::FaultPlan plan;
+    plan.seed = 3;
+    plan.eval_failure_prob = 0.25;
+    plan.lost_result_prob = 0.1;
+    plan.slowdown_prob = 0.2;
+    plan.slowdown_multiple = 4.0;
+    plan.ps_drop_prob = 0.2;
+    plan.ps_delay_prob = 0.2;
+    plan.ps_delay_seconds = 15.0;
+    plan.max_retries = 1;
+    plan.barrier_timeout_seconds = 60.0;
+    plan.worker_crashes.push_back({.agent = 1, .worker = 0, .time = 120.0});
+    const exec::FaultInjector faults(plan);
+    nas::SearchConfig cfg;
+    cfg.strategy = nas::SearchStrategy::kA2C;
+    cfg.cluster = {.num_agents = 2, .workers_per_agent = 2};
+    cfg.wall_time_seconds = 300.0;
+    cfg.fidelity = {.epochs = 1, .subset_fraction = 1.0};
+    cfg.cost = {.startup_seconds = 20.0, .seconds_per_megaunit = 1.0, .timeout_seconds = 60.0};
+    cfg.seed = 5;
+    cfg.faults = &faults;
+    cfg.ladder.eta = 2;
+    cfg.ladder.rungs = {{.epochs = 1, .subset_fraction = 1.0},
+                        {.epochs = 2, .subset_fraction = 1.0}};
+    obs::Telemetry tel;
+    tel.enable_watchdog({.expected_seconds = 20.0});
+    cfg.telemetry = &tel;
+    (void)nas::SearchDriver(s, ds, cfg).run();
+    // train_wall_ms is host wall time; pin it so a seed replays the exact
+    // same mutated documents on any machine.
+    std::vector<obs::JournalEvent> events = tel.journal()->snapshot();
+    for (obs::JournalEvent& e : events) {
+      for (obs::JournalField& f : e.payload) {
+        if (f.key == "train_wall_ms") f.value = 1.5;
+      }
+    }
+    std::ostringstream os;
+    obs::Journal::export_jsonl(events, os);
+    return os.str();
+  }();
+  return text;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& l : lines) out += l + '\n';
+  return out;
+}
+
+std::string flip_bits(std::string text, tensor::Rng& rng) {
+  const std::size_t flips = 1 + rng.uniform_int(8);
+  for (std::size_t i = 0; i < flips && !text.empty(); ++i) {
+    text[rng.uniform_int(text.size())] ^= static_cast<char>(1u << rng.uniform_int(8));
+  }
+  return text;
+}
+
+std::string truncate(const std::string& text, tensor::Rng& rng) {
+  return text.substr(0, rng.uniform_int(text.size() + 1));
+}
+
+/// Duplicates, drops, swaps, or cross-splices lines (the tail of one line
+/// glued onto the head of another).
+std::string splice_lines(const std::string& text, tensor::Rng& rng) {
+  std::vector<std::string> lines = split_lines(text);
+  if (lines.empty()) return text;
+  const std::size_t a = rng.uniform_int(lines.size());
+  const std::size_t b = rng.uniform_int(lines.size());
+  switch (rng.uniform_int(4)) {
+    case 0: lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(a), lines[b]); break;
+    case 1: lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(a)); break;
+    case 2: std::swap(lines[a], lines[b]); break;
+    default: {
+      const std::string head = lines[a].substr(0, rng.uniform_int(lines[a].size() + 1));
+      const std::string tail = lines[b].substr(rng.uniform_int(lines[b].size() + 1));
+      lines[a] = head + tail;
+    }
+  }
+  return join_lines(lines);
+}
+
+/// Replaces numeric literals with values at or past the edges of double and
+/// integer range.
+std::string huge_numbers(const std::string& text, tensor::Rng& rng) {
+  static const char* const kValues[] = {
+      "1e308",  "-1e308", "1e999",     "-1e999", "1e-400", "-0", "4294967296", "-4294967297",
+      "18446744073709551616", "9007199254740993", "123456789012345678901234567890", "2",
+      "-1",     "0.5"};
+  std::string out = text;
+  const std::size_t edits = 1 + rng.uniform_int(6);
+  for (std::size_t n = 0; n < edits; ++n) {
+    // Find a numeric token starting at a random position.
+    std::size_t i = out.find_first_of("-0123456789", rng.uniform_int(out.size() + 1));
+    if (i == std::string::npos) break;
+    std::size_t j = i + 1;
+    while (j < out.size() && std::string_view("0123456789.eE+-").find(out[j]) !=
+                                 std::string_view::npos) {
+      ++j;
+    }
+    out.replace(i, j - i, kValues[rng.uniform_int(std::size(kValues))]);
+  }
+  return out;
+}
+
+/// The invariant, checked on one mutated document.
+void check_document(const std::string& text, const char* mutation, int iter) {
+  SCOPED_TRACE(std::string(mutation) + " iteration " + std::to_string(iter) +
+               " (replay with --seed=" + std::to_string(g_seed) + ")");
+  std::vector<obs::JournalEvent> events;
+  try {
+    std::istringstream is(text);
+    events = obs::Journal::import_jsonl(is);
+  } catch (const std::runtime_error&) {
+    return;  // a clean rejection is a valid outcome
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "import threw a non-runtime_error: " << e.what();
+    return;
+  }
+
+  const obs::RunSummary sum = obs::summarize_journal(events);
+  std::ostringstream summary;
+  obs::export_run_summary_json(sum, summary);
+  EXPECT_TRUE(ncnas::testing::is_valid_json(summary.str())) << summary.str();
+
+  std::ostringstream trace;
+  obs::export_chrome_trace(events, trace);
+  EXPECT_TRUE(ncnas::testing::is_valid_json(trace.str())) << trace.str();
+
+  // Whatever survived import is re-exportable and reads back in full.
+  std::stringstream round_trip;
+  obs::Journal::export_jsonl(events, round_trip);
+  try {
+    EXPECT_EQ(obs::Journal::import_jsonl(round_trip).size(), events.size());
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "re-import of the writer's own output failed: " << e.what();
+  }
+}
+
+template <typename Mutate>
+void fuzz(std::uint64_t salt, const char* mutation, Mutate mutate) {
+  const std::string& base = corpus();
+  tensor::Rng rng(g_seed ^ salt);
+  for (int i = 0; i < kIters; ++i) check_document(mutate(base, rng), mutation, i);
+}
+
+TEST(JournalFuzz, CorpusCoversTheDriversEventTypes) {
+  std::istringstream is(corpus());
+  const std::vector<obs::JournalEvent> events = obs::Journal::import_jsonl(is);
+  const obs::RunSummary sum = obs::summarize_journal(events);
+  EXPECT_TRUE(sum.has_run_finished);
+  EXPECT_GT(sum.evals, 0u);
+  EXPECT_GT(sum.ladder_rung_events, 0u);
+  EXPECT_TRUE(sum.faulty());
+  EXPECT_GT(sum.ps_exchanges, 0u);
+}
+
+TEST(JournalFuzz, BitFlips) { fuzz(0xB17F, "bit flip", flip_bits); }
+
+TEST(JournalFuzz, Truncations) { fuzz(0x7256, "truncation", truncate); }
+
+TEST(JournalFuzz, LineSplices) { fuzz(0x5911CE, "line splice", splice_lines); }
+
+TEST(JournalFuzz, HugeNumbers) { fuzz(0x4A6E, "huge number", huge_numbers); }
+
+TEST(JournalFuzz, MutationsCompose) {
+  fuzz(0xC0A1, "composed", [](const std::string& text, tensor::Rng& rng) {
+    return flip_bits(huge_numbers(splice_lines(text, rng), rng), rng);
+  });
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ncnas::testing::fuzz_main(argc, argv, "journal_fuzz_test", &g_seed);
+}

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz_seed.hpp"
 #include "ncnas/tensor/kernel_config.hpp"
 #include "ncnas/tensor/ops.hpp"
 #include "ncnas/tensor/rng.hpp"
@@ -221,65 +222,8 @@ TEST(KernelFuzz, RowwiseOpsAllTiersBitwiseVsReference) {
   }
 }
 
-/// splitmix64 — decorrelates the per-run seeds so --runs=N explores N
-/// genuinely different streams instead of N neighbors of the base seed.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Rotates g_seed at the start of each --gtest_repeat iteration and prints
-/// the absolute failing seed at the end of any iteration that failed, so a
-/// multi-run CI log always names the exact seed to replay.
-class SeedRotator : public ::testing::Environment {
- public:
-  explicit SeedRotator(std::uint64_t base) : base_(base) {}
-
-  void SetUp() override {
-    g_seed = run_ == 0 ? base_ : mix64(base_ + run_);
-    std::printf("kernel_fuzz_test run %d seed: %llu (replay with --seed=%llu)\n", run_ + 1,
-                static_cast<unsigned long long>(g_seed),
-                static_cast<unsigned long long>(g_seed));
-    std::fflush(stdout);
-    ++run_;
-  }
-
-  void TearDown() override {
-    if (::testing::UnitTest::GetInstance()->failed_test_count() > 0) {
-      std::printf("kernel_fuzz_test FAILING SEED: %llu (replay with --seed=%llu)\n",
-                  static_cast<unsigned long long>(g_seed),
-                  static_cast<unsigned long long>(g_seed));
-      std::fflush(stdout);
-    }
-  }
-
- private:
-  std::uint64_t base_;
-  int run_ = 0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  int runs = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      g_seed = std::stoull(arg.substr(7));
-    } else if (arg == "--seed" && i + 1 < argc) {
-      g_seed = std::stoull(argv[++i]);
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      runs = std::max(1, std::stoi(arg.substr(7)));
-    } else if (arg == "--runs" && i + 1 < argc) {
-      runs = std::max(1, std::stoi(argv[++i]));
-    }
-  }
-  std::printf("kernel_fuzz_test base seed: %llu, runs: %d (override with --seed=N --runs=N)\n",
-              static_cast<unsigned long long>(g_seed), runs);
-  ::testing::GTEST_FLAG(repeat) = runs;
-  ::testing::AddGlobalTestEnvironment(new SeedRotator(g_seed));
-  return RUN_ALL_TESTS();
+  return ncnas::testing::fuzz_main(argc, argv, "kernel_fuzz_test", &g_seed);
 }

@@ -1,99 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <algorithm>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "json_check.hpp"
 #include "ncnas/obs/telemetry.hpp"
 
 namespace ncnas::obs {
 namespace {
 
-// ---- minimal recursive-descent JSON validator (well-formedness only) ------
-
-struct JsonCursor {
-  const std::string& s;
-  std::size_t i = 0;
-
-  void ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool eat(char c) {
-    ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool value();
-  bool string() {
-    ws();
-    if (i >= s.size() || s[i] != '"') return false;
-    ++i;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') ++i;
-      ++i;
-    }
-    if (i >= s.size()) return false;
-    ++i;
-    return true;
-  }
-  bool number() {
-    ws();
-    const std::size_t start = i;
-    if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
-    while (i < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '.' || s[i] == 'e' ||
-            s[i] == 'E' || s[i] == '-' || s[i] == '+')) {
-      ++i;
-    }
-    return i > start;
-  }
-};
-
-bool JsonCursor::value() {
-  ws();
-  if (i >= s.size()) return false;
-  if (s[i] == '{') {
-    ++i;
-    if (eat('}')) return true;
-    do {
-      if (!string() || !eat(':') || !value()) return false;
-    } while (eat(','));
-    return eat('}');
-  }
-  if (s[i] == '[') {
-    ++i;
-    if (eat(']')) return true;
-    do {
-      if (!value()) return false;
-    } while (eat(','));
-    return eat(']');
-  }
-  if (s[i] == '"') return string();
-  if (s.compare(i, 4, "true") == 0) {
-    i += 4;
-    return true;
-  }
-  if (s.compare(i, 5, "false") == 0) {
-    i += 5;
-    return true;
-  }
-  if (s.compare(i, 4, "null") == 0) {
-    i += 4;
-    return true;
-  }
-  return number();
-}
-
-bool is_valid_json(const std::string& text) {
-  JsonCursor c{text};
-  if (!c.value()) return false;
-  c.ws();
-  return c.i == text.size();
-}
+using ncnas::testing::is_valid_json;
 
 // ---- metrics ---------------------------------------------------------------
 
@@ -227,10 +145,8 @@ TEST(Metrics, PrometheusDumpShape) {
   reg.counter("ncnas_evals_total").inc(3);
   reg.gauge("ncnas_streak").set(1.5);
   reg.histogram("ncnas_lat", {1.0, 2.0}).observe(1.5);
-  std::ostringstream os;
-  reg.dump_prometheus(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE ncnas_evals_total counter"), std::string::npos);
+  const std::string text = openmetrics_text(reg.snapshot());
+  EXPECT_NE(text.find("# TYPE ncnas_evals counter"), std::string::npos);
   EXPECT_NE(text.find("ncnas_evals_total 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE ncnas_streak gauge"), std::string::npos);
   EXPECT_NE(text.find("ncnas_lat_bucket{le=\"2\"} 1"), std::string::npos);
@@ -246,133 +162,76 @@ TEST(Metrics, ExpBucketsLayout) {
   EXPECT_THROW(exp_buckets(0.0, 2.0, 3), std::invalid_argument);
 }
 
-// ---- trace -----------------------------------------------------------------
+// ---- telemetry bundle ------------------------------------------------------
 
-TEST(Trace, RingBufferWraparoundKeepsNewestOldestFirst) {
-  TraceRecorder rec(4);
-  for (int i = 0; i < 10; ++i) {
-    rec.instant("e" + std::to_string(i), "t", static_cast<double>(i), 0);
-  }
-  EXPECT_EQ(rec.recorded(), 10u);
-  EXPECT_EQ(rec.dropped(), 6u);
-  const std::vector<TraceEvent> events = rec.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].name, "e6");
-  EXPECT_EQ(events[3].name, "e9");
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].ts_us, events[i].ts_us);
-  }
+TEST(Telemetry, SnapshotCapturesBothSides) {
+  Telemetry tel;
+  tel.enable_journal();
+  tel.metrics().counter("c_total").inc(2);
+  tel.emit(JournalEventType::kEvalDispatched, 1.0, 0, {{"duration_s", 2.0}});
+  tel.emit(JournalEventType::kEvalFinished, 3.0, 0, {{"reward", 0.5}, {"duration_s", 2.0}});
+  const TelemetrySnapshot snap = tel.snapshot();
+  EXPECT_EQ(snap.metrics.counter_value("c_total"), 2u);
+  EXPECT_EQ(snap.metrics.counter_value("ncnas_evals_total"), 1u);
+  EXPECT_EQ(snap.metrics.counter_value("ncnas_real_evals_total"), 1u);
+  EXPECT_EQ(snap.journal.size(), 2u);
+
+  const std::string text = openmetrics_text(snap.metrics);
+  EXPECT_TRUE(validate_openmetrics(text)) << text;
+  EXPECT_NE(text.find("c_total 2"), std::string::npos);
+  std::ostringstream chrome;
+  tel.export_chrome_trace(chrome);
+  EXPECT_TRUE(is_valid_json(chrome.str())) << chrome.str();
+  EXPECT_NE(chrome.str().find("\"name\":\"eval\""), std::string::npos);
 }
 
-TEST(Trace, SpanAndInstantCarryVirtualMicroseconds) {
-  TraceRecorder rec(16);
-  rec.span("cycle", "driver", 2.0, 0.5, 3, {{"batch", 11.0}});
-  rec.instant("ppo", "rl", 2.5, 3);
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].phase, 'X');
-  EXPECT_DOUBLE_EQ(events[0].ts_us, 2.0e6);
-  EXPECT_DOUBLE_EQ(events[0].dur_us, 0.5e6);
-  EXPECT_EQ(events[0].tid, 3u);
-  ASSERT_EQ(events[0].args.size(), 1u);
-  EXPECT_EQ(events[0].args[0].key, "batch");
-  EXPECT_EQ(events[1].phase, 'i');
+TEST(Telemetry, EmitFoldsEveryEventEvenWithoutAJournal) {
+  Telemetry tel;
+  tel.emit(JournalEventType::kRunStarted, 0.0, kNoAgent, {{"wall_time_s", 10.0}});
+  tel.emit(JournalEventType::kEvalCached, 5.0, 1, {{"reward", 0.25}, {"shared", 1.0}});
+  tel.emit(JournalEventType::kEvalFinished, 12.0, 1, {{"reward", 0.5}});  // past the deadline
+  tel.emit(JournalEventType::kEvalRetried, 12.0, 1, {{"attempt", 1.0}});  // faults: no deadline
+  EXPECT_EQ(tel.journal(), nullptr);
+  const MetricsSnapshot m = tel.metrics_snapshot();
+  EXPECT_EQ(m.counter_value("ncnas_evals_total"), 1u);
+  EXPECT_EQ(m.counter_value("ncnas_cache_hits_total"), 1u);
+  EXPECT_EQ(m.counter_value("ncnas_shared_cache_hits_total"), 1u);
+  EXPECT_EQ(m.counter_value("ncnas_real_evals_total"), 0u);
+  EXPECT_EQ(m.counter_value("ncnas_fault_retries_total"), 1u);
+  // Registry and fold counters merge into one sorted list, no name twice.
+  EXPECT_TRUE(std::is_sorted(m.counters.begin(), m.counters.end(),
+                             [](const auto& a, const auto& b) { return a.name < b.name; }));
+  EXPECT_EQ(std::adjacent_find(m.counters.begin(), m.counters.end(),
+                               [](const auto& a, const auto& b) { return a.name == b.name; }),
+            m.counters.end());
+
+  // No journal, no recorded stream: the trace is an empty, valid document.
+  std::ostringstream chrome;
+  tel.export_chrome_trace(chrome);
+  EXPECT_TRUE(is_valid_json(chrome.str())) << chrome.str();
+  EXPECT_EQ(chrome.str().find("\"ph\""), std::string::npos);
 }
 
-TEST(Trace, ChromeExportIsWellFormedJson) {
-  TraceRecorder rec(64);
-  rec.span("eval \"quoted\"\n", "exec", 0.0, 1.0, 0, {{"reward", 0.25}, {"timed_out", 0.0}});
-  rec.instant("ppo_update", "rl", 1.0, 1, {{"approx_kl", 1e-4}});
-  rec.span("a2c_barrier_wait", "ps", 1.5, 2.5, 2);
-  std::ostringstream os;
-  TraceRecorder::export_chrome(rec.snapshot(), os);
-  const std::string json = os.str();
-  EXPECT_TRUE(is_valid_json(json)) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-}
-
-TEST(Trace, JsonlExportOneValidObjectPerLine) {
-  TraceRecorder rec(8);
-  rec.instant("a", "t", 0.0, 0);
-  rec.span("b", "t", 0.0, 1.0, 1);
-  std::ostringstream os;
-  TraceRecorder::export_jsonl(rec.snapshot(), os);
-  std::istringstream lines(os.str());
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_TRUE(is_valid_json(line)) << line;
-    ++count;
-  }
-  EXPECT_EQ(count, 2);
-}
-
-TEST(Trace, ChromeExportSurfacesDroppedEventCount) {
-  TraceRecorder rec(2);
-  for (int i = 0; i < 5; ++i) rec.instant("e", "t", static_cast<double>(i), 0);
-  EXPECT_EQ(rec.dropped(), 3u);
-  std::ostringstream os;
-  TraceRecorder::export_chrome(rec.snapshot(), os, rec.dropped());
-  const std::string json = os.str();
-  EXPECT_TRUE(is_valid_json(json)) << json;
-  EXPECT_NE(json.find("\"droppedEvents\":3"), std::string::npos);
-}
-
-TEST(Trace, JsonlExportAppendsDroppedMetaLineOnlyWhenLossy) {
-  TraceRecorder rec(2);
-  rec.instant("a", "t", 0.0, 0);
-  std::ostringstream lossless;
-  TraceRecorder::export_jsonl(rec.snapshot(), lossless, rec.dropped());
-  EXPECT_EQ(lossless.str().find("ncnas.trace"), std::string::npos);
-
-  for (int i = 0; i < 5; ++i) rec.instant("b", "t", static_cast<double>(i), 0);
-  std::ostringstream lossy;
-  TraceRecorder::export_jsonl(rec.snapshot(), lossy, rec.dropped());
-  std::istringstream lines(lossy.str());
-  std::string line, last;
-  while (std::getline(lines, line)) {
-    EXPECT_TRUE(is_valid_json(line)) << line;
-    last = line;
-  }
-  EXPECT_NE(last.find("\"meta\":\"ncnas.trace\""), std::string::npos);
-  EXPECT_NE(last.find("\"dropped\":4"), std::string::npos);
-}
-
-TEST(Trace, ConcurrentRecordingLosesNothingBelowCapacity) {
-  TraceRecorder rec(1 << 12);
+TEST(Telemetry, ConcurrentEmitsLoseNothing) {
+  Telemetry tel;
+  tel.enable_journal();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 500;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&rec, t] {
+    threads.emplace_back([&tel, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        rec.instant("e", "t", static_cast<double>(i), static_cast<std::uint32_t>(t));
+        tel.emit(JournalEventType::kEvalFinished, static_cast<double>(i),
+                 static_cast<std::uint32_t>(t), {{"reward", 0.5}});
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(rec.recorded(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(rec.dropped(), 0u);
-  EXPECT_EQ(rec.snapshot().size(), static_cast<std::size_t>(kThreads) * kPerThread);
-}
-
-// ---- telemetry bundle ------------------------------------------------------
-
-TEST(Telemetry, SnapshotCapturesBothSides) {
-  Telemetry tel(32);
-  tel.metrics().counter("c").inc(2);
-  tel.trace().instant("e", "t", 0.0, 0);
-  const TelemetrySnapshot snap = tel.snapshot();
-  EXPECT_EQ(snap.metrics.counter_value("c"), 2u);
-  EXPECT_EQ(snap.trace.size(), 1u);
-
-  std::ostringstream prom, chrome;
-  tel.dump_prometheus(prom);
-  tel.export_chrome_trace(chrome);
-  EXPECT_NE(prom.str().find("c 2"), std::string::npos);
-  EXPECT_TRUE(is_valid_json(chrome.str()));
+  constexpr std::size_t kTotal = static_cast<std::size_t>(kThreads) * kPerThread;
+  EXPECT_EQ(tel.journal()->size(), kTotal);
+  const MetricsSnapshot m = tel.metrics_snapshot();
+  EXPECT_EQ(m.counter_value("ncnas_evals_total"), kTotal);
+  EXPECT_EQ(m.counter_value("ncnas_real_evals_total"), kTotal);
 }
 
 TEST(Stopwatch, MeasuresRealTimeAndScopedTimerObserves) {

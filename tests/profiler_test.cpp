@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "json_check.hpp"
 #include "ncnas/obs/profiler.hpp"
 #include "ncnas/obs/telemetry.hpp"
 #include "ncnas/tensor/ops.hpp"
@@ -273,37 +274,18 @@ TEST(Telemetry, EnableProfilerIsIdempotentAndFeedsSnapshot) {
 }
 
 TEST(ChromeTrace, ExportShapeAndEventCountSurvive) {
-  TraceRecorder rec(64);
-  rec.span("eval \"x\"", "driver", 1.0, 0.5, 7, {{"reward", 0.25}});
-  rec.span("train", "nn", 2.0, 0.25, 3);
-  rec.instant("fault", "driver", 3.0, 1);
+  const std::vector<JournalEvent> events{
+      {JournalEventType::kEvalDispatched, 1.0, 7, 0, {{"duration_s", 0.5}, {"eval \"x\"", 0.25}}},
+      {JournalEventType::kPsExchange, 2.25, 3, 1, {{"mode", 0.0}, {"wait_s", 0.25}}},
+      {JournalEventType::kEvalFailed, 3.0, 1, 2, {{"attempt", 0.0}}},
+  };
   std::ostringstream os;
-  TraceRecorder::export_chrome(rec.snapshot(), os, rec.dropped());
+  export_chrome_trace(events, os);
   const std::string json = os.str();
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);  // document shape
-  // Balanced braces/brackets — the document must stay parseable JSON.
-  long depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : json) {
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (c == '\\') {
-      escaped = true;
-    } else if (c == '"') {
-      in_string = !in_string;
-    } else if (!in_string && (c == '{' || c == '[')) {
-      ++depth;
-    } else if (!in_string && (c == '}' || c == ']')) {
-      --depth;
-      EXPECT_GE(depth, 0);
-    }
-  }
-  EXPECT_FALSE(in_string);
-  EXPECT_EQ(depth, 0);
-  // One record per event, phases intact, quotes escaped, no drops reported.
+  EXPECT_TRUE(ncnas::testing::is_valid_json(json)) << json;
+  // One record per event: two spans (eval, barrier wait), one instant,
+  // payload keys escaped, virtual seconds rendered as microseconds.
   std::size_t spans = 0;
   for (std::size_t at = json.find("\"ph\":\"X\""); at != std::string::npos;
        at = json.find("\"ph\":\"X\"", at + 1)) {
@@ -312,7 +294,15 @@ TEST(ChromeTrace, ExportShapeAndEventCountSurvive) {
   EXPECT_EQ(spans, 2u);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("eval \\\"x\\\""), std::string::npos);
-  EXPECT_NE(json.find("\"droppedEvents\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"eval\",\"cat\":\"exec\",\"ph\":\"X\",\"ts\":1000000,"
+                      "\"dur\":500000,\"pid\":0,\"tid\":7"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"a2c_barrier_wait\",\"cat\":\"ps\",\"ph\":\"X\",\"ts\":2000000,"
+                      "\"dur\":250000"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"eval_failed\""), std::string::npos);
 }
 
 }  // namespace

@@ -17,9 +17,12 @@
 
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace ncnas::ckpt {
@@ -42,35 +45,42 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Append-only little-endian byte encoder for snapshot payloads.
+/// Field list of a class type, run by ByteWriter (over `const T`) and by
+/// ByteReader (over `T`), so one statement names each field for both
+/// directions and the writer and the reader cannot drift apart. Define it
+/// inside namespace ncnas::ckpt with
+///   NCNAS_SNAPSHOT_FIELDS(Point, p, p.x, p.y);
+template <class T>
+struct Fields;
+
+#define NCNAS_SNAPSHOT_FIELDS(Type, var, ...) \
+  template <>                                 \
+  struct Fields<Type> {                       \
+    template <class IO, class V>              \
+    static void apply(IO& io, V& var) {       \
+      io(__VA_ARGS__);                        \
+    }                                         \
+  }
+
+template <class T>
+concept Sequence = std::is_same_v<T, std::vector<typename T::value_type>> ||
+                   std::is_same_v<T, std::deque<typename T::value_type>>;
+template <class T>
+concept Pair = std::is_same_v<T, std::pair<typename T::first_type, typename T::second_type>>;
+
+/// Append-only little-endian byte encoder for snapshot payloads. The one
+/// entry point encodes each argument by its C++ type: `bool` as one 0/1
+/// byte, every other integer at its own width (`std::size_t` and `long` as
+/// 8 bytes), `float`/`double` as their IEEE bits, `std::string` and
+/// `std::vector`/`std::deque` as a u64 count followed by the elements, a
+/// `std::pair` as its two members, and any other class through Fields<T>.
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void flag(bool v) { u8(v ? 1 : 0); }
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-  void floats(std::span<const float> v) {
-    u64(v.size());
-    for (float x : v) f32(x);
-  }
-  void doubles(std::span<const double> v) {
-    u64(v.size());
-    for (double x : v) f64(x);
+  static constexpr bool kReads = false;
+
+  template <class... Ts>
+  void operator()(const Ts&... values) {
+    (put(values), ...);
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
@@ -78,62 +88,54 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
  private:
+  void raw(std::uint64_t v, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i) {
+      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      raw(v ? 1 : 0, 1);
+    } else if constexpr (std::is_integral_v<T>) {
+      raw(static_cast<std::uint64_t>(v), sizeof(T));
+    } else if constexpr (std::is_same_v<T, float>) {
+      raw(std::bit_cast<std::uint32_t>(v), 4);
+    } else if constexpr (std::is_same_v<T, double>) {
+      raw(std::bit_cast<std::uint64_t>(v), 8);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      raw(v.size(), 8);
+      buf_.insert(buf_.end(), v.begin(), v.end());
+    } else if constexpr (Sequence<T>) {
+      raw(v.size(), 8);
+      for (const auto& x : v) put(x);
+    } else if constexpr (Pair<T>) {
+      put(v.first);
+      put(v.second);
+    } else {
+      Fields<T>::apply(*this, v);
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
-/// Matching decoder. Every read checks bounds and throws SnapshotError on
-/// overrun, so a truncated payload fails loudly instead of reading garbage.
+/// Matching decoder with the same one entry point, reading into its
+/// arguments. Every read is bounds-checked, and every length prefix is
+/// checked in one place before anything is sized: `n` elements must fit in
+/// what is left of the payload at their minimum encoded size. Any violation
+/// throws SnapshotError, so a truncated or forged payload fails loudly
+/// instead of reading garbage or allocating without bound.
 class ByteReader {
  public:
+  static constexpr bool kReads = true;
+
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-  [[nodiscard]] bool flag() { return u8() != 0; }
-  [[nodiscard]] std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                      static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-    pos_ += 2;
-    return v;
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] float f32() { return std::bit_cast<float>(u32()); }
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-  [[nodiscard]] std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-  [[nodiscard]] std::vector<float> floats() {
-    const std::uint64_t n = u64();
-    std::vector<float> v(n);
-    for (auto& x : v) x = f32();
-    return v;
-  }
-  [[nodiscard]] std::vector<double> doubles() {
-    const std::uint64_t n = u64();
-    std::vector<double> v(n);
-    for (auto& x : v) x = f64();
-    return v;
+  template <class... Ts>
+  void operator()(Ts&... values) {
+    (get(values), ...);
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
@@ -144,8 +146,68 @@ class ByteReader {
 
  private:
   void need(std::uint64_t n) const {
-    if (pos_ + n > data_.size()) throw SnapshotError("snapshot: truncated payload");
+    if (n > remaining()) throw SnapshotError("snapshot: truncated payload");
   }
+
+  std::uint64_t raw(std::size_t width) {
+    need(width);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+    }
+    pos_ += width;
+    return v;
+  }
+
+  /// Bytes a default-constructed T encodes to. Only container lengths make
+  /// an encoding longer, and a default T holds empty ones, so this is the
+  /// least any T can occupy on the wire.
+  template <class T>
+  static std::size_t min_encoded_size() {
+    static const std::size_t n = [] {
+      ByteWriter w;
+      w(T{});
+      return w.size();
+    }();
+    return n;
+  }
+
+  /// Reads a length prefix of elements that occupy at least `min_bytes` each.
+  std::size_t count(std::size_t min_bytes) {
+    const std::uint64_t n = raw(8);
+    if (n > remaining() / min_bytes) {
+      throw SnapshotError("snapshot: length prefix " + std::to_string(n) +
+                          " overruns the payload (" + std::to_string(remaining()) +
+                          " bytes left)");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = raw(1) != 0;
+    } else if constexpr (std::is_integral_v<T>) {
+      v = static_cast<T>(raw(sizeof(T)));
+    } else if constexpr (std::is_same_v<T, float>) {
+      v = std::bit_cast<float>(static_cast<std::uint32_t>(raw(4)));
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = std::bit_cast<double>(raw(8));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      const std::size_t n = count(1);
+      v.assign(reinterpret_cast<const char*>(data_.data() + pos_), n);
+      pos_ += n;
+    } else if constexpr (Sequence<T>) {
+      v.assign(count(min_encoded_size<typename T::value_type>()), {});
+      for (auto& x : v) get(x);
+    } else if constexpr (Pair<T>) {
+      get(v.first);
+      get(v.second);
+    } else {
+      Fields<T>::apply(*this, v);
+    }
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };

@@ -58,6 +58,11 @@ class ParameterServer {
   /// Sync only: true when every *active* agent of the round has submitted
   /// (and at least one delta is pending).
   [[nodiscard]] bool barrier_complete() const noexcept;
+  /// Sync only: true while the round still waits on `agent` (it is active and
+  /// has not submitted).
+  [[nodiscard]] bool awaits(std::size_t agent) const {
+    return active_[agent] && !submitted_[agent];
+  }
 
   // ---- failure tolerance (sync mode) ---------------------------------------
   // The fault-injection layer exercises two A2C failure shapes: an agent

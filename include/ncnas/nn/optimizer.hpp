@@ -69,7 +69,9 @@ class Adam final : public Optimizer {
   [[nodiscard]] State export_state() const;
   /// Replaces all optimizer state. Moments re-attach to parameters by key on
   /// the next step(); a restored optimizer then continues bit-identically.
-  void import_state(const State& state);
+  /// Given the parameters step() will receive, it also rejects moments that
+  /// would attach to a parameter of another size. Throws std::invalid_argument.
+  void import_state(const State& state, const std::vector<ParamPtr>& params = {});
 
  private:
   struct Moments {

@@ -6,27 +6,8 @@
 
 namespace ncnas::ckpt {
 
-namespace {
-
-void encode_header(ByteWriter& w, const SnapshotHeader& h) {
-  w.str(h.fingerprint);
-  w.str(h.space_name);
-  w.f64(h.virtual_time);
-  w.u64(h.journal_events);
-  w.u64(h.ordinal);
-}
-
-SnapshotHeader decode_header(ByteReader& r) {
-  SnapshotHeader h;
-  h.fingerprint = r.str();
-  h.space_name = r.str();
-  h.virtual_time = r.f64();
-  h.journal_events = r.u64();
-  h.ordinal = r.u64();
-  return h;
-}
-
-}  // namespace
+NCNAS_SNAPSHOT_FIELDS(SnapshotHeader, h, h.fingerprint, h.space_name, h.virtual_time,
+                      h.journal_events, h.ordinal);
 
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
   std::uint64_t h = 0xCBF29CE484222325ull;
@@ -40,7 +21,7 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
 void write_snapshot(const std::string& path, const SnapshotHeader& header,
                     const std::vector<std::uint8_t>& payload) {
   ByteWriter hw;
-  encode_header(hw, header);
+  hw(header);
   const std::vector<std::uint8_t>& hb = hw.bytes();
 
   // One hash over header + payload: a flipped bit anywhere is caught.
@@ -51,11 +32,7 @@ void write_snapshot(const std::string& path, const SnapshotHeader& header,
   const std::uint64_t hash = fnv1a64(hashed);
 
   ByteWriter pre;
-  pre.u32(kSnapshotMagic);
-  pre.u32(kSnapshotVersion);
-  pre.u64(hb.size());
-  pre.u64(payload.size());
-  pre.u64(hash);
+  pre(kSnapshotMagic, kSnapshotVersion, hb.size(), payload.size(), hash);
 
   const std::string tmp = path + ".tmp";
   {
@@ -83,21 +60,24 @@ Snapshot read_snapshot(const std::string& path) {
 
   ByteReader pre(raw);
   if (raw.size() < 4 + 4 + 8 + 8 + 8) throw SnapshotError("snapshot: " + path + " is truncated");
-  if (pre.u32() != kSnapshotMagic) {
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  pre(magic, version);
+  if (magic != kSnapshotMagic) {
     throw SnapshotError("snapshot: " + path + " is not a ncnas snapshot (bad magic)");
   }
-  const std::uint32_t version = pre.u32();
   if (version != kSnapshotVersion) {
     throw SnapshotError("snapshot: " + path + " has schema version " + std::to_string(version) +
                         ", expected " + std::to_string(kSnapshotVersion));
   }
-  const std::uint64_t header_size = pre.u64();
-  const std::uint64_t payload_size = pre.u64();
-  const std::uint64_t stored_hash = pre.u64();
-  if (pre.remaining() != header_size + payload_size) {
+  std::uint64_t header_size = 0;
+  std::uint64_t payload_size = 0;
+  std::uint64_t stored_hash = 0;
+  pre(header_size, payload_size, stored_hash);
+  if (header_size > pre.remaining() || payload_size != pre.remaining() - header_size) {
     throw SnapshotError("snapshot: " + path + " is truncated or padded (expected " +
-                        std::to_string(header_size + payload_size) + " body bytes, have " +
-                        std::to_string(pre.remaining()) + ")");
+                        std::to_string(header_size) + " + " + std::to_string(payload_size) +
+                        " body bytes, have " + std::to_string(pre.remaining()) + ")");
   }
   const std::span<const std::uint8_t> body(raw.data() + (raw.size() - pre.remaining()),
                                            pre.remaining());
@@ -107,7 +87,7 @@ Snapshot read_snapshot(const std::string& path) {
 
   ByteReader hr(body.subspan(0, header_size));
   Snapshot snap;
-  snap.header = decode_header(hr);
+  hr(snap.header);
   hr.require_done();
   snap.payload.assign(body.begin() + static_cast<std::ptrdiff_t>(header_size), body.end());
   return snap;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <queue>
@@ -147,77 +148,100 @@ struct Instruments {
   }
 };
 
-// ---- snapshot payload helpers -----------------------------------------------
-// One read/write per statement throughout: C++ leaves argument evaluation
-// order unspecified, and the byte stream only works if reads happen in
-// exactly the order the writes did.
+}  // namespace
+}  // namespace ncnas::nas
 
-void put_arch(ckpt::ByteWriter& w, const space::ArchEncoding& arch) {
-  w.u64(arch.size());
-  for (const auto v : arch) w.u16(static_cast<std::uint16_t>(v));
+// ---- snapshot field lists ---------------------------------------------------
+// Each struct's wire layout, named once; ckpt::ByteWriter and ckpt::ByteReader
+// both run these lists, so the writer and the reader cannot drift apart.
+namespace ncnas::ckpt {
+
+NCNAS_SNAPSHOT_FIELDS(nas::Completion, c, c.time, c.seq, c.agent);
+NCNAS_SNAPSHOT_FIELDS(nas::EvalRecord, e, e.time, e.reward, e.params, e.sim_duration, e.cache_hit,
+                      e.shared_hit, e.timed_out, e.failed, e.agent, e.attempts, e.rung, e.arch);
+NCNAS_SNAPSHOT_FIELDS(exec::EvalResult, r, r.reward, r.sim_duration, r.params, r.timed_out,
+                      r.cache_hit, r.shared_hit, r.train_wall_ms, r.rung);
+NCNAS_SNAPSHOT_FIELDS(exec::CachedEvaluator::State, c, c.entries, c.hits, c.misses);
+NCNAS_SNAPSHOT_FIELDS(exec::UtilizationMonitor::State, m, m.intervals, m.losses, m.busy_seconds);
+NCNAS_SNAPSHOT_FIELDS(nas::ParameterServer::State, s, s.params, s.pending, s.submitted, s.active,
+                      s.active_count, s.pending_count, s.last_arrival, s.recent, s.recent_next,
+                      s.updates_applied, s.pulled_version, s.arrival_time);
+NCNAS_SNAPSHOT_FIELDS(tensor::RngState, r, r.s[0], r.s[1], r.s[2], r.s[3], r.has_cached_normal,
+                      r.cached_normal);
+NCNAS_SNAPSHOT_FIELDS(nn::Adam::MomentEntry, e, e.key, e.shape, e.m, e.v);
+NCNAS_SNAPSHOT_FIELDS(rl::Controller::State, c, c.flat, c.adam.step_count, c.adam.entries);
+NCNAS_SNAPSHOT_FIELDS(rl::Rollout, r, r.actions, r.log_probs, r.values);
+
+}  // namespace ncnas::ckpt
+
+namespace ncnas::nas {
+namespace {
+
+// ---- snapshot helpers for the fields that are not plain values -------------
+
+/// Config-derived values the payload repeats (the strategy/cluster prelude,
+/// which optional members exist): written as given, required to match on read.
+template <class IO, class... Ts>
+void expect(IO& io, const char* what, const Ts&... want) {
+  if constexpr (IO::kReads) {
+    bool same = true;
+    const auto read_one = [&](const auto& w) {
+      std::remove_cvref_t<decltype(w)> got{};
+      io(got);
+      same = same && got == w;
+    };
+    (read_one(want), ...);
+    if (!same) throw ckpt::SnapshotError(std::string("snapshot: ") + what + " mismatch");
+  } else {
+    io(want...);
+  }
 }
 
-space::ArchEncoding get_arch(ckpt::ByteReader& in) {
-  const std::uint64_t n = in.u64();
-  space::ArchEncoding arch(n);
-  for (auto& v : arch) v = in.u16();
-  return arch;
+/// A plain field with a validity rule, checked as soon as it is read.
+template <class IO, class T, class Valid>
+void checked(IO& io, T& field, Valid valid, const char* what) {
+  io(field);
+  if constexpr (IO::kReads) {
+    if (!valid(field)) throw ckpt::SnapshotError(std::string("snapshot: invalid ") + what);
+  }
 }
 
-void put_record(ckpt::ByteWriter& w, const EvalRecord& e) {
-  w.f64(e.time);
-  w.f32(e.reward);
-  w.u64(e.params);
-  w.f64(e.sim_duration);
-  w.flag(e.cache_hit);
-  w.flag(e.shared_hit);
-  w.flag(e.timed_out);
-  w.flag(e.failed);
-  w.u64(e.agent);
-  w.u64(e.attempts);
-  w.u32(e.rung);
-  put_arch(w, e.arch);
+/// A member whose wire form is the struct its export/import pair exchanges.
+/// The import's own consistency checks surface as SnapshotError, the one
+/// error resume_search documents.
+template <class IO, class Obj, class T, class State>
+void through(IO& io, Obj& obj, State (T::*exported)() const, void (T::*import)(const State&)) {
+  if constexpr (IO::kReads) {
+    State state;
+    io(state);
+    try {
+      (obj.*import)(state);
+    } catch (const std::invalid_argument& e) {
+      throw ckpt::SnapshotError(std::string("snapshot: ") + e.what());
+    }
+  } else {
+    io((obj.*exported)());
+  }
 }
 
-EvalRecord get_record(ckpt::ByteReader& in) {
-  EvalRecord e;
-  e.time = in.f64();
-  e.reward = in.f32();
-  e.params = in.u64();
-  e.sim_duration = in.f64();
-  e.cache_hit = in.flag();
-  e.shared_hit = in.flag();
-  e.timed_out = in.flag();
-  e.failed = in.flag();
-  e.agent = in.u64();
-  e.attempts = in.u64();
-  e.rung = in.u32();
-  e.arch = get_arch(in);
-  return e;
-}
-
-void put_eval_result(ckpt::ByteWriter& w, const exec::EvalResult& r) {
-  w.f32(r.reward);
-  w.f64(r.sim_duration);
-  w.u64(r.params);
-  w.flag(r.timed_out);
-  w.flag(r.cache_hit);
-  w.flag(r.shared_hit);
-  w.f64(r.train_wall_ms);
-  w.u32(r.rung);
-}
-
-exec::EvalResult get_eval_result(ckpt::ByteReader& in) {
-  exec::EvalResult r;
-  r.reward = in.f32();
-  r.sim_duration = in.f64();
-  r.params = in.u64();
-  r.timed_out = in.flag();
-  r.cache_hit = in.flag();
-  r.shared_hit = in.flag();
-  r.train_wall_ms = in.f64();
-  r.rung = in.u32();
-  return r;
+/// The completion heap travels in pop order: pushing it back in that order
+/// rebuilds a heap with the identical (time, seq) pop sequence, which is all
+/// the event loop observes.
+template <class IO, class Queue>
+void heap(IO& io, Queue& queue, std::size_t agents) {
+  std::vector<Completion> order;
+  if constexpr (IO::kReads) {
+    io(order);
+    for (const Completion& c : order) {
+      if (c.agent >= agents || !(c.time >= 0.0 && std::isfinite(c.time))) {
+        throw ckpt::SnapshotError("snapshot: pending completion out of range");
+      }
+      queue.push(c);
+    }
+  } else {
+    for (Queue copy = queue; !copy.empty(); copy.pop()) order.push_back(copy.top());
+    io(order);
+  }
 }
 
 /// Shared between SearchDriver and resume_search: validates the cluster and
@@ -261,7 +285,10 @@ class SearchRun {
   void init_checkpointing(double from_t);
   void maybe_checkpoint(double t);
   void publish_progress(double t, bool finished);
-  void serialize_state(ckpt::ByteWriter& w) const;
+  /// The snapshot payload in wire order. maybe_checkpoint runs it with a
+  /// ByteWriter over `const SearchRun`, restore with a ByteReader.
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s);
 
   const space::SearchSpace* space_;
   const data::Dataset* dataset_;
@@ -1124,7 +1151,7 @@ void SearchRun::maybe_checkpoint(double t) {
   // run's counters reconcile with the merged journal 1:1.
   ++result_.checkpoints_written;
   ckpt::ByteWriter payload;
-  serialize_state(payload);
+  fields(payload, *this);
   if (tel_ != nullptr) {
     tel_->emit(obs::JournalEventType::kCheckpointWritten, t, obs::kNoAgent,
                {{"ordinal", static_cast<double>(result_.checkpoints_written)},
@@ -1146,309 +1173,94 @@ void SearchRun::maybe_checkpoint(double t) {
   }
 }
 
-void SearchRun::serialize_state(ckpt::ByteWriter& w) const {
-  // Prelude: enough config-derived shape for restore() to refuse a payload
-  // that cannot belong to this search (fingerprint catches this first; the
-  // prelude makes the failure mode a clean error even without one).
-  w.u32(static_cast<std::uint32_t>(config_.strategy));
-  w.u64(N_);
-  w.u64(W_);
-  w.u64(M_);
+template <class IO, class Self>
+void SearchRun::fields(IO& io, Self& s) {
+  // Prelude: enough config-derived shape to refuse a payload that cannot
+  // belong to this search (the fingerprint catches this first; the prelude
+  // makes the failure mode a clean error even without one).
+  expect(io, "strategy/cluster shape", static_cast<std::uint32_t>(s.config_.strategy), s.N_,
+         s.W_, s.M_);
+  io(s.seq_, s.real_evals_, s.budget_exhausted_, s.a2c_round_time_, s.a2c_outstanding_,
+     s.last_completion_);
+  heap(io, s.queue_, s.N_);
 
-  // Event-loop globals.
-  w.u64(seq_);
-  w.u64(real_evals_);
-  w.flag(budget_exhausted_);
-  w.f64(a2c_round_time_);
-  w.u64(a2c_outstanding_);
-  w.f64(last_completion_);
+  // Every decoded architecture must lie in the space: evolution mutates
+  // population genes by index and PPO embeds rollout actions by value.
+  const auto valid = [&s](const space::ArchEncoding& arch) { return s.space_->is_valid(arch); };
+  const auto archs_valid = [&](auto arch_of) {
+    return [&, arch_of](const auto& items) { return std::ranges::all_of(items, valid, arch_of); };
+  };
 
-  // Pending completions, drained from a copy in pop order. Re-pushing them
-  // in this order rebuilds a heap with the identical pop sequence (time,
-  // seq) — which is all the event loop observes.
-  auto pending = queue_;
-  w.u64(pending.size());
-  while (!pending.empty()) {
-    const Completion c = pending.top();
-    pending.pop();
-    w.f64(c.time);
-    w.u64(c.seq);
-    w.u64(c.agent);
-  }
+  // Partial result (records are pre-sort, exactly as the live vector). A
+  // snapshot is taken mid-run, so end_time is still unset or inside the run.
+  auto& r = s.result_;
+  checked(io, r.evals, archs_valid(&EvalRecord::arch), "record architecture");
+  checked(io, r.end_time, [&](double t) { return t >= 0.0 && t <= s.config_.wall_time_seconds; },
+          "end time");
+  io(r.converged_early, r.unique_archs, r.ppo_updates, r.retries, r.exhausted, r.lost_results,
+     r.crashed_workers, r.dead_agents, r.checkpoints_written, r.resumes, r.ladder_trainings,
+     r.ladder_promotions, r.ladder_warm_starts, r.ladder_rung_hits);
 
-  // Partial result (records are pre-sort, exactly as the live vector).
-  w.u64(result_.evals.size());
-  for (const EvalRecord& e : result_.evals) put_record(w, e);
-  w.f64(result_.end_time);
-  w.flag(result_.converged_early);
-  w.u64(result_.unique_archs);
-  w.u64(result_.ppo_updates);
-  w.u64(result_.retries);
-  w.u64(result_.exhausted);
-  w.u64(result_.lost_results);
-  w.u64(result_.crashed_workers);
-  w.u64(result_.dead_agents);
-  w.u64(result_.checkpoints_written);
-  w.u64(result_.resumes);
-  w.u64(result_.ladder_trainings);
-  w.u64(result_.ladder_promotions);
-  w.u64(result_.ladder_warm_starts);
-  w.u64(result_.ladder_rung_hits);
-
-  // Utilization monitor.
-  const exec::UtilizationMonitor::State ms = monitor_.export_state();
-  w.u64(ms.intervals.size());
-  for (const auto& [start, end] : ms.intervals) {
-    w.f64(start);
-    w.f64(end);
-  }
-  w.doubles(ms.losses);
-  w.f64(ms.busy_seconds);
-
-  // Parameter server.
-  w.flag(ps_.has_value());
-  if (ps_) {
-    const ParameterServer::State s = ps_->export_state();
-    w.floats(s.params);
-    w.u64(s.pending.size());
-    for (const auto& d : s.pending) w.floats(d);
-    w.u64(s.submitted.size());
-    for (const auto v : s.submitted) w.u8(v);
-    w.u64(s.active.size());
-    for (const auto v : s.active) w.u8(v);
-    w.u64(s.active_count);
-    w.u64(s.pending_count);
-    w.f64(s.last_arrival);
-    w.u64(s.recent.size());
-    for (const auto& d : s.recent) w.floats(d);
-    w.u64(s.recent_next);
-    w.u64(s.updates_applied);
-    w.u64(s.pulled_version.size());
-    for (const auto v : s.pulled_version) w.u64(v);
-    w.doubles(s.arrival_time);
+  through(io, s.monitor_, &exec::UtilizationMonitor::export_state,
+          &exec::UtilizationMonitor::import_state);
+  expect(io, "parameter-server presence", s.ps_.has_value());
+  if (s.ps_) {
+    through(io, *s.ps_, &ParameterServer::export_state, &ParameterServer::import_state);
   }
 
   // Per-agent state. crash_at is deliberately absent: it is a pure function
   // of the fault plan and the wall-time limit, recomputed on restore.
-  for (const AgentState& a : agents_) {
-    const tensor::RngState rs = a.rng.state();
-    for (int i = 0; i < 4; ++i) w.u64(rs.s[i]);
-    w.flag(rs.has_cached_normal);
-    w.f64(rs.cached_normal);
-    w.u64(a.eval_seed);
-    w.u64(a.cached_streak);
-    w.flag(a.stopped);
-    w.flag(a.dead);
-    w.u64(a.exchange_seq);
-    w.floats(a.theta_pull);
-
-    w.flag(a.controller.has_value());
+  const std::size_t steps = s.space_->num_decisions();
+  for (auto& a : s.agents_) {
+    through(io, a.rng, &tensor::Rng::state, &tensor::Rng::set_state);
+    io(a.eval_seed, a.cached_streak, a.stopped, a.dead, a.exchange_seq);
+    checked(io, a.theta_pull,
+            [&](const std::vector<float>& v) { return !s.ps_ || v.size() == s.ps_->dim(); },
+            "pulled parameter length");
+    expect(io, "controller presence", a.controller.has_value());
     if (a.controller) {
-      const rl::Controller::State cs = a.controller->save_state();
-      w.floats(cs.flat);
-      w.i64(cs.adam.step_count);
-      w.u64(cs.adam.entries.size());
-      for (const auto& e : cs.adam.entries) {
-        w.str(e.key);
-        w.u64(e.shape.size());
-        for (const std::size_t d : e.shape) w.u64(d);
-        w.floats(e.m);
-        w.floats(e.v);
-      }
+      through(io, *a.controller, &rl::Controller::save_state, &rl::Controller::load_state);
     }
+    checked(io, a.population, archs_valid(&std::pair<space::ArchEncoding, float>::first),
+            "population architecture");
+    through(io, *a.cache, &exec::CachedEvaluator::export_state,
+            &exec::CachedEvaluator::import_state);
 
-    w.u64(a.population.size());
-    for (const auto& [arch, reward] : a.population) {
-      put_arch(w, arch);
-      w.f32(reward);
-    }
-
-    const exec::CachedEvaluator::State cache = a.cache->export_state();
-    w.u64(cache.entries.size());
-    for (const auto& [key, res] : cache.entries) {
-      w.str(key);
-      put_eval_result(w, res);
-    }
-    w.u64(cache.hits);
-    w.u64(cache.misses);
-
-    // The in-flight batch: its Completion sits in the queue above, and its
+    // The in-flight batch: its Completion sits in the heap above, and its
     // evaluations already ran on the host, so the resumed process harvests
     // these records without re-training anything.
-    w.u64(a.rollouts.size());
-    for (const rl::Rollout& ro : a.rollouts) {
-      put_arch(w, ro.actions);
-      w.floats(ro.log_probs);
-      w.floats(ro.values);
-    }
-    w.u64(a.archs.size());
-    for (const auto& arch : a.archs) put_arch(w, arch);
-    w.u64(a.records.size());
-    for (const EvalRecord& e : a.records) put_record(w, e);
+    checked(io, a.rollouts,
+            [&](const std::vector<rl::Rollout>& v) {
+              return std::ranges::all_of(v, [&](const rl::Rollout& ro) {
+                return valid(ro.actions) && ro.log_probs.size() == steps &&
+                       ro.values.size() == steps;
+              });
+            },
+            "rollout");
+    checked(io, a.archs, archs_valid(std::identity{}), "in-flight architecture");
+    checked(io, a.records, archs_valid(&EvalRecord::arch), "in-flight record architecture");
   }
 }
 
 void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in) {
-  // Prelude sanity (the fingerprint was validated by the caller already).
-  const std::uint32_t strategy = in.u32();
-  const std::uint64_t n = in.u64();
-  const std::uint64_t w = in.u64();
-  const std::uint64_t m = in.u64();
-  if (strategy != static_cast<std::uint32_t>(config_.strategy) || n != N_ || w != W_ ||
-      m != M_) {
-    throw ckpt::SnapshotError(
-        "snapshot: strategy/cluster shape does not match the resume config");
-  }
-
-  seq_ = in.u64();
-  real_evals_ = in.u64();
-  budget_exhausted_ = in.flag();
-  a2c_round_time_ = in.f64();
-  a2c_outstanding_ = in.u64();
-  last_completion_ = in.f64();
-
-  const std::uint64_t pending = in.u64();
-  for (std::uint64_t i = 0; i < pending; ++i) {
-    Completion c{};
-    c.time = in.f64();
-    c.seq = in.u64();
-    c.agent = in.u64();
-    queue_.push(c);
-  }
-
-  const std::uint64_t evals = in.u64();
-  result_.evals.clear();
-  result_.evals.reserve(evals);
-  for (std::uint64_t i = 0; i < evals; ++i) result_.evals.push_back(get_record(in));
-  result_.end_time = in.f64();
-  result_.converged_early = in.flag();
-  result_.unique_archs = in.u64();
-  result_.ppo_updates = in.u64();
-  result_.retries = in.u64();
-  result_.exhausted = in.u64();
-  result_.lost_results = in.u64();
-  result_.crashed_workers = in.u64();
-  result_.dead_agents = in.u64();
-  result_.checkpoints_written = in.u64();
-  result_.resumes = in.u64();
-  result_.ladder_trainings = in.u64();
-  result_.ladder_promotions = in.u64();
-  result_.ladder_warm_starts = in.u64();
-  result_.ladder_rung_hits = in.u64();
-
-  exec::UtilizationMonitor::State ms;
-  const std::uint64_t intervals = in.u64();
-  ms.intervals.resize(intervals);
-  for (auto& [start, end] : ms.intervals) {
-    start = in.f64();
-    end = in.f64();
-  }
-  ms.losses = in.doubles();
-  ms.busy_seconds = in.f64();
-  monitor_.import_state(ms);
-
-  const bool has_ps = in.flag();
-  if (has_ps != ps_.has_value()) {
-    throw ckpt::SnapshotError("snapshot: parameter-server presence mismatch");
-  }
-  if (has_ps) {
-    ParameterServer::State s;
-    s.params = in.floats();
-    const std::uint64_t rounds = in.u64();
-    s.pending.resize(rounds);
-    for (auto& d : s.pending) d = in.floats();
-    const std::uint64_t submitted = in.u64();
-    s.submitted.resize(submitted);
-    for (auto& v : s.submitted) v = in.u8();
-    const std::uint64_t active = in.u64();
-    s.active.resize(active);
-    for (auto& v : s.active) v = in.u8();
-    s.active_count = in.u64();
-    s.pending_count = in.u64();
-    s.last_arrival = in.f64();
-    const std::uint64_t recent = in.u64();
-    s.recent.resize(recent);
-    for (auto& d : s.recent) d = in.floats();
-    s.recent_next = in.u64();
-    s.updates_applied = in.u64();
-    const std::uint64_t pulled = in.u64();
-    s.pulled_version.resize(pulled);
-    for (auto& v : s.pulled_version) v = in.u64();
-    s.arrival_time = in.doubles();
-    ps_->import_state(s);
-  }
-
-  for (AgentState& a : agents_) {
-    tensor::RngState rs;
-    for (int i = 0; i < 4; ++i) rs.s[i] = in.u64();
-    rs.has_cached_normal = in.flag();
-    rs.cached_normal = in.f64();
-    a.rng.set_state(rs);
-    a.eval_seed = in.u64();
-    a.cached_streak = in.u64();
-    a.stopped = in.flag();
-    a.dead = in.flag();
-    a.exchange_seq = in.u64();
-    a.theta_pull = in.floats();
-
-    const bool has_controller = in.flag();
-    if (has_controller != a.controller.has_value()) {
-      throw ckpt::SnapshotError("snapshot: controller presence mismatch");
-    }
-    if (has_controller) {
-      rl::Controller::State cs;
-      cs.flat = in.floats();
-      cs.adam.step_count = static_cast<long>(in.i64());
-      const std::uint64_t entries = in.u64();
-      cs.adam.entries.resize(entries);
-      for (auto& e : cs.adam.entries) {
-        e.key = in.str();
-        const std::uint64_t rank = in.u64();
-        e.shape.resize(rank);
-        for (auto& d : e.shape) d = in.u64();
-        e.m = in.floats();
-        e.v = in.floats();
-      }
-      a.controller->load_state(cs);
-    }
-
-    const std::uint64_t pop = in.u64();
-    a.population.clear();
-    for (std::uint64_t i = 0; i < pop; ++i) {
-      space::ArchEncoding arch = get_arch(in);
-      const float reward = in.f32();
-      a.population.emplace_back(std::move(arch), reward);
-    }
-
-    exec::CachedEvaluator::State cache;
-    const std::uint64_t cached = in.u64();
-    cache.entries.resize(cached);
-    for (auto& [key, res] : cache.entries) {
-      key = in.str();
-      res = get_eval_result(in);
-    }
-    cache.hits = in.u64();
-    cache.misses = in.u64();
-    a.cache->import_state(cache);
-
-    const std::uint64_t rollouts = in.u64();
-    a.rollouts.clear();
-    a.rollouts.resize(rollouts);
-    for (rl::Rollout& ro : a.rollouts) {
-      ro.actions = get_arch(in);
-      ro.log_probs = in.floats();
-      ro.values = in.floats();
-    }
-    const std::uint64_t archs = in.u64();
-    a.archs.clear();
-    a.archs.resize(archs);
-    for (auto& arch : a.archs) arch = get_arch(in);
-    const std::uint64_t records = in.u64();
-    a.records.clear();
-    a.records.reserve(records);
-    for (std::uint64_t i = 0; i < records; ++i) a.records.push_back(get_record(in));
-  }
+  fields(in, *this);
   in.require_done();
+
+  // Each queued completion harvests a full in-flight batch of its own agent
+  // (PPO pairs every record with a rollout), at most one per agent, and in
+  // A2C only for an agent the barrier is still waiting on.
+  std::vector<bool> queued(N_, false);
+  for (auto pending = queue_; !pending.empty(); pending.pop()) {
+    const std::size_t id = pending.top().agent;
+    const AgentState& a = agents_[id];
+    const bool not_awaited = config_.strategy == SearchStrategy::kA2C && !ps_->awaits(id);
+    if (queued[id] || not_awaited || a.records.size() != M_ || a.archs.size() != M_ ||
+        (rl_enabled_ && a.rollouts.size() != M_)) {
+      throw ckpt::SnapshotError("snapshot: pending completion does not match agent " +
+                                std::to_string(id) + "'s batch");
+    }
+    queued[id] = true;
+  }
 
   // crash_at is recomputed, not restored: it is a pure function of the plan
   // and the wall-time limit. Crucially WITHOUT the bootstrap side effects —

@@ -1,5 +1,6 @@
 #include "ncnas/nas/parameter_server.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ncnas/obs/profiler.hpp"
@@ -183,6 +184,24 @@ void ParameterServer::import_state(const State& state) {
   }
   if (mode_ == Mode::kSync && state.pending.size() != num_agents_) {
     throw std::invalid_argument("ParameterServer::import_state: pending round mismatch");
+  }
+  std::size_t submitted = 0;
+  std::size_t active = 0;
+  for (std::size_t a = 0; a < num_agents_; ++a) {
+    submitted += state.submitted[a] != 0 ? 1 : 0;
+    active += state.active[a] != 0 ? 1 : 0;
+    if (state.submitted[a] != 0 &&
+        (mode_ != Mode::kSync || state.pending[a].size() != params_.size())) {
+      throw std::invalid_argument("ParameterServer::import_state: submitted delta mismatch");
+    }
+  }
+  if (submitted != state.pending_count || active != state.active_count) {
+    throw std::invalid_argument("ParameterServer::import_state: barrier count mismatch");
+  }
+  const auto wrong_dim = [&](const std::vector<float>& d) { return d.size() != params_.size(); };
+  if (state.recent.size() > async_window_ || state.recent_next >= async_window_ ||
+      std::ranges::any_of(state.recent, wrong_dim)) {
+    throw std::invalid_argument("ParameterServer::import_state: async window mismatch");
   }
   params_ = state.params;
   pending_ = state.pending;

@@ -82,31 +82,31 @@ std::optional<SearchResult> load_result(const std::string& path,
     stats >> res.ladder_trainings >> res.ladder_promotions >> res.ladder_warm_starts >>
         res.ladder_rung_hits;
   }
+  // Counts are trusted only as far as the values behind them parse: every
+  // container grows one parsed value at a time, so a corrupt count ends in
+  // nullopt at the first missing value instead of sizing anything up front.
   in >> util_count;
-  res.utilization.resize(util_count);
-  for (double& u : res.utilization) in >> u;
+  double u = 0.0;
+  for (std::size_t i = 0; i < util_count && in >> u; ++i) res.utilization.push_back(u);
   in >> eval_count;
   {
     std::string rest;
     std::getline(in, rest);  // consume the remainder of the count line
   }
   if (!in) return std::nullopt;
-  res.evals.resize(eval_count);
   // Eval records are parsed line-wise so the optional trailing failed /
   // attempts fields of fault-era logs can't bleed into the next record.
-  for (EvalRecord& e : res.evals) {
+  for (std::size_t i = 0; i < eval_count; ++i) {
     std::string line;
     if (!std::getline(in, line)) return std::nullopt;
     std::istringstream es(line);
+    EvalRecord& e = res.evals.emplace_back();
     std::size_t arch_len = 0;
     es >> e.time >> e.reward >> e.params >> e.sim_duration >> e.cache_hit >> e.timed_out >>
         e.agent >> arch_len;
-    if (!es) return std::nullopt;
-    e.arch.resize(arch_len);
-    for (std::uint16_t& a : e.arch) {
-      unsigned v;
-      es >> v;
-      a = static_cast<std::uint16_t>(v);
+    unsigned v = 0;
+    for (std::size_t k = 0; k < arch_len && es >> v; ++k) {
+      e.arch.push_back(static_cast<std::uint16_t>(v));
     }
     if (!es) return std::nullopt;  // truncated / corrupt record
     unsigned failed = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "ncnas/tensor/ops.hpp"
@@ -75,7 +76,10 @@ Adam::State Adam::export_state() const {
   return out;
 }
 
-void Adam::import_state(const State& state) {
+void Adam::import_state(const State& state, const std::vector<ParamPtr>& params) {
+  if (state.step_count < 0 || state.step_count == std::numeric_limits<long>::max()) {
+    throw std::invalid_argument("Adam::import_state: step count out of range");
+  }
   step_count_ = state.step_count;
   state_.clear();
   key_cache_.clear();
@@ -88,6 +92,14 @@ void Adam::import_state(const State& state) {
     mom.m = tensor::Tensor(e.shape, e.m);
     mom.v = tensor::Tensor(e.shape, e.v);
     state_.emplace(e.key, std::move(mom));
+  }
+  // Keys are assigned in first-seen order, the order step() sees `params`.
+  for (const ParamPtr& p : params) {
+    const auto it = state_.find(key_for(p.get()));
+    if (it != state_.end() && it->second.m.size() != p->size()) {
+      throw std::invalid_argument("Adam::import_state: moments for " + it->first +
+                                  " do not match the parameter size");
+    }
   }
 }
 

@@ -356,7 +356,7 @@ Controller::State Controller::save_state() const {
 
 void Controller::load_state(const State& state) {
   set_flat(state.flat);
-  adam_.import_state(state.adam);
+  adam_.import_state(state.adam, parameters());
 }
 
 std::vector<nn::ParamPtr> Controller::parameters() const {

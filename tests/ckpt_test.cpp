@@ -4,6 +4,7 @@
 // with the journal lineage reconciling counter-for-counter.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -128,51 +129,109 @@ SearchResult kill_and_resume(const space::SearchSpace& s, const data::Dataset& d
 // ---- snapshot format -------------------------------------------------------
 
 TEST(Snapshot, ByteCodecRoundTripsEveryType) {
+  using Nested = std::vector<std::vector<std::uint16_t>>;
+  using Scored = std::deque<std::pair<std::string, float>>;
   ckpt::ByteWriter w;
-  w.u8(0xAB);
-  w.flag(true);
-  w.flag(false);
-  w.u16(0xBEEF);
-  w.u32(0xDEADBEEFu);
-  w.u64(0x0123456789ABCDEFull);
-  w.i64(-42);
-  w.f32(-1.5f);
-  w.f64(3.141592653589793);
-  w.str("nt3-small");
-  w.floats(std::vector<float>{1.0f, -0.0f, 2.5f});
-  w.doubles(std::vector<double>{-7.25, 0.125});
+  w(std::uint8_t{0xAB}, true, false, std::uint16_t{0xBEEF}, std::uint32_t{0xDEADBEEFu},
+    std::uint64_t{0x0123456789ABCDEFull}, std::int64_t{-42}, -1.5f, 3.141592653589793,
+    std::string("nt3-small"), std::vector<float>{1.0f, -0.0f, 2.5f},
+    std::vector<double>{-7.25, 0.125}, Nested{{1, 2}, {}, {65535}},
+    Scored{{"a", 0.5f}, {"", -1.0f}}, std::pair<long, bool>{-7, true}, std::size_t{12345});
 
+  std::uint8_t u8 = 0;
+  bool yes = false;
+  bool no = true;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int64_t i64 = 0;
+  float f32 = 0.0f;
+  double f64 = 0.0;
+  std::string str;
+  std::vector<float> floats;
+  std::vector<double> doubles;
+  Nested nested;
+  Scored scored;
+  std::pair<long, bool> pair;
+  std::size_t count = 0;
   ckpt::ByteReader r(w.bytes());
-  EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_TRUE(r.flag());
-  EXPECT_FALSE(r.flag());
-  EXPECT_EQ(r.u16(), 0xBEEF);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.i64(), -42);
-  EXPECT_EQ(r.f32(), -1.5f);
-  EXPECT_EQ(r.f64(), 3.141592653589793);
-  EXPECT_EQ(r.str(), "nt3-small");
-  EXPECT_EQ(r.floats(), (std::vector<float>{1.0f, -0.0f, 2.5f}));
-  EXPECT_EQ(r.doubles(), (std::vector<double>{-7.25, 0.125}));
+  r(u8, yes, no, u16, u32, u64, i64, f32, f64, str, floats, doubles, nested, scored, pair, count);
+  EXPECT_EQ(u8, 0xAB);
+  EXPECT_TRUE(yes);
+  EXPECT_FALSE(no);
+  EXPECT_EQ(u16, 0xBEEF);
+  EXPECT_EQ(u32, 0xDEADBEEFu);
+  EXPECT_EQ(u64, 0x0123456789ABCDEFull);
+  EXPECT_EQ(i64, -42);
+  EXPECT_EQ(f32, -1.5f);
+  EXPECT_EQ(f64, 3.141592653589793);
+  EXPECT_EQ(str, "nt3-small");
+  EXPECT_EQ(floats, (std::vector<float>{1.0f, -0.0f, 2.5f}));
+  EXPECT_EQ(doubles, (std::vector<double>{-7.25, 0.125}));
+  EXPECT_EQ(nested, (Nested{{1, 2}, {}, {65535}}));
+  EXPECT_EQ(scored, (Scored{{"a", 0.5f}, {"", -1.0f}}));
+  EXPECT_EQ(pair, (std::pair<long, bool>{-7, true}));
+  EXPECT_EQ(count, 12345u);
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_NO_THROW(r.require_done());
+
+  // The wire widths are the format: pin the exact bytes of one value per case.
+  using Bytes = std::vector<std::uint8_t>;
+  const auto bytes_of = [](const auto& v) {
+    ckpt::ByteWriter one;
+    one(v);
+    return one.bytes();
+  };
+  EXPECT_EQ(bytes_of(std::uint8_t{0xAB}), (Bytes{0xAB}));
+  EXPECT_EQ(bytes_of(true), (Bytes{1}));
+  EXPECT_EQ(bytes_of(std::uint16_t{0xBEEF}), (Bytes{0xEF, 0xBE}));
+  EXPECT_EQ(bytes_of(std::uint32_t{0xDEADBEEFu}), (Bytes{0xEF, 0xBE, 0xAD, 0xDE}));
+  EXPECT_EQ(bytes_of(std::size_t{0x0102}), (Bytes{2, 1, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of(long{-2}), (Bytes{0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(bytes_of(1.0f), (Bytes{0, 0, 0x80, 0x3F}));
+  EXPECT_EQ(bytes_of(1.0), (Bytes{0, 0, 0, 0, 0, 0, 0xF0, 0x3F}));
+  EXPECT_EQ(bytes_of(std::string("ab")), (Bytes{2, 0, 0, 0, 0, 0, 0, 0, 'a', 'b'}));
+  EXPECT_EQ(bytes_of(std::vector<double>{}), (Bytes{0, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of(Nested{{0x0102}}),
+            (Bytes{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 1}));
+  EXPECT_EQ(bytes_of(std::deque<float>{1.0f}), (Bytes{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x3F}));
+  EXPECT_EQ(bytes_of(std::pair<std::uint8_t, std::uint16_t>{5, 0x0607}), (Bytes{5, 7, 6}));
 }
 
 TEST(Snapshot, ReaderThrowsOnTruncationAndTrailingBytes) {
   ckpt::ByteWriter w;
-  w.u64(7);
+  w(std::uint64_t{7});
+  std::uint64_t u64 = 0;
+  std::uint32_t u32 = 0;
   {
     // One byte short of the u64: the read must fail loudly, not read garbage.
     std::vector<std::uint8_t> cut(w.bytes().begin(), w.bytes().end() - 1);
     ckpt::ByteReader r(cut);
-    EXPECT_THROW((void)r.u64(), ckpt::SnapshotError);
+    EXPECT_THROW(r(u64), ckpt::SnapshotError);
   }
   {
     ckpt::ByteReader r(w.bytes());
-    (void)r.u32();  // half the payload consumed
+    r(u32);  // half the payload consumed
     EXPECT_THROW(r.require_done(), ckpt::SnapshotError);
   }
+  // A length prefix is checked against the bytes left before anything is
+  // sized: no wrap-around past the bounds check, no allocation first.
+  const auto prefix = [](std::uint64_t n) {
+    ckpt::ByteWriter p;
+    p(n);
+    return p.take();
+  };
+  const std::vector<std::uint8_t> wraps = prefix(~std::uint64_t{0});
+  const std::vector<std::uint8_t> huge = prefix(std::uint64_t{1} << 60);
+  const std::vector<std::uint8_t> eight_bytes = prefix(std::uint64_t{1} << 26);
+  std::string str;
+  std::vector<float> floats;
+  ckpt::ByteReader wrapping(wraps);
+  EXPECT_THROW(wrapping(str), ckpt::SnapshotError);
+  ckpt::ByteReader oversized(huge);
+  EXPECT_THROW(oversized(floats), ckpt::SnapshotError);
+  ckpt::ByteReader short_payload(eight_bytes);
+  EXPECT_THROW(short_payload(floats), ckpt::SnapshotError);
 }
 
 TEST(Snapshot, FileRoundTripPreservesHeaderAndPayload) {

@@ -186,7 +186,7 @@ TEST(Adam, ExportImportThenStepContinuesBitIdentically) {
     restored[p]->value = live[p]->value;
   }
   Adam adam2(0.01f);
-  adam2.import_state(st);
+  adam2.import_state(st, restored);  // keys pre-assigned in step() order
 
   for (int step = 5; step < 10; ++step) {
     fill_grads(live, step);
@@ -216,8 +216,17 @@ TEST(Adam, ImportedStateSerializesBackCanonically) {
   EXPECT_EQ(st.entries[0].key, "a");
   EXPECT_EQ(st.entries[1].key, "b");
 
+  // Moments that would attach to a parameter of another size, or a step
+  // count no optimizer reaches, are rejected at import, not at the next step.
+  const std::vector<ParamPtr> resized = {
+      std::make_shared<Parameter>("b", tensor::Tensor({3}, 1.0f))};
+  EXPECT_THROW(Adam().import_state(st, resized), std::invalid_argument);
+  Adam::State negative = st;
+  negative.step_count = -1;
+  EXPECT_THROW(Adam().import_state(negative), std::invalid_argument);
+
   Adam other;
-  other.import_state(st);
+  other.import_state(st, params);
   const Adam::State again = other.export_state();
   EXPECT_EQ(again.step_count, st.step_count);
   ASSERT_EQ(again.entries.size(), st.entries.size());

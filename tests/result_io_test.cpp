@@ -111,6 +111,25 @@ TEST(ResultIo, FingerprintMismatchInvalidatesLog) {
   EXPECT_FALSE(load_result(file, "fp-new").has_value());
 }
 
+TEST(ResultIo, HugeCountsYieldNulloptWithoutSizingAnything) {
+  // A corrupt count is trusted only as far as the values behind it parse:
+  // none of these may allocate for 10^18 entries or throw out of the loader.
+  TempDir dir;
+  const std::string file = (dir.path / "huge.log").string();
+  const auto load_with = [&](const char* utilization, const char* evals, const char* record) {
+    {
+      std::ofstream out(file);
+      out << "ncnas-search-log-v3\nfp\n100.5 1 7 2 11 4 60\n"
+          << utilization << '\n' << evals << '\n' << record << '\n';
+    }
+    return load_result(file, "fp");
+  };
+  ASSERT_TRUE(load_with("2 0.5 1", "1", "10 0.25 99 12 0 1 3 2 1 0").has_value());
+  EXPECT_FALSE(load_with("1000000000000000000 0.5 1", "1", "10 0.25 99 12 0 1 3 2 1 0"));
+  EXPECT_FALSE(load_with("2 0.5 1", "1000000000000000000", "10 0.25 99 12 0 1 3 2 1 0"));
+  EXPECT_FALSE(load_with("2 0.5 1", "1", "10 0.25 99 12 0 1 3 1000000000000000000 1 0"));
+}
+
 TEST(ResultIo, MissingFileYieldsNullopt) {
   EXPECT_FALSE(load_result("/nonexistent/nope.log", "fp").has_value());
 }

@@ -68,6 +68,10 @@ concept Sequence = std::is_same_v<T, std::vector<typename T::value_type>> ||
 template <class T>
 concept Pair = std::is_same_v<T, std::pair<typename T::first_type, typename T::second_type>>;
 
+// Integers travel at sizeof(T); the format stores counts and `long` as 8 bytes.
+static_assert(sizeof(std::size_t) == 8 && sizeof(long) == 8,
+              "the snapshot wire format needs 64-bit std::size_t and long");
+
 /// Append-only little-endian byte encoder for snapshot payloads. The one
 /// entry point encodes each argument by its C++ type: `bool` as one 0/1
 /// byte, every other integer at its own width (`std::size_t` and `long` as

@@ -67,11 +67,11 @@ class Adam final : public Optimizer {
   };
 
   [[nodiscard]] State export_state() const;
-  /// Replaces all optimizer state. Moments re-attach to parameters by key on
-  /// the next step(); a restored optimizer then continues bit-identically.
-  /// Given the parameters step() will receive, it also rejects moments that
-  /// would attach to a parameter of another size. Throws std::invalid_argument.
-  void import_state(const State& state, const std::vector<ParamPtr>& params = {});
+  /// Replaces all optimizer state. `params` are the parameters step() will
+  /// receive: their moments re-attach by key, so a restored optimizer then
+  /// continues bit-identically. Throws std::invalid_argument on a step count
+  /// out of range or moments that would attach to a parameter of another size.
+  void import_state(const State& state, const std::vector<ParamPtr>& params);
 
  private:
   struct Moments {

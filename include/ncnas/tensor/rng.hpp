@@ -58,7 +58,8 @@ class Rng {
 
   /// Save/restore the full stream state (checkpoint/resume support). A
   /// stream restored from state() produces the exact draw sequence the
-  /// original would have from that point on.
+  /// original would have from that point on. set_state() rejects all-zero
+  /// words (xoshiro256** would draw 0 forever) with std::invalid_argument.
   [[nodiscard]] RngState state() const;
   void set_state(const RngState& st);
 

@@ -25,14 +25,13 @@ void write_snapshot(const std::string& path, const SnapshotHeader& header,
   const std::vector<std::uint8_t>& hb = hw.bytes();
 
   // One hash over header + payload: a flipped bit anywhere is caught.
-  std::vector<std::uint8_t> hashed;
-  hashed.reserve(hb.size() + payload.size());
-  hashed.insert(hashed.end(), hb.begin(), hb.end());
-  hashed.insert(hashed.end(), payload.begin(), payload.end());
-  const std::uint64_t hash = fnv1a64(hashed);
+  std::vector<std::uint8_t> body;
+  body.reserve(hb.size() + payload.size());
+  body.insert(body.end(), hb.begin(), hb.end());
+  body.insert(body.end(), payload.begin(), payload.end());
 
   ByteWriter pre;
-  pre(kSnapshotMagic, kSnapshotVersion, hb.size(), payload.size(), hash);
+  pre(kSnapshotMagic, kSnapshotVersion, hb.size(), payload.size(), fnv1a64(body));
 
   const std::string tmp = path + ".tmp";
   {
@@ -40,9 +39,8 @@ void write_snapshot(const std::string& path, const SnapshotHeader& header,
     if (!out) throw SnapshotError("snapshot: cannot open " + tmp + " for writing");
     out.write(reinterpret_cast<const char*>(pre.bytes().data()),
               static_cast<std::streamsize>(pre.size()));
-    out.write(reinterpret_cast<const char*>(hb.data()), static_cast<std::streamsize>(hb.size()));
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
+    out.write(reinterpret_cast<const char*>(body.data()),
+              static_cast<std::streamsize>(body.size()));
     if (!out) throw SnapshotError("snapshot: write failed for " + tmp);
   }
   std::error_code ec;

@@ -37,7 +37,8 @@ void Adam::step(const std::vector<ParamPtr>& params) {
       mom.m = tensor::Tensor(p->value.shape());
       mom.v = tensor::Tensor(p->value.shape());
     } else if (mom.m.size() != p->size()) {
-      // Only reachable after import_state() with a foreign layout.
+      // Only reachable when step() receives parameters other than the ones
+      // import_state() checked the imported moments against.
       throw std::invalid_argument("Adam::step: imported moments for " + p->name +
                                   " do not match the parameter shape");
     }

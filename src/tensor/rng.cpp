@@ -84,6 +84,9 @@ RngState Rng::state() const {
 }
 
 void Rng::set_state(const RngState& st) {
+  if ((st.s[0] | st.s[1] | st.s[2] | st.s[3]) == 0) {
+    throw std::invalid_argument("Rng::set_state: all-zero xoshiro state");
+  }
   for (int i = 0; i < 4; ++i) state_[i] = st.s[i];
   has_cached_normal_ = st.has_cached_normal;
   cached_normal_ = st.cached_normal;

@@ -4,6 +4,7 @@
 // with the journal lineage reconciling counter-for-counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include "ncnas/obs/journal.hpp"
 #include "ncnas/obs/telemetry.hpp"
 #include "ncnas/space/spaces.hpp"
+#include "ncnas/tensor/rng.hpp"
 
 namespace ncnas::nas {
 namespace {
@@ -451,6 +453,104 @@ TEST(CheckpointDriver, ResumeRejectsMismatchedConfigAndSpace) {
 
   // The unmodified config still resumes fine.
   EXPECT_NO_THROW((void)resume_search(snapshot_path, s, ds, cfg));
+}
+
+/// The snapshot a checkpointed run of `cfg` leaves when it is interrupted
+/// after its first one.
+ckpt::Snapshot first_snapshot(const space::SearchSpace& s, const data::Dataset& ds,
+                              SearchConfig cfg, const std::string& name) {
+  ckpt::CheckpointConfig ckpt_cfg;
+  ckpt_cfg.directory = scratch_dir(name);
+  ckpt_cfg.interval_seconds = 120.0;
+  ckpt_cfg.abort_after_snapshots = 1;
+  cfg.checkpoint = &ckpt_cfg;
+  try {
+    (void)SearchDriver(s, ds, cfg).run();
+  } catch (const ckpt::SearchInterrupted& e) {
+    return ckpt::read_snapshot(e.snapshot_path());
+  }
+  ADD_FAILURE() << "search finished before its first snapshot";
+  return {};
+}
+
+/// Writes `snap` under a fresh name with a recomputed integrity hash, as a
+/// forger would, and returns its path.
+std::string rewrite(const ckpt::Snapshot& snap, const std::string& name) {
+  const std::string path = scratch_dir(name) + ".ckpt";
+  ckpt::write_snapshot(path, snap.header, snap.payload);
+  return path;
+}
+
+// A queued completion harvests its agent's in-flight batch. A forged heap
+// entry that points at an agent with no batch in flight is rejected at load
+// instead of harvesting empty records.
+TEST(CheckpointDriver, ResumeRejectsACompletionForAnAgentWithoutABatch) {
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  const SearchConfig cfg = small_config(SearchStrategy::kA2C);
+  ckpt::Snapshot snap = first_snapshot(s, ds, cfg, "forged_heap");
+  ASSERT_FALSE(snap.payload.empty());
+
+  // The payload opens with the strategy/cluster prelude and six run scalars;
+  // the completion heap follows as a count and (time, seq, agent) entries.
+  ckpt::ByteReader in(snap.payload);
+  std::uint32_t strategy = 0;
+  std::size_t n = 0, w = 0, m = 0, seq = 0, real_evals = 0, outstanding = 0, queued = 0;
+  bool exhausted = false;
+  double round_time = 0.0, last_completion = 0.0;
+  in(strategy, n, w, m, seq, real_evals, exhausted, round_time, outstanding, last_completion,
+     queued);
+  ASSERT_EQ(n, 3u);
+  ASSERT_GE(queued, 1u);
+  ASSERT_LT(queued, n) << "every agent has a batch in flight; pick another snapshot";
+  const std::size_t heap_at = snap.payload.size() - in.remaining();
+  std::vector<bool> in_flight(n, false);
+  for (std::size_t i = 0; i < queued; ++i) {
+    double time = 0.0;
+    std::size_t entry_seq = 0, agent = 0;
+    in(time, entry_seq, agent);
+    in_flight.at(agent) = true;
+  }
+  const std::size_t idle = static_cast<std::size_t>(
+      std::find(in_flight.begin(), in_flight.end(), false) - in_flight.begin());
+
+  // Retarget the first entry's agent word (after its time and seq).
+  ckpt::ByteWriter agent_word;
+  agent_word(idle);
+  std::copy(agent_word.bytes().begin(), agent_word.bytes().end(),
+            snap.payload.begin() + static_cast<std::ptrdiff_t>(heap_at + 16));
+  EXPECT_THROW((void)resume_search(rewrite(snap, "forged_heap_out"), s, ds, cfg),
+               ckpt::SnapshotError);
+}
+
+// An all-zero xoshiro state draws 0 forever, and evolution redraws a mutated
+// gene until it differs from the parent's: a forged snapshot with zeroed
+// agent RNG words must be refused, not resumed into an endless loop.
+TEST(CheckpointDriver, ResumeRejectsAnAllZeroAgentRng) {
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  SearchConfig cfg = small_config(SearchStrategy::kEvolution);
+  cfg.evolution.population = 4;
+  cfg.evolution.tournament = 2;
+  ckpt::Snapshot snap = first_snapshot(s, ds, cfg, "forged_rng");
+  ASSERT_FALSE(snap.payload.empty());
+
+  // Find agent 0's RNG words by replaying its stream, seeded as the driver
+  // seeds it, until the payload holds the current state.
+  tensor::Rng rng = tensor::Rng(cfg.seed).split(1000);
+  auto at = snap.payload.end();
+  for (int draw = 0; draw < 1'000'000 && at == snap.payload.end(); ++draw) {
+    const tensor::RngState st = rng.state();
+    ckpt::ByteWriter words;
+    words(st.s[0], st.s[1], st.s[2], st.s[3]);
+    at = std::search(snap.payload.begin(), snap.payload.end(), words.bytes().begin(),
+                     words.bytes().end());
+    (void)rng.next_u64();
+  }
+  ASSERT_NE(at, snap.payload.end()) << "agent 0's RNG state not found in the payload";
+  std::fill(at, at + 32, std::uint8_t{0});
+  EXPECT_THROW((void)resume_search(rewrite(snap, "forged_rng_out"), s, ds, cfg),
+               ckpt::SnapshotError);
 }
 
 // Checkpoint policy is excluded from the fingerprint (like telemetry): a

@@ -223,7 +223,7 @@ TEST(Adam, ImportedStateSerializesBackCanonically) {
   EXPECT_THROW(Adam().import_state(st, resized), std::invalid_argument);
   Adam::State negative = st;
   negative.step_count = -1;
-  EXPECT_THROW(Adam().import_state(negative), std::invalid_argument);
+  EXPECT_THROW(Adam().import_state(negative, params), std::invalid_argument);
 
   Adam other;
   other.import_state(st, params);

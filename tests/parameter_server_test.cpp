@@ -158,6 +158,31 @@ TEST(ParameterServer, ImportRejectsMismatchedShape) {
   EXPECT_THROW(wrong_dim.import_state(st), std::invalid_argument);
   ParameterServer wrong_agents({0.0f, 0.0f}, ParameterServer::Mode::kSync, 2);
   EXPECT_THROW(wrong_agents.import_state(st), std::invalid_argument);
+
+  // Internally inconsistent states of the right shape: barrier counts that
+  // disagree with the flags, a parked delta of the wrong size, and an async
+  // window cursor past the window.
+  (void)ps.pull(0);
+  EXPECT_FALSE(ps.submit(0, std::vector<float>{1.0f, 2.0f}, 1.0));
+  const ParameterServer::State mid = ps.export_state();
+  ParameterServer sync({0.0f, 0.0f}, ParameterServer::Mode::kSync, 3);
+  EXPECT_NO_THROW(sync.import_state(mid));
+
+  ParameterServer::State wrong_pending = mid;
+  wrong_pending.pending_count += 1;
+  EXPECT_THROW(sync.import_state(wrong_pending), std::invalid_argument);
+  ParameterServer::State wrong_active = mid;
+  wrong_active.active_count -= 1;
+  EXPECT_THROW(sync.import_state(wrong_active), std::invalid_argument);
+  ParameterServer::State short_delta = mid;
+  short_delta.pending[0].pop_back();
+  EXPECT_THROW(sync.import_state(short_delta), std::invalid_argument);
+
+  ParameterServer async({0.0f}, ParameterServer::Mode::kAsync, 2, /*async_window=*/2);
+  ParameterServer::State cursor = async.export_state();
+  EXPECT_NO_THROW(async.import_state(cursor));
+  cursor.recent_next = 2;
+  EXPECT_THROW(async.import_state(cursor), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "ncnas/tensor/rng.hpp"
 
@@ -131,6 +132,15 @@ TEST(Rng, StateRoundTripContinuesBitIdentically) {
     EXPECT_EQ(rng.normal(), restored.normal());
     EXPECT_EQ(rng.uniform_int(97), restored.uniform_int(97));
   }
+}
+
+TEST(Rng, SetStateRejectsAllZeroWords) {
+  // xoshiro256** never leaves the all-zero state, so a stream restored into
+  // it would draw 0 forever; set_state refuses it and keeps its own state.
+  Rng rng(5);
+  const std::uint64_t expected = Rng(5).next_u64();
+  EXPECT_THROW(rng.set_state(RngState{}), std::invalid_argument);
+  EXPECT_EQ(rng.next_u64(), expected);
 }
 
 TEST(Rng, StateCapturesTheBoxMullerCache) {

@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
     }
     double journal_ms = 0.0;
     for (const obs::JournalEvent& e : events) {
-      if (e.type == obs::JournalEventType::kEvalDispatched) {
+      if (e.type == obs::JournalEventType::kEvalFinished) {
         journal_ms += e.field("train_wall_ms");
       }
     }

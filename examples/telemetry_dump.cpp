@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   }
   double journal_ms = 0.0;
   for (const obs::JournalEvent& e : snap.journal) {
-    if (e.type == obs::JournalEventType::kEvalDispatched) {
+    if (e.type == obs::JournalEventType::kEvalFinished) {
       journal_ms += e.field("train_wall_ms");
     }
   }

@@ -7,6 +7,14 @@
 // the timeout is killed (reward floor) exactly as Balsam killed overlong jobs
 // on Theta — we also skip the real training in that case.
 //
+// The evaluation is split in two halves. plan() runs at dispatch: it builds
+// the model and fills the facts the simulated cluster needs (parameter count,
+// simulated duration, timeout). train() rebuilds the model and computes the
+// reward; submit() hands it to a thread pool so trainings of many agents
+// overlap while the driver keeps dispatching, as Balsam ran reward tasks on
+// worker nodes. The reward is a pure function of (arch, seed, fidelity), so
+// when and where train() runs never changes a result bit.
+//
 // CachedEvaluator adds the paper's per-agent evaluation cache: re-generated
 // architectures return their stored reward instantly (no worker task), which
 // is the mechanism behind A3C's late-search utilization decay and the
@@ -21,6 +29,7 @@
 #pragma once
 
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -30,6 +39,7 @@
 #include "ncnas/obs/telemetry.hpp"
 #include "ncnas/space/builder.hpp"
 #include "ncnas/space/search_space.hpp"
+#include "ncnas/tensor/thread_pool.hpp"
 
 namespace ncnas::exec {
 
@@ -51,6 +61,12 @@ struct FidelityConfig {
   double valid_fraction = 1.0;
 };
 
+/// What the training half of an evaluation produces (TrainingEvaluator::train).
+struct TrainOutcome {
+  float reward = 0.0f;
+  double train_wall_ms = 0.0;
+};
+
 struct EvalResult {
   float reward = 0.0f;             ///< validation R2 / ACC, floored on timeout
   double sim_duration = 0.0;       ///< simulated seconds the task occupies a worker
@@ -67,6 +83,15 @@ struct EvalResult {
   /// Highest fidelity rung this result reached (exec::FidelityLadder);
   /// always 0 for flat evaluations, so null-ladder runs are unchanged.
   std::uint32_t rung = 0;
+  /// The training behind `reward` and `train_wall_ms` while they may not be
+  /// known yet (TrainingEvaluator::submit). Copies share it, so the record
+  /// that dispatched a training and every cache entry or hit made from it
+  /// read the same outcome. Not part of a snapshot: join first.
+  std::shared_future<TrainOutcome> training;
+
+  /// Waits for `training` if there is one and copies its outcome into
+  /// `reward` and `train_wall_ms`. Rethrows what the training threw.
+  void join();
 };
 
 class Evaluator {
@@ -115,8 +140,19 @@ class TrainingEvaluator final : public Evaluator {
   /// thread-safe, so pool-parallel evaluations share one sink.
   void set_telemetry(obs::Telemetry* telemetry);
 
+  /// submit() without a pool: the training runs inline.
   [[nodiscard]] EvalResult evaluate(const space::ArchEncoding& arch,
                                     std::uint64_t seed) const override;
+
+  /// Builds the model (a one-row probe materializes lazy weights) and fills
+  /// `params`, `sim_duration` and `timed_out` — everything a simulated
+  /// dispatch reads — then submits the training to `pool`, whose outcome the
+  /// result's `training` handle resolves to. Without a pool the training runs
+  /// inline and the result is already final. A task over the timeout is
+  /// killed untrained: it gets the floor reward and no handle. The evaluator
+  /// must outlive the training.
+  [[nodiscard]] EvalResult submit(const space::ArchEncoding& arch, std::uint64_t seed,
+                                  tensor::ThreadPool* pool) const;
 
   /// eval_context_key(dataset, fidelity, cost_model) — the full recipe that
   /// determines a reward besides (arch, seed).
@@ -134,6 +170,14 @@ class TrainingEvaluator final : public Evaluator {
   [[nodiscard]] float reward_floor() const noexcept;
 
  private:
+  /// submit()'s dispatch-time half.
+  [[nodiscard]] EvalResult plan(const space::ArchEncoding& arch, std::uint64_t seed) const;
+  /// submit()'s training half: rebuilds the model from (arch, seed) — so a
+  /// queued training holds no graph — trains it and scores it on the
+  /// validation split. Thread-safe.
+  [[nodiscard]] TrainOutcome train(const space::ArchEncoding& arch, std::uint64_t seed,
+                                   const EvalResult& planned) const;
+
   const space::SearchSpace* space_;
   const data::Dataset* dataset_;
   FidelityConfig fidelity_;
@@ -165,12 +209,12 @@ class CachedEvaluator final : public Evaluator {
   [[nodiscard]] EvalResult evaluate(const space::ArchEncoding& arch,
                                     std::uint64_t seed) const override;
 
-  /// Split-phase access for drivers that batch cache misses onto a thread
-  /// pool: lookup() returns the cached result (marked cache_hit) or nullopt;
-  /// insert() stores a freshly computed miss. erase() drops an entry whose
-  /// evaluation ultimately failed (retry exhaustion), so a later
-  /// regeneration re-evaluates instead of replaying a non-measurement —
-  /// failed evals never poison the cache.
+  /// Split-phase access for drivers that dispatch misses themselves: lookup()
+  /// returns the cached result (marked cache_hit) or nullopt; insert() stores
+  /// a dispatched miss, whose training may still be pending (a hit then
+  /// shares its handle). erase() drops an entry whose evaluation ultimately
+  /// failed (retry exhaustion), so a later regeneration re-evaluates instead
+  /// of replaying a non-measurement — failed evals never poison the cache.
   [[nodiscard]] std::optional<EvalResult> lookup(const space::ArchEncoding& arch) const;
   void insert(const space::ArchEncoding& arch, const EvalResult& result) const;
   void erase(const space::ArchEncoding& arch) const;
@@ -185,7 +229,8 @@ class CachedEvaluator final : public Evaluator {
 
   /// --- checkpoint/restore ---------------------------------------------------
   /// Serializable cache contents. Entries are sorted by architecture key so
-  /// the exported form is canonical (the map's iteration order is not).
+  /// the exported form is canonical (the map's iteration order is not), and
+  /// joined, so export waits for any training an entry still holds.
   struct State {
     std::vector<std::pair<std::string, EvalResult>> entries;
     std::size_t hits = 0;

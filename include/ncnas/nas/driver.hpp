@@ -4,10 +4,11 @@
 // Each agent owns a Controller replica, an agent-specific seed, and a private
 // evaluation cache. A cycle: pull parameters from the PS (A3C/A2C), sample M
 // architectures, dispatch the non-cached ones onto the agent's dedicated
-// worker nodes (real training runs on the host thread pool; the virtual
-// clock advances by the cost model's task durations), wait for the batch,
-// run local PPO epochs, and exchange deltas through the ParameterServer —
-// synchronously (A2C barrier) or asynchronously (A3C). RDM skips all RL
+// worker nodes (the virtual clock advances by the cost model's task
+// durations; the real trainings run on the host thread pool and overlap
+// across agents), harvest the batch when its last task completes, joining
+// its rewards, run local PPO epochs, and exchange deltas through the
+// ParameterServer — synchronously (A2C barrier) or asynchronously (A3C). RDM skips all RL
 // machinery but keeps the identical evaluation pipeline, as in the paper.
 //
 // The run ends at the simulated wall-time limit or earlier when every agent
@@ -15,6 +16,7 @@
 // Combo and NT3).
 #pragma once
 
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -150,6 +152,10 @@ struct EvalRecord {
   /// candidates eliminated at the bottom rung).
   std::uint32_t rung = 0;
   space::ArchEncoding arch;
+  /// The training whose reward this record reports while the record is in
+  /// flight (exec::EvalResult::training); the driver joins it at harvest.
+  /// Always empty in a returned SearchResult.
+  std::shared_future<exec::TrainOutcome> training;
 };
 
 struct SearchResult {
@@ -211,8 +217,9 @@ struct SearchResult {
 
 class SearchDriver {
  public:
-  /// `space` and `dataset` must outlive the driver. `pool` (optional)
-  /// parallelizes the real trainings behind each simulated batch.
+  /// `space` and `dataset` must outlive the driver. `pool` (optional) runs
+  /// the real trainings behind the simulated tasks, so they overlap across
+  /// agents; without one each training runs inline at dispatch.
   SearchDriver(const space::SearchSpace& space, const data::Dataset& dataset,
                SearchConfig config, tensor::ThreadPool* pool = nullptr);
 

@@ -53,8 +53,9 @@ enum class JournalEventType : std::uint8_t {
   kRunStarted,         ///< payload: agents, workers, batch, wall_time_s, strategy, seed
   kRunFinished,        ///< payload: end_time_s, evals, best_reward, cache_hits, timeouts,
                        ///<          ppo_updates, converged, wall_time_s
-  kEvalDispatched,     ///< payload: duration_s, worker, train_wall_ms
-  kEvalFinished,       ///< payload: reward, duration_s, timed_out, params
+  kEvalDispatched,     ///< payload: duration_s, worker [, attempt under a fault plan]
+  kEvalFinished,       ///< payload: reward, duration_s, timed_out, params, train_wall_ms
+                       ///<          (host ms of the training the record owns)
   kEvalCached,         ///< payload: reward, timed_out [, shared=1 for shared-cache hits]
   kEvalTimeout,        ///< payload: duration_s
   kPpoUpdate,          ///< payload: policy_loss, value_loss, entropy, approx_kl, batch

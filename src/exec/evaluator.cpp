@@ -50,22 +50,33 @@ nn::Graph TrainingEvaluator::build(const space::ArchEncoding& arch, std::uint64_
   return space::build_model(*space_, arch, dims, head_for(*dataset_), rng);
 }
 
-EvalResult TrainingEvaluator::evaluate(const space::ArchEncoding& arch,
-                                       std::uint64_t seed) const {
+void EvalResult::join() {
+  if (!training.valid()) return;
+  const TrainOutcome& outcome = training.get();
+  reward = outcome.reward;
+  train_wall_ms = outcome.train_wall_ms;
+}
+
+namespace {
+
+// Materializes lazily-initialized weights with a single-row forward so the
+// trainable-parameter count (which drives the cost model) is exact.
+void probe(nn::Graph& model, const data::Dataset& ds) {
+  NCNAS_PROF_SCOPE("eval/build");
+  std::vector<tensor::Tensor> rows;
+  rows.reserve(ds.input_count());
+  for (const tensor::Tensor& x : ds.x_train) rows.push_back(nn::slice_rows(x, 0, 1));
+  nn::ForwardCtx ctx{.training = false, .rng = nullptr};
+  (void)model.forward(rows, ctx);
+}
+
+}  // namespace
+
+EvalResult TrainingEvaluator::plan(const space::ArchEncoding& arch, std::uint64_t seed) const {
   NCNAS_PROF_SCOPE("eval");
   const std::string key = space::arch_key(arch);
   nn::Graph model = build(arch, seed);
-
-  // Materialize lazily-initialized weights with a single-row forward so the
-  // trainable-parameter count (which drives the cost model) is exact.
-  {
-    NCNAS_PROF_SCOPE("eval/build");
-    std::vector<tensor::Tensor> probe;
-    probe.reserve(dataset_->input_count());
-    for (const tensor::Tensor& x : dataset_->x_train) probe.push_back(nn::slice_rows(x, 0, 1));
-    nn::ForwardCtx ctx{.training = false, .rng = nullptr};
-    (void)model.forward(probe, ctx);
-  }
+  probe(model, *dataset_);
 
   EvalResult result;
   result.params = model.param_count();
@@ -80,8 +91,15 @@ EvalResult TrainingEvaluator::evaluate(const space::ArchEncoding& arch,
     result.timed_out = true;
     result.reward = reward_floor();
     if (training_timeouts_ != nullptr) training_timeouts_->inc();
-    return result;
   }
+  return result;
+}
+
+TrainOutcome TrainingEvaluator::train(const space::ArchEncoding& arch, std::uint64_t seed,
+                                      const EvalResult& planned) const {
+  NCNAS_PROF_SCOPE("eval");
+  nn::Graph model = build(arch, seed);
+  probe(model, *dataset_);
 
   std::optional<obs::Stopwatch> train_timer;
   if (train_wall_ms_ != nullptr) train_timer.emplace();
@@ -117,17 +135,40 @@ EvalResult TrainingEvaluator::evaluate(const space::ArchEncoding& arch,
                             dataset_->metric);
     }
   }
+  TrainOutcome out;
   if (reward_fn_) {
-    const RewardInputs inputs{metric, result.params, result.sim_duration};
-    result.reward = std::max(reward_fn_(inputs), reward_floor());
+    const RewardInputs inputs{metric, planned.params, planned.sim_duration};
+    out.reward = std::max(reward_fn_(inputs), reward_floor());
   } else {
-    result.reward = std::max(metric, reward_floor());
+    out.reward = std::max(metric, reward_floor());
   }
   if (train_timer) {
-    result.train_wall_ms = train_timer->elapsed_ms();
-    train_wall_ms_->observe(result.train_wall_ms);
+    out.train_wall_ms = train_timer->elapsed_ms();
+    train_wall_ms_->observe(out.train_wall_ms);
   }
+  return out;
+}
+
+EvalResult TrainingEvaluator::submit(const space::ArchEncoding& arch, std::uint64_t seed,
+                                     tensor::ThreadPool* pool) const {
+  EvalResult result = plan(arch, seed);
+  if (result.timed_out) return result;
+  auto task = std::make_shared<std::packaged_task<TrainOutcome()>>(
+      [this, arch, seed, planned = result] { return train(arch, seed, planned); });
+  result.training = task->get_future().share();
+  if (pool != nullptr) {
+    (void)pool->submit([task] { (*task)(); });
+    return result;
+  }
+  // Inline, the result is final at once, as a serial reference must be.
+  (*task)();
+  result.join();
   return result;
+}
+
+EvalResult TrainingEvaluator::evaluate(const space::ArchEncoding& arch,
+                                       std::uint64_t seed) const {
+  return submit(arch, seed, nullptr);
 }
 
 RewardFn size_penalized_reward(float weight, std::size_t ref_params) {
@@ -218,6 +259,7 @@ void CachedEvaluator::clear() {
 CachedEvaluator::State CachedEvaluator::export_state() const {
   State out;
   out.entries.assign(cache_.begin(), cache_.end());
+  for (auto& entry : out.entries) entry.second.join();
   std::sort(out.entries.begin(), out.entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   out.hits = hits_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <queue>
@@ -148,6 +149,23 @@ struct Instruments {
   }
 };
 
+/// A handle that is already resolved, for rewards known at dispatch (the
+/// ladder trains synchronously).
+std::shared_future<exec::TrainOutcome> resolved(const exec::EvalResult& r) {
+  std::promise<exec::TrainOutcome> done;
+  done.set_value({r.reward, r.train_wall_ms});
+  return done.get_future().share();
+}
+
+/// Waits for the record's training and takes its reward; a failed record
+/// keeps its floor. Returns the training's host wall time (0 without one).
+double join(EvalRecord& rec) {
+  if (!rec.training.valid()) return 0.0;
+  const exec::TrainOutcome& trained = rec.training.get();
+  if (!rec.failed) rec.reward = trained.reward;
+  return trained.train_wall_ms;
+}
+
 }  // namespace
 }  // namespace ncnas::nas
 
@@ -269,13 +287,19 @@ class SearchRun {
   SearchRun(const space::SearchSpace& space, const data::Dataset& dataset,
             SearchConfig config /* pre-normalized */, tensor::ThreadPool* pool);
 
+  /// Waits for every training still in flight, so none outlives the
+  /// evaluator and data it reads, also when the run unwinds.
+  ~SearchRun();
+
   void bootstrap();
   void restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in);
   SearchResult run();
 
  private:
   bool process_completion(const Completion& done);  // true = converged, stop
-  void emit_record(const EvalRecord& rec);
+  void emit_record(const EvalRecord& rec, double train_wall_ms);
+  /// Joins the training of every in-flight record (see join()).
+  void join_in_flight();
   bool dispatch_faulty(AgentState& agent, std::vector<double>& worker_free,
                        const exec::EvalResult& r, EvalRecord& rec, double t,
                        double& batch_done, std::size_t budget_units);
@@ -409,6 +433,20 @@ SearchRun::SearchRun(const space::SearchSpace& space, const data::Dataset& datas
   }
 }
 
+SearchRun::~SearchRun() {
+  for (const AgentState& agent : agents_) {
+    for (const EvalRecord& rec : agent.records) {
+      if (rec.training.valid()) rec.training.wait();
+    }
+  }
+}
+
+void SearchRun::join_in_flight() {
+  for (AgentState& agent : agents_) {
+    for (EvalRecord& rec : agent.records) (void)join(rec);
+  }
+}
+
 void SearchRun::bootstrap() {
   if (tel_ != nullptr) {
     tel_->emit(obs::JournalEventType::kRunStarted, 0.0, obs::kNoAgent,
@@ -465,8 +503,9 @@ SearchResult SearchRun::run() {
       queue_.pop();
       if (process_completion(done)) break;
       // The gap between two completions is the one point where no batch is
-      // half-harvested and no lambda is mid-flight: the members above are the
-      // complete search state, which is what makes this the snapshot point.
+      // half-harvested: the members above, with the in-flight trainings
+      // joined, are the complete search state, which is what makes this the
+      // snapshot point.
       maybe_checkpoint(done.time);
       // Same safe point feeds the live exporter. The due() guard is one
       // relaxed atomic load, and publication only *reads* search state, so
@@ -476,6 +515,10 @@ SearchResult SearchRun::run() {
       }
     }
   }
+
+  // Batches still queued when the run stops are never harvested, but their
+  // trainings ran: join them before the telemetry snapshot below counts them.
+  join_in_flight();
 
   if (result_.end_time == 0.0) {
     result_.end_time = std::min(config_.wall_time_seconds, std::max(last_completion_, 1.0));
@@ -609,7 +652,8 @@ void SearchRun::publish_progress(double t, bool finished) {
 // after capped exponential backoff until success or the retry budget is
 // spent (the record is then floored). Returns false when no live worker
 // remains — the caller marks the agent dead. The real training behind the
-// record ran once up front; faults only replay its virtual-time cost.
+// record was submitted once up front; faults only replay its virtual-time
+// cost.
 bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_free,
                                 const exec::EvalResult& r, EvalRecord& rec, double t,
                                 double& batch_done, std::size_t budget_units) {
@@ -702,7 +746,6 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
         tel_->emit(obs::JournalEventType::kEvalDispatched, start, aid,
                    {{"duration_s", dur},
                     {"worker", static_cast<double>(slot)},
-                    {"train_wall_ms", r.train_wall_ms},
                     {"attempt", static_cast<double>(attempt)}});
       }
       return true;
@@ -801,6 +844,8 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       miss_index.push_back(m);
     }
   }
+  // Fresh results carry a handle to their training; the records and cache
+  // entries made from them share it, and the reward is joined at harvest.
   std::vector<exec::EvalResult> fresh(miss_index.size());
   // Budget units per batch position: 1 per flat training; with a ladder,
   // the number of rung trainings the candidate consumed (its rung-weighted
@@ -813,8 +858,11 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
     std::vector<exec::LadderRungStats> rung_stats;
     std::vector<exec::LadderOutcome> outcomes =
         ladder_->evaluate_batch(miss_archs, agent.eval_seed, &rung_stats, pool_);
+    // The ladder trains synchronously: which candidates a rung promotes
+    // depends on rewards, so its results are final here.
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       fresh[i] = outcomes[i].result;
+      fresh[i].training = resolved(fresh[i]);
       budget_units[miss_index[i]] = outcomes[i].trainings;
     }
     // Rung accounting and journal events, emitted at batch dispatch time
@@ -837,13 +885,8 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       }
     }
   } else {
-    const auto eval_one = [&](std::size_t i) {
-      fresh[i] = evaluator_.evaluate(agent.archs[miss_index[i]], agent.eval_seed);
-    };
-    if (pool_ != nullptr && miss_index.size() > 1) {
-      tensor::parallel_for(*pool_, miss_index.size(), eval_one);
-    } else {
-      for (std::size_t i = 0; i < miss_index.size(); ++i) eval_one(i);
+    for (std::size_t i = 0; i < miss_index.size(); ++i) {
+      fresh[i] = evaluator_.submit(agent.archs[miss_index[i]], agent.eval_seed, pool_);
     }
   }
   for (std::size_t i = 0; i < miss_index.size(); ++i) {
@@ -875,6 +918,7 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
     rec.rung = r.rung;
     rec.agent = agent.id;
     rec.arch = agent.archs[m];
+    rec.training = r.training;
     if (r.cache_hit) {
       rec.time = t;
     } else if (fx_ == nullptr) {
@@ -890,9 +934,7 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       if (tel_ != nullptr) {
         tel_->emit(obs::JournalEventType::kEvalDispatched, start,
                    static_cast<std::uint32_t>(agent.id),
-                   {{"duration_s", r.sim_duration},
-                    {"worker", static_cast<double>(slot)},
-                    {"train_wall_ms", r.train_wall_ms}});
+                   {{"duration_s", r.sim_duration}, {"worker", static_cast<double>(slot)}});
       }
     } else if (!dispatch_faulty(agent, worker_free, r, rec, t, batch_done, budget_units[m]) &&
                !agent.dead) {
@@ -948,8 +990,9 @@ void SearchRun::a2c_release_stuck(double now) {
 }
 
 // The record's journal facts, stamped with its own completion time so a
-// replay applies the same deadline the returned records get.
-void SearchRun::emit_record(const EvalRecord& rec) {
+// replay applies the same deadline the returned records get. A record that
+// owns a training reports its host wall time here, where it is known.
+void SearchRun::emit_record(const EvalRecord& rec, double train_wall_ms) {
   const auto aid = static_cast<std::uint32_t>(rec.agent);
   if (rec.cache_hit) {
     std::vector<obs::JournalField> fields{{"reward", rec.reward},
@@ -965,7 +1008,8 @@ void SearchRun::emit_record(const EvalRecord& rec) {
     std::vector<obs::JournalField> fields{{"reward", rec.reward},
                                           {"duration_s", rec.sim_duration},
                                           {"timed_out", rec.timed_out ? 1.0 : 0.0},
-                                          {"params", static_cast<double>(rec.params)}};
+                                          {"params", static_cast<double>(rec.params)},
+                                          {"train_wall_ms", train_wall_ms}};
     if (rec.failed) {
       fields.push_back({"failed", 1.0});
       fields.push_back({"attempts", static_cast<double>(rec.attempts)});
@@ -994,8 +1038,10 @@ bool SearchRun::process_completion(const Completion& done) {
   for (EvalRecord& rec : agent.records) {
     all_cached = all_cached && rec.cache_hit;
     if (rec.cache_hit) rec.time = t;  // resolved when the batch closes
+    const double train_wall_ms = join(rec);
+    rec.training = {};
     rewards.push_back(rec.reward);
-    if (tel_ != nullptr) emit_record(rec);
+    if (tel_ != nullptr) emit_record(rec, train_wall_ms);
     result_.evals.push_back(rec);
   }
   agent.cached_streak = all_cached ? agent.cached_streak + 1 : 0;
@@ -1150,6 +1196,7 @@ void SearchRun::maybe_checkpoint(double t) {
   // covers everything up to and including this checkpoint, and a resumed
   // run's counters reconcile with the merged journal 1:1.
   ++result_.checkpoints_written;
+  join_in_flight();  // the payload holds in-flight records with their rewards
   ckpt::ByteWriter payload;
   fields(payload, *this);
   if (tel_ != nullptr) {
@@ -1227,8 +1274,8 @@ void SearchRun::fields(IO& io, Self& s) {
             &exec::CachedEvaluator::import_state);
 
     // The in-flight batch: its Completion sits in the heap above, and its
-    // evaluations already ran on the host, so the resumed process harvests
-    // these records without re-training anything.
+    // trainings were joined before the write, so the resumed process
+    // harvests these records without re-training anything.
     checked(io, a.rollouts,
             [&](const std::vector<rl::Rollout>& v) {
               return std::ranges::all_of(v, [&](const rl::Rollout& ro) {
@@ -1329,11 +1376,13 @@ SearchResult resume_search(const std::string& snapshot_path, const space::Search
     throw ckpt::SnapshotError("snapshot " + snapshot_path + ": search space mismatch (\"" +
                               snap.header.space_name + "\" vs \"" + space.name() + "\")");
   }
+  // The guard outlives the run, so trainings it joins on unwinding still
+  // record into the installed profiler.
+  obs::ProfilerInstallGuard prof_guard(
+      config.telemetry != nullptr ? config.telemetry->profiler() : nullptr);
   SearchRun search(space, dataset, std::move(config), pool);
   ckpt::ByteReader reader(snap.payload);
   search.restore(snap.header, reader);
-  obs::ProfilerInstallGuard prof_guard(
-      config.telemetry != nullptr ? config.telemetry->profiler() : nullptr);
   return search.run();
 }
 

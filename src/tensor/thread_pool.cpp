@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 namespace ncnas::tensor {
 
@@ -72,7 +73,17 @@ void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std:
       for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
     }));
   }
-  for (auto& f : futures) f.get();  // rethrows the first failure
+  // Every chunk reads `next` and `fn` from this frame, so all of them must
+  // finish before a failure may unwind it; then the first one is rethrown.
+  std::exception_ptr failure;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace ncnas::tensor

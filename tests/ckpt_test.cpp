@@ -20,6 +20,7 @@
 #include "ncnas/obs/telemetry.hpp"
 #include "ncnas/space/spaces.hpp"
 #include "ncnas/tensor/rng.hpp"
+#include "ncnas/tensor/thread_pool.hpp"
 
 namespace ncnas::nas {
 namespace {
@@ -113,19 +114,19 @@ void expect_bit_identical(const SearchResult& a, const SearchResult& b) {
 /// resumed process's final result.
 SearchResult kill_and_resume(const space::SearchSpace& s, const data::Dataset& ds,
                              SearchConfig cfg, ckpt::CheckpointConfig ckpt_cfg,
-                             std::size_t kill_after) {
+                             std::size_t kill_after, tensor::ThreadPool* pool = nullptr) {
   ckpt_cfg.abort_after_snapshots = kill_after;
   cfg.checkpoint = &ckpt_cfg;
   std::string snapshot_path;
   try {
-    (void)SearchDriver(s, ds, cfg).run();
+    (void)SearchDriver(s, ds, cfg, pool).run();
     ADD_FAILURE() << "search finished before writing " << kill_after << " snapshot(s)";
   } catch (const ckpt::SearchInterrupted& e) {
     snapshot_path = e.snapshot_path();
   }
   ckpt_cfg.abort_after_snapshots = 0;
   cfg.checkpoint = &ckpt_cfg;
-  return resume_search(snapshot_path, s, ds, cfg);
+  return resume_search(snapshot_path, s, ds, cfg, pool);
 }
 
 // ---- snapshot format -------------------------------------------------------
@@ -398,6 +399,29 @@ TEST(CheckpointDriver, KillAndResumeUnderChaosPlanIsBitIdentical) {
   ckpt_cfg.interval_seconds = 120.0;
   const SearchResult resumed = kill_and_resume(s, ds, cfg, ckpt_cfg, 2);
   expect_bit_identical(reference, resumed);
+}
+
+// On a pool, other agents' trainings are still running when a snapshot is
+// due. The snapshot joins them first, and the interrupted process unwinds
+// with trainings in flight, so the resumed lineage must still match the
+// uninterrupted pooled run bit for bit, for every strategy.
+TEST(CheckpointDriver, KillAndResumeWithTrainingsInFlightIsBitIdentical) {
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  tensor::ThreadPool pool(4);
+  for (SearchStrategy strategy : {SearchStrategy::kA3C, SearchStrategy::kA2C,
+                                  SearchStrategy::kRandom, SearchStrategy::kEvolution}) {
+    SCOPED_TRACE(strategy_name(strategy));
+    const SearchConfig cfg = small_config(strategy);
+    const SearchResult reference = SearchDriver(s, ds, cfg, &pool).run();
+
+    ckpt::CheckpointConfig ckpt_cfg;
+    ckpt_cfg.directory = scratch_dir(std::string("pooled_") + strategy_name(strategy));
+    ckpt_cfg.interval_seconds = 120.0;
+    const SearchResult resumed = kill_and_resume(s, ds, cfg, ckpt_cfg, 2, &pool);
+    expect_bit_identical(reference, resumed);
+    EXPECT_EQ(resumed.resumes, 1u);
+  }
 }
 
 // A resumed process keeps checkpointing on the original cadence: the lineage

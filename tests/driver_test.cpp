@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <sstream>
 
 #include "ncnas/nas/driver.hpp"
 #include "ncnas/space/spaces.hpp"
+#include "pending_training.hpp"
 
 namespace ncnas::nas {
 namespace {
@@ -79,18 +81,150 @@ TEST(Driver, DeterministicAcrossRuns) {
   }
 }
 
-TEST(Driver, DeterministicWithThreadPool) {
+// ---- pool invariance --------------------------------------------------------
+// The pool only decides where and when trainings run. Every record, counter
+// and journal event must come out the same with trainings inline, on one
+// pool thread, and overlapping on four, whatever the search does around them.
+
+enum class Variant { kPlain, kFaults, kSharedCache, kLadder, kJournal };
+
+const char* variant_name(Variant v) {
+  switch (v) {
+    case Variant::kPlain: return "plain";
+    case Variant::kFaults: return "fault plan";
+    case Variant::kSharedCache: return "shared cache";
+    case Variant::kLadder: return "ladder";
+    case Variant::kJournal: return "journal";
+  }
+  return "?";
+}
+
+exec::FaultPlan pool_fault_plan() {
+  exec::FaultPlan plan;
+  plan.seed = 7;
+  plan.eval_failure_prob = 0.25;
+  plan.lost_result_prob = 0.1;
+  plan.ps_drop_prob = 0.2;
+  plan.ps_delay_prob = 0.2;
+  plan.ps_delay_seconds = 15.0;
+  plan.max_retries = 1;
+  plan.barrier_timeout_seconds = 120.0;
+  plan.worker_crashes.push_back({.agent = 1, .worker = 0, .time = 150.0});
+  return plan;
+}
+
+struct Observed {
+  SearchResult result;
+  std::vector<obs::JournalEvent> journal;  ///< empty unless the variant journals
+};
+
+Observed run_variant(const space::SearchSpace& s, const data::Dataset& ds,
+                     SearchStrategy strategy, Variant variant, tensor::ThreadPool* pool) {
+  SearchConfig cfg = small_config(strategy);
+  cfg.wall_time_seconds = 300.0;
+  const exec::FaultInjector faults(pool_fault_plan());
+  exec::SharedEvalCache shared;
+  obs::Telemetry tel;
+  switch (variant) {
+    case Variant::kPlain: break;
+    case Variant::kFaults: cfg.faults = &faults; break;
+    case Variant::kSharedCache: cfg.shared_cache = &shared; break;
+    case Variant::kLadder:
+      cfg.ladder.eta = 2;
+      cfg.ladder.rungs = {{.epochs = 1, .subset_fraction = 1.0},
+                          {.epochs = 2, .subset_fraction = 1.0}};
+      break;
+    case Variant::kJournal:
+      tel.enable_journal();
+      cfg.telemetry = &tel;
+      break;
+  }
+  Observed out{SearchDriver(s, ds, cfg, pool).run(), {}};
+  if (variant == Variant::kJournal) out.journal = tel.journal()->snapshot();
+  return out;
+}
+
+/// Same events in the same order with the same payloads, except the host
+/// training time, which no two runs share.
+void expect_same_journal(const std::vector<obs::JournalEvent>& a,
+                         const std::vector<obs::JournalEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  const auto virtual_fields = [](const obs::JournalEvent& e) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const obs::JournalField& f : e.payload) {
+      if (f.key != "train_wall_ms") out.emplace_back(f.key, std::bit_cast<std::uint64_t>(f.value));
+    }
+    return out;
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(a[i].type, b[i].type);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].t), std::bit_cast<std::uint64_t>(b[i].t));
+    EXPECT_EQ(a[i].agent, b[i].agent);
+    EXPECT_EQ(a[i].seq, b[i].seq);
+    EXPECT_EQ(virtual_fields(a[i]), virtual_fields(b[i]));
+  }
+}
+
+class PoolInvariance : public ::testing::TestWithParam<SearchStrategy> {};
+
+TEST_P(PoolInvariance, SameSearchInlineOnOneThreadAndOnFour) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
-  SearchConfig cfg = small_config(SearchStrategy::kA3C);
-  cfg.wall_time_seconds = 600.0;
-  tensor::ThreadPool pool(4);
-  const SearchResult serial = SearchDriver(s, ds, cfg).run();
-  const SearchResult parallel = SearchDriver(s, ds, cfg, &pool).run();
-  ASSERT_EQ(serial.evals.size(), parallel.evals.size());
-  for (std::size_t i = 0; i < serial.evals.size(); ++i) {
-    EXPECT_EQ(serial.evals[i].reward, parallel.evals[i].reward);
+  tensor::ThreadPool one(1);
+  tensor::ThreadPool four(4);
+  for (const Variant variant : {Variant::kPlain, Variant::kFaults, Variant::kSharedCache,
+                                Variant::kLadder, Variant::kJournal}) {
+    SCOPED_TRACE(variant_name(variant));
+    const Observed inline_run = run_variant(s, ds, GetParam(), variant, nullptr);
+    ASSERT_FALSE(inline_run.result.evals.empty());
+    for (tensor::ThreadPool* pool : {&one, &four}) {
+      SCOPED_TRACE(std::to_string(pool->thread_count()) + " pool thread(s)");
+      const Observed pooled = run_variant(s, ds, GetParam(), variant, pool);
+      pending::expect_same_search(inline_run.result, pooled.result);
+      expect_same_journal(inline_run.journal, pooled.journal);
+    }
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Strategies, PoolInvariance,
+                         ::testing::Values(SearchStrategy::kA3C, SearchStrategy::kA2C,
+                                           SearchStrategy::kRandom, SearchStrategy::kEvolution),
+                         [](const ::testing::TestParamInfo<SearchStrategy>& info) {
+                           return std::string(strategy_name(info.param));
+                         });
+
+// A shared-cache hit made while the entry's training is still pending
+// shares that training's handle and gets the inline run's reward. The gate
+// holds every training of the first dispatch round, in which agents already
+// hit each other's entries in the four-architecture space.
+TEST(PendingTraining, SharedHitGetsTheInlineReward) {
+  const space::SearchSpace s = pending::four_arch_space();
+  const data::Dataset ds = tiny_nt3();
+  const auto run = [&](tensor::ThreadPool* pool, pending::GatedPool* gate,
+                       std::size_t open_after) {
+    exec::SharedEvalCache shared;
+    obs::Telemetry tel;
+    tel.enable_journal();
+    if (gate != nullptr) pending::open_after_events(*tel.journal(), *gate, open_after);
+    SearchConfig cfg = small_config(SearchStrategy::kRandom);
+    cfg.shared_cache = &shared;
+    cfg.telemetry = &tel;
+    SearchResult result = SearchDriver(s, ds, cfg, pool).run();
+    return std::make_pair(std::move(result), tel.journal()->snapshot());
+  };
+  const auto [reference, journal] = run(nullptr, nullptr, 0);
+  const std::size_t open_after = pending::events_before_first_harvest(journal);
+
+  pending::GatedPool gate;
+  const SearchResult gated = run(gate.pool(), &gate, open_after).first;
+  pending::expect_same_search(reference, gated);
+
+  // The scenario this test exists for: a first-round record served by
+  // another agent's entry, whose training the gate still held.
+  std::size_t pending_hits = 0;
+  for (const EvalRecord& e : pending::first_batches(gated, 4)) pending_hits += e.shared_hit;
+  EXPECT_GT(pending_hits, 0u);
 }
 
 TEST(Driver, UtilizationBounded) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -10,6 +11,7 @@
 #include "ncnas/nas/result_io.hpp"
 #include "ncnas/obs/journal.hpp"
 #include "ncnas/space/spaces.hpp"
+#include "pending_training.hpp"
 
 namespace ncnas::nas {
 namespace {
@@ -439,6 +441,77 @@ TEST(FaultDriver, SaveLoadRoundTripsFaultAccounting) {
   EXPECT_EQ(loaded->evals[0].attempts, 2u);
   EXPECT_TRUE(loaded->evals[1].failed);
   EXPECT_EQ(loaded->evals[1].attempts, 4u);
+}
+
+// An exhausted record erases its cache entries at dispatch, while its
+// training may still be pending. When another agent then re-trains the same
+// architecture, the stale training must not overwrite the new entry: the
+// gated run, where every first-round training is still held when the next
+// agent dispatches, matches the inline run record for record, and its shared
+// cache ends with the same reward under every key.
+TEST(FaultDriver, StaleTrainingNeverOverwritesARetrainedEntry) {
+  const space::SearchSpace s = pending::four_arch_space();
+  const data::Dataset ds = tiny_nt3();
+  exec::FaultPlan plan;
+  plan.seed = 1;
+  plan.eval_failure_prob = 0.5;
+  plan.max_retries = 0;
+  const exec::FaultInjector faults(plan);
+  SearchConfig cfg = small_config(SearchStrategy::kRandom);
+  cfg.wall_time_seconds = 600.0;
+  cfg.faults = &faults;
+  std::vector<space::ArchEncoding> archs;
+  for (std::uint16_t a = 0; a < 2; ++a) {
+    for (std::uint16_t b = 0; b < 2; ++b) archs.push_back({a, b});
+  }
+
+  struct Run {
+    SearchResult result;
+    std::vector<obs::JournalEvent> journal;
+    std::vector<float> cached;  ///< shared-cache reward per arch; NaN when absent
+  };
+  const auto run = [&](tensor::ThreadPool* pool, pending::GatedPool* gate,
+                       std::size_t open_after) {
+    exec::SharedEvalCache shared;
+    obs::Telemetry tel;
+    tel.enable_journal();
+    if (gate != nullptr) pending::open_after_events(*tel.journal(), *gate, open_after);
+    SearchConfig c = cfg;
+    c.shared_cache = &shared;
+    c.telemetry = &tel;
+    Run out{SearchDriver(s, ds, c, pool).run(), tel.journal()->snapshot(), {}};
+    const std::string ctx = exec::eval_context_key(ds, c.fidelity, c.cost);
+    for (const space::ArchEncoding& arch : archs) {
+      std::optional<exec::EvalResult> hit = shared.lookup(ctx, space::arch_key(arch), 0);
+      if (hit) hit->join();
+      out.cached.push_back(hit ? hit->reward : std::numeric_limits<float>::quiet_NaN());
+    }
+    return out;
+  };
+  const Run reference = run(nullptr, nullptr, 0);
+  pending::GatedPool gate;
+  const Run gated =
+      run(gate.pool(), &gate, pending::events_before_first_harvest(reference.journal));
+  pending::expect_same_search(reference.result, gated.result);
+  ASSERT_EQ(reference.cached.size(), gated.cached.size());
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    EXPECT_EQ(std::isnan(reference.cached[i]), std::isnan(gated.cached[i])) << i;
+    if (!std::isnan(reference.cached[i])) EXPECT_EQ(reference.cached[i], gated.cached[i]) << i;
+  }
+
+  // The scenario this test exists for, inside the gated first round: an
+  // agent's record of an architecture failed, and a later agent trained the
+  // same architecture again.
+  const std::vector<EvalRecord> first = pending::first_batches(gated.result, 4);
+  bool retrained_while_pending = false;
+  for (const EvalRecord& failed : first) {
+    if (!failed.failed) continue;
+    for (const EvalRecord& again : first) {
+      retrained_while_pending |= !again.cache_hit && again.agent > failed.agent &&
+                                 again.arch == failed.arch;
+    }
+  }
+  EXPECT_TRUE(retrained_while_pending);
 }
 
 }  // namespace

@@ -38,13 +38,15 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  std::vector<std::jthread> workers_;
   std::deque<std::packaged_task<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
   std::size_t in_flight_ = 0;
   bool stop_ = false;
+  // Declared last, so the workers are joined before the queue, mutex and
+  // condition variables they use are destroyed.
+  std::vector<std::jthread> workers_;
 };
 
 /// Runs fn(i) for i in [0, n) across the pool, blocking until all complete.

@@ -81,6 +81,20 @@ TEST(Driver, DeterministicAcrossRuns) {
   }
 }
 
+TEST(Driver, DeterministicWithThreadPool) {
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  SearchConfig cfg = small_config(SearchStrategy::kA3C);
+  cfg.wall_time_seconds = 600.0;
+  tensor::ThreadPool pool(4);
+  const SearchResult serial = SearchDriver(s, ds, cfg).run();
+  const SearchResult parallel = SearchDriver(s, ds, cfg, &pool).run();
+  ASSERT_EQ(serial.evals.size(), parallel.evals.size());
+  for (std::size_t i = 0; i < serial.evals.size(); ++i) {
+    EXPECT_EQ(serial.evals[i].reward, parallel.evals[i].reward);
+  }
+}
+
 // ---- pool invariance --------------------------------------------------------
 // The pool only decides where and when trainings run. Every record, counter
 // and journal event must come out the same with trainings inline, on one

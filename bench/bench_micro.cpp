@@ -62,14 +62,17 @@ void BM_Conv1dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv1dForward);
 
+// One decode step at batch 8, the way sample() drives the cell.
 void BM_LstmStep(benchmark::State& state) {
   tensor::Rng rng(3);
   nn::LstmCell cell(16, 32, rng);
-  const nn::LstmState s0 = cell.initial_state(8);
-  tensor::Tensor x({8, 16});
-  for (float& v : x.flat()) v = static_cast<float>(rng.normal());
+  nn::LstmWorkspace ws;
+  cell.begin(ws, 8, 1);
+  for (std::size_t i = 0; i < 8 * 16; ++i) ws.input(0)[i] = static_cast<float>(rng.normal());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.step_nograd(x, s0));
+    cell.begin(ws, 8, 1);
+    cell.forward_step(ws, 0);
+    benchmark::DoNotOptimize(ws.output(0));
   }
 }
 BENCHMARK(BM_LstmStep);
@@ -99,6 +102,20 @@ void BM_PpoUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PpoUpdate);
+
+// The update nt3-a3c runs: the NT3 space (12 decisions) and one rollout per
+// batch (16 agents x 1 worker).
+void BM_PpoUpdateNt3Batch1(benchmark::State& state) {
+  const space::SearchSpace sp = space::nt3_small_space();
+  rl::Controller ctrl(sp.arities(), 1);
+  tensor::Rng rng(6);
+  const std::vector<rl::Rollout> rolls{ctrl.sample(rng)};
+  const std::vector<float> rewards{0.5f};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctrl.ppo_update(rolls, rewards, {}));
+  }
+}
+BENCHMARK(BM_PpoUpdateNt3Batch1);
 
 void BM_BuildComboModel(benchmark::State& state) {
   const space::SearchSpace sp = space::combo_small_space();

@@ -70,7 +70,8 @@ class Adam final : public Optimizer {
   /// Replaces all optimizer state. `params` are the parameters step() will
   /// receive: their moments re-attach by key, so a restored optimizer then
   /// continues bit-identically. Throws std::invalid_argument on a step count
-  /// out of range or moments that would attach to a parameter of another size.
+  /// out of range or moments that would attach to a parameter of another
+  /// size, and then leaves the optimizer unchanged.
   void import_state(const State& state, const std::vector<ParamPtr>& params);
 
  private:

@@ -83,19 +83,41 @@ class Controller {
   /// --- checkpoint/restore ---------------------------------------------------
   /// Everything that makes a controller resume bit-identically: the flat
   /// parameter vector plus the internal Adam moments and step count. The
-  /// LSTM step cache is deliberately absent — ppo_update() fully unwinds it,
-  /// so it is empty at every point a driver may snapshot.
+  /// workspace is deliberately absent: every sample() and ppo_update()
+  /// overwrites what it reads of it before reading, so it carries nothing
+  /// from one call to the next.
   struct State {
     std::vector<float> flat;
     nn::Adam::State adam;
   };
   [[nodiscard]] State save_state() const;
+  /// Throws std::invalid_argument, leaving the controller unchanged, when the
+  /// flat vector or the Adam state does not fit this controller.
   void load_state(const State& state);
 
  private:
-  /// Policy-head logits for one batch of hidden states, masked to `arity`.
-  void head_logits(const tensor::Tensor& h, std::size_t arity, tensor::Tensor& probs) const;
-  [[nodiscard]] float head_value(const tensor::Tensor& h, std::size_t row) const;
+  /// Scratch for sample(), greedy() and ppo_update(): sized on first use and
+  /// reused, so a steady-state call allocates nothing. Time-major like the
+  /// LSTM's: entry (t, b) of a [T, B, n] buffer starts at (t*B + b)*n.
+  struct Workspace {
+    nn::LstmWorkspace lstm;
+    std::vector<float> probs;         ///< [T, B, A] logits, then the masked softmax
+    std::vector<float> values;        ///< [T, B]
+    std::vector<float> dlogits;       ///< [T, B, A]
+    std::vector<float> dvalues;       ///< [T, B]
+    std::vector<float> dh_pi;         ///< [T, B, H]  dlogits Wpi^T
+    std::vector<float> wpi_t;         ///< [A, H]     Wpi transposed
+    std::vector<float> adv;           ///< [B, T]
+    std::vector<std::size_t> tokens;  ///< [T, B]     embedding row fed at (t, b)
+  };
+
+  /// Decode step t of a batch-1 sequence fed `token`: runs the LSTM step
+  /// and returns the policy's masked probabilities, [max_arity].
+  const float* decode_step(std::size_t t, std::size_t token) const;
+  /// Writes the masked softmax of one row of logits (bias not yet added)
+  /// over its first `arity` entries, in place.
+  void policy_row(float* row, std::size_t arity) const;
+  [[nodiscard]] float head_value(const float* h) const;
 
   std::vector<std::size_t> arities_;
   std::size_t hidden_;
@@ -103,12 +125,16 @@ class Controller {
   std::size_t max_arity_;
 
   nn::ParamPtr embed_;  // [max_arity + 1, embed_dim]; row 0 = start token
-  mutable nn::LstmCell lstm_;
+  nn::LstmCell lstm_;
   nn::ParamPtr wpi_;    // [hidden, max_arity]
   nn::ParamPtr bpi_;    // [max_arity]
   nn::ParamPtr wv_;     // [hidden, 1]
   nn::ParamPtr bv_;     // [1]
+  std::vector<nn::ParamPtr> params_;  // flat-vector order: embed, lstm, wpi, bpi, wv, bv
   nn::Adam adam_;
+  // sample() and greedy() are const but decode through the workspace, so a
+  // controller is not safe to use from two threads at once.
+  mutable Workspace ws_;
 
   obs::Telemetry* telemetry_ = nullptr;
   obs::Histogram* ppo_wall_ms_ = nullptr;

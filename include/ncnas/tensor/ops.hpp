@@ -30,8 +30,7 @@
 // threads would change the addition tree and break bit-identity.
 #pragma once
 
-#include <functional>
-
+#include "ncnas/tensor/function_ref.hpp"
 #include "ncnas/tensor/tensor.hpp"
 
 namespace ncnas::tensor {
@@ -101,12 +100,34 @@ void accumulate_col_sums(const Tensor& g, Tensor& out);
 /// independent produces identical bytes serially and on the pool. Runs on
 /// the kernel pool when the installed KernelConfig is pooled and n clears
 /// its min_parallel_elems threshold; serially otherwise.
-void parallel_elems(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
+void parallel_elems(std::size_t n, FunctionRef<void(std::size_t, std::size_t)> fn);
 
 /// Row-sliced variant for 2-D work: fn(row_begin, row_end) over chunks whose
 /// grain is derived from `cols` (so a chunk is a constant amount of work
 /// regardless of matrix shape). Same determinism contract as parallel_elems.
 void parallel_rows(std::size_t rows, std::size_t cols,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
+                   FunctionRef<void(std::size_t, std::size_t)> fn);
+
+/// --- few-row kernels on raw buffers ------------------------------------------
+/// For callers that own their buffers and run many tiny products (the RL
+/// controller's LSTM and heads, at a handful of rows): no shape checks, no
+/// tier dispatch, no pool and no profiler scope. Register-blocked, but each
+/// output element is still the one multiply-add chain over k ascending,
+/// starting from +0 (fused where the target has FMA), that gemm / gemm_nt /
+/// gemm_tn compute on either tier, so the bits are exactly theirs.
+/// kernel_diff_test pins this.
+
+/// c(m,n) = a(m,k) * b(k,n), all row-major and contiguous. gemm_nt's
+/// a * b^T is this with b's transpose passed as b.
+void gemm_rows(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
+               std::size_t n);
+
+/// g(m,n) += sum of a_s(k,m)^T * b_s(k,n) over s = steps-1 down to 0, where
+/// a_s = a + s*k*m and b_s = b + s*k*n. Each term is gemm_tn's chain and is
+/// added to g in that descending order: the same bits as one gemm_tn into
+/// scratch plus add_inplace(g, scratch) per s, the way backpropagation
+/// through time visits the steps.
+void accumulate_gemm_tn_steps(const float* a, const float* b, float* g, std::size_t steps,
+                              std::size_t k, std::size_t m, std::size_t n);
 
 }  // namespace ncnas::tensor

@@ -107,12 +107,23 @@ class Tensor {
   /// capacity whenever it suffices (no heap traffic in that case — this is
   /// how layer scratch tensors stay allocation-free across steps). Contents
   /// after reset are unspecified; callers must overwrite every element.
-  void reset(Shape shape);
+  /// The braced form (`reset({m, n})`) builds no Shape vector either.
+  void reset(const Shape& shape) { reset(shape.data(), shape.size()); }
+  void reset(std::initializer_list<std::size_t> shape) { reset(shape.begin(), shape.size()); }
 
-  /// Throws std::invalid_argument unless `shape() == expected`.
-  void require_shape(const Shape& expected, const char* what) const;
+  /// Throws std::invalid_argument unless `shape() == expected`. Compares in
+  /// place: only the error path builds a Shape.
+  void require_shape(const Shape& expected, const char* what) const {
+    require_shape(expected.data(), expected.size(), what);
+  }
+  void require_shape(std::initializer_list<std::size_t> expected, const char* what) const {
+    require_shape(expected.begin(), expected.size(), what);
+  }
 
  private:
+  void reset(const std::size_t* dims, std::size_t rank);
+  void require_shape(const std::size_t* dims, std::size_t rank, const char* what) const;
+
   Shape shape_;
   std::vector<float> data_;
 };

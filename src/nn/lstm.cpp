@@ -1,5 +1,6 @@
 #include "ncnas/nn/lstm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,6 +14,13 @@ using tensor::Tensor;
 namespace {
 
 float sigmoidf(float v) { return 1.0f / (1.0f + std::exp(-v)); }
+
+/// dst(cols, rows) = src(rows, cols)^T.
+void transpose(const float* src, std::size_t rows, std::size_t cols, float* dst) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+  }
+}
 
 }  // namespace
 
@@ -33,146 +41,145 @@ LstmCell::LstmCell(std::size_t input_dim, std::size_t hidden_dim, tensor::Rng& r
   b_ = std::make_shared<Parameter>("lstm.b", std::move(b));
 }
 
-LstmState LstmCell::initial_state(std::size_t batch) const {
-  return {Tensor({batch, hidden_dim_}), Tensor({batch, hidden_dim_})};
-}
-
-void LstmCell::gates(const Tensor& x, const LstmState& prev, Tensor& z) const {
-  const std::size_t batch = x.dim(0);
-  // z = x Wx + h_prev Wh + b, built on scratch tensors: gemm overwrites z
-  // directly (it zero-starts every accumulation chain, so this is bitwise
-  // the old zeros-then-add form — gemm also never produces -0, so the
-  // dropped `0 +` term can't flip a sign bit) and zh_ is the only partial.
-  z.reset({batch, 4 * hidden_dim_});
-  tensor::gemm(x, wx_->value, z);
-  zh_.reset({batch, 4 * hidden_dim_});
-  tensor::gemm(prev.h, wh_->value, zh_);
-  tensor::add_inplace(z, zh_);
-  tensor::add_row_bias(z, b_->value);
-}
-
-LstmState LstmCell::step(const Tensor& x, const LstmState& prev) {
-  const std::size_t batch = x.dim(0);
-  Tensor& z = z_;
-  gates(x, prev, z);
-
-  StepCache cache;
-  cache.x = x;
-  cache.h_prev = prev.h;
-  cache.c_prev = prev.c;
-  cache.i = Tensor({batch, hidden_dim_});
-  cache.f = Tensor({batch, hidden_dim_});
-  cache.g = Tensor({batch, hidden_dim_});
-  cache.o = Tensor({batch, hidden_dim_});
-  cache.c_new = Tensor({batch, hidden_dim_});
-  cache.tanh_c = Tensor({batch, hidden_dim_});
-
-  LstmState next{Tensor({batch, hidden_dim_}), Tensor({batch, hidden_dim_})};
+void LstmCell::begin(LstmWorkspace& ws, std::size_t batch, std::size_t steps) const {
   const std::size_t H = hidden_dim_;
-  // Row-parallel: every (r, j) cell is written by exactly one chunk and its
-  // value depends only on that cell's inputs, so bytes match the serial loop.
-  tensor::parallel_rows(batch, 4 * H, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t r = rb; r < re; ++r) {
-      const float* zr = z.data() + r * 4 * H;
-      for (std::size_t j = 0; j < H; ++j) {
-        const float iv = sigmoidf(zr[j]);
-        const float fv = sigmoidf(zr[H + j]);
-        const float gv = std::tanh(zr[2 * H + j]);
-        const float ov = sigmoidf(zr[3 * H + j]);
-        const float cv = fv * prev.c(r, j) + iv * gv;
-        const float tc = std::tanh(cv);
-        cache.i(r, j) = iv;
-        cache.f(r, j) = fv;
-        cache.g(r, j) = gv;
-        cache.o(r, j) = ov;
-        cache.c_new(r, j) = cv;
-        cache.tanh_c(r, j) = tc;
-        next.c(r, j) = cv;
-        next.h(r, j) = ov * tc;
-      }
-    }
-  });
-  cache_.push_back(std::move(cache));
-  return next;
+  ws.batch = batch;
+  ws.steps = steps;
+  ws.input_dim = input_dim_;
+  ws.hidden_dim = H;
+  ws.recorded = 0;
+  grow_buffer(ws.x, steps * batch * input_dim_);
+  grow_buffer(ws.h, (steps + 1) * batch * H);
+  grow_buffer(ws.c, (steps + 1) * batch * H);
+  grow_buffer(ws.gates, steps * batch * 4 * H);
+  grow_buffer(ws.tanh_c, steps * batch * H);
+  grow_buffer(ws.zh, batch * 4 * H);
+  std::fill_n(ws.h.data(), batch * H, 0.0f);
+  std::fill_n(ws.c.data(), batch * H, 0.0f);
 }
 
-LstmState LstmCell::step_nograd(const Tensor& x, const LstmState& prev) const {
-  const std::size_t batch = x.dim(0);
-  Tensor& z = z_;
-  gates(x, prev, z);
-  LstmState next{Tensor({batch, hidden_dim_}), Tensor({batch, hidden_dim_})};
+void LstmCell::forward(LstmWorkspace& ws) const {
+  // The input projection does not depend on the recurrence: one product
+  // covers every step (each element is still its own chain over k).
+  tensor::gemm_rows(ws.x.data(), wx_->value.data(), ws.gates.data(), ws.steps * ws.batch,
+                    input_dim_, 4 * hidden_dim_);
+  for (std::size_t t = 0; t < ws.steps; ++t) recur(ws, t);
+  ws.recorded = ws.steps;
+}
+
+void LstmCell::forward_step(LstmWorkspace& ws, std::size_t t) const {
+  if (t != ws.recorded || t >= ws.steps) {
+    throw std::logic_error("LstmCell::forward_step: steps must run in order");
+  }
+  const std::size_t B = ws.batch;
+  tensor::gemm_rows(ws.input(t), wx_->value.data(), ws.gates.data() + t * B * 4 * hidden_dim_,
+                    B, input_dim_, 4 * hidden_dim_);
+  recur(ws, t);
+  ws.recorded = t + 1;
+}
+
+void LstmCell::recur(LstmWorkspace& ws, std::size_t t) const {
+  const std::size_t B = ws.batch;
   const std::size_t H = hidden_dim_;
-  tensor::parallel_rows(batch, 4 * H, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t r = rb; r < re; ++r) {
-      const float* zr = z.data() + r * 4 * H;
-      for (std::size_t j = 0; j < H; ++j) {
-        const float iv = sigmoidf(zr[j]);
-        const float fv = sigmoidf(zr[H + j]);
-        const float gv = std::tanh(zr[2 * H + j]);
-        const float ov = sigmoidf(zr[3 * H + j]);
-        const float cv = fv * prev.c(r, j) + iv * gv;
-        next.c(r, j) = cv;
-        next.h(r, j) = ov * std::tanh(cv);
-      }
+  // z = (x Wx + h_prev Wh) + b, rounded in that order; then the gates
+  // overwrite z in place.
+  tensor::gemm_rows(ws.h.data() + t * B * H, wh_->value.data(), ws.zh.data(), B, H, 4 * H);
+  const float* bias = b_->value.data();
+  for (std::size_t r = 0; r < B; ++r) {
+    float* z = ws.gates.data() + (t * B + r) * 4 * H;
+    const float* zh = ws.zh.data() + r * 4 * H;
+    const float* c_prev = ws.c.data() + (t * B + r) * H;
+    float* c_new = ws.c.data() + ((t + 1) * B + r) * H;
+    float* h_new = ws.h.data() + ((t + 1) * B + r) * H;
+    float* tanh_c = ws.tanh_c.data() + (t * B + r) * H;
+    for (std::size_t j = 0; j < H; ++j) {
+      const float iv = sigmoidf(z[j] + zh[j] + bias[j]);
+      const float fv = sigmoidf(z[H + j] + zh[H + j] + bias[H + j]);
+      const float gv = std::tanh(z[2 * H + j] + zh[2 * H + j] + bias[2 * H + j]);
+      const float ov = sigmoidf(z[3 * H + j] + zh[3 * H + j] + bias[3 * H + j]);
+      const float cv = fv * c_prev[j] + iv * gv;
+      const float tc = std::tanh(cv);
+      z[j] = iv;
+      z[H + j] = fv;
+      z[2 * H + j] = gv;
+      z[3 * H + j] = ov;
+      c_new[j] = cv;
+      tanh_c[j] = tc;
+      h_new[j] = ov * tc;
     }
-  });
-  return next;
+  }
 }
 
-Tensor LstmCell::backward_step(const Tensor& grad_h, const Tensor& grad_c,
-                               Tensor& grad_h_prev, Tensor& grad_c_prev) {
-  if (cache_.empty()) throw std::logic_error("LstmCell::backward_step: cache empty");
-  StepCache cache = std::move(cache_.back());
-  cache_.pop_back();
+void LstmCell::bptt_begin(LstmWorkspace& ws) const {
+  if (ws.steps == 0 || ws.recorded != ws.steps) {
+    throw std::logic_error("LstmCell::backward: the forward pass has not run every step");
+  }
+  const std::size_t B = ws.batch, T = ws.steps, H = hidden_dim_;
+  grow_buffer(ws.dh, B * H);
+  grow_buffer(ws.dc, B * H);
+  grow_buffer(ws.dz, T * B * 4 * H);
+  grow_buffer(ws.dx, T * B * input_dim_);
+  grow_buffer(ws.wx_t, 4 * H * input_dim_);
+  grow_buffer(ws.wh_t, 4 * H * H);
+  std::fill_n(ws.dh.data(), B * H, 0.0f);
+  std::fill_n(ws.dc.data(), B * H, 0.0f);
+  // The dz W^T products read transposed weights, so every product in the
+  // pass streams rows.
+  transpose(wx_->value.data(), input_dim_, 4 * H, ws.wx_t.data());
+  transpose(wh_->value.data(), H, 4 * H, ws.wh_t.data());
+}
 
-  const std::size_t batch = cache.x.dim(0);
+void LstmCell::bptt_step(LstmWorkspace& ws, std::size_t t) const {
+  const std::size_t B = ws.batch;
   const std::size_t H = hidden_dim_;
-  // dz_/dwx_/dwh_ are member scratch and grad_*_prev reuse the caller's
-  // buffers via reset(); every element is overwritten below.
-  dz_.reset({batch, 4 * H});
-  Tensor& dz = dz_;
-  grad_c_prev.reset({batch, H});
-  tensor::parallel_rows(batch, 4 * H, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t r = rb; r < re; ++r) {
-      float* dzr = dz.data() + r * 4 * H;
-      for (std::size_t j = 0; j < H; ++j) {
-        const float dh = grad_h(r, j);
-        const float o = cache.o(r, j);
-        const float tc = cache.tanh_c(r, j);
-        const float dc = grad_c(r, j) + dh * o * (1.0f - tc * tc);
-        const float i = cache.i(r, j);
-        const float f = cache.f(r, j);
-        const float g = cache.g(r, j);
-        const float do_ = dh * tc;
-        const float di = dc * g;
-        const float df = dc * cache.c_prev(r, j);
-        const float dg = dc * i;
-        dzr[j] = di * i * (1.0f - i);
-        dzr[H + j] = df * f * (1.0f - f);
-        dzr[2 * H + j] = dg * (1.0f - g * g);
-        dzr[3 * H + j] = do_ * o * (1.0f - o);
-        grad_c_prev(r, j) = dc * f;
-      }
+  float* dz_t = ws.dz.data() + t * B * 4 * H;
+  for (std::size_t r = 0; r < B; ++r) {
+    const float* gate = ws.gates.data() + (t * B + r) * 4 * H;
+    const float* tanh_c = ws.tanh_c.data() + (t * B + r) * H;
+    const float* c_prev = ws.c.data() + (t * B + r) * H;
+    const float* dh = ws.dh.data() + r * H;
+    float* dc = ws.dc.data() + r * H;  // dL/dc_t in, dL/dc_{t-1} out
+    float* dz = dz_t + r * 4 * H;
+    for (std::size_t j = 0; j < H; ++j) {
+      const float dhj = dh[j];
+      const float o = gate[3 * H + j];
+      const float tc = tanh_c[j];
+      const float dcj = dc[j] + dhj * o * (1.0f - tc * tc);
+      const float i = gate[j];
+      const float f = gate[H + j];
+      const float g = gate[2 * H + j];
+      const float do_ = dhj * tc;
+      const float di = dcj * g;
+      const float df = dcj * c_prev[j];
+      const float dg = dcj * i;
+      dz[j] = di * i * (1.0f - i);
+      dz[H + j] = df * f * (1.0f - f);
+      dz[2 * H + j] = dg * (1.0f - g * g);
+      dz[3 * H + j] = do_ * o * (1.0f - o);
+      dc[j] = dcj * f;
     }
-  });
-
-  // Parameter grads.
-  dwx_.reset({input_dim_, 4 * H});
-  tensor::gemm_tn(cache.x, dz, dwx_);
-  tensor::add_inplace(wx_->grad, dwx_);
-  dwh_.reset({H, 4 * H});
-  tensor::gemm_tn(cache.h_prev, dz, dwh_);
-  tensor::add_inplace(wh_->grad, dwh_);
-  tensor::accumulate_col_sums(dz, b_->grad);
-
-  // Input grads.
-  Tensor dx({batch, input_dim_});
-  tensor::gemm_nt(dz, wx_->value, dx);
-  grad_h_prev.reset({batch, H});
-  tensor::gemm_nt(dz, wh_->value, grad_h_prev);
-  return dx;
+  }
+  // dL/dh_{t-1} = dz_t Wh^T: the recurrence, so it stays in the loop (and
+  // step 0 has no predecessor to carry it to).
+  if (t > 0) tensor::gemm_rows(dz_t, ws.wh_t.data(), ws.dh.data(), B, 4 * H, H);
 }
 
-void LstmCell::clear_cache() { cache_.clear(); }
+void LstmCell::bptt_end(LstmWorkspace& ws) {
+  const std::size_t B = ws.batch, T = ws.steps, H = hidden_dim_;
+  // Everything below reads only recorded activations and dz, so it runs once
+  // for the whole sequence, each gradient element accumulated over t
+  // descending as the per-step loop would.
+  tensor::accumulate_gemm_tn_steps(ws.x.data(), ws.dz.data(), wx_->grad.data(), T, B,
+                                   input_dim_, 4 * H);
+  tensor::accumulate_gemm_tn_steps(ws.h.data(), ws.dz.data(), wh_->grad.data(), T, B, H, 4 * H);
+  float* db = b_->grad.data();
+  for (std::size_t t = T; t-- > 0;) {
+    for (std::size_t r = 0; r < B; ++r) {
+      const float* dz = ws.dz.data() + (t * B + r) * 4 * H;
+      for (std::size_t j = 0; j < 4 * H; ++j) db[j] += dz[j];
+    }
+  }
+  tensor::gemm_rows(ws.dz.data(), ws.wx_t.data(), ws.dx.data(), T * B, 4 * H, input_dim_);
+}
 
 }  // namespace ncnas::nn

@@ -27,10 +27,37 @@ const std::string& Adam::key_for(const Parameter* p) {
   return key_cache_.emplace(p, std::move(key)).first->second;
 }
 
+namespace {
+
+/// Adam's per-element update over [b, e). Every operand arrives by value or
+/// through a pointer to the buffers it updates, so nothing the loop reads can
+/// alias its stores and the compiler vectorizes it (sqrt and the division are
+/// correctly rounded in vector form too, so the bits are the scalar loop's).
+struct AdamCoefs {
+  float lr, beta1, beta2, eps, b1t, b2t;
+};
+
+void adam_update(const AdamCoefs c, float* val, const float* g, float* m, float* v,
+                 std::size_t b, std::size_t e) {
+  for (std::size_t i = b; i < e; ++i) {
+    m[i] = c.beta1 * m[i] + (1.0f - c.beta1) * g[i];
+    v[i] = c.beta2 * v[i] + (1.0f - c.beta2) * g[i] * g[i];
+    const float mhat = m[i] / c.b1t;
+    const float vhat = v[i] / c.b2t;
+    val[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+  }
+}
+
+}  // namespace
+
 void Adam::step(const std::vector<ParamPtr>& params) {
   ++step_count_;
-  const float b1t = 1.0f - std::pow(beta1_, static_cast<float>(step_count_));
-  const float b2t = 1.0f - std::pow(beta2_, static_cast<float>(step_count_));
+  const AdamCoefs coefs{lr_,
+                        beta1_,
+                        beta2_,
+                        eps_,
+                        1.0f - std::pow(beta1_, static_cast<float>(step_count_)),
+                        1.0f - std::pow(beta2_, static_cast<float>(step_count_))};
   for (const ParamPtr& p : params) {
     Moments& mom = state_[key_for(p.get())];
     if (mom.m.empty()) {
@@ -48,14 +75,8 @@ void Adam::step(const std::vector<ParamPtr>& params) {
     float* v = mom.v.data();
     // Per-element update with no cross-element dependency: deterministic to
     // chunk (parallel_elems boundaries are thread-count-independent).
-    tensor::parallel_elems(p->size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        m[i] = beta1_ * m[i] + (1.0f - beta1_) * g[i];
-        v[i] = beta2_ * v[i] + (1.0f - beta2_) * g[i] * g[i];
-        const float mhat = m[i] / b1t;
-        const float vhat = v[i] / b2t;
-        val[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-      }
+    tensor::parallel_elems(p->size(), [=](std::size_t b, std::size_t e) {
+      adam_update(coefs, val, g, m, v, b, e);
     });
   }
 }
@@ -78,13 +99,13 @@ Adam::State Adam::export_state() const {
 }
 
 void Adam::import_state(const State& state, const std::vector<ParamPtr>& params) {
+  // Build the new state aside and commit it only once all of it checks out,
+  // so a rejected state leaves the optimizer as it was.
   if (state.step_count < 0 || state.step_count == std::numeric_limits<long>::max()) {
     throw std::invalid_argument("Adam::import_state: step count out of range");
   }
-  step_count_ = state.step_count;
-  state_.clear();
-  key_cache_.clear();
-  name_counts_.clear();
+  Adam next(lr_, beta1_, beta2_, eps_);
+  next.step_count_ = state.step_count;
   for (const MomentEntry& e : state.entries) {
     if (e.m.size() != tensor::numel(e.shape) || e.v.size() != e.m.size()) {
       throw std::invalid_argument("Adam::import_state: moment size mismatch for " + e.key);
@@ -92,16 +113,17 @@ void Adam::import_state(const State& state, const std::vector<ParamPtr>& params)
     Moments mom;
     mom.m = tensor::Tensor(e.shape, e.m);
     mom.v = tensor::Tensor(e.shape, e.v);
-    state_.emplace(e.key, std::move(mom));
+    next.state_.emplace(e.key, std::move(mom));
   }
   // Keys are assigned in first-seen order, the order step() sees `params`.
   for (const ParamPtr& p : params) {
-    const auto it = state_.find(key_for(p.get()));
-    if (it != state_.end() && it->second.m.size() != p->size()) {
+    const auto it = next.state_.find(next.key_for(p.get()));
+    if (it != next.state_.end() && it->second.m.size() != p->size()) {
       throw std::invalid_argument("Adam::import_state: moments for " + it->first +
                                   " do not match the parameter size");
     }
   }
+  *this = std::move(next);
 }
 
 }  // namespace ncnas::nn

@@ -11,7 +11,6 @@
 
 namespace ncnas::rl {
 
-using nn::LstmState;
 using tensor::Tensor;
 
 namespace {
@@ -61,24 +60,32 @@ Controller::Controller(std::vector<std::size_t> arities, std::uint64_t seed, std
   nn::glorot_uniform(wv, hidden_, 1, rng);
   wv_ = std::make_shared<nn::Parameter>("ctrl.wv", std::move(wv));
   bv_ = std::make_shared<nn::Parameter>("ctrl.bv", Tensor({1}));
+  params_.push_back(embed_);
+  for (const nn::ParamPtr& p : lstm_.parameters()) params_.push_back(p);
+  params_.insert(params_.end(), {wpi_, bpi_, wv_, bv_});
 }
 
-void Controller::head_logits(const Tensor& h, std::size_t arity, Tensor& probs) const {
-  const std::size_t batch = h.dim(0);
-  Tensor logits({batch, max_arity_});
-  tensor::gemm(h, wpi_->value, logits);
-  tensor::add_row_bias(logits, bpi_->value);
-  probs = Tensor({batch, max_arity_});
-  for (std::size_t b = 0; b < batch; ++b) {
-    masked_softmax_row(logits.data() + b * max_arity_, arity, max_arity_,
-                       probs.data() + b * max_arity_);
-  }
+void Controller::policy_row(float* row, std::size_t arity) const {
+  const float* bias = bpi_->value.data();
+  for (std::size_t j = 0; j < max_arity_; ++j) row[j] += bias[j];
+  masked_softmax_row(row, arity, max_arity_, row);
 }
 
-float Controller::head_value(const Tensor& h, std::size_t row) const {
+float Controller::head_value(const float* h) const {
+  const float* w = wv_->value.data();
   float v = bv_->value[0];
-  for (std::size_t j = 0; j < hidden_; ++j) v += h(row, j) * wv_->value[j];
+  for (std::size_t j = 0; j < hidden_; ++j) v += h[j] * w[j];
   return v;
+}
+
+const float* Controller::decode_step(std::size_t t, std::size_t token) const {
+  nn::LstmWorkspace& lw = ws_.lstm;
+  std::copy_n(embed_->value.data() + token * embed_dim_, embed_dim_, lw.input(t));
+  lstm_.forward_step(lw, t);
+  float* row = ws_.probs.data() + t * max_arity_;
+  tensor::gemm_rows(lw.output(t), wpi_->value.data(), row, 1, hidden_, max_arity_);
+  policy_row(row, arities_[t]);
+  return row;
 }
 
 Rollout Controller::sample(tensor::Rng& rng) const {
@@ -89,29 +96,25 @@ Rollout Controller::sample(tensor::Rng& rng) const {
   roll.log_probs.reserve(T);
   roll.values.reserve(T);
 
-  LstmState state = lstm_.initial_state(1);
+  lstm_.begin(ws_.lstm, 1, T);
+  nn::grow_buffer(ws_.probs, T * max_arity_);
   std::size_t prev_token = 0;  // start token
   for (std::size_t t = 0; t < T; ++t) {
-    Tensor x({1, embed_dim_});
-    std::copy(embed_->value.data() + prev_token * embed_dim_,
-              embed_->value.data() + (prev_token + 1) * embed_dim_, x.data());
-    state = lstm_.step_nograd(x, state);
-    Tensor probs;
-    head_logits(state.h, arities_[t], probs);
+    const float* probs = decode_step(t, prev_token);
     // Sample from the categorical distribution over valid options.
     const double u = rng.uniform();
     double acc = 0.0;
     std::size_t action = arities_[t] - 1;
     for (std::size_t j = 0; j < arities_[t]; ++j) {
-      acc += probs(0, j);
+      acc += probs[j];
       if (u < acc) {
         action = j;
         break;
       }
     }
     roll.actions.push_back(static_cast<std::uint16_t>(action));
-    roll.log_probs.push_back(std::log(std::max(probs(0, action), 1e-12f)));
-    roll.values.push_back(head_value(state.h, 0));
+    roll.log_probs.push_back(std::log(std::max(probs[action], 1e-12f)));
+    roll.values.push_back(head_value(ws_.lstm.output(t)));
     prev_token = action + 1;
   }
   return roll;
@@ -121,16 +124,11 @@ space::ArchEncoding Controller::greedy() const {
   space::ArchEncoding arch;
   const std::size_t T = arities_.size();
   arch.reserve(T);
-  LstmState state = lstm_.initial_state(1);
+  lstm_.begin(ws_.lstm, 1, T);
+  nn::grow_buffer(ws_.probs, T * max_arity_);
   std::size_t prev_token = 0;
   for (std::size_t t = 0; t < T; ++t) {
-    Tensor x({1, embed_dim_});
-    std::copy(embed_->value.data() + prev_token * embed_dim_,
-              embed_->value.data() + (prev_token + 1) * embed_dim_, x.data());
-    state = lstm_.step_nograd(x, state);
-    Tensor probs;
-    head_logits(state.h, arities_[t], probs);
-    const float* row = probs.data();
+    const float* row = decode_step(t, prev_token);
     const std::size_t action = static_cast<std::size_t>(
         std::max_element(row, row + arities_[t]) - row);
     arch.push_back(static_cast<std::uint16_t>(action));
@@ -173,133 +171,150 @@ PpoStats Controller::ppo_update(std::span<const Rollout> rollouts,
     }
   }
   adam_.set_learning_rate(cfg.learning_rate);
+  const std::size_t H = hidden_, A = max_arity_, E = embed_dim_;
+  Workspace& ws = ws_;
+  nn::grow_buffer(ws.probs, T * B * A);
+  nn::grow_buffer(ws.values, T * B);
+  nn::grow_buffer(ws.dlogits, T * B * A);
+  nn::grow_buffer(ws.dvalues, T * B);
+  nn::grow_buffer(ws.dh_pi, T * B * H);
+  nn::grow_buffer(ws.wpi_t, A * H);
+  nn::grow_buffer(ws.adv, B * T);
+  nn::grow_buffer(ws.tokens, T * B);
 
   // Terminal-reward advantages with the critic as state baseline:
   // A_{b,t} = R_b - V_old(s_{b,t}).
-  std::vector<float> adv(B * T);
+  float* adv = ws.adv.data();
+  const std::size_t n_adv = B * T;
   for (std::size_t b = 0; b < B; ++b) {
     for (std::size_t t = 0; t < T; ++t) adv[b * T + t] = rewards[b] - rollouts[b].values[t];
   }
-  if (cfg.normalize_advantages && B * T > 1) {
+  if (cfg.normalize_advantages && n_adv > 1) {
     double mean = 0.0;
-    for (float a : adv) mean += a;
-    mean /= static_cast<double>(adv.size());
+    for (std::size_t i = 0; i < n_adv; ++i) mean += adv[i];
+    mean /= static_cast<double>(n_adv);
     double var = 0.0;
-    for (float a : adv) var += (a - mean) * (a - mean);
-    const float stddev = static_cast<float>(std::sqrt(var / static_cast<double>(adv.size())));
+    for (std::size_t i = 0; i < n_adv; ++i) var += (adv[i] - mean) * (adv[i] - mean);
+    const float stddev = static_cast<float>(std::sqrt(var / static_cast<double>(n_adv)));
     const float inv = stddev > 1e-6f ? 1.0f / stddev : 1.0f;
-    for (float& a : adv) a = (a - static_cast<float>(mean)) * inv;
+    for (std::size_t i = 0; i < n_adv; ++i) adv[i] = (adv[i] - static_cast<float>(mean)) * inv;
+  }
+  // The recorded action sequences are the inputs: the start token, then the
+  // action taken at the previous step.
+  for (std::size_t t = 0; t < T; ++t) {
+    for (std::size_t b = 0; b < B; ++b) {
+      ws.tokens[t * B + b] = t == 0 ? 0 : static_cast<std::size_t>(rollouts[b].actions[t - 1]) + 1;
+    }
   }
 
   const float inv_bt = 1.0f / static_cast<float>(B * T);
   PpoStats stats;
-  const std::vector<nn::ParamPtr> params = parameters();
 
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    for (const nn::ParamPtr& p : params) p->zero_grad();
-    lstm_.clear_cache();
+    for (const nn::ParamPtr& p : params_) p->zero_grad();
 
     // ---- forward over the batch of recorded action sequences ----
-    std::vector<Tensor> probs_t(T), h_t(T);
-    std::vector<std::vector<float>> value_t(T, std::vector<float>(B));
-    std::vector<std::vector<std::size_t>> token_t(T, std::vector<std::size_t>(B));
-    LstmState state = lstm_.initial_state(B);
+    lstm_.begin(ws.lstm, B, T);
+    for (std::size_t i = 0; i < T * B; ++i) {
+      std::copy_n(embed_->value.data() + ws.tokens[i] * E, E, ws.lstm.x.data() + i * E);
+    }
+    lstm_.forward(ws.lstm);
+    const float* h_all = ws.lstm.output(0);  // [T, B, H]
+    tensor::gemm_rows(h_all, wpi_->value.data(), ws.probs.data(), T * B, H, A);
     for (std::size_t t = 0; t < T; ++t) {
-      Tensor x({B, embed_dim_});
       for (std::size_t b = 0; b < B; ++b) {
-        const std::size_t token =
-            t == 0 ? 0 : static_cast<std::size_t>(rollouts[b].actions[t - 1]) + 1;
-        token_t[t][b] = token;
-        std::copy(embed_->value.data() + token * embed_dim_,
-                  embed_->value.data() + (token + 1) * embed_dim_, x.data() + b * embed_dim_);
+        policy_row(ws.probs.data() + (t * B + b) * A, arities_[t]);
+        ws.values[t * B + b] = head_value(h_all + (t * B + b) * H);
       }
-      state = lstm_.step(x, state);
-      h_t[t] = state.h;
-      head_logits(state.h, arities_[t], probs_t[t]);
-      for (std::size_t b = 0; b < B; ++b) value_t[t][b] = head_value(state.h, b);
     }
 
     // ---- loss gradients per step ----
     float policy_loss = 0.0f, value_loss = 0.0f, entropy = 0.0f, approx_kl = 0.0f;
-    std::vector<Tensor> dlogits_t(T);
-    std::vector<std::vector<float>> dvalue_t(T, std::vector<float>(B, 0.0f));
     for (std::size_t t = 0; t < T; ++t) {
-      dlogits_t[t] = Tensor({B, max_arity_});
       const std::size_t arity = arities_[t];
       for (std::size_t b = 0; b < B; ++b) {
-        const float* p = probs_t[t].data() + b * max_arity_;
-        float* dl = dlogits_t[t].data() + b * max_arity_;
+        const float* p = ws.probs.data() + (t * B + b) * A;
+        float* dl = ws.dlogits.data() + (t * B + b) * A;
         const std::size_t a = rollouts[b].actions[t];
         const float new_lp = std::log(std::max(p[a], 1e-12f));
         const float old_lp = rollouts[b].log_probs[t];
         const float ratio = std::exp(new_lp - old_lp);
-        const float A = adv[b * T + t];
-        const float unclipped = ratio * A;
-        const float clipped = std::clamp(ratio, 1.0f - cfg.clip, 1.0f + cfg.clip) * A;
+        const float A_bt = adv[b * T + t];
+        const float unclipped = ratio * A_bt;
+        const float clipped = std::clamp(ratio, 1.0f - cfg.clip, 1.0f + cfg.clip) * A_bt;
         policy_loss -= std::min(unclipped, clipped) * inv_bt;
         approx_kl += (old_lp - new_lp) * inv_bt;
         // Gradient flows through the ratio only when the unclipped branch is
         // the active min (the clipped branch is constant in theta outside
         // the trust region).
         const bool active = unclipped <= clipped;
-        const float coef = active ? -A * ratio * inv_bt : 0.0f;
-        // d(log pi(a))/d(logit_j) = 1[j==a] - p_j (masked columns have p=0).
+        const float coef = active ? -A_bt * ratio * inv_bt : 0.0f;
+        // d(log pi(a))/d(logit_j) = 1[j==a] - p_j; masked columns get 0.
         for (std::size_t j = 0; j < arity; ++j) dl[j] = coef * ((j == a ? 1.0f : 0.0f) - p[j]);
+        std::fill(dl + arity, dl + A, 0.0f);
 
         // Entropy bonus: loss -= c_e * H; dH/dlogit_j = -p_j (log p_j + H).
-        float H = 0.0f;
+        float Hb = 0.0f;
         for (std::size_t j = 0; j < arity; ++j) {
-          if (p[j] > 1e-12f) H -= p[j] * std::log(p[j]);
+          if (p[j] > 1e-12f) Hb -= p[j] * std::log(p[j]);
         }
-        entropy += H * inv_bt;
+        entropy += Hb * inv_bt;
         for (std::size_t j = 0; j < arity; ++j) {
           if (p[j] > 1e-12f) {
-            dl[j] += cfg.entropy_coef * inv_bt * (-p[j] * (std::log(p[j]) + H)) * -1.0f;
+            dl[j] += cfg.entropy_coef * inv_bt * (-p[j] * (std::log(p[j]) + Hb)) * -1.0f;
           }
         }
 
         // Value loss: 0.5 * c_v * (V - R)^2.
-        const float verr = value_t[t][b] - rewards[b];
+        const float verr = ws.values[t * B + b] - rewards[b];
         value_loss += 0.5f * cfg.value_coef * verr * verr * inv_bt;
-        dvalue_t[t][b] = cfg.value_coef * verr * inv_bt;
+        ws.dvalues[t * B + b] = cfg.value_coef * verr * inv_bt;
       }
     }
 
-    // ---- backward through heads and BPTT ----
-    Tensor dh_carry({B, hidden_});
-    Tensor dc_carry({B, hidden_});
+    // ---- backward through the heads ----
+    // None of this depends on the recurrence, so it runs once for all steps;
+    // every gradient element is still accumulated over t descending, then b
+    // ascending, the order BPTT visits them.
+    for (std::size_t a = 0; a < A; ++a) {
+      for (std::size_t j = 0; j < H; ++j) ws.wpi_t[a * H + j] = wpi_->value[j * A + a];
+    }
+    tensor::gemm_rows(ws.dlogits.data(), ws.wpi_t.data(), ws.dh_pi.data(), T * B, A, H);
+    tensor::accumulate_gemm_tn_steps(h_all, ws.dlogits.data(), wpi_->grad.data(), T, B, H, A);
+    float* bpi_grad = bpi_->grad.data();
+    float* wv_grad = wv_->grad.data();
     for (std::size_t t = T; t-- > 0;) {
-      // Heads: dlogits -> Wpi/bpi grads and dh; dvalue -> Wv/bv grads and dh.
-      Tensor dh = dh_carry;
-      Tensor dwpi({hidden_, max_arity_});
-      tensor::gemm_tn(h_t[t], dlogits_t[t], dwpi);
-      tensor::add_inplace(wpi_->grad, dwpi);
-      tensor::accumulate_col_sums(dlogits_t[t], bpi_->grad);
-      Tensor dh_pi({B, hidden_});
-      tensor::gemm_nt(dlogits_t[t], wpi_->value, dh_pi);
-      tensor::add_inplace(dh, dh_pi);
       for (std::size_t b = 0; b < B; ++b) {
-        const float dv = dvalue_t[t][b];
+        const float* dl = ws.dlogits.data() + (t * B + b) * A;
+        for (std::size_t j = 0; j < A; ++j) bpi_grad[j] += dl[j];
+        const float dv = ws.dvalues[t * B + b];
+        const float* h = h_all + (t * B + b) * H;
         bv_->grad[0] += dv;
-        for (std::size_t j = 0; j < hidden_; ++j) {
-          wv_->grad[j] += h_t[t](b, j) * dv;
-          dh(b, j) += wv_->value[j] * dv;
-        }
+        for (std::size_t j = 0; j < H; ++j) wv_grad[j] += h[j] * dv;
       }
-      Tensor dh_prev, dc_prev;
-      const Tensor dx = lstm_.backward_step(dh, dc_carry, dh_prev, dc_prev);
-      // Scatter embedding grads by the tokens fed at step t.
-      for (std::size_t b = 0; b < B; ++b) {
-        const std::size_t token = token_t[t][b];
-        for (std::size_t j = 0; j < embed_dim_; ++j) {
-          embed_->grad[token * embed_dim_ + j] += dx(b, j);
-        }
-      }
-      dh_carry = std::move(dh_prev);
-      dc_carry = std::move(dc_prev);
     }
 
-    adam_.step(params);
+    // ---- BPTT; each step adds its heads' dL/dh to the carried gradient ----
+    const float* wv = wv_->value.data();
+    lstm_.backward(ws.lstm, [&](std::size_t t, float* dh) {
+      for (std::size_t b = 0; b < B; ++b) {
+        const float dv = ws.dvalues[t * B + b];
+        const float* dh_pi = ws.dh_pi.data() + (t * B + b) * H;
+        float* dhb = dh + b * H;
+        for (std::size_t j = 0; j < H; ++j) dhb[j] = dhb[j] + dh_pi[j] + wv[j] * dv;
+      }
+    });
+    // Scatter embedding grads by the tokens fed at each step.
+    float* embed_grad = embed_->grad.data();
+    for (std::size_t t = T; t-- > 0;) {
+      for (std::size_t b = 0; b < B; ++b) {
+        const float* dx = ws.lstm.input_grad(t) + b * E;
+        float* row = embed_grad + ws.tokens[t * B + b] * E;
+        for (std::size_t j = 0; j < E; ++j) row[j] += dx[j];
+      }
+    }
+
+    adam_.step(params_);
     stats = {policy_loss, value_loss, entropy, approx_kl};
   }
   if (ppo_policy_loss_ != nullptr) {
@@ -321,32 +336,29 @@ PpoStats Controller::ppo_update(std::span<const Rollout> rollouts,
 
 std::size_t Controller::flat_size() const {
   std::size_t total = 0;
-  for (const nn::ParamPtr& p : parameters()) total += p->size();
+  for (const nn::ParamPtr& p : params_) total += p->size();
   return total;
 }
 
 std::vector<float> Controller::get_flat() const {
   std::vector<float> flat;
   flat.reserve(flat_size());
-  for (const nn::ParamPtr& p : parameters()) {
+  for (const nn::ParamPtr& p : params_) {
     flat.insert(flat.end(), p->value.flat().begin(), p->value.flat().end());
   }
   return flat;
 }
 
 void Controller::set_flat(std::span<const float> flat) {
-  std::size_t offset = 0;
-  for (const nn::ParamPtr& p : parameters()) {
-    if (offset + p->size() > flat.size()) {
-      throw std::invalid_argument("Controller::set_flat: vector too short");
-    }
-    std::copy(flat.begin() + static_cast<std::ptrdiff_t>(offset),
-              flat.begin() + static_cast<std::ptrdiff_t>(offset + p->size()),
-              p->value.flat().begin());
-    offset += p->size();
+  // Check before writing: a rejected vector leaves every parameter as it was.
+  if (flat.size() != flat_size()) {
+    throw std::invalid_argument("Controller::set_flat: vector of " + std::to_string(flat.size()) +
+                                " values for " + std::to_string(flat_size()) + " parameters");
   }
-  if (offset != flat.size()) {
-    throw std::invalid_argument("Controller::set_flat: vector size mismatch");
+  const float* src = flat.data();
+  for (const nn::ParamPtr& p : params_) {
+    std::copy_n(src, p->size(), p->value.data());
+    src += p->size();
   }
 }
 
@@ -355,19 +367,15 @@ Controller::State Controller::save_state() const {
 }
 
 void Controller::load_state(const State& state) {
+  if (state.flat.size() != flat_size()) {
+    throw std::invalid_argument("Controller::load_state: flat vector of " +
+                                std::to_string(state.flat.size()) + " values for " +
+                                std::to_string(flat_size()) + " parameters");
+  }
+  adam_.import_state(state.adam, params_);  // all or nothing
   set_flat(state.flat);
-  adam_.import_state(state.adam, parameters());
 }
 
-std::vector<nn::ParamPtr> Controller::parameters() const {
-  std::vector<nn::ParamPtr> out{embed_};
-  const auto lstm_params = lstm_.parameters();
-  out.insert(out.end(), lstm_params.begin(), lstm_params.end());
-  out.push_back(wpi_);
-  out.push_back(bpi_);
-  out.push_back(wv_);
-  out.push_back(bv_);
-  return out;
-}
+std::vector<nn::ParamPtr> Controller::parameters() const { return params_; }
 
 }  // namespace ncnas::rl

@@ -1,7 +1,9 @@
 #include "ncnas/tensor/ops.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "ncnas/obs/profiler.hpp"
@@ -135,7 +137,7 @@ constexpr std::size_t kElemGrain = 16384;
 std::size_t div_up(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 /// Runs fn(index) for each index in [0, n), on the pool when asked.
-void run_tasks(bool pooled, std::size_t n, const std::function<void(std::size_t)>& fn) {
+void run_tasks(bool pooled, std::size_t n, FunctionRef<void(std::size_t)> fn) {
   if (pooled && n > 1) {
     parallel_for(detail::kernel_pool(), n, fn);
   } else {
@@ -411,13 +413,165 @@ void gemm_tn_ref(const Tensor& a, const Tensor& b, Tensor& c) {
   gemm_tn_ref_impl(a.data(), b.data(), c.data(), d);
 }
 
+namespace {
+
+// Few-row kernels. The multiply-add is spelled out: madd is exactly what the
+// build makes of `c + a * b` in the reference loops — one fused rounding
+// where the target has FMA (-ffp-contract=fast contracts it there), two
+// roundings where it has none. Left to contraction, these register-blocked
+// loops are not safe: when the vectorizer groups lanes across rows it can
+// keep the multiply and the add apart, and the bits drift from the
+// reference (measured on an AVX-512 host).
+inline float madd(float a, float b, float c) {
+#ifdef __FP_FAST_FMAF
+  return std::fma(a, b, c);
+#else
+  return c + a * b;
+#endif
+}
+
+/// An R x W tile of c = a * b: every accumulator in registers for the whole
+/// k loop, one chain per element, k ascending from +0. R and W are
+/// compile-time constants for the same reason as in gemm_micro_step.
+template <std::size_t R, std::size_t W>
+void gemm_rows_tile(const float* a, const float* b, float* c, std::size_t k, std::size_t n,
+                    std::size_t j0) {
+  float acc[R][W] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* brow = b + kk * n + j0;
+    float v[R];
+    for (std::size_t r = 0; r < R; ++r) v[r] = a[r * k + kk];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t jj = 0; jj < W; ++jj) acc[r][jj] = madd(v[r], brow[jj], acc[r][jj]);
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) std::copy(acc[r], acc[r] + W, c + r * n + j0);
+}
+
+/// Calls fn(std::integral_constant<std::size_t, w>{}) for a runtime edge
+/// width w in [1, 8), so edge tiles too have a compile-time width and keep
+/// their accumulators in registers (a runtime-width tile measured ~4x
+/// slower).
+template <class Fn>
+void with_edge_width(std::size_t w, Fn&& fn) {
+  switch (w) {
+    case 1: fn(std::integral_constant<std::size_t, 1>{}); break;
+    case 2: fn(std::integral_constant<std::size_t, 2>{}); break;
+    case 3: fn(std::integral_constant<std::size_t, 3>{}); break;
+    case 4: fn(std::integral_constant<std::size_t, 4>{}); break;
+    case 5: fn(std::integral_constant<std::size_t, 5>{}); break;
+    case 6: fn(std::integral_constant<std::size_t, 6>{}); break;
+    case 7: fn(std::integral_constant<std::size_t, 7>{}); break;
+    default: break;
+  }
+}
+
+/// R rows: 32-wide tiles over all R rows at once, then the remaining
+/// columns one row at a time (narrow tiles blocked over rows vectorize
+/// across the rows and run several times slower).
+template <std::size_t R>
+void gemm_rows_block(const float* a, const float* b, float* c, std::size_t k, std::size_t n) {
+  std::size_t j0 = 0;
+  if constexpr (R == 1) {
+    // A single row has only its own chains to overlap: wider tiles keep more
+    // of them in flight.
+    for (; j0 + 64 <= n; j0 += 64) gemm_rows_tile<1, 64>(a, b, c, k, n, j0);
+  }
+  for (; j0 + 32 <= n; j0 += 32) gemm_rows_tile<R, 32>(a, b, c, k, n, j0);
+  for (std::size_t r = 0; r < R; ++r) {
+    const float* ar = a + r * k;
+    float* cr = c + r * n;
+    std::size_t j = j0;
+    if (j + 16 <= n) {
+      gemm_rows_tile<1, 16>(ar, b, cr, k, n, j);
+      j += 16;
+    }
+    if (j + 8 <= n) {
+      gemm_rows_tile<1, 8>(ar, b, cr, k, n, j);
+      j += 8;
+    }
+    with_edge_width(n - j, [&](auto w) { gemm_rows_tile<1, w()>(ar, b, cr, k, n, j); });
+  }
+}
+
+/// An R x W tile of accumulate_gemm_tn_steps: g is loaded once, each step's
+/// term is its own chain over k from +0, and g += term per step.
+template <std::size_t R, std::size_t W>
+void gemm_tn_steps_tile(const float* a, const float* b, float* g, std::size_t steps,
+                        std::size_t k, std::size_t m, std::size_t n, std::size_t i,
+                        std::size_t j0) {
+  float acc[R][W];
+  for (std::size_t r = 0; r < R; ++r) {
+    std::copy(g + (i + r) * n + j0, g + (i + r) * n + j0 + W, acc[r]);
+  }
+  for (std::size_t s = steps; s-- > 0;) {
+    const float* as = a + s * k * m + i;
+    const float* bs = b + s * k * n + j0;
+    float term[R][W] = {};
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float* brow = bs + kk * n;
+      float v[R];
+      for (std::size_t r = 0; r < R; ++r) v[r] = as[kk * m + r];
+      for (std::size_t r = 0; r < R; ++r) {
+        for (std::size_t jj = 0; jj < W; ++jj) term[r][jj] = madd(v[r], brow[jj], term[r][jj]);
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t jj = 0; jj < W; ++jj) acc[r][jj] += term[r][jj];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) std::copy(acc[r], acc[r] + W, g + (i + r) * n + j0);
+}
+
+/// Output rows [i, i + R) of accumulate_gemm_tn_steps, tiled like
+/// gemm_rows_block.
+template <std::size_t R>
+void gemm_tn_steps_block(const float* a, const float* b, float* g, std::size_t steps,
+                         std::size_t k, std::size_t m, std::size_t n, std::size_t i) {
+  std::size_t j0 = 0;
+  for (; j0 + 32 <= n; j0 += 32) gemm_tn_steps_tile<R, 32>(a, b, g, steps, k, m, n, i, j0);
+  for (std::size_t r = 0; r < R; ++r) {
+    std::size_t j = j0;
+    if (j + 16 <= n) {
+      gemm_tn_steps_tile<1, 16>(a, b, g, steps, k, m, n, i + r, j);
+      j += 16;
+    }
+    if (j + 8 <= n) {
+      gemm_tn_steps_tile<1, 8>(a, b, g, steps, k, m, n, i + r, j);
+      j += 8;
+    }
+    with_edge_width(n - j, [&](auto w) {
+      gemm_tn_steps_tile<1, w()>(a, b, g, steps, k, m, n, i + r, j);
+    });
+  }
+}
+
+}  // namespace
+
+void gemm_rows(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
+               std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) gemm_rows_block<4>(a + i * k, b, c + i * n, k, n);
+  for (; i < m; ++i) gemm_rows_block<1>(a + i * k, b, c + i * n, k, n);
+}
+
+void accumulate_gemm_tn_steps(const float* a, const float* b, float* g, std::size_t steps,
+                              std::size_t k, std::size_t m, std::size_t n) {
+  // Two rows per tile: each tile holds its sums and the current step's terms
+  // in registers, and four rows of both spill (measured 2-4x slower at the
+  // controller's batch sizes, 1 to 4).
+  std::size_t i = 0;
+  for (; i + 2 <= m; i += 2) gemm_tn_steps_block<2>(a, b, g, steps, k, m, n, i);
+  for (; i < m; ++i) gemm_tn_steps_block<1>(a, b, g, steps, k, m, n, i);
+}
+
 Tensor matmul(const Tensor& a, const Tensor& b) {
   Tensor c({a.dim(0), b.dim(1)});
   gemm(a, b, c);
   return c;
 }
 
-void parallel_elems(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
+void parallel_elems(std::size_t n, FunctionRef<void(std::size_t, std::size_t)> fn) {
   if (n == 0) return;
   const KernelConfig cfg = kernel_config();
   const std::size_t chunks = div_up(n, kElemGrain);
@@ -431,7 +585,7 @@ void parallel_elems(std::size_t n, const std::function<void(std::size_t, std::si
 }
 
 void parallel_rows(std::size_t rows, std::size_t cols,
-                   const std::function<void(std::size_t, std::size_t)>& fn) {
+                   FunctionRef<void(std::size_t, std::size_t)> fn) {
   if (rows == 0) return;
   const KernelConfig cfg = kernel_config();
   const std::size_t grain = std::max<std::size_t>(1, kElemGrain / std::max<std::size_t>(1, cols));

@@ -71,8 +71,9 @@ Tensor Tensor::reshaped(Shape new_shape) const {
 
 void Tensor::fill(float value) { std::ranges::fill(data_, value); }
 
-void Tensor::reset(Shape shape) {
-  const std::size_t n = numel(shape);
+void Tensor::reset(const std::size_t* dims, std::size_t rank) {
+  std::size_t n = rank == 0 ? 0 : 1;
+  for (std::size_t i = 0; i < rank; ++i) n *= dims[i];
   if (n > data_.capacity()) {
     // Growing: drop the old elements first so resize doesn't copy them into
     // the new buffer, and count the fresh allocation like the constructors.
@@ -82,13 +83,14 @@ void Tensor::reset(Shape shape) {
   } else {
     data_.resize(n);
   }
-  shape_ = std::move(shape);
+  if (dims != shape_.data()) shape_.assign(dims, dims + rank);
 }
 
-void Tensor::require_shape(const Shape& expected, const char* what) const {
-  if (shape_ != expected) {
-    throw std::invalid_argument(std::string(what) + ": expected shape " + to_string(expected) +
-                                ", got " + to_string(shape_));
+void Tensor::require_shape(const std::size_t* dims, std::size_t rank, const char* what) const {
+  if (!std::equal(shape_.begin(), shape_.end(), dims, dims + rank)) {
+    throw std::invalid_argument(std::string(what) + ": expected shape " +
+                                to_string(Shape(dims, dims + rank)) + ", got " +
+                                to_string(shape_));
   }
 }
 

@@ -148,6 +148,62 @@ TEST_F(KernelDiff, GemmTnMatchesReferenceBitwiseAcrossShapesAndThreads) {
   }
 }
 
+// --- few-row kernels on raw buffers vs the Tensor ops, exact ----------------
+
+/// The sweep, the controller's shapes (batch and batch*steps rows over the
+/// embedding, hidden, gate and arity widths), and a dense grid of small
+/// shapes: every width from 1 to 70 crosses each tile width and edge, where
+/// a kernel left to the compiler's contraction was seen to drift.
+std::vector<GemmShape> few_row_shapes() {
+  std::vector<GemmShape> shapes = sweep_shapes();
+  shapes.insert(shapes.end(), {{1, 16, 128}, {4, 32, 128}, {16, 128, 32}, {192, 128, 16},
+                               {12, 32, 7}, {48, 7, 32}, {3, 32, 48}, {5, 33, 49}});
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (const std::size_t k : {1u, 2u, 8u, 33u}) {
+      for (std::size_t n = 1; n <= 70; ++n) shapes.push_back({m, k, n});
+    }
+  }
+  return shapes;
+}
+
+TEST_F(KernelDiff, GemmRowsMatchesReferenceBitwise) {
+  for (const GemmShape& s : few_row_shapes()) {
+    const Tensor a = random_tensor({s.m, s.k}, rng_);
+    const Tensor b = random_tensor({s.k, s.n}, rng_);
+    Tensor want({s.m, s.n});
+    ncnas::tensor::gemm_ref(a, b, want);
+    Tensor got({s.m, s.n}, -123.75f);
+    ncnas::tensor::gemm_rows(a.data(), b.data(), got.data(), s.m, s.k, s.n);
+    EXPECT_TRUE(bytes_equal(want, got)) << "gemm_rows " << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+TEST_F(KernelDiff, AccumulateGemmTnStepsMatchesPerStepReference) {
+  for (const std::size_t steps : {1u, 3u, 12u}) {
+    for (const GemmShape& s : few_row_shapes()) {
+      // Step s reads a_s(k, m) and b_s(k, n), stored back to back.
+      const Tensor a = random_tensor({steps * s.k, s.m}, rng_);
+      const Tensor b = random_tensor({steps * s.k, s.n}, rng_);
+      const Tensor g0 = random_tensor({s.m, s.n}, rng_);
+      Tensor want = g0;
+      for (std::size_t t = steps; t-- > 0;) {
+        const Tensor at({s.k, s.m}, std::vector<float>(a.data() + t * s.k * s.m,
+                                                       a.data() + (t + 1) * s.k * s.m));
+        const Tensor bt({s.k, s.n}, std::vector<float>(b.data() + t * s.k * s.n,
+                                                       b.data() + (t + 1) * s.k * s.n));
+        Tensor term({s.m, s.n});
+        ncnas::tensor::gemm_tn_ref(at, bt, term);
+        ncnas::tensor::add_inplace(want, term);
+      }
+      Tensor got = g0;
+      ncnas::tensor::accumulate_gemm_tn_steps(a.data(), b.data(), got.data(), steps, s.k, s.m,
+                                              s.n);
+      EXPECT_TRUE(bytes_equal(want, got))
+          << "steps=" << steps << " " << s.m << "x" << s.k << "x" << s.n;
+    }
+  }
+}
+
 TEST_F(KernelDiff, BlockGeometryNeverChangesBits) {
   const Tensor a = random_tensor({37, 23}, rng_);
   const Tensor b = random_tensor({23, 41}, rng_);

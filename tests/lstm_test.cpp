@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gradcheck.hpp"
 #include "ncnas/nn/lstm.hpp"
 #include "ncnas/tensor/ops.hpp"
@@ -24,41 +27,75 @@ Tensor random_tensor(tensor::Shape shape, Rng& rng) {
   return t;
 }
 
+/// Copies step inputs xs[t] ([batch, in] each) into the workspace.
+void feed(LstmWorkspace& ws, const std::vector<Tensor>& xs) {
+  for (std::size_t t = 0; t < xs.size(); ++t) std::copy_n(xs[t].data(), xs[t].size(), ws.input(t));
+}
+
+/// Step t's output as a [batch, hidden] tensor.
+Tensor output(const LstmWorkspace& ws, std::size_t t) {
+  const float* h = ws.output(t);
+  return {{ws.batch, ws.hidden_dim}, std::vector<float>(h, h + ws.batch * ws.hidden_dim)};
+}
+
 TEST_P(Lstm, ShapesAndInitialState) {
   Rng rng(1);
   LstmCell cell(3, 5, rng);
   EXPECT_EQ(cell.input_dim(), 3u);
   EXPECT_EQ(cell.hidden_dim(), 5u);
-  const LstmState s0 = cell.initial_state(2);
-  EXPECT_EQ(s0.h.shape(), tensor::Shape({2, 5}));
-  for (float v : s0.h.flat()) EXPECT_EQ(v, 0.0f);
+  LstmWorkspace ws;
+  cell.begin(ws, 2, 4);
+  EXPECT_EQ(ws.batch, 2u);
+  EXPECT_EQ(ws.steps, 4u);
+  EXPECT_EQ(ws.input_dim, 3u);
+  EXPECT_EQ(ws.hidden_dim, 5u);
+  ASSERT_GE(ws.h.size(), 5u * 2 * 5);
+  ASSERT_GE(ws.c.size(), 5u * 2 * 5);
+  // The initial state h[0], c[0] is zero for every row.
+  for (std::size_t i = 0; i < 2 * 5; ++i) {
+    EXPECT_EQ(ws.h[i], 0.0f);
+    EXPECT_EQ(ws.c[i], 0.0f);
+  }
 }
 
+// Training runs the whole sequence with forward(); sampling decodes one step
+// at a time with forward_step() and takes no gradient. Both must record the
+// same bits.
 TEST_P(Lstm, StepAndNogradAgree) {
   Rng rng(2);
   LstmCell cell(3, 4, rng);
-  const Tensor x = random_tensor({2, 3}, rng);
-  const LstmState s0 = cell.initial_state(2);
-  const LstmState a = cell.step(x, s0);
-  const LstmState b = cell.step_nograd(x, s0);
-  EXPECT_LT(tensor::max_abs_diff(a.h, b.h), 1e-6f);
-  EXPECT_LT(tensor::max_abs_diff(a.c, b.c), 1e-6f);
-  EXPECT_EQ(cell.cached_steps(), 1u);
-  cell.clear_cache();
-  EXPECT_EQ(cell.cached_steps(), 0u);
+  std::vector<Tensor> xs;
+  for (int t = 0; t < 5; ++t) xs.push_back(random_tensor({2, 3}, rng));
+  LstmWorkspace whole, stepped;
+  cell.begin(whole, 2, xs.size());
+  feed(whole, xs);
+  cell.forward(whole);
+  cell.begin(stepped, 2, xs.size());
+  for (std::size_t t = 0; t < xs.size(); ++t) {
+    std::copy_n(xs[t].data(), xs[t].size(), stepped.input(t));
+    cell.forward_step(stepped, t);
+  }
+  const std::size_t n = (xs.size() + 1) * 2 * 4;
+  EXPECT_TRUE(std::equal(whole.h.begin(), whole.h.begin() + n, stepped.h.begin()));
+  EXPECT_TRUE(std::equal(whole.c.begin(), whole.c.begin() + n, stepped.c.begin()));
+  // Steps must run in order.
+  cell.begin(stepped, 2, xs.size());
+  EXPECT_THROW(cell.forward_step(stepped, 1), std::logic_error);
 }
 
 TEST_P(Lstm, HiddenStateBounded) {
   // h = o * tanh(c) is bounded by (-1, 1).
   Rng rng(3);
   LstmCell cell(2, 6, rng);
-  LstmState s = cell.initial_state(1);
-  for (int t = 0; t < 20; ++t) {
+  LstmWorkspace ws;
+  cell.begin(ws, 1, 20);
+  for (std::size_t t = 0; t < 20; ++t) {
     const Tensor x = random_tensor({1, 2}, rng);
-    s = cell.step_nograd(x, s);
-    for (float v : s.h.flat()) {
-      EXPECT_GT(v, -1.0f);
-      EXPECT_LT(v, 1.0f);
+    std::copy_n(x.data(), x.size(), ws.input(t));
+    cell.forward_step(ws, t);
+    for (std::size_t j = 0; j < 6; ++j) {
+      EXPECT_GT(ws.output(t)[j], -1.0f);
+      EXPECT_LT(ws.output(t)[j], 1.0f);
     }
   }
 }
@@ -71,25 +108,23 @@ TEST_P(Lstm, BpttGradcheckThreeSteps) {
 
   // Loss: probe over the final hidden state.
   const auto loss_fn = [&] {
-    LstmState s = cell.initial_state(2);
-    for (const Tensor& x : xs) s = cell.step_nograd(x, s);
-    return probe_loss(s.h);
+    LstmWorkspace eval;
+    cell.begin(eval, 2, xs.size());
+    feed(eval, xs);
+    cell.forward(eval);
+    return probe_loss(output(eval, xs.size() - 1));
   };
 
-  cell.clear_cache();
-  LstmState s = cell.initial_state(2);
-  for (const Tensor& x : xs) s = cell.step(x, s);
+  LstmWorkspace ws;
+  cell.begin(ws, 2, xs.size());
+  feed(ws, xs);
+  cell.forward(ws);
   for (const ParamPtr& p : cell.parameters()) p->zero_grad();
-
-  Tensor dh = probe_grad(s.h);
-  Tensor dc({2, 3});
-  std::vector<Tensor> dxs(3);
-  for (std::size_t t = 3; t-- > 0;) {
-    Tensor dh_prev, dc_prev;
-    dxs[t] = cell.backward_step(dh, dc, dh_prev, dc_prev);
-    dh = std::move(dh_prev);
-    dc = std::move(dc_prev);
-  }
+  const Tensor dh_last = probe_grad(output(ws, xs.size() - 1));
+  cell.backward(ws, [&](std::size_t t, float* dh) {
+    if (t + 1 != xs.size()) return;
+    for (std::size_t i = 0; i < dh_last.size(); ++i) dh[i] += dh_last[i];
+  });
 
   // Parameter gradients vs finite differences.
   for (const ParamPtr& p : cell.parameters()) {
@@ -102,16 +137,23 @@ TEST_P(Lstm, BpttGradcheckThreeSteps) {
   for (std::size_t t = 0; t < 3; ++t) {
     for (std::size_t i = 0; i < xs[t].size(); ++i) {
       const float num = numeric_derivative(xs[t][i], loss_fn);
-      EXPECT_LT(rel_err(dxs[t][i], num), 3e-2f) << "x[" << t << "] slot " << i;
+      EXPECT_LT(rel_err(ws.input_grad(t)[i], num), 3e-2f) << "x[" << t << "] slot " << i;
     }
   }
 }
 
+// backward() needs every step of the sequence recorded by a forward pass.
 TEST_P(Lstm, BackwardWithoutCacheThrows) {
   Rng rng(5);
   LstmCell cell(2, 3, rng);
-  Tensor dh({1, 3}), dc({1, 3}), dh_prev, dc_prev;
-  EXPECT_THROW((void)cell.backward_step(dh, dc, dh_prev, dc_prev), std::logic_error);
+  LstmWorkspace ws;
+  const auto no_head = [](std::size_t, float*) {};
+  EXPECT_THROW(cell.backward(ws, no_head), std::logic_error);
+  cell.begin(ws, 1, 2);
+  EXPECT_THROW(cell.backward(ws, no_head), std::logic_error);
+  std::fill_n(ws.input(0), 2, 0.5f);
+  cell.forward_step(ws, 0);
+  EXPECT_THROW(cell.backward(ws, no_head), std::logic_error);
 }
 
 TEST_P(Lstm, ForgetGateBiasInitializedToOne) {

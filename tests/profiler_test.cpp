@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -9,8 +11,26 @@
 #include "json_check.hpp"
 #include "ncnas/obs/profiler.hpp"
 #include "ncnas/obs/telemetry.hpp"
+#include "ncnas/rl/controller.hpp"
+#include "ncnas/space/spaces.hpp"
 #include "ncnas/tensor/ops.hpp"
 #include "ncnas/tensor/tensor.hpp"
+
+// Counts this thread's operator-new calls while g_count_news is set: the
+// profiler only sees allocations the library reports (Tensor buffers, arena
+// and workspace growth), this sees every heap allocation.
+namespace {
+thread_local bool g_count_news = false;
+thread_local std::size_t g_news = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_news) ++g_news;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ncnas::obs {
 namespace {
@@ -251,6 +271,57 @@ TEST(Profiler, ExportTextRendersTreeAndFlatTable) {
   EXPECT_NE(text.find("outer"), std::string::npos);
   EXPECT_NE(text.find("  inner"), std::string::npos);
   EXPECT_NE(text.find("flat (by self time)"), std::string::npos);
+}
+
+/// Heap allocations (operator new calls) made by fn on this thread.
+template <class Fn>
+std::size_t news_during(Fn&& fn) {
+  g_news = 0;
+  g_count_news = true;
+  fn();
+  g_count_news = false;
+  return g_news;
+}
+
+// Once its workspace is sized, the controller allocates nothing but what it
+// returns: ppo_update() nothing at all, sample() the returned Rollout's three
+// vectors.
+TEST(Profiler, ControllerAllocatesNothingAtSteadyState) {
+  constexpr std::size_t kBatch = 4;
+  rl::Controller ctrl(space::nt3_small_space().arities(), 3);
+  tensor::Rng rng(1);
+  std::vector<rl::Rollout> rolls;
+  rolls.reserve(kBatch);
+  const std::vector<float> rewards{0.1f, 0.7f, 0.4f, 0.9f};
+  Profiler prof;
+  const ProfilerInstallGuard guard(&prof);
+  const auto cycle = [&](std::size_t& sample_news, std::size_t& update_news) {
+    rolls.clear();
+    sample_news = update_news = 0;
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      rl::Rollout roll;
+      sample_news += news_during([&] { roll = ctrl.sample(rng); });
+      rolls.push_back(std::move(roll));
+    }
+    update_news = news_during([&] { (void)ctrl.ppo_update(rolls, rewards, {}); });
+  };
+  std::size_t sample_news = 0, update_news = 0;
+  cycle(sample_news, update_news);  // sizes the workspace
+  const auto allocs = [&](const char* name) {
+    const std::vector<FlatProfileEntry> flat = prof.snapshot().flat();
+    const FlatProfileEntry* e = find_entry(flat, name);
+    return e == nullptr ? std::uint64_t{0} : e->alloc_count;
+  };
+  const std::uint64_t sample_before = allocs("rl/sample");
+  const std::uint64_t update_before = allocs("rl/ppo_update");
+  EXPECT_GT(update_before, 0u);  // the first update grew the workspace
+  for (int round = 0; round < 3; ++round) {
+    cycle(sample_news, update_news);
+    EXPECT_EQ(sample_news, 3 * kBatch) << "round " << round;
+    EXPECT_EQ(update_news, 0u) << "round " << round;
+  }
+  EXPECT_EQ(allocs("rl/sample"), sample_before);
+  EXPECT_EQ(allocs("rl/ppo_update"), update_before);
 }
 
 TEST(Telemetry, EnableProfilerIsIdempotentAndFeedsSnapshot) {

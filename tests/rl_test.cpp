@@ -140,5 +140,68 @@ TEST(Controller, ValueHeadLearnsConstantReward) {
   EXPECT_NEAR(roll.values[0], 0.7f, 0.15f);
 }
 
+void expect_same_adam(const nn::Adam::State& a, const nn::Adam::State& b) {
+  EXPECT_EQ(a.step_count, b.step_count);
+  ASSERT_EQ(a.entries.size(), b.entries.size());
+  for (std::size_t e = 0; e < a.entries.size(); ++e) {
+    EXPECT_EQ(a.entries[e].key, b.entries[e].key);
+    EXPECT_EQ(a.entries[e].m, b.entries[e].m) << a.entries[e].key;
+    EXPECT_EQ(a.entries[e].v, b.entries[e].v) << a.entries[e].key;
+  }
+}
+
+TEST(Controller, RejectedSetFlatOrLoadStateLeavesControllerUnchanged) {
+  Controller ctrl({3, 4}, 5);
+  Rng rng(2);
+  const std::vector<Rollout> rolls{ctrl.sample(rng), ctrl.sample(rng)};
+  const std::vector<float> rewards{0.2f, 0.9f};
+  (void)ctrl.ppo_update(rolls, rewards, {});
+  const Controller::State before = ctrl.save_state();
+  const std::vector<float>& flat = before.flat;
+
+  const auto expect_unchanged = [&] {
+    EXPECT_EQ(ctrl.get_flat(), flat);
+    expect_same_adam(ctrl.save_state().adam, before.adam);
+  };
+  // A too-long vector would fill every parameter before the size check; a
+  // too-short one a prefix.
+  EXPECT_THROW(ctrl.set_flat(std::vector<float>(flat.size() + 3, 9.0f)), std::invalid_argument);
+  expect_unchanged();
+  EXPECT_THROW(ctrl.set_flat(std::vector<float>(flat.size() - 1, 9.0f)), std::invalid_argument);
+  expect_unchanged();
+
+  // New parameters with moments that do not fit: nothing is replaced.
+  Controller::State bad = before;
+  bad.flat.assign(flat.size(), 7.0f);
+  bad.adam.step_count = 99;
+  bad.adam.entries.back().m.pop_back();
+  EXPECT_THROW(ctrl.load_state(bad), std::invalid_argument);
+  expect_unchanged();
+  // Well-formed moments that attach to a parameter of another size.
+  bad = before;
+  bad.flat.assign(flat.size(), 7.0f);
+  for (nn::Adam::MomentEntry& e : bad.adam.entries) {
+    if (e.key != "ctrl.bv") continue;
+    e.shape = {2};
+    e.m.assign(2, 1.0f);
+    e.v.assign(2, 1.0f);
+  }
+  EXPECT_THROW(ctrl.load_state(bad), std::invalid_argument);
+  expect_unchanged();
+  // A flat vector of the wrong size with valid moments.
+  bad = before;
+  bad.flat.push_back(1.0f);
+  bad.adam.step_count = 99;
+  EXPECT_THROW(ctrl.load_state(bad), std::invalid_argument);
+  expect_unchanged();
+
+  // The same states, corrected, load.
+  bad = before;
+  bad.flat.assign(flat.size(), 7.0f);
+  ctrl.load_state(bad);
+  EXPECT_EQ(ctrl.get_flat(), bad.flat);
+  expect_same_adam(ctrl.save_state().adam, before.adam);
+}
+
 }  // namespace
 }  // namespace ncnas::rl

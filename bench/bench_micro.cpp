@@ -55,9 +55,11 @@ void BM_Conv1dForward(benchmark::State& state) {
   tensor::Tensor x({16, 256, 1});
   for (float& v : x.flat()) v = static_cast<float>(rng.normal());
   const tensor::Tensor* in[] = {&x};
+  tensor::Tensor y;
   nn::ForwardCtx ctx{};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.forward(in, ctx));
+    benchmark::DoNotOptimize(conv.forward(in, y, ctx).data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Conv1dForward);

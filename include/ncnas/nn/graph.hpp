@@ -3,12 +3,24 @@
 // Nodes are appended in topological order (every node's inputs must already
 // exist), which matches how the search-space builder lowers an architecture:
 // input layers first, then cells in order, then the final output rule.
-// forward() caches per-node outputs; backward() walks the list in reverse and
-// accumulates gradients into shared Parameters, so mirrored layers receive
-// the sum of both branches' gradients — exactly the weight-sharing semantics
-// of the paper's Combo drug-descriptor submodel.
+// backward() walks the list in reverse and accumulates gradients into shared
+// Parameters, so mirrored layers receive the sum of both branches' gradients
+// — exactly the weight-sharing semantics of the paper's Combo drug-descriptor
+// submodel.
+//
+// Buffer plan. The first forward() after the graph changes walks the nodes
+// once and records, per node, its input pointer list, whether it needs a
+// gradient (it has parameters or an ancestor that has), whether backward
+// reaches it from the output, and the order in which gradient contributions
+// reach each node. Every node owns an output slot and a gradient slot that
+// only grow; layers write into them and keep const pointers to their inputs
+// instead of copies. A layer whose output is its input unchanged (Identity,
+// Dropout outside training) aliases its input's slot, and when its gradient
+// is the first to reach that input it accumulates straight into the input's
+// gradient slot. At steady state forward() and backward() allocate nothing.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,21 +45,32 @@ class Graph {
   [[nodiscard]] std::size_t input_count() const noexcept { return input_ids_.size(); }
   [[nodiscard]] std::size_t output_id() const noexcept { return output_id_; }
   [[nodiscard]] const Layer& layer(std::size_t node_id) const { return *nodes_.at(node_id).layer; }
+  /// Ids of the nodes feeding `node_id`, in input order.
+  [[nodiscard]] std::span<const std::size_t> node_inputs(std::size_t node_id) const {
+    return nodes_.at(node_id).inputs;
+  }
 
   /// Per-sample output shape of the full model. Runs shape inference; throws
   /// if any layer rejects its inputs. Cheap — no tensors are allocated.
   [[nodiscard]] FeatShape output_shape() const;
 
   /// Runs the model on a batch. `inputs[i]` feeds the i-th declared input and
-  /// must carry the batch dimension first. Returns the output node's tensor.
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor> inputs, ForwardCtx& ctx);
+  /// must carry the batch dimension first; the graph copies it into the
+  /// input's slot, so it need not outlive the call. Returns the output node's
+  /// slot, valid until the next forward() or change to the graph.
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor> inputs,
+                                              ForwardCtx& ctx);
 
-  /// Backpropagates dL/d(output); must follow a forward() call. Parameter
-  /// gradients are accumulated (call zero_grad() between steps).
+  /// Backpropagates dL/d(output), which must have the output's shape.
+  /// Parameter gradients are accumulated (call zero_grad() between steps).
+  /// Throws std::logic_error unless a forward() completed since the graph
+  /// last changed.
   void backward(const tensor::Tensor& grad_output);
 
   /// All trainable parameters, de-duplicated (shared weights appear once).
-  [[nodiscard]] std::vector<ParamPtr> parameters() const;
+  /// Cached by the first completed forward(), which materializes every lazy
+  /// layer; before that, collected afresh on each call.
+  [[nodiscard]] const std::vector<ParamPtr>& parameters() const;
 
   /// Number of trainable scalars — the paper's "trainable parameters" metric.
   /// NOTE: lazy layers materialize weights on first forward; call after one
@@ -63,16 +86,41 @@ class Graph {
   struct Node {
     LayerPtr layer;
     std::vector<std::size_t> inputs;
-    std::vector<std::size_t> consumers;
-    tensor::Tensor output;     // cached from the last forward
-    tensor::Tensor grad;       // accumulated during backward
-    int pending_consumers = 0; // countdown used by backward()
+    tensor::Tensor output;  // slot the layer writes its output into
+    tensor::Tensor grad;    // slot dL/d(output) accumulates in
   };
+
+  /// Everything forward()/backward() would otherwise recompute per step.
+  /// Per-edge vectors are indexed by edge_begin[i] + j for input j of node i
+  /// (an Input node has one edge: the fed tensor).
+  struct Plan {
+    bool ready = false;
+    std::vector<std::size_t> feed;              // per node: fed-input position, or npos
+    std::vector<std::size_t> edge_begin;        // per node, plus one past the end
+    std::vector<const tensor::Tensor*> in;      // per edge: the input tensor
+    std::vector<char> first;                    // per edge: first gradient to reach its source
+    std::vector<const tensor::Tensor*> out;     // per node: own slot, or an aliased input
+    std::vector<tensor::Tensor*> grad;          // per node: where its gradient accumulates
+    std::vector<char> needs_grad;               // per node
+    std::vector<std::size_t> backward_order;    // live nodes needing a gradient, descending
+    std::vector<std::string> op_names;          // per node: "op/<kind>" profiler scope
+    std::vector<tensor::Tensor*> dx;            // per input of one node: backward targets
+    std::vector<tensor::Tensor> scratch;        // per input of one node: later contributions
+  };
+
+  void invalidate() noexcept;
+  void begin_plan();
+  void finish_plan();
+  void collect_params() const;
 
   std::vector<Node> nodes_;
   std::vector<std::size_t> input_ids_;
   std::size_t output_id_ = 0;
-  bool has_output_ = false;
+  Plan plan_;
+  bool forwarded_ = false;  // a forward() completed since the graph last changed
+  // Not thread-safe, like forward(): parameters() refills it until the plan
+  // is ready.
+  mutable std::vector<ParamPtr> params_;
 };
 
 }  // namespace ncnas::nn

@@ -2,9 +2,10 @@
 //
 // A Layer is a node in a computation graph: it may take several input tensors
 // (Concat / Add combine branches) and produces exactly one output tensor.
-// Layers cache whatever they need during forward() so that backward() can be
-// called immediately afterwards — graphs are trained sample-batch at a time,
-// never re-entered concurrently.
+// Layers never own their activations: forward() writes into an output buffer
+// the caller owns (nn::Graph's per-node slot), and the layer keeps const
+// pointers to its inputs and its output for backward() instead of copies.
+// Graphs are trained sample-batch at a time, never re-entered concurrently.
 #pragma once
 
 #include <memory>
@@ -40,12 +41,20 @@ class Layer {
   [[nodiscard]] virtual FeatShape output_shape(std::span<const FeatShape> in) const = 0;
 
   /// Forward pass over a batch. Each input has the batch dimension first.
-  [[nodiscard]] virtual tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                               ForwardCtx& ctx) = 0;
+  /// Writes the output into `out` (sized by the layer; its capacity is
+  /// reused) and returns it, or returns `*inputs[0]` itself when the output
+  /// is that input unchanged (Identity; Dropout outside training). The layer
+  /// keeps pointers to `inputs` and to the returned tensor: they must stay
+  /// alive and unchanged until the matching backward() returns.
+  [[nodiscard]] virtual const tensor::Tensor& forward(
+      std::span<const tensor::Tensor* const> inputs, tensor::Tensor& out, ForwardCtx& ctx) = 0;
 
-  /// Backward pass; returns gradient w.r.t. each input, in input order.
-  /// Parameter gradients are *accumulated* into Parameter::grad.
-  [[nodiscard]] virtual std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) = 0;
+  /// Backward pass for the last forward(). `grad` is dL/d(output); the layer
+  /// may overwrite it (Dense turns it into dL/dz in place). Writes dL/d(input
+  /// j) into `*dx[j]`, resized by the layer, and skips null entries: inputs
+  /// nobody needs a gradient for. Parameter gradients are *accumulated* into
+  /// Parameter::grad.
+  virtual void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) = 0;
 
   /// Trainable parameters (possibly shared with other layers). Default: none.
   [[nodiscard]] virtual std::vector<ParamPtr> parameters() const { return {}; }

@@ -9,6 +9,11 @@
 //   Concat / Add            - branch combiners (cell output rules)
 //   Identity                - the no-op option present in every node
 //   Input                   - named graph entry point
+//
+// Identity, and Dropout outside training, return their input from forward()
+// (nn::Graph aliases their slot to it); every other layer writes its own
+// slot. Flatten and Reshape1D copy: a Tensor owns its buffer, so one buffer
+// cannot carry two shapes.
 #pragma once
 
 #include <optional>
@@ -23,12 +28,8 @@ enum class Act { kLinear, kRelu, kTanh, kSigmoid, kSoftmax };
 
 /// Applies the activation elementwise (softmax: per row). Returns activated y.
 [[nodiscard]] tensor::Tensor apply_act(Act a, const tensor::Tensor& z);
-/// dL/dz given dL/dy plus the cached activated output y.
-[[nodiscard]] tensor::Tensor act_backward(Act a, const tensor::Tensor& grad_y,
-                                          const tensor::Tensor& y);
 
-/// In-place variants — the layers' hot paths use these on reusable scratch
-/// tensors so forward/backward allocate nothing in steady state.
+/// In-place variants, which the layers run on their graph-owned slots.
 /// Turns logits z into activations in place.
 void apply_act_inplace(Act a, tensor::Tensor& y);
 /// Turns dL/dy into dL/dz in place, given the cached activated output y.
@@ -43,9 +44,9 @@ class Input final : public Layer {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const FeatShape& feat_shape() const noexcept { return shape_; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
   [[nodiscard]] std::string describe() const override;
 
  private:
@@ -57,9 +58,9 @@ class Identity final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "identity"; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
 };
 
 /// Tag selecting the weight-sharing (MirrorNode) copy constructors.
@@ -78,9 +79,9 @@ class Dense final : public Layer {
   [[nodiscard]] std::size_t units() const noexcept { return units_; }
   [[nodiscard]] Act activation() const noexcept { return act_; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
   [[nodiscard]] std::vector<ParamPtr> parameters() const override;
   [[nodiscard]] std::string describe() const override;
 
@@ -99,11 +100,10 @@ class Dense final : public Layer {
   Act act_;
   std::uint64_t init_seed_;    // drawn at construction; lazy init owns its rng
   std::shared_ptr<Slot> slot_;
-  bool shared_ = false;        // true when mirroring another Dense's params
-  tensor::Tensor x_;           // cached input
-  tensor::Tensor y_;           // cached activated output
-  tensor::Tensor gz_;          // backward scratch: dL/dz (capacity reused)
-  tensor::Tensor dw_;          // backward scratch: this step's dW
+  bool shared_ = false;             // true when mirroring another Dense's params
+  const tensor::Tensor* x_ = nullptr;  // input of the last forward
+  const tensor::Tensor* y_ = nullptr;  // activated output of the last forward
+  tensor::Tensor dw_;               // backward scratch: this step's dW
 };
 
 class Activation final : public Layer {
@@ -112,14 +112,14 @@ class Activation final : public Layer {
   [[nodiscard]] std::string kind() const override { return "activation"; }
   [[nodiscard]] Act activation() const noexcept { return act_; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
   [[nodiscard]] std::string describe() const override;
 
  private:
   Act act_;
-  tensor::Tensor y_;
+  const tensor::Tensor* y_ = nullptr;  // output of the last forward
 };
 
 class Dropout final : public Layer {
@@ -128,9 +128,9 @@ class Dropout final : public Layer {
   [[nodiscard]] std::string kind() const override { return "dropout"; }
   [[nodiscard]] float rate() const noexcept { return rate_; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
   [[nodiscard]] std::string describe() const override;
 
  private:
@@ -149,9 +149,9 @@ class Conv1D final : public Layer {
   [[nodiscard]] std::size_t filters() const noexcept { return filters_; }
   [[nodiscard]] std::size_t kernel() const noexcept { return kernel_; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
   [[nodiscard]] std::vector<ParamPtr> parameters() const override;
   [[nodiscard]] std::string describe() const override;
 
@@ -168,7 +168,7 @@ class Conv1D final : public Layer {
   std::uint64_t init_seed_;
   std::shared_ptr<Slot> slot_;
   bool shared_ = false;
-  tensor::Tensor x_;
+  const tensor::Tensor* x_ = nullptr;  // input of the last forward
 };
 
 /// Max pooling over [batch, length, channels]; window == stride == `size`,
@@ -180,9 +180,9 @@ class MaxPool1D final : public Layer {
   [[nodiscard]] std::string kind() const override { return "maxpool1d"; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
   [[nodiscard]] std::string describe() const override;
 
  private:
@@ -196,9 +196,9 @@ class Flatten final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "flatten"; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
 
  private:
   tensor::Shape in_shape_;
@@ -209,9 +209,9 @@ class Reshape1D final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "reshape1d"; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
 
  private:
   tensor::Shape in_shape_;
@@ -222,9 +222,9 @@ class Concat final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "concat"; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
 
  private:
   std::vector<std::size_t> widths_;
@@ -238,9 +238,9 @@ class Add final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "add"; }
   [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
-  [[nodiscard]] tensor::Tensor forward(std::span<const tensor::Tensor* const> inputs,
-                                       ForwardCtx& ctx) override;
-  [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
+  [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
+                                              tensor::Tensor& out, ForwardCtx& ctx) override;
+  void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
 
  private:
   std::vector<std::size_t> widths_;

@@ -39,10 +39,16 @@ struct TrainResult {
 /// Extracts rows [begin, end) from a rank-2 tensor.
 [[nodiscard]] tensor::Tensor slice_rows(const tensor::Tensor& t, std::size_t begin,
                                         std::size_t end);
+/// slice_rows into `out`, reusing its capacity.
+void slice_rows_into(const tensor::Tensor& t, std::size_t begin, std::size_t end,
+                     tensor::Tensor& out);
 
 /// Extracts the listed rows from a rank-2 tensor (gather).
 [[nodiscard]] tensor::Tensor gather_rows(const tensor::Tensor& t,
                                          std::span<const std::size_t> rows);
+/// gather_rows into `out`, reusing its capacity.
+void gather_rows_into(const tensor::Tensor& t, std::span<const std::size_t> rows,
+                      tensor::Tensor& out);
 
 /// Trains `model` on (inputs, target); `inputs[i]` is the full data matrix for
 /// the model's i-th declared input, all with the same row count as `target`.

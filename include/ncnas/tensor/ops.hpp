@@ -70,6 +70,10 @@ void gemm_tn_ref(const Tensor& a, const Tensor& b, Tensor& c);
 /// y += x (same shape).
 void add_inplace(Tensor& y, const Tensor& x);
 
+/// dst = src, reusing dst's capacity; a growth counts as a profiler
+/// allocation, like Tensor::reset().
+void copy_into(const Tensor& src, Tensor& dst);
+
 /// y += alpha * x (same shape). The axpy of reference BLAS.
 void axpy(float alpha, const Tensor& x, Tensor& y);
 

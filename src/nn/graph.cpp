@@ -11,6 +11,10 @@ namespace ncnas::nn {
 
 using tensor::Tensor;
 
+namespace {
+constexpr std::size_t npos = static_cast<std::size_t>(-1);
+}  // namespace
+
 std::size_t Graph::add_input(std::string name, FeatShape shape) {
   const std::size_t id = nodes_.size();
   Node node;
@@ -18,6 +22,7 @@ std::size_t Graph::add_input(std::string name, FeatShape shape) {
   nodes_.push_back(std::move(node));
   input_ids_.push_back(id);
   output_id_ = id;
+  invalidate();
   return id;
 }
 
@@ -30,19 +35,26 @@ std::size_t Graph::add(LayerPtr layer, std::vector<std::size_t> inputs) {
                                   " is not an existing node (topological order required)");
     }
   }
-  for (std::size_t in : inputs) nodes_[in].consumers.push_back(id);
   Node node;
   node.layer = std::move(layer);
   node.inputs = std::move(inputs);
   nodes_.push_back(std::move(node));
   output_id_ = id;
+  invalidate();
   return id;
 }
 
 void Graph::set_output(std::size_t node_id) {
   if (node_id >= nodes_.size()) throw std::invalid_argument("Graph::set_output: bad node id");
   output_id_ = node_id;
-  has_output_ = true;
+  invalidate();
+}
+
+void Graph::invalidate() noexcept {
+  // Adding a node may move every slot, so no pointer the layers or the plan
+  // hold survives a change.
+  plan_.ready = false;
+  forwarded_ = false;
 }
 
 FeatShape Graph::output_shape() const {
@@ -57,95 +69,169 @@ FeatShape Graph::output_shape() const {
   return shapes[output_id_];
 }
 
-Tensor Graph::forward(std::span<const Tensor> inputs, ForwardCtx& ctx) {
-  if (inputs.size() != input_ids_.size()) {
-    throw std::invalid_argument("Graph::forward: expected " + std::to_string(input_ids_.size()) +
-                                " inputs, got " + std::to_string(inputs.size()));
+void Graph::begin_plan() {
+  const std::size_t n = nodes_.size();
+  Plan& p = plan_;
+  p.feed.assign(n, npos);
+  for (std::size_t pos = 0; pos < input_ids_.size(); ++pos) p.feed[input_ids_[pos]] = pos;
+  p.edge_begin.assign(n + 1, 0);
+  std::size_t max_fan_in = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t edges = p.feed[i] != npos ? 1 : nodes_[i].inputs.size();
+    p.edge_begin[i + 1] = p.edge_begin[i] + edges;
+    max_fan_in = std::max(max_fan_in, nodes_[i].inputs.size());
   }
-  NCNAS_PROF_SCOPE("graph/forward");
-  // Per-op names are only materialized (kind() returns by value) when a
-  // profiler is installed; an empty name makes the scope a no-op.
-  const bool profiled = obs::profiling_enabled();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    Node& node = nodes_[i];
-    const std::string op_name = profiled ? "op/" + node.layer->kind() : std::string();
-    obs::ProfileScope op_scope(op_name);
-    std::vector<const Tensor*> in;
-    if (auto* input_layer = dynamic_cast<Input*>(node.layer.get())) {
-      // Feed the externally supplied tensor for this input's position.
-      std::size_t pos = 0;
-      while (input_ids_[pos] != i) ++pos;
-      const Tensor& fed = inputs[pos];
-      const FeatShape& fs = input_layer->feat_shape();
-      tensor::Shape expected{fed.dim(0)};
-      expected.insert(expected.end(), fs.begin(), fs.end());
-      fed.require_shape(expected, "Graph::forward input");
-      in.push_back(&fed);
-    } else {
-      in.reserve(node.inputs.size());
-      for (std::size_t src : node.inputs) in.push_back(&nodes_[src].output);
-    }
-    node.output = node.layer->forward(in, ctx);
-  }
-  return nodes_[output_id_].output;
+  p.in.assign(p.edge_begin[n], nullptr);
+  p.out.assign(n, nullptr);
+  p.op_names.resize(n);
+  for (std::size_t i = 0; i < n; ++i) p.op_names[i] = "op/" + nodes_[i].layer->kind();
+  p.dx.assign(max_fan_in, nullptr);
+  p.scratch.resize(max_fan_in);
 }
 
-void Graph::backward(const Tensor& grad_output) {
-  NCNAS_PROF_SCOPE("graph/backward");
-  // Reset per-node gradient accumulators; count live consumers reachable from
-  // the output so dead branches are skipped.
-  for (Node& node : nodes_) {
-    node.grad = Tensor();
-    node.pending_consumers = 0;
+// Runs after the first forward under a new plan: every lazy layer has
+// materialized its parameters by then.
+void Graph::finish_plan() {
+  const std::size_t n = nodes_.size();
+  Plan& p = plan_;
+  collect_params();
+  p.needs_grad.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    bool needs = !nodes_[i].layer->parameters().empty();
+    for (std::size_t src : nodes_[i].inputs) needs = needs || p.needs_grad[src] != 0;
+    p.needs_grad[i] = needs ? 1 : 0;
   }
-  // A node participates if it is an ancestor of the output node.
-  std::vector<bool> live(nodes_.size(), false);
-  live[output_id_] = true;
-  for (std::size_t i = nodes_.size(); i-- > 0;) {
-    if (!live[i]) continue;
-    for (std::size_t src : nodes_[i].inputs) live[src] = true;
+  // Backward visits the ancestors of the output that need a gradient, in
+  // descending id order; a node's consumers always come after it, so all of
+  // them have run by the time it does.
+  std::vector<char> live(n, 0);
+  live[output_id_] = 1;
+  p.backward_order.clear();
+  for (std::size_t i = n; i-- > 0;) {
+    if (live[i] == 0) continue;
+    for (std::size_t src : nodes_[i].inputs) live[src] = 1;
+    if (p.needs_grad[i] != 0) p.backward_order.push_back(i);
   }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!live[i]) continue;
-    for (std::size_t consumer : nodes_[i].consumers) {
-      if (live[consumer]) ++nodes_[i].pending_consumers;
+  // The first contribution to reach a node overwrites its gradient slot;
+  // later ones are added to it, in visiting order.
+  p.first.assign(p.edge_begin[n], 0);
+  std::vector<char> reached(n, 0);
+  for (std::size_t i : p.backward_order) {
+    const std::vector<std::size_t>& inputs = nodes_[i].inputs;
+    for (std::size_t j = 0; j < inputs.size(); ++j) {
+      if (p.needs_grad[inputs[j]] == 0) continue;
+      p.first[p.edge_begin[i] + j] = reached[inputs[j]] == 0 ? 1 : 0;
+      reached[inputs[j]] = 1;
     }
   }
-
-  const bool profiled = obs::profiling_enabled();
-  nodes_[output_id_].grad = grad_output;
-  for (std::size_t i = nodes_.size(); i-- > 0;) {
-    Node& node = nodes_[i];
-    if (!live[i] || node.grad.empty()) continue;
-    const std::string op_name = profiled ? "op/" + node.layer->kind() : std::string();
-    obs::ProfileScope op_scope(op_name);
-    std::vector<Tensor> input_grads = node.layer->backward(node.grad);
-    if (dynamic_cast<Input*>(node.layer.get()) != nullptr) continue;
-    if (input_grads.size() != node.inputs.size()) {
-      throw std::logic_error("Graph::backward: layer '" + node.layer->kind() +
-                             "' returned wrong number of input grads");
-    }
-    for (std::size_t j = 0; j < node.inputs.size(); ++j) {
-      Node& src = nodes_[node.inputs[j]];
-      if (src.grad.empty()) {
-        src.grad = std::move(input_grads[j]);
-      } else {
-        tensor::add_inplace(src.grad, input_grads[j]);
-      }
-    }
-  }
+  p.grad.assign(n, nullptr);
+  p.ready = true;
 }
 
-std::vector<ParamPtr> Graph::parameters() const {
+void Graph::collect_params() const {
   std::vector<ParamPtr> all;
   for (const Node& node : nodes_) {
     const auto ps = node.layer->parameters();
     all.insert(all.end(), ps.begin(), ps.end());
   }
-  return unique_params(all);
+  params_ = unique_params(all);
 }
 
-std::size_t Graph::param_count() const { return unique_param_count(parameters()); }
+const Tensor& Graph::forward(std::span<const Tensor> inputs, ForwardCtx& ctx) {
+  if (inputs.size() != input_ids_.size()) {
+    throw std::invalid_argument("Graph::forward: expected " + std::to_string(input_ids_.size()) +
+                                " inputs, got " + std::to_string(inputs.size()));
+  }
+  NCNAS_PROF_SCOPE("graph/forward");
+  forwarded_ = false;
+  const bool planned = plan_.ready;
+  if (!planned) begin_plan();
+  Plan& p = plan_;
+  const bool profiled = obs::profiling_enabled();
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    Node& node = nodes_[i];
+    obs::ProfileScope op_scope(profiled ? std::string_view(p.op_names[i]) : std::string_view());
+    const Tensor** in = p.in.data() + p.edge_begin[i];
+    const std::size_t edges = p.edge_begin[i + 1] - p.edge_begin[i];
+    if (p.feed[i] != npos) {
+      // Feed the externally supplied tensor for this input's position.
+      const Tensor& fed = inputs[p.feed[i]];
+      const FeatShape& fs = static_cast<const Input&>(*node.layer).feat_shape();
+      bool ok = fed.rank() == fs.size() + 1;
+      for (std::size_t d = 0; ok && d < fs.size(); ++d) ok = fed.dim(d + 1) == fs[d];
+      if (!ok) {
+        tensor::Shape expected{fed.rank() == 0 ? 0 : fed.dim(0)};
+        expected.insert(expected.end(), fs.begin(), fs.end());
+        fed.require_shape(expected, "Graph::forward input");
+      }
+      in[0] = &fed;
+    } else {
+      for (std::size_t j = 0; j < edges; ++j) in[j] = p.out[node.inputs[j]];
+    }
+    p.out[i] = &node.layer->forward(std::span<const Tensor* const>(in, edges), node.output, ctx);
+    if (p.out[i] != &node.output && (p.feed[i] != npos || p.out[i] != in[0])) {
+      throw std::logic_error("Graph::forward: layer '" + node.layer->kind() +
+                             "' returned neither its slot nor its first input");
+    }
+  }
+  if (!planned) finish_plan();
+  forwarded_ = true;
+  return *p.out[output_id_];
+}
+
+void Graph::backward(const Tensor& grad_output) {
+  if (!forwarded_) {
+    throw std::logic_error("Graph::backward: no forward() since the graph was built or changed");
+  }
+  NCNAS_PROF_SCOPE("graph/backward");
+  Plan& p = plan_;
+  grad_output.require_shape(p.out[output_id_]->shape(), "Graph::backward grad_output");
+  if (p.needs_grad[output_id_] == 0) return;
+  // Gradient routing for this step's aliases: a node whose forward returned
+  // its input unchanged has dL/dinput == dL/doutput, so when it is the first
+  // to reach that input it accumulates in the input's slot directly.
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    Node& node = nodes_[i];
+    p.grad[i] = &node.grad;
+    if (p.out[i] != &node.output && p.first[p.edge_begin[i]] != 0) {
+      p.grad[i] = p.grad[node.inputs[0]];
+    }
+  }
+  tensor::copy_into(grad_output, *p.grad[output_id_]);
+
+  const bool profiled = obs::profiling_enabled();
+  for (std::size_t i : p.backward_order) {
+    Node& node = nodes_[i];
+    obs::ProfileScope op_scope(profiled ? std::string_view(p.op_names[i]) : std::string_view());
+    const std::size_t base = p.edge_begin[i];
+    if (p.out[i] != &node.output) {
+      if (p.first[base] == 0) tensor::add_inplace(*p.grad[node.inputs[0]], *p.grad[i]);
+      continue;
+    }
+    const std::size_t fan_in = node.inputs.size();
+    for (std::size_t j = 0; j < fan_in; ++j) {
+      const std::size_t src = node.inputs[j];
+      p.dx[j] = p.needs_grad[src] == 0 ? nullptr
+                : p.first[base + j] != 0 ? p.grad[src]
+                                         : &p.scratch[j];
+    }
+    node.layer->backward(*p.grad[i], std::span<Tensor* const>(p.dx.data(), fan_in));
+    for (std::size_t j = 0; j < fan_in; ++j) {
+      if (p.dx[j] == &p.scratch[j]) tensor::add_inplace(*p.grad[node.inputs[j]], p.scratch[j]);
+    }
+  }
+}
+
+const std::vector<ParamPtr>& Graph::parameters() const {
+  if (!plan_.ready) collect_params();
+  return params_;
+}
+
+std::size_t Graph::param_count() const {
+  std::size_t total = 0;
+  for (const ParamPtr& p : parameters()) total += p->size();
+  return total;
+}
 
 void Graph::zero_grad() {
   for (const ParamPtr& p : parameters()) p->zero_grad();

@@ -91,12 +91,6 @@ void apply_act_inplace(Act a, Tensor& y) {
   }
 }
 
-Tensor act_backward(Act a, const Tensor& grad_y, const Tensor& y) {
-  Tensor g = grad_y;
-  act_backward_inplace(a, g, y);
-  return g;
-}
-
 void act_backward_inplace(Act a, Tensor& g, const Tensor& y) {
   float* pg = g.data();
   const float* py = y.data();
@@ -144,12 +138,16 @@ FeatShape Input::output_shape(std::span<const FeatShape> in) const {
   return shape_;
 }
 
-Tensor Input::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
-  // The graph executor feeds the fed tensor as the sole "input".
-  return single_input(inputs, "input");
+const Tensor& Input::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                             ForwardCtx&) {
+  // The graph executor feeds the fed tensor as the sole "input". Copying it
+  // into the slot frees callers from keeping their batch alive until
+  // backward(), which reads it through the first layers' input pointers.
+  tensor::copy_into(single_input(inputs, "input"), out);
+  return out;
 }
 
-std::vector<Tensor> Input::backward(const Tensor& grad_out) { return {grad_out}; }
+void Input::backward(Tensor&, std::span<Tensor* const>) {}
 
 std::string Input::describe() const {
   return "input '" + name_ + "' " + tensor::to_string(shape_);
@@ -161,11 +159,14 @@ FeatShape Identity::output_shape(std::span<const FeatShape> in) const {
   return single_shape(in, "identity");
 }
 
-Tensor Identity::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
+const Tensor& Identity::forward(std::span<const tensor::Tensor* const> inputs, Tensor&,
+                                ForwardCtx&) {
   return single_input(inputs, "identity");
 }
 
-std::vector<Tensor> Identity::backward(const Tensor& grad_out) { return {grad_out}; }
+void Identity::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  if (dx[0] != nullptr) tensor::copy_into(grad, *dx[0]);
+}
 
 // --- Dense ------------------------------------------------------------------
 
@@ -203,32 +204,34 @@ FeatShape Dense::output_shape(std::span<const FeatShape> in) const {
   return {units_};
 }
 
-Tensor Dense::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
+const Tensor& Dense::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                             ForwardCtx&) {
   const Tensor& x = single_input(inputs, "dense");
   ensure_params(x.dim(1));
-  // Scratch discipline: x_/y_ reuse their buffers across steps (copy-assign
-  // and reset() keep capacity), gemm writes straight into y_, and the
-  // activation runs in place — steady-state forward allocates nothing
-  // beyond the returned copy.
-  x_ = x;
-  y_.reset({x.dim(0), units_});
-  tensor::gemm(x, slot_->w->value, y_);
-  tensor::add_row_bias(y_, slot_->b->value);
-  apply_act_inplace(act_, y_);
-  return y_;
+  // gemm writes straight into the slot and the activation runs in place;
+  // backward reads x and y through the pointers kept here.
+  out.reset({x.dim(0), units_});
+  tensor::gemm(x, slot_->w->value, out);
+  tensor::add_row_bias(out, slot_->b->value);
+  apply_act_inplace(act_, out);
+  x_ = &x;
+  y_ = &out;
+  return out;
 }
 
-std::vector<Tensor> Dense::backward(const Tensor& grad_out) {
-  gz_ = grad_out;
-  act_backward_inplace(act_, gz_, y_);
-  // dW += X^T gz ; db += colsum(gz) ; dX = gz W^T
-  dw_.reset({x_.dim(1), units_});
-  tensor::gemm_tn(x_, gz_, dw_);
+void Dense::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  // grad becomes dL/dz in place; then dW += X^T gz ; db += colsum(gz) ;
+  // dX = gz W^T, skipped when nobody reads it.
+  act_backward_inplace(act_, grad, *y_);
+  const Tensor& x = *x_;
+  dw_.reset({x.dim(1), units_});
+  tensor::gemm_tn(x, grad, dw_);
   tensor::add_inplace(slot_->w->grad, dw_);
-  tensor::accumulate_col_sums(gz_, slot_->b->grad);
-  Tensor dx({x_.dim(0), x_.dim(1)});
-  tensor::gemm_nt(gz_, slot_->w->value, dx);
-  return {std::move(dx)};
+  tensor::accumulate_col_sums(grad, slot_->b->grad);
+  if (dx[0] != nullptr) {
+    dx[0]->reset({x.dim(0), x.dim(1)});
+    tensor::gemm_nt(grad, slot_->w->value, *dx[0]);
+  }
 }
 
 std::vector<ParamPtr> Dense::parameters() const {
@@ -248,14 +251,18 @@ FeatShape Activation::output_shape(std::span<const FeatShape> in) const {
   return single_shape(in, "activation");
 }
 
-Tensor Activation::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
-  y_ = single_input(inputs, "activation");  // copy-assign reuses capacity
-  apply_act_inplace(act_, y_);
-  return y_;
+const Tensor& Activation::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                                  ForwardCtx&) {
+  tensor::copy_into(single_input(inputs, "activation"), out);
+  apply_act_inplace(act_, out);
+  y_ = &out;
+  return out;
 }
 
-std::vector<Tensor> Activation::backward(const Tensor& grad_out) {
-  return {act_backward(act_, grad_out, y_)};
+void Activation::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  if (dx[0] == nullptr) return;
+  tensor::copy_into(grad, *dx[0]);
+  act_backward_inplace(act_, *dx[0], *y_);
 }
 
 std::string Activation::describe() const {
@@ -274,7 +281,8 @@ FeatShape Dropout::output_shape(std::span<const FeatShape> in) const {
   return single_shape(in, "dropout");
 }
 
-Tensor Dropout::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx& ctx) {
+const Tensor& Dropout::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                               ForwardCtx& ctx) {
   const Tensor& x = single_input(inputs, "dropout");
   if (!ctx.training || rate_ == 0.0f) {
     masked_ = false;
@@ -284,23 +292,27 @@ Tensor Dropout::forward(std::span<const tensor::Tensor* const> inputs, ForwardCt
     throw std::invalid_argument("dropout: training forward requires ForwardCtx::rng");
   }
   mask_.reset(x.shape());
+  out.reset(x.shape());
   const float keep = 1.0f - rate_;
   const float inv_keep = 1.0f / keep;
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.size(); ++i) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
     const float m = ctx.rng->uniform() < keep ? inv_keep : 0.0f;
     mask_[i] = m;
-    y[i] *= m;
+    out[i] = x[i] * m;
   }
   masked_ = true;
-  return y;
+  return out;
 }
 
-std::vector<Tensor> Dropout::backward(const Tensor& grad_out) {
-  if (!masked_) return {grad_out};
-  Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= mask_[i];
-  return {std::move(g)};
+void Dropout::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  if (dx[0] == nullptr) return;
+  Tensor& g = *dx[0];
+  if (!masked_) {
+    tensor::copy_into(grad, g);
+    return;
+  }
+  g.reset(grad.shape());
+  for (std::size_t i = 0; i < g.size(); ++i) g[i] = grad[i] * mask_[i];
 }
 
 std::string Dropout::describe() const {
@@ -351,15 +363,17 @@ FeatShape Conv1D::output_shape(std::span<const FeatShape> in) const {
   return {s[0] - kernel_ + 1, filters_};
 }
 
-Tensor Conv1D::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
+const Tensor& Conv1D::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                              ForwardCtx&) {
   const Tensor& x = single_input(inputs, "conv1d");
   if (x.rank() != 3) throw std::invalid_argument("conv1d: expects rank-3 batch input");
   const std::size_t batch = x.dim(0), len = x.dim(1), cin = x.dim(2);
   if (len < kernel_) throw std::invalid_argument("conv1d: input shorter than kernel");
   ensure_params(cin);
-  x_ = x;
+  x_ = &x;
   const std::size_t out_len = len - kernel_ + 1;
-  Tensor y({batch, out_len, filters_});
+  out.reset({batch, out_len, filters_});
+  float* py = out.data();
   const float* pw = slot_->w->value.data();
   const float* pb = slot_->b->value.data();
   // Batch items are independent (disjoint output rows), so the batch loop
@@ -369,7 +383,7 @@ Tensor Conv1D::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx
   tensor::parallel_rows(batch, out_len * kernel_ * cin, [&](std::size_t bb, std::size_t be) {
     for (std::size_t b = bb; b < be; ++b) {
       for (std::size_t p = 0; p < out_len; ++p) {
-        float* yrow = y.data() + (b * out_len + p) * filters_;
+        float* yrow = py + (b * out_len + p) * filters_;
         for (std::size_t f = 0; f < filters_; ++f) yrow[f] = pb[f];
         // Window [p, p + kernel) flattened over (offset, channel) pairs.
         const float* xwin = x.data() + (b * len + p) * cin;
@@ -381,38 +395,43 @@ Tensor Conv1D::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx
       }
     }
   });
-  return y;
+  return out;
 }
 
-std::vector<Tensor> Conv1D::backward(const Tensor& grad_out) {
-  const std::size_t batch = x_.dim(0), len = x_.dim(1), cin = x_.dim(2);
+void Conv1D::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  const Tensor& x = *x_;
+  const std::size_t batch = x.dim(0), len = x.dim(1), cin = x.dim(2);
   const std::size_t out_len = len - kernel_ + 1;
-  Tensor dx(x_.shape());
-  float* pdx = dx.data();
+  // Windows overlap, so dx accumulates from zero.
+  float* pdx = nullptr;
+  if (dx[0] != nullptr) {
+    dx[0]->reset(x.shape());
+    dx[0]->zero();
+    pdx = dx[0]->data();
+  }
   float* pdw = slot_->w->grad.data();
   float* pdb = slot_->b->grad.data();
   const float* pw = slot_->w->value.data();
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t p = 0; p < out_len; ++p) {
-      const float* grow = grad_out.data() + (b * out_len + p) * filters_;
+      const float* grow = grad.data() + (b * out_len + p) * filters_;
       for (std::size_t f = 0; f < filters_; ++f) pdb[f] += grow[f];
-      const float* xwin = x_.data() + (b * len + p) * cin;
+      const float* xwin = x.data() + (b * len + p) * cin;
+      for (std::size_t t = 0; t < kernel_ * cin; ++t) {
+        float* dwrow = pdw + t * filters_;
+        const float xv = xwin[t];
+        for (std::size_t f = 0; f < filters_; ++f) dwrow[f] += xv * grow[f];
+      }
+      if (pdx == nullptr) continue;
       float* dxwin = pdx + (b * len + p) * cin;
       for (std::size_t t = 0; t < kernel_ * cin; ++t) {
         const float* wrow = pw + t * filters_;
-        float* dwrow = pdw + t * filters_;
-        const float xv = xwin[t];
         float acc = 0.0f;
-        for (std::size_t f = 0; f < filters_; ++f) {
-          const float g = grow[f];
-          dwrow[f] += xv * g;
-          acc += wrow[f] * g;
-        }
+        for (std::size_t f = 0; f < filters_; ++f) acc += wrow[f] * grow[f];
         dxwin[t] += acc;
       }
     }
   }
-  return {std::move(dx)};
 }
 
 std::vector<ParamPtr> Conv1D::parameters() const {
@@ -442,15 +461,16 @@ FeatShape MaxPool1D::output_shape(std::span<const FeatShape> in) const {
   return {out_len, s[1]};
 }
 
-Tensor MaxPool1D::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
+const Tensor& MaxPool1D::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                                 ForwardCtx&) {
   const Tensor& x = single_input(inputs, "maxpool1d");
   if (x.rank() != 3) throw std::invalid_argument("maxpool1d: expects rank-3 batch input");
   const std::size_t batch = x.dim(0), len = x.dim(1), ch = x.dim(2);
   in_shape_ = x.shape();
   const std::size_t window = std::min(size_, len);
   const std::size_t out_len = std::max<std::size_t>(1, len / size_);
-  Tensor y({batch, out_len, ch});
-  argmax_.assign(y.size(), 0);
+  out.reset({batch, out_len, ch});
+  argmax_.resize(out.size());
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t p = 0; p < out_len; ++p) {
       const std::size_t start = p * size_;
@@ -465,18 +485,20 @@ Tensor MaxPool1D::forward(std::span<const tensor::Tensor* const> inputs, Forward
           }
         }
         const std::size_t out_idx = (b * out_len + p) * ch + c;
-        y[out_idx] = best;
+        out[out_idx] = best;
         argmax_[out_idx] = best_idx;
       }
     }
   }
-  return y;
+  return out;
 }
 
-std::vector<Tensor> MaxPool1D::backward(const Tensor& grad_out) {
-  Tensor dx(in_shape_);
-  for (std::size_t i = 0; i < grad_out.size(); ++i) dx[argmax_[i]] += grad_out[i];
-  return {std::move(dx)};
+void MaxPool1D::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  if (dx[0] == nullptr) return;
+  Tensor& g = *dx[0];
+  g.reset(in_shape_);
+  g.zero();
+  for (std::size_t i = 0; i < grad.size(); ++i) g[argmax_[i]] += grad[i];
 }
 
 std::string MaxPool1D::describe() const {
@@ -485,24 +507,40 @@ std::string MaxPool1D::describe() const {
   return os.str();
 }
 
-// --- Flatten --------------------------------------------------------------------
+// --- Flatten / Reshape1D ----------------------------------------------------------
+// Both copy into their slot rather than alias their input: a Tensor owns its
+// buffer, so one buffer cannot carry two shapes. The copy is a memcpy into
+// reused capacity.
+
+namespace {
+
+/// dst = src's elements, after the caller reset dst to a shape of the same
+/// element count.
+void copy_elements(const Tensor& src, Tensor& dst) {
+  std::copy(src.data(), src.data() + src.size(), dst.data());
+}
+
+}  // namespace
 
 FeatShape Flatten::output_shape(std::span<const FeatShape> in) const {
   const FeatShape& s = single_shape(in, "flatten");
   return {tensor::numel(s)};
 }
 
-Tensor Flatten::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
+const Tensor& Flatten::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                               ForwardCtx&) {
   const Tensor& x = single_input(inputs, "flatten");
   in_shape_ = x.shape();
-  return x.reshaped({x.dim(0), x.size() / x.dim(0)});
+  out.reset({x.dim(0), x.size() / x.dim(0)});
+  copy_elements(x, out);
+  return out;
 }
 
-std::vector<Tensor> Flatten::backward(const Tensor& grad_out) {
-  return {grad_out.reshaped(in_shape_)};
+void Flatten::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  if (dx[0] == nullptr) return;
+  dx[0]->reset(in_shape_);
+  copy_elements(grad, *dx[0]);
 }
-
-// --- Reshape1D ------------------------------------------------------------------
 
 FeatShape Reshape1D::output_shape(std::span<const FeatShape> in) const {
   const FeatShape& s = single_shape(in, "reshape1d");
@@ -512,14 +550,19 @@ FeatShape Reshape1D::output_shape(std::span<const FeatShape> in) const {
   return {s[0], 1};
 }
 
-Tensor Reshape1D::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
+const Tensor& Reshape1D::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                                 ForwardCtx&) {
   const Tensor& x = single_input(inputs, "reshape1d");
   in_shape_ = x.shape();
-  return x.reshaped({x.dim(0), x.dim(1), 1});
+  out.reset({x.dim(0), x.dim(1), 1});
+  copy_elements(x, out);
+  return out;
 }
 
-std::vector<Tensor> Reshape1D::backward(const Tensor& grad_out) {
-  return {grad_out.reshaped(in_shape_)};
+void Reshape1D::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  if (dx[0] == nullptr) return;
+  dx[0]->reset(in_shape_);
+  copy_elements(grad, *dx[0]);
 }
 
 // --- Concat ---------------------------------------------------------------------
@@ -536,21 +579,59 @@ FeatShape Concat::output_shape(std::span<const FeatShape> in) const {
   return {total};
 }
 
-Tensor Concat::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
-  if (inputs.empty()) throw std::invalid_argument("concat: requires at least one input");
+namespace {
+
+/// Records each input's width in `widths` and returns their total; throws
+/// unless every input is rank-2 with the same batch size.
+std::size_t feature_widths(std::span<const tensor::Tensor* const> inputs,
+                           std::vector<std::size_t>& widths, const char* what) {
+  if (inputs.empty()) {
+    throw std::invalid_argument(std::string(what) + ": requires at least one input");
+  }
   const std::size_t batch = inputs[0]->dim(0);
-  widths_.clear();
+  widths.clear();
   std::size_t total = 0;
   for (const Tensor* t : inputs) {
     if (t->rank() != 2 || t->dim(0) != batch) {
-      throw std::invalid_argument("concat: inputs must be rank-2 with equal batch size");
+      throw std::invalid_argument(std::string(what) +
+                                  ": inputs must be rank-2 with equal batch size");
     }
-    widths_.push_back(t->dim(1));
+    widths.push_back(t->dim(1));
     total += t->dim(1);
   }
-  Tensor y({batch, total});
+  return total;
+}
+
+/// dx[j] = columns [offset_j, offset_j + widths[j]) of grad; `overlap` makes
+/// every slice start at column 0 (Add), otherwise slices follow each other
+/// (Concat).
+void split_columns(const Tensor& grad, std::span<const std::size_t> widths, bool overlap,
+                   std::span<Tensor* const> dx) {
+  const std::size_t batch = grad.dim(0);
+  const std::size_t total = grad.dim(1);
+  std::size_t offset = 0;
+  for (std::size_t j = 0; j < widths.size(); ++j) {
+    const std::size_t w = widths[j];
+    if (dx[j] != nullptr) {
+      dx[j]->reset({batch, w});
+      for (std::size_t b = 0; b < batch; ++b) {
+        const float* src = grad.data() + b * total + offset;
+        std::copy(src, src + w, dx[j]->data() + b * w);
+      }
+    }
+    if (!overlap) offset += w;
+  }
+}
+
+}  // namespace
+
+const Tensor& Concat::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                              ForwardCtx&) {
+  const std::size_t total = feature_widths(inputs, widths_, "concat");
+  const std::size_t batch = inputs[0]->dim(0);
+  out.reset({batch, total});
   for (std::size_t b = 0; b < batch; ++b) {
-    float* row = y.data() + b * total;
+    float* row = out.data() + b * total;
     for (const Tensor* t : inputs) {
       const std::size_t w = t->dim(1);
       const float* src = t->data() + b * w;
@@ -558,25 +639,11 @@ Tensor Concat::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx
       row += w;
     }
   }
-  return y;
+  return out;
 }
 
-std::vector<Tensor> Concat::backward(const Tensor& grad_out) {
-  const std::size_t batch = grad_out.dim(0);
-  const std::size_t total = grad_out.dim(1);
-  std::vector<Tensor> grads;
-  grads.reserve(widths_.size());
-  std::size_t offset = 0;
-  for (std::size_t w : widths_) {
-    Tensor g({batch, w});
-    for (std::size_t b = 0; b < batch; ++b) {
-      const float* src = grad_out.data() + b * total + offset;
-      std::copy(src, src + w, g.data() + b * w);
-    }
-    grads.push_back(std::move(g));
-    offset += w;
-  }
-  return grads;
+void Concat::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  split_columns(grad, widths_, /*overlap=*/false, dx);
 }
 
 // --- Add ------------------------------------------------------------------------
@@ -593,44 +660,26 @@ FeatShape Add::output_shape(std::span<const FeatShape> in) const {
   return {widest};
 }
 
-Tensor Add::forward(std::span<const tensor::Tensor* const> inputs, ForwardCtx&) {
-  if (inputs.empty()) throw std::invalid_argument("add: requires at least one input");
+const Tensor& Add::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
+                           ForwardCtx&) {
+  (void)feature_widths(inputs, widths_, "add");
   const std::size_t batch = inputs[0]->dim(0);
-  widths_.clear();
-  std::size_t widest = 0;
-  for (const Tensor* t : inputs) {
-    if (t->rank() != 2 || t->dim(0) != batch) {
-      throw std::invalid_argument("add: inputs must be rank-2 with equal batch size");
-    }
-    widths_.push_back(t->dim(1));
-    widest = std::max(widest, t->dim(1));
-  }
-  Tensor y({batch, widest});
+  const std::size_t widest = *std::max_element(widths_.begin(), widths_.end());
+  out.reset({batch, widest});
+  out.zero();
   for (const Tensor* t : inputs) {
     const std::size_t w = t->dim(1);
     for (std::size_t b = 0; b < batch; ++b) {
       const float* src = t->data() + b * w;
-      float* dst = y.data() + b * widest;
+      float* dst = out.data() + b * widest;
       for (std::size_t j = 0; j < w; ++j) dst[j] += src[j];
     }
   }
-  return y;
+  return out;
 }
 
-std::vector<Tensor> Add::backward(const Tensor& grad_out) {
-  const std::size_t batch = grad_out.dim(0);
-  const std::size_t widest = grad_out.dim(1);
-  std::vector<Tensor> grads;
-  grads.reserve(widths_.size());
-  for (std::size_t w : widths_) {
-    Tensor g({batch, w});
-    for (std::size_t b = 0; b < batch; ++b) {
-      const float* src = grad_out.data() + b * widest;
-      std::copy(src, src + w, g.data() + b * w);
-    }
-    grads.push_back(std::move(g));
-  }
-  return grads;
+void Add::backward(Tensor& grad, std::span<Tensor* const> dx) {
+  split_columns(grad, widths_, /*overlap=*/true, dx);
 }
 
 // --- clone_shared ------------------------------------------------------------------

@@ -11,23 +11,28 @@ namespace ncnas::nn {
 
 using tensor::Tensor;
 
-Tensor slice_rows(const Tensor& t, std::size_t begin, std::size_t end) {
+void slice_rows_into(const Tensor& t, std::size_t begin, std::size_t end, Tensor& out) {
   if (t.rank() != 2 || begin > end || end > t.dim(0)) {
     throw std::invalid_argument("slice_rows: bad range or rank");
   }
   const std::size_t cols = t.dim(1);
-  Tensor out({end - begin, cols});
+  out.reset({end - begin, cols});
   std::copy(t.data() + begin * cols, t.data() + end * cols, out.data());
+}
+
+Tensor slice_rows(const Tensor& t, std::size_t begin, std::size_t end) {
+  Tensor out;
+  slice_rows_into(t, begin, end, out);
   return out;
 }
 
-Tensor gather_rows(const Tensor& t, std::span<const std::size_t> rows) {
+void gather_rows_into(const Tensor& t, std::span<const std::size_t> rows, Tensor& out) {
   if (t.rank() != 2) throw std::invalid_argument("gather_rows: rank-2 tensor required");
   const std::size_t cols = t.dim(1);
-  Tensor out({rows.size(), cols});
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (rows[i] >= t.dim(0)) throw std::invalid_argument("gather_rows: row out of range");
   }
+  out.reset({rows.size(), cols});
   // Validated above; the copies are pure disjoint writes, safe to chunk.
   tensor::parallel_rows(rows.size(), cols, [&](std::size_t rb, std::size_t re) {
     for (std::size_t i = rb; i < re; ++i) {
@@ -35,6 +40,11 @@ Tensor gather_rows(const Tensor& t, std::span<const std::size_t> rows) {
                 out.data() + i * cols);
     }
   });
+}
+
+Tensor gather_rows(const Tensor& t, std::span<const std::size_t> rows) {
+  Tensor out;
+  gather_rows_into(t, rows, out);
   return out;
 }
 
@@ -67,6 +77,9 @@ TrainResult fit(Graph& model, std::span<const Tensor> inputs, const Tensor& targ
   Adam optimizer(opts.learning_rate);
   TrainResult result;
   ForwardCtx ctx{.training = true, .rng = &rng};
+  // Batch buffers, reused across batches.
+  std::vector<Tensor> bx(inputs.size());
+  Tensor by;
 
   for (std::size_t epoch = 0; epoch < opts.epochs; ++epoch) {
     NCNAS_PROF_SCOPE("train/epoch");
@@ -87,25 +100,24 @@ TrainResult fit(Graph& model, std::span<const Tensor> inputs, const Tensor& targ
       }
       const std::size_t stop = std::min(start + opts.batch_size, index.size());
       const std::span<const std::size_t> batch_rows(index.data() + start, stop - start);
-      std::vector<Tensor> bx;
-      Tensor by;
       {
         NCNAS_PROF_SCOPE("train/gather");
-        bx.reserve(inputs.size());
-        for (const Tensor& x : inputs) bx.push_back(gather_rows(x, batch_rows));
-        by = gather_rows(target, batch_rows);
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          gather_rows_into(inputs[i], batch_rows, bx[i]);
+        }
+        gather_rows_into(target, batch_rows, by);
       }
 
       model.zero_grad();
-      Tensor pred;
+      const Tensor* pred = nullptr;
       {
         NCNAS_PROF_SCOPE("train/forward");
-        pred = model.forward(bx, ctx);
+        pred = &model.forward(bx, ctx);
       }
       LossValue lv;
       {
         NCNAS_PROF_SCOPE("train/loss");
-        lv = compute_loss(opts.loss, pred, by);
+        lv = compute_loss(opts.loss, *pred, by);
       }
       {
         NCNAS_PROF_SCOPE("train/backward");
@@ -132,12 +144,11 @@ float evaluate(Graph& model, std::span<const Tensor> inputs, const Tensor& targe
   const std::size_t rows = target.dim(0);
   Tensor all_pred;
   ForwardCtx ctx{.training = false, .rng = nullptr};
+  std::vector<Tensor> bx(inputs.size());
   for (std::size_t start = 0; start < rows; start += batch_size) {
     const std::size_t stop = std::min(start + batch_size, rows);
-    std::vector<Tensor> bx;
-    bx.reserve(inputs.size());
-    for (const Tensor& x : inputs) bx.push_back(slice_rows(x, start, stop));
-    const Tensor pred = model.forward(bx, ctx);
+    for (std::size_t i = 0; i < inputs.size(); ++i) slice_rows_into(inputs[i], start, stop, bx[i]);
+    const Tensor& pred = model.forward(bx, ctx);
     if (all_pred.empty()) {
       all_pred = Tensor({rows, pred.dim(1)});
     }

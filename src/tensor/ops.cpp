@@ -602,6 +602,12 @@ void parallel_rows(std::size_t rows, std::size_t cols,
 
 void add_inplace(Tensor& y, const Tensor& x) { axpy(1.0f, x, y); }
 
+void copy_into(const Tensor& src, Tensor& dst) {
+  if (&src == &dst) return;
+  dst.reset(src.shape());
+  std::copy(src.data(), src.data() + src.size(), dst.data());
+}
+
 void axpy(float alpha, const Tensor& x, Tensor& y) {
   if (x.shape() != y.shape()) {
     throw std::invalid_argument("axpy: shape mismatch " + to_string(x.shape()) + " vs " +

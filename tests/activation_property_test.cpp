@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "gradcheck.hpp"
+#include "layer_harness.hpp"
 #include "ncnas/nn/layers.hpp"
 
 namespace ncnas::nn {
@@ -11,6 +12,7 @@ namespace {
 
 using tensor::Rng;
 using tensor::Tensor;
+using testing::LayerHarness;
 using testing::numeric_derivative;
 using testing::probe_grad;
 using testing::probe_loss;
@@ -33,13 +35,14 @@ TEST_P(ActivationProperty, StandaloneBackwardMatchesFiniteDifferences) {
   Activation layer(GetParam());
   Tensor x = smooth_input(3, 4, rng);
   ForwardCtx ctx{};
+  LayerHarness h(layer);
   const auto loss_fn = [&] {
     const Tensor* in[] = {&x};
-    return probe_loss(layer.forward(in, ctx));
+    return probe_loss(h.forward(in, ctx));
   };
   const Tensor* in[] = {&x};
-  const Tensor y = layer.forward(in, ctx);
-  const auto dx = layer.backward(probe_grad(y));
+  const Tensor y = h.forward(in, ctx);
+  const auto dx = h.backward(probe_grad(y));
   ASSERT_EQ(dx.size(), 1u);
   // float32 central differences on coupled outputs (softmax) carry a little
   // extra rounding error; 4e-2 still catches any sign/scale defect.
@@ -53,14 +56,15 @@ TEST_P(ActivationProperty, FusedDenseBackwardMatchesFiniteDifferences) {
   Dense layer(4, GetParam(), rng);
   Tensor x = smooth_input(2, 3, rng);
   ForwardCtx ctx{};
+  LayerHarness h(layer);
   const auto loss_fn = [&] {
     const Tensor* in[] = {&x};
-    return probe_loss(layer.forward(in, ctx));
+    return probe_loss(h.forward(in, ctx));
   };
   const Tensor* in[] = {&x};
-  const Tensor y = layer.forward(in, ctx);
+  const Tensor y = h.forward(in, ctx);
   for (const ParamPtr& p : layer.parameters()) p->zero_grad();
-  (void)layer.backward(probe_grad(y));
+  (void)h.backward(probe_grad(y));
   for (const ParamPtr& p : layer.parameters()) {
     for (std::size_t i = 0; i < p->size(); ++i) {
       EXPECT_LT(rel_err(p->grad[i], numeric_derivative(p->value[i], loss_fn)), 3e-2f)

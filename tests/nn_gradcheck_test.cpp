@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gradcheck.hpp"
+#include "layer_harness.hpp"
 #include "ncnas/nn/layers.hpp"
 
 namespace ncnas::nn {
@@ -10,6 +11,7 @@ namespace {
 
 using tensor::Rng;
 using tensor::Tensor;
+using testing::LayerHarness;
 using testing::numeric_derivative;
 using testing::probe_grad;
 using testing::probe_loss;
@@ -30,15 +32,16 @@ Tensor random_tensor(tensor::Shape shape, Rng& rng, float scale = 1.0f) {
 /// differences on a fresh forward pass per probe.
 void check_layer(Layer& layer, Tensor x, float tol = 2e-2f) {
   ForwardCtx ctx{.training = false, .rng = nullptr};
+  LayerHarness h(layer);
   const auto loss_fn = [&] {
     const Tensor* in[] = {&x};
-    return probe_loss(layer.forward(in, ctx));
+    return probe_loss(h.forward(in, ctx));
   };
 
   const Tensor* in[] = {&x};
-  const Tensor y = layer.forward(in, ctx);
+  const Tensor y = h.forward(in, ctx);
   for (const ParamPtr& p : layer.parameters()) p->zero_grad();
-  const std::vector<Tensor> dx = layer.backward(probe_grad(y));
+  const std::vector<Tensor> dx = h.backward(probe_grad(y));
   ASSERT_EQ(dx.size(), 1u);
 
   // Input gradients (a sample of slots to keep the test fast).
@@ -122,13 +125,14 @@ TEST_P(GradCheck, MultiInputConcat) {
   Tensor a = random_tensor({2, 3}, rng);
   Tensor b = random_tensor({2, 4}, rng);
   ForwardCtx ctx{};
+  LayerHarness h(layer);
   const auto loss_fn = [&] {
     const Tensor* in[] = {&a, &b};
-    return probe_loss(layer.forward(in, ctx));
+    return probe_loss(h.forward(in, ctx));
   };
   const Tensor* in[] = {&a, &b};
-  const Tensor y = layer.forward(in, ctx);
-  const std::vector<Tensor> dx = layer.backward(probe_grad(y));
+  const Tensor y = h.forward(in, ctx);
+  const std::vector<Tensor> dx = h.backward(probe_grad(y));
   ASSERT_EQ(dx.size(), 2u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_LT(rel_err(dx[0][i], numeric_derivative(a[i], loss_fn)), 2e-2f);
@@ -144,14 +148,15 @@ TEST_P(GradCheck, MultiInputAddWithPadding) {
   Tensor a = random_tensor({2, 5}, rng);
   Tensor b = random_tensor({2, 3}, rng);  // narrower: zero-padded
   ForwardCtx ctx{};
+  LayerHarness h(layer);
   const auto loss_fn = [&] {
     const Tensor* in[] = {&a, &b};
-    return probe_loss(layer.forward(in, ctx));
+    return probe_loss(h.forward(in, ctx));
   };
   const Tensor* in[] = {&a, &b};
-  const Tensor y = layer.forward(in, ctx);
+  const Tensor y = h.forward(in, ctx);
   ASSERT_EQ(y.dim(1), 5u);
-  const std::vector<Tensor> dx = layer.backward(probe_grad(y));
+  const std::vector<Tensor> dx = h.backward(probe_grad(y));
   ASSERT_EQ(dx.size(), 2u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_LT(rel_err(dx[0][i], numeric_derivative(a[i], loss_fn)), 2e-2f);
@@ -169,19 +174,21 @@ TEST_P(GradCheck, SharedDenseAccumulatesBothBranches) {
   Tensor x1 = random_tensor({2, 3}, rng);
   Tensor x2 = random_tensor({2, 3}, rng);
   ForwardCtx ctx{};
+  LayerHarness hd(donor);
+  LayerHarness hm(*mirror);
   const auto loss_fn = [&] {
     const Tensor* in1[] = {&x1};
     const Tensor* in2[] = {&x2};
-    return probe_loss(donor.forward(in1, ctx)) + probe_loss(mirror->forward(in2, ctx));
+    return probe_loss(hd.forward(in1, ctx)) + probe_loss(hm.forward(in2, ctx));
   };
   const Tensor* in1[] = {&x1};
   const Tensor* in2[] = {&x2};
-  const Tensor y1 = donor.forward(in1, ctx);
-  const Tensor y2 = mirror->forward(in2, ctx);
+  const Tensor y1 = hd.forward(in1, ctx);
+  const Tensor y2 = hm.forward(in2, ctx);
   ASSERT_EQ(donor.parameters()[0].get(), mirror->parameters()[0].get());
   for (const ParamPtr& p : donor.parameters()) p->zero_grad();
-  (void)donor.backward(probe_grad(y1));
-  (void)mirror->backward(probe_grad(y2));
+  (void)hd.backward(probe_grad(y1));
+  (void)hm.backward(probe_grad(y2));
   const ParamPtr w = donor.parameters()[0];
   for (std::size_t i = 0; i < w->size(); i += 3) {
     const float num = numeric_derivative(w->value[i], loss_fn);

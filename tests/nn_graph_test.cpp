@@ -127,6 +127,37 @@ TEST(Graph, SummaryMentionsEveryNode) {
   EXPECT_NE(s.find("[output]"), std::string::npos);
 }
 
+// backward() reads the pointers the last forward() left in the layers and
+// the plan; with no forward since the graph was built or changed there are
+// none, and it must say so rather than read them.
+TEST(Graph, BackwardWithoutForwardThrows) {
+  Rng rng(9);
+  Graph g;
+  const std::size_t in = g.add_input("x", {3});
+  const std::size_t d = g.add(std::make_unique<Dense>(2, Act::kTanh, rng), {in});
+  g.set_output(d);
+  const Tensor grad = Tensor::full({4, 2}, 1.0f);
+  EXPECT_THROW(g.backward(grad), std::logic_error);
+
+  ForwardCtx ctx{};
+  (void)g.forward(std::vector<Tensor>{Tensor({4, 3})}, ctx);
+  g.backward(grad);
+  EXPECT_THROW(g.backward(Tensor::full({4, 3}, 1.0f)), std::invalid_argument);  // wrong shape
+
+  // Growing the graph may move every slot: the plan is invalid until the
+  // next forward.
+  const std::size_t d2 = g.add(std::make_unique<Dense>(2, Act::kLinear, rng), {d});
+  EXPECT_THROW(g.backward(grad), std::logic_error);
+  (void)g.forward(std::vector<Tensor>{Tensor({4, 3})}, ctx);
+  g.backward(grad);
+  g.set_output(d2);
+  EXPECT_THROW(g.backward(grad), std::logic_error);
+
+  // A forward that throws part-way leaves no plan behind either.
+  EXPECT_THROW((void)g.forward(std::vector<Tensor>{Tensor({4, 5})}, ctx), std::invalid_argument);
+  EXPECT_THROW(g.backward(grad), std::logic_error);
+}
+
 TEST(Graph, SetOutputValidatesId) {
   Graph g;
   (void)g.add_input("x", {1});

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "layer_harness.hpp"
 #include "ncnas/nn/layers.hpp"
 #include "ncnas/nn/loss.hpp"
 #include "ncnas/nn/metrics.hpp"
@@ -9,6 +10,7 @@ namespace {
 
 using tensor::Rng;
 using tensor::Tensor;
+using testing::LayerHarness;
 
 ForwardCtx eval_ctx() { return {.training = false, .rng = nullptr}; }
 
@@ -43,7 +45,7 @@ TEST(Dense, OutputShapeAndLazyInit) {
   Tensor x({2, 4});
   const Tensor* inputs[] = {&x};
   ForwardCtx ctx = eval_ctx();
-  const Tensor y = d.forward(inputs, ctx);
+  const Tensor y = LayerHarness(d).forward(inputs, ctx);
   EXPECT_EQ(y.shape(), tensor::Shape({2, 7}));
   EXPECT_EQ(d.parameters().size(), 2u);
   EXPECT_EQ(d.parameters()[0]->size(), 4u * 7u);
@@ -55,10 +57,10 @@ TEST(Dense, RejectsWidthChangeAfterInit) {
   Tensor x({1, 4});
   const Tensor* inputs[] = {&x};
   ForwardCtx ctx = eval_ctx();
-  (void)d.forward(inputs, ctx);
+  (void)LayerHarness(d).forward(inputs, ctx);
   Tensor wrong({1, 5});
   const Tensor* wrong_in[] = {&wrong};
-  EXPECT_THROW((void)d.forward(wrong_in, ctx), std::invalid_argument);
+  EXPECT_THROW((void)LayerHarness(d).forward(wrong_in, ctx), std::invalid_argument);
 }
 
 TEST(Dense, ZeroUnitsRejected) {
@@ -71,7 +73,7 @@ TEST(Dropout, EvalModeIsIdentity) {
   Tensor x = Tensor::of2d({{1, 2}, {3, 4}});
   const Tensor* in[] = {&x};
   ForwardCtx ctx = eval_ctx();
-  EXPECT_TRUE(d.forward(in, ctx) == x);
+  EXPECT_TRUE(LayerHarness(d).forward(in, ctx) == x);
 }
 
 TEST(Dropout, TrainingDropsAndRescales) {
@@ -80,7 +82,7 @@ TEST(Dropout, TrainingDropsAndRescales) {
   const Tensor* in[] = {&x};
   Rng rng(3);
   ForwardCtx ctx{.training = true, .rng = &rng};
-  const Tensor y = d.forward(in, ctx);
+  const Tensor y = LayerHarness(d).forward(in, ctx);
   std::size_t zeros = 0;
   double mean = 0.0;
   for (std::size_t i = 0; i < y.size(); ++i) {
@@ -100,7 +102,7 @@ TEST(Dropout, TrainingWithoutRngThrows) {
   Tensor x({1, 4});
   const Tensor* in[] = {&x};
   ForwardCtx ctx{.training = true, .rng = nullptr};
-  EXPECT_THROW((void)d.forward(in, ctx), std::invalid_argument);
+  EXPECT_THROW((void)LayerHarness(d).forward(in, ctx), std::invalid_argument);
 }
 
 TEST(Dropout, InvalidRateRejected) {
@@ -128,12 +130,12 @@ TEST(Conv1D, DetectsKnownPattern) {
   x(0, 3, 0) = 4;
   const Tensor* in[] = {&x};
   ForwardCtx ctx = eval_ctx();
-  (void)conv.forward(in, ctx);  // materialize weights
+  (void)LayerHarness(conv).forward(in, ctx);  // materialize weights
   auto params = conv.parameters();
   params[0]->value[0] = 1.0f;  // w[offset 0]
   params[0]->value[1] = -1.0f; // w[offset 1]
   params[1]->value[0] = 0.0f;
-  const Tensor y = conv.forward(in, ctx);
+  const Tensor y = LayerHarness(conv).forward(in, ctx);
   EXPECT_EQ(y.shape(), tensor::Shape({1, 3, 1}));
   EXPECT_FLOAT_EQ(y(0, 0, 0), 1.0f - 2.0f);
   EXPECT_FLOAT_EQ(y(0, 2, 0), 3.0f - 4.0f);
@@ -145,7 +147,7 @@ TEST(MaxPool1D, KerasWindowSemantics) {
   for (std::size_t i = 0; i < 5; ++i) x(0, i, 0) = static_cast<float>(i);
   const Tensor* in[] = {&x};
   ForwardCtx ctx = eval_ctx();
-  const Tensor y = pool.forward(in, ctx);
+  const Tensor y = LayerHarness(pool).forward(in, ctx);
   // floor(5/2) = 2 windows; the trailing element is dropped.
   EXPECT_EQ(y.shape(), tensor::Shape({1, 2, 1}));
   EXPECT_FLOAT_EQ(y(0, 0, 0), 1.0f);
@@ -158,7 +160,7 @@ TEST(MaxPool1D, OversizedWindowIsGlobalPooling) {
   x(0, 2, 0) = 9.0f;
   const Tensor* in[] = {&x};
   ForwardCtx ctx = eval_ctx();
-  const Tensor y = pool.forward(in, ctx);
+  const Tensor y = LayerHarness(pool).forward(in, ctx);
   EXPECT_EQ(y.shape(), tensor::Shape({1, 1, 1}));
   EXPECT_FLOAT_EQ(y(0, 0, 0), 9.0f);
 }
@@ -179,10 +181,10 @@ TEST(CloneShared, SharesDenseParameters) {
   Tensor x({1, 2});
   const Tensor* in[] = {&x};
   ForwardCtx ctx = eval_ctx();
-  (void)donor.forward(in, ctx);
+  (void)LayerHarness(donor).forward(in, ctx);
   const LayerPtr mirror = clone_shared(donor);
-  const Tensor y1 = donor.forward(in, ctx);
-  const Tensor y2 = mirror->forward(in, ctx);
+  const Tensor y1 = LayerHarness(donor).forward(in, ctx);
+  const Tensor y2 = LayerHarness(*mirror).forward(in, ctx);
   EXPECT_TRUE(y1 == y2);
   EXPECT_EQ(donor.parameters()[0].get(), mirror->parameters()[0].get());
 }
@@ -195,8 +197,8 @@ TEST(CloneShared, SharesBeforeLazyInitToo) {
   Tensor x({1, 2});
   const Tensor* in[] = {&x};
   ForwardCtx ctx = eval_ctx();
-  (void)mirror->forward(in, ctx);  // mirror materializes the shared slot
-  (void)donor.forward(in, ctx);
+  (void)LayerHarness(*mirror).forward(in, ctx);  // mirror materializes the shared slot
+  (void)LayerHarness(donor).forward(in, ctx);
   EXPECT_EQ(donor.parameters()[0].get(), mirror->parameters()[0].get());
 }
 

@@ -9,9 +9,12 @@
 #include <vector>
 
 #include "json_check.hpp"
+#include "ncnas/data/dataset.hpp"
+#include "ncnas/exec/evaluator.hpp"
 #include "ncnas/obs/profiler.hpp"
 #include "ncnas/obs/telemetry.hpp"
 #include "ncnas/rl/controller.hpp"
+#include "ncnas/space/builder.hpp"
 #include "ncnas/space/spaces.hpp"
 #include "ncnas/tensor/ops.hpp"
 #include "ncnas/tensor/tensor.hpp"
@@ -322,6 +325,80 @@ TEST(Profiler, ControllerAllocatesNothingAtSteadyState) {
   }
   EXPECT_EQ(allocs("rl/sample"), sample_before);
   EXPECT_EQ(allocs("rl/ppo_update"), update_before);
+}
+
+/// Allocations the profiler has counted, over every scope.
+std::uint64_t profiled_allocs(const Profiler& prof) {
+  std::uint64_t total = 0;
+  for (const FlatProfileEntry& e : prof.snapshot().flat()) total += e.alloc_count;
+  return total;
+}
+
+// After one warm-up step has sized every slot, a training step of a built
+// model allocates nothing: forward() and backward() write into the graph's
+// slots and the layers' scratch.
+TEST(Profiler, GraphAllocatesNothingAtSteadyState) {
+  constexpr std::size_t kBatch = 16;
+  const auto combo = [] {
+    data::ComboDims dims;
+    dims.train = kBatch;
+    dims.valid = 4;
+    dims.expression = 12;
+    dims.descriptors = 10;
+    return data::make_combo(1, dims);
+  };
+  const auto nt3 = [] {
+    data::Nt3Dims dims;
+    dims.train = kBatch;
+    dims.valid = 4;
+    dims.length = 64;
+    dims.motif = 6;
+    return data::make_nt3(1, dims);
+  };
+  const auto uno = [] {
+    data::UnoDims dims;
+    dims.train = kBatch;
+    dims.valid = 4;
+    dims.rnaseq = 12;
+    dims.descriptors = 10;
+    dims.fingerprints = 6;
+    return data::make_uno(1, dims);
+  };
+  const std::vector<std::pair<space::SearchSpace, data::Dataset>> cases = {
+      {space::combo_small_space(), combo()},
+      {space::nt3_small_space(), nt3()},
+      {space::uno_small_space(), uno()},
+  };
+  Profiler prof;
+  const ProfilerInstallGuard guard(&prof);
+  for (const auto& [sp, ds] : cases) {
+    std::vector<std::size_t> dims;
+    for (std::size_t i = 0; i < ds.input_count(); ++i) dims.push_back(ds.input_dim(i));
+    tensor::Rng arch_rng(3);
+    for (int trial = 0; trial < 3; ++trial) {
+      const space::ArchEncoding arch = sp.random_arch(arch_rng);
+      tensor::Rng init(7);
+      nn::Graph g = space::build_model(sp, arch, dims, exec::head_for(ds), init);
+      tensor::Rng rng(9);
+      nn::ForwardCtx ctx{.training = true, .rng = &rng};
+      tensor::Tensor grad;
+      const auto step = [&] {
+        std::size_t news = news_during([&] {
+          g.zero_grad();
+          (void)g.forward(ds.x_train, ctx);
+        });
+        if (grad.empty()) grad = tensor::Tensor(g.forward(ds.x_train, ctx).shape(), 0.25f);
+        news += news_during([&] { g.backward(grad); });
+        return news;
+      };
+      EXPECT_GT(step(), 0u);  // the warm-up step sizes the slots
+      const std::uint64_t counted = profiled_allocs(prof);
+      for (int round = 0; round < 3; ++round) {
+        EXPECT_EQ(step(), 0u) << sp.describe(arch) << ", round " << round;
+      }
+      EXPECT_EQ(profiled_allocs(prof), counted) << sp.describe(arch);  // no slot grew
+    }
+  }
 }
 
 TEST(Telemetry, EnableProfilerIsIdempotentAndFeedsSnapshot) {

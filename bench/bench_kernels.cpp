@@ -1,24 +1,26 @@
 // Kernel throughput sweep with a built-in correctness gate.
 //
 // Measures gemm/gemm_nt/gemm_tn at several square sizes: the serial
-// reference and the blocked tier at thread counts {1, 2, hardware}. Every
-// blocked measurement is first verified bitwise against the reference
-// result — a bench that reports speed on wrong bits is worse than no bench.
+// reference and the blocked tier, both on the calling thread (the only
+// thread kernels run on). Every blocked measurement is first verified
+// bitwise against the reference result — a bench that reports speed on
+// wrong bits is worse than no bench.
 //
 // Usage:
 //   bench_kernels [--json PATH] [--require-speedup X] [--max-size N]
 //
-// Writes a JSON record per (op, size, threads) to PATH (default
+// Writes a JSON record per (op, size, config) to PATH (default
 // BENCH_kernels.json) and prints a GF/s + speedup table. Exits nonzero if
-// any blocked result mismatches the reference, or if the hardware-threads
-// ("tmax") gemm speedup at the largest size falls below --require-speedup
-// (default 1.0 — "never slower than the reference"; CI passes 1.0, the
-// acceptance target for sizes >= 256 is 2.0).
+// any blocked result mismatches the reference, or if the blocked ("t1")
+// gemm speedup at the largest size falls below --require-speedup (default
+// 1.0 — "never slower than the reference"; CI passes 1.0, the acceptance
+// target for sizes >= 256 is 2.0).
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -46,23 +48,18 @@ struct Op {
   GemmFn ref;     // serial oracle
 };
 
+/// One JSON record, keyed (op, size, config) so two machines' BENCH files
+/// diff record-for-record (see perf_diff). The config labels and the
+/// `threads` field keep the file's schema from when the blocked tier also
+/// ran on a kernel pool: "t1" is the blocked tier on one thread.
 struct Record {
   std::string op;
   std::size_t size = 0;
-  std::size_t threads = 0;   // 0 = serial reference row (informational)
-  std::string config;        // stable label: "ref", "t1", "t2", "tmax"
+  std::size_t threads = 0;   // 0 = reference row, 1 = blocked row
+  std::string config;        // "ref" or "t1"
   double gflops = 0.0;
   double speedup = 1.0;  // vs the reference row of the same (op, size)
 };
-
-/// Rank for the deterministic record order. Records are keyed (op, size,
-/// config) with the "tmax" row standing in for whatever hardware_concurrency
-/// is, so two machines' BENCH files diff record-for-record (see perf_diff).
-int config_rank(const std::string& config) {
-  if (config == "ref") return 0;
-  if (config == "tmax") return 1000;
-  return std::stoi(config.substr(1));
-}
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -108,14 +105,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t hw = std::max<std::size_t>(2, std::thread::hardware_concurrency());
   std::vector<std::size_t> sizes;
   for (std::size_t n : {64UL, 128UL, 256UL, 512UL}) {
     if (n <= max_size) sizes.push_back(n);
   }
-  std::vector<std::size_t> thread_counts{1, 2, hw};
-  thread_counts.erase(std::unique(thread_counts.begin(), thread_counts.end()),
-                      thread_counts.end());
 
   const Op ops[] = {
       {"gemm", ncnas::tensor::gemm, ncnas::tensor::gemm_ref},
@@ -125,10 +118,10 @@ int main(int argc, char** argv) {
 
   std::vector<Record> records;
   bool bits_ok = true;
-  double gate_speedup = 0.0;  // tmax gemm speedup at the largest size
+  double gate_speedup = 0.0;  // blocked gemm speedup at the largest size
 
   std::cout << std::left << std::setw(9) << "op" << std::setw(6) << "n"
-            << std::setw(9) << "threads" << std::setw(10) << "GF/s"
+            << std::setw(9) << "config" << std::setw(10) << "GF/s"
             << "speedup\n";
   for (const Op& op : ops) {
     for (std::size_t n : sizes) {
@@ -149,43 +142,31 @@ int main(int argc, char** argv) {
                 << std::setw(9) << "ref" << std::setw(10) << std::fixed
                 << std::setprecision(2) << ref_gflops << "1.00\n";
 
-      // Blocked tier at each thread count.
-      for (std::size_t t : thread_counts) {
-        const std::string config = t == hw ? "tmax" : "t" + std::to_string(t);
-        KernelConfig cfg = KernelConfig::parallel(t);
-        cfg.min_blocked_flops = 0;
-        KernelConfigGuard guard(cfg);
-        Tensor got({n, n});
-        op.kernel(a, b, got);
-        if (!bytes_equal(want, got)) {
-          std::cerr << "BIT MISMATCH: " << op.name << " n=" << n
-                    << " config=" << config << "\n";
-          bits_ok = false;
-          continue;
-        }
-        const double dt = time_best_seconds(iters, [&] { op.kernel(a, b, got); });
-        const double gflops = flops / dt / 1e9;
-        const double speedup = ref_dt / dt;
-        records.push_back({op.name, n, t, config, gflops, speedup});
-        std::cout << std::left << std::setw(9) << op.name << std::setw(6) << n
-                  << std::setw(9) << config << std::setw(10) << std::fixed
-                  << std::setprecision(2) << gflops << std::setprecision(2)
-                  << speedup << "\n";
-        if (std::string(op.name) == "gemm" && n == sizes.back() && config == "tmax") {
-          gate_speedup = speedup;
-        }
+      // The blocked tier.
+      KernelConfig cfg;
+      cfg.min_blocked_flops = 0;
+      KernelConfigGuard guard(cfg);
+      Tensor got({n, n});
+      op.kernel(a, b, got);
+      if (!bytes_equal(want, got)) {
+        std::cerr << "BIT MISMATCH: " << op.name << " n=" << n << "\n";
+        bits_ok = false;
+        continue;
       }
+      const double dt = time_best_seconds(iters, [&] { op.kernel(a, b, got); });
+      const double gflops = flops / dt / 1e9;
+      const double speedup = ref_dt / dt;
+      records.push_back({op.name, n, 1, "t1", gflops, speedup});
+      std::cout << std::left << std::setw(9) << op.name << std::setw(6) << n
+                << std::setw(9) << "t1" << std::setw(10) << std::fixed
+                << std::setprecision(2) << gflops << std::setprecision(2)
+                << speedup << "\n";
+      if (std::string(op.name) == "gemm" && n == sizes.back()) gate_speedup = speedup;
     }
   }
 
-  // Deterministic, hardware_threads-independent record order: two machines
-  // with different core counts produce files whose records line up.
-  std::stable_sort(records.begin(), records.end(), [](const Record& a, const Record& b) {
-    if (a.op != b.op) return a.op < b.op;
-    if (a.size != b.size) return a.size < b.size;
-    return config_rank(a.config) < config_rank(b.config);
-  });
-
+  // hardware_threads describes the machine; no measurement depends on it.
+  const unsigned hw = std::thread::hardware_concurrency();
   std::ostringstream json;
   json << "{\n  \"schema_version\": 1,\n  \"hardware_threads\": " << hw
        << ",\n  \"records\": [\n";
@@ -211,11 +192,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (gate_speedup < require_speedup) {
-    std::cerr << "FAIL: tmax gemm speedup " << gate_speedup << " at n="
+    std::cerr << "FAIL: blocked gemm speedup " << gate_speedup << " at n="
               << sizes.back() << " is below required " << require_speedup << "\n";
     return 1;
   }
-  std::cout << "OK: tmax gemm speedup at n=" << sizes.back() << " is "
+  std::cout << "OK: blocked gemm speedup at n=" << sizes.back() << " is "
             << std::setprecision(2) << gate_speedup << "x (required "
             << require_speedup << "x)\n";
   return 0;

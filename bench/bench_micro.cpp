@@ -29,14 +29,12 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(96)->Arg(256);
 
-// Blocked-kernel sweep: sizes x thread counts. Thread arg 0 means "hardware
-// concurrency" (resolved by KernelConfig::parallel). BM_Gemm above runs the
-// default config (serial blocked); bench_kernels produces the full GF/s +
-// speedup-over-reference table and BENCH_kernels.json.
+// Blocked-kernel sweep over sizes, on the default config. bench_kernels
+// produces the full GF/s + speedup-over-reference table and
+// BENCH_kernels.json.
 void BM_GemmBlocked(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t threads = static_cast<std::size_t>(state.range(1));
-  tensor::KernelConfigGuard guard(tensor::KernelConfig::parallel(threads));
+  tensor::KernelConfigGuard guard(tensor::KernelConfig{});
   tensor::Rng rng(1);
   tensor::Tensor a({n, n}), b({n, n}), c({n, n});
   for (float& v : a.flat()) v = static_cast<float>(rng.normal());
@@ -47,7 +45,7 @@ void BM_GemmBlocked(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * n * n);
 }
-BENCHMARK(BM_GemmBlocked)->ArgsProduct({{64, 128, 256, 512}, {1, 2, 0}});
+BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_Conv1dForward(benchmark::State& state) {
   tensor::Rng rng(2);

@@ -126,8 +126,8 @@ struct SearchConfig {
   /// part of cache keys or config_fingerprint().
   std::uint32_t tenant_id = 0;
   // Note: the tensor kernel policy is process-wide (tensor::KernelConfig),
-  // not a SearchConfig field — blocked/parallel kernels are bit-identical to
-  // the serial reference at every thread count, so it belongs with the
+  // not a SearchConfig field — the blocked kernels are bit-identical to the
+  // serial reference at every block geometry, so it belongs with the
   // result-neutral toggles above and stays out of config_fingerprint().
 };
 

@@ -33,8 +33,8 @@ void save_result(const std::string& path, const SearchResult& result,
                                        const std::function<SearchResult()>& run);
 
 /// Stable fingerprint of a search configuration (fields that affect results).
-/// The process-wide tensor::KernelConfig is deliberately not an input: blocked
-/// and parallel kernels are bit-identical to the serial reference (the
+/// The process-wide tensor::KernelConfig is deliberately not an input: the
+/// blocked kernels are bit-identical to the serial reference (the
 /// determinism rule in tensor/kernel_config.hpp), so the kernel policy —
 /// like telemetry and checkpointing — can never invalidate a saved log.
 [[nodiscard]] std::string config_fingerprint(const SearchConfig& cfg,

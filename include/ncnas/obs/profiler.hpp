@@ -19,9 +19,9 @@
 // (same contract as the rest of Telemetry and KernelConfig).
 //
 // Scopes are strictly nested per thread (RAII); a scope opened on a pool
-// worker roots at that worker's tree, so kernel time spent inside
-// parallel_for appears under the worker threads, not under the caller's
-// scope. The flat view aggregates by name across all paths and threads,
+// worker roots at that worker's tree, so the kernel time of a training run
+// on a driver-pool worker appears under that worker's thread, not under the
+// scope that submitted it. The flat view aggregates by name across all paths and threads,
 // which is what the per-kernel totals are read from.
 #pragma once
 

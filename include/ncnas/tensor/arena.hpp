@@ -9,9 +9,9 @@
 // Usage is strictly scoped: take an ArenaScope, alloc through it, let the
 // scope rewind the bump pointer on destruction. Chunks are never returned to
 // the OS during a run, so steady-state kernel calls perform zero heap
-// allocations. Scopes nest (LIFO per thread); memory handed out by a scope
-// may be written by kernel-pool workers, but alloc()/rewind themselves must
-// happen on the owning thread.
+// allocations. Scopes nest (LIFO per thread), and alloc()/rewind happen on
+// the owning thread. Each driver-pool worker that runs kernels has its own
+// arena, so concurrent trainings never share scratch.
 #pragma once
 
 #include <cstddef>

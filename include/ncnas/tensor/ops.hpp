@@ -4,12 +4,10 @@
 // KernelConfig::min_blocked_flops in kernel_config.hpp):
 //
 //  * Blocked kernels (the default for every problem above the threshold):
-//    cache-blocked, B-panel-packed micro-kernels, optionally parallelized
-//    over row blocks of the output on a dedicated internal ThreadPool.
-//    Deterministic by construction — each output element is written by
-//    exactly one task and accumulated in the same k-ascending order at every
-//    thread count — so results stay bit-identical across 1..N threads and
-//    against the reference kernels.
+//    cache-blocked, B-panel-packed micro-kernels. Deterministic by
+//    construction — each output element is accumulated in the same
+//    k-ascending order as the reference loop, for any block geometry — so
+//    results stay bit-identical against the reference kernels.
 //  * Reference kernels (`*_ref`, and every problem below the threshold): the
 //    original single-threaded triple loops. These are the oracles — simple
 //    enough to be obviously correct, and the bit-exact ground truth
@@ -25,12 +23,11 @@
 // and silently masked NaN/Inf in the other operand; kernel_diff_test pins
 // the propagating behaviour.)
 //
-// Reductions (sum/mean/dot/squared_norm) intentionally stay serial in every
-// mode: they are single accumulation chains, and splitting them across
-// threads would change the addition tree and break bit-identity.
+// Every kernel runs on the calling thread (see kernel_config.hpp for why);
+// concurrent calls from different threads are safe, since each thread packs
+// into its own arena.
 #pragma once
 
-#include "ncnas/tensor/function_ref.hpp"
 #include "ncnas/tensor/tensor.hpp"
 
 namespace ncnas::tensor {
@@ -98,24 +95,10 @@ void accumulate_col_sums(const Tensor& g, Tensor& out);
 /// Squared L2 norm.
 [[nodiscard]] float squared_norm(const Tensor& t);
 
-/// Runs fn(begin, end) over disjoint fixed-grain chunks of [0, n). Chunk
-/// boundaries depend only on n — never on the thread count — and each index
-/// belongs to exactly one chunk, so any fn whose per-index work is
-/// independent produces identical bytes serially and on the pool. Runs on
-/// the kernel pool when the installed KernelConfig is pooled and n clears
-/// its min_parallel_elems threshold; serially otherwise.
-void parallel_elems(std::size_t n, FunctionRef<void(std::size_t, std::size_t)> fn);
-
-/// Row-sliced variant for 2-D work: fn(row_begin, row_end) over chunks whose
-/// grain is derived from `cols` (so a chunk is a constant amount of work
-/// regardless of matrix shape). Same determinism contract as parallel_elems.
-void parallel_rows(std::size_t rows, std::size_t cols,
-                   FunctionRef<void(std::size_t, std::size_t)> fn);
-
 /// --- few-row kernels on raw buffers ------------------------------------------
 /// For callers that own their buffers and run many tiny products (the RL
 /// controller's LSTM and heads, at a handful of rows): no shape checks, no
-/// tier dispatch, no pool and no profiler scope. Register-blocked, but each
+/// tier dispatch and no profiler scope. Register-blocked, but each
 /// output element is still the one multiply-add chain over k ascending,
 /// starting from +0 (fused where the target has FMA), that gemm / gemm_nt /
 /// gemm_tn compute on either tier, so the bits are exactly theirs.

@@ -49,43 +49,33 @@ Tensor apply_act(Act a, const Tensor& z) {
 }
 
 void apply_act_inplace(Act a, Tensor& y) {
-  // Pointwise activations run through parallel_elems / parallel_rows: each
-  // element (or row, for softmax) has one writer and no cross-chunk data
-  // flow, so the bytes are the serial loop's bytes at any thread count.
   float* py = y.data();
+  const std::size_t size = y.size();
   switch (a) {
     case Act::kLinear:
       break;
     case Act::kRelu:
-      tensor::parallel_elems(y.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) py[i] = std::max(py[i], 0.0f);
-      });
+      for (std::size_t i = 0; i < size; ++i) py[i] = std::max(py[i], 0.0f);
       break;
     case Act::kTanh:
-      tensor::parallel_elems(y.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) py[i] = std::tanh(py[i]);
-      });
+      for (std::size_t i = 0; i < size; ++i) py[i] = std::tanh(py[i]);
       break;
     case Act::kSigmoid:
-      tensor::parallel_elems(y.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) py[i] = 1.0f / (1.0f + std::exp(-py[i]));
-      });
+      for (std::size_t i = 0; i < size; ++i) py[i] = 1.0f / (1.0f + std::exp(-py[i]));
       break;
     case Act::kSoftmax: {
       if (y.rank() != 2) throw std::invalid_argument("softmax: expects rank-2 logits");
       const std::size_t m = y.dim(0), n = y.dim(1);
-      tensor::parallel_rows(m, n, [&](std::size_t rb, std::size_t re) {
-        for (std::size_t i = rb; i < re; ++i) {
-          float* row = py + i * n;
-          const float mx = *std::max_element(row, row + n);
-          float denom = 0.0f;
-          for (std::size_t j = 0; j < n; ++j) {
-            row[j] = std::exp(row[j] - mx);
-            denom += row[j];
-          }
-          for (std::size_t j = 0; j < n; ++j) row[j] /= denom;
+      for (std::size_t i = 0; i < m; ++i) {
+        float* row = py + i * n;
+        const float mx = *std::max_element(row, row + n);
+        float denom = 0.0f;
+        for (std::size_t j = 0; j < n; ++j) {
+          row[j] = std::exp(row[j] - mx);
+          denom += row[j];
         }
-      });
+        for (std::size_t j = 0; j < n; ++j) row[j] /= denom;
+      }
       break;
     }
   }
@@ -94,38 +84,31 @@ void apply_act_inplace(Act a, Tensor& y) {
 void act_backward_inplace(Act a, Tensor& g, const Tensor& y) {
   float* pg = g.data();
   const float* py = y.data();
+  const std::size_t size = g.size();
   switch (a) {
     case Act::kLinear:
       break;
     case Act::kRelu:
-      tensor::parallel_elems(g.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          if (py[i] <= 0.0f) pg[i] = 0.0f;
-        }
-      });
+      for (std::size_t i = 0; i < size; ++i) {
+        if (py[i] <= 0.0f) pg[i] = 0.0f;
+      }
       break;
     case Act::kTanh:
-      tensor::parallel_elems(g.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) pg[i] *= 1.0f - py[i] * py[i];
-      });
+      for (std::size_t i = 0; i < size; ++i) pg[i] *= 1.0f - py[i] * py[i];
       break;
     case Act::kSigmoid:
-      tensor::parallel_elems(g.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) pg[i] *= py[i] * (1.0f - py[i]);
-      });
+      for (std::size_t i = 0; i < size; ++i) pg[i] *= py[i] * (1.0f - py[i]);
       break;
     case Act::kSoftmax: {
       // dz_j = y_j * (dy_j - sum_k dy_k * y_k), per row.
       const std::size_t m = g.dim(0), n = g.dim(1);
-      tensor::parallel_rows(m, n, [&](std::size_t rb, std::size_t re) {
-        for (std::size_t i = rb; i < re; ++i) {
-          const float* yr = py + i * n;
-          float* gr = pg + i * n;
-          float s = 0.0f;
-          for (std::size_t j = 0; j < n; ++j) s += gr[j] * yr[j];
-          for (std::size_t j = 0; j < n; ++j) gr[j] = yr[j] * (gr[j] - s);
-        }
-      });
+      for (std::size_t i = 0; i < m; ++i) {
+        const float* yr = py + i * n;
+        float* gr = pg + i * n;
+        float s = 0.0f;
+        for (std::size_t j = 0; j < n; ++j) s += gr[j] * yr[j];
+        for (std::size_t j = 0; j < n; ++j) gr[j] = yr[j] * (gr[j] - s);
+      }
       break;
     }
   }
@@ -376,25 +359,22 @@ const Tensor& Conv1D::forward(std::span<const tensor::Tensor* const> inputs, Ten
   float* py = out.data();
   const float* pw = slot_->w->value.data();
   const float* pb = slot_->b->value.data();
-  // Batch items are independent (disjoint output rows), so the batch loop
-  // parallelizes under the kernel determinism rule. No zero-operand skip on
-  // xv: it made FLOPs data-dependent and masked NaN in the weights (0 * NaN
-  // must stay NaN) — see the kernel NaN-semantics note in tensor/ops.hpp.
-  tensor::parallel_rows(batch, out_len * kernel_ * cin, [&](std::size_t bb, std::size_t be) {
-    for (std::size_t b = bb; b < be; ++b) {
-      for (std::size_t p = 0; p < out_len; ++p) {
-        float* yrow = py + (b * out_len + p) * filters_;
-        for (std::size_t f = 0; f < filters_; ++f) yrow[f] = pb[f];
-        // Window [p, p + kernel) flattened over (offset, channel) pairs.
-        const float* xwin = x.data() + (b * len + p) * cin;
-        for (std::size_t t = 0; t < kernel_ * cin; ++t) {
-          const float xv = xwin[t];
-          const float* wrow = pw + t * filters_;
-          for (std::size_t f = 0; f < filters_; ++f) yrow[f] += xv * wrow[f];
-        }
+  // No zero-operand skip on xv: it made FLOPs data-dependent and masked NaN
+  // in the weights (0 * NaN must stay NaN) — see the kernel NaN-semantics
+  // note in tensor/ops.hpp.
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t p = 0; p < out_len; ++p) {
+      float* yrow = py + (b * out_len + p) * filters_;
+      for (std::size_t f = 0; f < filters_; ++f) yrow[f] = pb[f];
+      // Window [p, p + kernel) flattened over (offset, channel) pairs.
+      const float* xwin = x.data() + (b * len + p) * cin;
+      for (std::size_t t = 0; t < kernel_ * cin; ++t) {
+        const float xv = xwin[t];
+        const float* wrow = pw + t * filters_;
+        for (std::size_t f = 0; f < filters_; ++f) yrow[f] += xv * wrow[f];
       }
     }
-  });
+  }
   return out;
 }
 

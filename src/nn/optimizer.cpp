@@ -5,17 +5,15 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ncnas/tensor/ops.hpp"
-
 namespace ncnas::nn {
 
 void Sgd::step(const std::vector<ParamPtr>& params) {
+  const float lr = lr_;
   for (const ParamPtr& p : params) {
     float* v = p->value.data();
     const float* g = p->grad.data();
-    tensor::parallel_elems(p->size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) v[i] -= lr_ * g[i];
-    });
+    const std::size_t n = p->size();
+    for (std::size_t i = 0; i < n; ++i) v[i] -= lr * g[i];
   }
 }
 
@@ -29,7 +27,7 @@ const std::string& Adam::key_for(const Parameter* p) {
 
 namespace {
 
-/// Adam's per-element update over [b, e). Every operand arrives by value or
+/// Adam's per-element update over [0, n). Every operand arrives by value or
 /// through a pointer to the buffers it updates, so nothing the loop reads can
 /// alias its stores and the compiler vectorizes it (sqrt and the division are
 /// correctly rounded in vector form too, so the bits are the scalar loop's).
@@ -38,8 +36,8 @@ struct AdamCoefs {
 };
 
 void adam_update(const AdamCoefs c, float* val, const float* g, float* m, float* v,
-                 std::size_t b, std::size_t e) {
-  for (std::size_t i = b; i < e; ++i) {
+                 std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
     m[i] = c.beta1 * m[i] + (1.0f - c.beta1) * g[i];
     v[i] = c.beta2 * v[i] + (1.0f - c.beta2) * g[i] * g[i];
     const float mhat = m[i] / c.b1t;
@@ -69,15 +67,8 @@ void Adam::step(const std::vector<ParamPtr>& params) {
       throw std::invalid_argument("Adam::step: imported moments for " + p->name +
                                   " do not match the parameter shape");
     }
-    float* val = p->value.data();
-    const float* g = p->grad.data();
-    float* m = mom.m.data();
-    float* v = mom.v.data();
-    // Per-element update with no cross-element dependency: deterministic to
-    // chunk (parallel_elems boundaries are thread-count-independent).
-    tensor::parallel_elems(p->size(), [=](std::size_t b, std::size_t e) {
-      adam_update(coefs, val, g, m, v, b, e);
-    });
+    adam_update(coefs, p->value.data(), p->grad.data(), mom.m.data(), mom.v.data(),
+                p->size());
   }
 }
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "ncnas/obs/profiler.hpp"
-#include "ncnas/tensor/ops.hpp"
 
 namespace ncnas::nn {
 
@@ -33,13 +32,10 @@ void gather_rows_into(const Tensor& t, std::span<const std::size_t> rows, Tensor
     if (rows[i] >= t.dim(0)) throw std::invalid_argument("gather_rows: row out of range");
   }
   out.reset({rows.size(), cols});
-  // Validated above; the copies are pure disjoint writes, safe to chunk.
-  tensor::parallel_rows(rows.size(), cols, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t i = rb; i < re; ++i) {
-      std::copy(t.data() + rows[i] * cols, t.data() + (rows[i] + 1) * cols,
-                out.data() + i * cols);
-    }
-  });
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::copy(t.data() + rows[i] * cols, t.data() + (rows[i] + 1) * cols,
+              out.data() + i * cols);
+  }
 }
 
 Tensor gather_rows(const Tensor& t, std::span<const std::size_t> rows) {

@@ -9,7 +9,6 @@
 #include "ncnas/obs/profiler.hpp"
 #include "ncnas/tensor/arena.hpp"
 #include "ncnas/tensor/kernel_config.hpp"
-#include "ncnas/tensor/thread_pool.hpp"
 
 namespace ncnas::tensor {
 
@@ -119,31 +118,16 @@ void gemm_tn_ref_impl(const float* pa, const float* pb, float* pc, const GemmDim
 
 // --- blocked kernels --------------------------------------------------------
 //
-// Layout: B is packed into k-major micro-panels of kPanelWidth columns; row
-// blocks of C are independent tasks on the kernel pool. Determinism rule
-// ("one writer per output element, fixed accumulation order"): a C element
-// belongs to exactly one row-block task, and its value is a single register
-// accumulation chain over k ascending — the same chain the reference kernel
-// performs through memory — so bits match at every thread count.
+// Layout: B is packed into k-major micro-panels of kPanelWidth columns, and
+// C is computed one row block at a time. Determinism rule: a C element's
+// value is a single register accumulation chain over k ascending — the same
+// chain the reference kernel performs through memory — so bits match the
+// reference for any block geometry.
 
 constexpr std::size_t kPanelWidth = 32;  // NR: columns per packed B panel
 constexpr std::size_t kMicroRows = 4;    // MR: C rows per micro-kernel step
 
-/// Grain of the deterministic chunking used by the elementwise helpers.
-/// Fixed — never derived from the thread count — so chunk boundaries (and
-/// therefore bytes) are identical no matter how many workers execute them.
-constexpr std::size_t kElemGrain = 16384;
-
 std::size_t div_up(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
-/// Runs fn(index) for each index in [0, n), on the pool when asked.
-void run_tasks(bool pooled, std::size_t n, FunctionRef<void(std::size_t)> fn) {
-  if (pooled && n > 1) {
-    parallel_for(detail::kernel_pool(), n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
 
 /// Packs B columns [j0, j0+w) into dst, k-major: dst[kk*w + jj] = B[kk][j0+jj].
 void pack_b_panel(const float* pb, std::size_t k, std::size_t n, std::size_t j0, std::size_t w,
@@ -172,9 +156,11 @@ void pack_bt_panel(const float* pb, std::size_t k, std::size_t j0, std::size_t w
 /// — one chain per element, k ascending. A runtime row bound here makes the
 /// compiler spill every chain to the stack (measured 3-4x SLOWER than the
 /// reference); W = 32 (two 512-bit or four 256-bit vectors per row) measured
-/// ~2.5x faster than W = 16 on the CI machine.
+/// ~2.5x faster than W = 16 on the CI machine. Kept out of line for the
+/// same reason: inlined into the row-block loop, that loop's live values
+/// compete with the accumulators for registers (see gemm_tn_micro_r4).
 template <std::size_t R, std::size_t W>
-void gemm_micro_step(const float* pa, const float* bp, float* pc, std::size_t k, std::size_t n,
+[[gnu::noinline]] void gemm_micro_step(const float* pa, const float* bp, float* pc, std::size_t k, std::size_t n,
                      std::size_t i, std::size_t j0) {
   const float* a[R];
   for (std::size_t r = 0; r < R; ++r) a[r] = pa + (i + r) * k;
@@ -229,8 +215,6 @@ void gemm_micro_edge(const float* pa, const float* bp, float* pc, std::size_t k,
 ///
 /// The pack buffer comes from the per-thread arena: steady-state calls do
 /// zero heap allocations (the old std::vector alloc'd k*n floats per call).
-/// Pool workers write disjoint panel ranges of it; alloc/rewind stay on the
-/// calling thread as the arena contract requires.
 void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const GemmDims& d,
                          const KernelConfig& cfg, bool b_transposed) {
   const std::size_t npanels = div_up(d.n, kPanelWidth);
@@ -238,7 +222,7 @@ void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const Gemm
   // the buffer exactly k*n floats with no holes.
   detail::ArenaScope scratch;
   float* packed = scratch.alloc(d.k * d.n);
-  run_tasks(cfg.pooled(), npanels, [&](std::size_t p) {
+  for (std::size_t p = 0; p < npanels; ++p) {
     const std::size_t j0 = p * kPanelWidth;
     const std::size_t w = std::min(kPanelWidth, d.n - j0);
     float* dst = packed + j0 * d.k;
@@ -247,12 +231,10 @@ void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const Gemm
     } else {
       pack_b_panel(pb, d.k, d.n, j0, w, dst);
     }
-  });
+  }
 
   const std::size_t panels_per_pass = std::max<std::size_t>(1, cfg.block_cols / kPanelWidth);
-  const std::size_t nblocks = div_up(d.m, cfg.block_rows);
-  run_tasks(cfg.pooled(), nblocks, [&](std::size_t blk) {
-    const std::size_t i0 = blk * cfg.block_rows;
+  for (std::size_t i0 = 0; i0 < d.m; i0 += cfg.block_rows) {
     const std::size_t i1 = std::min(i0 + cfg.block_rows, d.m);
     for (std::size_t pc0 = 0; pc0 < npanels; pc0 += panels_per_pass) {
       const std::size_t pc1 = std::min(pc0 + panels_per_pass, npanels);
@@ -267,7 +249,7 @@ void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const Gemm
         }
       }
     }
-  });
+  }
 }
 
 /// gemm_tn micro-kernels: C rows [i, i+R) x columns [j0, j0+W). A columns
@@ -276,8 +258,11 @@ void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const Gemm
 /// gets its own named accumulator array: a runtime-bound row loop here makes
 /// the compiler spill every chain to the stack (measured 3-4x SLOWER than
 /// the reference), while the unrolled form holds all chains in registers.
+/// The kernel is kept out of line: GCC 12 inlines it into the row-block
+/// loop when nothing stops it, and gemm_tn 128^3 then measured ~45 instead
+/// of ~58 GFLOP/s on a 4-core AVX-512 VM.
 template <std::size_t W>
-void gemm_tn_micro_r4(const float* pa, const float* pb, float* pc, const GemmDims& d,
+[[gnu::noinline]] void gemm_tn_micro_r4(const float* pa, const float* pb, float* pc, const GemmDims& d,
                       std::size_t i, std::size_t j0) {
   float acc0[W] = {}, acc1[W] = {}, acc2[W] = {}, acc3[W] = {};
   for (std::size_t kk = 0; kk < d.k; ++kk) {
@@ -312,9 +297,7 @@ void gemm_tn_micro_r1(const float* pa, const float* pb, float* pc, const GemmDim
 
 void gemm_tn_blocked(const float* pa, const float* pb, float* pc, const GemmDims& d,
                      const KernelConfig& cfg) {
-  const std::size_t nblocks = div_up(d.m, cfg.block_rows);
-  run_tasks(cfg.pooled(), nblocks, [&](std::size_t blk) {
-    const std::size_t i0 = blk * cfg.block_rows;
+  for (std::size_t i0 = 0; i0 < d.m; i0 += cfg.block_rows) {
     const std::size_t i1 = std::min(i0 + cfg.block_rows, d.m);
     std::size_t i = i0;
     for (; i + kMicroRows <= i1; i += kMicroRows) {
@@ -333,7 +316,7 @@ void gemm_tn_blocked(const float* pa, const float* pb, float* pc, const GemmDims
         gemm_tn_micro_r1(pa, pb, pc, d, i, j0, std::min(kPanelWidth, d.n - j0));
       }
     }
-  });
+  }
 }
 
 /// Which tier a gemm of these dims runs under cfg. One rule for all three
@@ -571,35 +554,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void parallel_elems(std::size_t n, FunctionRef<void(std::size_t, std::size_t)> fn) {
-  if (n == 0) return;
-  const KernelConfig cfg = kernel_config();
-  const std::size_t chunks = div_up(n, kElemGrain);
-  if (!cfg.pooled() || n < cfg.min_parallel_elems || chunks < 2) {
-    fn(0, n);
-    return;
-  }
-  parallel_for(detail::kernel_pool(), chunks, [&](std::size_t c) {
-    fn(c * kElemGrain, std::min(n, (c + 1) * kElemGrain));
-  });
-}
-
-void parallel_rows(std::size_t rows, std::size_t cols,
-                   FunctionRef<void(std::size_t, std::size_t)> fn) {
-  if (rows == 0) return;
-  const KernelConfig cfg = kernel_config();
-  const std::size_t grain = std::max<std::size_t>(1, kElemGrain / std::max<std::size_t>(1, cols));
-  const std::size_t chunks = div_up(rows, grain);
-  if (!cfg.pooled() || rows * std::max<std::size_t>(1, cols) < cfg.min_parallel_elems ||
-      chunks < 2) {
-    fn(0, rows);
-    return;
-  }
-  parallel_for(detail::kernel_pool(), chunks, [&](std::size_t c) {
-    fn(c * grain, std::min(rows, (c + 1) * grain));
-  });
-}
-
 void add_inplace(Tensor& y, const Tensor& x) { axpy(1.0f, x, y); }
 
 void copy_into(const Tensor& src, Tensor& dst) {
@@ -617,18 +571,14 @@ void axpy(float alpha, const Tensor& x, Tensor& y) {
   prof.add_work(2.0 * static_cast<double>(y.size()), 12.0 * static_cast<double>(y.size()));
   float* py = y.data();
   const float* px = x.data();
-  parallel_elems(y.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) py[i] += alpha * px[i];
-  });
+  for (std::size_t i = 0; i < y.size(); ++i) py[i] += alpha * px[i];
 }
 
 void scale_inplace(Tensor& y, float alpha) {
   obs::ProfileScope prof("scale_inplace");
   prof.add_work(static_cast<double>(y.size()), 8.0 * static_cast<double>(y.size()));
   float* py = y.data();
-  parallel_elems(y.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) py[i] *= alpha;
-  });
+  for (std::size_t i = 0; i < y.size(); ++i) py[i] *= alpha;
 }
 
 void add_row_bias(Tensor& y, const Tensor& bias) {
@@ -644,12 +594,10 @@ void add_row_bias(Tensor& y, const Tensor& bias) {
                        static_cast<double>(n)));
   float* py = y.data();
   const float* pb = bias.data();
-  parallel_rows(m, n, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t i = rb; i < re; ++i) {
-      float* row = py + i * n;
-      for (std::size_t j = 0; j < n; ++j) row[j] += pb[j];
-    }
-  });
+  for (std::size_t i = 0; i < m; ++i) {
+    float* row = py + i * n;
+    for (std::size_t j = 0; j < n; ++j) row[j] += pb[j];
+  }
 }
 
 void accumulate_col_sums(const Tensor& g, Tensor& out) {
@@ -665,14 +613,11 @@ void accumulate_col_sums(const Tensor& g, Tensor& out) {
                        2.0 * static_cast<double>(n)));
   const float* pg = g.data();
   float* po = out.data();
-  // Parallel over column ranges: each out[j] has a single writer, and its
-  // accumulation stays row-ascending — the serial order — per column.
-  parallel_rows(n, m, [&](std::size_t jb, std::size_t je) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* row = pg + i * n;
-      for (std::size_t j = jb; j < je; ++j) po[j] += row[j];
-    }
-  });
+  // Each out[j] accumulates row-ascending.
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* row = pg + i * n;
+    for (std::size_t j = 0; j < n; ++j) po[j] += row[j];
+  }
 }
 
 float sum(const Tensor& t) {

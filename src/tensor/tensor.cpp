@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "ncnas/obs/profiler.hpp"
@@ -95,8 +96,9 @@ void Tensor::require_shape(const std::size_t* dims, std::size_t rank, const char
 }
 
 bool operator==(const Tensor& a, const Tensor& b) {
+  // Bytes, not float ==: equal NaNs compare equal, and -0 differs from +0.
   return a.shape() == b.shape() &&
-         std::equal(a.flat().begin(), a.flat().end(), b.flat().begin());
+         (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 float max_abs_diff(const Tensor& a, const Tensor& b) {

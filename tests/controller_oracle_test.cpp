@@ -33,12 +33,12 @@ long first_diff(const std::vector<float>& a, const std::vector<float>& b) {
   return -1;
 }
 
-enum class Kernels { kDefault, kParallel4, kReference };
+// gtest prints a parameter's value into every discovered test name, so the
+// values stay the ones those names were registered with.
+enum class Kernels { kDefault = 0, kReference = 2 };
 
 KernelConfig kernel_config_for(Kernels k) {
   switch (k) {
-    case Kernels::kParallel4:
-      return KernelConfig::parallel(4);
     case Kernels::kReference: {
       KernelConfig cfg;
       cfg.min_blocked_flops = SIZE_MAX;
@@ -110,8 +110,6 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   switch (kernels) {
     case Kernels::kDefault:
       return name + "_default";
-    case Kernels::kParallel4:
-      return name + "_parallel4";
     case Kernels::kReference:
       return name + "_reference";
   }
@@ -122,8 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
     SpacesBatchesKernels, ControllerOracle,
     ::testing::Combine(::testing::Values("nt3-small", "combo-small", "uno-small"),
                        ::testing::Values(1, 2, 4, 8, 16),
-                       ::testing::Values(Kernels::kDefault, Kernels::kParallel4,
-                                         Kernels::kReference)),
+                       ::testing::Values(Kernels::kDefault, Kernels::kReference)),
     case_name);
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,11 +17,10 @@
 
 namespace ncnas::testing {
 
-/// One kernel-tier configuration a parameterized suite runs under: the
-/// reference kernels only (threads == 0), or the blocked kernels on that many
-/// kernel threads.
+/// One kernel tier a parameterized suite runs under: the reference kernels
+/// only (blocked == 0), or the blocked kernels (blocked == 1).
 struct KernelMode {
-  std::size_t threads;
+  std::size_t blocked;
   /// Unused. gtest prints a parameter's raw bytes into every discovered test
   /// name, so this keeps the 16-byte layout those names were registered with.
   std::int32_t reserved = 1;
@@ -38,13 +36,7 @@ class KernelModeTest : public ::testing::TestWithParam<KernelMode> {
     tensor::KernelConfig cfg;
     cfg.block_rows = 8;
     cfg.block_cols = 32;
-    cfg.min_parallel_elems = 0;
-    if (GetParam().threads == 0) {
-      cfg.min_blocked_flops = SIZE_MAX;
-    } else {
-      cfg.threads = GetParam().threads;
-      cfg.min_blocked_flops = 0;
-    }
+    cfg.min_blocked_flops = GetParam().blocked == 0 ? SIZE_MAX : 0;
     guard_.emplace(cfg);
   }
   void TearDown() override { guard_.reset(); }
@@ -53,20 +45,12 @@ class KernelModeTest : public ::testing::TestWithParam<KernelMode> {
   std::optional<tensor::KernelConfigGuard> guard_;
 };
 
-/// The modes every kernel-mode suite runs under: reference, and blocked
-/// serially and on the hardware's worth of pool threads.
-inline std::vector<KernelMode> kernel_mode_params() {
-  const std::size_t hw = std::max<std::size_t>(2, std::thread::hardware_concurrency());
-  return {{.threads = 0}, {.threads = 1}, {.threads = hw}};
-}
+/// The modes every kernel-mode suite runs under: reference, and blocked.
+inline std::vector<KernelMode> kernel_mode_params() { return {{.blocked = 0}, {.blocked = 1}}; }
 
-/// Stable, unique test-name suffix per mode (the hardware entry can never
-/// collide with the serial entries because it is clamped to >= 2).
+/// Stable, unique test-name suffix per mode.
 inline std::string kernel_mode_name(const ::testing::TestParamInfo<KernelMode>& info) {
-  const KernelMode& m = info.param;
-  if (m.threads == 0) return "ref";
-  if (m.threads == 1) return "blocked_serial";
-  return "blocked_t" + std::to_string(m.threads);
+  return info.param.blocked == 0 ? "ref" : "blocked_serial";
 }
 
 /// Scalar probe loss: L = sum_i w_i * y_i with fixed pseudo-random weights,

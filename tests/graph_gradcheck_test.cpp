@@ -18,7 +18,7 @@ using testing::numeric_derivative;
 using testing::rel_err;
 
 // Parameterized over kernel modes: the end-to-end backward pass is verified
-// under the reference, blocked-serial, and blocked-parallel kernels alike.
+// under the reference and blocked kernels alike.
 using GraphGradCheck = ncnas::testing::KernelModeTest;
 
 /// Branchy model: two inputs, a shared dense encoder on both, a conv path on

@@ -600,25 +600,22 @@ inline Tensor Conv1D::forward(std::span<const tensor::Tensor* const> inputs, For
   Tensor y({batch, out_len, filters_});
   const float* pw = slot_->w->value.data();
   const float* pb = slot_->b->value.data();
-  // Batch items are independent (disjoint output rows), so the batch loop
-  // parallelizes under the kernel determinism rule. No zero-operand skip on
-  // xv: it made FLOPs data-dependent and masked NaN in the weights (0 * NaN
-  // must stay NaN) — see the kernel NaN-semantics note in tensor/ops.hpp.
-  tensor::parallel_rows(batch, out_len * kernel_ * cin, [&](std::size_t bb, std::size_t be) {
-    for (std::size_t b = bb; b < be; ++b) {
-      for (std::size_t p = 0; p < out_len; ++p) {
-        float* yrow = y.data() + (b * out_len + p) * filters_;
-        for (std::size_t f = 0; f < filters_; ++f) yrow[f] = pb[f];
-        // Window [p, p + kernel) flattened over (offset, channel) pairs.
-        const float* xwin = x.data() + (b * len + p) * cin;
-        for (std::size_t t = 0; t < kernel_ * cin; ++t) {
-          const float xv = xwin[t];
-          const float* wrow = pw + t * filters_;
-          for (std::size_t f = 0; f < filters_; ++f) yrow[f] += xv * wrow[f];
-        }
+  // No zero-operand skip on xv: it made FLOPs data-dependent and masked NaN
+  // in the weights (0 * NaN must stay NaN) — see the kernel NaN-semantics
+  // note in tensor/ops.hpp.
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t p = 0; p < out_len; ++p) {
+      float* yrow = y.data() + (b * out_len + p) * filters_;
+      for (std::size_t f = 0; f < filters_; ++f) yrow[f] = pb[f];
+      // Window [p, p + kernel) flattened over (offset, channel) pairs.
+      const float* xwin = x.data() + (b * len + p) * cin;
+      for (std::size_t t = 0; t < kernel_ * cin; ++t) {
+        const float xv = xwin[t];
+        const float* wrow = pw + t * filters_;
+        for (std::size_t f = 0; f < filters_; ++f) yrow[f] += xv * wrow[f];
       }
     }
-  });
+  }
   return y;
 }
 

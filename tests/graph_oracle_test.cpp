@@ -56,7 +56,6 @@ struct KernelCase {
 std::vector<KernelCase> kernel_cases() {
   return {
       {"default", [] { return tensor::KernelConfig{}; }},
-      {"parallel4", [] { return tensor::KernelConfig::parallel(4); }},
       {"reference",
        [] {
          tensor::KernelConfig cfg;

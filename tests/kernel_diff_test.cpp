@@ -1,14 +1,16 @@
-// Differential oracle suite for the blocked/parallel tensor kernels.
+// Differential oracle suite for the blocked tensor kernels.
 //
 // The contract under test (tensor/kernel_config.hpp): blocked kernels — at
-// any thread count and any block geometry — produce bytes identical to the
-// serial reference kernels. Equality below is exact (EXPECT_EQ on floats /
-// Tensor::operator== which is bitwise), never approximate: a one-ULP drift
-// is a determinism bug, not noise.
+// any block geometry, and whichever thread calls them while other threads
+// run kernels too — produce bytes identical to the serial reference kernels.
+// Equality below is exact (EXPECT_EQ on floats / Tensor::operator== which is
+// bitwise), never approximate: a one-ULP drift is a determinism bug, not
+// noise.
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "ncnas/tensor/ops.hpp"
 #include "ncnas/tensor/rng.hpp"
 #include "ncnas/tensor/tensor.hpp"
+#include "ncnas/tensor/thread_pool.hpp"
 
 namespace {
 
@@ -28,21 +31,18 @@ using ncnas::tensor::KernelConfig;
 using ncnas::tensor::KernelConfigGuard;
 using ncnas::tensor::Rng;
 using ncnas::tensor::Tensor;
+using ncnas::tensor::ThreadPool;
 
 std::size_t hardware_threads() {
   return std::max<std::size_t>(2, std::thread::hardware_concurrency());
 }
 
-/// The thread counts the suite sweeps, per the issue: 1, 2, hardware.
-std::vector<std::size_t> thread_counts() { return {1, 2, hardware_threads()}; }
-
-KernelConfig test_config(std::size_t threads) {
+/// The blocked tier with small blocks.
+KernelConfig test_config() {
   KernelConfig cfg;
-  cfg.threads = threads;
   cfg.block_rows = 8;    // small enough that every sweep shape spans blocks
   cfg.block_cols = 32;   // two packed panels per cache pass
   cfg.min_blocked_flops = 0;    // force the blocked path even for 1x1x1
-  cfg.min_parallel_elems = 0;   // force pool dispatch for tiny elementwise ops
   return cfg;
 }
 
@@ -53,10 +53,8 @@ KernelConfig reference_config() {
   return cfg;
 }
 
-/// The reference tier, then the blocked tier serially and on the pool.
-std::vector<KernelConfig> tier_configs() {
-  return {reference_config(), test_config(1), test_config(hardware_threads())};
-}
+/// The reference tier, then the blocked tier.
+std::vector<KernelConfig> tier_configs() { return {reference_config(), test_config()}; }
 
 Tensor random_tensor(const ncnas::tensor::Shape& shape, Rng& rng) {
   Tensor t(shape);
@@ -68,6 +66,18 @@ bool bytes_equal(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          (a.size() == 0 ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Runs fn(i) for i in [0, n) as tasks on a fresh ThreadPool of `workers`
+/// threads, the way the search driver runs trainings: every call on a
+/// worker thread, up to `workers` of them at once. Returns once all ran.
+template <class Fn>
+void on_pool_workers(std::size_t workers, std::size_t n, const Fn& fn) {
+  ThreadPool pool(workers);
+  std::vector<std::future<void>> done;
+  done.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) done.push_back(pool.submit([&fn, i] { fn(i); }));
+  for (std::future<void>& f : done) f.get();
 }
 
 /// Shapes stressing every dispatch edge: empty dims, unit dims, exact
@@ -99,14 +109,15 @@ TEST_F(KernelDiff, GemmMatchesReferenceBitwiseAcrossShapesAndThreads) {
     const Tensor b = random_tensor({s.k, s.n}, rng_);
     Tensor want({s.m, s.n});
     ncnas::tensor::gemm_ref(a, b, want);
-    for (std::size_t t : thread_counts()) {
-      KernelConfigGuard guard(test_config(t));
+    for (const KernelConfig& cfg : tier_configs()) {
+      KernelConfigGuard guard(cfg);
       Tensor got({s.m, s.n});
       // Poison the output first: the blocked kernel must fully overwrite C.
       for (float& v : got.flat()) v = -123.75f;
       ncnas::tensor::gemm(a, b, got);
       EXPECT_TRUE(bytes_equal(want, got))
-          << "gemm " << s.m << "x" << s.k << "x" << s.n << " threads=" << t
+          << "gemm " << s.m << "x" << s.k << "x" << s.n
+          << " min_blocked_flops=" << cfg.min_blocked_flops
           << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
     }
   }
@@ -118,13 +129,14 @@ TEST_F(KernelDiff, GemmNtMatchesReferenceBitwiseAcrossShapesAndThreads) {
     const Tensor b = random_tensor({s.n, s.k}, rng_);
     Tensor want({s.m, s.n});
     ncnas::tensor::gemm_nt_ref(a, b, want);
-    for (std::size_t t : thread_counts()) {
-      KernelConfigGuard guard(test_config(t));
+    for (const KernelConfig& cfg : tier_configs()) {
+      KernelConfigGuard guard(cfg);
       Tensor got({s.m, s.n});
       for (float& v : got.flat()) v = -123.75f;
       ncnas::tensor::gemm_nt(a, b, got);
       EXPECT_TRUE(bytes_equal(want, got))
-          << "gemm_nt " << s.m << "x" << s.k << "x" << s.n << " threads=" << t
+          << "gemm_nt " << s.m << "x" << s.k << "x" << s.n
+          << " min_blocked_flops=" << cfg.min_blocked_flops
           << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
     }
   }
@@ -136,13 +148,14 @@ TEST_F(KernelDiff, GemmTnMatchesReferenceBitwiseAcrossShapesAndThreads) {
     const Tensor b = random_tensor({s.k, s.n}, rng_);
     Tensor want({s.m, s.n});
     ncnas::tensor::gemm_tn_ref(a, b, want);
-    for (std::size_t t : thread_counts()) {
-      KernelConfigGuard guard(test_config(t));
+    for (const KernelConfig& cfg : tier_configs()) {
+      KernelConfigGuard guard(cfg);
       Tensor got({s.m, s.n});
       for (float& v : got.flat()) v = -123.75f;
       ncnas::tensor::gemm_tn(a, b, got);
       EXPECT_TRUE(bytes_equal(want, got))
-          << "gemm_tn " << s.m << "x" << s.k << "x" << s.n << " threads=" << t
+          << "gemm_tn " << s.m << "x" << s.k << "x" << s.n
+          << " min_blocked_flops=" << cfg.min_blocked_flops
           << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
     }
   }
@@ -211,7 +224,7 @@ TEST_F(KernelDiff, BlockGeometryNeverChangesBits) {
   ncnas::tensor::gemm_ref(a, b, want);
   for (std::size_t br : {1UL, 3UL, 8UL, 64UL, 256UL}) {
     for (std::size_t bc : {1UL, 16UL, 48UL, 256UL}) {
-      KernelConfig cfg = test_config(hardware_threads());
+      KernelConfig cfg = test_config();
       cfg.block_rows = br;
       cfg.block_cols = bc;
       KernelConfigGuard guard(cfg);
@@ -222,36 +235,91 @@ TEST_F(KernelDiff, BlockGeometryNeverChangesBits) {
   }
 }
 
-// --- determinism across thread counts -------------------------------------
+// --- concurrent callers ----------------------------------------------------
+
+/// One set of operands for every kernel the layers call.
+struct KernelInputs {
+  Tensor a, b, bt, at, x, y, bias;
+};
+
+KernelInputs random_inputs(std::size_t m, std::size_t k, std::size_t n, Rng& rng) {
+  return {random_tensor({m, k}, rng), random_tensor({k, n}, rng), random_tensor({n, k}, rng),
+          random_tensor({k, m}, rng), random_tensor({m, n}, rng), random_tensor({m, n}, rng),
+          random_tensor({n}, rng)};
+}
+
+/// The gemm variants' products, then the elementwise and row-wise ops.
+std::vector<Tensor> run_kernels(const KernelInputs& in) {
+  const std::size_t m = in.a.dim(0), n = in.b.dim(1);
+  std::vector<Tensor> out(6, Tensor({m, n}));
+  ncnas::tensor::gemm(in.a, in.b, out[0]);
+  ncnas::tensor::gemm_nt(in.a, in.bt, out[1]);
+  ncnas::tensor::gemm_tn(in.at, in.b, out[2]);
+  out[3] = in.y;
+  ncnas::tensor::axpy(0.37f, in.x, out[3]);
+  ncnas::tensor::scale_inplace(out[3], -1.72f);
+  out[4] = in.y;
+  ncnas::tensor::add_row_bias(out[4], in.bias);
+  out[5] = in.bias;
+  ncnas::tensor::accumulate_col_sums(in.x, out[5]);
+  return out;
+}
 
 TEST_F(KernelDiff, ThreadCountNeverChangesBits) {
-  const Tensor a = random_tensor({31, 47}, rng_);
-  const Tensor b = random_tensor({47, 29}, rng_);
-  Tensor base({31, 29});
-  {
-    KernelConfigGuard guard(test_config(1));
-    ncnas::tensor::gemm(a, b, base);
-  }
-  for (std::size_t t : {2UL, 3UL, 5UL, hardware_threads()}) {
-    KernelConfigGuard guard(test_config(t));
-    Tensor got({31, 29});
-    ncnas::tensor::gemm(a, b, got);
-    EXPECT_TRUE(bytes_equal(base, got)) << "threads=" << t;
+  // Kernels run on their calling thread, and a search calls them from many
+  // driver-pool workers at once, each packing into its own arena. Whichever
+  // thread runs a kernel, and however many run kernels beside it, the bytes
+  // are the calling thread's. Each task alternates two operand sets of
+  // different sizes, so the workers' arenas grow and rewind while others
+  // compute.
+  const std::vector<KernelInputs> inputs = {random_inputs(31, 47, 29, rng_),
+                                            random_inputs(70, 9, 45, rng_)};
+  KernelConfigGuard guard(test_config());
+  std::vector<std::vector<Tensor>> want;
+  for (const KernelInputs& in : inputs) want.push_back(run_kernels(in));
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, hardware_threads()}) {
+    // mismatches[task][kernel] over every round of that task.
+    std::vector<std::vector<int>> mismatches(2 * workers, std::vector<int>(want[0].size(), 0));
+    on_pool_workers(workers, mismatches.size(), [&](std::size_t task) {
+      for (std::size_t round = 0; round < 8; ++round) {
+        const std::size_t set = (task + round) % inputs.size();
+        const std::vector<Tensor> got = run_kernels(inputs[set]);
+        for (std::size_t op = 0; op < got.size(); ++op) {
+          if (!bytes_equal(want[set][op], got[op])) ++mismatches[task][op];
+        }
+      }
+    });
+    for (std::size_t task = 0; task < mismatches.size(); ++task) {
+      for (std::size_t op = 0; op < mismatches[task].size(); ++op) {
+        EXPECT_EQ(mismatches[task][op], 0)
+            << "workers=" << workers << " task " << task << " kernel " << op;
+      }
+    }
   }
 }
 
 TEST_F(KernelDiff, RepeatedRunsAreIdenticalUnderPool) {
-  // Dynamic task scheduling must not leak into results: hammer the same
-  // product repeatedly on the pool and require one unique answer.
+  // Scheduling must not leak into results: hammer the same products from
+  // every driver-pool worker at once and require one unique answer.
   const Tensor a = random_tensor({26, 33}, rng_);
   const Tensor b = random_tensor({33, 50}, rng_);
-  KernelConfigGuard guard(test_config(hardware_threads()));
-  Tensor first({26, 50});
+  const Tensor bt = random_tensor({50, 33}, rng_);
+  KernelConfigGuard guard(test_config());
+  Tensor first({26, 50}), first_nt({26, 50});
   ncnas::tensor::gemm(a, b, first);
-  for (int run = 0; run < 20; ++run) {
-    Tensor again({26, 50});
-    ncnas::tensor::gemm(a, b, again);
-    ASSERT_TRUE(bytes_equal(first, again)) << "run " << run;
+  ncnas::tensor::gemm_nt(a, bt, first_nt);
+  const std::size_t workers = hardware_threads();
+  std::vector<int> mismatches(2 * workers, 0);
+  on_pool_workers(workers, mismatches.size(), [&](std::size_t i) {
+    for (int run = 0; run < 10; ++run) {
+      Tensor again({26, 50}), again_nt({26, 50});
+      ncnas::tensor::gemm(a, b, again);
+      ncnas::tensor::gemm_nt(a, bt, again_nt);
+      if (!bytes_equal(first, again) || !bytes_equal(first_nt, again_nt)) ++mismatches[i];
+    }
+  });
+  for (std::size_t i = 0; i < mismatches.size(); ++i) {
+    EXPECT_EQ(mismatches[i], 0) << "task " << i;
   }
 }
 
@@ -262,7 +330,7 @@ TEST_F(KernelDiff, InputsAreNotModified) {
   const Tensor b = random_tensor({21, 35}, rng_);
   const Tensor a_copy = a;
   const Tensor b_copy = b;
-  KernelConfigGuard guard(test_config(hardware_threads()));
+  KernelConfigGuard guard(test_config());
   Tensor c({19, 35});
   ncnas::tensor::gemm(a, b, c);
   EXPECT_TRUE(bytes_equal(a, a_copy));
@@ -283,8 +351,7 @@ TEST_F(KernelDiff, ZeroTimesNanPropagatesNan) {
   b(1, 0) = std::numeric_limits<float>::quiet_NaN();
   for (const KernelConfig& cfg : tier_configs()) {
     KernelConfigGuard guard(cfg);
-    SCOPED_TRACE(::testing::Message() << "threads=" << cfg.threads
-                                      << " min_blocked_flops=" << cfg.min_blocked_flops);
+    SCOPED_TRACE(::testing::Message() << "min_blocked_flops=" << cfg.min_blocked_flops);
     Tensor c({2, 2});
     ncnas::tensor::gemm(a, b, c);
     EXPECT_TRUE(std::isnan(c(0, 0)));  // 0 * NaN in play
@@ -303,8 +370,7 @@ TEST_F(KernelDiff, ZeroTimesInfPropagatesNan) {
   b(1, 0) = 7.0f;
   for (const KernelConfig& cfg : tier_configs()) {
     KernelConfigGuard guard(cfg);
-    SCOPED_TRACE(::testing::Message() << "threads=" << cfg.threads
-                                      << " min_blocked_flops=" << cfg.min_blocked_flops);
+    SCOPED_TRACE(::testing::Message() << "min_blocked_flops=" << cfg.min_blocked_flops);
     Tensor c({1, 1});
     ncnas::tensor::gemm(a, b, c);
     EXPECT_TRUE(std::isnan(c(0, 0)));  // 0 * inf = NaN
@@ -321,8 +387,7 @@ TEST_F(KernelDiff, GemmTnZeroTimesNanPropagatesNan) {
   b(1, 0) = 2.0f;
   for (const KernelConfig& cfg : tier_configs()) {
     KernelConfigGuard guard(cfg);
-    SCOPED_TRACE(::testing::Message() << "threads=" << cfg.threads
-                                      << " min_blocked_flops=" << cfg.min_blocked_flops);
+    SCOPED_TRACE(::testing::Message() << "min_blocked_flops=" << cfg.min_blocked_flops);
     Tensor c({1, 1});
     ncnas::tensor::gemm_tn(a, b, c);
     EXPECT_TRUE(std::isnan(c(0, 0)));
@@ -332,25 +397,22 @@ TEST_F(KernelDiff, GemmTnZeroTimesNanPropagatesNan) {
 // --- elementwise helpers ---------------------------------------------------
 
 TEST_F(KernelDiff, ElementwiseOpsMatchSerialBitwise) {
-  // Large enough to span many parallel_elems grains.
+  // The library ops against plain loops over every index.
   const std::size_t n = 100'003;
   const Tensor x = random_tensor({n}, rng_);
   const Tensor y0 = random_tensor({n}, rng_);
 
-  Tensor want_axpy = y0;
-  ncnas::tensor::axpy(0.37f, x, want_axpy);  // default config: serial
-  Tensor want_scale = y0;
-  ncnas::tensor::scale_inplace(want_scale, -1.72f);
-
-  for (std::size_t t : thread_counts()) {
-    KernelConfigGuard guard(test_config(t));
-    Tensor got_axpy = y0;
-    ncnas::tensor::axpy(0.37f, x, got_axpy);
-    EXPECT_TRUE(bytes_equal(want_axpy, got_axpy)) << "axpy threads=" << t;
-    Tensor got_scale = y0;
-    ncnas::tensor::scale_inplace(got_scale, -1.72f);
-    EXPECT_TRUE(bytes_equal(want_scale, got_scale)) << "scale threads=" << t;
+  Tensor want_axpy = y0, want_scale = y0;
+  for (std::size_t i = 0; i < n; ++i) {
+    want_axpy[i] += 0.37f * x[i];
+    want_scale[i] *= -1.72f;
   }
+  Tensor got_axpy = y0;
+  ncnas::tensor::axpy(0.37f, x, got_axpy);
+  EXPECT_TRUE(bytes_equal(want_axpy, got_axpy)) << "axpy";
+  Tensor got_scale = y0;
+  ncnas::tensor::scale_inplace(got_scale, -1.72f);
+  EXPECT_TRUE(bytes_equal(want_scale, got_scale)) << "scale_inplace";
 }
 
 TEST_F(KernelDiff, RowwiseOpsMatchSerialBitwise) {
@@ -360,39 +422,26 @@ TEST_F(KernelDiff, RowwiseOpsMatchSerialBitwise) {
   const Tensor y0 = random_tensor({m, n}, rng_);
   const Tensor colsum0 = random_tensor({n}, rng_);
 
-  Tensor want_bias = y0;
-  ncnas::tensor::add_row_bias(want_bias, bias);
-  Tensor want_colsum = colsum0;
-  ncnas::tensor::accumulate_col_sums(g, want_colsum);
-
-  for (std::size_t t : thread_counts()) {
-    KernelConfigGuard guard(test_config(t));
-    Tensor got_bias = y0;
-    ncnas::tensor::add_row_bias(got_bias, bias);
-    EXPECT_TRUE(bytes_equal(want_bias, got_bias)) << "add_row_bias threads=" << t;
-    Tensor got_colsum = colsum0;
-    ncnas::tensor::accumulate_col_sums(g, got_colsum);
-    EXPECT_TRUE(bytes_equal(want_colsum, got_colsum)) << "accumulate_col_sums threads=" << t;
+  // Row by row, each column sum accumulated in ascending row order.
+  Tensor want_bias = y0, want_colsum = colsum0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      want_bias(i, j) += bias[j];
+      want_colsum[j] += g(i, j);
+    }
   }
-}
-
-TEST_F(KernelDiff, ParallelElemsCoversEveryIndexOnce) {
-  KernelConfigGuard guard(test_config(hardware_threads()));
-  const std::size_t n = 70'000;  // > 4 grains
-  std::vector<int> hits(n, 0);
-  ncnas::tensor::parallel_elems(n, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++hits[i];
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[i], 1) << "index " << i;
-  }
+  Tensor got_bias = y0;
+  ncnas::tensor::add_row_bias(got_bias, bias);
+  EXPECT_TRUE(bytes_equal(want_bias, got_bias)) << "add_row_bias";
+  Tensor got_colsum = colsum0;
+  ncnas::tensor::accumulate_col_sums(g, got_colsum);
+  EXPECT_TRUE(bytes_equal(want_colsum, got_colsum)) << "accumulate_col_sums";
 }
 
 // --- dispatch & validation -------------------------------------------------
 
 TEST_F(KernelDiff, TinyProblemsFallBackToReferenceBelowThreshold) {
-  KernelConfig cfg = KernelConfig::parallel();  // default thresholds
-  KernelConfigGuard guard(cfg);
+  KernelConfigGuard guard{KernelConfig{}};  // default thresholds
   // 2x2x2 is far below min_blocked_flops; both paths are bit-identical
   // anyway, so just sanity-check the result.
   Tensor a({2, 2});
@@ -404,7 +453,7 @@ TEST_F(KernelDiff, TinyProblemsFallBackToReferenceBelowThreshold) {
 }
 
 TEST_F(KernelDiff, ShapeValidationStillThrowsInBlockedMode) {
-  KernelConfigGuard guard(test_config(hardware_threads()));
+  KernelConfigGuard guard(test_config());
   Tensor a({2, 3});
   Tensor b({4, 5});  // inner mismatch
   Tensor c({2, 5});
@@ -419,7 +468,7 @@ TEST_F(KernelDiff, ReferenceBlockedCrossoverPinned) {
   // Pins the small-size cutoff that fixed the gemm_nt regression: below
   // min_blocked_flops every gemm variant takes the reference path outright
   // (no blocking/packing overhead), at or above it the blocked tier runs.
-  KernelConfig cfg = KernelConfig::parallel(1);
+  KernelConfig cfg;
   cfg.min_blocked_flops = 1000;
   KernelConfigGuard guard(cfg);
   using ncnas::tensor::planned_gemm_path;
@@ -433,23 +482,20 @@ TEST_F(KernelDiff, ReferenceBlockedCrossoverPinned) {
     EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked);
     EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference);
   }
-  // The same threshold holds in fully parallel configs.
-  KernelConfigGuard defaults{KernelConfig::parallel()};
-  EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference);
-  EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked);
 }
 
 TEST_F(KernelDiff, GemmTierDependsOnlyOnSizeThreshold) {
   // There are two tiers, reference and blocked, and the choice between them
-  // is made by min_blocked_flops alone: the thread count only decides
-  // whether the blocked tier is pooled, never which tier runs.
+  // is made by min_blocked_flops alone: the block geometry only shapes the
+  // blocked tier's loops, never which tier runs.
   using ncnas::tensor::planned_gemm_path;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t block : {std::size_t{1}, std::size_t{512}}) {
     KernelConfig cfg;
-    cfg.threads = threads;
+    cfg.block_rows = block;
+    cfg.block_cols = block;
     KernelConfigGuard guard(cfg);
-    EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked) << threads;
-    EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference) << threads;
+    EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked) << block;
+    EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference) << block;
   }
   // SIZE_MAX is the reference-only oracle configuration.
   KernelConfigGuard reference{reference_config()};
@@ -471,19 +517,16 @@ TEST_F(KernelDiff, NanPropagationMatchesReference) {
   b(2, 40) = -std::numeric_limits<float>::infinity();  // edge column
   Tensor want({m, n});
   ncnas::tensor::gemm_ref(a, b, want);
-  for (std::size_t t : thread_counts()) {
-    KernelConfigGuard guard(test_config(t));
+  for (const KernelConfig& cfg : tier_configs()) {
+    KernelConfigGuard guard(cfg);
     Tensor got({m, n});
     ncnas::tensor::gemm(a, b, got);
-    EXPECT_TRUE(bytes_equal(want, got)) << "threads=" << t;
+    EXPECT_TRUE(bytes_equal(want, got)) << "min_blocked_flops=" << cfg.min_blocked_flops;
   }
 }
 
 TEST_F(KernelDiff, SetKernelConfigRejectsZeroBlocks) {
   KernelConfig cfg;
-  cfg.threads = 0;
-  EXPECT_THROW(ncnas::tensor::set_kernel_config(cfg), std::invalid_argument);
-  cfg = KernelConfig{};
   cfg.block_rows = 0;
   EXPECT_THROW(ncnas::tensor::set_kernel_config(cfg), std::invalid_argument);
   cfg = KernelConfig{};
@@ -494,12 +537,14 @@ TEST_F(KernelDiff, SetKernelConfigRejectsZeroBlocks) {
 TEST_F(KernelDiff, GuardRestoresPreviousConfig) {
   const KernelConfig before = ncnas::tensor::kernel_config();
   {
-    KernelConfigGuard guard(test_config(3));
-    EXPECT_EQ(ncnas::tensor::kernel_config().threads, 3u);
+    KernelConfigGuard guard(test_config());
+    EXPECT_EQ(ncnas::tensor::kernel_config().block_rows, 8u);
+    EXPECT_EQ(ncnas::tensor::kernel_config().min_blocked_flops, 0u);
   }
   const KernelConfig after = ncnas::tensor::kernel_config();
-  EXPECT_EQ(after.threads, before.threads);
   EXPECT_EQ(after.block_rows, before.block_rows);
+  EXPECT_EQ(after.block_cols, before.block_cols);
+  EXPECT_EQ(after.min_blocked_flops, before.min_blocked_flops);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Seeded randomized differential fuzz harness for the kernel tiers.
 //
 // Every iteration draws a random problem (shape, construction path, special
-// values, aliasing) and a random kernel configuration (thread count, block
-// geometry, dispatch thresholds), then requires the result to be
-// byte-for-byte identical to the serial reference kernels.
+// values, aliasing) and, for the gemms, a random kernel configuration (block
+// geometry, dispatch threshold), then requires the result to be
+// byte-for-byte identical to the serial reference: the reference kernels for
+// the gemms, plain loops over every index for the elementwise and row-wise
+// ops.
 // 1000 iterations per op; the base seed prints at startup and can be
 // overridden with --seed=N to replay a failing run exactly.
 //
@@ -22,7 +24,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,10 +43,6 @@ using ncnas::tensor::Tensor;
 
 std::uint64_t g_seed = 0xF0221DBeefULL;
 constexpr int kIters = 1000;
-
-std::size_t hardware_threads() {
-  return std::max<std::size_t>(2, std::thread::hardware_concurrency());
-}
 
 bool bytes_equal(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
@@ -78,7 +75,6 @@ class Fuzz {
   /// A random kernel configuration.
   KernelConfig config() {
     KernelConfig cfg;
-    cfg.threads = 1 + rng_.uniform_int(hardware_threads());
     static constexpr std::size_t kRows[] = {1, 3, 4, 8, 16, 64, 256};
     static constexpr std::size_t kCols[] = {1, 16, 32, 48, 64, 256};
     cfg.block_rows = kRows[rng_.uniform_int(std::size(kRows))];
@@ -86,7 +82,6 @@ class Fuzz {
     // Mostly force the blocked tier; sometimes leave real thresholds in so
     // the reference fallback and its crossover get fuzzed too.
     cfg.min_blocked_flops = rng_.uniform() < 0.8 ? 0 : KernelConfig{}.min_blocked_flops;
-    cfg.min_parallel_elems = rng_.uniform() < 0.8 ? 0 : KernelConfig{}.min_parallel_elems;
     return cfg;
   }
 
@@ -142,7 +137,7 @@ void fuzz_gemm(std::uint64_t salt, const char* name,
     op(a, b, got);
     ASSERT_TRUE(bytes_equal(want, got))
         << name << " iter=" << it << " " << m << "x" << k << "x" << n
-        << " threads=" << cfg.threads << " blocks=" << cfg.block_rows << "x" << cfg.block_cols
+        << " blocks=" << cfg.block_rows << "x" << cfg.block_cols
         << " min_flops=" << cfg.min_blocked_flops << " (replay with --seed=" << g_seed << ")";
   }
 }
@@ -169,7 +164,7 @@ TEST(KernelFuzz, GemmTnAllTiersBitwiseVsReference) {
 TEST(KernelFuzz, AxpyScaleAllTiersBitwiseVsReference) {
   Fuzz fz(0x61787079);
   for (int it = 0; it < kIters; ++it) {
-    // Sizes span from empty through several parallel grains.
+    // Sizes span from empty to 200k elements.
     const std::size_t n = it % 7 == 0 ? fz.uniform_int(200'000) : fz.dim() * (1 + fz.dim());
     const Tensor x = fz.tensor({n});
     const Tensor y0 = fz.tensor({n});
@@ -177,19 +172,15 @@ TEST(KernelFuzz, AxpyScaleAllTiersBitwiseVsReference) {
     const bool alias = fz.uniform() < 0.15;  // y += alpha * y: legal, per-element
 
     Tensor want = y0;
-    {
-      KernelConfigGuard serial{KernelConfig{}};
-      ncnas::tensor::axpy(alpha, alias ? want : x, want);
-      ncnas::tensor::scale_inplace(want, alpha);
-    }
-    const KernelConfig cfg = fz.config();
-    KernelConfigGuard guard(cfg);
+    const Tensor& src = alias ? want : x;
+    for (std::size_t i = 0; i < n; ++i) want[i] += alpha * src[i];
+    for (std::size_t i = 0; i < n; ++i) want[i] *= alpha;
     Tensor got = y0;
     ncnas::tensor::axpy(alpha, alias ? got : x, got);
     ncnas::tensor::scale_inplace(got, alpha);
     ASSERT_TRUE(bytes_equal(want, got))
         << "axpy/scale iter=" << it << " n=" << n << " alias=" << alias
-        << " threads=" << cfg.threads << " (replay with --seed=" << g_seed << ")";
+        << " (replay with --seed=" << g_seed << ")";
   }
 }
 
@@ -203,21 +194,21 @@ TEST(KernelFuzz, RowwiseOpsAllTiersBitwiseVsReference) {
     const Tensor y0 = fz.tensor({m, n});
     const Tensor sums0 = fz.tensor({n});
 
+    // Row by row, each column sum accumulated in ascending row order.
     Tensor want_bias = y0;
     Tensor want_sums = sums0;
-    {
-      KernelConfigGuard serial{KernelConfig{}};
-      ncnas::tensor::add_row_bias(want_bias, bias);
-      ncnas::tensor::accumulate_col_sums(g, want_sums);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        want_bias(i, j) += bias[j];
+        want_sums[j] += g(i, j);
+      }
     }
-    const KernelConfig cfg = fz.config();
-    KernelConfigGuard guard(cfg);
     Tensor got_bias = y0;
     ncnas::tensor::add_row_bias(got_bias, bias);
     Tensor got_sums = sums0;
     ncnas::tensor::accumulate_col_sums(g, got_sums);
     ASSERT_TRUE(bytes_equal(want_bias, got_bias) && bytes_equal(want_sums, got_sums))
-        << "rowwise iter=" << it << " " << m << "x" << n << " threads=" << cfg.threads
+        << "rowwise iter=" << it << " " << m << "x" << n
         << " (replay with --seed=" << g_seed << ")";
   }
 }

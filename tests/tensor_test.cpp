@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -74,6 +75,12 @@ TEST(Tensor, EqualityAndDiff) {
   b[1] = 2.5f;
   EXPECT_FALSE(a == b);
   EXPECT_FLOAT_EQ(max_abs_diff(a, b), 0.5f);
+  // Equality compares bytes: the same NaN bytes are equal, and the two
+  // zeros, which float == calls equal, are not.
+  const Tensor nan_a = Tensor::of({1, std::numeric_limits<float>::quiet_NaN()});
+  const Tensor nan_b = nan_a;
+  EXPECT_TRUE(nan_a == nan_b);
+  EXPECT_FALSE(Tensor::of({-0.0f}) == Tensor::of({0.0f}));
 }
 
 TEST(Tensor, RequireShapeThrowsWithMessage) {
@@ -152,11 +159,10 @@ TEST(Ops, Reductions) {
 
 // --- kernel determinism invariants -----------------------------------------
 
-KernelConfig pooled_config() {
-  KernelConfig cfg =
-      KernelConfig::parallel(std::max<std::size_t>(2, std::thread::hardware_concurrency()));
+/// The blocked tier on every gemm, with small blocks.
+KernelConfig blocked_config() {
+  KernelConfig cfg;
   cfg.min_blocked_flops = 0;
-  cfg.min_parallel_elems = 0;
   cfg.block_rows = 16;
   cfg.block_cols = 64;
   return cfg;
@@ -164,31 +170,46 @@ KernelConfig pooled_config() {
 
 TEST(KernelDeterminism, RandomShapesByteIdenticalSerialVsParallel) {
   // Property test: same seed + same shapes => byte-identical buffers whether
-  // the serial reference kernels or the blocked kernels on the pool run.
+  // the serial reference kernels run on this thread or the blocked kernels
+  // run on driver-pool workers, many products at once.
+  struct Case {
+    Tensor a, bn, bt, at;
+    Tensor c, cnt, ctn;  // serial reference results
+    Tensor c_par, cnt_par, ctn_par;
+  };
   Rng rng(20260806);
-  for (int iter = 0; iter < 40; ++iter) {
+  std::vector<Case> cases(40);
+  for (Case& cs : cases) {
     const std::size_t m = 1 + rng.uniform_int(48);
     const std::size_t k = 1 + rng.uniform_int(48);
     const std::size_t n = 1 + rng.uniform_int(48);
-    Tensor a({m, k}), bn({k, n}), bt({n, k}), at({k, m});
-    for (float& v : a.flat()) v = static_cast<float>(rng.normal());
-    for (float& v : bn.flat()) v = static_cast<float>(rng.normal());
-    for (float& v : bt.flat()) v = static_cast<float>(rng.normal());
-    for (float& v : at.flat()) v = static_cast<float>(rng.normal());
+    cs.a = Tensor({m, k});
+    cs.bn = Tensor({k, n});
+    cs.bt = Tensor({n, k});
+    cs.at = Tensor({k, m});
+    for (float& v : cs.a.flat()) v = static_cast<float>(rng.normal());
+    for (float& v : cs.bn.flat()) v = static_cast<float>(rng.normal());
+    for (float& v : cs.bt.flat()) v = static_cast<float>(rng.normal());
+    for (float& v : cs.at.flat()) v = static_cast<float>(rng.normal());
+    cs.c = cs.cnt = cs.ctn = cs.c_par = cs.cnt_par = cs.ctn_par = Tensor({m, n});
+    gemm_ref(cs.a, cs.bn, cs.c);
+    gemm_nt_ref(cs.a, cs.bt, cs.cnt);
+    gemm_tn_ref(cs.at, cs.bn, cs.ctn);
+  }
 
-    Tensor c_serial({m, n}), cnt_serial({m, n}), ctn_serial({m, n});
-    gemm_ref(a, bn, c_serial);
-    gemm_nt_ref(a, bt, cnt_serial);
-    gemm_tn_ref(at, bn, ctn_serial);
-
-    KernelConfigGuard guard(pooled_config());
-    Tensor c_par({m, n}), cnt_par({m, n}), ctn_par({m, n});
-    gemm(a, bn, c_par);
-    gemm_nt(a, bt, cnt_par);
-    gemm_tn(at, bn, ctn_par);
-    ASSERT_TRUE(c_serial == c_par) << "gemm " << m << "x" << k << "x" << n;
-    ASSERT_TRUE(cnt_serial == cnt_par) << "gemm_nt " << m << "x" << k << "x" << n;
-    ASSERT_TRUE(ctn_serial == ctn_par) << "gemm_tn " << m << "x" << k << "x" << n;
+  KernelConfigGuard guard(blocked_config());
+  ThreadPool pool(std::max<std::size_t>(2, std::thread::hardware_concurrency()));
+  parallel_for(pool, cases.size(), [&](std::size_t i) {
+    Case& cs = cases[i];
+    gemm(cs.a, cs.bn, cs.c_par);
+    gemm_nt(cs.a, cs.bt, cs.cnt_par);
+    gemm_tn(cs.at, cs.bn, cs.ctn_par);
+  });
+  for (const Case& cs : cases) {
+    const std::string dims = to_string({cs.a.dim(0), cs.a.dim(1), cs.bn.dim(1)});
+    EXPECT_TRUE(cs.c == cs.c_par) << "gemm " << dims;
+    EXPECT_TRUE(cs.cnt == cs.cnt_par) << "gemm_nt " << dims;
+    EXPECT_TRUE(cs.ctn == cs.ctn_par) << "gemm_tn " << dims;
   }
 }
 
@@ -196,7 +217,7 @@ TEST(KernelDeterminism, SearchResultBitIdenticalAcrossKernelTiers) {
   // The end-to-end guarantee: a full driver strategy pass (controller LSTM,
   // PPO updates, reward-estimation training) produces a bit-identical
   // SearchResult on every kernel tier — serial reference, the default
-  // config, and blocked on the pool — for every strategy.
+  // config, and blocked on every gemm — for every strategy.
   data::Nt3Dims dims;
   dims.train = 64;
   dims.valid = 32;
@@ -230,7 +251,7 @@ TEST(KernelDeterminism, SearchResultBitIdenticalAcrossKernelTiers) {
       const char* label;
       KernelConfig kernels;
     };
-    for (const Tier& tier : {Tier{"default", KernelConfig{}}, Tier{"pooled", pooled_config()}}) {
+    for (const Tier& tier : {Tier{"default", KernelConfig{}}, Tier{"blocked", blocked_config()}}) {
       KernelConfigGuard guard(tier.kernels);
       const nas::SearchResult got = nas::SearchDriver(s, ds, cfg).run();
 
@@ -260,7 +281,7 @@ TEST(KernelDeterminism, KernelConfigIsFingerprintNeutral) {
   const std::string before = nas::config_fingerprint(cfg, "nt3_small");
   std::string during;
   {
-    KernelConfigGuard guard(pooled_config());
+    KernelConfigGuard guard(blocked_config());
     during = nas::config_fingerprint(cfg, "nt3_small");
   }
   EXPECT_EQ(before, during);

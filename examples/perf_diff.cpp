@@ -28,9 +28,11 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "ncnas/obs/json.hpp"
 #include "ncnas/obs/profiler.hpp"
 
 namespace {
@@ -42,37 +44,6 @@ struct Record {
   bool higher_is_better = true;
 };
 
-bool find_number(const std::string& line, const std::string& key, double& out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t pos = at + needle.size();
-  while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-  try {
-    out = std::stod(line.substr(pos));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
-}
-
-bool find_string(const std::string& line, const std::string& key, std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-  if (pos >= line.size() || line[pos] != '"') return false;
-  ++pos;
-  out.clear();
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) ++pos;
-    out.push_back(line[pos]);
-    ++pos;
-  }
-  return pos < line.size();
-}
-
 Kind detect_kind(const std::string& content) {
   if (content.find("\"op\":") != std::string::npos) return Kind::kBench;
   if (content.find("\"self_ms\":") != std::string::npos) return Kind::kProfile;
@@ -80,24 +51,21 @@ Kind detect_kind(const std::string& content) {
 }
 
 std::map<std::string, Record> load_bench(const std::string& content) {
+  const ncnas::obs::JsonValue doc = ncnas::obs::parse_json(content, "bench json");
+  const ncnas::obs::JsonValue* records = doc.find("records");
+  if (records == nullptr || !records->is_array()) {
+    throw std::runtime_error("bench json: no records array");
+  }
   std::map<std::string, Record> out;
-  std::istringstream is(content);
-  std::string line;
-  while (std::getline(is, line)) {
-    std::string op;
-    if (!find_string(line, "op", op)) continue;
-    double size = 0.0, gflops = 0.0;
-    if (!find_number(line, "size", size) || !find_number(line, "gflops", gflops)) continue;
-    std::string config;
-    if (!find_string(line, "config", config)) {
-      // Pre-schema records carried only a raw thread count.
-      double threads = 0.0;
-      find_number(line, "threads", threads);
-      config = "t" + std::to_string(static_cast<long long>(threads));
+  for (const ncnas::obs::JsonValue& r : records->array) {
+    std::string op, config;
+    long long size = 0;
+    double gflops = 0.0;
+    if (!r.get("op", op) || !r.get("size", size) || !r.get("config", config) ||
+        !r.get("gflops", gflops)) {
+      throw std::runtime_error("bench json: record without op, size, config or gflops");
     }
-    const std::string key =
-        op + "/" + std::to_string(static_cast<long long>(size)) + "/" + config;
-    out[key] = {gflops, /*higher_is_better=*/true};
+    out[op + "/" + std::to_string(size) + "/" + config] = {gflops, /*higher_is_better=*/true};
   }
   return out;
 }

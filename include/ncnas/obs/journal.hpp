@@ -31,17 +31,11 @@
 #include <string_view>
 #include <vector>
 
+#include "ncnas/obs/json.hpp"
+
 namespace ncnas::obs {
 
 class Counter;  // metrics.hpp; only used as an optional error sink
-
-/// JSON string literal with the journal's escaping rules (quotes, backslash,
-/// \n \t \r, \uXXXX for other control bytes). Shared by every JSON-emitting
-/// tool in the obs layer so escaping stays consistent across artifacts.
-void write_json_string(std::ostream& os, std::string_view s);
-/// JSON number: integers print exactly, other finite doubles with enough
-/// digits to round-trip; non-finite values clamp to 0 (JSON has no Inf/NaN).
-void write_json_number(std::ostream& os, double v);
 
 /// Bump when the JSONL layout or event semantics change incompatibly.
 inline constexpr int kJournalSchemaVersion = 1;

@@ -82,8 +82,8 @@ struct ProfileSnapshot {
   [[nodiscard]] std::vector<FlatProfileEntry> flat() const;
   /// Human-readable tree + flat table + roofline columns.
   void export_text(std::ostream& os) const;
-  /// JSON document: header fields plus one flat record per line (the
-  /// line-per-record layout is what import_profile_json and perf_diff parse).
+  /// JSON document: schema_version, threads_merged, and the flat records
+  /// (one per line, for diffable artifacts).
   void export_json(std::ostream& os) const;
 };
 

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ncnas/obs/json.hpp"
 #include "ncnas/obs/telemetry.hpp"
 
 namespace ncnas::obs {
@@ -458,234 +459,64 @@ std::string progress_to_json(const ProgressSnapshot& p) {
   return os.str();
 }
 
-namespace {
-
-// Minimal general JSON reader for the /progress payload (nas_top's poll
-// path). Objects, arrays, strings, numbers, booleans, null.
-struct JsonValue {
-  enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* get(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] double num_or(std::string_view key, double fallback = 0.0) const {
-    const JsonValue* v = get(key);
-    return v != nullptr && v->kind == Kind::kNumber ? v->number : fallback;
-  }
-  [[nodiscard]] bool bool_or(std::string_view key, bool fallback = false) const {
-    const JsonValue* v = get(key);
-    return v != nullptr && v->kind == Kind::kBool ? v->boolean : fallback;
-  }
-  [[nodiscard]] std::string str_or(std::string_view key, std::string fallback = {}) const {
-    const JsonValue* v = get(key);
-    return v != nullptr && v->kind == Kind::kString ? v->string : fallback;
-  }
-};
-
-struct JsonParser {
-  std::string_view s;
-  std::size_t i = 0;
-
-  [[noreturn]] void fail(const char* what) const {
-    throw std::runtime_error(std::string("progress json: ") + what);
-  }
-  void ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  char peek() {
-    ws();
-    if (i >= s.size()) fail("unexpected end of input");
-    return s[i];
-  }
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++i;
-  }
-  bool consume(char c) {
-    if (i < s.size() && peek() == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool literal(std::string_view lit) {
-    if (s.substr(i, lit.size()) == lit) {
-      i += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    JsonValue out;
-    switch (peek()) {
-      case '{': {
-        out.kind = JsonValue::Kind::kObject;
-        expect('{');
-        if (!consume('}')) {
-          do {
-            std::string key = string_body();
-            expect(':');
-            out.object.emplace_back(std::move(key), value());
-          } while (consume(','));
-          expect('}');
-        }
-        break;
-      }
-      case '[': {
-        out.kind = JsonValue::Kind::kArray;
-        expect('[');
-        if (!consume(']')) {
-          do {
-            out.array.push_back(value());
-          } while (consume(','));
-          expect(']');
-        }
-        break;
-      }
-      case '"':
-        out.kind = JsonValue::Kind::kString;
-        out.string = string_body();
-        break;
-      case 't':
-        if (!literal("true")) fail("bad literal");
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = true;
-        break;
-      case 'f':
-        if (!literal("false")) fail("bad literal");
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = false;
-        break;
-      case 'n':
-        if (!literal("null")) fail("bad literal");
-        break;
-      default: {
-        out.kind = JsonValue::Kind::kNumber;
-        const std::size_t start = i;
-        if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
-        while (i < s.size() && (std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '.' ||
-                                s[i] == 'e' || s[i] == 'E' || s[i] == '-' || s[i] == '+')) {
-          ++i;
-        }
-        if (i == start) fail("expected a value");
-        try {
-          out.number = std::stod(std::string(s.substr(start, i - start)));
-        } catch (const std::exception&) {
-          fail("unparseable number");
-        }
-      }
-    }
-    return out;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (i >= s.size()) fail("unterminated string");
-      const char c = s[i++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (i >= s.size()) fail("truncated escape");
-        const char esc = s[i++];
-        switch (esc) {
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            if (i + 4 > s.size()) fail("truncated escape");
-            out.push_back(
-                static_cast<char>(std::stoi(std::string(s.substr(i, 4)), nullptr, 16)));
-            i += 4;
-            break;
-          }
-          default: out.push_back(esc);
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-};
-
-}  // namespace
-
 ProgressSnapshot parse_progress_json(std::string_view json) {
-  JsonParser parser{json};
-  const JsonValue root = parser.value();
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("progress json: top level is not an object");
-  }
+  const JsonValue root = parse_json(json, "progress json");
+  if (!root.is_object()) throw std::runtime_error("progress json: top level is not an object");
+  static const std::vector<JsonValue> kNone;
+  const auto items = [&root](const char* key) -> const std::vector<JsonValue>& {
+    const JsonValue* v = root.find(key);
+    return v != nullptr ? v->array : kNone;
+  };
   ProgressSnapshot p;
-  p.seq = static_cast<std::uint64_t>(root.num_or("seq"));
-  p.virtual_time = root.num_or("virtual_time");
-  p.wall_time_seconds = root.num_or("wall_time_seconds");
-  p.strategy = root.str_or("strategy");
-  p.finished = root.bool_or("finished");
-  p.converged = root.bool_or("converged");
-  p.evals_done = static_cast<std::size_t>(root.num_or("evals_done"));
-  p.real_evals = static_cast<std::size_t>(root.num_or("real_evals"));
-  p.cache_hits = static_cast<std::size_t>(root.num_or("cache_hits"));
-  p.timeouts = static_cast<std::size_t>(root.num_or("timeouts"));
-  p.ppo_updates = static_cast<std::size_t>(root.num_or("ppo_updates"));
-  p.batches_in_flight = static_cast<std::size_t>(root.num_or("batches_in_flight"));
-  p.best_reward = static_cast<float>(root.num_or("best_reward"));
-  p.has_best = root.bool_or("has_best");
-  if (const JsonValue* top = root.get("top"); top != nullptr) {
-    for (const JsonValue& t : top->array) {
-      TopArchProgress out;
-      out.arch = t.str_or("arch");
-      out.reward = static_cast<float>(t.num_or("reward"));
-      out.params = static_cast<std::size_t>(t.num_or("params"));
-      out.agent = static_cast<std::uint32_t>(t.num_or("agent"));
-      p.top.push_back(std::move(out));
-    }
+  root.get("seq", p.seq);
+  root.get("virtual_time", p.virtual_time);
+  root.get("wall_time_seconds", p.wall_time_seconds);
+  root.get("strategy", p.strategy);
+  root.get("finished", p.finished);
+  root.get("converged", p.converged);
+  root.get("evals_done", p.evals_done);
+  root.get("real_evals", p.real_evals);
+  root.get("cache_hits", p.cache_hits);
+  root.get("timeouts", p.timeouts);
+  root.get("ppo_updates", p.ppo_updates);
+  root.get("batches_in_flight", p.batches_in_flight);
+  root.get("best_reward", p.best_reward);
+  root.get("has_best", p.has_best);
+  for (const JsonValue& t : items("top")) {
+    TopArchProgress& out = p.top.emplace_back();
+    t.get("arch", out.arch);
+    t.get("reward", out.reward);
+    t.get("params", out.params);
+    t.get("agent", out.agent);
   }
-  if (const JsonValue* agents = root.get("agents"); agents != nullptr) {
-    for (const JsonValue& a : agents->array) {
-      AgentProgress out;
-      out.id = static_cast<std::uint32_t>(a.num_or("id"));
-      out.status = a.str_or("status");
-      out.evals = static_cast<std::size_t>(a.num_or("evals"));
-      out.cache_hits = static_cast<std::size_t>(a.num_or("cache_hits"));
-      out.timeouts = static_cast<std::size_t>(a.num_or("timeouts"));
-      out.cached_streak = static_cast<std::size_t>(a.num_or("cached_streak"));
-      out.best_reward = static_cast<float>(a.num_or("best_reward"));
-      out.has_best = a.bool_or("has_best");
-      p.agents.push_back(std::move(out));
-    }
+  for (const JsonValue& a : items("agents")) {
+    AgentProgress& out = p.agents.emplace_back();
+    a.get("id", out.id);
+    a.get("status", out.status);
+    a.get("evals", out.evals);
+    a.get("cache_hits", out.cache_hits);
+    a.get("timeouts", out.timeouts);
+    a.get("cached_streak", out.cached_streak);
+    a.get("best_reward", out.best_reward);
+    a.get("has_best", out.has_best);
   }
-  p.retries = static_cast<std::size_t>(root.num_or("retries"));
-  p.exhausted = static_cast<std::size_t>(root.num_or("exhausted"));
-  p.lost_results = static_cast<std::size_t>(root.num_or("lost_results"));
-  p.crashed_workers = static_cast<std::size_t>(root.num_or("crashed_workers"));
-  p.dead_agents = static_cast<std::size_t>(root.num_or("dead_agents"));
-  p.healthy = root.bool_or("healthy", true);
-  p.stragglers = static_cast<std::size_t>(root.num_or("stragglers"));
-  p.stalls = static_cast<std::size_t>(root.num_or("stalls"));
-  if (const JsonValue* hot = root.get("hot_scopes"); hot != nullptr) {
-    for (const JsonValue& h : hot->array) {
-      HotScopeProgress out;
-      out.name = h.str_or("name");
-      out.calls = static_cast<std::uint64_t>(h.num_or("calls"));
-      out.total_ms = h.num_or("total_ms");
-      out.self_ms = h.num_or("self_ms");
-      p.hot_scopes.push_back(std::move(out));
-    }
+  root.get("retries", p.retries);
+  root.get("exhausted", p.exhausted);
+  root.get("lost_results", p.lost_results);
+  root.get("crashed_workers", p.crashed_workers);
+  root.get("dead_agents", p.dead_agents);
+  root.get("healthy", p.healthy);
+  root.get("stragglers", p.stragglers);
+  root.get("stalls", p.stalls);
+  for (const JsonValue& h : items("hot_scopes")) {
+    HotScopeProgress& out = p.hot_scopes.emplace_back();
+    h.get("name", out.name);
+    h.get("calls", out.calls);
+    h.get("total_ms", out.total_ms);
+    h.get("self_ms", out.self_ms);
   }
-  p.journal_events = static_cast<std::uint64_t>(root.num_or("journal_events"));
-  p.exporter_errors = static_cast<std::uint64_t>(root.num_or("exporter_errors"));
+  root.get("journal_events", p.journal_events);
+  root.get("exporter_errors", p.exporter_errors);
   return p;
 }
 

@@ -1,10 +1,7 @@
 #include "ncnas/obs/journal.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <iomanip>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
@@ -12,43 +9,6 @@
 #include "ncnas/obs/metrics.hpp"
 
 namespace ncnas::obs {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c)) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-// Doubles are written with enough digits to round-trip exactly, so a replay
-// applies the driver's deadline rule to bit-identical timestamps.
-void write_json_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << 0;  // JSON has no Inf/NaN; clamp rather than emit invalid output
-    return;
-  }
-  if (std::abs(v) < 1e15 && v == static_cast<double>(static_cast<long long>(v))) {
-    os << static_cast<long long>(v);
-  } else {
-    std::ostringstream tmp;
-    tmp << std::setprecision(17) << v;
-    os << tmp.str();
-  }
-}
 
 namespace {
 
@@ -103,126 +63,6 @@ void write_event(std::ostream& os, const JournalEvent& e) {
   os << "}}";
 }
 
-// ---- minimal parser for the journal's own JSONL dialect --------------------
-// Values are strings, numbers, or one level of nested object ("payload").
-
-struct Parser {
-  std::string_view s;
-  std::size_t i = 0;
-
-  [[noreturn]] void fail(const char* what) const {
-    throw std::runtime_error(std::string("journal import: ") + what);
-  }
-  void ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  void expect(char c) {
-    ws();
-    if (i >= s.size() || s[i] != c) fail("malformed line");
-    ++i;
-  }
-  bool peek(char c) {
-    ws();
-    return i < s.size() && s[i] == c;
-  }
-  // The dialect is ASCII (every key and type name the writer emits is), so
-  // a byte >= 0x80, raw or escaped, can only come from corruption; refusing
-  // it keeps everything re-rendered from imported events valid UTF-8.
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      char c = s[i++];
-      if (static_cast<unsigned char>(c) >= 0x80) fail("non-ASCII byte in string");
-      if (c == '\\' && i < s.size()) {
-        const char esc = s[i++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            if (i + 4 > s.size()) fail("truncated escape");
-            int code = 0;
-            for (std::size_t k = 0; k < 4; ++k) {
-              const int digit = hex_digit(s[i + k]);
-              if (digit < 0) fail("malformed escape");
-              code = code * 16 + digit;
-            }
-            if (code >= 0x80) fail("non-ASCII escape in string");
-            c = static_cast<char>(code);
-            i += 4;
-            break;
-          }
-          default: c = esc;
-        }
-      }
-      out.push_back(c);
-    }
-    if (i >= s.size()) fail("unterminated string");
-    ++i;
-    return out;
-  }
-  double number() {
-    ws();
-    const std::size_t start = i;
-    if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
-    while (i < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '.' || s[i] == 'e' ||
-            s[i] == 'E' || s[i] == '-' || s[i] == '+')) {
-      ++i;
-    }
-    if (i == start) fail("expected number");
-    // strtod, not stod: an out-of-range literal saturates (to +-inf or 0)
-    // instead of throwing an exception that is not a runtime_error.
-    const std::string text(s.substr(start, i - start));
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) fail("malformed number");
-    return v;
-  }
-  static int hex_digit(char c) {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  }
-};
-
-struct ParsedLine {
-  std::map<std::string, double> numbers;
-  std::map<std::string, std::string> strings;
-  std::vector<JournalField> payload;
-};
-
-ParsedLine parse_line(std::string_view line) {
-  Parser p{line};
-  ParsedLine out;
-  p.expect('{');
-  if (!p.peek('}')) {
-    do {
-      const std::string key = p.string();
-      p.expect(':');
-      if (p.peek('"')) {
-        out.strings[key] = p.string();
-      } else if (p.peek('{')) {
-        p.expect('{');
-        if (!p.peek('}')) {
-          do {
-            std::string fkey = p.string();
-            p.expect(':');
-            out.payload.push_back({std::move(fkey), p.number()});
-          } while (p.peek(',') && (p.expect(','), true));
-        }
-        p.expect('}');
-      } else {
-        out.numbers[key] = p.number();
-      }
-    } while (p.peek(',') && (p.expect(','), true));
-  }
-  p.expect('}');
-  return out;
-}
-
 // Payload values come back from disk as arbitrary doubles. Every conversion
 // to an integer goes through here, so a corrupt journal saturates instead of
 // reaching an out-of-range (undefined) float-to-integer cast.
@@ -232,11 +72,6 @@ Int to_int(double v, double lo, double hi) {
 }
 
 std::size_t to_count(double v) { return to_int<std::size_t>(v, 0.0, 9.0e15); }
-
-float to_reward(double v) {
-  return static_cast<float>(std::clamp(v, -static_cast<double>(std::numeric_limits<float>::max()),
-                                       static_cast<double>(std::numeric_limits<float>::max())));
-}
 
 /// The run-level header fields: run_started declares them; a resumed
 /// process's journal opens with run_resumed instead, which repeats the
@@ -407,34 +242,42 @@ std::vector<JournalEvent> Journal::import_jsonl(std::istream& is) {
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    const ParsedLine parsed = parse_line(line);
-    const auto v = parsed.numbers.find("v");
-    if (v == parsed.numbers.end()) {
+    const JsonValue parsed = parse_json(line, "journal import");
+    double v = 0.0;
+    if (!parsed.get("v", v)) {
       throw std::runtime_error("journal import: line without schema version");
     }
-    if (v->second >= kJournalSchemaVersion + 1) {  // integer part is newer
+    if (v >= kJournalSchemaVersion + 1) {  // integer part is newer
       throw std::runtime_error("journal import: schema version " +
-                               std::to_string(to_int<long long>(v->second, 0.0, 1e15)) +
+                               std::to_string(to_int<long long>(v, 0.0, 1e15)) +
                                " is newer than supported version " +
                                std::to_string(kJournalSchemaVersion));
     }
-    if (parsed.strings.count("schema") != 0) continue;  // header line
-    const auto type_it = parsed.strings.find("type");
-    if (type_it == parsed.strings.end()) {
+    if (parsed.find("schema") != nullptr) continue;  // header line
+    std::string type_name;
+    if (!parsed.get("type", type_name)) {
       throw std::runtime_error("journal import: event line without type");
     }
-    const auto type = journal_event_from_name(type_it->second);
+    const auto type = journal_event_from_name(type_name);
     if (!type) continue;  // event from a newer minor writer: skip, don't fail
     JournalEvent e;
     e.type = *type;
-    if (const auto it = parsed.numbers.find("t"); it != parsed.numbers.end()) e.t = it->second;
-    if (const auto it = parsed.numbers.find("seq"); it != parsed.numbers.end()) {
-      e.seq = to_count(it->second);
+    parsed.get("t", e.t);
+    if (double seq = 0.0; parsed.get("seq", seq)) e.seq = to_count(seq);
+    if (double agent = 0.0; parsed.get("agent", agent)) {
+      e.agent = agent < 0 ? kNoAgent : to_int<std::uint32_t>(agent, 0.0, kNoAgent);
     }
-    if (const auto it = parsed.numbers.find("agent"); it != parsed.numbers.end()) {
-      e.agent = it->second < 0 ? kNoAgent : to_int<std::uint32_t>(it->second, 0.0, kNoAgent);
+    if (const JsonValue* payload = parsed.find("payload"); payload != nullptr) {
+      if (!payload->is_object()) {
+        throw std::runtime_error("journal import: payload is not an object");
+      }
+      for (const auto& [key, value] : payload->object) {
+        if (value.kind != JsonValue::Kind::kNumber) {
+          throw std::runtime_error("journal import: payload field '" + key + "' is not a number");
+        }
+        e.payload.push_back({key, value.number});
+      }
     }
-    e.payload = parsed.payload;
     out.push_back(std::move(e));
   }
   return out;
@@ -468,7 +311,7 @@ void RunSummary::apply(const JournalEvent& e) {
     case JournalEventType::kEvalCached: {
       if (e.t > wall_time_s) break;  // the driver's deadline filter
       const bool cached = e.type == JournalEventType::kEvalCached;
-      const float reward = to_reward(e.field("reward"));
+      const float reward = saturate<float>(e.field("reward"));
       ++evals;
       if (cached) {
         ++cache_hits;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <iomanip>
 #include <istream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -13,7 +14,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "ncnas/obs/journal.hpp"
+#include "ncnas/obs/json.hpp"
 
 namespace ncnas::obs {
 
@@ -297,73 +298,32 @@ void ProfileSnapshot::export_json(std::ostream& os) const {
   os << "\n]\n}\n";
 }
 
-namespace {
-
-// Minimal line-oriented extraction, matched to our own one-record-per-line
-// writers (export_json, bench_kernels). Not a general JSON parser.
-bool find_number(const std::string& line, const std::string& key, double& out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t pos = at + needle.size();
-  while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-  try {
-    out = std::stod(line.substr(pos));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
-}
-
-bool find_string(const std::string& line, const std::string& key, std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t pos = at + needle.size();
-  while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-  if (pos >= line.size() || line[pos] != '"') return false;
-  ++pos;
-  out.clear();
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) ++pos;
-    out.push_back(line[pos]);
-    ++pos;
-  }
-  return pos < line.size();
-}
-
-}  // namespace
-
 ImportedProfile import_profile_json(std::istream& is) {
+  const std::string text{std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+  const JsonValue doc = parse_json(text, "import_profile_json");
   ImportedProfile out;
-  std::string line;
-  bool saw_header = false;
-  while (std::getline(is, line)) {
-    double num = 0.0;
-    if (!saw_header && find_number(line, "schema_version", num)) {
-      out.schema_version = static_cast<int>(num);
-      saw_header = true;
-      continue;
-    }
-    if (find_number(line, "threads_merged", num)) {
-      out.threads_merged = static_cast<std::uint64_t>(num);
-      continue;
-    }
-    FlatProfileEntry e;
-    if (!find_string(line, "name", e.name)) continue;
-    if (find_number(line, "calls", num)) e.calls = static_cast<std::uint64_t>(num);
-    find_number(line, "total_ms", e.total_ms);
-    find_number(line, "self_ms", e.self_ms);
-    find_number(line, "flops", e.flops);
-    find_number(line, "bytes_moved", e.bytes_moved);
-    if (find_number(line, "alloc_count", num)) e.alloc_count = static_cast<std::uint64_t>(num);
-    if (find_number(line, "alloc_bytes", num)) e.alloc_bytes = static_cast<std::uint64_t>(num);
-    out.flat.push_back(std::move(e));
+  if (!doc.get("schema_version", out.schema_version)) {
+    throw std::runtime_error("import_profile_json: missing schema_version");
   }
-  if (!saw_header) throw std::runtime_error("import_profile_json: missing schema_version");
   if (out.schema_version != kProfileSchemaVersion) {
     throw std::runtime_error("import_profile_json: unsupported schema_version " +
                              std::to_string(out.schema_version));
+  }
+  doc.get("threads_merged", out.threads_merged);
+  if (const JsonValue* flat = doc.find("flat"); flat != nullptr) {
+    for (const JsonValue& r : flat->array) {
+      FlatProfileEntry& e = out.flat.emplace_back();
+      if (!r.get("name", e.name)) {
+        throw std::runtime_error("import_profile_json: record without name");
+      }
+      r.get("calls", e.calls);
+      r.get("total_ms", e.total_ms);
+      r.get("self_ms", e.self_ms);
+      r.get("flops", e.flops);
+      r.get("bytes_moved", e.bytes_moved);
+      r.get("alloc_count", e.alloc_count);
+      r.get("alloc_bytes", e.alloc_bytes);
+    }
   }
   return out;
 }

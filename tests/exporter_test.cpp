@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -264,6 +265,18 @@ TEST(ProgressJson, RoundTripsEveryField) {
 TEST(ProgressJson, ParserRejectsGarbage) {
   EXPECT_THROW(parse_progress_json("not json"), std::runtime_error);
   EXPECT_THROW(parse_progress_json("{\"seq\":"), std::runtime_error);
+  // Strict grammar: malformed numbers, bad escapes, trailing bytes and
+  // unbounded nesting are errors, never partial reads or crashes.
+  EXPECT_THROW(parse_progress_json("{\"seq\":1-2-3}"), std::runtime_error);
+  EXPECT_THROW(parse_progress_json("{\"seq\":+1}"), std::runtime_error);
+  EXPECT_THROW(parse_progress_json("{\"strategy\":\"\\uZZZZ\"}"), std::runtime_error);
+  EXPECT_THROW(parse_progress_json("{} trailing"), std::runtime_error);
+  EXPECT_THROW(parse_progress_json(std::string(200000, '[')), std::runtime_error);
+  // Out-of-range numbers saturate instead of reaching an undefined cast.
+  const ProgressSnapshot huge = parse_progress_json("{\"seq\":1e300,\"best_reward\":-1e300}");
+  EXPECT_EQ(huge.seq, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(huge.best_reward, -std::numeric_limits<float>::max());
+  EXPECT_EQ(parse_progress_json("{\"evals_done\":-5}").evals_done, 0u);
 }
 
 // ---- /healthz transitions via a scripted watchdog --------------------------

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -21,10 +22,13 @@ namespace ncnas::testing {
 /// only (blocked == 0), or the blocked kernels (blocked == 1).
 struct KernelMode {
   std::size_t blocked;
-  /// Unused. gtest prints a parameter's raw bytes into every discovered test
-  /// name, so this keeps the 16-byte layout those names were registered with.
-  std::int32_t reserved = 1;
 };
+
+/// gtest prints a parameter into every discovered test name; without this it
+/// would print the object's raw bytes.
+inline void PrintTo(const KernelMode& mode, std::ostream* os) {
+  *os << (mode.blocked == 0 ? "ref" : "blocked");
+}
 
 /// Parameterized fixture that re-runs a suite under each kernel mode. In the
 /// blocked modes dispatch thresholds are zeroed and blocks shrunk so even the

@@ -1,17 +1,18 @@
-// Seeded mutation fuzz harness for the journal reader, the one trust
-// boundary every derived view (counters, run reports, the Chrome trace)
-// now sits behind.
+// Seeded mutation fuzz harness for the JSON reader (obs/json.hpp), the one
+// trust boundary every document the program reads back sits behind.
 //
-// The corpus is a real exported journal: an A2C search with a fault plan and
-// a fidelity ladder, so every event type the driver emits appears in it.
-// Each iteration mutates that text — bit flips, truncations, line splices,
-// or huge/odd numbers — and requires:
-//   - Journal::import_jsonl either returns events or throws
-//     std::runtime_error (nothing else, no crash);
-//   - summarize_journal, export_chrome_trace and export_run_summary_json
-//     never crash on what it returned, and both JSON documents are
-//     well-formed;
-//   - what the writer emits for those events reads back with no error.
+// Three corpora, one per reader: a real exported journal (an A2C search with
+// a fault plan and a fidelity ladder, so every event type the driver emits
+// appears in it), a /progress document, and a profile JSON document. Each
+// iteration mutates one of them — bit flips, truncations, line splices, or
+// huge/odd numbers — and requires:
+//   - the reader (Journal::import_jsonl, parse_progress_json,
+//     import_profile_json) either returns or throws std::runtime_error
+//     (nothing else, no crash);
+//   - what it returned renders to well-formed JSON (for the journal also
+//     through summarize_journal, export_chrome_trace and
+//     export_run_summary_json);
+//   - what the writer emits for it reads back with no error.
 // Run under ASan+UBSan, "never crash" includes undefined behaviour.
 //
 // --seed=N / --runs=N / FAILING SEED replay as in fuzz_seed.hpp.
@@ -28,6 +29,8 @@
 #include "fuzz_seed.hpp"
 #include "json_check.hpp"
 #include "ncnas/nas/driver.hpp"
+#include "ncnas/obs/exporter.hpp"
+#include "ncnas/obs/profiler.hpp"
 #include "ncnas/space/spaces.hpp"
 #include "ncnas/tensor/rng.hpp"
 
@@ -189,11 +192,15 @@ void check_document(const std::string& text, const char* mutation, int iter) {
   }
 }
 
-template <typename Mutate>
-void fuzz(std::uint64_t salt, const char* mutation, Mutate mutate) {
-  const std::string& base = corpus();
+template <typename Mutate, typename Check = decltype(&check_document)>
+void fuzz(std::uint64_t salt, const char* mutation, Mutate mutate,
+          const std::string& base = corpus(), Check check = check_document) {
   tensor::Rng rng(g_seed ^ salt);
-  for (int i = 0; i < kIters; ++i) check_document(mutate(base, rng), mutation, i);
+  for (int i = 0; i < kIters; ++i) check(mutate(base, rng), mutation, i);
+}
+
+std::string composed(const std::string& text, tensor::Rng& rng) {
+  return flip_bits(huge_numbers(splice_lines(text, rng), rng), rng);
 }
 
 TEST(JournalFuzz, CorpusCoversTheDriversEventTypes) {
@@ -215,10 +222,168 @@ TEST(JournalFuzz, LineSplices) { fuzz(0x5911CE, "line splice", splice_lines); }
 
 TEST(JournalFuzz, HugeNumbers) { fuzz(0x4A6E, "huge number", huge_numbers); }
 
-TEST(JournalFuzz, MutationsCompose) {
-  fuzz(0xC0A1, "composed", [](const std::string& text, tensor::Rng& rng) {
-    return flip_bits(huge_numbers(splice_lines(text, rng), rng), rng);
-  });
+TEST(JournalFuzz, MutationsCompose) { fuzz(0xC0A1, "composed", composed); }
+
+// ---- /progress and profile JSON ---------------------------------------------
+
+/// A /progress document with every list populated and escapes in its strings.
+const std::string& progress_corpus() {
+  static const std::string text = [] {
+    obs::ProgressSnapshot p;
+    p.seq = 17;
+    p.virtual_time = 912.25;
+    p.wall_time_seconds = 1800.0;
+    p.strategy = "A3C";
+    p.evals_done = 140;
+    p.real_evals = 120;
+    p.cache_hits = 20;
+    p.timeouts = 2;
+    p.ppo_updates = 9;
+    p.batches_in_flight = 3;
+    p.best_reward = 0.8125f;
+    p.has_best = true;
+    p.top = {{"1,2,3,", 0.8125f, 4096, 1}, {"0,4,\"q\"\t", -0.25f, 128, 0}};
+    p.agents = {{0, "running", 70, 10, 1, 2, 0.75f, true}, {1, "dead", 0, 0, 0, 0, 0.0f, false}};
+    p.retries = 4;
+    p.crashed_workers = 1;
+    p.dead_agents = 1;
+    p.healthy = false;
+    p.stragglers = 2;
+    p.hot_scopes = {{"eval/train", 120, 3050.5, 2800.125}, {"gemm", 90000, 1200.0, 1200.0}};
+    p.journal_events = 512;
+    return obs::progress_to_json(p);
+  }();
+  return text;
+}
+
+/// A profile JSON document (fixed numbers, so a seed replays anywhere).
+const std::string& profile_corpus() {
+  static const std::string text = [] {
+    obs::ProfileSnapshot snap;
+    snap.threads_merged = 3;
+    const char* const names[] = {"eval/train", "gemm", "phase \"quoted\"", "(unscoped)"};
+    for (int i = 0; i < 4; ++i) {
+      obs::ProfileNode& n = snap.roots.emplace_back();
+      n.name = names[i];
+      n.calls = 10u * static_cast<unsigned>(i) + 1u;
+      n.total_ms = 100.5 / (i + 1);
+      n.self_ms = n.total_ms / 2.0;
+      n.flops = 1e9 * i;
+      n.bytes_moved = 3e7 * i;
+      n.alloc_count = 7u * static_cast<unsigned>(i);
+      n.alloc_bytes = 4096u * static_cast<unsigned>(i);
+    }
+    std::ostringstream os;
+    snap.export_json(os);
+    return os.str();
+  }();
+  return text;
+}
+
+/// The reader contract on one mutated document: `read` returns or throws
+/// std::runtime_error, and whatever it returned renders to valid JSON that
+/// `read` accepts again.
+template <typename Read, typename Render>
+void check_reader(const std::string& text, const char* mutation, int iter, Read read,
+                  Render render) {
+  SCOPED_TRACE(std::string(mutation) + " iteration " + std::to_string(iter) +
+               " (replay with --seed=" + std::to_string(g_seed) + ")");
+  decltype(read(text)) value;
+  try {
+    value = read(text);
+  } catch (const std::runtime_error&) {
+    return;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "reader threw a non-runtime_error: " << e.what();
+    return;
+  }
+  const std::string again = render(value);
+  EXPECT_TRUE(ncnas::testing::is_valid_json(again)) << again;
+  try {
+    (void)read(again);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "re-read of the writer's own output failed: " << e.what();
+  }
+}
+
+void check_progress(const std::string& text, const char* mutation, int iter) {
+  check_reader(
+      text, mutation, iter, [](const std::string& t) { return obs::parse_progress_json(t); },
+      [](const obs::ProgressSnapshot& p) { return obs::progress_to_json(p); });
+}
+
+obs::ImportedProfile read_profile(const std::string& text) {
+  std::istringstream is(text);
+  return obs::import_profile_json(is);
+}
+
+/// export_json of a snapshot whose roots are the imported flat records.
+std::string render_profile(const obs::ImportedProfile& prof) {
+  obs::ProfileSnapshot snap;
+  snap.threads_merged = prof.threads_merged;
+  for (const obs::FlatProfileEntry& e : prof.flat) {
+    obs::ProfileNode& n = snap.roots.emplace_back();
+    n.name = e.name;
+    n.calls = e.calls;
+    n.total_ms = e.total_ms;
+    n.self_ms = e.self_ms;
+    n.flops = e.flops;
+    n.bytes_moved = e.bytes_moved;
+    n.alloc_count = e.alloc_count;
+    n.alloc_bytes = e.alloc_bytes;
+  }
+  std::ostringstream os;
+  snap.export_json(os);
+  return os.str();
+}
+
+void check_profile(const std::string& text, const char* mutation, int iter) {
+  check_reader(text, mutation, iter, read_profile, render_profile);
+}
+
+TEST(ProgressJsonFuzz, CorpusReadsBack) {
+  const obs::ProgressSnapshot p = obs::parse_progress_json(progress_corpus());
+  EXPECT_EQ(obs::progress_to_json(p), progress_corpus());
+}
+
+TEST(ProgressJsonFuzz, BitFlips) {
+  fuzz(0x9B17, "bit flip", flip_bits, progress_corpus(), check_progress);
+}
+
+TEST(ProgressJsonFuzz, Truncations) {
+  fuzz(0x9256, "truncation", truncate, progress_corpus(), check_progress);
+}
+
+TEST(ProgressJsonFuzz, HugeNumbers) {
+  fuzz(0x9A6E, "huge number", huge_numbers, progress_corpus(), check_progress);
+}
+
+TEST(ProgressJsonFuzz, MutationsCompose) {
+  fuzz(0x9CA1, "composed", composed, progress_corpus(), check_progress);
+}
+
+TEST(ProfileJsonFuzz, CorpusReadsBack) {
+  EXPECT_EQ(render_profile(read_profile(profile_corpus())), profile_corpus());
+}
+
+TEST(ProfileJsonFuzz, BitFlips) {
+  fuzz(0xFB17, "bit flip", flip_bits, profile_corpus(), check_profile);
+}
+
+TEST(ProfileJsonFuzz, Truncations) {
+  fuzz(0xF256, "truncation", truncate, profile_corpus(), check_profile);
+}
+
+TEST(ProfileJsonFuzz, LineSplices) {
+  fuzz(0xF911CE, "line splice", splice_lines, profile_corpus(), check_profile);
+}
+
+TEST(ProfileJsonFuzz, HugeNumbers) {
+  fuzz(0xFA6E, "huge number", huge_numbers, profile_corpus(), check_profile);
+}
+
+TEST(ProfileJsonFuzz, MutationsCompose) {
+  fuzz(0xFCA1, "composed", composed, profile_corpus(), check_profile);
 }
 
 }  // namespace

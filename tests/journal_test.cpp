@@ -168,6 +168,19 @@ TEST(Journal, ImportSkipsUnknownEventTypesFromOlderReadersView) {
   EXPECT_EQ(events[0].type, JournalEventType::kEvalFinished);
 }
 
+TEST(Journal, ImportRejectsMalformedLines) {
+  const char* const lines[] = {
+      R"({"v":1,"seq":+1,"type":"eval_finished","t":1,"agent":0,"payload":{}})",
+      R"({"v":1,"seq":1,"type":"eval_finished","t":1,"agent":0,"payload":{}} trailing)",
+      R"({"v":1,"seq":1,"type":"eval_finished","t":1,"agent":0,"payload":{"reward":"x"}})",
+      R"({"v":1,"seq":1,"type":"eval_finished","t":1,"agent":0,"payload":[]})",
+  };
+  for (const char* line : lines) {
+    std::istringstream is(std::string(line) + "\n");
+    EXPECT_THROW((void)Journal::import_jsonl(is), std::runtime_error) << line;
+  }
+}
+
 // ---- summarize_journal -----------------------------------------------------
 
 TEST(Journal, SummaryAppliesTheDriverDeadlineFilter) {

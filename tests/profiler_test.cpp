@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <sstream>
 #include <thread>
@@ -258,6 +259,20 @@ TEST(Profiler, ImportRejectsMissingOrWrongSchema) {
   EXPECT_THROW((void)import_profile_json(empty), std::runtime_error);
   std::istringstream wrong("{\n\"schema_version\": 999\n}\n");
   EXPECT_THROW((void)import_profile_json(wrong), std::runtime_error);
+}
+
+TEST(Profiler, ImportSaturatesOutOfRangeCounts) {
+  std::istringstream is(
+      "{\"schema_version\": 1, \"threads_merged\": -3, \"flat\": [\n"
+      "{\"name\": \"neg\", \"calls\": -1e30, \"alloc_bytes\": -1},\n"
+      "{\"name\": \"huge\", \"calls\": 1e30, \"alloc_count\": 1e999}\n]}\n");
+  const ImportedProfile imported = import_profile_json(is);
+  EXPECT_EQ(imported.threads_merged, 0u);
+  ASSERT_EQ(imported.flat.size(), 2u);
+  EXPECT_EQ(imported.flat[0].calls, 0u);
+  EXPECT_EQ(imported.flat[0].alloc_bytes, 0u);
+  EXPECT_EQ(imported.flat[1].calls, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(imported.flat[1].alloc_count, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Profiler, ExportTextRendersTreeAndFlatTable) {

@@ -50,6 +50,8 @@ BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 void BM_Conv1dForward(benchmark::State& state) {
   tensor::Rng rng(2);
   nn::Conv1D conv(8, 5, rng);
+  const nn::FeatShape shape[] = {nn::FeatShape{256, 1}};
+  (void)conv.bind(shape);
   tensor::Tensor x({16, 256, 1});
   for (float& v : x.flat()) v = static_cast<float>(rng.normal());
   const tensor::Tensor* in[] = {&x};

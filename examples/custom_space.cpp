@@ -109,11 +109,8 @@ int main() {
     // Weight sharing in action: the mirrored encoder adds zero parameters.
     tensor::Rng rng(1);
     std::vector<std::size_t> dims{ds.input_dim(0), ds.input_dim(1), ds.input_dim(2)};
-    nn::Graph g = space::build_model(sp, top[0].arch, dims, space::TaskHead::regression(), rng);
-    nn::ForwardCtx ctx{};
-    std::vector<tensor::Tensor> probe;
-    for (const auto& x : ds.x_train) probe.push_back(nn::slice_rows(x, 0, 2));
-    (void)g.forward(probe, ctx);
+    const nn::Graph g =
+        space::build_model(sp, top[0].arch, dims, space::TaskHead::regression(), rng);
     std::cout << "\ntrainable parameters (panel B shares panel A's encoder): "
               << g.param_count() << "\n";
   }

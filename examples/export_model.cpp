@@ -68,12 +68,6 @@ int main(int argc, char** argv) {
   tensor::Rng fresh_rng(12345);
   nn::Graph restored =
       space::build_model(sp, top[0].arch, dims, space::TaskHead::regression(), fresh_rng);
-  {
-    nn::ForwardCtx ctx{};
-    std::vector<tensor::Tensor> probe;
-    for (const auto& x : ds.x_train) probe.push_back(nn::slice_rows(x, 0, 1));
-    (void)restored.forward(probe, ctx);  // materialize lazy layers
-  }
   nn::load_weights(restored, weights_path);
   const float r2_restored = nn::evaluate(restored, ds.x_valid, ds.y_valid, ds.metric);
   std::cout << "reloaded model validation R2: " << analytics::fmt(r2_restored)

@@ -2,8 +2,9 @@
 // produces:
 //
 //   bench JSON    BENCH_kernels.json written by bench/bench_kernels
-//                 (records keyed op/size/config, metric = GFLOP/s, higher
-//                 is better)
+//                 (records keyed op/size/config, higher is better; metric =
+//                 speedup_vs_ref for a record whose sweep has a "ref" row at
+//                 its op/size, else GFLOP/s)
 //   profile JSON  written by Telemetry::export_profile_json or
 //                 examples/telemetry_dump (records keyed by scope name,
 //                 metric = self ms, lower is better)
@@ -19,14 +20,18 @@
 // the table stays informational. The default mode is informational — it always exits
 // 0 so CI can surface regressions without failing the build; --fail-on-regress
 // turns flagged regressions into exit code 1. Profile self-times are only
-// comparable between runs of the same workload on the same machine; bench
-// GFLOP/s records are keyed machine-independently (see bench_kernels).
+// comparable between runs of the same workload on the same machine. A bench
+// record's speedup_vs_ref divides its GFLOP/s by the reference kernel's,
+// measured in the same sweep, so a host that is uniformly slower cancels out
+// of it; the ratio still depends on the host's instruction set and caches,
+// which absolute GFLOP/s depends on as well.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -56,16 +61,36 @@ std::map<std::string, Record> load_bench(const std::string& content) {
   if (records == nullptr || !records->is_array()) {
     throw std::runtime_error("bench json: no records array");
   }
-  std::map<std::string, Record> out;
-  for (const ncnas::obs::JsonValue& r : records->array) {
-    std::string op, config;
-    long long size = 0;
+  struct Row {
+    std::string key;  // op/size, without the config
+    std::string config;
     double gflops = 0.0;
-    if (!r.get("op", op) || !r.get("size", size) || !r.get("config", config) ||
-        !r.get("gflops", gflops)) {
+    double speedup = 0.0;
+    bool has_speedup = false;
+  };
+  std::vector<Row> rows;
+  std::set<std::string> has_ref;  // op/size keys with a "ref" row in this sweep
+  for (const ncnas::obs::JsonValue& r : records->array) {
+    Row row;
+    long long size = 0;
+    std::string op;
+    if (!r.get("op", op) || !r.get("size", size) || !r.get("config", row.config) ||
+        !r.get("gflops", row.gflops)) {
       throw std::runtime_error("bench json: record without op, size, config or gflops");
     }
-    out[op + "/" + std::to_string(size) + "/" + config] = {gflops, /*higher_is_better=*/true};
+    row.key = op + "/" + std::to_string(size);
+    row.has_speedup = r.get("speedup_vs_ref", row.speedup);
+    if (row.config == "ref") has_ref.insert(row.key);
+    rows.push_back(std::move(row));
+  }
+  // A record measured against a reference row of its own sweep compares its
+  // speedup over that row; every other record, the reference rows included,
+  // compares its GFLOP/s.
+  std::map<std::string, Record> out;
+  for (const Row& row : rows) {
+    const bool vs_ref = row.config != "ref" && row.has_speedup && has_ref.count(row.key) != 0;
+    out[row.key + "/" + row.config] = {vs_ref ? row.speedup : row.gflops,
+                                       /*higher_is_better=*/true};
   }
   return out;
 }
@@ -150,7 +175,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const char* metric = kind == Kind::kBench ? "GFLOP/s" : "self_ms";
+  const char* metric = kind == Kind::kBench ? "speedup_vs_ref (blocked rows), else GFLOP/s" : "self_ms";
   std::cout << "perf_diff (" << (kind == Kind::kBench ? "bench" : "profile") << ", metric "
             << metric << ", threshold " << fmt(100.0 * threshold) << "%)\n";
   std::cout << "  baseline: " << paths[0] << " (" << base.size() << " records)\n";

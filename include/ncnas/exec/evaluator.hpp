@@ -144,10 +144,10 @@ class TrainingEvaluator final : public Evaluator {
   [[nodiscard]] EvalResult evaluate(const space::ArchEncoding& arch,
                                     std::uint64_t seed) const override;
 
-  /// Builds the model (a one-row probe materializes lazy weights) and fills
-  /// `params`, `sim_duration` and `timed_out` — everything a simulated
-  /// dispatch reads — then submits the training to `pool`, whose outcome the
-  /// result's `training` handle resolves to. Without a pool the training runs
+  /// Builds the model to count its parameters and fills `params`,
+  /// `sim_duration` and `timed_out` — everything a simulated dispatch reads
+  /// — then submits the training to `pool`, whose outcome the result's
+  /// `training` handle resolves to. Without a pool the training runs
   /// inline and the result is already final. A task over the timeout is
   /// killed untrained: it gets the floor reward and no handle. The evaluator
   /// must outlive the training.
@@ -256,5 +256,10 @@ class CachedEvaluator final : public Evaluator {
 
 /// Task head implied by a dataset's metric (classification for ACC).
 [[nodiscard]] space::TaskHead head_for(const data::Dataset& ds);
+
+/// The model every evaluator trains for `arch`: built for `ds`'s input
+/// widths and head_for(ds), its weights drawn from Rng(seed).
+[[nodiscard]] nn::Graph build_for(const space::SearchSpace& space, const data::Dataset& ds,
+                                  const space::ArchEncoding& arch, std::uint64_t seed);
 
 }  // namespace ncnas::exec

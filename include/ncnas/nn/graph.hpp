@@ -8,11 +8,15 @@
 // — exactly the weight-sharing semantics of the paper's Combo drug-descriptor
 // submodel.
 //
-// Buffer plan. The first forward() after the graph changes walks the nodes
-// once and records, per node, its input pointer list, whether it needs a
-// gradient (it has parameters or an ancestor that has), whether backward
-// reaches it from the output, and the order in which gradient contributions
-// reach each node. Every node owns an output slot and a gradient slot that
+// A node's per-sample shape is inferred, and its layer bound to its input
+// shapes (creating any weights), when the node is added; the graph keeps the
+// shapes and the parameter list from then on.
+//
+// Buffer plan. The first forward() after the graph changes starts with one
+// pass over the nodes that records, per node, its input pointer list,
+// whether it needs a gradient (it has parameters or an ancestor that has),
+// whether backward reaches it from the output, and the order in which
+// gradient contributions reach each node. Every node owns an output slot and a gradient slot that
 // only grow; layers write into them and keep const pointers to their inputs
 // instead of copies. A layer whose output is its input unchanged (Identity,
 // Dropout outside training) aliases its input's slot, and when its gradient
@@ -34,7 +38,10 @@ class Graph {
   /// forward() in the order they were added.
   std::size_t add_input(std::string name, FeatShape shape);
 
-  /// Adds a layer consuming the outputs of `inputs` (node ids < the new id).
+  /// Adds a layer consuming the outputs of `inputs` (node ids < the new id):
+  /// binds it to their shapes and records its output shape and parameters.
+  /// Throws std::invalid_argument, leaving the graph unchanged, for a bad
+  /// input id or inputs the layer rejects.
   std::size_t add(LayerPtr layer, std::vector<std::size_t> inputs);
 
   /// Marks the node whose output is the model prediction. Defaults to the
@@ -50,9 +57,12 @@ class Graph {
     return nodes_.at(node_id).inputs;
   }
 
-  /// Per-sample output shape of the full model. Runs shape inference; throws
-  /// if any layer rejects its inputs. Cheap — no tensors are allocated.
-  [[nodiscard]] FeatShape output_shape() const;
+  /// Per-sample output shape of node `node_id`, inferred when it was added.
+  [[nodiscard]] const FeatShape& shape(std::size_t node_id) const {
+    return nodes_.at(node_id).shape;
+  }
+  /// Per-sample output shape of the full model.
+  [[nodiscard]] const FeatShape& output_shape() const { return shape(output_id_); }
 
   /// Runs the model on a batch. `inputs[i]` feeds the i-th declared input and
   /// must carry the batch dimension first; the graph copies it into the
@@ -67,14 +77,11 @@ class Graph {
   /// last changed.
   void backward(const tensor::Tensor& grad_output);
 
-  /// All trainable parameters, de-duplicated (shared weights appear once).
-  /// Cached by the first completed forward(), which materializes every lazy
-  /// layer; before that, collected afresh on each call.
-  [[nodiscard]] const std::vector<ParamPtr>& parameters() const;
+  /// All trainable parameters in node order, de-duplicated (shared weights
+  /// appear once, at their first node).
+  [[nodiscard]] const std::vector<ParamPtr>& parameters() const noexcept { return params_; }
 
   /// Number of trainable scalars — the paper's "trainable parameters" metric.
-  /// NOTE: lazy layers materialize weights on first forward; call after one
-  /// forward pass (or train step) for a final count.
   [[nodiscard]] std::size_t param_count() const;
 
   void zero_grad();
@@ -86,6 +93,7 @@ class Graph {
   struct Node {
     LayerPtr layer;
     std::vector<std::size_t> inputs;
+    FeatShape shape;        // per-sample output shape
     tensor::Tensor output;  // slot the layer writes its output into
     tensor::Tensor grad;    // slot dL/d(output) accumulates in
   };
@@ -109,18 +117,14 @@ class Graph {
   };
 
   void invalidate() noexcept;
-  void begin_plan();
-  void finish_plan();
-  void collect_params() const;
+  void build_plan();
 
   std::vector<Node> nodes_;
   std::vector<std::size_t> input_ids_;
   std::size_t output_id_ = 0;
+  std::vector<ParamPtr> params_;
   Plan plan_;
   bool forwarded_ = false;  // a forward() completed since the graph last changed
-  // Not thread-safe, like forward(): parameters() refills it until the plan
-  // is ready.
-  mutable std::vector<ParamPtr> params_;
 };
 
 }  // namespace ncnas::nn

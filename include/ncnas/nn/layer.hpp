@@ -2,6 +2,9 @@
 //
 // A Layer is a node in a computation graph: it may take several input tensors
 // (Concat / Add combine branches) and produces exactly one output tensor.
+// It learns its per-sample input shapes once, from bind(), before it first
+// runs; a layer with weights creates them there, so they exist from the
+// moment the layer joins a graph.
 // Layers never own their activations: forward() writes into an output buffer
 // the caller owns (nn::Graph's per-node slot), and the layer keeps const
 // pointers to its inputs and its output for backward() instead of copies.
@@ -36,12 +39,14 @@ class Layer {
   /// Short kind tag, e.g. "dense", used in summaries and error messages.
   [[nodiscard]] virtual std::string kind() const = 0;
 
-  /// Per-sample output shape given per-sample input shapes. Throws
+  /// Binds the layer to its per-sample input shapes and returns its
+  /// per-sample output shape; nn::Graph::add calls it once, before the node
+  /// joins the graph. Layers with weights create them here. Throws
   /// std::invalid_argument for incompatible inputs.
-  [[nodiscard]] virtual FeatShape output_shape(std::span<const FeatShape> in) const = 0;
+  [[nodiscard]] virtual FeatShape bind(std::span<const FeatShape> in) = 0;
 
-  /// Forward pass over a batch. Each input has the batch dimension first.
-  /// Writes the output into `out` (sized by the layer; its capacity is
+  /// Forward pass over a batch of the shapes bind() saw, batch dimension
+  /// first. Writes the output into `out` (sized by the layer; its capacity is
   /// reused) and returns it, or returns `*inputs[0]` itself when the output
   /// is that input unchanged (Identity; Dropout outside training). The layer
   /// keeps pointers to `inputs` and to the returned tensor: they must stay

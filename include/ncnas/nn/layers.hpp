@@ -43,7 +43,7 @@ class Input final : public Layer {
   [[nodiscard]] std::string kind() const override { return "input"; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const FeatShape& feat_shape() const noexcept { return shape_; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -57,7 +57,7 @@ class Input final : public Layer {
 class Identity final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "identity"; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -69,16 +69,17 @@ inline constexpr share_tag_t share_tag{};
 
 class Dense final : public Layer {
  public:
-  /// Fresh weights; they are lazily initialized on the first forward pass,
-  /// when the input width is known, using the provided rng.
+  /// Draws the weights' init seed from `rng`; bind() creates the weights,
+  /// Glorot-initialized from that seed, once the input width is known.
   Dense(std::size_t units, Act act, tensor::Rng& rng);
-  /// Weight-sharing constructor (MirrorNode): reuses the donor's parameters.
+  /// Weight-sharing constructor (MirrorNode): reuses the bound donor's
+  /// parameters; throws std::logic_error if the donor is not bound yet.
   Dense(const Dense& donor, share_tag_t);
 
   [[nodiscard]] std::string kind() const override { return "dense"; }
   [[nodiscard]] std::size_t units() const noexcept { return units_; }
   [[nodiscard]] Act activation() const noexcept { return act_; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -86,20 +87,11 @@ class Dense final : public Layer {
   [[nodiscard]] std::string describe() const override;
 
  private:
-  // Weights live behind a shared slot so that mirrors created *before* the
-  // donor's lazy initialization still end up sharing the same parameters:
-  // whichever instance runs forward first fills the slot for all of them.
-  struct Slot {
-    ParamPtr w;  // [in, units]
-    ParamPtr b;  // [units]
-  };
-
-  void ensure_params(std::size_t in_dim);
-
   std::size_t units_;
   Act act_;
-  std::uint64_t init_seed_;    // drawn at construction; lazy init owns its rng
-  std::shared_ptr<Slot> slot_;
+  std::uint64_t init_seed_;         // drawn at construction; bind() seeds the weights
+  ParamPtr w_;                      // [in, units]; null until bound
+  ParamPtr b_;                      // [units]
   bool shared_ = false;             // true when mirroring another Dense's params
   const tensor::Tensor* x_ = nullptr;  // input of the last forward
   const tensor::Tensor* y_ = nullptr;  // activated output of the last forward
@@ -111,7 +103,7 @@ class Activation final : public Layer {
   explicit Activation(Act act) : act_(act) {}
   [[nodiscard]] std::string kind() const override { return "activation"; }
   [[nodiscard]] Act activation() const noexcept { return act_; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -127,7 +119,7 @@ class Dropout final : public Layer {
   explicit Dropout(float rate);
   [[nodiscard]] std::string kind() const override { return "dropout"; }
   [[nodiscard]] float rate() const noexcept { return rate_; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -142,13 +134,14 @@ class Dropout final : public Layer {
 /// 1-D convolution over [batch, length, channels_in], valid padding, stride 1.
 class Conv1D final : public Layer {
  public:
+  /// Weights as for Dense: created by bind(), shared by the mirror constructor.
   Conv1D(std::size_t filters, std::size_t kernel, tensor::Rng& rng);
   Conv1D(const Conv1D& donor, share_tag_t);
 
   [[nodiscard]] std::string kind() const override { return "conv1d"; }
   [[nodiscard]] std::size_t filters() const noexcept { return filters_; }
   [[nodiscard]] std::size_t kernel() const noexcept { return kernel_; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -156,17 +149,11 @@ class Conv1D final : public Layer {
   [[nodiscard]] std::string describe() const override;
 
  private:
-  struct Slot {
-    ParamPtr w;  // [kernel * in_channels, filters]
-    ParamPtr b;  // [filters]
-  };
-
-  void ensure_params(std::size_t in_channels);
-
   std::size_t filters_;
   std::size_t kernel_;
   std::uint64_t init_seed_;
-  std::shared_ptr<Slot> slot_;
+  ParamPtr w_;  // [kernel * in_channels, filters]; null until bound
+  ParamPtr b_;  // [filters]
   bool shared_ = false;
   const tensor::Tensor* x_ = nullptr;  // input of the last forward
 };
@@ -179,7 +166,7 @@ class MaxPool1D final : public Layer {
   explicit MaxPool1D(std::size_t size);
   [[nodiscard]] std::string kind() const override { return "maxpool1d"; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -195,7 +182,7 @@ class MaxPool1D final : public Layer {
 class Flatten final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "flatten"; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -208,7 +195,7 @@ class Flatten final : public Layer {
 class Reshape1D final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "reshape1d"; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -221,7 +208,7 @@ class Reshape1D final : public Layer {
 class Concat final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "concat"; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -237,7 +224,7 @@ class Concat final : public Layer {
 class Add final : public Layer {
  public:
   [[nodiscard]] std::string kind() const override { return "add"; }
-  [[nodiscard]] FeatShape output_shape(std::span<const FeatShape> in) const override;
+  [[nodiscard]] FeatShape bind(std::span<const FeatShape> in) override;
   [[nodiscard]] const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                               tensor::Tensor& out, ForwardCtx& ctx) override;
   void backward(tensor::Tensor& grad, std::span<tensor::Tensor* const> dx) override;
@@ -247,7 +234,9 @@ class Add final : public Layer {
 };
 
 /// Attempts a parameter-sharing clone of `layer` (for MirrorNode). Supported
-/// for Dense, Conv1D, Dropout, Activation, Identity; throws otherwise.
+/// for Dense, Conv1D, Dropout, Activation, Identity; throws
+/// std::invalid_argument otherwise, and std::logic_error for a Dense or
+/// Conv1D that is not bound yet (add the donor to its graph first).
 [[nodiscard]] LayerPtr clone_shared(const Layer& layer);
 
 }  // namespace ncnas::nn

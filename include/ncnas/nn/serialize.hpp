@@ -1,8 +1,7 @@
 // Weight serialization. An ncnas model is fully described by (search space,
 // architecture encoding, init seed) plus its trained weights; these helpers
 // persist the weights so a discovered architecture can be shipped — rebuild
-// the graph with space::build_model, run one forward to materialize the lazy
-// layers, then load_weights().
+// the graph with space::build_model, then load_weights().
 //
 // Format: a small text header (magic, parameter count) followed by one
 // record per parameter: name, shape, and the float values in row-major
@@ -16,13 +15,12 @@
 
 namespace ncnas::nn {
 
-/// Writes every unique parameter of `graph` to `path`. Lazily initialized
-/// layers must have been materialized (run one forward pass first); throws
-/// std::runtime_error on I/O failure.
+/// Writes every unique parameter of `graph` to `path`, in parameters()
+/// order; throws std::runtime_error on I/O failure.
 void save_weights(const Graph& graph, const std::string& path);
 
 /// Loads weights saved by save_weights into `graph`. The graph must have the
-/// same parameter structure (same architecture, same materialization state);
+/// same parameter structure (same architecture and input widths);
 /// mismatched counts or shapes throw std::invalid_argument.
 void load_weights(Graph& graph, const std::string& path);
 

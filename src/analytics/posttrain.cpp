@@ -4,7 +4,6 @@
 
 #include "ncnas/exec/evaluator.hpp"
 #include "ncnas/nn/trainer.hpp"
-#include "ncnas/space/builder.hpp"
 
 namespace ncnas::analytics {
 
@@ -34,12 +33,7 @@ PostTrainResult train_graph(nn::Graph model, const data::Dataset& ds,
 
 PostTrainResult post_train(const space::SearchSpace& space, const data::Dataset& ds,
                            const space::ArchEncoding& arch, const PostTrainOptions& opts) {
-  tensor::Rng rng(opts.seed);
-  std::vector<std::size_t> dims;
-  dims.reserve(ds.input_count());
-  for (std::size_t i = 0; i < ds.input_count(); ++i) dims.push_back(ds.input_dim(i));
-  nn::Graph model = space::build_model(space, arch, dims, exec::head_for(ds), rng);
-  PostTrainResult result = train_graph(std::move(model), ds, opts);
+  PostTrainResult result = train_graph(exec::build_for(space, ds, arch, opts.seed), ds, opts);
   result.arch = arch;
   return result;
 }

@@ -16,6 +16,15 @@ space::TaskHead head_for(const data::Dataset& ds) {
   return space::TaskHead::regression();
 }
 
+nn::Graph build_for(const space::SearchSpace& space, const data::Dataset& ds,
+                    const space::ArchEncoding& arch, std::uint64_t seed) {
+  tensor::Rng rng(seed);
+  std::vector<std::size_t> dims;
+  dims.reserve(ds.input_count());
+  for (std::size_t i = 0; i < ds.input_count(); ++i) dims.push_back(ds.input_dim(i));
+  return space::build_model(space, arch, dims, head_for(ds), rng);
+}
+
 TrainingEvaluator::TrainingEvaluator(const space::SearchSpace& space,
                                      const data::Dataset& dataset, FidelityConfig fidelity,
                                      CostModel cost)
@@ -43,11 +52,8 @@ float TrainingEvaluator::reward_floor() const noexcept {
 }
 
 nn::Graph TrainingEvaluator::build(const space::ArchEncoding& arch, std::uint64_t seed) const {
-  tensor::Rng rng(seed);
-  std::vector<std::size_t> dims;
-  dims.reserve(dataset_->input_count());
-  for (std::size_t i = 0; i < dataset_->input_count(); ++i) dims.push_back(dataset_->input_dim(i));
-  return space::build_model(*space_, arch, dims, head_for(*dataset_), rng);
+  NCNAS_PROF_SCOPE("eval/build");
+  return build_for(*space_, *dataset_, arch, seed);
 }
 
 void EvalResult::join() {
@@ -57,26 +63,10 @@ void EvalResult::join() {
   train_wall_ms = outcome.train_wall_ms;
 }
 
-namespace {
-
-// Materializes lazily-initialized weights with a single-row forward so the
-// trainable-parameter count (which drives the cost model) is exact.
-void probe(nn::Graph& model, const data::Dataset& ds) {
-  NCNAS_PROF_SCOPE("eval/build");
-  std::vector<tensor::Tensor> rows;
-  rows.reserve(ds.input_count());
-  for (const tensor::Tensor& x : ds.x_train) rows.push_back(nn::slice_rows(x, 0, 1));
-  nn::ForwardCtx ctx{.training = false, .rng = nullptr};
-  (void)model.forward(rows, ctx);
-}
-
-}  // namespace
-
 EvalResult TrainingEvaluator::plan(const space::ArchEncoding& arch, std::uint64_t seed) const {
   NCNAS_PROF_SCOPE("eval");
   const std::string key = space::arch_key(arch);
   nn::Graph model = build(arch, seed);
-  probe(model, *dataset_);
 
   EvalResult result;
   result.params = model.param_count();
@@ -99,7 +89,6 @@ TrainOutcome TrainingEvaluator::train(const space::ArchEncoding& arch, std::uint
                                       const EvalResult& planned) const {
   NCNAS_PROF_SCOPE("eval");
   nn::Graph model = build(arch, seed);
-  probe(model, *dataset_);
 
   std::optional<obs::Stopwatch> train_timer;
   if (train_wall_ms_ != nullptr) train_timer.emplace();

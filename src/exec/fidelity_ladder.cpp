@@ -186,19 +186,7 @@ void FidelityLadder::run_rung(std::vector<Candidate>& cands, std::size_t rung,
 
     if (!warm) {
       NCNAS_PROF_SCOPE("ladder/build");
-      tensor::Rng rng(seed);
-      std::vector<std::size_t> dims;
-      dims.reserve(dataset_->input_count());
-      for (std::size_t d = 0; d < dataset_->input_count(); ++d) {
-        dims.push_back(dataset_->input_dim(d));
-      }
-      c.model = space::build_model(*space_, *c.arch, dims, head_for(*dataset_), rng);
-      // One-row probe materializes lazy weights so param_count is exact.
-      std::vector<tensor::Tensor> probe;
-      probe.reserve(dataset_->input_count());
-      for (const tensor::Tensor& x : dataset_->x_train) probe.push_back(nn::slice_rows(x, 0, 1));
-      nn::ForwardCtx ctx{.training = false, .rng = nullptr};
-      (void)c.model->forward(probe, ctx);
+      c.model = build_for(*space_, *dataset_, *c.arch, seed);
       c.res.params = c.model->param_count();
     }
 

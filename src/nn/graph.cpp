@@ -1,5 +1,6 @@
 #include "ncnas/nn/graph.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,29 +17,32 @@ constexpr std::size_t npos = static_cast<std::size_t>(-1);
 }  // namespace
 
 std::size_t Graph::add_input(std::string name, FeatShape shape) {
-  const std::size_t id = nodes_.size();
-  Node node;
-  node.layer = std::make_unique<Input>(std::move(name), std::move(shape));
-  nodes_.push_back(std::move(node));
+  const std::size_t id = add(std::make_unique<Input>(std::move(name), std::move(shape)), {});
   input_ids_.push_back(id);
-  output_id_ = id;
-  invalidate();
   return id;
 }
 
 std::size_t Graph::add(LayerPtr layer, std::vector<std::size_t> inputs) {
   if (layer == nullptr) throw std::invalid_argument("Graph::add: null layer");
   const std::size_t id = nodes_.size();
-  for (std::size_t in : inputs) {
-    if (in >= id) {
-      throw std::invalid_argument("Graph::add: input id " + std::to_string(in) +
+  std::vector<FeatShape> in;
+  in.reserve(inputs.size());
+  for (std::size_t src : inputs) {
+    if (src >= id) {
+      throw std::invalid_argument("Graph::add: input id " + std::to_string(src) +
                                   " is not an existing node (topological order required)");
     }
+    in.push_back(nodes_[src].shape);
   }
   Node node;
+  node.shape = layer->bind(in);
+  const std::vector<ParamPtr> ps = layer->parameters();
   node.layer = std::move(layer);
   node.inputs = std::move(inputs);
   nodes_.push_back(std::move(node));
+  for (const ParamPtr& p : ps) {
+    if (std::ranges::find(params_, p) == params_.end()) params_.push_back(p);
+  }
   output_id_ = id;
   invalidate();
   return id;
@@ -57,19 +61,7 @@ void Graph::invalidate() noexcept {
   forwarded_ = false;
 }
 
-FeatShape Graph::output_shape() const {
-  std::vector<FeatShape> shapes(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    std::vector<FeatShape> in;
-    in.reserve(node.inputs.size());
-    for (std::size_t src : node.inputs) in.push_back(shapes[src]);
-    shapes[i] = node.layer->output_shape(in);
-  }
-  return shapes[output_id_];
-}
-
-void Graph::begin_plan() {
+void Graph::build_plan() {
   const std::size_t n = nodes_.size();
   Plan& p = plan_;
   p.feed.assign(n, npos);
@@ -87,14 +79,6 @@ void Graph::begin_plan() {
   for (std::size_t i = 0; i < n; ++i) p.op_names[i] = "op/" + nodes_[i].layer->kind();
   p.dx.assign(max_fan_in, nullptr);
   p.scratch.resize(max_fan_in);
-}
-
-// Runs after the first forward under a new plan: every lazy layer has
-// materialized its parameters by then.
-void Graph::finish_plan() {
-  const std::size_t n = nodes_.size();
-  Plan& p = plan_;
-  collect_params();
   p.needs_grad.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     bool needs = !nodes_[i].layer->parameters().empty();
@@ -128,15 +112,6 @@ void Graph::finish_plan() {
   p.ready = true;
 }
 
-void Graph::collect_params() const {
-  std::vector<ParamPtr> all;
-  for (const Node& node : nodes_) {
-    const auto ps = node.layer->parameters();
-    all.insert(all.end(), ps.begin(), ps.end());
-  }
-  params_ = unique_params(all);
-}
-
 const Tensor& Graph::forward(std::span<const Tensor> inputs, ForwardCtx& ctx) {
   if (inputs.size() != input_ids_.size()) {
     throw std::invalid_argument("Graph::forward: expected " + std::to_string(input_ids_.size()) +
@@ -144,8 +119,7 @@ const Tensor& Graph::forward(std::span<const Tensor> inputs, ForwardCtx& ctx) {
   }
   NCNAS_PROF_SCOPE("graph/forward");
   forwarded_ = false;
-  const bool planned = plan_.ready;
-  if (!planned) begin_plan();
+  if (!plan_.ready) build_plan();
   Plan& p = plan_;
   const bool profiled = obs::profiling_enabled();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -174,7 +148,6 @@ const Tensor& Graph::forward(std::span<const Tensor> inputs, ForwardCtx& ctx) {
                              "' returned neither its slot nor its first input");
     }
   }
-  if (!planned) finish_plan();
   forwarded_ = true;
   return *p.out[output_id_];
 }
@@ -220,11 +193,6 @@ void Graph::backward(const Tensor& grad_output) {
       if (p.dx[j] == &p.scratch[j]) tensor::add_inplace(*p.grad[node.inputs[j]], p.scratch[j]);
     }
   }
-}
-
-const std::vector<ParamPtr>& Graph::parameters() const {
-  if (!plan_.ready) collect_params();
-  return params_;
 }
 
 std::size_t Graph::param_count() const {

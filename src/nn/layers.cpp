@@ -116,7 +116,7 @@ void act_backward_inplace(Act a, Tensor& g, const Tensor& y) {
 
 // --- Input ------------------------------------------------------------------
 
-FeatShape Input::output_shape(std::span<const FeatShape> in) const {
+FeatShape Input::bind(std::span<const FeatShape> in) {
   if (!in.empty()) throw std::invalid_argument("input: takes no graph inputs");
   return shape_;
 }
@@ -138,7 +138,7 @@ std::string Input::describe() const {
 
 // --- Identity ---------------------------------------------------------------
 
-FeatShape Identity::output_shape(std::span<const FeatShape> in) const {
+FeatShape Identity::bind(std::span<const FeatShape> in) {
   return single_shape(in, "identity");
 }
 
@@ -154,35 +154,34 @@ void Identity::backward(Tensor& grad, std::span<Tensor* const> dx) {
 // --- Dense ------------------------------------------------------------------
 
 Dense::Dense(std::size_t units, Act act, tensor::Rng& rng)
-    : units_(units), act_(act), init_seed_(rng.next_u64()),
-      slot_(std::make_shared<Slot>()) {
+    : units_(units), act_(act), init_seed_(rng.next_u64()) {
   if (units == 0) throw std::invalid_argument("dense: units must be positive");
 }
 
 Dense::Dense(const Dense& donor, share_tag_t)
-    : units_(donor.units_), act_(donor.act_), init_seed_(donor.init_seed_),
-      slot_(donor.slot_), shared_(true) {}
-
-void Dense::ensure_params(std::size_t in_dim) {
-  if (slot_->w) {
-    if (slot_->w->value.dim(0) != in_dim) {
-      throw std::invalid_argument("dense: input width " + std::to_string(in_dim) +
-                                  " does not match weights of width " +
-                                  std::to_string(slot_->w->value.dim(0)));
-    }
-    return;
-  }
-  Tensor w({in_dim, units_});
-  tensor::Rng rng(init_seed_);
-  glorot_uniform(w, in_dim, units_, rng);
-  slot_->w = std::make_shared<Parameter>("dense.w", std::move(w));
-  slot_->b = std::make_shared<Parameter>("dense.b", Tensor({units_}));
+    : units_(donor.units_), act_(donor.act_), init_seed_(donor.init_seed_), w_(donor.w_),
+      b_(donor.b_), shared_(true) {
+  if (!w_) throw std::logic_error("clone_shared: dense donor is not bound to a graph yet");
 }
 
-FeatShape Dense::output_shape(std::span<const FeatShape> in) const {
+FeatShape Dense::bind(std::span<const FeatShape> in) {
   const FeatShape& s = single_shape(in, "dense");
   if (s.size() != 1) {
     throw std::invalid_argument("dense: expects rank-1 features, got " + tensor::to_string(s));
+  }
+  const std::size_t in_dim = s[0];
+  if (w_) {
+    if (w_->value.dim(0) != in_dim) {
+      throw std::invalid_argument("dense: input width " + std::to_string(in_dim) +
+                                  " does not match weights of width " +
+                                  std::to_string(w_->value.dim(0)));
+    }
+  } else {
+    Tensor w({in_dim, units_});
+    tensor::Rng rng(init_seed_);
+    glorot_uniform(w, in_dim, units_, rng);
+    w_ = std::make_shared<Parameter>("dense.w", std::move(w));
+    b_ = std::make_shared<Parameter>("dense.b", Tensor({units_}));
   }
   return {units_};
 }
@@ -190,12 +189,12 @@ FeatShape Dense::output_shape(std::span<const FeatShape> in) const {
 const Tensor& Dense::forward(std::span<const tensor::Tensor* const> inputs, Tensor& out,
                              ForwardCtx&) {
   const Tensor& x = single_input(inputs, "dense");
-  ensure_params(x.dim(1));
+  if (!w_) throw std::logic_error("dense: forward before bind");
   // gemm writes straight into the slot and the activation runs in place;
   // backward reads x and y through the pointers kept here.
   out.reset({x.dim(0), units_});
-  tensor::gemm(x, slot_->w->value, out);
-  tensor::add_row_bias(out, slot_->b->value);
+  tensor::gemm(x, w_->value, out);
+  tensor::add_row_bias(out, b_->value);
   apply_act_inplace(act_, out);
   x_ = &x;
   y_ = &out;
@@ -209,17 +208,17 @@ void Dense::backward(Tensor& grad, std::span<Tensor* const> dx) {
   const Tensor& x = *x_;
   dw_.reset({x.dim(1), units_});
   tensor::gemm_tn(x, grad, dw_);
-  tensor::add_inplace(slot_->w->grad, dw_);
-  tensor::accumulate_col_sums(grad, slot_->b->grad);
+  tensor::add_inplace(w_->grad, dw_);
+  tensor::accumulate_col_sums(grad, b_->grad);
   if (dx[0] != nullptr) {
     dx[0]->reset({x.dim(0), x.dim(1)});
-    tensor::gemm_nt(grad, slot_->w->value, *dx[0]);
+    tensor::gemm_nt(grad, w_->value, *dx[0]);
   }
 }
 
 std::vector<ParamPtr> Dense::parameters() const {
-  if (!slot_->w) return {};
-  return {slot_->w, slot_->b};
+  if (!w_) return {};
+  return {w_, b_};
 }
 
 std::string Dense::describe() const {
@@ -230,7 +229,7 @@ std::string Dense::describe() const {
 
 // --- Activation ---------------------------------------------------------------
 
-FeatShape Activation::output_shape(std::span<const FeatShape> in) const {
+FeatShape Activation::bind(std::span<const FeatShape> in) {
   return single_shape(in, "activation");
 }
 
@@ -260,7 +259,7 @@ Dropout::Dropout(float rate) : rate_(rate) {
   }
 }
 
-FeatShape Dropout::output_shape(std::span<const FeatShape> in) const {
+FeatShape Dropout::bind(std::span<const FeatShape> in) {
   return single_shape(in, "dropout");
 }
 
@@ -307,8 +306,7 @@ std::string Dropout::describe() const {
 // --- Conv1D -------------------------------------------------------------------
 
 Conv1D::Conv1D(std::size_t filters, std::size_t kernel, tensor::Rng& rng)
-    : filters_(filters), kernel_(kernel), init_seed_(rng.next_u64()),
-      slot_(std::make_shared<Slot>()) {
+    : filters_(filters), kernel_(kernel), init_seed_(rng.next_u64()) {
   if (filters == 0 || kernel == 0) {
     throw std::invalid_argument("conv1d: filters and kernel must be positive");
   }
@@ -316,24 +314,11 @@ Conv1D::Conv1D(std::size_t filters, std::size_t kernel, tensor::Rng& rng)
 
 Conv1D::Conv1D(const Conv1D& donor, share_tag_t)
     : filters_(donor.filters_), kernel_(donor.kernel_), init_seed_(donor.init_seed_),
-      slot_(donor.slot_), shared_(true) {}
-
-void Conv1D::ensure_params(std::size_t in_channels) {
-  const std::size_t fan_in = kernel_ * in_channels;
-  if (slot_->w) {
-    if (slot_->w->value.dim(0) != fan_in) {
-      throw std::invalid_argument("conv1d: input channels do not match shared weights");
-    }
-    return;
-  }
-  Tensor w({fan_in, filters_});
-  tensor::Rng rng(init_seed_);
-  glorot_uniform(w, fan_in, filters_, rng);
-  slot_->w = std::make_shared<Parameter>("conv1d.w", std::move(w));
-  slot_->b = std::make_shared<Parameter>("conv1d.b", Tensor({filters_}));
+      w_(donor.w_), b_(donor.b_), shared_(true) {
+  if (!w_) throw std::logic_error("clone_shared: conv1d donor is not bound to a graph yet");
 }
 
-FeatShape Conv1D::output_shape(std::span<const FeatShape> in) const {
+FeatShape Conv1D::bind(std::span<const FeatShape> in) {
   const FeatShape& s = single_shape(in, "conv1d");
   if (s.size() != 2) {
     throw std::invalid_argument("conv1d: expects [length, channels] features, got " +
@@ -342,6 +327,18 @@ FeatShape Conv1D::output_shape(std::span<const FeatShape> in) const {
   if (s[0] < kernel_) {
     throw std::invalid_argument("conv1d: input length " + std::to_string(s[0]) +
                                 " shorter than kernel " + std::to_string(kernel_));
+  }
+  const std::size_t fan_in = kernel_ * s[1];
+  if (w_) {
+    if (w_->value.dim(0) != fan_in) {
+      throw std::invalid_argument("conv1d: input channels do not match shared weights");
+    }
+  } else {
+    Tensor w({fan_in, filters_});
+    tensor::Rng rng(init_seed_);
+    glorot_uniform(w, fan_in, filters_, rng);
+    w_ = std::make_shared<Parameter>("conv1d.w", std::move(w));
+    b_ = std::make_shared<Parameter>("conv1d.b", Tensor({filters_}));
   }
   return {s[0] - kernel_ + 1, filters_};
 }
@@ -352,13 +349,16 @@ const Tensor& Conv1D::forward(std::span<const tensor::Tensor* const> inputs, Ten
   if (x.rank() != 3) throw std::invalid_argument("conv1d: expects rank-3 batch input");
   const std::size_t batch = x.dim(0), len = x.dim(1), cin = x.dim(2);
   if (len < kernel_) throw std::invalid_argument("conv1d: input shorter than kernel");
-  ensure_params(cin);
+  if (!w_) throw std::logic_error("conv1d: forward before bind");
+  if (w_->value.dim(0) != kernel_ * cin) {
+    throw std::invalid_argument("conv1d: input channels do not match bound weights");
+  }
   x_ = &x;
   const std::size_t out_len = len - kernel_ + 1;
   out.reset({batch, out_len, filters_});
   float* py = out.data();
-  const float* pw = slot_->w->value.data();
-  const float* pb = slot_->b->value.data();
+  const float* pw = w_->value.data();
+  const float* pb = b_->value.data();
   // No zero-operand skip on xv: it made FLOPs data-dependent and masked NaN
   // in the weights (0 * NaN must stay NaN) — see the kernel NaN-semantics
   // note in tensor/ops.hpp.
@@ -389,9 +389,9 @@ void Conv1D::backward(Tensor& grad, std::span<Tensor* const> dx) {
     dx[0]->zero();
     pdx = dx[0]->data();
   }
-  float* pdw = slot_->w->grad.data();
-  float* pdb = slot_->b->grad.data();
-  const float* pw = slot_->w->value.data();
+  float* pdw = w_->grad.data();
+  float* pdb = b_->grad.data();
+  const float* pw = w_->value.data();
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t p = 0; p < out_len; ++p) {
       const float* grow = grad.data() + (b * out_len + p) * filters_;
@@ -415,8 +415,8 @@ void Conv1D::backward(Tensor& grad, std::span<Tensor* const> dx) {
 }
 
 std::vector<ParamPtr> Conv1D::parameters() const {
-  if (!slot_->w) return {};
-  return {slot_->w, slot_->b};
+  if (!w_) return {};
+  return {w_, b_};
 }
 
 std::string Conv1D::describe() const {
@@ -431,7 +431,7 @@ MaxPool1D::MaxPool1D(std::size_t size) : size_(size) {
   if (size == 0) throw std::invalid_argument("maxpool1d: size must be positive");
 }
 
-FeatShape MaxPool1D::output_shape(std::span<const FeatShape> in) const {
+FeatShape MaxPool1D::bind(std::span<const FeatShape> in) {
   const FeatShape& s = single_shape(in, "maxpool1d");
   if (s.size() != 2) {
     throw std::invalid_argument("maxpool1d: expects [length, channels] features, got " +
@@ -502,7 +502,7 @@ void copy_elements(const Tensor& src, Tensor& dst) {
 
 }  // namespace
 
-FeatShape Flatten::output_shape(std::span<const FeatShape> in) const {
+FeatShape Flatten::bind(std::span<const FeatShape> in) {
   const FeatShape& s = single_shape(in, "flatten");
   return {tensor::numel(s)};
 }
@@ -522,7 +522,7 @@ void Flatten::backward(Tensor& grad, std::span<Tensor* const> dx) {
   copy_elements(grad, *dx[0]);
 }
 
-FeatShape Reshape1D::output_shape(std::span<const FeatShape> in) const {
+FeatShape Reshape1D::bind(std::span<const FeatShape> in) {
   const FeatShape& s = single_shape(in, "reshape1d");
   if (s.size() != 1) {
     throw std::invalid_argument("reshape1d: expects rank-1 features, got " + tensor::to_string(s));
@@ -547,7 +547,7 @@ void Reshape1D::backward(Tensor& grad, std::span<Tensor* const> dx) {
 
 // --- Concat ---------------------------------------------------------------------
 
-FeatShape Concat::output_shape(std::span<const FeatShape> in) const {
+FeatShape Concat::bind(std::span<const FeatShape> in) {
   if (in.empty()) throw std::invalid_argument("concat: requires at least one input");
   std::size_t total = 0;
   for (const FeatShape& s : in) {
@@ -628,7 +628,7 @@ void Concat::backward(Tensor& grad, std::span<Tensor* const> dx) {
 
 // --- Add ------------------------------------------------------------------------
 
-FeatShape Add::output_shape(std::span<const FeatShape> in) const {
+FeatShape Add::bind(std::span<const FeatShape> in) {
   if (in.empty()) throw std::invalid_argument("add: requires at least one input");
   std::size_t widest = 0;
   for (const FeatShape& s : in) {

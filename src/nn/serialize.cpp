@@ -39,7 +39,7 @@ void load_weights(Graph& graph, const std::string& path) {
   if (count != params.size()) {
     throw std::invalid_argument("load_weights: file has " + std::to_string(count) +
                                 " parameters, graph has " + std::to_string(params.size()) +
-                                " (did you materialize the lazy layers?)");
+                                " (is it the same architecture?)");
   }
   in >> std::ws;
   for (const ParamPtr& p : params) {

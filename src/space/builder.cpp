@@ -7,47 +7,27 @@
 
 namespace ncnas::space {
 
-using nn::FeatShape;
-using nn::LayerPtr;
 
 namespace {
 
-/// Wraps the graph under construction with incremental shape inference.
+/// The graph under construction and where each structure element landed in it.
 struct BuildState {
   nn::Graph g;
-  std::vector<FeatShape> shapes;                 // per graph node
   std::vector<std::size_t> input_ids;            // per structure input
   std::vector<std::size_t> cell_out;             // per built cell
   std::map<std::tuple<std::size_t, std::size_t, std::size_t>, std::size_t> node_out;
   std::map<std::tuple<std::size_t, std::size_t, std::size_t>, std::size_t> node_layer;
 
-  std::size_t add(LayerPtr layer, std::vector<std::size_t> inputs) {
-    std::vector<FeatShape> in;
-    in.reserve(inputs.size());
-    for (std::size_t id : inputs) in.push_back(shapes.at(id));
-    FeatShape out = layer->output_shape(in);
-    const std::size_t id = g.add(std::move(layer), std::move(inputs));
-    shapes.push_back(std::move(out));
-    return id;
-  }
-
-  std::size_t add_input(const std::string& name, std::size_t dim) {
-    const std::size_t id = g.add_input(name, {dim});
-    shapes.push_back({dim});
-    input_ids.push_back(id);
-    return id;
-  }
-
   /// Feature vector view of `id`: flattens feature maps.
   std::size_t to_rank1(std::size_t id) {
-    if (shapes.at(id).size() == 1) return id;
-    return add(std::make_unique<nn::Flatten>(), {id});
+    if (g.shape(id).size() == 1) return id;
+    return g.add(std::make_unique<nn::Flatten>(), {id});
   }
 
   /// Feature map view of `id`: lifts vectors to single-channel sequences.
   std::size_t to_seq(std::size_t id) {
-    if (shapes.at(id).size() == 2) return id;
-    return add(std::make_unique<nn::Reshape1D>(), {id});
+    if (g.shape(id).size() == 2) return id;
+    return g.add(std::make_unique<nn::Reshape1D>(), {id});
   }
 
   std::size_t resolve(const SkipRef& ref) const {
@@ -72,36 +52,36 @@ struct OpApplier {
   std::size_t op_layer_id = SIZE_MAX;  // graph node of the op's layer
 
   std::size_t operator()(const IdentityOp&) {
-    op_layer_id = st.add(std::make_unique<nn::Identity>(), {current});
+    op_layer_id = st.g.add(std::make_unique<nn::Identity>(), {current});
     return op_layer_id;
   }
   std::size_t operator()(const DenseOp& op) {
     const std::size_t src = st.to_rank1(current);
-    op_layer_id = st.add(std::make_unique<nn::Dense>(op.units, op.act, rng), {src});
+    op_layer_id = st.g.add(std::make_unique<nn::Dense>(op.units, op.act, rng), {src});
     return op_layer_id;
   }
   std::size_t operator()(const DropoutOp& op) {
-    op_layer_id = st.add(std::make_unique<nn::Dropout>(op.rate), {current});
+    op_layer_id = st.g.add(std::make_unique<nn::Dropout>(op.rate), {current});
     return op_layer_id;
   }
   std::size_t operator()(const Conv1DOp& op) {
     const std::size_t src = st.to_seq(current);
-    if (st.shapes.at(src)[0] < op.kernel) {
+    if (st.g.shape(src)[0] < op.kernel) {
       // Feature map shrank below the kernel: degrade gracefully to Identity,
       // as an over-pooled Keras model would simply be an invalid sample.
-      op_layer_id = st.add(std::make_unique<nn::Identity>(), {src});
+      op_layer_id = st.g.add(std::make_unique<nn::Identity>(), {src});
       return op_layer_id;
     }
-    op_layer_id = st.add(std::make_unique<nn::Conv1D>(op.filters, op.kernel, rng), {src});
+    op_layer_id = st.g.add(std::make_unique<nn::Conv1D>(op.filters, op.kernel, rng), {src});
     return op_layer_id;
   }
   std::size_t operator()(const MaxPool1DOp& op) {
     const std::size_t src = st.to_seq(current);
-    op_layer_id = st.add(std::make_unique<nn::MaxPool1D>(op.size), {src});
+    op_layer_id = st.g.add(std::make_unique<nn::MaxPool1D>(op.size), {src});
     return op_layer_id;
   }
   std::size_t operator()(const ActivationOp& op) {
-    op_layer_id = st.add(std::make_unique<nn::Activation>(op.act), {current});
+    op_layer_id = st.g.add(std::make_unique<nn::Activation>(op.act), {current});
     return op_layer_id;
   }
   std::size_t operator()(const ConnectOp& op) {
@@ -116,23 +96,23 @@ struct OpApplier {
       return SIZE_MAX;
     }
     if (op.refs.size() == 1) {
-      op_layer_id = st.add(std::make_unique<nn::Identity>(), {st.resolve(op.refs[0])});
+      op_layer_id = st.g.add(std::make_unique<nn::Identity>(), {st.resolve(op.refs[0])});
       return op_layer_id;
     }
     std::vector<std::size_t> ids;
     ids.reserve(op.refs.size());
     for (const SkipRef& ref : op.refs) ids.push_back(st.to_rank1(st.resolve(ref)));
-    op_layer_id = st.add(std::make_unique<nn::Concat>(), std::move(ids));
+    op_layer_id = st.g.add(std::make_unique<nn::Concat>(), std::move(ids));
     return op_layer_id;
   }
   std::size_t operator()(const AddOp& op) {
     if (op.refs.empty()) {
-      op_layer_id = st.add(std::make_unique<nn::Identity>(), {current});
+      op_layer_id = st.g.add(std::make_unique<nn::Identity>(), {current});
       return op_layer_id;
     }
     std::vector<std::size_t> ids{st.to_rank1(current)};
     for (const SkipRef& ref : op.refs) ids.push_back(st.to_rank1(st.resolve(ref)));
-    op_layer_id = st.add(std::make_unique<nn::Add>(), std::move(ids));
+    op_layer_id = st.g.add(std::make_unique<nn::Add>(), std::move(ids));
     return op_layer_id;
   }
 };
@@ -152,7 +132,7 @@ nn::Graph build_model(const SearchSpace& space, const ArchEncoding& arch,
 
   BuildState st;
   for (std::size_t p = 0; p < input_dims.size(); ++p) {
-    st.add_input(s.input_names[p], input_dims[p]);
+    st.input_ids.push_back(st.g.add_input(s.input_names[p], {input_dims[p]}));
   }
 
   std::size_t decision = 0;
@@ -173,7 +153,7 @@ nn::Graph build_model(const SearchSpace& space, const ArchEncoding& arch,
           // Match the donor's expected input rank before attaching the clone.
           if (donor.kind() == "dense") current = st.to_rank1(current);
           if (donor.kind() == "conv1d") current = st.to_seq(current);
-          current = st.add(nn::clone_shared(donor), {current});
+          current = st.g.add(nn::clone_shared(donor), {current});
           st.node_layer[{c, b, n}] = current;
         } else {
           const Op* op = nullptr;
@@ -208,7 +188,7 @@ nn::Graph build_model(const SearchSpace& space, const ArchEncoding& arch,
       std::vector<std::size_t> flat;
       flat.reserve(block_outs.size());
       for (std::size_t id : block_outs) flat.push_back(st.to_rank1(id));
-      out = st.add(std::make_unique<nn::Concat>(), std::move(flat));
+      out = st.g.add(std::make_unique<nn::Concat>(), std::move(flat));
     }
     st.cell_out.push_back(out);
   }
@@ -223,16 +203,16 @@ nn::Graph build_model(const SearchSpace& space, const ArchEncoding& arch,
     std::vector<std::size_t> flat;
     flat.reserve(outs.size());
     for (std::size_t c : outs) flat.push_back(st.to_rank1(st.cell_out.at(c)));
-    model_out = st.add(std::make_unique<nn::Concat>(), std::move(flat));
+    model_out = st.g.add(std::make_unique<nn::Concat>(), std::move(flat));
   }
 
   // Task head (outside the search space, as in the paper).
   model_out = st.to_rank1(model_out);
   if (head.kind == TaskHead::Kind::kRegression) {
-    model_out = st.add(std::make_unique<nn::Dense>(1, nn::Act::kLinear, rng), {model_out});
+    model_out = st.g.add(std::make_unique<nn::Dense>(1, nn::Act::kLinear, rng), {model_out});
   } else {
     model_out =
-        st.add(std::make_unique<nn::Dense>(head.classes, nn::Act::kSoftmax, rng), {model_out});
+        st.g.add(std::make_unique<nn::Dense>(head.classes, nn::Act::kSoftmax, rng), {model_out});
   }
   st.g.set_output(model_out);
   return std::move(st.g);

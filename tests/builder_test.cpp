@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "ncnas/data/baselines.hpp"
 #include "ncnas/data/dataset.hpp"
+#include "ncnas/exec/evaluator.hpp"
 #include "ncnas/nn/trainer.hpp"
 #include "ncnas/space/builder.hpp"
 #include "ncnas/space/spaces.hpp"
@@ -221,6 +225,78 @@ TEST(Builder, BuiltComboModelTrains) {
   Rng train_rng(2);
   const auto res = nn::fit(g, ds.x_train, ds.y_train, opts, train_rng);
   EXPECT_LT(res.epoch_losses.back(), res.epoch_losses.front());
+}
+
+/// FNV-1a over every parameter's bytes, in parameters() order.
+std::uint64_t weight_hash(const nn::Graph& g) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const nn::ParamPtr& p : g.parameters()) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p->value.data());
+    for (std::size_t i = 0; i < p->size() * sizeof(float); ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+data::Dataset tiny_dataset_for(const std::string& space_name) {
+  if (space_name.starts_with("combo")) {
+    data::ComboDims dims;
+    dims.train = 16;
+    dims.valid = 8;
+    dims.expression = 8;
+    dims.descriptors = 10;
+    return data::make_combo(3, dims);
+  }
+  if (space_name.starts_with("uno")) {
+    data::UnoDims dims;
+    dims.train = 16;
+    dims.valid = 8;
+    dims.rnaseq = 8;
+    dims.descriptors = 10;
+    dims.fingerprints = 6;
+    return data::make_uno(3, dims);
+  }
+  data::Nt3Dims dims;
+  dims.train = 16;
+  dims.valid = 8;
+  dims.length = 64;
+  dims.motif = 6;
+  return data::make_nt3(3, dims);
+}
+
+// Every weight byte and the parameter order of a freshly built model, as
+// they stood when weights were still created by the first forward pass (the
+// constants were recorded then, after a one-row forward). Building the model
+// must draw exactly those weights, without running it.
+TEST(Builder, WeightsPinnedForEverySpace) {
+  struct Pin {
+    const char* space;
+    std::size_t params;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"combo-small", 32201, 0xd654b683e60a05ccULL},
+      {"combo-large", 124819, 0x986fa36eae6dff5fULL},
+      {"uno-small", 22642, 0xe4dd3072ad319565ULL},
+      {"uno-large", 71538, 0xa1306dd9c9faafabULL},
+      {"nt3-small", 814, 0x6998e023960c8dd5ULL},
+  };
+  ASSERT_EQ(std::size(pins), space_names().size());
+  for (const Pin& pin : pins) {
+    const SearchSpace sp = space_by_name(pin.space);
+    Rng arch_rng(17);
+    const ArchEncoding arch = sp.random_arch(arch_rng);
+    const nn::Graph g = exec::build_for(sp, tiny_dataset_for(pin.space), arch, 7);
+    EXPECT_EQ(g.param_count(), pin.params) << pin.space;
+    EXPECT_EQ(weight_hash(g), pin.hash) << pin.space;
+  }
+  // The hand-built Combo baseline mirrors its drug submodel too.
+  Rng rng(7);
+  const nn::Graph baseline = data::baseline_for(tiny_dataset_for("combo"), rng);
+  EXPECT_EQ(baseline.param_count(), 85633u);
+  EXPECT_EQ(weight_hash(baseline), 0x3b2e882e77ed21d2ULL);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // A layer writes its output into a slot its caller owns, reads its inputs
 // through pointers until backward(), and writes input gradients into buffers
 // its caller owns. The harness owns the slot and the gradient buffers, the
-// way nn::Graph does; the test owns the inputs.
+// way nn::Graph does, and binds the layer to its inputs' per-sample shapes
+// on its first forward, as nn::Graph::add does; the test owns the inputs.
 #pragma once
 
 #include <span>
@@ -20,6 +21,14 @@ class LayerHarness {
   /// Runs the layer; `inputs` must stay alive until backward() returns.
   const tensor::Tensor& forward(std::span<const tensor::Tensor* const> inputs,
                                 nn::ForwardCtx& ctx) {
+    if (!bound_) {
+      std::vector<nn::FeatShape> shapes;
+      for (const tensor::Tensor* x : inputs) {
+        shapes.emplace_back(x->shape().begin() + 1, x->shape().end());
+      }
+      (void)layer_.bind(shapes);
+      bound_ = true;
+    }
     arity_ = inputs.size();
     return layer_.forward(inputs, out_, ctx);
   }
@@ -37,6 +46,7 @@ class LayerHarness {
   nn::Layer& layer_;
   tensor::Tensor out_;
   std::size_t arity_ = 0;
+  bool bound_ = false;
 };
 
 }  // namespace ncnas::testing

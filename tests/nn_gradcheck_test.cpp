@@ -170,6 +170,8 @@ TEST_P(GradCheck, SharedDenseAccumulatesBothBranches) {
   // A mirrored Dense must receive gradient contributions from both uses.
   Rng rng(12);
   Dense donor(4, Act::kLinear, rng);
+  const FeatShape in[] = {FeatShape{3}};
+  (void)donor.bind(in);
   const LayerPtr mirror = clone_shared(donor);
   Tensor x1 = random_tensor({2, 3}, rng);
   Tensor x2 = random_tensor({2, 3}, rng);

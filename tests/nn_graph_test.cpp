@@ -116,6 +116,35 @@ TEST(Graph, SharedParametersCountedOnce) {
   EXPECT_EQ(g.param_count(), 3u * 4u + 4u);
 }
 
+// Shape errors surface when the node is added, not at the first forward, and
+// a rejected node leaves no trace: no node, no shape, no parameter.
+TEST(Graph, AddRejectsShapeErrorsAndLeavesGraphUnchanged) {
+  Rng rng(7);
+  Graph g;
+  const std::size_t map = g.add_input("map", {5, 2});
+  const std::size_t vec = g.add_input("vec", {4});
+  const std::size_t narrow = g.add_input("narrow", {2});
+  auto donor = std::make_unique<Dense>(3, Act::kLinear, rng);
+  const Dense& donor_ref = *donor;
+  const std::size_t d = g.add(std::move(donor), {vec});
+  EXPECT_EQ(g.shape(d), FeatShape({3}));
+  EXPECT_EQ(g.param_count(), 4u * 3u + 3u);  // before any forward
+  const std::size_t nodes = g.node_count();
+
+  EXPECT_THROW((void)g.add(std::make_unique<Dense>(3, Act::kLinear, rng), {map}),
+               std::invalid_argument);
+  EXPECT_EQ(g.node_count(), nodes);
+  EXPECT_THROW((void)g.add(clone_shared(donor_ref), {narrow}), std::invalid_argument);
+  EXPECT_EQ(g.node_count(), nodes);
+  EXPECT_EQ(g.param_count(), 4u * 3u + 3u);
+  EXPECT_EQ(g.output_id(), d);
+
+  // The graph is still whole: it runs with the nodes it kept.
+  Tensor xm({2, 5, 2}), xv({2, 4}), xn({2, 2});
+  ForwardCtx ctx{};
+  EXPECT_EQ(g.forward(std::vector<Tensor>{xm, xv, xn}, ctx).shape(), tensor::Shape({2, 3}));
+}
+
 TEST(Graph, SummaryMentionsEveryNode) {
   Rng rng(8);
   Graph g;

@@ -37,30 +37,36 @@ TEST(Activations, SoftmaxRowsSumToOne) {
 }
 
 TEST(Dense, OutputShapeAndLazyInit) {
+  // Weights exist from bind() on, before any forward.
   Rng rng(1);
   Dense d(7, Act::kLinear, rng);
-  const FeatShape in[] = {FeatShape{4}};
-  EXPECT_EQ(d.output_shape(in), FeatShape({7}));
-  EXPECT_TRUE(d.parameters().empty());  // weights not yet materialized
+  EXPECT_TRUE(d.parameters().empty());  // not bound yet
   Tensor x({2, 4});
   const Tensor* inputs[] = {&x};
   ForwardCtx ctx = eval_ctx();
+  Tensor out;
+  EXPECT_THROW((void)d.forward(inputs, out, ctx), std::logic_error);
+  const FeatShape in[] = {FeatShape{4}};
+  EXPECT_EQ(d.bind(in), FeatShape({7}));
+  ASSERT_EQ(d.parameters().size(), 2u);
+  EXPECT_EQ(d.parameters()[0]->value.shape(), tensor::Shape({4, 7}));
+  EXPECT_EQ(d.parameters()[1]->value.shape(), tensor::Shape({7}));
   const Tensor y = LayerHarness(d).forward(inputs, ctx);
   EXPECT_EQ(y.shape(), tensor::Shape({2, 7}));
-  EXPECT_EQ(d.parameters().size(), 2u);
-  EXPECT_EQ(d.parameters()[0]->size(), 4u * 7u);
 }
 
 TEST(Dense, RejectsWidthChangeAfterInit) {
   Rng rng(1);
   Dense d(3, Act::kLinear, rng);
-  Tensor x({1, 4});
-  const Tensor* inputs[] = {&x};
-  ForwardCtx ctx = eval_ctx();
-  (void)LayerHarness(d).forward(inputs, ctx);
-  Tensor wrong({1, 5});
-  const Tensor* wrong_in[] = {&wrong};
-  EXPECT_THROW((void)LayerHarness(d).forward(wrong_in, ctx), std::invalid_argument);
+  const FeatShape four[] = {FeatShape{4}};
+  (void)d.bind(four);
+  const ParamPtr w = d.parameters()[0];
+  const FeatShape five[] = {FeatShape{5}};
+  EXPECT_THROW((void)d.bind(five), std::invalid_argument);
+  EXPECT_EQ(d.bind(four), FeatShape({3}));  // the same width binds again
+  EXPECT_EQ(d.parameters()[0], w);
+  const FeatShape rank2[] = {FeatShape{4, 1}};
+  EXPECT_THROW((void)d.bind(rank2), std::invalid_argument);
 }
 
 TEST(Dense, ZeroUnitsRejected) {
@@ -113,10 +119,11 @@ TEST(Dropout, InvalidRateRejected) {
 TEST(Conv1D, ValidPaddingShapes) {
   Rng rng(5);
   Conv1D conv(4, 3, rng);
-  const FeatShape in[] = {FeatShape{10, 2}};
-  EXPECT_EQ(conv.output_shape(in), FeatShape({8, 4}));
   const FeatShape too_short[] = {FeatShape{2, 2}};
-  EXPECT_THROW((void)conv.output_shape(too_short), std::invalid_argument);
+  EXPECT_THROW((void)conv.bind(too_short), std::invalid_argument);
+  const FeatShape in[] = {FeatShape{10, 2}};
+  EXPECT_EQ(conv.bind(in), FeatShape({8, 4}));
+  EXPECT_EQ(conv.parameters()[0]->value.shape(), tensor::Shape({3 * 2, 4}));
 }
 
 TEST(Conv1D, DetectsKnownPattern) {
@@ -130,7 +137,8 @@ TEST(Conv1D, DetectsKnownPattern) {
   x(0, 3, 0) = 4;
   const Tensor* in[] = {&x};
   ForwardCtx ctx = eval_ctx();
-  (void)LayerHarness(conv).forward(in, ctx);  // materialize weights
+  const FeatShape shape[] = {FeatShape{4, 1}};
+  (void)conv.bind(shape);
   auto params = conv.parameters();
   params[0]->value[0] = 1.0f;  // w[offset 0]
   params[0]->value[1] = -1.0f; // w[offset 1]
@@ -139,6 +147,24 @@ TEST(Conv1D, DetectsKnownPattern) {
   EXPECT_EQ(y.shape(), tensor::Shape({1, 3, 1}));
   EXPECT_FLOAT_EQ(y(0, 0, 0), 1.0f - 2.0f);
   EXPECT_FLOAT_EQ(y(0, 2, 0), 3.0f - 4.0f);
+}
+
+TEST(Conv1D, ForwardRejectsUnboundLayerAndOtherChannelCount) {
+  // The weights are sized at bind; a forward fed another channel count must
+  // throw rather than read (and, in backward, write) past them.
+  Rng rng(6);
+  Conv1D conv(2, 3, rng);
+  Tensor x({1, 6, 3});
+  const Tensor* in[] = {&x};
+  Tensor out;
+  ForwardCtx ctx = eval_ctx();
+  EXPECT_THROW((void)conv.forward(in, out, ctx), std::logic_error);
+  const FeatShape shape[] = {FeatShape{6, 2}};
+  (void)conv.bind(shape);
+  EXPECT_THROW((void)conv.forward(in, out, ctx), std::invalid_argument);
+  Tensor ok({1, 6, 2});
+  const Tensor* ok_in[] = {&ok};
+  EXPECT_EQ(conv.forward(ok_in, out, ctx).shape(), tensor::Shape({1, 4, 2}));
 }
 
 TEST(MaxPool1D, KerasWindowSemantics) {
@@ -168,11 +194,11 @@ TEST(MaxPool1D, OversizedWindowIsGlobalPooling) {
 TEST(ConcatAndAdd, ShapeRules) {
   Concat cat;
   const FeatShape two[] = {FeatShape{3}, FeatShape{4}};
-  EXPECT_EQ(cat.output_shape(two), FeatShape({7}));
+  EXPECT_EQ(cat.bind(two), FeatShape({7}));
   Add add;
-  EXPECT_EQ(add.output_shape(two), FeatShape({4}));  // widest wins
+  EXPECT_EQ(add.bind(two), FeatShape({4}));  // widest wins
   const FeatShape bad[] = {FeatShape{3, 2}};
-  EXPECT_THROW((void)cat.output_shape(bad), std::invalid_argument);
+  EXPECT_THROW((void)cat.bind(bad), std::invalid_argument);
 }
 
 TEST(CloneShared, SharesDenseParameters) {
@@ -190,16 +216,18 @@ TEST(CloneShared, SharesDenseParameters) {
 }
 
 TEST(CloneShared, SharesBeforeLazyInitToo) {
-  // Mirror created *before* the donor ever ran forward must still share.
+  // A mirror copies its donor's weights, so the donor must be bound first.
   Rng rng(8);
-  Dense donor(3, Act::kLinear, rng);
-  const LayerPtr mirror = clone_shared(donor);
-  Tensor x({1, 2});
-  const Tensor* in[] = {&x};
-  ForwardCtx ctx = eval_ctx();
-  (void)LayerHarness(*mirror).forward(in, ctx);  // mirror materializes the shared slot
-  (void)LayerHarness(donor).forward(in, ctx);
-  EXPECT_EQ(donor.parameters()[0].get(), mirror->parameters()[0].get());
+  Dense dense(3, Act::kLinear, rng);
+  EXPECT_THROW((void)clone_shared(dense), std::logic_error);
+  Conv1D conv(2, 3, rng);
+  EXPECT_THROW((void)clone_shared(conv), std::logic_error);
+  const FeatShape in[] = {FeatShape{2}};
+  (void)dense.bind(in);
+  const LayerPtr mirror = clone_shared(dense);
+  EXPECT_EQ(dense.parameters()[0].get(), mirror->parameters()[0].get());
+  const FeatShape wider[] = {FeatShape{3}};
+  EXPECT_THROW((void)mirror->bind(wider), std::invalid_argument);
 }
 
 TEST(CloneShared, UnsupportedKindThrows) {

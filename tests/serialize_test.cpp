@@ -32,22 +32,14 @@ Graph small_model(Rng& rng) {
   return g;
 }
 
-void materialize(Graph& g) {
-  Tensor x({1, 3});
-  ForwardCtx ctx{};
-  (void)g.forward(std::vector<Tensor>{x}, ctx);
-}
-
 TEST(Serialize, RoundTripPreservesPredictions) {
   TempFile file;
   Rng rng_a(1);
   Graph a = small_model(rng_a);
-  materialize(a);
   save_weights(a, file.path.string());
 
   Rng rng_b(999);  // different init; must be overwritten by load
   Graph b = small_model(rng_b);
-  materialize(b);
   load_weights(b, file.path.string());
 
   Tensor x = Tensor::of2d({{0.5f, -1.0f, 2.0f}});
@@ -61,25 +53,24 @@ TEST(Serialize, RejectsParameterCountMismatch) {
   TempFile file;
   Rng rng(1);
   Graph a = small_model(rng);
-  materialize(a);
   save_weights(a, file.path.string());
 
-  Graph unmaterialized = small_model(rng);  // lazy layers: zero parameters
-  EXPECT_THROW(load_weights(unmaterialized, file.path.string()), std::invalid_argument);
+  Graph shallower;  // one Dense where the file has two
+  const std::size_t in = shallower.add_input("x", {3});
+  shallower.set_output(shallower.add(std::make_unique<Dense>(2, Act::kLinear, rng), {in}));
+  EXPECT_THROW(load_weights(shallower, file.path.string()), std::invalid_argument);
 }
 
 TEST(Serialize, RejectsShapeMismatch) {
   TempFile file;
   Rng rng(1);
   Graph a = small_model(rng);
-  materialize(a);
   save_weights(a, file.path.string());
 
   Graph wider;
   const std::size_t in = wider.add_input("x", {3});
   const std::size_t d1 = wider.add(std::make_unique<Dense>(5, Act::kRelu, rng), {in});
   wider.set_output(wider.add(std::make_unique<Dense>(2, Act::kLinear, rng), {d1}));
-  materialize(wider);
   EXPECT_THROW(load_weights(wider, file.path.string()), std::invalid_argument);
 }
 
@@ -120,11 +111,6 @@ TEST(Serialize, SearchedArchitectureSurvivesRoundTrip) {
   Rng rebuild_rng(1234);
   Graph restored =
       space::build_model(sp, arch, input_dims, space::TaskHead::classification(2), rebuild_rng);
-  {
-    ForwardCtx ctx{};
-    std::vector<Tensor> probe{slice_rows(ds.x_train[0], 0, 1)};
-    (void)restored.forward(probe, ctx);
-  }
   load_weights(restored, file.path.string());
   EXPECT_FLOAT_EQ(evaluate(restored, ds.x_valid, ds.y_valid, ds.metric), acc);
 }

@@ -18,7 +18,6 @@
 // endpoint.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -122,50 +121,14 @@ void render(const obs::ProgressSnapshot& p, const std::vector<float>& reward_his
 }
 
 /// The journal-tail path: replay the file into the same ProgressSnapshot
-/// shape the HTTP path serves, so both render identically.
+/// the HTTP path serves, so both render identically.
 obs::ProgressSnapshot progress_from_journal(const std::vector<obs::JournalEvent>& events) {
   const obs::RunSummary sum = obs::summarize_journal(events);
-  obs::ProgressSnapshot p;
-  p.virtual_time = sum.end_time_s;
-  p.wall_time_seconds = std::isfinite(sum.wall_time_s) ? sum.wall_time_s : 0.0;
-  if (sum.strategy >= 0 &&
-      sum.strategy <= static_cast<int>(nas::SearchStrategy::kEvolution)) {
-    p.strategy = nas::strategy_name(static_cast<nas::SearchStrategy>(sum.strategy));
-  } else {
-    p.strategy = "?";
-  }
-  p.finished = sum.has_run_finished;
-  p.converged = sum.converged;
-  p.evals_done = sum.evals;
-  p.real_evals = sum.real_evals;
-  p.cache_hits = sum.cache_hits;
-  p.timeouts = sum.timeouts;
-  p.ppo_updates = sum.ppo_updates;
-  p.best_reward = sum.best_reward;
-  p.has_best = !sum.rewards.empty();
-  p.retries = sum.retries;
-  p.exhausted = sum.exhausted;
-  p.lost_results = sum.lost_results;
-  p.crashed_workers = sum.crashed_workers;
-  p.dead_agents = sum.dead_agents;
-  p.stragglers = sum.stragglers;
-  p.stalls = sum.stalls;
-  p.healthy = sum.stragglers + sum.stalls == 0;
+  obs::ProgressSnapshot p = obs::progress_from(sum);
+  const bool known = sum.strategy >= 0 &&
+                     sum.strategy <= static_cast<int>(nas::SearchStrategy::kEvolution);
+  p.strategy = known ? nas::strategy_name(static_cast<nas::SearchStrategy>(sum.strategy)) : "?";
   p.journal_events = events.size();
-  for (const auto& [id, a] : sum.per_agent) {
-    obs::AgentProgress ap;
-    ap.id = id;
-    ap.status = std::find(sum.converged_agents.begin(), sum.converged_agents.end(), id) !=
-                        sum.converged_agents.end()
-                    ? "converged"
-                    : (sum.has_run_finished ? "stopped" : "running");
-    ap.evals = a.evals;
-    ap.cache_hits = a.cached;
-    ap.timeouts = a.timeouts;
-    ap.best_reward = a.evals > 0 ? a.best_reward : 0.0f;
-    ap.has_best = a.evals > 0;
-    p.agents.push_back(std::move(ap));
-  }
   return p;
 }
 

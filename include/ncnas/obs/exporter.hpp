@@ -96,26 +96,33 @@ struct HotScopeProgress {
   double self_ms = 0.0;
 };
 
-/// The live run state served at /progress. The driver fills the search-side
-/// fields when it ticks the exporter; the exporter adds the watchdog verdict,
-/// profiler hot scopes, and its own bookkeeping at publish time.
+/// The live run state served at /progress. The counts come from a run's
+/// event fold (progress_from), so they apply the driver's deadline filter and
+/// equal the ncnas_*_total counters and summarize_journal, live and replayed.
+/// The driver adds what the fold cannot know when it ticks the exporter; the
+/// exporter adds the watchdog verdict, profiler hot scopes, and its own
+/// bookkeeping at publish time.
 struct ProgressSnapshot {
   std::uint64_t seq = 0;        ///< publication ordinal (exporter-assigned)
   double virtual_time = 0.0;    ///< driver tick time, simulated seconds
   double wall_time_seconds = 0.0;
-  std::string strategy;
-  bool finished = false;
+  std::string strategy;         ///< filled by the caller (obs does not know strategies)
+  bool finished = false;        ///< run_finished has been folded
   bool converged = false;
 
-  std::size_t evals_done = 0;
+  std::size_t evals_done = 0;   ///< finished + cached evals inside the deadline
+  /// Evals that trained, inside the deadline (ncnas_real_evals_total) — not
+  /// the budget meter, which also counts rung trainings and late attempts.
   std::size_t real_evals = 0;
   std::size_t cache_hits = 0;
   std::size_t timeouts = 0;
   std::size_t ppo_updates = 0;
-  std::size_t batches_in_flight = 0;
+  std::size_t batches_in_flight = 0;  ///< driver-filled: completions still queued
   float best_reward = 0.0f;
   bool has_best = false;
-  std::vector<TopArchProgress> top;
+  std::vector<TopArchProgress> top;  ///< driver-filled from the records
+  /// One row per agent the fold has seen; the driver lists every agent and
+  /// fills in status and cached_streak.
   std::vector<AgentProgress> agents;
 
   // Fault and recovery accounting (all zero on a fault-free run).
@@ -125,7 +132,8 @@ struct ProgressSnapshot {
   std::size_t crashed_workers = 0;
   std::size_t dead_agents = 0;
 
-  // Filled by the exporter at publish time.
+  // Filled by the exporter at publish time (a journal replay reads the
+  // verdict counts from its fold and sets journal_events itself).
   bool healthy = true;
   std::size_t stragglers = 0;
   std::size_t stalls = 0;
@@ -133,6 +141,13 @@ struct ProgressSnapshot {
   std::uint64_t journal_events = 0;
   std::uint64_t exporter_errors = 0;
 };
+
+/// The progress view of a run's event fold: every count, the best reward,
+/// the fault totals, the watchdog verdict counts and one row per agent that
+/// has emitted. The fold cannot know the strategy name, the batches in
+/// flight, an agent's cached streak, the top-k or the journal length; the
+/// caller fills those in (the driver live, nas_top from a journal replay).
+[[nodiscard]] ProgressSnapshot progress_from(const RunSummary& sum);
 
 /// What a SnapshotBus sink receives per publication: the full metrics
 /// snapshot (counters are cumulative — consumers diff), the journal events

@@ -6,13 +6,13 @@
 // trajectories, utilization, straggler and timeout accounting).
 //
 // Layering: every search fact is emitted once, through Telemetry::emit, as
-// one of these typed events. The driver, ParameterServer, PPO controller and
-// watchdog all emit that way; the telemetry's always-on RunSummary fold turns
-// the stream into the ncnas_*_total counters, and the journal (when enabled)
-// records the same stream. Consumers attach either live (subscribe(), e.g.
-// the HealthWatchdog) or post-hoc (export_jsonl -> import_jsonl ->
-// summarize_journal, e.g. the examples/run_report tool); the Chrome trace is
-// rendered from the recorded events (export_chrome_trace).
+// one of these typed events. The driver (its PPO updates included),
+// ParameterServer and watchdog all emit that way; the telemetry's always-on
+// RunSummary fold turns the stream into the ncnas_*_total counters, and the
+// journal (when enabled) records the same stream. Consumers attach either
+// live (subscribe(), e.g. the HealthWatchdog) or post-hoc (export_jsonl ->
+// import_jsonl -> summarize_journal, e.g. the examples/run_report tool); the
+// Chrome trace is rendered from the recorded events (export_chrome_trace).
 //
 // The schema is versioned (kJournalSchemaVersion): every exported line
 // carries "v", import_jsonl rejects lines from a newer schema, and unknown

@@ -1,8 +1,9 @@
 // Telemetry — the bundle handed to the search stack via
 // SearchConfig::telemetry: one MetricsRegistry, one event stream, and an
 // optional structured Journal with an optional HealthWatchdog on top.
-// A null pointer disables all instrumentation (zero overhead, bit-identical
-// search results); a live instance collects every signal for the whole run.
+// A null pointer disables all instrumentation: no instrument, journal,
+// profiler or exporter is touched, and search results are bit-identical. A
+// live instance collects every signal for the whole run.
 //
 // Every search fact (an evaluation, a PPO update, an exchange, a fault, a
 // checkpoint, a rung, a watchdog verdict) enters through emit() exactly once.
@@ -10,6 +11,12 @@
 // ncnas_*_total counters that have a journal event behind them are rendered
 // from that fold — and, once enable_journal() was called, records it in the
 // journal too. The Chrome trace is rendered from the recorded journal.
+//
+// The search driver emits its own facts (everything but the parameter
+// server's exchanges and the watchdog's verdicts) through one helper that
+// also folds them into a RunSummary of the run's own, with or without a
+// bundle. SearchResult's counters and the /progress view are read from that
+// fold, so they count each fact the same way as the counters here.
 //
 // Canonical metric names and the journal event schema emitted by the
 // instrumented internals are documented in README.md §Observability.

@@ -61,16 +61,14 @@ class Controller {
 
   /// One PPO update over a batch of rollouts with terminal `rewards`
   /// (reward b scores rollout b). Runs cfg.epochs passes with the
-  /// controller's internal Adam optimizer. `now`/`agent_id` are only read by
-  /// the telemetry's ppo_update event (the driver passes its virtual clock and the
-  /// owning agent); both default so standalone callers stay unchanged.
+  /// controller's internal Adam optimizer. Emits nothing: the caller owns the
+  /// search clock and the agent, so it journals the ppo_update event from
+  /// the returned stats.
   PpoStats ppo_update(std::span<const Rollout> rollouts, std::span<const float> rewards,
-                      const PpoConfig& cfg, double now = 0.0,
-                      std::uint32_t agent_id = obs::kNoAgent);
+                      const PpoConfig& cfg);
 
   /// Attach a telemetry sink (null to detach). ppo_update() then records its
-  /// real wall time, publishes the latest loss/entropy/KL as gauges, and
-  /// emits one ppo_update event.
+  /// host wall time in `ncnas_ppo_update_wall_ms`.
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// --- parameter-server interface ------------------------------------------
@@ -136,12 +134,7 @@ class Controller {
   // controller is not safe to use from two threads at once.
   mutable Workspace ws_;
 
-  obs::Telemetry* telemetry_ = nullptr;
   obs::Histogram* ppo_wall_ms_ = nullptr;
-  obs::Gauge* ppo_policy_loss_ = nullptr;
-  obs::Gauge* ppo_value_loss_ = nullptr;
-  obs::Gauge* ppo_entropy_ = nullptr;
-  obs::Gauge* ppo_approx_kl_ = nullptr;
 };
 
 }  // namespace ncnas::rl

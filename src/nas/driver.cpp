@@ -130,8 +130,9 @@ struct Completion {
 
 /// Pre-resolved registry instruments so the hot loop never touches the
 /// registry maps. Only constructed when SearchConfig::telemetry is set. The
-/// search facts themselves go through Telemetry::emit, which derives the
-/// ncnas_*_total counters that have an event behind them.
+/// search facts themselves go through SearchRun::emit, which folds them and
+/// forwards them to Telemetry::emit, whose fold renders the ncnas_*_total
+/// counters that have an event behind them.
 struct Instruments {
   obs::Counter* cycles;
   obs::Gauge* streak_min;
@@ -164,6 +165,41 @@ double join(EvalRecord& rec) {
   const exec::TrainOutcome& trained = rec.training.get();
   if (!rec.failed) rec.reward = trained.reward;
   return trained.train_wall_ms;
+}
+
+/// The record's journal facts, stamped with its own completion time so a
+/// replay applies the same deadline the returned records get. A record that
+/// owns a training reports its host wall time here, where it is known.
+std::vector<obs::JournalEvent> record_events(const EvalRecord& rec, double train_wall_ms) {
+  const auto aid = static_cast<std::uint32_t>(rec.agent);
+  std::vector<obs::JournalEvent> out;
+  if (rec.cache_hit) {
+    std::vector<obs::JournalField> fields{{"reward", rec.reward},
+                                          {"timed_out", rec.timed_out ? 1.0 : 0.0}};
+    // Only shared hits carry the marker, so pre-existing journals (and
+    // their replays) are byte-for-byte unchanged.
+    if (rec.shared_hit) fields.push_back({"shared", 1.0});
+    out.push_back({obs::JournalEventType::kEvalCached, rec.time, aid, 0, std::move(fields)});
+  } else {
+    std::vector<obs::JournalField> fields{{"reward", rec.reward},
+                                          {"duration_s", rec.sim_duration},
+                                          {"timed_out", rec.timed_out ? 1.0 : 0.0},
+                                          {"params", static_cast<double>(rec.params)},
+                                          {"train_wall_ms", train_wall_ms}};
+    if (rec.failed) {
+      fields.push_back({"failed", 1.0});
+      fields.push_back({"attempts", static_cast<double>(rec.attempts)});
+    }
+    // Only ladder runs reach a non-zero rung, so flat journals (and their
+    // replays) are byte-for-byte unchanged.
+    if (rec.rung != 0) fields.push_back({"rung", static_cast<double>(rec.rung)});
+    out.push_back({obs::JournalEventType::kEvalFinished, rec.time, aid, 0, std::move(fields)});
+  }
+  if (rec.timed_out) {
+    out.push_back({obs::JournalEventType::kEvalTimeout, rec.time, aid, 0,
+                   {{"duration_s", rec.sim_duration}}});
+  }
+  return out;
 }
 
 }  // namespace
@@ -297,6 +333,10 @@ class SearchRun {
 
  private:
   bool process_completion(const Completion& done);  // true = converged, stop
+  /// Folds one search fact into fold_ and forwards it to the telemetry when
+  /// one is set. `folded` marks an event whose fact fold_ already counted.
+  void emit(obs::JournalEventType type, double t, std::uint32_t agent,
+            std::vector<obs::JournalField> payload, bool folded = false);
   void emit_record(const EvalRecord& rec, double train_wall_ms);
   /// Joins the training of every in-flight record (see join()).
   void join_in_flight();
@@ -339,16 +379,21 @@ class SearchRun {
   std::string shared_ctx_;
   float floor_reward_;
   exec::UtilizationMonitor monitor_;
-  // Both null/empty without telemetry; every emit site is guarded on tel_ so
-  // the null path builds no payloads.
+  // Both null/empty without telemetry; emit() still folds every event.
   obs::Telemetry* tel_;
   std::optional<Instruments> inst_;
   std::optional<ParameterServer> ps_;
   std::vector<AgentState> agents_;
 
+  // The run's event fold: the one count of every search fact the driver
+  // emits. SearchResult's counters and /progress are read from it. Only the
+  // driver thread emits, so it needs no lock.
+  obs::RunSummary fold_;
   SearchResult result_;
   std::priority_queue<Completion, std::vector<Completion>, std::greater<>> queue_;
   std::size_t seq_ = 0;
+  /// The budget meter max_evaluations reads: rung trainings on a ladder run,
+  /// and attempts past the deadline. Not a count /progress reports.
   std::size_t real_evals_ = 0;
   bool budget_exhausted_ = false;
   double a2c_round_time_ = 0.0;
@@ -448,15 +493,13 @@ void SearchRun::join_in_flight() {
 }
 
 void SearchRun::bootstrap() {
-  if (tel_ != nullptr) {
-    tel_->emit(obs::JournalEventType::kRunStarted, 0.0, obs::kNoAgent,
-               {{"agents", static_cast<double>(N_)},
-                {"workers", static_cast<double>(W_)},
-                {"batch", static_cast<double>(M_)},
-                {"wall_time_s", config_.wall_time_seconds},
-                {"strategy", static_cast<double>(config_.strategy)},
-                {"seed", static_cast<double>(config_.seed)}});
-  }
+  emit(obs::JournalEventType::kRunStarted, 0.0, obs::kNoAgent,
+       {{"agents", static_cast<double>(N_)},
+        {"workers", static_cast<double>(W_)},
+        {"batch", static_cast<double>(M_)},
+        {"wall_time_s", config_.wall_time_seconds},
+        {"strategy", static_cast<double>(config_.strategy)},
+        {"seed", static_cast<double>(config_.seed)}});
 
   // Register the plan's worker crashes up front: the planned death times are
   // known (a crash schedule, like a maintenance window), the capacity loss
@@ -470,13 +513,9 @@ void SearchRun::bootstrap() {
         const double when = fx_->crash_time(agent.id, w);
         if (when >= config_.wall_time_seconds) continue;  // never felt by this run
         agent.crash_at[w] = when;
-        ++result_.crashed_workers;
         monitor_.add_capacity_loss(when);
-        if (tel_ != nullptr) {
-          tel_->emit(obs::JournalEventType::kWorkerCrashed, 0.0,
-                     static_cast<std::uint32_t>(agent.id),
-                     {{"worker", static_cast<double>(w)}, {"at", when}});
-        }
+        emit(obs::JournalEventType::kWorkerCrashed, 0.0, static_cast<std::uint32_t>(agent.id),
+             {{"worker", static_cast<double>(w)}, {"at", when}});
       }
     }
   }
@@ -532,32 +571,38 @@ SearchResult SearchRun::run() {
     return e.time > config_.wall_time_seconds;
   });
 
-  // Counted over the returned records, after the deadline cut, so they agree
-  // with the records themselves and with summarize_journal.
+  // Every counter is read from the fold. Its eval counts apply the same
+  // deadline as the erase above, so they equal counts over the records.
+  result_.cache_hits = fold_.cache_hits;
+  result_.shared_cache_hits = fold_.shared_cache_hits;
+  result_.timeouts = fold_.timeouts;
+  result_.ppo_updates = fold_.ppo_updates;
+  result_.retries = fold_.retries;
+  result_.exhausted = fold_.exhausted;
+  result_.lost_results = fold_.lost_results;
+  result_.crashed_workers = fold_.crashed_workers;
+  result_.dead_agents = fold_.dead_agents;
+  result_.checkpoints_written = fold_.checkpoints;
+  result_.resumes = fold_.resumes;
+  result_.ladder_trainings = fold_.ladder_trainings;
+  result_.ladder_promotions = fold_.ladder_promotions;
+  result_.ladder_warm_starts = fold_.ladder_warm_starts;
+  result_.ladder_rung_hits = fold_.ladder_rung_hits;
   std::unordered_set<std::string> unique;
-  for (const EvalRecord& e : result_.evals) {
-    unique.insert(space::arch_key(e.arch));
-    result_.cache_hits += e.cache_hit ? 1 : 0;
-    result_.shared_cache_hits += e.shared_hit ? 1 : 0;
-    result_.timeouts += e.timed_out ? 1 : 0;
-  }
+  for (const EvalRecord& e : result_.evals) unique.insert(space::arch_key(e.arch));
   result_.unique_archs = unique.size();
 
   result_.utilization = monitor_.series(result_.end_time, result_.utilization_bucket);
 
-  if (tel_ != nullptr) {
-    float best = -std::numeric_limits<float>::infinity();
-    for (const EvalRecord& e : result_.evals) best = std::max(best, e.reward);
-    tel_->emit(obs::JournalEventType::kRunFinished, result_.end_time, obs::kNoAgent,
-               {{"end_time_s", result_.end_time},
-                {"evals", static_cast<double>(result_.evals.size())},
-                {"best_reward", result_.evals.empty() ? 0.0 : static_cast<double>(best)},
-                {"cache_hits", static_cast<double>(result_.cache_hits)},
-                {"timeouts", static_cast<double>(result_.timeouts)},
-                {"ppo_updates", static_cast<double>(result_.ppo_updates)},
-                {"converged", result_.converged_early ? 1.0 : 0.0},
-                {"wall_time_s", config_.wall_time_seconds}});
-  }
+  emit(obs::JournalEventType::kRunFinished, result_.end_time, obs::kNoAgent,
+       {{"end_time_s", result_.end_time},
+        {"evals", static_cast<double>(result_.evals.size())},
+        {"best_reward", result_.evals.empty() ? 0.0 : static_cast<double>(fold_.best_reward)},
+        {"cache_hits", static_cast<double>(result_.cache_hits)},
+        {"timeouts", static_cast<double>(result_.timeouts)},
+        {"ppo_updates", static_cast<double>(result_.ppo_updates)},
+        {"converged", result_.converged_early ? 1.0 : 0.0},
+        {"wall_time_s", config_.wall_time_seconds}});
 
   // Final unconditional publication, after run_finished hits the journal so
   // the last delta carries it: scrape-at-end totals reconcile with
@@ -573,67 +618,30 @@ SearchResult SearchRun::run() {
   return std::move(result_);
 }
 
-// Builds the /progress view from the members the event loop already owns and
-// hands it to the exporter. Strictly read-only over search state — no RNG
-// draws, no cache touches, no reordering — which is what keeps exporter-on
-// runs bit-identical to exporter-off runs.
+// The /progress view: the fold's counts, plus what only the event loop
+// knows. Strictly read-only over search state — no RNG draws, no cache
+// touches, no reordering — which is what keeps exporter-on runs
+// bit-identical to exporter-off runs.
 void SearchRun::publish_progress(double t, bool finished) {
   obs::Exporter& exporter = *inst_->exporter;
-  obs::ProgressSnapshot p;
-  p.virtual_time = t;
-  p.wall_time_seconds = config_.wall_time_seconds;
+  obs::ProgressSnapshot p = obs::progress_from(fold_);
   p.strategy = strategy_name(config_.strategy);
-  p.finished = finished;
-  p.converged = result_.converged_early;
-  p.evals_done = result_.evals.size();
-  p.real_evals = real_evals_;
-  p.ppo_updates = result_.ppo_updates;
   p.batches_in_flight = queue_.size();
-  p.retries = result_.retries;
-  p.exhausted = result_.exhausted;
-  p.lost_results = result_.lost_results;
-  p.crashed_workers = result_.crashed_workers;
-  p.dead_agents = result_.dead_agents;
-
-  struct Acc {
-    std::size_t evals = 0;
-    std::size_t hits = 0;
-    std::size_t timeouts = 0;
-    float best = -std::numeric_limits<float>::infinity();
-    bool has_best = false;
-  };
-  std::vector<Acc> acc(N_);
-  for (const EvalRecord& e : result_.evals) {
-    if (e.agent >= N_) continue;
-    Acc& a = acc[e.agent];
-    ++a.evals;
-    if (e.cache_hit) ++a.hits;
-    if (e.timed_out) ++a.timeouts;
-    p.cache_hits += e.cache_hit ? 1 : 0;
-    p.timeouts += e.timed_out ? 1 : 0;
-    if (e.reward > a.best) a.best = e.reward;
-    a.has_best = true;
-    if (e.reward > p.best_reward || !p.has_best) {
-      p.best_reward = e.reward;
-      p.has_best = true;
-    }
+  // The fold has a row for each agent that has emitted; list every agent.
+  // (A record restored from a forged snapshot may name an agent past N_.)
+  std::vector<obs::AgentProgress> agents(N_);
+  for (obs::AgentProgress& row : p.agents) {
+    if (row.id < N_) agents[row.id] = std::move(row);
   }
-  p.agents.reserve(N_);
   for (std::size_t i = 0; i < N_; ++i) {
-    obs::AgentProgress ap;
-    ap.id = static_cast<std::uint32_t>(i);
-    ap.status = agents_[i].dead        ? "dead"
-                : agents_[i].stopped   ? "converged"
-                : finished             ? "stopped"
-                                       : "running";
-    ap.evals = acc[i].evals;
-    ap.cache_hits = acc[i].hits;
-    ap.timeouts = acc[i].timeouts;
-    ap.cached_streak = agents_[i].cached_streak;
-    ap.best_reward = acc[i].has_best ? acc[i].best : 0.0f;
-    ap.has_best = acc[i].has_best;
-    p.agents.push_back(std::move(ap));
+    agents[i].id = static_cast<std::uint32_t>(i);
+    agents[i].status = agents_[i].dead      ? "dead"
+                       : agents_[i].stopped ? "converged"
+                       : finished           ? "stopped"
+                                            : "running";
+    agents[i].cached_streak = agents_[i].cached_streak;
   }
+  p.agents = std::move(agents);
   for (const EvalRecord& e : result_.top_k(exporter.config().top_k)) {
     p.top.push_back({space::arch_key(e.arch), e.reward, e.params,
                      static_cast<std::uint32_t>(e.agent)});
@@ -666,7 +674,6 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
     rec.failed = true;
     rec.attempts = attempts;
     batch_done = std::max(batch_done, at);
-    ++result_.exhausted;
     // The cache was primed with the real result before dispatch; a task
     // that never delivered must not leave that result behind (a later
     // regeneration re-evaluates instead of replaying a non-measurement).
@@ -674,11 +681,9 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
     // other tenants either.
     if (config_.use_cache) agent.cache->erase(rec.arch);
     if (shared_ != nullptr) shared_->erase(shared_ctx_, key);
-    if (tel_ != nullptr) {
-      tel_->emit(obs::JournalEventType::kEvalExhausted, at, aid,
-                 {{"attempts", static_cast<double>(attempts)},
-                  {"reward", static_cast<double>(floor_reward_)}});
-    }
+    emit(obs::JournalEventType::kEvalExhausted, at, aid,
+         {{"attempts", static_cast<double>(attempts)},
+          {"reward", static_cast<double>(floor_reward_)}});
   };
 
   std::size_t attempt = 0;
@@ -727,13 +732,10 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
       worker_free[slot] = end;
       fail_time = end;
       emit_failed = false;
-      ++result_.lost_results;
-      if (tel_ != nullptr) {
-        tel_->emit(obs::JournalEventType::kResultLost, end, aid,
-                   {{"attempt", static_cast<double>(attempt)},
-                    {"worker", static_cast<double>(slot)},
-                    {"duration_s", dur}});
-      }
+      emit(obs::JournalEventType::kResultLost, end, aid,
+           {{"attempt", static_cast<double>(attempt)},
+            {"worker", static_cast<double>(slot)},
+            {"duration_s", dur}});
     } else {
       // Success (possibly slowed — the watchdog sees the stretched span).
       worker_free[slot] = end;
@@ -742,20 +744,18 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
       rec.attempts = attempt + 1;
       batch_done = std::max(batch_done, end);
       real_evals_ += budget_units;
-      if (tel_ != nullptr) {
-        tel_->emit(obs::JournalEventType::kEvalDispatched, start, aid,
-                   {{"duration_s", dur},
-                    {"worker", static_cast<double>(slot)},
-                    {"attempt", static_cast<double>(attempt)}});
-      }
+      emit(obs::JournalEventType::kEvalDispatched, start, aid,
+           {{"duration_s", dur},
+            {"worker", static_cast<double>(slot)},
+            {"attempt", static_cast<double>(attempt)}});
       return true;
     }
 
-    if (emit_failed && tel_ != nullptr) {
-      tel_->emit(obs::JournalEventType::kEvalFailed, fail_time, aid,
-                 {{"attempt", static_cast<double>(attempt)},
-                  {"worker", static_cast<double>(slot)},
-                  {"reason", fail_reason}});
+    if (emit_failed) {
+      emit(obs::JournalEventType::kEvalFailed, fail_time, aid,
+           {{"attempt", static_cast<double>(attempt)},
+            {"worker", static_cast<double>(slot)},
+            {"reason", fail_reason}});
     }
     ++attempt;
     if (attempt > max_retries) {
@@ -765,11 +765,8 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
     }
     const double backoff = fx_->backoff(attempt);
     ready = fail_time + backoff;
-    ++result_.retries;
-    if (tel_ != nullptr) {
-      tel_->emit(obs::JournalEventType::kEvalRetried, ready, aid,
-                 {{"attempt", static_cast<double>(attempt)}, {"backoff_s", backoff}});
-    }
+    emit(obs::JournalEventType::kEvalRetried, ready, aid,
+         {{"attempt", static_cast<double>(attempt)}, {"backoff_s", backoff}});
   }
 }
 
@@ -865,24 +862,17 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       fresh[i].training = resolved(fresh[i]);
       budget_units[miss_index[i]] = outcomes[i].trainings;
     }
-    // Rung accounting and journal events, emitted at batch dispatch time
-    // (no deadline filter, like the fault counters): one ladder_rung event
-    // per populated rung, reconciling 1:1 with the result counters.
+    // One ladder_rung event per populated rung, emitted at batch dispatch
+    // time (no deadline filter, like the fault counters).
     for (const exec::LadderRungStats& rs : rung_stats) {
-      result_.ladder_trainings += rs.trainings;
-      result_.ladder_promotions += rs.survivors;
-      result_.ladder_warm_starts += rs.warm_starts;
-      result_.ladder_rung_hits += rs.rung_hits;
-      if (tel_ != nullptr) {
-        tel_->emit(obs::JournalEventType::kLadderRung, t, static_cast<std::uint32_t>(agent.id),
-                   {{"rung", static_cast<double>(rs.rung)},
-                    {"candidates", static_cast<double>(rs.candidates)},
-                    {"survivors", static_cast<double>(rs.survivors)},
-                    {"trainings", static_cast<double>(rs.trainings)},
-                    {"warm_starts", static_cast<double>(rs.warm_starts)},
-                    {"rung_hits", static_cast<double>(rs.rung_hits)},
-                    {"timeouts", static_cast<double>(rs.timeouts)}});
-      }
+      emit(obs::JournalEventType::kLadderRung, t, static_cast<std::uint32_t>(agent.id),
+           {{"rung", static_cast<double>(rs.rung)},
+            {"candidates", static_cast<double>(rs.candidates)},
+            {"survivors", static_cast<double>(rs.survivors)},
+            {"trainings", static_cast<double>(rs.trainings)},
+            {"warm_starts", static_cast<double>(rs.warm_starts)},
+            {"rung_hits", static_cast<double>(rs.rung_hits)},
+            {"timeouts", static_cast<double>(rs.timeouts)}});
     }
   } else {
     for (std::size_t i = 0; i < miss_index.size(); ++i) {
@@ -931,11 +921,8 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       rec.time = end;
       batch_done = std::max(batch_done, end);
       real_evals_ += budget_units[m];
-      if (tel_ != nullptr) {
-        tel_->emit(obs::JournalEventType::kEvalDispatched, start,
-                   static_cast<std::uint32_t>(agent.id),
-                   {{"duration_s", r.sim_duration}, {"worker", static_cast<double>(slot)}});
-      }
+      emit(obs::JournalEventType::kEvalDispatched, start, static_cast<std::uint32_t>(agent.id),
+           {{"duration_s", r.sim_duration}, {"worker", static_cast<double>(slot)}});
     } else if (!dispatch_faulty(agent, worker_free, r, rec, t, batch_done, budget_units[m]) &&
                !agent.dead) {
       // First task that found no live worker: the agent's pool is gone.
@@ -943,11 +930,8 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       // completes (and is harvested) so PPO reward vectors stay aligned.
       agent.dead = true;
       agent.stopped = true;
-      ++result_.dead_agents;
-      if (tel_ != nullptr) {
-        tel_->emit(obs::JournalEventType::kAgentDead, t, static_cast<std::uint32_t>(agent.id),
-                   {{"workers", static_cast<double>(W_)}});
-      }
+      emit(obs::JournalEventType::kAgentDead, t, static_cast<std::uint32_t>(agent.id),
+           {{"workers", static_cast<double>(W_)}});
     }
     agent.records.push_back(std::move(rec));
   }
@@ -989,39 +973,21 @@ void SearchRun::a2c_release_stuck(double now) {
   a2c_begin_round(release_t + config_.agent_overhead_seconds);
 }
 
-// The record's journal facts, stamped with its own completion time so a
-// replay applies the same deadline the returned records get. A record that
-// owns a training reports its host wall time here, where it is known.
+void SearchRun::emit(obs::JournalEventType type, double t, std::uint32_t agent,
+                     std::vector<obs::JournalField> payload, bool folded) {
+  obs::JournalEvent e{type, t, agent, 0, std::move(payload)};
+  if (!folded) fold_.apply(e);
+  if (tel_ != nullptr) tel_->emit(e.type, e.t, e.agent, std::move(e.payload));
+}
+
 void SearchRun::emit_record(const EvalRecord& rec, double train_wall_ms) {
-  const auto aid = static_cast<std::uint32_t>(rec.agent);
-  if (rec.cache_hit) {
-    std::vector<obs::JournalField> fields{{"reward", rec.reward},
-                                          {"timed_out", rec.timed_out ? 1.0 : 0.0}};
-    // Only shared hits carry the marker, so pre-existing journals (and
-    // their replays) are byte-for-byte unchanged.
-    if (rec.shared_hit) fields.push_back({"shared", 1.0});
-    tel_->emit(obs::JournalEventType::kEvalCached, rec.time, aid, std::move(fields));
-  } else {
-    // Same deadline as ncnas_real_evals_total, so the histogram's count
-    // equals that counter.
-    if (rec.time <= config_.wall_time_seconds) inst_->eval_sim->observe(rec.sim_duration);
-    std::vector<obs::JournalField> fields{{"reward", rec.reward},
-                                          {"duration_s", rec.sim_duration},
-                                          {"timed_out", rec.timed_out ? 1.0 : 0.0},
-                                          {"params", static_cast<double>(rec.params)},
-                                          {"train_wall_ms", train_wall_ms}};
-    if (rec.failed) {
-      fields.push_back({"failed", 1.0});
-      fields.push_back({"attempts", static_cast<double>(rec.attempts)});
-    }
-    // Only ladder runs reach a non-zero rung, so flat journals (and their
-    // replays) are byte-for-byte unchanged.
-    if (rec.rung != 0) fields.push_back({"rung", static_cast<double>(rec.rung)});
-    tel_->emit(obs::JournalEventType::kEvalFinished, rec.time, aid, std::move(fields));
+  // Same deadline as ncnas_real_evals_total, so the histogram's count
+  // equals that counter.
+  if (inst_ && !rec.cache_hit && rec.time <= config_.wall_time_seconds) {
+    inst_->eval_sim->observe(rec.sim_duration);
   }
-  if (rec.timed_out) {
-    tel_->emit(obs::JournalEventType::kEvalTimeout, rec.time, aid,
-               {{"duration_s", rec.sim_duration}});
+  for (obs::JournalEvent& e : record_events(rec, train_wall_ms)) {
+    emit(e.type, e.t, e.agent, std::move(e.payload));
   }
 }
 
@@ -1041,13 +1007,13 @@ bool SearchRun::process_completion(const Completion& done) {
     const double train_wall_ms = join(rec);
     rec.training = {};
     rewards.push_back(rec.reward);
-    if (tel_ != nullptr) emit_record(rec, train_wall_ms);
+    emit_record(rec, train_wall_ms);
     result_.evals.push_back(rec);
   }
   agent.cached_streak = all_cached ? agent.cached_streak + 1 : 0;
-  if (tel_ != nullptr && agent.cached_streak == config_.convergence_streak) {
-    tel_->emit(obs::JournalEventType::kAgentConverged, t, static_cast<std::uint32_t>(agent.id),
-               {{"streak", static_cast<double>(agent.cached_streak)}});
+  if (agent.cached_streak == config_.convergence_streak) {
+    emit(obs::JournalEventType::kAgentConverged, t, static_cast<std::uint32_t>(agent.id),
+         {{"streak", static_cast<double>(agent.cached_streak)}});
   }
   if (inst_) {
     std::size_t min_streak = agents_[0].cached_streak;
@@ -1103,9 +1069,13 @@ bool SearchRun::process_completion(const Completion& done) {
   }
 
   // Local PPO epochs, then exchange the parameter delta through the PS.
-  (void)agent.controller->ppo_update(
-      agent.rollouts, rewards, config_.ppo, t, static_cast<std::uint32_t>(agent.id));
-  ++result_.ppo_updates;
+  const rl::PpoStats stats = agent.controller->ppo_update(agent.rollouts, rewards, config_.ppo);
+  emit(obs::JournalEventType::kPpoUpdate, t, static_cast<std::uint32_t>(agent.id),
+       {{"policy_loss", stats.policy_loss},
+        {"value_loss", stats.value_loss},
+        {"entropy", stats.entropy},
+        {"approx_kl", stats.approx_kl},
+        {"batch", static_cast<double>(rewards.size())}});
   std::vector<float> delta = agent.controller->get_flat();
   for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= agent.theta_pull[i];
 
@@ -1120,17 +1090,13 @@ bool SearchRun::process_completion(const Completion& done) {
       if (ef.drop) {
         // The delta is lost in flight; the agent carries on with the stale
         // parameters it already holds.
-        if (tel_ != nullptr) {
-          tel_->emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
-                     {{"mode", 1.0}});
-        }
+        emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
+             {{"mode", 1.0}});
       } else {
         if (ef.delay_seconds > 0.0) {
           resume += ef.delay_seconds;  // the exchange round trip stretches
-          if (tel_ != nullptr) {
-            tel_->emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
-                       {{"mode", 1.0}, {"delay_s", ef.delay_seconds}});
-          }
+          emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
+               {{"mode", 1.0}, {"delay_s", ef.delay_seconds}});
         }
         ps_->submit(agent.id, delta, t);
       }
@@ -1152,18 +1118,14 @@ bool SearchRun::process_completion(const Completion& done) {
       if (ef.drop) {
         // The delta never reaches the barrier; the agent idles while the
         // round is resolved for it (submit next round as usual).
-        if (tel_ != nullptr) {
-          tel_->emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
-                     {{"mode", 0.0}});
-        }
+        emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
+             {{"mode", 0.0}});
       } else {
         double arrival = t;
         if (ef.delay_seconds > 0.0) {
           arrival += ef.delay_seconds;
-          if (tel_ != nullptr) {
-            tel_->emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
-                       {{"mode", 0.0}, {"delay_s", ef.delay_seconds}});
-          }
+          emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
+               {{"mode", 0.0}, {"delay_s", ef.delay_seconds}});
         }
         a2c_round_time_ = std::max(a2c_round_time_, arrival);
         round_complete = ps_->submit(agent.id, delta, arrival);
@@ -1191,26 +1153,25 @@ void SearchRun::init_checkpointing(double from_t) {
 void SearchRun::maybe_checkpoint(double t) {
   if (!writer_ || t < next_due_) return;
   NCNAS_PROF_SCOPE("driver/checkpoint");
-  // Count and journal the snapshot *before* serializing, so the snapshot
-  // carries its own ordinal and its own journal event: the watermark then
-  // covers everything up to and including this checkpoint, and a resumed
-  // run's counters reconcile with the merged journal 1:1.
-  ++result_.checkpoints_written;
+  // Count the snapshot *before* serializing, so the snapshot carries its own
+  // ordinal, and journal it before the header takes the watermark: the
+  // watermark then covers everything up to and including this checkpoint,
+  // and a resumed run's counters reconcile with the merged journal 1:1.
+  fold_.apply({obs::JournalEventType::kCheckpointWritten, t, obs::kNoAgent, 0, {}});
   join_in_flight();  // the payload holds in-flight records with their rewards
   ckpt::ByteWriter payload;
   fields(payload, *this);
-  if (tel_ != nullptr) {
-    tel_->emit(obs::JournalEventType::kCheckpointWritten, t, obs::kNoAgent,
-               {{"ordinal", static_cast<double>(result_.checkpoints_written)},
-                {"bytes", static_cast<double>(payload.size())}});
-  }
+  emit(obs::JournalEventType::kCheckpointWritten, t, obs::kNoAgent,
+       {{"ordinal", static_cast<double>(fold_.checkpoints)},
+        {"bytes", static_cast<double>(payload.size())}},
+       /*folded=*/true);
   ckpt::SnapshotHeader header;
   header.fingerprint = fingerprint_;
   header.space_name = space_->name();
   header.virtual_time = t;
   header.journal_events =
       journal_base_ + (tel_ != nullptr && tel_->journal() != nullptr ? tel_->journal()->size() : 0);
-  header.ordinal = result_.checkpoints_written;
+  header.ordinal = fold_.checkpoints;
   const std::string path = writer_->write(header, payload.bytes());
   const double interval = writer_->config().interval_seconds;
   next_due_ = (std::floor(t / interval) + 1.0) * interval;
@@ -1240,13 +1201,16 @@ void SearchRun::fields(IO& io, Self& s) {
 
   // Partial result (records are pre-sort, exactly as the live vector). A
   // snapshot is taken mid-run, so end_time is still unset or inside the run.
+  // The counters with no record behind them travel as the fold's fields;
+  // restore() re-folds the records for the rest.
   auto& r = s.result_;
+  auto& f = s.fold_;
   checked(io, r.evals, archs_valid(&EvalRecord::arch), "record architecture");
   checked(io, r.end_time, [&](double t) { return t >= 0.0 && t <= s.config_.wall_time_seconds; },
           "end time");
-  io(r.converged_early, r.unique_archs, r.ppo_updates, r.retries, r.exhausted, r.lost_results,
-     r.crashed_workers, r.dead_agents, r.checkpoints_written, r.resumes, r.ladder_trainings,
-     r.ladder_promotions, r.ladder_warm_starts, r.ladder_rung_hits);
+  io(r.converged_early, r.unique_archs, f.ppo_updates, f.retries, f.exhausted, f.lost_results,
+     f.crashed_workers, f.dead_agents, f.checkpoints, f.resumes, f.ladder_trainings,
+     f.ladder_promotions, f.ladder_warm_starts, f.ladder_rung_hits);
 
   through(io, s.monitor_, &exec::UtilizationMonitor::export_state,
           &exec::UtilizationMonitor::import_state);
@@ -1324,14 +1288,17 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
     }
   }
 
-  ++result_.resumes;
-  if (tel_ != nullptr) {
-    tel_->emit(obs::JournalEventType::kRunResumed, header.virtual_time, obs::kNoAgent,
-               {{"from_t", header.virtual_time},
-                {"prior_events", static_cast<double>(header.journal_events)},
-                {"ordinal", static_cast<double>(header.ordinal)},
-                {"wall_time_s", config_.wall_time_seconds},
-                {"strategy", static_cast<double>(config_.strategy)}});
+  // run_resumed sets the fold's deadline, which the re-fold of the restored
+  // records below applies. Those events were journaled by the process that
+  // harvested them, so they are folded here, not emitted again.
+  emit(obs::JournalEventType::kRunResumed, header.virtual_time, obs::kNoAgent,
+       {{"from_t", header.virtual_time},
+        {"prior_events", static_cast<double>(header.journal_events)},
+        {"ordinal", static_cast<double>(header.ordinal)},
+        {"wall_time_s", config_.wall_time_seconds},
+        {"strategy", static_cast<double>(config_.strategy)}});
+  for (const EvalRecord& rec : result_.evals) {
+    for (const obs::JournalEvent& e : record_events(rec, 0.0)) fold_.apply(e);
   }
   journal_base_ = header.journal_events;
   init_checkpointing(header.virtual_time);

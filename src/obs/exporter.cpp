@@ -121,13 +121,13 @@ namespace {
 struct FamilyState {
   std::string type;  // "counter" | "gauge" | "histogram" | ...
   // histogram bookkeeping
-  std::vector<double> le_edges;          // in order of appearance
-  std::vector<std::uint64_t> le_counts;  // cumulative values as written
+  std::vector<double> le_edges;   // in order of appearance
+  std::vector<double> le_counts;  // cumulative values as written
   bool has_inf = false;
   bool has_sum = false;
   bool has_count = false;
-  std::uint64_t inf_value = 0;
-  std::uint64_t count_value = 0;
+  double inf_value = 0.0;
+  double count_value = 0.0;
 };
 
 bool metric_name_ok(std::string_view name) {
@@ -318,6 +318,11 @@ bool validate_openmetrics(std::string_view text, std::string* error) {
         return set_error(error, lineno, "unexpected suffix '" + suffix + "' on " + state.type);
       }
     } else if (state.type == "histogram") {
+      if ((suffix == "_bucket" || suffix == "_count") &&
+          !(std::isfinite(value) && value >= 0.0 && value == std::floor(value))) {
+        return set_error(error, lineno,
+                         "histogram '" + family + "' count is not a non-negative integer");
+      }
       if (suffix == "_bucket") {
         const auto le = std::find_if(labels.begin(), labels.end(),
                                      [](const auto& kv) { return kv.first == "le"; });
@@ -331,19 +336,19 @@ bool validate_openmetrics(std::string_view text, std::string* error) {
         if (!state.le_edges.empty() && edge <= state.le_edges.back()) {
           return set_error(error, lineno, "histogram '" + family + "' bucket edges not ascending");
         }
-        if (!state.le_counts.empty() && value < static_cast<double>(state.le_counts.back())) {
+        if (!state.le_counts.empty() && value < state.le_counts.back()) {
           return set_error(error, lineno,
                            "histogram '" + family + "' bucket counts not cumulative");
         }
         state.le_edges.push_back(edge);
-        state.le_counts.push_back(static_cast<std::uint64_t>(value));
+        state.le_counts.push_back(value);
         if (std::isinf(edge) && edge > 0.0) {
           state.has_inf = true;
-          state.inf_value = static_cast<std::uint64_t>(value);
+          state.inf_value = value;
         }
       } else if (suffix == "_count") {
         state.has_count = true;
-        state.count_value = static_cast<std::uint64_t>(value);
+        state.count_value = value;
       } else if (suffix == "_sum") {
         state.has_sum = true;
       } else if (suffix != "_created") {
@@ -372,6 +377,42 @@ bool validate_openmetrics(std::string_view text, std::string* error) {
 }
 
 // ---- /progress JSON ---------------------------------------------------------
+
+ProgressSnapshot progress_from(const RunSummary& sum) {
+  ProgressSnapshot p;
+  p.virtual_time = sum.end_time_s;
+  p.wall_time_seconds = std::isfinite(sum.wall_time_s) ? sum.wall_time_s : 0.0;
+  p.finished = sum.has_run_finished;
+  p.converged = sum.converged;
+  p.evals_done = sum.evals;
+  p.real_evals = sum.real_evals;
+  p.cache_hits = sum.cache_hits;
+  p.timeouts = sum.timeouts;
+  p.ppo_updates = sum.ppo_updates;
+  p.has_best = sum.evals > 0;
+  p.best_reward = p.has_best ? sum.best_reward : 0.0f;
+  p.retries = sum.retries;
+  p.exhausted = sum.exhausted;
+  p.lost_results = sum.lost_results;
+  p.crashed_workers = sum.crashed_workers;
+  p.dead_agents = sum.dead_agents;
+  p.stragglers = sum.stragglers;
+  p.stalls = sum.stalls;
+  p.healthy = sum.stragglers + sum.stalls == 0;
+  for (const auto& [id, a] : sum.per_agent) {
+    AgentProgress& ap = p.agents.emplace_back();
+    ap.id = id;
+    ap.status = std::ranges::find(sum.converged_agents, id) != sum.converged_agents.end()
+                    ? "converged"
+                    : (sum.has_run_finished ? "stopped" : "running");
+    ap.evals = a.evals;
+    ap.cache_hits = a.cached;
+    ap.timeouts = a.timeouts;
+    ap.has_best = a.evals > 0;
+    ap.best_reward = ap.has_best ? a.best_reward : 0.0f;
+  }
+  return p;
+}
 
 std::string progress_to_json(const ProgressSnapshot& p) {
   std::ostringstream os;

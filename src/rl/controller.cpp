@@ -138,26 +138,14 @@ space::ArchEncoding Controller::greedy() const {
 }
 
 void Controller::set_telemetry(obs::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry == nullptr) {
-    ppo_wall_ms_ = nullptr;
-    ppo_policy_loss_ = nullptr;
-    ppo_value_loss_ = nullptr;
-    ppo_entropy_ = nullptr;
-    ppo_approx_kl_ = nullptr;
-    return;
-  }
-  obs::MetricsRegistry& m = telemetry->metrics();
-  ppo_wall_ms_ = &m.histogram("ncnas_ppo_update_wall_ms", obs::exp_buckets(0.25, 2.0, 16));
-  ppo_policy_loss_ = &m.gauge("ncnas_ppo_policy_loss");
-  ppo_value_loss_ = &m.gauge("ncnas_ppo_value_loss");
-  ppo_entropy_ = &m.gauge("ncnas_ppo_entropy");
-  ppo_approx_kl_ = &m.gauge("ncnas_ppo_approx_kl");
+  ppo_wall_ms_ = telemetry == nullptr
+                     ? nullptr
+                     : &telemetry->metrics().histogram("ncnas_ppo_update_wall_ms",
+                                                       obs::exp_buckets(0.25, 2.0, 16));
 }
 
 PpoStats Controller::ppo_update(std::span<const Rollout> rollouts,
-                                std::span<const float> rewards, const PpoConfig& cfg,
-                                double now, std::uint32_t agent_id) {
+                                std::span<const float> rewards, const PpoConfig& cfg) {
   NCNAS_PROF_SCOPE("rl/ppo_update");
   const obs::ScopedTimer timer(ppo_wall_ms_);
   const std::size_t B = rollouts.size();
@@ -316,20 +304,6 @@ PpoStats Controller::ppo_update(std::span<const Rollout> rollouts,
 
     adam_.step(params_);
     stats = {policy_loss, value_loss, entropy, approx_kl};
-  }
-  if (ppo_policy_loss_ != nullptr) {
-    ppo_policy_loss_->set(stats.policy_loss);
-    ppo_value_loss_->set(stats.value_loss);
-    ppo_entropy_->set(stats.entropy);
-    ppo_approx_kl_->set(stats.approx_kl);
-  }
-  if (telemetry_ != nullptr) {
-    telemetry_->emit(obs::JournalEventType::kPpoUpdate, now, agent_id,
-                     {{"policy_loss", stats.policy_loss},
-                      {"value_loss", stats.value_loss},
-                      {"entropy", stats.entropy},
-                      {"approx_kl", stats.approx_kl},
-                      {"batch", static_cast<double>(B)}});
   }
   return stats;
 }

@@ -142,6 +142,15 @@ TEST(OpenMetrics, ValidatorRejectsMalformedPayloads) {
   rejects(
       "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_count 3\nh_sum 1\n# EOF\n",
       "_count disagrees with +Inf bucket");
+  // Infinite, negative or fractional counts are rejected. Counts are
+  // compared as written, never cast to an integer type (the OpenMetrics fuzz
+  // cases found that cast overflowing on 1e308).
+  rejects("# TYPE h histogram\nh_bucket{le=\"+Inf\"} +Inf\nh_count +Inf\nh_sum 1\n# EOF\n",
+          "infinite bucket count");
+  rejects("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_count -2\nh_sum 1\n# EOF\n",
+          "negative _count");
+  rejects("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1.5\nh_count 1.5\nh_sum 1\n# EOF\n",
+          "fractional bucket count");
 }
 
 // ---- SnapshotBus cadence and sequencing ------------------------------------
@@ -521,6 +530,36 @@ TEST(Exporter, FinalScrapeReconcilesWithJournalSummary) {
   EXPECT_EQ(m.counter_value("ncnas_exporter_errors_total"), 0u);
   EXPECT_EQ(nas::reconcile(cap.result, sum), std::vector<std::string>{});
   EXPECT_EQ(cap.final_progress.evals_done, cap.result.evals.size());
+}
+
+TEST(Exporter, ProgressCountsEqualTheJournalReplayAtEveryPublication) {
+  // A ladder run: its budget meter counts rung trainings, which /progress
+  // must not report as evaluations.
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  Telemetry t;
+  t.enable_journal();
+  Exporter& exporter = t.enable_exporter(every_tick());
+  std::vector<JournalEvent> journal;
+  PublishedSnapshot last;
+  exporter.add_sink([&](const PublishedSnapshot& snap) {
+    journal.insert(journal.end(), snap.journal_delta.begin(), snap.journal_delta.end());
+    const RunSummary sum = summarize_journal(journal);
+    EXPECT_EQ(snap.progress.real_evals, sum.real_evals) << "publication " << snap.seq;
+    EXPECT_EQ(snap.progress.evals_done, sum.evals) << "publication " << snap.seq;
+    last = snap;
+  });
+  nas::SearchConfig cfg = small_config(nas::SearchStrategy::kA3C);
+  cfg.ladder.eta = 2;
+  cfg.ladder.rungs = {{.epochs = 1, .subset_fraction = 0.5}, {.epochs = 2, .subset_fraction = 1.0}};
+  cfg.telemetry = &t;
+  const nas::SearchResult res = nas::SearchDriver(s, ds, cfg).run();
+
+  ASSERT_GT(last.seq, 2u);
+  ASSERT_GT(res.ladder_trainings, res.evals.size());  // the meter runs ahead of the count
+  EXPECT_TRUE(last.progress.finished);
+  EXPECT_EQ(last.progress.real_evals, last.metrics.counter_value("ncnas_real_evals_total"));
+  EXPECT_EQ(last.progress.evals_done, last.metrics.counter_value("ncnas_evals_total"));
 }
 
 TEST(Exporter, OnOffLeavesResultsBitIdentical) {

@@ -13,6 +13,9 @@
 //     through summarize_journal, export_chrome_trace and
 //     export_run_summary_json);
 //   - what the writer emits for it reads back with no error.
+// The same search's telemetry, rendered by openmetrics_text, is the corpus
+// for validate_openmetrics: every unmutated body validates, and every
+// mutated one returns true, or false with an error, and never throws.
 // Run under ASan+UBSan, "never crash" includes undefined behaviour.
 //
 // --seed=N / --runs=N / FAILING SEED replay as in fuzz_seed.hpp.
@@ -41,9 +44,15 @@ using namespace ncnas;
 std::uint64_t g_seed = 0x10C0FFEEULL;
 constexpr int kIters = 64;
 
-/// The exported journal of a small faulty ladder search (built once).
-const std::string& corpus() {
-  static const std::string text = [] {
+/// What a small faulty ladder search leaves behind (built once): its
+/// exported journal and its final telemetry snapshot.
+struct SearchCorpus {
+  std::string journal;
+  obs::MetricsSnapshot metrics;
+};
+
+const SearchCorpus& search_corpus() {
+  static const SearchCorpus corpus = [] {
     const space::SearchSpace s = space::nt3_small_space();
     const data::Dataset ds =
         data::make_nt3(5, {.train = 32, .valid = 16, .length = 64, .motif = 6});
@@ -85,10 +94,22 @@ const std::string& corpus() {
     }
     std::ostringstream os;
     obs::Journal::export_jsonl(events, os);
-    return os.str();
+    // The same pin for the host wall-time histograms: every sample in the
+    // first bucket, at 1.5 ms each.
+    obs::MetricsSnapshot metrics = tel.metrics_snapshot();
+    for (obs::HistogramSample& h : metrics.histograms) {
+      if (h.name.find("_wall_") == std::string::npos) continue;
+      std::ranges::fill(h.buckets, 0);
+      if (!h.buckets.empty()) h.buckets.front() = h.count;
+      h.sum = 1.5 * static_cast<double>(h.count);
+    }
+    return SearchCorpus{os.str(), std::move(metrics)};
   }();
-  return text;
+  return corpus;
 }
+
+/// The exported journal of the corpus search.
+const std::string& corpus() { return search_corpus().journal; }
 
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
@@ -385,6 +406,56 @@ TEST(ProfileJsonFuzz, HugeNumbers) {
 TEST(ProfileJsonFuzz, MutationsCompose) {
   fuzz(0xFCA1, "composed", composed, profile_corpus(), check_profile);
 }
+
+// ---- OpenMetrics validator ---------------------------------------------------
+
+/// Two expositions of the corpus search's telemetry: with an info gauge
+/// whose label values need escaping, and without.
+const std::vector<std::string>& metrics_corpora() {
+  static const std::vector<std::string> bodies = {
+      obs::openmetrics_text(search_corpus().metrics,
+                            {{"strategy", "A2C"}, {"note", "say \"hi\"\\n\n"}}),
+      obs::openmetrics_text(search_corpus().metrics)};
+  return bodies;
+}
+
+/// The validator's contract on one mutated body: true, or false with an
+/// error, and never an exception.
+void check_openmetrics(const std::string& text, const char* mutation, int iter) {
+  SCOPED_TRACE(std::string(mutation) + " iteration " + std::to_string(iter) +
+               " (replay with --seed=" + std::to_string(g_seed) + ")");
+  std::string error;
+  try {
+    if (!obs::validate_openmetrics(text, &error)) {
+      EXPECT_FALSE(error.empty()) << text;
+    }
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "validate_openmetrics threw: " << e.what();
+  }
+}
+
+template <typename Mutate>
+void fuzz_openmetrics(std::uint64_t salt, const char* mutation, Mutate mutate) {
+  for (std::size_t i = 0; i < metrics_corpora().size(); ++i) {
+    fuzz(salt + i, mutation, mutate, metrics_corpora()[i], check_openmetrics);
+  }
+}
+
+TEST(OpenMetricsFuzz, CorpusValidates) {
+  for (const std::string& body : metrics_corpora()) {
+    std::string error;
+    EXPECT_TRUE(obs::validate_openmetrics(body, &error)) << error << '\n' << body;
+    EXPECT_NE(body.find("_bucket{le="), std::string::npos);  // histograms made it in
+  }
+}
+
+TEST(OpenMetricsFuzz, BitFlips) { fuzz_openmetrics(0x0B17, "bit flip", flip_bits); }
+
+TEST(OpenMetricsFuzz, Truncations) { fuzz_openmetrics(0x0256, "truncation", truncate); }
+
+TEST(OpenMetricsFuzz, LineSplices) { fuzz_openmetrics(0x0911CE, "line splice", splice_lines); }
+
+TEST(OpenMetricsFuzz, MutationsCompose) { fuzz_openmetrics(0x0CA1, "composed", composed); }
 
 }  // namespace
 

@@ -20,12 +20,9 @@
 // is the mechanism behind A3C's late-search utilization decay and the
 // all-agents-converged stopping rule.
 //
-// Kernel policy: the training hot path (Trainer/Lstm/layers) runs on the
-// process-wide tensor::KernelConfig (blocked kernels by default). Installing
-// a pooled config before search() speeds up reward estimation without
-// changing any reward bit — the kernels are bit-identical across thread
-// counts by design, which is why KernelConfig stays out of
-// config_fingerprint().
+// fit_and_score() is the training itself, shared with every rung of
+// exec::FidelityLadder: multi-fidelity estimation is the same estimator at
+// smaller budgets, so both paths fit, score and time a model in one place.
 #pragma once
 
 #include <functional>
@@ -61,7 +58,7 @@ struct FidelityConfig {
   double valid_fraction = 1.0;
 };
 
-/// What the training half of an evaluation produces (TrainingEvaluator::train).
+/// What the training half of an evaluation produces (fit_and_score).
 struct TrainOutcome {
   float reward = 0.0f;
   double train_wall_ms = 0.0;
@@ -135,9 +132,9 @@ class TrainingEvaluator final : public Evaluator {
   /// Installs a custom reward; pass nullptr to restore the plain metric.
   void set_reward_fn(RewardFn fn) { reward_fn_ = std::move(fn); }
 
-  /// Attach a telemetry sink (null to detach). evaluate() then records real
-  /// training wall time and training/timeout counts; the registry is
-  /// thread-safe, so pool-parallel evaluations share one sink.
+  /// Attach a telemetry sink (null to detach). Trainings then record their
+  /// real wall time (train_wall_histogram); the registry is thread-safe, so
+  /// pool-parallel evaluations share one sink.
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// submit() without a pool: the training runs inline.
@@ -166,15 +163,15 @@ class TrainingEvaluator final : public Evaluator {
   [[nodiscard]] const FidelityConfig& fidelity() const noexcept { return fidelity_; }
   [[nodiscard]] const CostModel& cost_model() const noexcept { return cost_; }
 
-  /// Reward assigned to killed evaluations: -1 for R2, 0 for accuracy.
+  /// exec::reward_floor(dataset()).
   [[nodiscard]] float reward_floor() const noexcept;
 
  private:
   /// submit()'s dispatch-time half.
   [[nodiscard]] EvalResult plan(const space::ArchEncoding& arch, std::uint64_t seed) const;
   /// submit()'s training half: rebuilds the model from (arch, seed) — so a
-  /// queued training holds no graph — trains it and scores it on the
-  /// validation split. Thread-safe.
+  /// queued training holds no graph — and runs fit_and_score on it.
+  /// Thread-safe.
   [[nodiscard]] TrainOutcome train(const space::ArchEncoding& arch, std::uint64_t seed,
                                    const EvalResult& planned) const;
 
@@ -184,8 +181,6 @@ class TrainingEvaluator final : public Evaluator {
   CostModel cost_;
   RewardFn reward_fn_;
   obs::Histogram* train_wall_ms_ = nullptr;
-  obs::Counter* trainings_ = nullptr;
-  obs::Counter* training_timeouts_ = nullptr;
 };
 
 /// Per-agent cache keyed by (evaluation context, architecture encoding). The
@@ -261,5 +256,33 @@ class CachedEvaluator final : public Evaluator {
 /// widths and head_for(ds), its weights drawn from Rng(seed).
 [[nodiscard]] nn::Graph build_for(const space::SearchSpace& space, const data::Dataset& ds,
                                   const space::ArchEncoding& arch, std::uint64_t seed);
+
+/// Reward assigned to killed evaluations on `ds`: -1 for R2, 0 for accuracy.
+/// fit_and_score floors every reward at it.
+[[nodiscard]] float reward_floor(const data::Dataset& ds) noexcept;
+
+/// Training rows one epoch at `fid` draws from `ds` (at least 1): the sample
+/// count the cost model charges.
+[[nodiscard]] std::size_t train_samples(const data::Dataset& ds, const FidelityConfig& fid);
+
+/// The `ncnas_train_wall_ms` histogram of `telemetry`, which fit_and_score
+/// observes; null without telemetry.
+[[nodiscard]] obs::Histogram* train_wall_histogram(obs::Telemetry* telemetry);
+
+/// One reward estimate (paper §3.3), as the flat evaluator and every ladder
+/// rung run it. Fits `model` for `epochs` epochs with `fid`'s optimizer,
+/// batch size and training subset, drawing from `rng`. Then scores it on
+/// the leading `fid.valid_fraction` of the validation rows. The reward is
+/// `reward_fn(metric, charged.params, charged.sim_duration)`, or the metric
+/// when no function is set, floored at reward_floor(ds). With a
+/// `train_wall_ms` histogram the routine times itself; it observes the time
+/// when it trained (epochs > 0), so the histogram counts trainings. Without
+/// one, the outcome's `train_wall_ms` stays 0. Thread-safe for distinct
+/// models.
+[[nodiscard]] TrainOutcome fit_and_score(nn::Graph& model, const data::Dataset& ds,
+                                         const FidelityConfig& fid, std::size_t epochs,
+                                         tensor::Rng rng, const RewardFn& reward_fn,
+                                         const EvalResult& charged,
+                                         obs::Histogram* train_wall_ms);
 
 }  // namespace ncnas::exec

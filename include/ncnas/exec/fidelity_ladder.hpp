@@ -101,8 +101,8 @@ class FidelityLadder final : public Evaluator {
   /// plain metric.
   void set_reward_fn(RewardFn fn) { reward_fn_ = std::move(fn); }
 
-  /// Attach a telemetry sink (null to detach): training wall time and
-  /// training/timeout counts, same instruments as TrainingEvaluator.
+  /// Attach a telemetry sink (null to detach): rung trainings record their
+  /// wall time in the same histogram as TrainingEvaluator's.
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// Attach the process-wide shared cache: each rung then consults (and
@@ -132,6 +132,7 @@ class FidelityLadder final : public Evaluator {
 
   [[nodiscard]] const LadderConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t num_rungs() const noexcept { return config_.rungs.size(); }
+  /// exec::reward_floor(dataset).
   [[nodiscard]] float reward_floor() const noexcept;
   [[nodiscard]] const CostModel& cost_model() const noexcept { return cost_; }
 
@@ -148,8 +149,6 @@ class FidelityLadder final : public Evaluator {
   SharedEvalCache* shared_ = nullptr;
   std::uint32_t tenant_ = 0;
   obs::Histogram* train_wall_ms_ = nullptr;
-  obs::Counter* trainings_ = nullptr;
-  obs::Counter* training_timeouts_ = nullptr;
 };
 
 }  // namespace ncnas::exec

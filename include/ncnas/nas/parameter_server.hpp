@@ -15,10 +15,11 @@
 //
 // The driver invokes the PS at deterministic virtual times, so no locking is
 // needed; the PS is pure bookkeeping. When a Telemetry sink is attached the
-// PS reports barrier-wait time (A2C), gradient staleness and async-window
-// depth (A3C), and delta-apply counts, and emits one ps_exchange event per
-// completed exchange plus a barrier_timeout event per forced release; `now`
-// on submit() carries the driver's virtual clock for those measurements.
+// PS reports async-window depth (A3C) and delta-apply counts, and emits one
+// ps_exchange event per completed exchange — carrying the barrier wait (A2C)
+// or gradient staleness (A3C) that the telemetry renders as histograms —
+// plus a barrier_timeout event per forced release; `now` on submit() carries
+// the driver's virtual clock for those measurements.
 #pragma once
 
 #include <cstdint>
@@ -139,8 +140,6 @@ class ParameterServer {
   std::vector<double> arrival_time_;
   obs::Telemetry* telemetry_ = nullptr;
   obs::Counter* delta_applies_ = nullptr;
-  obs::Histogram* staleness_ = nullptr;
-  obs::Histogram* barrier_wait_ = nullptr;
   obs::Gauge* window_depth_ = nullptr;
 };
 

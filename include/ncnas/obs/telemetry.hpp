@@ -38,7 +38,7 @@ namespace ncnas::obs {
 /// Plain-data capture of a Telemetry instance at one point in time; safe to
 /// keep in a SearchResult after the registry itself is gone.
 struct TelemetrySnapshot {
-  MetricsSnapshot metrics;            ///< registry instruments + fold counters
+  MetricsSnapshot metrics;            ///< registry instruments + fold counters and histograms
   std::vector<JournalEvent> journal;  ///< empty when the journal is disabled
   ProfileSnapshot profile;            ///< empty when the profiler is disabled
 };
@@ -106,7 +106,8 @@ class Telemetry {
   [[nodiscard]] Exporter* exporter() noexcept { return exporter_.get(); }
   [[nodiscard]] const Exporter* exporter() const noexcept { return exporter_.get(); }
 
-  /// The registry's instruments plus the fold counters, sorted by name.
+  /// The registry's instruments plus the fold's counters and ps_exchange
+  /// histograms, each kind sorted by name.
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
   [[nodiscard]] TelemetrySnapshot snapshot() const;
 

@@ -25,31 +25,76 @@ nn::Graph build_for(const space::SearchSpace& space, const data::Dataset& ds,
   return space::build_model(space, arch, dims, head_for(ds), rng);
 }
 
+float reward_floor(const data::Dataset& ds) noexcept {
+  return ds.metric == nn::Metric::kR2 ? -1.0f : 0.0f;
+}
+
+std::size_t train_samples(const data::Dataset& ds, const FidelityConfig& fid) {
+  return static_cast<std::size_t>(
+      std::max(1.0, fid.subset_fraction * static_cast<double>(ds.train_rows())));
+}
+
+obs::Histogram* train_wall_histogram(obs::Telemetry* telemetry) {
+  if (telemetry == nullptr) return nullptr;
+  return &telemetry->metrics().histogram("ncnas_train_wall_ms", obs::exp_buckets(0.25, 2.0, 18));
+}
+
+TrainOutcome fit_and_score(nn::Graph& model, const data::Dataset& ds, const FidelityConfig& fid,
+                           std::size_t epochs, tensor::Rng rng, const RewardFn& reward_fn,
+                           const EvalResult& charged, obs::Histogram* train_wall_ms) {
+  std::optional<obs::Stopwatch> timer;
+  if (train_wall_ms != nullptr) timer.emplace();
+  if (epochs > 0) {
+    nn::TrainOptions opts;
+    opts.epochs = epochs;
+    opts.batch_size = fid.batch_size != 0 ? fid.batch_size : ds.batch_size;
+    opts.learning_rate = fid.learning_rate;
+    opts.loss = ds.loss;
+    opts.subset_fraction = fid.subset_fraction;
+    // Same region as the train_wall_ms stopwatch's training half, so
+    // analyze_log can reconcile profile totals against journal wall time.
+    NCNAS_PROF_SCOPE("eval/train");
+    (void)nn::fit(model, ds.x_train, ds.y_train, opts, rng);
+  }
+
+  const auto valid_rows = static_cast<std::size_t>(
+      std::max(1.0, fid.valid_fraction * static_cast<double>(ds.valid_rows())));
+  float metric;
+  {
+    NCNAS_PROF_SCOPE("eval/validate");
+    if (valid_rows >= ds.valid_rows()) {
+      metric = nn::evaluate(model, ds.x_valid, ds.y_valid, ds.metric);
+    } else {
+      std::vector<tensor::Tensor> xv;
+      xv.reserve(ds.input_count());
+      for (const tensor::Tensor& x : ds.x_valid) xv.push_back(nn::slice_rows(x, 0, valid_rows));
+      metric = nn::evaluate(model, xv, nn::slice_rows(ds.y_valid, 0, valid_rows), ds.metric);
+    }
+  }
+  TrainOutcome out;
+  const float raw = reward_fn ? reward_fn({metric, charged.params, charged.sim_duration}) : metric;
+  out.reward = std::max(raw, reward_floor(ds));
+  if (timer) {
+    out.train_wall_ms = timer->elapsed_ms();
+    if (epochs > 0) train_wall_ms->observe(out.train_wall_ms);
+  }
+  return out;
+}
+
 TrainingEvaluator::TrainingEvaluator(const space::SearchSpace& space,
                                      const data::Dataset& dataset, FidelityConfig fidelity,
                                      CostModel cost)
     : space_(&space), dataset_(&dataset), fidelity_(fidelity), cost_(cost) {}
 
 void TrainingEvaluator::set_telemetry(obs::Telemetry* telemetry) {
-  if (telemetry == nullptr) {
-    train_wall_ms_ = nullptr;
-    trainings_ = nullptr;
-    training_timeouts_ = nullptr;
-    return;
-  }
-  obs::MetricsRegistry& m = telemetry->metrics();
-  train_wall_ms_ = &m.histogram("ncnas_train_wall_ms", obs::exp_buckets(0.25, 2.0, 18));
-  trainings_ = &m.counter("ncnas_trainings_total");
-  training_timeouts_ = &m.counter("ncnas_training_timeouts_total");
+  train_wall_ms_ = train_wall_histogram(telemetry);
 }
 
 std::string TrainingEvaluator::context_key() const {
   return eval_context_key(*dataset_, fidelity_, cost_);
 }
 
-float TrainingEvaluator::reward_floor() const noexcept {
-  return dataset_->metric == nn::Metric::kR2 ? -1.0f : 0.0f;
-}
+float TrainingEvaluator::reward_floor() const noexcept { return exec::reward_floor(*dataset_); }
 
 nn::Graph TrainingEvaluator::build(const space::ArchEncoding& arch, std::uint64_t seed) const {
   NCNAS_PROF_SCOPE("eval/build");
@@ -70,17 +115,14 @@ EvalResult TrainingEvaluator::plan(const space::ArchEncoding& arch, std::uint64_
 
   EvalResult result;
   result.params = model.param_count();
-
-  const auto samples = static_cast<std::size_t>(std::max(
-      1.0, fidelity_.subset_fraction * static_cast<double>(dataset_->train_rows())));
-  result.sim_duration = cost_.duration(result.params, samples, fidelity_.epochs, key);
+  result.sim_duration =
+      cost_.duration(result.params, train_samples(*dataset_, fidelity_), fidelity_.epochs, key);
   if (cost_.times_out(result.sim_duration)) {
     // Balsam kills the job at the timeout: the worker was occupied for the
     // full timeout window and the agent sees the floor reward.
     result.sim_duration = cost_.timeout_seconds;
     result.timed_out = true;
     result.reward = reward_floor();
-    if (training_timeouts_ != nullptr) training_timeouts_->inc();
   }
   return result;
 }
@@ -89,53 +131,8 @@ TrainOutcome TrainingEvaluator::train(const space::ArchEncoding& arch, std::uint
                                       const EvalResult& planned) const {
   NCNAS_PROF_SCOPE("eval");
   nn::Graph model = build(arch, seed);
-
-  std::optional<obs::Stopwatch> train_timer;
-  if (train_wall_ms_ != nullptr) train_timer.emplace();
-  if (trainings_ != nullptr) trainings_->inc();
-  tensor::Rng train_rng = tensor::Rng(seed).split(1);
-  nn::TrainOptions opts;
-  opts.epochs = fidelity_.epochs;
-  opts.batch_size = fidelity_.batch_size != 0 ? fidelity_.batch_size : dataset_->batch_size;
-  opts.learning_rate = fidelity_.learning_rate;
-  opts.loss = dataset_->loss;
-  opts.subset_fraction = fidelity_.subset_fraction;
-  {
-    // Same region as the train_wall_ms stopwatch's training half, so
-    // analyze_log can reconcile profile totals against journal wall time.
-    NCNAS_PROF_SCOPE("eval/train");
-    (void)nn::fit(model, dataset_->x_train, dataset_->y_train, opts, train_rng);
-  }
-
-  const auto valid_rows = static_cast<std::size_t>(std::max(
-      1.0, fidelity_.valid_fraction * static_cast<double>(dataset_->valid_rows())));
-  float metric;
-  {
-    NCNAS_PROF_SCOPE("eval/validate");
-    if (valid_rows >= dataset_->valid_rows()) {
-      metric = nn::evaluate(model, dataset_->x_valid, dataset_->y_valid, dataset_->metric);
-    } else {
-      std::vector<tensor::Tensor> xv;
-      xv.reserve(dataset_->input_count());
-      for (const tensor::Tensor& x : dataset_->x_valid) {
-        xv.push_back(nn::slice_rows(x, 0, valid_rows));
-      }
-      metric = nn::evaluate(model, xv, nn::slice_rows(dataset_->y_valid, 0, valid_rows),
-                            dataset_->metric);
-    }
-  }
-  TrainOutcome out;
-  if (reward_fn_) {
-    const RewardInputs inputs{metric, planned.params, planned.sim_duration};
-    out.reward = std::max(reward_fn_(inputs), reward_floor());
-  } else {
-    out.reward = std::max(metric, reward_floor());
-  }
-  if (train_timer) {
-    out.train_wall_ms = train_timer->elapsed_ms();
-    train_wall_ms_->observe(out.train_wall_ms);
-  }
-  return out;
+  return fit_and_score(model, *dataset_, fidelity_, fidelity_.epochs, tensor::Rng(seed).split(1),
+                       reward_fn_, planned, train_wall_ms_);
 }
 
 EvalResult TrainingEvaluator::submit(const space::ArchEncoding& arch, std::uint64_t seed,

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ncnas/nn/trainer.hpp"
 #include "ncnas/obs/profiler.hpp"
 
 namespace ncnas::exec {
@@ -105,21 +104,10 @@ FidelityLadder::FidelityLadder(const space::SearchSpace& space, const data::Data
 }
 
 void FidelityLadder::set_telemetry(obs::Telemetry* telemetry) {
-  if (telemetry == nullptr) {
-    train_wall_ms_ = nullptr;
-    trainings_ = nullptr;
-    training_timeouts_ = nullptr;
-    return;
-  }
-  obs::MetricsRegistry& m = telemetry->metrics();
-  train_wall_ms_ = &m.histogram("ncnas_train_wall_ms", obs::exp_buckets(0.25, 2.0, 18));
-  trainings_ = &m.counter("ncnas_trainings_total");
-  training_timeouts_ = &m.counter("ncnas_training_timeouts_total");
+  train_wall_ms_ = train_wall_histogram(telemetry);
 }
 
-float FidelityLadder::reward_floor() const noexcept {
-  return dataset_->metric == nn::Metric::kR2 ? -1.0f : 0.0f;
-}
+float FidelityLadder::reward_floor() const noexcept { return exec::reward_floor(*dataset_); }
 
 std::string FidelityLadder::context_key() const {
   // The top rung's flat recipe plus the full ladder shape. No "|rung=" part:
@@ -185,80 +173,38 @@ void FidelityLadder::run_rung(std::vector<Candidate>& cands, std::size_t rung,
     if (warm && rung > 0) epochs -= config_.rungs[rung - 1].epochs;
 
     if (!warm) {
-      NCNAS_PROF_SCOPE("ladder/build");
+      NCNAS_PROF_SCOPE("eval/build");
       c.model = build_for(*space_, *dataset_, *c.arch, seed);
       c.res.params = c.model->param_count();
     }
 
-    const auto samples = static_cast<std::size_t>(std::max(
-        1.0, fid.subset_fraction * static_cast<double>(dataset_->train_rows())));
-    const double dur = cost_.duration(c.res.params, samples, epochs, c.key);
+    const double dur = cost_.duration(c.res.params, train_samples(*dataset_, fid), epochs, c.key);
+    c.res.rung = static_cast<std::uint32_t>(rung);
     if (cost_.times_out(dur)) {
       // Balsam kills the rung job at the timeout: the worker is occupied for
       // the full window, the candidate floors and cannot be promoted.
       c.res.sim_duration += cost_.timeout_seconds;
       c.res.timed_out = true;
       c.res.reward = floor;
-      c.res.rung = static_cast<std::uint32_t>(rung);
       c.model.reset();
       c.timed_out_this_rung = true;
-      if (training_timeouts_ != nullptr) training_timeouts_->inc();
       return;
     }
+    c.res.sim_duration += dur;
 
-    std::optional<obs::Stopwatch> timer;
-    if (train_wall_ms_ != nullptr) timer.emplace();
+    // Rung r's optimizer stream: split(1 + r) of the agent seed. Rung 0
+    // therefore replays the flat evaluator's stream exactly (split(1)),
+    // and a scratch training at rung r (rung-hit gap, warm_start=false)
+    // draws the same stream a warm rung-r continuation would.
+    const TrainOutcome out = fit_and_score(*c.model, *dataset_, fid, epochs,
+                                           tensor::Rng(seed).split(1 + rung), reward_fn_, c.res,
+                                           train_wall_ms_);
+    c.res.reward = out.reward;
+    c.res.train_wall_ms += out.train_wall_ms;
     if (epochs > 0) {
-      if (trainings_ != nullptr) trainings_->inc();
-      // Rung r's optimizer stream: split(1 + r) of the agent seed. Rung 0
-      // therefore replays the flat evaluator's stream exactly (split(1)),
-      // and a scratch training at rung r (rung-hit gap, warm_start=false)
-      // draws the same stream a warm rung-r continuation would.
-      tensor::Rng train_rng = tensor::Rng(seed).split(1 + rung);
-      nn::TrainOptions opts;
-      opts.epochs = epochs;
-      opts.batch_size = fid.batch_size != 0 ? fid.batch_size : dataset_->batch_size;
-      opts.learning_rate = fid.learning_rate;
-      opts.loss = dataset_->loss;
-      opts.subset_fraction = fid.subset_fraction;
-      {
-        NCNAS_PROF_SCOPE("ladder/train");
-        (void)nn::fit(*c.model, dataset_->x_train, dataset_->y_train, opts, train_rng);
-      }
       ++c.trainings;
       c.trained_this_rung = true;
       c.warm_this_rung = warm;
-    }
-
-    const auto valid_rows = static_cast<std::size_t>(std::max(
-        1.0, fid.valid_fraction * static_cast<double>(dataset_->valid_rows())));
-    float metric;
-    {
-      NCNAS_PROF_SCOPE("ladder/validate");
-      if (valid_rows >= dataset_->valid_rows()) {
-        metric = nn::evaluate(*c.model, dataset_->x_valid, dataset_->y_valid, dataset_->metric);
-      } else {
-        std::vector<tensor::Tensor> xv;
-        xv.reserve(dataset_->input_count());
-        for (const tensor::Tensor& x : dataset_->x_valid) {
-          xv.push_back(nn::slice_rows(x, 0, valid_rows));
-        }
-        metric = nn::evaluate(*c.model, xv, nn::slice_rows(dataset_->y_valid, 0, valid_rows),
-                              dataset_->metric);
-      }
-    }
-    c.res.sim_duration += dur;
-    c.res.rung = static_cast<std::uint32_t>(rung);
-    if (reward_fn_) {
-      const RewardInputs inputs{metric, c.res.params, c.res.sim_duration};
-      c.res.reward = std::max(reward_fn_(inputs), floor);
-    } else {
-      c.res.reward = std::max(metric, floor);
-    }
-    if (timer) {
-      const double ms = timer->elapsed_ms();
-      c.res.train_wall_ms += ms;
-      train_wall_ms_->observe(ms);
     }
   };
 

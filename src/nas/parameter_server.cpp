@@ -27,19 +27,11 @@ void ParameterServer::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry_ == nullptr) {
     delta_applies_ = nullptr;
-    staleness_ = nullptr;
-    barrier_wait_ = nullptr;
     window_depth_ = nullptr;
     return;
   }
   obs::MetricsRegistry& m = telemetry_->metrics();
   delta_applies_ = &m.counter("ncnas_ps_delta_applies_total");
-  // Staleness is counted in PS updates that landed between an agent's pull
-  // and its submit; 0 means the agent trained on fresh parameters.
-  staleness_ = &m.histogram("ncnas_a3c_gradient_staleness_updates",
-                            {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
-  barrier_wait_ = &m.histogram("ncnas_a2c_barrier_wait_seconds",
-                               obs::exp_buckets(1.0, 2.0, 14));
   window_depth_ = &m.gauge("ncnas_a3c_async_window_depth");
 }
 
@@ -67,10 +59,11 @@ bool ParameterServer::submit(std::size_t agent, std::span<const float> delta, do
   }
 
   if (mode_ == Mode::kAsync) {
-    // An async exchange completes at the submit itself.
+    // An async exchange completes at the submit itself. Staleness is counted
+    // in PS updates that landed between the agent's pull and this submit; 0
+    // means the agent trained on fresh parameters.
     if (telemetry_ != nullptr) {
       const auto staleness = static_cast<double>(updates_applied_ - pulled_version_[agent]);
-      staleness_->observe(staleness);
       telemetry_->emit(obs::JournalEventType::kPsExchange, now,
                        static_cast<std::uint32_t>(agent),
                        {{"mode", 1.0}, {"staleness", staleness}});
@@ -226,7 +219,6 @@ void ParameterServer::release_round(double now) {
     for (std::size_t a = 0; a < num_agents_; ++a) {
       if (!submitted_[a]) continue;
       const double wait = now - arrival_time_[a];
-      barrier_wait_->observe(wait);
       // A sync exchange completes only at barrier release: one event per
       // agent of the round, stamped at the release time (the paper's A2C
       // sawtooth: wait_s is the idle gap). Submissions of a round the

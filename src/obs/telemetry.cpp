@@ -1,6 +1,7 @@
 #include "ncnas/obs/telemetry.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace ncnas::obs {
 
@@ -46,6 +47,19 @@ std::vector<CounterSample> fold_counters(const RunSummary& sum) {
   return out;
 }
 
+// The ps_exchange payloads as histograms: A2C barrier waits (virtual
+// seconds) and A3C gradient staleness (PS updates that landed between an
+// agent's pull and its submit; 0 = fresh parameters).
+std::vector<HistogramSample> fold_histograms(const RunSummary& sum) {
+  std::vector<HistogramSample> out;
+  out.push_back(make_histogram_sample("ncnas_a2c_barrier_wait_seconds", exp_buckets(1.0, 2.0, 14),
+                                      sum.ps_wait_seconds));
+  out.push_back(make_histogram_sample("ncnas_a3c_gradient_staleness_updates",
+                                      {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0},
+                                      sum.ps_staleness));
+  return out;
+}
+
 }  // namespace
 
 void Telemetry::emit(JournalEventType type, double t, std::uint32_t agent,
@@ -62,12 +76,16 @@ void Telemetry::emit(JournalEventType type, double t, std::uint32_t agent,
 MetricsSnapshot Telemetry::metrics_snapshot() const {
   MetricsSnapshot snap = metrics_.snapshot();
   std::vector<CounterSample> folded;
+  std::vector<HistogramSample> histograms;
   {
     const std::scoped_lock lock(fold_mu_);
     folded = fold_counters(fold_);
+    histograms = fold_histograms(fold_);
   }
   snap.counters.insert(snap.counters.end(), folded.begin(), folded.end());
   std::ranges::sort(snap.counters, {}, &CounterSample::name);
+  std::ranges::move(histograms, std::back_inserter(snap.histograms));
+  std::ranges::sort(snap.histograms, {}, &HistogramSample::name);
   return snap;
 }
 

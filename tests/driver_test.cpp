@@ -338,6 +338,55 @@ TEST(StrategyName, AllNamed) {
   EXPECT_STREQ(strategy_name(SearchStrategy::kEvolution), "EVO");
 }
 
+TEST(Driver, PsHistogramsAreFoldedFromExchangeEvents) {
+  // The staleness and barrier-wait histograms restate the ps_exchange
+  // payloads: count, buckets and sum follow from the journal alone.
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  const std::vector<double> wait_bounds = obs::exp_buckets(1.0, 2.0, 14);
+  const std::vector<double> staleness_bounds = {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0};
+  for (const SearchStrategy strategy : {SearchStrategy::kA3C, SearchStrategy::kA2C}) {
+    SCOPED_TRACE(strategy_name(strategy));
+    obs::Telemetry tel;
+    tel.enable_journal();
+    SearchConfig cfg = small_config(strategy);
+    cfg.telemetry = &tel;
+    (void)SearchDriver(s, ds, cfg).run();
+
+    std::vector<double> waits;
+    std::vector<double> staleness;
+    for (const obs::JournalEvent& e : tel.journal()->snapshot()) {
+      if (e.type != obs::JournalEventType::kPsExchange) continue;
+      if (e.field("mode") == 0.0) {
+        waits.push_back(e.field("wait_s"));
+      } else {
+        staleness.push_back(e.field("staleness"));
+      }
+    }
+    EXPECT_FALSE(strategy == SearchStrategy::kA3C ? staleness.empty() : waits.empty());
+
+    const obs::MetricsSnapshot m = tel.metrics_snapshot();
+    const auto expect_folded = [&](const char* name, const std::vector<double>& bounds,
+                                   const std::vector<double>& values) {
+      SCOPED_TRACE(name);
+      const obs::HistogramSample* h = m.histogram(name);
+      ASSERT_NE(h, nullptr);
+      EXPECT_EQ(h->bounds, bounds);
+      EXPECT_EQ(h->count, values.size());
+      std::vector<std::uint64_t> buckets(bounds.size() + 1, 0);
+      double sum = 0.0;
+      for (const double v : values) {
+        ++buckets[static_cast<std::size_t>(std::ranges::lower_bound(bounds, v) - bounds.begin())];
+        sum += v;
+      }
+      EXPECT_EQ(h->buckets, buckets);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(h->sum), std::bit_cast<std::uint64_t>(sum));
+    };
+    expect_folded("ncnas_a2c_barrier_wait_seconds", wait_bounds, waits);
+    expect_folded("ncnas_a3c_gradient_staleness_updates", staleness_bounds, staleness);
+  }
+}
+
 TEST(Driver, TelemetryCountersReconcileWithResult) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();

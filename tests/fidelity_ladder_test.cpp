@@ -7,6 +7,7 @@
 // ladder counters against the SearchResult.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <set>
@@ -302,6 +303,54 @@ TEST(FidelityLadder, SingleEvaluateClimbsEveryRung) {
   EXPECT_GT(r.sim_duration, 0.0);
 }
 
+TEST(FidelityLadder, OneRungReplaysTheFlatEvaluator) {
+  // A one-rung ladder is the flat evaluator: same build, same split(1)
+  // optimizer stream, same cost, timeout, reward function and floor.
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  const exec::CostModel cost{
+      .startup_seconds = 20.0, .seconds_per_megaunit = 1.0, .timeout_seconds = 20.2};
+  const exec::FidelityConfig fidelities[] = {
+      {.epochs = 1, .subset_fraction = 1.0},
+      {.epochs = 2,
+       .subset_fraction = 0.5,
+       .learning_rate = 0.01f,
+       .batch_size = 8,
+       .valid_fraction = 0.5}};
+  const auto archs = sample_batch(s, 48, 29);
+  std::size_t timeouts = 0;
+  std::size_t trained = 0;
+  for (const exec::FidelityConfig& fid : fidelities) {
+    for (const bool shaped : {false, true}) {
+      SCOPED_TRACE(std::string("epochs ") + std::to_string(fid.epochs) +
+                   (shaped ? " shaped" : " plain"));
+      exec::TrainingEvaluator flat(s, ds, fid, cost);
+      exec::LadderConfig one_rung;
+      one_rung.rungs = {fid};
+      exec::FidelityLadder ladder(s, ds, one_rung, cost);
+      if (shaped) {
+        flat.set_reward_fn(exec::size_penalized_reward(0.1f, 2000));
+        ladder.set_reward_fn(exec::size_penalized_reward(0.1f, 2000));
+      }
+      for (std::size_t i = 0; i < archs.size(); ++i) {
+        SCOPED_TRACE("arch " + std::to_string(i));
+        const exec::EvalResult a = flat.evaluate(archs[i], 900 + i);
+        const exec::EvalResult b = ladder.evaluate(archs[i], 900 + i);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(a.reward), std::bit_cast<std::uint32_t>(b.reward));
+        EXPECT_EQ(a.params, b.params);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sim_duration),
+                  std::bit_cast<std::uint64_t>(b.sim_duration));
+        EXPECT_EQ(a.timed_out, b.timed_out);
+        EXPECT_EQ(b.rung, 0u);
+        (a.timed_out ? timeouts : trained) += 1;
+      }
+    }
+  }
+  // Both branches of the recipe ran: kills and trainings.
+  EXPECT_GT(timeouts, 0u);
+  EXPECT_GT(trained, 0u);
+}
+
 TEST(FidelityLadder, WarmAndScratchAgreeWithinParityBounds) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
@@ -517,6 +566,41 @@ TEST(LadderDriver, JournalReplayReconcilesPromotions) {
   const auto& top =
       sum.ladder_rungs.at(static_cast<std::uint32_t>(cfg.ladder.rungs.size() - 1));
   EXPECT_EQ(top.survivors, 0u);
+}
+
+TEST(LadderDriver, ProfileReconcilesWithJournalTrainWall) {
+  // Ladder rungs train under the evaluator's eval/train and eval/validate
+  // scopes, so a profiled ladder run reconciles with its journal's
+  // train_wall_ms the way a flat run does, and the wall-time histogram
+  // counts exactly the rung trainings.
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  obs::Telemetry tel;
+  tel.enable_journal();
+  tel.enable_profiler();
+  nas::SearchConfig cfg = ladder_config(nas::SearchStrategy::kA2C);
+  cfg.ladder = exec::make_geometric_ladder({.epochs = 4, .subset_fraction = 1.0}, 3, 2);
+  cfg.telemetry = &tel;
+  tensor::ThreadPool pool(2);
+  (void)nas::SearchDriver(s, ds, cfg, &pool).run();
+  const obs::TelemetrySnapshot snap = tel.snapshot();
+
+  double profile_ms = 0.0;
+  for (const obs::FlatProfileEntry& e : snap.profile.flat()) {
+    if (e.name == "eval/train" || e.name == "eval/validate") profile_ms += e.total_ms;
+  }
+  double journal_ms = 0.0;
+  for (const obs::JournalEvent& e : snap.journal) {
+    if (e.type == obs::JournalEventType::kEvalFinished) journal_ms += e.field("train_wall_ms");
+  }
+  ASSERT_GT(journal_ms, 0.0);
+  EXPECT_LE(std::abs(profile_ms - journal_ms), 0.10 * journal_ms)
+      << "profile " << profile_ms << " ms vs journal " << journal_ms << " ms";
+
+  const obs::HistogramSample* wall = snap.metrics.histogram("ncnas_train_wall_ms");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_GT(wall->count, 0u);
+  EXPECT_EQ(wall->count, snap.metrics.counter_value("ncnas_fidelity_rung_trainings_total"));
 }
 
 TEST(LadderDriver, ResultLogRoundTripsRungs) {

@@ -36,7 +36,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E434B50u;
 /// carries the four ladder counters.
 /// v4: SearchResult's cache_hits, shared_cache_hits and timeouts are no
 /// longer stored; they are counted over the records at the end of the run.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// v5: an agent's in-flight RL batch carries its PPO update's outcome, and
+/// its controller is stored as that update left it.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Raised on any malformed, truncated, corrupted, or mismatched snapshot.
 /// Never silently loads bad state — the error message says what failed.

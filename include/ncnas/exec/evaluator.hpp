@@ -148,8 +148,14 @@ class TrainingEvaluator final : public Evaluator {
   /// inline and the result is already final. A task over the timeout is
   /// killed untrained: it gets the floor reward and no handle. The evaluator
   /// must outlive the training.
+  ///
+  /// `on_final`, when set, runs once the reward is known: on the pool
+  /// worker right after the training, once its outcome is readable through
+  /// the handle, or before submit() returns when there is no pool or no
+  /// training. It must not throw.
   [[nodiscard]] EvalResult submit(const space::ArchEncoding& arch, std::uint64_t seed,
-                                  tensor::ThreadPool* pool) const;
+                                  tensor::ThreadPool* pool,
+                                  std::function<void()> on_final = {}) const;
 
   /// eval_context_key(dataset, fidelity, cost_model) — the full recipe that
   /// determines a reward besides (arch, seed).

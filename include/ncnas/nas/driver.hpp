@@ -6,9 +6,11 @@
 // architectures, dispatch the non-cached ones onto the agent's dedicated
 // worker nodes (the virtual clock advances by the cost model's task
 // durations; the real trainings run on the host thread pool and overlap
-// across agents), harvest the batch when its last task completes, joining
-// its rewards, run local PPO epochs, and exchange deltas through the
-// ParameterServer — synchronously (A2C barrier) or asynchronously (A3C). RDM skips all RL
+// across agents), run local PPO epochs once the batch's rewards exist (on
+// the pool too, so agents' updates overlap as on the paper's nodes),
+// harvest the batch when its last task completes, joining its rewards and
+// its update, and exchange deltas through the ParameterServer —
+// synchronously (A2C barrier) or asynchronously (A3C). RDM skips all RL
 // machinery but keeps the identical evaluation pipeline, as in the paper.
 //
 // The run ends at the simulated wall-time limit or earlier when every agent
@@ -218,8 +220,9 @@ struct SearchResult {
 class SearchDriver {
  public:
   /// `space` and `dataset` must outlive the driver. `pool` (optional) runs
-  /// the real trainings behind the simulated tasks, so they overlap across
-  /// agents; without one each training runs inline at dispatch.
+  /// the real trainings behind the simulated tasks and the agents' PPO
+  /// updates, so they overlap across agents; without one each training and
+  /// update runs inline at dispatch.
   SearchDriver(const space::SearchSpace& space, const data::Dataset& dataset,
                SearchConfig config, tensor::ThreadPool* pool = nullptr);
 

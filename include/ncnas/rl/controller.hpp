@@ -15,7 +15,6 @@
 
 #include "ncnas/nn/lstm.hpp"
 #include "ncnas/nn/optimizer.hpp"
-#include "ncnas/obs/telemetry.hpp"
 #include "ncnas/space/structure.hpp"
 #include "ncnas/tensor/rng.hpp"
 
@@ -61,15 +60,12 @@ class Controller {
 
   /// One PPO update over a batch of rollouts with terminal `rewards`
   /// (reward b scores rollout b). Runs cfg.epochs passes with the
-  /// controller's internal Adam optimizer. Emits nothing: the caller owns the
-  /// search clock and the agent, so it journals the ppo_update event from
-  /// the returned stats.
+  /// controller's internal Adam optimizer. Emits and times nothing: the
+  /// caller owns the search clock and the agent, so it journals the
+  /// ppo_update event from the returned stats (the search driver runs the
+  /// update on a pool worker and journals it at the batch's harvest).
   PpoStats ppo_update(std::span<const Rollout> rollouts, std::span<const float> rewards,
                       const PpoConfig& cfg);
-
-  /// Attach a telemetry sink (null to detach). ppo_update() then records its
-  /// host wall time in `ncnas_ppo_update_wall_ms`.
-  void set_telemetry(obs::Telemetry* telemetry);
 
   /// --- parameter-server interface ------------------------------------------
   [[nodiscard]] std::size_t flat_size() const;
@@ -133,8 +129,6 @@ class Controller {
   // sample() and greedy() are const but decode through the workspace, so a
   // controller is not safe to use from two threads at once.
   mutable Workspace ws_;
-
-  obs::Histogram* ppo_wall_ms_ = nullptr;
 };
 
 }  // namespace ncnas::rl

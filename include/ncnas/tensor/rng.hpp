@@ -6,6 +6,7 @@
 // exactly as in the paper ("agent-specific random weight initialization").
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
@@ -30,11 +31,23 @@ class Rng {
 
   void reseed(std::uint64_t seed);
 
-  /// Uniform 64-bit integer.
-  std::uint64_t next_u64();
+  /// Uniform 64-bit integer. Defined here, like uniform(), so the loops
+  /// that draw one value per element (dropout masks, weight init) keep the
+  /// state in registers instead of calling out per draw.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform in [0, 1).
-  double uniform();
+  /// Uniform in [0, 1): the 53 high bits of next_u64().
+  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

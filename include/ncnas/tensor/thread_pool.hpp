@@ -1,10 +1,19 @@
 // A fixed-size worker pool with a parallel_for helper.
 //
 // This is the "many KNL nodes" analogue inside one process: the NAS driver
-// submits independent reward-estimation closures here while the discrete-event
-// simulator advances virtual time. Results must not depend on execution order
-// (each closure is seeded independently), so the pool needs no ordering
-// guarantees beyond task completion.
+// submits reward-estimation closures and agents' PPO updates here while the
+// discrete-event simulator advances virtual time. Results must not depend on
+// execution order (each closure is seeded independently).
+//
+// Ordering guarantee: tasks start in submission order. There is one FIFO
+// queue, and a free worker always takes its oldest task. The driver relies
+// on this to block inside a task without deadlock. A PPO update may wait
+// on another agent's training that is still pending (a shared or agent
+// cache hit), and that training was submitted before the update's own
+// task. So when a task starts, every task submitted before it has started
+// too: each one it waits on is running on another worker or done. Following
+// waits back in submission order ends at a task that waits on nothing, so
+// every wait ends, at any thread count.
 #pragma once
 
 #include <condition_variable>
@@ -29,7 +38,8 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Enqueues a task; the future resolves when it has run.
+  /// Enqueues a task; the future resolves when it has run. Tasks start in
+  /// the order they were submitted.
   std::future<void> submit(std::function<void()> task);
 
   /// Blocks until every task submitted so far has completed.

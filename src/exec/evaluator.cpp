@@ -136,19 +136,28 @@ TrainOutcome TrainingEvaluator::train(const space::ArchEncoding& arch, std::uint
 }
 
 EvalResult TrainingEvaluator::submit(const space::ArchEncoding& arch, std::uint64_t seed,
-                                     tensor::ThreadPool* pool) const {
+                                     tensor::ThreadPool* pool,
+                                     std::function<void()> on_final) const {
   EvalResult result = plan(arch, seed);
-  if (result.timed_out) return result;
+  if (!on_final) on_final = [] {};
+  if (result.timed_out) {
+    on_final();
+    return result;
+  }
   auto task = std::make_shared<std::packaged_task<TrainOutcome()>>(
       [this, arch, seed, planned = result] { return train(arch, seed, planned); });
   result.training = task->get_future().share();
   if (pool != nullptr) {
-    (void)pool->submit([task] { (*task)(); });
+    (void)pool->submit([task, on_final = std::move(on_final)] {
+      (*task)();
+      on_final();
+    });
     return result;
   }
   // Inline, the result is final at once, as a serial reference must be.
   (*task)();
   result.join();
+  on_final();
   return result;
 }
 

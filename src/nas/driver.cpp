@@ -1,12 +1,15 @@
 #include "ncnas/nas/driver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <deque>
 #include <functional>
 #include <future>
 #include <limits>
 #include <map>
+#include <memory>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <unordered_set>
@@ -95,6 +98,18 @@ std::vector<std::string> reconcile(const SearchResult& result, const obs::RunSum
 
 namespace {
 
+/// What an agent's PPO update hands its batch's harvest: the stats it
+/// journals and, with telemetry, the update's host wall time (0 without).
+struct UpdateOutcome {
+  rl::PpoStats stats;
+  double wall_ms = 0.0;
+};
+
+/// Between dispatch and harvest an RL batch's PPO update may be running on
+/// a pool worker: it reads the agent's controller, rollouts and records and
+/// writes the controller. The driver therefore never touches those members
+/// of an agent while its `update` is pending; the harvest joins the update
+/// before it reads any of them.
 struct AgentState {
   std::size_t id = 0;
   std::optional<rl::Controller> controller;
@@ -109,6 +124,9 @@ struct AgentState {
   std::vector<rl::Rollout> rollouts;
   std::vector<space::ArchEncoding> archs;
   std::vector<EvalRecord> records;
+  /// The batch's PPO update, pending until its harvest (see BatchUpdate).
+  /// Empty outside an RL batch and for an agent that died dispatching it.
+  std::shared_future<UpdateOutcome> update;
 
   std::size_t cached_streak = 0;
   bool stopped = false;
@@ -138,34 +156,71 @@ struct Instruments {
   obs::Gauge* streak_min;
   obs::Histogram* cycle_latency;
   obs::Histogram* eval_sim;
+  /// Observed at each harvested update, so its count is ncnas_ppo_updates_total.
+  /// Null unless the search runs a controller.
+  obs::Histogram* ppo_wall_ms = nullptr;
   obs::Exporter* exporter;  ///< null unless Telemetry::enable_exporter() was called
 
-  explicit Instruments(obs::Telemetry& t) {
+  Instruments(obs::Telemetry& t, bool controller) {
     obs::MetricsRegistry& m = t.metrics();
     cycles = &m.counter("ncnas_agent_cycles_total");
     streak_min = &m.gauge("ncnas_convergence_streak_min");
     cycle_latency = &m.histogram("ncnas_cycle_latency_seconds", obs::exp_buckets(4.0, 2.0, 14));
     eval_sim = &m.histogram("ncnas_eval_sim_duration_seconds", obs::exp_buckets(4.0, 2.0, 14));
+    if (controller) {
+      ppo_wall_ms = &m.histogram("ncnas_ppo_update_wall_ms", obs::exp_buckets(0.25, 2.0, 16));
+    }
     exporter = t.exporter();
   }
 };
 
-/// A handle that is already resolved, for rewards known at dispatch (the
-/// ladder trains synchronously).
-std::shared_future<exec::TrainOutcome> resolved(const exec::EvalResult& r) {
-  std::promise<exec::TrainOutcome> done;
-  done.set_value({r.reward, r.train_wall_ms});
+/// A handle that is already resolved: for rewards known at dispatch (the
+/// ladder trains synchronously) and for updates a snapshot restores.
+template <class T>
+std::shared_future<T> resolved(T value) {
+  std::promise<T> done;
+  done.set_value(std::move(value));
   return done.get_future().share();
 }
 
-/// Waits for the record's training and takes its reward; a failed record
-/// keeps its floor. Returns the training's host wall time (0 without one).
+/// The reward a record ends with: its training's, unless it failed and
+/// keeps its floor. Waits for the training. The batch's PPO update and its
+/// harvest (join) both read rewards here, so they cannot disagree.
+float final_reward(const EvalRecord& rec) {
+  return rec.training.valid() && !rec.failed ? rec.training.get().reward : rec.reward;
+}
+
+/// Waits for the record's training and takes its final reward. Returns the
+/// training's host wall time (0 without one).
 double join(EvalRecord& rec) {
   if (!rec.training.valid()) return 0.0;
-  const exec::TrainOutcome& trained = rec.training.get();
-  if (!rec.failed) rec.reward = trained.reward;
-  return trained.train_wall_ms;
+  rec.reward = final_reward(rec);
+  return rec.training.get().train_wall_ms;
 }
+
+/// One RL batch's PPO update, started as soon as the batch's rewards exist.
+/// It holds one share per fresh training of the batch, given up by that
+/// training's completion hook, and one for the driver, given up once the
+/// batch's records are final. Whoever gives up the last share starts the
+/// update: usually the pool worker that finishes the batch's last training,
+/// right after it; the driver when it comes last (ladder batches, batches
+/// of cache hits, runs without a pool). The harvest joins outcome().
+class BatchUpdate {
+ public:
+  BatchUpdate(std::size_t shares, std::function<UpdateOutcome()> update)
+      : shares_(shares), task_(std::move(update)), outcome_(task_.get_future().share()) {}
+
+  [[nodiscard]] std::shared_future<UpdateOutcome> outcome() const { return outcome_; }
+  /// Gives up one share; true when it was the last, and the caller must run().
+  [[nodiscard]] bool release() { return shares_.fetch_sub(1) == 1; }
+  /// Runs the update; what it throws surfaces at the harvest's join.
+  void run() { task_(); }
+
+ private:
+  std::atomic<std::size_t> shares_;
+  std::packaged_task<UpdateOutcome()> task_;
+  std::shared_future<UpdateOutcome> outcome_;
+};
 
 /// The record's journal facts, stamped with its own completion time so a
 /// replay applies the same deadline the returned records get. A record that
@@ -225,6 +280,8 @@ NCNAS_SNAPSHOT_FIELDS(tensor::RngState, r, r.s[0], r.s[1], r.s[2], r.s[3], r.has
 NCNAS_SNAPSHOT_FIELDS(nn::Adam::MomentEntry, e, e.key, e.shape, e.m, e.v);
 NCNAS_SNAPSHOT_FIELDS(rl::Controller::State, c, c.flat, c.adam.step_count, c.adam.entries);
 NCNAS_SNAPSHOT_FIELDS(rl::Rollout, r, r.actions, r.log_probs, r.values);
+NCNAS_SNAPSHOT_FIELDS(rl::PpoStats, p, p.policy_loss, p.value_loss, p.entropy, p.approx_kl);
+NCNAS_SNAPSHOT_FIELDS(nas::UpdateOutcome, u, u.stats, u.wall_ms);
 
 }  // namespace ncnas::ckpt
 
@@ -278,6 +335,25 @@ void through(IO& io, Obj& obj, State (T::*exported)() const, void (T::*import)(c
   }
 }
 
+/// A pending update travels as its outcome, joined before the write, behind
+/// a presence flag; restore resolves it again, so the resumed harvest
+/// journals the same stats.
+template <class IO, class Update>
+void update_outcome(IO& io, Update& update) {
+  bool present = update.valid();
+  io(present);
+  if constexpr (IO::kReads) {
+    update = {};
+    if (present) {
+      UpdateOutcome outcome;
+      io(outcome);
+      update = resolved(outcome);
+    }
+  } else if (present) {
+    io(update.get());
+  }
+}
+
 /// The completion heap travels in pop order: pushing it back in that order
 /// rebuilds a heap with the identical (time, seq) pop sequence, which is all
 /// the event loop observes.
@@ -323,8 +399,8 @@ class SearchRun {
   SearchRun(const space::SearchSpace& space, const data::Dataset& dataset,
             SearchConfig config /* pre-normalized */, tensor::ThreadPool* pool);
 
-  /// Waits for every training still in flight, so none outlives the
-  /// evaluator and data it reads, also when the run unwinds.
+  /// Waits for every update and training still in flight, so none outlives
+  /// the agents, evaluator and data it reads, also when the run unwinds.
   ~SearchRun();
 
   void bootstrap();
@@ -338,7 +414,8 @@ class SearchRun {
   void emit(obs::JournalEventType type, double t, std::uint32_t agent,
             std::vector<obs::JournalField> payload, bool folded = false);
   void emit_record(const EvalRecord& rec, double train_wall_ms);
-  /// Joins the training of every in-flight record (see join()).
+  /// Joins every pending update, then the training of every in-flight
+  /// record (see join()).
   void join_in_flight();
   bool dispatch_faulty(AgentState& agent, std::vector<double>& worker_free,
                        const exec::EvalResult& r, EvalRecord& rec, double t,
@@ -442,7 +519,7 @@ SearchRun::SearchRun(const space::SearchSpace& space, const data::Dataset& datas
     ladder_->set_shared_cache(shared_, config_.tenant_id);
   }
   if (config_.telemetry != nullptr) {
-    inst_.emplace(*config_.telemetry);
+    inst_.emplace(*config_.telemetry, rl_enabled_);
     evaluator_.set_telemetry(config_.telemetry);
     if (ladder_) ladder_->set_telemetry(config_.telemetry);
   }
@@ -473,13 +550,13 @@ SearchRun::SearchRun(const space::SearchSpace& space, const data::Dataset& datas
     agents_[i].cache->set_telemetry(config_.telemetry);
     if (rl_enabled_) {
       agents_[i].controller.emplace(space_->arities(), config_.seed + 17 * i);
-      agents_[i].controller->set_telemetry(config_.telemetry);
     }
   }
 }
 
 SearchRun::~SearchRun() {
   for (const AgentState& agent : agents_) {
+    if (agent.update.valid()) agent.update.wait();
     for (const EvalRecord& rec : agent.records) {
       if (rec.training.valid()) rec.training.wait();
     }
@@ -488,6 +565,9 @@ SearchRun::~SearchRun() {
 
 void SearchRun::join_in_flight() {
   for (AgentState& agent : agents_) {
+    // The update reads the records, so it is joined before join() writes
+    // them; it has waited for each of their trainings.
+    if (agent.update.valid()) agent.update.wait();
     for (EvalRecord& rec : agent.records) (void)join(rec);
   }
 }
@@ -556,7 +636,10 @@ SearchResult SearchRun::run() {
   }
 
   // Batches still queued when the run stops are never harvested, but their
-  // trainings ran: join them before the telemetry snapshot below counts them.
+  // trainings and updates ran: join them before the telemetry snapshot
+  // below counts them. An update that is never harvested is neither
+  // journaled nor timed, so ncnas_ppo_update_wall_ms counts exactly the
+  // updates ncnas_ppo_updates_total counts.
   join_in_flight();
 
   if (result_.end_time == 0.0) {
@@ -841,6 +924,27 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       miss_index.push_back(m);
     }
   }
+  // An RL batch's PPO update starts once its rewards exist (BatchUpdate):
+  // each flat training gives up its share through its completion hook.
+  std::shared_ptr<BatchUpdate> update;
+  std::function<void()> on_trained;
+  if (rl_enabled_) {
+    update = std::make_shared<BatchUpdate>(
+        1 + (ladder_ ? 0 : miss_index.size()), [this, &agent, timed = inst_.has_value()] {
+          std::vector<float> rewards;
+          rewards.reserve(agent.records.size());
+          for (const EvalRecord& rec : agent.records) rewards.push_back(final_reward(rec));
+          std::optional<obs::Stopwatch> timer;
+          if (timed) timer.emplace();
+          UpdateOutcome out;
+          out.stats = agent.controller->ppo_update(agent.rollouts, rewards, config_.ppo);
+          if (timer) out.wall_ms = timer->elapsed_ms();
+          return out;
+        });
+    on_trained = [update] {
+      if (update->release()) update->run();
+    };
+  }
   // Fresh results carry a handle to their training; the records and cache
   // entries made from them share it, and the reward is joined at harvest.
   std::vector<exec::EvalResult> fresh(miss_index.size());
@@ -859,7 +963,7 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
     // depends on rewards, so its results are final here.
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       fresh[i] = outcomes[i].result;
-      fresh[i].training = resolved(fresh[i]);
+      fresh[i].training = resolved(exec::TrainOutcome{fresh[i].reward, fresh[i].train_wall_ms});
       budget_units[miss_index[i]] = outcomes[i].trainings;
     }
     // One ladder_rung event per populated rung, emitted at batch dispatch
@@ -876,7 +980,7 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
     }
   } else {
     for (std::size_t i = 0; i < miss_index.size(); ++i) {
-      fresh[i] = evaluator_.submit(agent.archs[miss_index[i]], agent.eval_seed, pool_);
+      fresh[i] = evaluator_.submit(agent.archs[miss_index[i]], agent.eval_seed, pool_, on_trained);
     }
   }
   for (std::size_t i = 0; i < miss_index.size(); ++i) {
@@ -934,6 +1038,20 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
            {{"workers", static_cast<double>(W_)}});
     }
     agent.records.push_back(std::move(rec));
+  }
+  // The records are final: floored, failed and timed-out rewards, cache
+  // hits, and whether the agent died, which leaves its batch no update.
+  if (update && !agent.dead) {
+    std::shared_future<UpdateOutcome> outcome = update->outcome();
+    if (update->release()) {
+      // No training of the batch is left to start the update.
+      if (pool_ != nullptr) {
+        (void)pool_->submit([update] { update->run(); });
+      } else {
+        update->run();
+      }
+    }
+    agent.update = std::move(outcome);
   }
   if (config_.max_evaluations != 0 && real_evals_ >= config_.max_evaluations) {
     budget_exhausted_ = true;
@@ -997,16 +1115,19 @@ bool SearchRun::process_completion(const Completion& done) {
   const double t = done.time;
   last_completion_ = std::max(last_completion_, t);
 
-  // Harvest the batch.
+  // Harvest the batch. Its update has read the records, so it is joined
+  // first; its stats are journaled after them, in DES order.
+  std::optional<UpdateOutcome> update;
+  if (agent.update.valid()) {
+    update = agent.update.get();
+    agent.update = {};
+  }
   bool all_cached = true;
-  std::vector<float> rewards;
-  rewards.reserve(agent.records.size());
   for (EvalRecord& rec : agent.records) {
     all_cached = all_cached && rec.cache_hit;
     if (rec.cache_hit) rec.time = t;  // resolved when the batch closes
     const double train_wall_ms = join(rec);
     rec.training = {};
-    rewards.push_back(rec.reward);
     emit_record(rec, train_wall_ms);
     result_.evals.push_back(rec);
   }
@@ -1068,14 +1189,16 @@ bool SearchRun::process_completion(const Completion& done) {
     return false;
   }
 
-  // Local PPO epochs, then exchange the parameter delta through the PS.
-  const rl::PpoStats stats = agent.controller->ppo_update(agent.rollouts, rewards, config_.ppo);
+  // The local PPO epochs ran with the batch's update; journal them, then
+  // exchange the parameter delta through the PS.
+  const rl::PpoStats& stats = update.value().stats;
+  if (inst_) inst_->ppo_wall_ms->observe(update->wall_ms);
   emit(obs::JournalEventType::kPpoUpdate, t, static_cast<std::uint32_t>(agent.id),
        {{"policy_loss", stats.policy_loss},
         {"value_loss", stats.value_loss},
         {"entropy", stats.entropy},
         {"approx_kl", stats.approx_kl},
-        {"batch", static_cast<double>(rewards.size())}});
+        {"batch", static_cast<double>(agent.records.size())}});
   std::vector<float> delta = agent.controller->get_flat();
   for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= agent.theta_pull[i];
 
@@ -1158,7 +1281,9 @@ void SearchRun::maybe_checkpoint(double t) {
   // watermark then covers everything up to and including this checkpoint,
   // and a resumed run's counters reconcile with the merged journal 1:1.
   fold_.apply({obs::JournalEventType::kCheckpointWritten, t, obs::kNoAgent, 0, {}});
-  join_in_flight();  // the payload holds in-flight records with their rewards
+  // The payload holds in-flight records with their rewards and each
+  // pending update's outcome, with its controller as the update left it.
+  join_in_flight();
   ckpt::ByteWriter payload;
   fields(payload, *this);
   emit(obs::JournalEventType::kCheckpointWritten, t, obs::kNoAgent,
@@ -1232,6 +1357,7 @@ void SearchRun::fields(IO& io, Self& s) {
     if (a.controller) {
       through(io, *a.controller, &rl::Controller::save_state, &rl::Controller::load_state);
     }
+    update_outcome(io, a.update);
     checked(io, a.population, archs_valid(&std::pair<space::ArchEncoding, float>::first),
             "population architecture");
     through(io, *a.cache, &exec::CachedEvaluator::export_state,
@@ -1271,6 +1397,15 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
                                 std::to_string(id) + "'s batch");
     }
     queued[id] = true;
+  }
+  // An agent has a pending update exactly when its queued batch is an RL
+  // batch it survived dispatching.
+  for (std::size_t id = 0; id < N_; ++id) {
+    const AgentState& a = agents_[id];
+    if (a.update.valid() != (queued[id] && rl_enabled_ && !a.dead)) {
+      throw ckpt::SnapshotError("snapshot: agent " + std::to_string(id) +
+                                "'s PPO update does not match its batch");
+    }
   }
 
   // crash_at is recomputed, not restored: it is a pure function of the plan

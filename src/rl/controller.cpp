@@ -137,17 +137,9 @@ space::ArchEncoding Controller::greedy() const {
   return arch;
 }
 
-void Controller::set_telemetry(obs::Telemetry* telemetry) {
-  ppo_wall_ms_ = telemetry == nullptr
-                     ? nullptr
-                     : &telemetry->metrics().histogram("ncnas_ppo_update_wall_ms",
-                                                       obs::exp_buckets(0.25, 2.0, 16));
-}
-
 PpoStats Controller::ppo_update(std::span<const Rollout> rollouts,
                                 std::span<const float> rewards, const PpoConfig& cfg) {
   NCNAS_PROF_SCOPE("rl/ppo_update");
-  const obs::ScopedTimer timer(ppo_wall_ms_);
   const std::size_t B = rollouts.size();
   const std::size_t T = arities_.size();
   if (B == 0 || rewards.size() != B) {

@@ -1,6 +1,5 @@
 #include "ncnas/tensor/rng.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace ncnas::tensor {
@@ -21,23 +20,6 @@ void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : state_) s = splitmix64(sm);
   has_cached_normal_ = false;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t Rng::uniform_int(std::uint64_t n) {

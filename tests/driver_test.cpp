@@ -241,6 +241,44 @@ TEST(PendingTraining, SharedHitGetsTheInlineReward) {
   EXPECT_GT(pending_hits, 0u);
 }
 
+// An agent's PPO update starts on the pool once its own batch's rewards
+// exist, and it may then read a shared hit whose training another agent
+// submitted and the gate still holds. The update waits for that training
+// (the pool starts tasks in submission order) and learns from the inline
+// run's reward: records and journal, PPO stats included, come out the same.
+TEST(PendingTraining, UpdateWaitsForAnotherAgentsPendingTraining) {
+  const space::SearchSpace s = pending::four_arch_space();
+  const data::Dataset ds = tiny_nt3();
+  const auto run = [&](tensor::ThreadPool* pool, pending::GatedPool* gate,
+                       std::size_t open_after) {
+    exec::SharedEvalCache shared;
+    obs::Telemetry tel;
+    tel.enable_journal();
+    if (gate != nullptr) pending::open_after_events(*tel.journal(), *gate, open_after);
+    SearchConfig cfg = small_config(SearchStrategy::kA3C);
+    cfg.wall_time_seconds = 600.0;
+    cfg.shared_cache = &shared;
+    cfg.telemetry = &tel;
+    SearchResult result = SearchDriver(s, ds, cfg, pool).run();
+    return std::make_pair(std::move(result), tel.journal()->snapshot());
+  };
+  const auto [reference, reference_journal] = run(nullptr, nullptr, 0);
+  const std::size_t open_after = pending::events_before_first_harvest(reference_journal);
+
+  pending::GatedPool gate;
+  const auto [gated, gated_journal] = run(gate.pool(), &gate, open_after);
+  pending::expect_same_search(reference, gated);
+  expect_same_journal(reference_journal, gated_journal);
+  EXPECT_GT(gated.ppo_updates, 0u);
+
+  // The scenario this test exists for: a first-round batch holding a hit on
+  // another agent's entry, whose training the gate still held when the
+  // batch's records were final and its update could start.
+  std::size_t pending_hits = 0;
+  for (const EvalRecord& e : pending::first_batches(gated, 4)) pending_hits += e.shared_hit;
+  EXPECT_GT(pending_hits, 0u);
+}
+
 TEST(Driver, UtilizationBounded) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
@@ -409,6 +447,10 @@ TEST(Driver, TelemetryCountersReconcileWithResult) {
   EXPECT_EQ(hits, res.cache_hits);
   EXPECT_EQ(m.counter_value("ncnas_eval_timeouts_total"), res.timeouts);
   EXPECT_EQ(m.counter_value("ncnas_ppo_updates_total"), res.ppo_updates);
+  // Each update is timed once, when its batch is harvested.
+  const obs::HistogramSample* ppo_wall = m.histogram("ncnas_ppo_update_wall_ms");
+  ASSERT_NE(ppo_wall, nullptr);
+  EXPECT_EQ(ppo_wall->count, m.counter_value("ncnas_ppo_updates_total"));
 
   // Every real evaluation landed exactly one sample in the sim-duration
   // histogram, and its simulated seconds sum to the histogram's sum.

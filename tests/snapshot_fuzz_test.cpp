@@ -1,9 +1,11 @@
 // Seeded mutation fuzz harness for the snapshot loader, the trust boundary
 // every resumed search and every serve-plane slice sits behind.
 //
-// The corpus is two real mid-run snapshots: an A2C search with a fault plan
-// and a fidelity ladder (parameter server, controllers, retries, a dead
-// worker, ladder rungs in the cache) and an EVO search (aging populations).
+// The corpus is three real mid-run snapshots: an A2C search with a fault
+// plan and a fidelity ladder (parameter server, controllers, retries, a dead
+// worker, ladder rungs in the cache), an A3C search on a pool (every agent
+// has a batch in flight, so each carries its PPO update's outcome) and an
+// EVO search (aging populations).
 // Both use a tiny NT3 and a small max_evaluations, so any resumed run ends
 // after a handful of trainings. Each iteration mutates the snapshot — bit
 // flips, truncations, huge length prefixes, or spliced byte ranges — and
@@ -35,6 +37,7 @@
 #include "ncnas/nas/driver.hpp"
 #include "ncnas/space/spaces.hpp"
 #include "ncnas/tensor/rng.hpp"
+#include "ncnas/tensor/thread_pool.hpp"
 
 namespace {
 
@@ -98,6 +101,8 @@ nas::SearchConfig a2c_config() {
   return cfg;
 }
 
+nas::SearchConfig a3c_config() { return base_config(nas::SearchStrategy::kA3C); }
+
 nas::SearchConfig evo_config() {
   nas::SearchConfig cfg = base_config(nas::SearchStrategy::kEvolution);
   cfg.evolution.population = 4;
@@ -133,14 +138,15 @@ void write_file(const std::string& path, const Bytes& bytes) {
 
 /// The snapshot file the driver leaves behind when it is interrupted after
 /// its second snapshot.
-Bytes mid_run_snapshot(nas::SearchConfig cfg, const std::string& name) {
+Bytes mid_run_snapshot(nas::SearchConfig cfg, const std::string& name,
+                       tensor::ThreadPool* pool = nullptr) {
   ckpt::CheckpointConfig ckpt_cfg;
   ckpt_cfg.directory = scratch(name);
   ckpt_cfg.interval_seconds = 40.0;
   ckpt_cfg.abort_after_snapshots = 2;
   cfg.checkpoint = &ckpt_cfg;
   try {
-    (void)nas::SearchDriver(fuzz_space(), fuzz_dataset(), cfg).run();
+    (void)nas::SearchDriver(fuzz_space(), fuzz_dataset(), cfg, pool).run();
   } catch (const ckpt::SearchInterrupted& e) {
     return read_file(e.snapshot_path());
   }
@@ -172,6 +178,8 @@ const std::vector<Seed>& corpus() {
   static const std::vector<Seed> seeds = [] {
     std::vector<Seed> out;
     out.push_back(split("a2c-faults-ladder", a2c_config(), mid_run_snapshot(a2c_config(), "a2c")));
+    tensor::ThreadPool pool(2);
+    out.push_back(split("a3c-pool", a3c_config(), mid_run_snapshot(a3c_config(), "a3c", &pool)));
     out.push_back(split("evo", evo_config(), mid_run_snapshot(evo_config(), "evo")));
     return out;
   }();
@@ -284,7 +292,7 @@ void fuzz(std::uint64_t salt, const char* mutation, Mutate mutate) {
 }
 
 TEST(SnapshotFuzz, CorpusResumesToTheEnd) {
-  ASSERT_EQ(corpus().size(), 2u);
+  ASSERT_EQ(corpus().size(), 3u);
   for (const Seed& seed : corpus()) {
     SCOPED_TRACE(seed.name);
     ASSERT_FALSE(seed.payload.empty());

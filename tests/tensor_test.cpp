@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <thread>
 
@@ -302,6 +305,46 @@ TEST(ThreadPool, PropagatesExceptions) {
         if (i == 7) throw std::runtime_error("boom");
       }),
       std::runtime_error);
+}
+
+// The driver's PPO updates block on trainings submitted before them; that
+// cannot deadlock only because tasks start in submission order.
+TEST(ThreadPool, StartsTasksInSubmissionOrder) {
+  constexpr int kTasks = 16;
+  const auto hold = [](const std::shared_future<void>& gate) {
+    return [gate] { (void)gate.wait_for(std::chrono::minutes(1)); };
+  };
+  {
+    // One worker, held while the queue fills: it runs the queue in order.
+    ThreadPool pool(1);
+    std::promise<void> open;
+    (void)pool.submit(hold(open.get_future().share()));
+    std::vector<int> order;
+    for (int i = 0; i < kTasks; ++i) (void)pool.submit([&order, i] { order.push_back(i); });
+    open.set_value();
+    pool.wait_idle();
+    std::vector<int> expected(kTasks);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected);
+  }
+  {
+    // Two workers, a chain of tasks each waiting on its predecessor, queued
+    // while both workers are held: every wait is on a task that started
+    // earlier, so the chain completes. A pool that started the newest task
+    // first would park both workers on tasks that have not started.
+    ThreadPool pool(2);
+    std::promise<void> open;
+    const std::shared_future<void> gate = open.get_future().share();
+    (void)pool.submit(hold(gate));
+    (void)pool.submit(hold(gate));
+    std::vector<std::shared_future<void>> chain;
+    for (int i = 0; i < kTasks; ++i) {
+      std::shared_future<void> prev = chain.empty() ? gate : chain.back();
+      chain.push_back(pool.submit(hold(prev)).share());
+    }
+    open.set_value();
+    EXPECT_EQ(chain.back().wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  }
 }
 
 TEST(ThreadPool, WaitIdleBlocksUntilDone) {

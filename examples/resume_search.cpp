@@ -15,7 +15,8 @@
 // interrupted-then-resumed lineage reproduced the uninterrupted search
 // bit-identically. Each process also exports its structured journal
 // (<dir>/journal-reference.jsonl, journal-0.jsonl, journal-1.jsonl, ...) so the
-// lineage can be stitched back together with run_report or analyze_log.
+// lineage can be stitched back together with run_report, which also
+// cross-checks it against the final log (`run_report --result`).
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -72,22 +73,15 @@ void export_journal(const obs::Telemetry& telemetry, const std::string& path) {
 }
 
 int verify(const std::string& path_a, const std::string& path_b) {
-  const auto read_fp = [](const std::string& path) {
-    std::ifstream in(path);
-    std::string magic, fp;
-    std::getline(in, magic);
-    std::getline(in, fp);
-    return fp;
-  };
-  const std::string fp_a = read_fp(path_a);
-  const std::string fp_b = read_fp(path_b);
-  if (fp_a != fp_b) {
-    std::cerr << "FINGERPRINT MISMATCH:\n  " << path_a << ": " << fp_a << "\n  " << path_b
-              << ": " << fp_b << "\n";
+  const auto fp_a = nas::read_fingerprint(path_a);
+  const auto fp_b = nas::read_fingerprint(path_b);
+  if (fp_a && fp_b && *fp_a != *fp_b) {
+    std::cerr << "FINGERPRINT MISMATCH:\n  " << path_a << ": " << *fp_a << "\n  " << path_b
+              << ": " << *fp_b << "\n";
     return 1;
   }
-  const auto a = nas::load_result(path_a, fp_a);
-  const auto b = nas::load_result(path_b, fp_b);
+  const auto a = fp_a ? nas::load_result(path_a, *fp_a) : std::nullopt;
+  const auto b = fp_b ? nas::load_result(path_b, *fp_b) : std::nullopt;
   if (!a || !b) {
     std::cerr << "cannot load " << (!a ? path_a : path_b) << "\n";
     return 1;

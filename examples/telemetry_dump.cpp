@@ -26,7 +26,6 @@
 // a failed bind degrades gracefully: one clear message, one bump of
 // ncnas_exporter_errors_total, and the run carries on.
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <thread>
@@ -157,23 +156,11 @@ int main(int argc, char** argv) {
   // train_wall_ms stopwatch measures, so the profile and the journal must
   // agree on total eval wall time up to scope overhead.
   std::cout << "\n== reconciliation (profile vs journal eval wall time) ==\n";
-  double profile_ms = 0.0;
-  for (const obs::FlatProfileEntry& e : snap.profile.flat()) {
-    if (e.name == "eval/train" || e.name == "eval/validate") profile_ms += e.total_ms;
-  }
-  double journal_ms = 0.0;
-  for (const obs::JournalEvent& e : snap.journal) {
-    if (e.type == obs::JournalEventType::kEvalFinished) {
-      journal_ms += e.field("train_wall_ms");
-    }
-  }
-  const double rel = journal_ms > 0.0
-                         ? std::abs(profile_ms - journal_ms) / journal_ms
-                         : (profile_ms > 0.0 ? 1.0 : 0.0);
-  const bool wall_ok = rel <= 0.10;
-  std::cout << (wall_ok ? "  ok   " : "  FAIL ") << "profile train+validate " << profile_ms
-            << " ms vs journal train wall " << journal_ms << " ms ("
-            << static_cast<int>(100.0 * rel) << "% apart)\n";
+  const obs::EvalWallGap gap = obs::eval_wall_gap(snap.profile.flat(), snap.journal);
+  const bool wall_ok = gap.rel <= 0.10;
+  std::cout << (wall_ok ? "  ok   " : "  FAIL ") << "profile train+validate " << gap.profile_ms
+            << " ms vs journal train wall " << gap.journal_ms << " ms ("
+            << static_cast<int>(100.0 * gap.rel) << "% apart)\n";
   ok &= wall_ok;
 
   // A full disk or read-only cwd must not look like a crash: each artifact

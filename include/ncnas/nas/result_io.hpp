@@ -26,6 +26,11 @@ void save_result(const std::string& path, const SearchResult& result,
 [[nodiscard]] std::optional<SearchResult> load_result(const std::string& path,
                                                       const std::string& fingerprint);
 
+/// The fingerprint a log written by save_result carries, for viewers that
+/// accept whatever configuration the log records. Returns nullopt when the
+/// file is missing or is not a search log.
+[[nodiscard]] std::optional<std::string> read_fingerprint(const std::string& path);
+
 /// Convenience: load if a fresh log exists, otherwise invoke `run`, save, and
 /// return. `dir` is created if needed.
 [[nodiscard]] SearchResult run_or_load(const std::string& dir, const std::string& tag,

@@ -261,6 +261,9 @@ struct RunSummary {
   std::map<std::uint32_t, AgentActivity> per_agent;
   std::vector<double> ps_wait_seconds;  ///< sync-exchange barrier waits
   std::vector<double> ps_staleness;     ///< async-exchange gradient staleness
+  /// duration_s of each eval_finished within the deadline (the real_evals
+  /// rule), in event order.
+  std::vector<double> eval_sim_seconds;
 
   /// Eval rate of one agent in evaluations per simulated minute.
   [[nodiscard]] double agent_rate_per_min(std::uint32_t agent) const;
@@ -289,9 +292,18 @@ void export_chrome_trace(const std::vector<JournalEvent>& events, std::ostream& 
 [[nodiscard]] std::vector<JournalEvent> merge_resumed_journal(
     std::vector<JournalEvent> prior, const std::vector<JournalEvent>& resumed);
 
+/// Reads a checkpointed run's journals (JSONL, as export_jsonl wrote them),
+/// given in process order: the original process first, then each resumed
+/// process, stitched pairwise with merge_resumed_journal. One path is a plain
+/// import. Throws std::runtime_error naming a file it cannot open, or when
+/// the journals do not belong together.
+[[nodiscard]] std::vector<JournalEvent> read_journal_lineage(
+    const std::vector<std::string>& paths);
+
 /// Machine-readable form of a RunSummary: one JSON object mirroring every
-/// field (per-agent activity keyed by agent id, PS latency samples included),
-/// so run_report/analyze_log --format=json and external tooling (nas_top)
+/// field (per-agent activity keyed by agent id, PS latency samples included;
+/// the eval_sim_seconds samples are left out, they only feed the telemetry
+/// histogram), so run_report --format=json and external tooling (nas_top)
 /// consume the same replay the terminal report renders.
 void export_run_summary_json(const RunSummary& sum, std::ostream& os);
 

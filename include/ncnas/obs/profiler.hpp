@@ -35,6 +35,8 @@
 
 namespace ncnas::obs {
 
+struct JournalEvent;  // journal.hpp; only eval_wall_gap reads events
+
 /// One merged call-tree node. self_ms is derived at snapshot time as
 /// total_ms minus the sum of the children's total_ms (clamped at zero).
 struct ProfileNode {
@@ -87,8 +89,8 @@ struct ProfileSnapshot {
   void export_json(std::ostream& os) const;
 };
 
-/// Parsed form of export_json — enough for perf_diff / analyze_log /
-/// run_report, which only need the flat records.
+/// Parsed form of export_json — enough for perf_diff and run_report, which
+/// only need the flat records.
 struct ImportedProfile {
   int schema_version = 0;
   std::uint64_t threads_merged = 0;
@@ -98,6 +100,21 @@ struct ImportedProfile {
 /// Parses a document written by ProfileSnapshot::export_json. Throws
 /// std::runtime_error on a malformed or wrong-schema document.
 ImportedProfile import_profile_json(std::istream& is);
+
+/// The profiler's eval wall time against the journal's. The eval/train and
+/// eval/validate scopes bracket the region each eval_finished event's
+/// train_wall_ms stopwatch measures, so artifacts of one run agree up to
+/// scope overhead and trainings no eval_finished reports.
+struct EvalWallGap {
+  double profile_ms = 0.0;  ///< total_ms of eval/train + eval/validate
+  double journal_ms = 0.0;  ///< sum of eval_finished train_wall_ms
+  /// |profile_ms - journal_ms| / journal_ms; 1 when only the profile saw
+  /// eval time, 0 when neither did.
+  double rel = 0.0;
+  bool saw_eval_scopes = false;  ///< false: the run was not profiled
+};
+[[nodiscard]] EvalWallGap eval_wall_gap(const std::vector<FlatProfileEntry>& flat,
+                                        const std::vector<JournalEvent>& events);
 
 class Profiler {
  public:

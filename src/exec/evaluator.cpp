@@ -52,7 +52,7 @@ TrainOutcome fit_and_score(nn::Graph& model, const data::Dataset& ds, const Fide
     opts.loss = ds.loss;
     opts.subset_fraction = fid.subset_fraction;
     // Same region as the train_wall_ms stopwatch's training half, so
-    // analyze_log can reconcile profile totals against journal wall time.
+    // obs::eval_wall_gap can reconcile profile totals against journal wall time.
     NCNAS_PROF_SCOPE("eval/train");
     (void)nn::fit(model, ds.x_train, ds.y_train, opts, rng);
   }

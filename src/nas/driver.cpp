@@ -155,7 +155,6 @@ struct Instruments {
   obs::Counter* cycles;
   obs::Gauge* streak_min;
   obs::Histogram* cycle_latency;
-  obs::Histogram* eval_sim;
   /// Observed at each harvested update, so its count is ncnas_ppo_updates_total.
   /// Null unless the search runs a controller.
   obs::Histogram* ppo_wall_ms = nullptr;
@@ -166,7 +165,6 @@ struct Instruments {
     cycles = &m.counter("ncnas_agent_cycles_total");
     streak_min = &m.gauge("ncnas_convergence_streak_min");
     cycle_latency = &m.histogram("ncnas_cycle_latency_seconds", obs::exp_buckets(4.0, 2.0, 14));
-    eval_sim = &m.histogram("ncnas_eval_sim_duration_seconds", obs::exp_buckets(4.0, 2.0, 14));
     if (controller) {
       ppo_wall_ms = &m.histogram("ncnas_ppo_update_wall_ms", obs::exp_buckets(0.25, 2.0, 16));
     }
@@ -1099,11 +1097,6 @@ void SearchRun::emit(obs::JournalEventType type, double t, std::uint32_t agent,
 }
 
 void SearchRun::emit_record(const EvalRecord& rec, double train_wall_ms) {
-  // Same deadline as ncnas_real_evals_total, so the histogram's count
-  // equals that counter.
-  if (inst_ && !rec.cache_hit && rec.time <= config_.wall_time_seconds) {
-    inst_->eval_sim->observe(rec.sim_duration);
-  }
   for (obs::JournalEvent& e : record_events(rec, train_wall_ms)) {
     emit(e.type, e.t, e.agent, std::move(e.payload));
   }

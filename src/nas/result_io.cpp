@@ -16,6 +16,15 @@ namespace {
 // trailing failed/attempts fields. The reader tolerates the absence of any
 // of them, so v3 logs from before each addition still load.
 constexpr const char* kMagic = "ncnas-search-log-v3";
+
+/// Reads the two header lines; the fingerprint, or nullopt for a foreign file.
+std::optional<std::string> read_header(std::istream& in) {
+  std::string magic, fp;
+  std::getline(in, magic);
+  std::getline(in, fp);
+  if (magic != kMagic) return std::nullopt;
+  return fp;
+}
 }
 
 void save_result(const std::string& path, const SearchResult& result,
@@ -50,14 +59,16 @@ void save_result(const std::string& path, const SearchResult& result,
   if (!out) throw std::runtime_error("save_result: write failed for " + path);
 }
 
+std::optional<std::string> read_fingerprint(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  return read_header(in);
+}
+
 std::optional<SearchResult> load_result(const std::string& path,
                                         const std::string& fingerprint) {
   std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string magic, fp;
-  std::getline(in, magic);
-  std::getline(in, fp);
-  if (magic != kMagic || fp != fingerprint) return std::nullopt;
+  if (!in || read_header(in) != fingerprint) return std::nullopt;
 
   SearchResult res;
   std::size_t util_count = 0, eval_count = 0;

@@ -318,6 +318,7 @@ void RunSummary::apply(const JournalEvent& e) {
         if (e.field("shared") != 0.0) ++shared_cache_hits;
       } else {
         ++real_evals;
+        eval_sim_seconds.push_back(e.field("duration_s"));
       }
       AgentActivity& a = per_agent[e.agent];
       ++a.evals;
@@ -467,6 +468,19 @@ std::vector<JournalEvent> merge_resumed_journal(std::vector<JournalEvent> prior,
   prior.insert(prior.end(), resumed.begin(), resumed.end());
   for (std::size_t i = 0; i < prior.size(); ++i) prior[i].seq = i;
   return prior;
+}
+
+std::vector<JournalEvent> read_journal_lineage(const std::vector<std::string>& paths) {
+  std::vector<JournalEvent> events;
+  for (std::size_t j = 0; j < paths.size(); ++j) {
+    std::ifstream in(paths[j]);
+    if (!in) throw std::runtime_error("cannot open journal " + paths[j]);
+    std::vector<JournalEvent> part = Journal::import_jsonl(in);
+    // The first journal stands alone; each later one opens with a
+    // run_resumed event whose watermark stitches it onto the lineage.
+    events = j == 0 ? std::move(part) : merge_resumed_journal(std::move(events), part);
+  }
+  return events;
 }
 
 void export_run_summary_json(const RunSummary& sum, std::ostream& os) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "ncnas/obs/journal.hpp"
 #include "ncnas/obs/json.hpp"
 
 namespace ncnas::obs {
@@ -326,6 +327,23 @@ ImportedProfile import_profile_json(std::istream& is) {
     }
   }
   return out;
+}
+
+EvalWallGap eval_wall_gap(const std::vector<FlatProfileEntry>& flat,
+                          const std::vector<JournalEvent>& events) {
+  EvalWallGap gap;
+  for (const FlatProfileEntry& e : flat) {
+    if (e.name == "eval/train" || e.name == "eval/validate") {
+      gap.profile_ms += e.total_ms;
+      gap.saw_eval_scopes = true;
+    }
+  }
+  for (const JournalEvent& e : events) {
+    if (e.type == JournalEventType::kEvalFinished) gap.journal_ms += e.field("train_wall_ms");
+  }
+  gap.rel = gap.journal_ms > 0.0 ? std::abs(gap.profile_ms - gap.journal_ms) / gap.journal_ms
+                                 : (gap.profile_ms > 0.0 ? 1.0 : 0.0);
+  return gap;
 }
 
 ProfileScope::ProfileScope(std::string_view name) noexcept {

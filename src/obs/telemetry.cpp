@@ -47,11 +47,14 @@ std::vector<CounterSample> fold_counters(const RunSummary& sum) {
   return out;
 }
 
-// The ps_exchange payloads as histograms: A2C barrier waits (virtual
-// seconds) and A3C gradient staleness (PS updates that landed between an
-// agent's pull and its submit; 0 = fresh parameters).
+// The event payloads as histograms: each real eval's simulated duration
+// (eval_finished duration_s, so the count is ncnas_real_evals_total), A2C
+// barrier waits (virtual seconds) and A3C gradient staleness (PS updates that
+// landed between an agent's pull and its submit; 0 = fresh parameters).
 std::vector<HistogramSample> fold_histograms(const RunSummary& sum) {
   std::vector<HistogramSample> out;
+  out.push_back(make_histogram_sample("ncnas_eval_sim_duration_seconds",
+                                      exp_buckets(4.0, 2.0, 14), sum.eval_sim_seconds));
   out.push_back(make_histogram_sample("ncnas_a2c_barrier_wait_seconds", exp_buckets(1.0, 2.0, 14),
                                       sum.ps_wait_seconds));
   out.push_back(make_histogram_sample("ncnas_a3c_gradient_staleness_updates",

@@ -378,7 +378,9 @@ TEST(StrategyName, AllNamed) {
 
 TEST(Driver, PsHistogramsAreFoldedFromExchangeEvents) {
   // The staleness and barrier-wait histograms restate the ps_exchange
-  // payloads: count, buckets and sum follow from the journal alone.
+  // payloads, and the sim-duration histogram the duration_s of each
+  // eval_finished inside the deadline: count, buckets and sum follow from
+  // the journal alone.
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
   const std::vector<double> wait_bounds = obs::exp_buckets(1.0, 2.0, 14);
@@ -393,7 +395,11 @@ TEST(Driver, PsHistogramsAreFoldedFromExchangeEvents) {
 
     std::vector<double> waits;
     std::vector<double> staleness;
+    std::vector<double> sim_durations;
     for (const obs::JournalEvent& e : tel.journal()->snapshot()) {
+      if (e.type == obs::JournalEventType::kEvalFinished && e.t <= cfg.wall_time_seconds) {
+        sim_durations.push_back(e.field("duration_s"));
+      }
       if (e.type != obs::JournalEventType::kPsExchange) continue;
       if (e.field("mode") == 0.0) {
         waits.push_back(e.field("wait_s"));
@@ -422,6 +428,9 @@ TEST(Driver, PsHistogramsAreFoldedFromExchangeEvents) {
     };
     expect_folded("ncnas_a2c_barrier_wait_seconds", wait_bounds, waits);
     expect_folded("ncnas_a3c_gradient_staleness_updates", staleness_bounds, staleness);
+    expect_folded("ncnas_eval_sim_duration_seconds", obs::exp_buckets(4.0, 2.0, 14),
+                  sim_durations);
+    EXPECT_EQ(sim_durations.size(), m.counter_value("ncnas_real_evals_total"));
   }
 }
 

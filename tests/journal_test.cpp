@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -102,6 +105,22 @@ TEST(Journal, ConcurrentAppendsLoseNothing) {
 
 // ---- JSONL export / import -------------------------------------------------
 
+void expect_same_events(const std::vector<JournalEvent>& got,
+                        const std::vector<JournalEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].type, want[i].type);
+    EXPECT_EQ(got[i].agent, want[i].agent);
+    EXPECT_EQ(got[i].seq, want[i].seq);
+    EXPECT_EQ(got[i].t, want[i].t);  // exact, not approximate
+    ASSERT_EQ(got[i].payload.size(), want[i].payload.size());
+    for (std::size_t f = 0; f < got[i].payload.size(); ++f) {
+      EXPECT_EQ(got[i].payload[f].key, want[i].payload[f].key);
+      EXPECT_EQ(got[i].payload[f].value, want[i].payload[f].value);
+    }
+  }
+}
+
 TEST(Journal, JsonlRoundTripIsExact) {
   Journal j;
   j.append(JournalEventType::kRunStarted, 0.0, kNoAgent,
@@ -115,20 +134,7 @@ TEST(Journal, JsonlRoundTripIsExact) {
   std::ostringstream os;
   j.export_jsonl(os);
   std::istringstream is(os.str());
-  const auto imported = Journal::import_jsonl(is);
-  const auto original = j.snapshot();
-  ASSERT_EQ(imported.size(), original.size());
-  for (std::size_t i = 0; i < imported.size(); ++i) {
-    EXPECT_EQ(imported[i].type, original[i].type);
-    EXPECT_EQ(imported[i].agent, original[i].agent);
-    EXPECT_EQ(imported[i].seq, original[i].seq);
-    EXPECT_EQ(imported[i].t, original[i].t);  // exact, not approximate
-    ASSERT_EQ(imported[i].payload.size(), original[i].payload.size());
-    for (std::size_t f = 0; f < imported[i].payload.size(); ++f) {
-      EXPECT_EQ(imported[i].payload[f].key, original[i].payload[f].key);
-      EXPECT_EQ(imported[i].payload[f].value, original[i].payload[f].value);
-    }
-  }
+  expect_same_events(Journal::import_jsonl(is), j.snapshot());
 }
 
 TEST(Journal, ExportWritesVersionedHeaderAndEveryLineCarriesVersion) {
@@ -211,11 +217,10 @@ TEST(Journal, SummaryAppliesTheDriverDeadlineFilter) {
 
 // ---- resume stitching ------------------------------------------------------
 
-TEST(Journal, MergeResumedTruncatesAtWatermarkAndReseqs) {
-  // The interrupted process journaled 5 events, snapshotted at watermark 4,
-  // then journaled one more (the eval at t=60) before dying: that event's
-  // work was re-done by the resumed process and must not be double-counted.
-  Journal prior;
+/// A checkpointed lineage. The interrupted process journaled 5 events,
+/// snapshotted at watermark 4, then journaled one more (the eval at t=60)
+/// before dying: that event's work was re-done by the resumed process.
+void write_lineage(Journal& prior, Journal& resumed) {
   prior.append(JournalEventType::kRunStarted, 0.0, kNoAgent,
                {{"agents", 2.0}, {"workers", 4.0}, {"wall_time_s", 100.0}, {"strategy", 0.0}});
   prior.append(JournalEventType::kEvalFinished, 20.0, 0, {{"reward", 0.2}});
@@ -224,14 +229,19 @@ TEST(Journal, MergeResumedTruncatesAtWatermarkAndReseqs) {
                {{"ordinal", 1.0}, {"bytes", 1024.0}});
   prior.append(JournalEventType::kEvalFinished, 60.0, 0, {{"reward", 0.9}});
 
-  Journal resumed;
   resumed.append(JournalEventType::kRunResumed, 50.0, kNoAgent,
                  {{"from_t", 50.0}, {"prior_events", 4.0}, {"ordinal", 1.0}});
   resumed.append(JournalEventType::kEvalFinished, 60.0, 0, {{"reward", 0.9}});
   resumed.append(JournalEventType::kEvalFinished, 80.0, 1, {{"reward", 0.5}});
   resumed.append(JournalEventType::kRunFinished, 100.0, kNoAgent,
                  {{"end_time_s", 100.0}, {"converged", 0.0}});
+}
 
+TEST(Journal, MergeResumedTruncatesAtWatermarkAndReseqs) {
+  // The eval at t=60 that the interrupted process logged after its snapshot
+  // must not be double-counted.
+  Journal prior, resumed;
+  write_lineage(prior, resumed);
   const auto merged = merge_resumed_journal(prior.snapshot(), resumed.snapshot());
   ASSERT_EQ(merged.size(), 8u);  // 4 kept + 4 resumed
   for (std::size_t i = 0; i < merged.size(); ++i) EXPECT_EQ(merged[i].seq, i);
@@ -263,6 +273,35 @@ TEST(Journal, MergeResumedRejectsForeignOrMarkerlessJournals) {
                  {{"from_t", 50.0}, {"prior_events", 99.0}});
   EXPECT_THROW((void)merge_resumed_journal(prior.snapshot(), foreign.snapshot()),
                std::runtime_error);
+}
+
+TEST(Journal, ReadLineageEqualsPairwiseMerge) {
+  Journal prior, resumed;
+  write_lineage(prior, resumed);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / ("ncnas_lineage_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::vector<std::string> paths = {(dir / "journal-0.jsonl").string(),
+                                          (dir / "journal-1.jsonl").string()};
+  {
+    std::ofstream out0(paths[0]);
+    prior.export_jsonl(out0);
+    std::ofstream out1(paths[1]);
+    resumed.export_jsonl(out1);
+  }
+  const std::vector<JournalEvent> lineage = read_journal_lineage(paths);
+  std::filesystem::remove_all(dir);
+  expect_same_events(lineage, merge_resumed_journal(prior.snapshot(), resumed.snapshot()));
+}
+
+TEST(Journal, ReadLineageNamesTheFileItCannotOpen) {
+  const std::string missing = "/nonexistent/journal-1.jsonl";
+  try {
+    (void)read_journal_lineage({missing});
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos) << e.what();
+  }
 }
 
 // ---- watchdog --------------------------------------------------------------

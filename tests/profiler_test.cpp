@@ -12,6 +12,7 @@
 #include "json_check.hpp"
 #include "ncnas/data/dataset.hpp"
 #include "ncnas/exec/evaluator.hpp"
+#include "ncnas/obs/journal.hpp"
 #include "ncnas/obs/profiler.hpp"
 #include "ncnas/obs/telemetry.hpp"
 #include "ncnas/rl/controller.hpp"
@@ -273,6 +274,37 @@ TEST(Profiler, ImportSaturatesOutOfRangeCounts) {
   EXPECT_EQ(imported.flat[0].alloc_bytes, 0u);
   EXPECT_EQ(imported.flat[1].calls, std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(imported.flat[1].alloc_count, std::numeric_limits<std::uint64_t>::max());
+}
+
+JournalEvent trained_eval(double train_wall_ms) {
+  return {JournalEventType::kEvalFinished, 10.0, 0, 0, {{"train_wall_ms", train_wall_ms}}};
+}
+
+TEST(Profiler, EvalWallGapComparesEvalScopesWithTrainWall) {
+  const std::vector<FlatProfileEntry> flat = {
+      {.name = "eval/train", .total_ms = 30.0},
+      {.name = "eval/validate", .total_ms = 10.0},
+      {.name = "eval/build", .total_ms = 500.0},
+  };
+  const EvalWallGap gap =
+      eval_wall_gap(flat, {trained_eval(20.0), trained_eval(30.0)});
+  EXPECT_TRUE(gap.saw_eval_scopes);
+  EXPECT_DOUBLE_EQ(gap.profile_ms, 40.0);
+  EXPECT_DOUBLE_EQ(gap.journal_ms, 50.0);
+  EXPECT_DOUBLE_EQ(gap.rel, 0.2);
+
+  // Neither instrument saw eval time: no gap. Only the profile did: all gap.
+  EXPECT_EQ(eval_wall_gap({{.name = "eval/train"}}, {trained_eval(0.0)}).rel, 0.0);
+  EXPECT_EQ(eval_wall_gap(flat, {}).rel, 1.0);
+}
+
+TEST(Profiler, EvalWallGapNotesAnUnprofiledRun) {
+  const EvalWallGap gap =
+      eval_wall_gap({{.name = "op/dense", .total_ms = 5.0}}, {trained_eval(12.0)});
+  EXPECT_FALSE(gap.saw_eval_scopes);
+  EXPECT_EQ(gap.profile_ms, 0.0);
+  EXPECT_DOUBLE_EQ(gap.journal_ms, 12.0);
+  EXPECT_EQ(gap.rel, 1.0);
 }
 
 TEST(Profiler, ExportTextRendersTreeAndFlatTable) {

@@ -134,6 +134,20 @@ TEST(ResultIo, MissingFileYieldsNullopt) {
   EXPECT_FALSE(load_result("/nonexistent/nope.log", "fp").has_value());
 }
 
+TEST(ResultIo, ReadFingerprintRoundTripsAndRejectsForeignFiles) {
+  TempDir dir;
+  const std::string file = (dir.path / "run.log").string();
+  const std::string fp = config_fingerprint(SearchConfig{}, "nt3-small");
+  save_result(file, sample_result(), fp);
+  EXPECT_EQ(read_fingerprint(file), fp);
+  EXPECT_EQ(read_fingerprint((dir.path / "missing.log").string()), std::nullopt);
+  {
+    std::ofstream out(file);
+    out << "ncnas-search-log-v2\n" << fp << "\n";
+  }
+  EXPECT_EQ(read_fingerprint(file), std::nullopt);
+}
+
 TEST(ResultIo, RunOrLoadRunsOnceThenCaches) {
   TempDir dir;
   int calls = 0;

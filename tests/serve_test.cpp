@@ -559,7 +559,7 @@ TEST(SearchServer, PreemptionJournalReconcilesWithResult) {
 
   // The per-tenant journal is stitched with merge_resumed_journal across
   // every preemption; its replay must reconcile with the final result
-  // exactly the way analyze_log cross-checks a standalone lineage.
+  // exactly the way run_report --result cross-checks a standalone lineage.
   const nas::SearchResult& res = server.result(id);
   const obs::RunSummary sum = obs::summarize_journal(server.journal(id));
   EXPECT_GT(sum.resumes, 0u);

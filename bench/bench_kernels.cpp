@@ -1,20 +1,29 @@
 // Kernel throughput sweep with a built-in correctness gate.
 //
-// Measures gemm/gemm_nt/gemm_tn at several square sizes: the serial
-// reference and the blocked tier, both on the calling thread (the only
-// thread kernels run on). Every blocked measurement is first verified
-// bitwise against the reference result — a bench that reports speed on
-// wrong bits is worse than no bench.
+// Measures gemm/gemm_nt/gemm_tn at several square sizes, and at the shapes
+// the searches' Dense layers run. A Dense layer of `rows` x `in` -> `units`
+// calls gemm (forward) at m x k x n = rows x in x units, gemm_nt (input
+// gradient) at rows x units x in and gemm_tn (weight gradient) at
+// in x rows x units (src/nn/layers.cpp). The layers swept are Combo's (256
+// rows, the batch; units 16/48/96; inputs up to 288, a concat of three
+// 96-wide cells) and NT3's (20 rows; units 8/24/96; inputs 152 and 488,
+// flattened convolutions). Each is timed on the serial reference and on the
+// blocked tier, both on the calling thread (the only thread kernels run
+// on). Every blocked measurement is first verified bitwise against the
+// reference result — a bench that reports speed on wrong bits is worse
+// than no bench.
 //
 // Usage:
 //   bench_kernels [--json PATH] [--require-speedup X] [--max-size N]
 //
-// Writes a JSON record per (op, size, config) to PATH (default
-// BENCH_kernels.json) and prints a GF/s + speedup table. Exits nonzero if
-// any blocked result mismatches the reference, or if the blocked ("t1")
-// gemm speedup at the largest size falls below --require-speedup (default
-// 1.0 — "never slower than the reference"; CI passes 1.0, the acceptance
-// target for sizes >= 256 is 2.0).
+// Writes a JSON record per (op, size or shape, config) to PATH (default
+// BENCH_kernels.json) and prints a GF/s + speedup table. A square record
+// carries "size": n; a shape record carries "shape": "MxKxN", which
+// perf_diff keys as e.g. gemm/256x48x16/t1. Exits nonzero if any blocked
+// result mismatches the reference, or if the blocked ("t1") gemm speedup at
+// the largest square size falls below --require-speedup (default 1.0 —
+// "never slower than the reference"; CI passes 1.0, the acceptance target
+// for sizes >= 256 is 2.0). The shape records are informational.
 
 #include <algorithm>
 #include <chrono>
@@ -38,6 +47,7 @@ namespace {
 using ncnas::tensor::KernelConfig;
 using ncnas::tensor::KernelConfigGuard;
 using ncnas::tensor::Rng;
+using ncnas::tensor::Shape;
 using ncnas::tensor::Tensor;
 
 using GemmFn = void (*)(const Tensor&, const Tensor&, Tensor&);
@@ -46,15 +56,41 @@ struct Op {
   const char* name;
   GemmFn kernel;  // dispatching entry point
   GemmFn ref;     // serial oracle
+  bool a_transposed;  // A stored (k, m): gemm_tn
+  bool b_transposed;  // B stored (n, k): gemm_nt
 };
 
-/// One JSON record, keyed (op, size, config) so two machines' BENCH files
-/// diff record-for-record (see perf_diff). The config labels and the
+/// One problem of the sweep: C is m x n with inner dimension k. `label` keys
+/// its records: "n" for an n x n x n square, "MxKxN" otherwise.
+struct Problem {
+  std::size_t m, k, n;
+  std::string label;
+  bool square;
+};
+
+/// A Dense layer the searches train: `rows` x `in` inputs to `units` outputs.
+struct Layer {
+  std::size_t rows, in, units;
+};
+
+/// The problem `op` runs for layer l: gemm is its forward pass, gemm_nt its
+/// input gradient and gemm_tn its weight gradient (Dense in
+/// src/nn/layers.cpp).
+Problem layer_problem(const Op& op, const Layer& l) {
+  Problem p{l.rows, l.in, l.units, "", false};
+  if (op.b_transposed) p = {l.rows, l.units, l.in, "", false};
+  if (op.a_transposed) p = {l.in, l.rows, l.units, "", false};
+  p.label = std::to_string(p.m) + "x" + std::to_string(p.k) + "x" + std::to_string(p.n);
+  return p;
+}
+
+/// One JSON record, keyed (op, size or shape, config) so two machines' BENCH
+/// files diff record-for-record (see perf_diff). The config labels and the
 /// `threads` field keep the file's schema from when the blocked tier also
 /// ran on a kernel pool: "t1" is the blocked tier on one thread.
 struct Record {
   std::string op;
-  std::size_t size = 0;
+  Problem problem;
   std::size_t threads = 0;   // 0 = reference row, 1 = blocked row
   std::string config;        // "ref" or "t1"
   double gflops = 0.0;
@@ -105,40 +141,53 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::size_t> sizes;
+  std::vector<Problem> squares;
+  std::size_t largest = 0;  // the largest square: the speedup gate's size
   for (std::size_t n : {64UL, 128UL, 256UL, 512UL}) {
-    if (n <= max_size) sizes.push_back(n);
+    if (n > max_size) continue;
+    squares.push_back({n, n, n, std::to_string(n), true});
+    largest = n;
+  }
+  std::vector<Layer> layers;
+  for (std::size_t in : {16UL, 48UL, 96UL, 144UL, 288UL}) {
+    for (std::size_t units : {16UL, 48UL, 96UL}) layers.push_back({256, in, units});
+  }
+  for (std::size_t in : {152UL, 488UL}) {
+    for (std::size_t units : {8UL, 24UL, 96UL}) layers.push_back({20, in, units});
   }
 
   const Op ops[] = {
-      {"gemm", ncnas::tensor::gemm, ncnas::tensor::gemm_ref},
-      {"gemm_nt", ncnas::tensor::gemm_nt, ncnas::tensor::gemm_nt_ref},
-      {"gemm_tn", ncnas::tensor::gemm_tn, ncnas::tensor::gemm_tn_ref},
+      {"gemm", ncnas::tensor::gemm, ncnas::tensor::gemm_ref, false, false},
+      {"gemm_nt", ncnas::tensor::gemm_nt, ncnas::tensor::gemm_nt_ref, false, true},
+      {"gemm_tn", ncnas::tensor::gemm_tn, ncnas::tensor::gemm_tn_ref, true, false},
   };
 
   std::vector<Record> records;
   bool bits_ok = true;
-  double gate_speedup = 0.0;  // blocked gemm speedup at the largest size
+  double gate_speedup = 0.0;  // blocked gemm speedup at the largest square
 
-  std::cout << std::left << std::setw(9) << "op" << std::setw(6) << "n"
+  std::cout << std::left << std::setw(9) << "op" << std::setw(13) << "shape"
             << std::setw(9) << "config" << std::setw(10) << "GF/s"
             << "speedup\n";
   for (const Op& op : ops) {
-    for (std::size_t n : sizes) {
-      Rng rng(0xBE7CULL + n);
-      Tensor a({n, n}), b({n, n});
+    std::vector<Problem> problems = squares;
+    for (const Layer& l : layers) problems.push_back(layer_problem(op, l));
+    for (const Problem& p : problems) {
+      Rng rng(0xBE7CULL + p.n);
+      Tensor a(op.a_transposed ? Shape{p.k, p.m} : Shape{p.m, p.k});
+      Tensor b(op.b_transposed ? Shape{p.n, p.k} : Shape{p.k, p.n});
       for (float& v : a.flat()) v = static_cast<float>(rng.normal());
       for (float& v : b.flat()) v = static_cast<float>(rng.normal());
-      const double flops = 2.0 * static_cast<double>(n) * n * n;
+      const double flops = 2.0 * static_cast<double>(p.m) * p.k * p.n;
       const std::size_t iters =
           std::max<std::size_t>(1, static_cast<std::size_t>(2e8 / flops));
 
-      Tensor want({n, n});
+      Tensor want({p.m, p.n});
       const double ref_dt =
           time_best_seconds(iters, [&] { op.ref(a, b, want); });
       const double ref_gflops = flops / ref_dt / 1e9;
-      records.push_back({op.name, n, 0, "ref", ref_gflops, 1.0});
-      std::cout << std::left << std::setw(9) << op.name << std::setw(6) << n
+      records.push_back({op.name, p, 0, "ref", ref_gflops, 1.0});
+      std::cout << std::left << std::setw(9) << op.name << std::setw(13) << p.label
                 << std::setw(9) << "ref" << std::setw(10) << std::fixed
                 << std::setprecision(2) << ref_gflops << "1.00\n";
 
@@ -146,22 +195,22 @@ int main(int argc, char** argv) {
       KernelConfig cfg;
       cfg.min_blocked_flops = 0;
       KernelConfigGuard guard(cfg);
-      Tensor got({n, n});
+      Tensor got({p.m, p.n});
       op.kernel(a, b, got);
       if (!bytes_equal(want, got)) {
-        std::cerr << "BIT MISMATCH: " << op.name << " n=" << n << "\n";
+        std::cerr << "BIT MISMATCH: " << op.name << " " << p.label << "\n";
         bits_ok = false;
         continue;
       }
       const double dt = time_best_seconds(iters, [&] { op.kernel(a, b, got); });
       const double gflops = flops / dt / 1e9;
       const double speedup = ref_dt / dt;
-      records.push_back({op.name, n, 1, "t1", gflops, speedup});
-      std::cout << std::left << std::setw(9) << op.name << std::setw(6) << n
+      records.push_back({op.name, p, 1, "t1", gflops, speedup});
+      std::cout << std::left << std::setw(9) << op.name << std::setw(13) << p.label
                 << std::setw(9) << "t1" << std::setw(10) << std::fixed
                 << std::setprecision(2) << gflops << std::setprecision(2)
                 << speedup << "\n";
-      if (std::string(op.name) == "gemm" && n == sizes.back()) gate_speedup = speedup;
+      if (std::string(op.name) == "gemm" && p.square && p.n == largest) gate_speedup = speedup;
     }
   }
 
@@ -172,8 +221,13 @@ int main(int argc, char** argv) {
        << ",\n  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
-    json << "    {\"op\": \"" << r.op << "\", \"size\": " << r.size
-         << ", \"config\": \"" << r.config << "\", \"threads\": " << r.threads
+    json << "    {\"op\": \"" << r.op << "\", ";
+    if (r.problem.square) {
+      json << "\"size\": " << r.problem.n;
+    } else {
+      json << "\"shape\": \"" << r.problem.label << "\"";
+    }
+    json << ", \"config\": \"" << r.config << "\", \"threads\": " << r.threads
          << ", \"gflops\": " << std::fixed << std::setprecision(3) << r.gflops
          << ", \"speedup_vs_ref\": " << std::setprecision(3) << r.speedup << "}";
     json << (i + 1 < records.size() ? ",\n" : "\n");
@@ -193,10 +247,10 @@ int main(int argc, char** argv) {
   }
   if (gate_speedup < require_speedup) {
     std::cerr << "FAIL: blocked gemm speedup " << gate_speedup << " at n="
-              << sizes.back() << " is below required " << require_speedup << "\n";
+              << largest << " is below required " << require_speedup << "\n";
     return 1;
   }
-  std::cout << "OK: blocked gemm speedup at n=" << sizes.back() << " is "
+  std::cout << "OK: blocked gemm speedup at n=" << largest << " is "
             << std::setprecision(2) << gate_speedup << "x (required "
             << require_speedup << "x)\n";
   return 0;

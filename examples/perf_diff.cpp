@@ -2,9 +2,10 @@
 // produces:
 //
 //   bench JSON    BENCH_kernels.json written by bench/bench_kernels
-//                 (records keyed op/size/config, higher is better; metric =
+//                 (records keyed op/size/config, or op/MxKxN/config for a
+//                 record with a "shape", higher is better; metric =
 //                 speedup_vs_ref for a record whose sweep has a "ref" row at
-//                 its op/size, else GFLOP/s)
+//                 its op/size or shape, else GFLOP/s)
 //   profile JSON  written by Telemetry::export_profile_json or
 //                 examples/telemetry_dump (records keyed by scope name,
 //                 metric = self ms, lower is better)
@@ -62,23 +63,24 @@ std::map<std::string, Record> load_bench(const std::string& content) {
     throw std::runtime_error("bench json: no records array");
   }
   struct Row {
-    std::string key;  // op/size, without the config
+    std::string key;  // op/size or op/shape, without the config
     std::string config;
     double gflops = 0.0;
     double speedup = 0.0;
     bool has_speedup = false;
   };
   std::vector<Row> rows;
-  std::set<std::string> has_ref;  // op/size keys with a "ref" row in this sweep
+  std::set<std::string> has_ref;  // keys with a "ref" row in this sweep
   for (const ncnas::obs::JsonValue& r : records->array) {
     Row row;
     long long size = 0;
-    std::string op;
-    if (!r.get("op", op) || !r.get("size", size) || !r.get("config", row.config) ||
+    std::string op, shape;
+    const bool keyed = r.get("size", size) || r.get("shape", shape);
+    if (!r.get("op", op) || !keyed || !r.get("config", row.config) ||
         !r.get("gflops", row.gflops)) {
-      throw std::runtime_error("bench json: record without op, size, config or gflops");
+      throw std::runtime_error("bench json: record without op, size or shape, config or gflops");
     }
-    row.key = op + "/" + std::to_string(size);
+    row.key = op + "/" + (shape.empty() ? std::to_string(size) : shape);
     row.has_speedup = r.get("speedup_vs_ref", row.speedup);
     if (row.config == "ref") has_ref.insert(row.key);
     rows.push_back(std::move(row));

@@ -124,9 +124,9 @@ void print_journal_report(std::ostream& os, bool markdown, const obs::RunSummary
   if (!sum.rewards.empty() && sum.end_time_s > 0.0) {
     os << h2(markdown) << "Reward trajectory\n";
     if (markdown) os << "```\n";
-    const double bucket = std::max(sum.end_time_s / 60.0, 1.0);
-    const auto mean = analytics::resample_mean(sum.rewards, sum.end_time_s, bucket, -1.0);
-    analytics::print_sparkline(os, "mean reward ", mean, -1.0, 1.0);
+    analytics::print_sparkline(os, "mean reward ",
+                               analytics::reward_trajectory(sum.rewards, sum.end_time_s), -1.0,
+                               1.0);
     if (markdown) os << "```\n";
     os << "\n";
   }
@@ -259,8 +259,8 @@ void print_result_report(std::ostream& os, bool markdown, const std::string& pat
   if (markdown) os << "```\n";
   std::vector<std::pair<double, float>> rewards;
   for (const auto& e : res.evals) rewards.emplace_back(e.time, e.reward);
-  const auto mean = analytics::resample_mean(rewards, res.end_time, 600.0, -1.0);
-  analytics::print_sparkline(os, "mean reward ", mean, -1.0, 1.0);
+  analytics::print_sparkline(os, "mean reward ",
+                             analytics::reward_trajectory(rewards, res.end_time), -1.0, 1.0);
   analytics::print_sparkline(os, "utilization ", res.utilization, 0.0, 1.0);
 
   os << "\ntop-5 architectures by estimated reward:\n";

@@ -22,6 +22,13 @@ namespace ncnas::analytics {
     const std::vector<std::pair<double, float>>& observations, double t_end,
     double bucket_seconds, double fill = -1.0);
 
+/// The mean-reward trajectory a run report draws for a search that spanned
+/// t_end seconds: resample_mean over buckets of max(t_end / 60, 1 s), so a
+/// one-minute search and a six-hour one both fill about 60 buckets. Empty
+/// when t_end <= 0.
+[[nodiscard]] std::vector<double> reward_trajectory(
+    const std::vector<std::pair<double, float>>& rewards, double t_end);
+
 struct QuantileBands {
   std::vector<double> q10, q50, q90;
 };

@@ -4,10 +4,14 @@
 // KernelConfig::min_blocked_flops in kernel_config.hpp):
 //
 //  * Blocked kernels (the default for every problem above the threshold):
-//    cache-blocked, B-panel-packed micro-kernels. Deterministic by
-//    construction — each output element is accumulated in the same
-//    k-ascending order as the reference loop, for any block geometry — so
-//    results stay bit-identical against the reference kernels.
+//    cache-blocked micro-kernels over B packed into 32-column panels. The
+//    last n % 32 columns run register-blocked 4-row steps 16, 8 and then
+//    1-7 columns wide, so the search spaces' 16-, 48- and 144-wide layers
+//    run near the full panels' speed; gemm_tn runs the same steps on A and
+//    B in place. Deterministic by construction — each output element is
+//    accumulated in the same k-ascending order as the reference loop, for
+//    any block geometry — so results stay bit-identical against the
+//    reference kernels.
 //  * Reference kernels (`*_ref`, and every problem below the threshold): the
 //    original single-threaded triple loops. These are the oracles — simple
 //    enough to be obviously correct, and the bit-exact ground truth

@@ -51,6 +51,12 @@ std::vector<double> resample_mean(const std::vector<std::pair<double, float>>& o
   return out;
 }
 
+std::vector<double> reward_trajectory(const std::vector<std::pair<double, float>>& rewards,
+                                      double t_end) {
+  if (t_end <= 0.0) return {};
+  return resample_mean(rewards, t_end, std::max(t_end / 60.0, 1.0), -1.0);
+}
+
 double quantile(std::vector<double> values, double q) {
   if (values.empty()) throw std::invalid_argument("quantile: empty sample");
   q = std::clamp(q, 0.0, 1.0);

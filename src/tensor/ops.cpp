@@ -119,13 +119,32 @@ void gemm_tn_ref_impl(const float* pa, const float* pb, float* pc, const GemmDim
 // --- blocked kernels --------------------------------------------------------
 //
 // Layout: B is packed into k-major micro-panels of kPanelWidth columns, and
-// C is computed one row block at a time. Determinism rule: a C element's
-// value is a single register accumulation chain over k ascending — the same
-// chain the reference kernel performs through memory — so bits match the
-// reference for any block geometry.
+// C is computed one row block at a time. A full panel runs gemm_micro_step;
+// the last panel, n % 32 columns wide, runs the strip steps split 16 -> 8 ->
+// under 8 (the search spaces' widths are 16 mod 32 more often than not:
+// 16, 48 and 144). gemm_tn runs the strip steps on every column. Determinism
+// rule: a C element's value is a single register accumulation chain over k
+// ascending — the same chain the reference kernel performs through memory —
+// so bits match the reference for any block geometry.
 
 constexpr std::size_t kPanelWidth = 32;  // NR: columns per packed B panel
 constexpr std::size_t kMicroRows = 4;    // MR: C rows per micro-kernel step
+
+/// The multiply-add spelled out: madd is exactly what the build makes of
+/// `c + a * b` in the reference loops — one fused rounding where the target
+/// has FMA (-ffp-contract=fast contracts it there), two roundings where it
+/// has none. Left to contraction, register-blocked loops are not safe: when
+/// the vectorizer groups lanes across rows it can keep the multiply and the
+/// add apart, and the bits drift from the reference (measured on an AVX-512
+/// host, both for the few-row kernels and for a 16-wide 4-row gemm step).
+/// Every kernel below but the full-panel gemm_micro_step spells it.
+inline float madd(float a, float b, float c) {
+#ifdef __FP_FAST_FMAF
+  return std::fma(a, b, c);
+#else
+  return c + a * b;
+#endif
+}
 
 std::size_t div_up(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
@@ -155,10 +174,12 @@ void pack_bt_panel(const float* pb, std::size_t k, std::size_t j0, std::size_t w
 /// and the R*W accumulators stay in vector registers across the whole k loop
 /// — one chain per element, k ascending. A runtime row bound here makes the
 /// compiler spill every chain to the stack (measured 3-4x SLOWER than the
-/// reference); W = 32 (two 512-bit or four 256-bit vectors per row) measured
-/// ~2.5x faster than W = 16 on the CI machine. Kept out of line for the
-/// same reason: inlined into the row-block loop, that loop's live values
-/// compete with the accumulators for registers (see gemm_tn_micro_r4).
+/// reference). Only W = 32 (two 512-bit or four 256-bit vectors per row)
+/// runs here: at W = 16 this accumulator matrix vectorizes across rows and
+/// measured 2-10 GF/s, so narrower columns take the strip steps. Kept out of
+/// line for the same reason: inlined into the row-block loop, that loop's
+/// live values compete with the accumulators for registers (see
+/// strip_step_r4).
 template <std::size_t R, std::size_t W>
 [[gnu::noinline]] void gemm_micro_step(const float* pa, const float* bp, float* pc, std::size_t k, std::size_t n,
                      std::size_t i, std::size_t j0) {
@@ -191,19 +212,122 @@ void gemm_micro_full(const float* pa, const float* bp, float* pc, std::size_t k,
   for (; i < i1; ++i) gemm_micro_step<1, W>(pa, bp, pc, k, n, i, j0);
 }
 
-/// Edge-panel variant for the (runtime) final width w < kPanelWidth.
-void gemm_micro_edge(const float* pa, const float* bp, float* pc, std::size_t k, std::size_t n,
-                     std::size_t i0, std::size_t i1, std::size_t j0, std::size_t w) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const float* arow = pa + i * k;
-    float acc[kPanelWidth] = {};
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      const float* brow = bp + kk * w;
-      for (std::size_t jj = 0; jj < w; ++jj) acc[jj] += aik * brow[jj];
-    }
-    std::copy(acc, acc + w, pc + i * n + j0);
+/// Calls fn(std::integral_constant<std::size_t, w>{}) for a runtime edge
+/// width w in [1, 8), so edge tiles too have a compile-time width and keep
+/// their accumulators in registers (a runtime-width tile measured ~4x
+/// slower).
+template <class Fn>
+void with_edge_width(std::size_t w, Fn&& fn) {
+  switch (w) {
+    case 1: fn(std::integral_constant<std::size_t, 1>{}); break;
+    case 2: fn(std::integral_constant<std::size_t, 2>{}); break;
+    case 3: fn(std::integral_constant<std::size_t, 3>{}); break;
+    case 4: fn(std::integral_constant<std::size_t, 4>{}); break;
+    case 5: fn(std::integral_constant<std::size_t, 5>{}); break;
+    case 6: fn(std::integral_constant<std::size_t, 6>{}); break;
+    case 7: fn(std::integral_constant<std::size_t, 7>{}); break;
+    default: break;
   }
+}
+
+/// One strip of C for the steps below: row kk of B at b + kk * ldb, row r
+/// of C at c + r * ldc, and element (r, kk) of A at a[r * lda + kk] — or,
+/// when the steps' TransA is set, at a[r + kk * lda]. gemm reads its tail
+/// panel this way (ldb = the panel's width), gemm_tn its operands in place
+/// (TransA, lda = m, ldb = n). TransA is a template parameter so that one
+/// of A's two strides is a compile-time 1: with both at run time the gemm
+/// tail measured ~30 % slower.
+struct Strip {
+  const float* a;
+  std::size_t lda;
+  const float* b;
+  std::size_t ldb;
+  float* c;
+  std::size_t ldc, k;
+};
+
+template <bool TransA>
+const float* strip_row(const Strip& s, std::size_t r) {
+  return TransA ? s.a + r : s.a + r * s.lda;
+}
+
+/// 4-row step over W columns of a strip. The row count is a compile-time
+/// constant and each row gets its own named accumulator array: a
+/// runtime-bound row loop here makes the compiler spill every chain to the
+/// stack (measured 3-4x SLOWER than the reference), and an accumulator
+/// matrix (gemm_micro_step<4, 16>) vectorizes across rows and measured 2-10
+/// GF/s. Kept out of line: GCC 12 inlines it into the row loop when nothing
+/// stops it, and gemm_tn 128^3 then measured ~45 instead of ~58 GFLOP/s on a
+/// 4-core AVX-512 VM.
+template <bool TransA, std::size_t W>
+[[gnu::noinline]] void strip_step_r4(const Strip& s) {
+  const float *a0 = strip_row<TransA>(s, 0), *a1 = strip_row<TransA>(s, 1),
+              *a2 = strip_row<TransA>(s, 2), *a3 = strip_row<TransA>(s, 3);
+  const std::size_t ak = TransA ? s.lda : 1;  // A's stride along k
+  float acc0[W] = {}, acc1[W] = {}, acc2[W] = {}, acc3[W] = {};
+  for (std::size_t kk = 0; kk < s.k; ++kk) {
+    const float* brow = s.b + kk * s.ldb;
+    const float v0 = a0[kk * ak], v1 = a1[kk * ak], v2 = a2[kk * ak], v3 = a3[kk * ak];
+    for (std::size_t jj = 0; jj < W; ++jj) {
+      const float bv = brow[jj];
+      acc0[jj] = madd(v0, bv, acc0[jj]);
+      acc1[jj] = madd(v1, bv, acc1[jj]);
+      acc2[jj] = madd(v2, bv, acc2[jj]);
+      acc3[jj] = madd(v3, bv, acc3[jj]);
+    }
+  }
+  std::copy(acc0, acc0 + W, s.c);
+  std::copy(acc1, acc1 + W, s.c + s.ldc);
+  std::copy(acc2, acc2 + W, s.c + 2 * s.ldc);
+  std::copy(acc3, acc3 + W, s.c + 3 * s.ldc);
+}
+
+/// 1-row step over W columns of a strip.
+template <bool TransA, std::size_t W>
+[[gnu::noinline]] void strip_step_r1(const Strip& s) {
+  const std::size_t ak = TransA ? s.lda : 1;
+  float acc[W] = {};
+  for (std::size_t kk = 0; kk < s.k; ++kk) {
+    const float av = s.a[kk * ak];
+    const float* brow = s.b + kk * s.ldb;
+    for (std::size_t jj = 0; jj < W; ++jj) acc[jj] = madd(av, brow[jj], acc[jj]);
+  }
+  std::copy(acc, acc + W, s.c);
+}
+
+/// Rows [0, rows) of W strip columns: 4-row steps, then single rows.
+template <bool TransA, std::size_t W>
+void strip_rows(Strip s, std::size_t rows) {
+  std::size_t i = 0;
+  for (; i + kMicroRows <= rows; i += kMicroRows) {
+    strip_step_r4<TransA, W>(s);
+    s.a = strip_row<TransA>(s, kMicroRows);
+    s.c += kMicroRows * s.ldc;
+  }
+  for (; i < rows; ++i) {
+    strip_step_r1<TransA, W>(s);
+    s.a = strip_row<TransA>(s, 1);
+    s.c += s.ldc;
+  }
+}
+
+/// Columns [0, w) of the strip's rows [0, rows): 32-wide tiles, then the
+/// rest split 16 -> 8 -> under 8, the rule gemm_rows_block uses, so every
+/// step has a compile-time width and keeps its accumulators in registers.
+template <bool TransA>
+void strip_cols(const Strip& s, std::size_t rows, std::size_t w) {
+  std::size_t j = 0;
+  const auto tiles = [&](auto width) {
+    Strip part = s;
+    part.b += j;
+    part.c += j;
+    strip_rows<TransA, width()>(part, rows);
+    j += width();
+  };
+  while (j + kPanelWidth <= w) tiles(std::integral_constant<std::size_t, kPanelWidth>{});
+  if (j + 16 <= w) tiles(std::integral_constant<std::size_t, 16>{});
+  if (j + 8 <= w) tiles(std::integral_constant<std::size_t, 8>{});
+  with_edge_width(w - j, tiles);
 }
 
 /// Shared blocked driver for gemm and gemm_nt. The only difference between
@@ -245,77 +369,21 @@ void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const Gemm
         if (w == kPanelWidth) {
           gemm_micro_full<kPanelWidth>(pa, bp, pc, d.k, d.n, i0, i1, j0);
         } else {
-          gemm_micro_edge(pa, bp, pc, d.k, d.n, i0, i1, j0, w);
+          strip_cols<false>({pa + i0 * d.k, d.k, bp, w, pc + i0 * d.n + j0, d.n, d.k}, i1 - i0,
+                            w);
         }
       }
     }
   }
 }
 
-/// gemm_tn micro-kernels: C rows [i, i+R) x columns [j0, j0+W). A columns
-/// i..i+R are adjacent floats within each A row, B rows are contiguous —
-/// no packing needed. The row count is a compile-time constant and each row
-/// gets its own named accumulator array: a runtime-bound row loop here makes
-/// the compiler spill every chain to the stack (measured 3-4x SLOWER than
-/// the reference), while the unrolled form holds all chains in registers.
-/// The kernel is kept out of line: GCC 12 inlines it into the row-block
-/// loop when nothing stops it, and gemm_tn 128^3 then measured ~45 instead
-/// of ~58 GFLOP/s on a 4-core AVX-512 VM.
-template <std::size_t W>
-[[gnu::noinline]] void gemm_tn_micro_r4(const float* pa, const float* pb, float* pc, const GemmDims& d,
-                      std::size_t i, std::size_t j0) {
-  float acc0[W] = {}, acc1[W] = {}, acc2[W] = {}, acc3[W] = {};
-  for (std::size_t kk = 0; kk < d.k; ++kk) {
-    const float* arow = pa + kk * d.m + i;
-    const float* brow = pb + kk * d.n + j0;
-    const float v0 = arow[0], v1 = arow[1], v2 = arow[2], v3 = arow[3];
-    for (std::size_t jj = 0; jj < W; ++jj) {
-      const float bv = brow[jj];
-      acc0[jj] += v0 * bv;
-      acc1[jj] += v1 * bv;
-      acc2[jj] += v2 * bv;
-      acc3[jj] += v3 * bv;
-    }
-  }
-  std::copy(acc0, acc0 + W, pc + (i + 0) * d.n + j0);
-  std::copy(acc1, acc1 + W, pc + (i + 1) * d.n + j0);
-  std::copy(acc2, acc2 + W, pc + (i + 2) * d.n + j0);
-  std::copy(acc3, acc3 + W, pc + (i + 3) * d.n + j0);
-}
-
-/// Single-row variant with runtime width for all edges (rows % 4, n % W).
-void gemm_tn_micro_r1(const float* pa, const float* pb, float* pc, const GemmDims& d,
-                      std::size_t i, std::size_t j0, std::size_t w) {
-  float acc[kPanelWidth] = {};
-  for (std::size_t kk = 0; kk < d.k; ++kk) {
-    const float av = pa[kk * d.m + i];
-    const float* brow = pb + kk * d.n + j0;
-    for (std::size_t jj = 0; jj < w; ++jj) acc[jj] += av * brow[jj];
-  }
-  std::copy(acc, acc + w, pc + i * d.n + j0);
-}
-
+/// gemm_tn needs no packing: A columns i..i+3 are adjacent floats within
+/// each A row, and B rows are contiguous, so each row block is one strip.
 void gemm_tn_blocked(const float* pa, const float* pb, float* pc, const GemmDims& d,
                      const KernelConfig& cfg) {
   for (std::size_t i0 = 0; i0 < d.m; i0 += cfg.block_rows) {
     const std::size_t i1 = std::min(i0 + cfg.block_rows, d.m);
-    std::size_t i = i0;
-    for (; i + kMicroRows <= i1; i += kMicroRows) {
-      std::size_t j0 = 0;
-      for (; j0 + kPanelWidth <= d.n; j0 += kPanelWidth) {
-        gemm_tn_micro_r4<kPanelWidth>(pa, pb, pc, d, i, j0);
-      }
-      if (j0 < d.n) {
-        for (std::size_t r = 0; r < kMicroRows; ++r) {
-          gemm_tn_micro_r1(pa, pb, pc, d, i + r, j0, d.n - j0);
-        }
-      }
-    }
-    for (; i < i1; ++i) {
-      for (std::size_t j0 = 0; j0 < d.n; j0 += kPanelWidth) {
-        gemm_tn_micro_r1(pa, pb, pc, d, i, j0, std::min(kPanelWidth, d.n - j0));
-      }
-    }
+    strip_cols<true>({pa + i0, d.m, pb, d.n, pc + i0 * d.n, d.n, d.k}, i1 - i0, d.n);
   }
 }
 
@@ -398,21 +466,6 @@ void gemm_tn_ref(const Tensor& a, const Tensor& b, Tensor& c) {
 
 namespace {
 
-// Few-row kernels. The multiply-add is spelled out: madd is exactly what the
-// build makes of `c + a * b` in the reference loops — one fused rounding
-// where the target has FMA (-ffp-contract=fast contracts it there), two
-// roundings where it has none. Left to contraction, these register-blocked
-// loops are not safe: when the vectorizer groups lanes across rows it can
-// keep the multiply and the add apart, and the bits drift from the
-// reference (measured on an AVX-512 host).
-inline float madd(float a, float b, float c) {
-#ifdef __FP_FAST_FMAF
-  return std::fma(a, b, c);
-#else
-  return c + a * b;
-#endif
-}
-
 /// An R x W tile of c = a * b: every accumulator in registers for the whole
 /// k loop, one chain per element, k ascending from +0. R and W are
 /// compile-time constants for the same reason as in gemm_micro_step.
@@ -429,24 +482,6 @@ void gemm_rows_tile(const float* a, const float* b, float* c, std::size_t k, std
     }
   }
   for (std::size_t r = 0; r < R; ++r) std::copy(acc[r], acc[r] + W, c + r * n + j0);
-}
-
-/// Calls fn(std::integral_constant<std::size_t, w>{}) for a runtime edge
-/// width w in [1, 8), so edge tiles too have a compile-time width and keep
-/// their accumulators in registers (a runtime-width tile measured ~4x
-/// slower).
-template <class Fn>
-void with_edge_width(std::size_t w, Fn&& fn) {
-  switch (w) {
-    case 1: fn(std::integral_constant<std::size_t, 1>{}); break;
-    case 2: fn(std::integral_constant<std::size_t, 2>{}); break;
-    case 3: fn(std::integral_constant<std::size_t, 3>{}); break;
-    case 4: fn(std::integral_constant<std::size_t, 4>{}); break;
-    case 5: fn(std::integral_constant<std::size_t, 5>{}); break;
-    case 6: fn(std::integral_constant<std::size_t, 6>{}); break;
-    case 7: fn(std::integral_constant<std::size_t, 7>{}); break;
-    default: break;
-  }
 }
 
 /// R rows: 32-wide tiles over all R rows at once, then the remaining

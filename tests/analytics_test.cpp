@@ -54,6 +54,27 @@ TEST(Series, ResampleMeanIgnoresOutOfRange) {
   EXPECT_NEAR(series[0], 0.3, 1e-6);
 }
 
+TEST(Series, RewardTrajectorySizesItsBucketsFromTheSpan) {
+  // A 1.2-minute search, the span of a bench_evolution --quick log: one
+  // reward a second, climbing from -1 to 1.
+  std::vector<std::pair<double, float>> rewards;
+  for (int t = 0; t < 72; ++t) {
+    rewards.emplace_back(t, -1.0f + 2.0f * static_cast<float>(t) / 71.0f);
+  }
+  const auto short_run = reward_trajectory(rewards, 72.0);
+  ASSERT_EQ(short_run.size(), 60u);  // 1.2 s buckets, not one 600 s bucket
+  EXPECT_LT(short_run.front(), short_run.back());
+  std::ostringstream spark;
+  print_sparkline(spark, "mean reward ", short_run, -1.0, 1.0);
+  EXPECT_EQ(spark.str().rfind('|') - spark.str().find('|'), 61u);  // 60 glyphs between bars
+
+  // A six-hour search gets the same width; a search under a minute gets
+  // one-second buckets; an empty span draws nothing.
+  EXPECT_EQ(reward_trajectory(rewards, 6.0 * 3600.0).size(), 60u);
+  EXPECT_EQ(reward_trajectory(rewards, 30.0).size(), 30u);
+  EXPECT_TRUE(reward_trajectory(rewards, 0.0).empty());
+}
+
 TEST(Series, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile({1, 2, 3, 4, 5}, 0.5), 3.0);
   EXPECT_DOUBLE_EQ(quantile({1, 2, 3, 4}, 0.5), 2.5);

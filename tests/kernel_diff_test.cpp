@@ -81,19 +81,48 @@ void on_pool_workers(std::size_t workers, std::size_t n, const Fn& fn) {
 }
 
 /// Shapes stressing every dispatch edge: empty dims, unit dims, exact
-/// block/panel multiples, off-by-one around panel (16) and block (8/32)
-/// boundaries, tall/thin and short/wide extremes.
+/// block/panel multiples, off-by-one around the panel (32), strip (16, 8)
+/// and block (8/32) boundaries, tall/thin and short/wide extremes. Then the
+/// shapes Combo's Dense layers run (batch 256; widths 16, 48, 96 and a
+/// 144-wide concat): m = 256 rows over k, n in {16, 48, 96, 144} for the
+/// forward and input-gradient gemms, and k = 256 for the weight gradient's
+/// gemm_tn (m = input width, n = units); NT3's (batch 20, a 488-wide
+/// flattened convolution, 24 units) likewise. Then 16-wide tails whose row
+/// count is not a multiple of the 4-row step (a tail step whose bits
+/// drifted on 16-wide tails passed every other hand-picked shape and failed
+/// these). Then the controller's shapes (batch
+/// and batch*steps rows over the embedding, hidden, gate and arity widths),
+/// and a dense grid of small shapes: every width from 1 to 70 crosses each
+/// tile and strip width (32, 16, 8, 1-7) and edge, at row counts on and off
+/// the 4-row step, where a kernel left to the compiler's contraction was
+/// seen to drift.
 struct GemmShape {
   std::size_t m, k, n;
 };
 
 std::vector<GemmShape> sweep_shapes() {
-  return {
+  std::vector<GemmShape> shapes = {
       {0, 0, 0}, {0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1},  {1, 7, 1},
       {1, 1, 9}, {5, 1, 5}, {4, 4, 4}, {8, 8, 16}, {8, 8, 32}, {16, 16, 16},
       {7, 5, 3}, {9, 11, 17}, {15, 13, 31}, {17, 9, 33}, {23, 29, 19},
       {33, 7, 65}, {1, 64, 96}, {96, 64, 1}, {2, 128, 2}, {64, 3, 64},
+      {18, 15, 48}, {33, 38, 16}, {258, 144, 48},
+      {20, 488, 24}, {20, 24, 488}, {488, 20, 24},
+      {1, 16, 128}, {4, 32, 128}, {16, 128, 32}, {192, 128, 16},
+      {12, 32, 7}, {48, 7, 32}, {3, 32, 48}, {5, 33, 49},
   };
+  for (const std::size_t k : {16u, 48u, 96u, 144u}) {
+    for (const std::size_t n : {16u, 48u, 96u, 144u}) {
+      shapes.push_back({256, k, n});
+      shapes.push_back({k, 256, n});
+    }
+  }
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (const std::size_t k : {1u, 2u, 8u, 33u}) {
+      for (std::size_t n = 1; n <= 70; ++n) shapes.push_back({m, k, n});
+    }
+  }
+  return shapes;
 }
 
 class KernelDiff : public ::testing::Test {
@@ -163,24 +192,8 @@ TEST_F(KernelDiff, GemmTnMatchesReferenceBitwiseAcrossShapesAndThreads) {
 
 // --- few-row kernels on raw buffers vs the Tensor ops, exact ----------------
 
-/// The sweep, the controller's shapes (batch and batch*steps rows over the
-/// embedding, hidden, gate and arity widths), and a dense grid of small
-/// shapes: every width from 1 to 70 crosses each tile width and edge, where
-/// a kernel left to the compiler's contraction was seen to drift.
-std::vector<GemmShape> few_row_shapes() {
-  std::vector<GemmShape> shapes = sweep_shapes();
-  shapes.insert(shapes.end(), {{1, 16, 128}, {4, 32, 128}, {16, 128, 32}, {192, 128, 16},
-                               {12, 32, 7}, {48, 7, 32}, {3, 32, 48}, {5, 33, 49}});
-  for (std::size_t m = 1; m <= 9; ++m) {
-    for (const std::size_t k : {1u, 2u, 8u, 33u}) {
-      for (std::size_t n = 1; n <= 70; ++n) shapes.push_back({m, k, n});
-    }
-  }
-  return shapes;
-}
-
 TEST_F(KernelDiff, GemmRowsMatchesReferenceBitwise) {
-  for (const GemmShape& s : few_row_shapes()) {
+  for (const GemmShape& s : sweep_shapes()) {
     const Tensor a = random_tensor({s.m, s.k}, rng_);
     const Tensor b = random_tensor({s.k, s.n}, rng_);
     Tensor want({s.m, s.n});
@@ -193,7 +206,7 @@ TEST_F(KernelDiff, GemmRowsMatchesReferenceBitwise) {
 
 TEST_F(KernelDiff, AccumulateGemmTnStepsMatchesPerStepReference) {
   for (const std::size_t steps : {1u, 3u, 12u}) {
-    for (const GemmShape& s : few_row_shapes()) {
+    for (const GemmShape& s : sweep_shapes()) {
       // Step s reads a_s(k, m) and b_s(k, n), stored back to back.
       const Tensor a = random_tensor({steps * s.k, s.m}, rng_);
       const Tensor b = random_tensor({steps * s.k, s.n}, rng_);

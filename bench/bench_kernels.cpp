@@ -13,6 +13,17 @@
 // reference result — a bench that reports speed on wrong bits is worse
 // than no bench.
 //
+// It also times the RL controller's raw-buffer products (rl/controller.cpp,
+// nn/lstm.cpp) at the widths its LSTM runs: hidden H = 32, embedding
+// E = 16, gates 4H = 128, A = the space's largest arity and T its decision
+// count, with B = 1 rollout a batch on NT3 (as nt3-a3c runs it) and B = 4
+// on Combo. gemm_rows runs per step at B rows (sampling and the
+// recurrence) and once over the sequence at T*B rows; its records are
+// gemm_rows/MxKxN. accumulate_gemm_tn_steps sums T steps of
+// a_s(B, m)^T * b_s(B, n) into the weight gradients; its records are
+// accumulate_gemm_tn_steps/TxMxKxN with k = B. Their "ref" rows are gemm_ref
+// and the per-step gemm_tn_ref + add_inplace loop the kernels reproduce.
+//
 // Usage:
 //   bench_kernels [--json PATH] [--require-speedup X] [--max-size N]
 //
@@ -23,7 +34,8 @@
 // result mismatches the reference, or if the blocked ("t1") gemm speedup at
 // the largest square size falls below --require-speedup (default 1.0 —
 // "never slower than the reference"; CI passes 1.0, the acceptance target
-// for sizes >= 256 is 2.0). The shape records are informational.
+// for sizes >= 256 is 2.0). The shape and controller records are
+// informational.
 
 #include <algorithm>
 #include <chrono>
@@ -37,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "ncnas/space/spaces.hpp"
 #include "ncnas/tensor/kernel_config.hpp"
 #include "ncnas/tensor/ops.hpp"
 #include "ncnas/tensor/rng.hpp"
@@ -121,6 +134,42 @@ bool bytes_equal(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+Tensor random_tensor(const Shape& shape, Rng& rng) {
+  Tensor t(shape);
+  for (float& v : t.flat()) v = static_cast<float>(rng.normal());
+  return t;
+}
+
+/// One raw-buffer product of the controller: gemm_rows when steps == 0,
+/// else accumulate_gemm_tn_steps over `steps` terms of m x k x n.
+struct ControllerProduct {
+  std::size_t steps, m, k, n;
+};
+
+/// The controller's products for a space with `arity` (its largest) and
+/// `decisions`, at `batch` rollouts (see the header comment).
+std::vector<ControllerProduct> controller_products(std::size_t arity, std::size_t decisions,
+                                                   std::size_t batch) {
+  constexpr std::size_t kH = 32, kE = 16, kGates = 4 * kH;
+  const std::size_t B = batch, TB = decisions * batch;
+  return {
+      // Per step: the input and recurrent gate products, the policy head, dh.
+      {0, B, kE, kGates},
+      {0, B, kH, kGates},
+      {0, B, kH, arity},
+      {0, B, kGates, kH},
+      // The whole sequence: gates, logits, dh from the logits, dx.
+      {0, TB, kE, kGates},
+      {0, TB, kH, arity},
+      {0, TB, arity, kH},
+      {0, TB, kGates, kE},
+      // The weight gradients of Wx, Wh and the policy head.
+      {decisions, kE, B, kGates},
+      {decisions, kH, B, kGates},
+      {decisions, kH, B, arity},
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -166,9 +215,16 @@ int main(int argc, char** argv) {
   bool bits_ok = true;
   double gate_speedup = 0.0;  // blocked gemm speedup at the largest square
 
-  std::cout << std::left << std::setw(9) << "op" << std::setw(13) << "shape"
+  std::cout << std::left << std::setw(26) << "op" << std::setw(16) << "shape"
             << std::setw(9) << "config" << std::setw(10) << "GF/s"
             << "speedup\n";
+  const auto report = [&records](const std::string& op, const Problem& p, const char* config,
+                                 double gflops, double speedup) {
+    records.push_back({op, p, config == std::string("ref") ? 0UL : 1UL, config, gflops, speedup});
+    std::cout << std::left << std::setw(26) << op << std::setw(16) << p.label << std::setw(9)
+              << config << std::setw(10) << std::fixed << std::setprecision(2) << gflops
+              << speedup << "\n";
+  };
   for (const Op& op : ops) {
     std::vector<Problem> problems = squares;
     for (const Layer& l : layers) problems.push_back(layer_problem(op, l));
@@ -185,11 +241,7 @@ int main(int argc, char** argv) {
       Tensor want({p.m, p.n});
       const double ref_dt =
           time_best_seconds(iters, [&] { op.ref(a, b, want); });
-      const double ref_gflops = flops / ref_dt / 1e9;
-      records.push_back({op.name, p, 0, "ref", ref_gflops, 1.0});
-      std::cout << std::left << std::setw(9) << op.name << std::setw(13) << p.label
-                << std::setw(9) << "ref" << std::setw(10) << std::fixed
-                << std::setprecision(2) << ref_gflops << "1.00\n";
+      report(op.name, p, "ref", flops / ref_dt / 1e9, 1.0);
 
       // The blocked tier.
       KernelConfig cfg;
@@ -203,15 +255,75 @@ int main(int argc, char** argv) {
         continue;
       }
       const double dt = time_best_seconds(iters, [&] { op.kernel(a, b, got); });
-      const double gflops = flops / dt / 1e9;
-      const double speedup = ref_dt / dt;
-      records.push_back({op.name, p, 1, "t1", gflops, speedup});
-      std::cout << std::left << std::setw(9) << op.name << std::setw(13) << p.label
-                << std::setw(9) << "t1" << std::setw(10) << std::fixed
-                << std::setprecision(2) << gflops << std::setprecision(2)
-                << speedup << "\n";
-      if (std::string(op.name) == "gemm" && p.square && p.n == largest) gate_speedup = speedup;
+      report(op.name, p, "t1", flops / dt / 1e9, ref_dt / dt);
+      if (std::string(op.name) == "gemm" && p.square && p.n == largest) gate_speedup = ref_dt / dt;
     }
+  }
+
+  // The controller's raw-buffer products.
+  std::vector<ControllerProduct> products;
+  for (const auto& [sp, batch] : {std::pair{ncnas::space::nt3_small_space(), 1UL},
+                                  std::pair{ncnas::space::combo_small_space(), 4UL}}) {
+    const std::vector<std::size_t> arities = sp.arities();
+    const std::vector<ControllerProduct> more = controller_products(
+        *std::max_element(arities.begin(), arities.end()), arities.size(), batch);
+    products.insert(products.end(), more.begin(), more.end());
+  }
+  for (const ControllerProduct& c : products) {
+    std::string label =
+        std::to_string(c.m) + "x" + std::to_string(c.k) + "x" + std::to_string(c.n);
+    if (c.steps != 0) label = std::to_string(c.steps) + "x" + label;
+    const std::string op = c.steps == 0 ? "gemm_rows" : "accumulate_gemm_tn_steps";
+    const Problem p{c.m, c.k, c.n, label, false};
+    const double flops = 2.0 * static_cast<double>(std::max<std::size_t>(1, c.steps)) *
+                         static_cast<double>(c.m) * c.k * c.n;
+    const std::size_t iters = std::max<std::size_t>(1, static_cast<std::size_t>(2e8 / flops));
+    Rng rng(0xC7A1ULL + c.steps * 1000 + c.m * 100 + c.n);
+    std::function<void()> ref, kernel;
+    Tensor want({c.m, c.n}), got({c.m, c.n});
+    if (c.steps == 0) {
+      const Tensor a = random_tensor({c.m, c.k}, rng), b = random_tensor({c.k, c.n}, rng);
+      ref = [&want, a, b] { ncnas::tensor::gemm_ref(a, b, want); };
+      kernel = [&got, a, b, c] {
+        ncnas::tensor::gemm_rows(a.data(), b.data(), got.data(), c.m, c.k, c.n);
+      };
+    } else {
+      // Step s reads a_s(k, m) and b_s(k, n), stored back to back; the
+      // reference slices them out once, outside the timed loop.
+      const Tensor a = random_tensor({c.steps * c.k, c.m}, rng);
+      const Tensor b = random_tensor({c.steps * c.k, c.n}, rng);
+      std::vector<Tensor> as, bs;
+      for (std::size_t s = 0; s < c.steps; ++s) {
+        as.emplace_back(Shape{c.k, c.m}, std::vector<float>(a.data() + s * c.k * c.m,
+                                                             a.data() + (s + 1) * c.k * c.m));
+        bs.emplace_back(Shape{c.k, c.n}, std::vector<float>(b.data() + s * c.k * c.n,
+                                                             b.data() + (s + 1) * c.k * c.n));
+      }
+      ref = [&want, as, bs, term = Tensor({c.m, c.n})]() mutable {
+        for (std::size_t s = as.size(); s-- > 0;) {
+          ncnas::tensor::gemm_tn_ref(as[s], bs[s], term);
+          ncnas::tensor::add_inplace(want, term);
+        }
+      };
+      kernel = [&got, a, b, c] {
+        ncnas::tensor::accumulate_gemm_tn_steps(a.data(), b.data(), got.data(), c.steps, c.k,
+                                                c.m, c.n);
+      };
+      // Both sums start from the same g; the timed loops keep adding to it.
+      want = random_tensor({c.m, c.n}, rng);
+      got = want;
+    }
+    ref();
+    kernel();
+    if (!bytes_equal(want, got)) {
+      std::cerr << "BIT MISMATCH: " << op << " " << label << "\n";
+      bits_ok = false;
+      continue;
+    }
+    const double ref_dt = time_best_seconds(iters, ref);
+    report(op, p, "ref", flops / ref_dt / 1e9, 1.0);
+    const double dt = time_best_seconds(iters, kernel);
+    report(op, p, "t1", flops / dt / 1e9, ref_dt / dt);
   }
 
   // hardware_threads describes the machine; no measurement depends on it.

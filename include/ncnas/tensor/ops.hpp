@@ -102,11 +102,13 @@ void accumulate_col_sums(const Tensor& g, Tensor& out);
 /// --- few-row kernels on raw buffers ------------------------------------------
 /// For callers that own their buffers and run many tiny products (the RL
 /// controller's LSTM and heads, at a handful of rows): no shape checks, no
-/// tier dispatch and no profiler scope. Register-blocked, but each
-/// output element is still the one multiply-add chain over k ascending,
-/// starting from +0 (fused where the target has FMA), that gemm / gemm_nt /
-/// gemm_tn compute on either tier, so the bits are exactly theirs.
-/// kernel_diff_test pins this.
+/// tier dispatch and no profiler scope. Both run the register-blocked strip
+/// steps of the blocked tier — 4-row then 1-row steps, 32, 16, 8 and then
+/// 1-7 columns wide — on their operands in place, so each output element is
+/// still the one multiply-add chain over k ascending, starting from +0
+/// (fused where the target has FMA), that gemm / gemm_nt / gemm_tn compute
+/// on either tier, and the bits are exactly theirs. kernel_diff_test and
+/// kernel_fuzz_test pin this.
 
 /// c(m,n) = a(m,k) * b(k,n), all row-major and contiguous. gemm_nt's
 /// a * b^T is this with b's transpose passed as b.
@@ -117,7 +119,9 @@ void gemm_rows(const float* a, const float* b, float* c, std::size_t m, std::siz
 /// a_s = a + s*k*m and b_s = b + s*k*n. Each term is gemm_tn's chain and is
 /// added to g in that descending order: the same bits as one gemm_tn into
 /// scratch plus add_inplace(g, scratch) per s, the way backpropagation
-/// through time visits the steps.
+/// through time visits the steps. One exception: where two NaNs of
+/// different sign meet in g + term, which one the sum keeps depends on the
+/// add's operand order, and add_inplace's may keep the other.
 void accumulate_gemm_tn_steps(const float* a, const float* b, float* g, std::size_t steps,
                               std::size_t k, std::size_t m, std::size_t n);
 

@@ -131,7 +131,7 @@ struct AgentState {
   std::size_t cached_streak = 0;
   bool stopped = false;
 
-  // Fault-injection state (only populated when a plan is active).
+  // Fault-injection state (only moved off its defaults when a plan is active).
   std::vector<double> crash_at;      ///< per-worker planned death time (+inf = never)
   bool dead = false;                 ///< every worker lost; no further cycles
   std::uint64_t exchange_seq = 0;    ///< PS exchange counter for fault verdicts
@@ -415,9 +415,8 @@ class SearchRun {
   /// Joins every pending update, then the training of every in-flight
   /// record (see join()).
   void join_in_flight();
-  bool dispatch_faulty(AgentState& agent, std::vector<double>& worker_free,
-                       const exec::EvalResult& r, EvalRecord& rec, double t,
-                       double& batch_done, std::size_t budget_units);
+  bool dispatch(AgentState& agent, std::vector<double>& worker_free, const exec::EvalResult& r,
+                EvalRecord& rec, double t, double& batch_done, std::size_t budget_units);
   void start_cycle(AgentState& agent, double t);
   void a2c_begin_round(double resume);
   void a2c_release_stuck(double now);
@@ -539,6 +538,7 @@ SearchRun::SearchRun(const space::SearchSpace& space, const data::Dataset& datas
     agents_[i].id = i;
     agents_[i].rng = seeder.split(1000 + i);
     agents_[i].eval_seed = seeder.split(5000 + i).next_u64();
+    agents_[i].crash_at.assign(W_, std::numeric_limits<double>::infinity());
     // With a ladder the agent cache wraps it instead of the flat evaluator,
     // so the cache namespace is the ladder-level context — disjoint from
     // every flat key and every rung key.
@@ -586,7 +586,6 @@ void SearchRun::bootstrap() {
   // event clock never runs ahead of the search.
   if (fx_ != nullptr) {
     for (AgentState& agent : agents_) {
-      agent.crash_at.assign(W_, std::numeric_limits<double>::infinity());
       for (std::size_t w = 0; w < W_; ++w) {
         const double when = fx_->crash_time(agent.id, w);
         if (when >= config_.wall_time_seconds) continue;  // never felt by this run
@@ -734,21 +733,22 @@ void SearchRun::publish_progress(double t, bool finished) {
   }
 }
 
-// ---- fault-aware dispatch: one real task with retries and backoff -----
-// Only reached when a fault plan is active. Walks the retry loop on the
-// virtual clock: each attempt picks the earliest-start live worker, asks
-// the injector for this attempt's verdict, and on failure re-dispatches
-// after capped exponential backoff until success or the retry budget is
-// spent (the record is then floored). Returns false when no live worker
-// remains — the caller marks the agent dead. The real training behind the
-// record was submitted once up front; faults only replay its virtual-time
-// cost.
-bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_free,
-                                const exec::EvalResult& r, EvalRecord& rec, double t,
-                                double& batch_done, std::size_t budget_units) {
-  const std::string key = space::arch_key(rec.arch);
+// ---- dispatch: one real task, with retries and backoff under a plan -----
+// Walks the retry loop on the virtual clock: each attempt picks the
+// earliest-start live worker, asks the injector (if any) for this attempt's
+// verdict, and on failure re-dispatches after capped exponential backoff
+// until success or the retry budget is spent (the record is then floored).
+// Without a fault plan every worker lives forever and the first attempt
+// succeeds: the earliest-free worker runs the task. Returns false when no
+// live worker remains — the caller marks the agent dead. The real training
+// behind the record was submitted once up front; faults only replay its
+// virtual-time cost.
+bool SearchRun::dispatch(AgentState& agent, std::vector<double>& worker_free,
+                         const exec::EvalResult& r, EvalRecord& rec, double t,
+                         double& batch_done, std::size_t budget_units) {
+  // Only a fault plan reads the key: its verdicts are keyed on the arch.
+  const std::string key = fx_ != nullptr ? space::arch_key(rec.arch) : std::string();
   const auto aid = static_cast<std::uint32_t>(agent.id);
-  const std::size_t max_retries = fx_->plan().max_retries;
   const auto floor_record = [&](double at, std::size_t attempts) {
     rec.time = at;
     rec.reward = floor_reward_;
@@ -788,7 +788,8 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
       return false;  // agent has no live worker left
     }
 
-    const exec::FaultInjector::TaskFault tf = fx_->task_fault(agent.id, key, attempt);
+    const exec::FaultInjector::TaskFault tf =
+        fx_ != nullptr ? fx_->task_fault(agent.id, key, attempt) : exec::FaultInjector::TaskFault{};
     const double dur = r.sim_duration * tf.slowdown;
     const double end = start + dur;
     const double crash = agent.crash_at[slot];
@@ -825,10 +826,11 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
       rec.attempts = attempt + 1;
       batch_done = std::max(batch_done, end);
       real_evals_ += budget_units;
-      emit(obs::JournalEventType::kEvalDispatched, start, aid,
-           {{"duration_s", dur},
-            {"worker", static_cast<double>(slot)},
-            {"attempt", static_cast<double>(attempt)}});
+      std::vector<obs::JournalField> payload{{"duration_s", dur},
+                                             {"worker", static_cast<double>(slot)}};
+      // A fault-free journal has no attempts to number.
+      if (fx_ != nullptr) payload.push_back({"attempt", static_cast<double>(attempt)});
+      emit(obs::JournalEventType::kEvalDispatched, start, aid, std::move(payload));
       return true;
     }
 
@@ -838,8 +840,9 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
             {"worker", static_cast<double>(slot)},
             {"reason", fail_reason}});
     }
+    // Only a plan's verdicts fail an attempt, so fx_ is set from here on.
     ++attempt;
-    if (attempt > max_retries) {
+    if (attempt > fx_->plan().max_retries) {
       floor_record(fail_time, attempt);
       real_evals_ += budget_units;  // the failed attempts occupied real worker time
       return true;
@@ -1013,19 +1016,7 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
     rec.training = r.training;
     if (r.cache_hit) {
       rec.time = t;
-    } else if (fx_ == nullptr) {
-      const auto slot = static_cast<std::size_t>(
-          std::min_element(worker_free.begin(), worker_free.end()) - worker_free.begin());
-      const double start = worker_free[slot];
-      const double end = start + r.sim_duration;
-      worker_free[slot] = end;
-      monitor_.add_busy_interval(start, end);
-      rec.time = end;
-      batch_done = std::max(batch_done, end);
-      real_evals_ += budget_units[m];
-      emit(obs::JournalEventType::kEvalDispatched, start, static_cast<std::uint32_t>(agent.id),
-           {{"duration_s", r.sim_duration}, {"worker", static_cast<double>(slot)}});
-    } else if (!dispatch_faulty(agent, worker_free, r, rec, t, batch_done, budget_units[m]) &&
+    } else if (!dispatch(agent, worker_free, r, rec, t, batch_done, budget_units[m]) &&
                !agent.dead) {
       // First task that found no live worker: the agent's pool is gone.
       // Remaining tasks of this batch floor the same way; the batch still
@@ -1407,7 +1398,6 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
   // the original process and arrived here through the snapshot.
   if (fx_ != nullptr) {
     for (AgentState& agent : agents_) {
-      agent.crash_at.assign(W_, std::numeric_limits<double>::infinity());
       for (std::size_t worker = 0; worker < W_; ++worker) {
         const double when = fx_->crash_time(agent.id, worker);
         if (when >= config_.wall_time_seconds) continue;

@@ -122,7 +122,8 @@ void gemm_tn_ref_impl(const float* pa, const float* pb, float* pc, const GemmDim
 // C is computed one row block at a time. A full panel runs gemm_micro_step;
 // the last panel, n % 32 columns wide, runs the strip steps split 16 -> 8 ->
 // under 8 (the search spaces' widths are 16 mod 32 more often than not:
-// 16, 48 and 144). gemm_tn runs the strip steps on every column. Determinism
+// 16, 48 and 144). gemm_tn runs the strip steps on every column, and so do
+// the controller's gemm_rows and accumulate_gemm_tn_steps. Determinism
 // rule: a C element's value is a single register accumulation chain over k
 // ascending — the same chain the reference kernel performs through memory —
 // so bits match the reference for any block geometry.
@@ -234,9 +235,10 @@ void with_edge_width(std::size_t w, Fn&& fn) {
 /// of C at c + r * ldc, and element (r, kk) of A at a[r * lda + kk] — or,
 /// when the steps' TransA is set, at a[r + kk * lda]. gemm reads its tail
 /// panel this way (ldb = the panel's width), gemm_tn its operands in place
-/// (TransA, lda = m, ldb = n). TransA is a template parameter so that one
-/// of A's two strides is a compile-time 1: with both at run time the gemm
-/// tail measured ~30 % slower.
+/// (TransA, lda = m, ldb = n), and gemm_rows its row-major operands in
+/// place (ldb = n). TransA is a template parameter so that one of A's two
+/// strides is a compile-time 1: with both at run time the gemm tail
+/// measured ~30 % slower.
 struct Strip {
   const float* a;
   std::size_t lda;
@@ -251,6 +253,18 @@ const float* strip_row(const Strip& s, std::size_t r) {
   return TransA ? s.a + r : s.a + r * s.lda;
 }
 
+/// Stores one C row's W chains: c = acc, or, when the steps' Add is set,
+/// c += acc — one rounding of c + term, the add_inplace that
+/// accumulate_gemm_tn_steps folds in.
+template <bool Add, std::size_t W>
+void store_row(const float* acc, float* c) {
+  if constexpr (Add) {
+    for (std::size_t jj = 0; jj < W; ++jj) c[jj] += acc[jj];
+  } else {
+    std::copy(acc, acc + W, c);
+  }
+}
+
 /// 4-row step over W columns of a strip. The row count is a compile-time
 /// constant and each row gets its own named accumulator array: a
 /// runtime-bound row loop here makes the compiler spill every chain to the
@@ -259,7 +273,7 @@ const float* strip_row(const Strip& s, std::size_t r) {
 /// GF/s. Kept out of line: GCC 12 inlines it into the row loop when nothing
 /// stops it, and gemm_tn 128^3 then measured ~45 instead of ~58 GFLOP/s on a
 /// 4-core AVX-512 VM.
-template <bool TransA, std::size_t W>
+template <bool TransA, bool Add, std::size_t W>
 [[gnu::noinline]] void strip_step_r4(const Strip& s) {
   const float *a0 = strip_row<TransA>(s, 0), *a1 = strip_row<TransA>(s, 1),
               *a2 = strip_row<TransA>(s, 2), *a3 = strip_row<TransA>(s, 3);
@@ -276,14 +290,14 @@ template <bool TransA, std::size_t W>
       acc3[jj] = madd(v3, bv, acc3[jj]);
     }
   }
-  std::copy(acc0, acc0 + W, s.c);
-  std::copy(acc1, acc1 + W, s.c + s.ldc);
-  std::copy(acc2, acc2 + W, s.c + 2 * s.ldc);
-  std::copy(acc3, acc3 + W, s.c + 3 * s.ldc);
+  store_row<Add, W>(acc0, s.c);
+  store_row<Add, W>(acc1, s.c + s.ldc);
+  store_row<Add, W>(acc2, s.c + 2 * s.ldc);
+  store_row<Add, W>(acc3, s.c + 3 * s.ldc);
 }
 
 /// 1-row step over W columns of a strip.
-template <bool TransA, std::size_t W>
+template <bool TransA, bool Add, std::size_t W>
 [[gnu::noinline]] void strip_step_r1(const Strip& s) {
   const std::size_t ak = TransA ? s.lda : 1;
   float acc[W] = {};
@@ -292,36 +306,38 @@ template <bool TransA, std::size_t W>
     const float* brow = s.b + kk * s.ldb;
     for (std::size_t jj = 0; jj < W; ++jj) acc[jj] = madd(av, brow[jj], acc[jj]);
   }
-  std::copy(acc, acc + W, s.c);
+  store_row<Add, W>(acc, s.c);
 }
 
 /// Rows [0, rows) of W strip columns: 4-row steps, then single rows.
-template <bool TransA, std::size_t W>
+template <bool TransA, bool Add, std::size_t W>
 void strip_rows(Strip s, std::size_t rows) {
   std::size_t i = 0;
   for (; i + kMicroRows <= rows; i += kMicroRows) {
-    strip_step_r4<TransA, W>(s);
+    strip_step_r4<TransA, Add, W>(s);
     s.a = strip_row<TransA>(s, kMicroRows);
     s.c += kMicroRows * s.ldc;
   }
   for (; i < rows; ++i) {
-    strip_step_r1<TransA, W>(s);
+    strip_step_r1<TransA, Add, W>(s);
     s.a = strip_row<TransA>(s, 1);
     s.c += s.ldc;
   }
 }
 
 /// Columns [0, w) of the strip's rows [0, rows): 32-wide tiles, then the
-/// rest split 16 -> 8 -> under 8, the rule gemm_rows_block uses, so every
-/// step has a compile-time width and keeps its accumulators in registers.
-template <bool TransA>
+/// rest split 16 -> 8 -> under 8, so every step has a compile-time width
+/// and keeps its accumulators in registers. The one column-split rule: the
+/// gemm tail panel, gemm_tn and the controller's gemm_rows and
+/// accumulate_gemm_tn_steps all run it.
+template <bool TransA, bool Add = false>
 void strip_cols(const Strip& s, std::size_t rows, std::size_t w) {
   std::size_t j = 0;
   const auto tiles = [&](auto width) {
     Strip part = s;
     part.b += j;
     part.c += j;
-    strip_rows<TransA, width()>(part, rows);
+    strip_rows<TransA, Add, width()>(part, rows);
     j += width();
   };
   while (j + kPanelWidth <= w) tiles(std::integral_constant<std::size_t, kPanelWidth>{});
@@ -464,123 +480,16 @@ void gemm_tn_ref(const Tensor& a, const Tensor& b, Tensor& c) {
   gemm_tn_ref_impl(a.data(), b.data(), c.data(), d);
 }
 
-namespace {
-
-/// An R x W tile of c = a * b: every accumulator in registers for the whole
-/// k loop, one chain per element, k ascending from +0. R and W are
-/// compile-time constants for the same reason as in gemm_micro_step.
-template <std::size_t R, std::size_t W>
-void gemm_rows_tile(const float* a, const float* b, float* c, std::size_t k, std::size_t n,
-                    std::size_t j0) {
-  float acc[R][W] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * n + j0;
-    float v[R];
-    for (std::size_t r = 0; r < R; ++r) v[r] = a[r * k + kk];
-    for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t jj = 0; jj < W; ++jj) acc[r][jj] = madd(v[r], brow[jj], acc[r][jj]);
-    }
-  }
-  for (std::size_t r = 0; r < R; ++r) std::copy(acc[r], acc[r] + W, c + r * n + j0);
-}
-
-/// R rows: 32-wide tiles over all R rows at once, then the remaining
-/// columns one row at a time (narrow tiles blocked over rows vectorize
-/// across the rows and run several times slower).
-template <std::size_t R>
-void gemm_rows_block(const float* a, const float* b, float* c, std::size_t k, std::size_t n) {
-  std::size_t j0 = 0;
-  if constexpr (R == 1) {
-    // A single row has only its own chains to overlap: wider tiles keep more
-    // of them in flight.
-    for (; j0 + 64 <= n; j0 += 64) gemm_rows_tile<1, 64>(a, b, c, k, n, j0);
-  }
-  for (; j0 + 32 <= n; j0 += 32) gemm_rows_tile<R, 32>(a, b, c, k, n, j0);
-  for (std::size_t r = 0; r < R; ++r) {
-    const float* ar = a + r * k;
-    float* cr = c + r * n;
-    std::size_t j = j0;
-    if (j + 16 <= n) {
-      gemm_rows_tile<1, 16>(ar, b, cr, k, n, j);
-      j += 16;
-    }
-    if (j + 8 <= n) {
-      gemm_rows_tile<1, 8>(ar, b, cr, k, n, j);
-      j += 8;
-    }
-    with_edge_width(n - j, [&](auto w) { gemm_rows_tile<1, w()>(ar, b, cr, k, n, j); });
-  }
-}
-
-/// An R x W tile of accumulate_gemm_tn_steps: g is loaded once, each step's
-/// term is its own chain over k from +0, and g += term per step.
-template <std::size_t R, std::size_t W>
-void gemm_tn_steps_tile(const float* a, const float* b, float* g, std::size_t steps,
-                        std::size_t k, std::size_t m, std::size_t n, std::size_t i,
-                        std::size_t j0) {
-  float acc[R][W];
-  for (std::size_t r = 0; r < R; ++r) {
-    std::copy(g + (i + r) * n + j0, g + (i + r) * n + j0 + W, acc[r]);
-  }
-  for (std::size_t s = steps; s-- > 0;) {
-    const float* as = a + s * k * m + i;
-    const float* bs = b + s * k * n + j0;
-    float term[R][W] = {};
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* brow = bs + kk * n;
-      float v[R];
-      for (std::size_t r = 0; r < R; ++r) v[r] = as[kk * m + r];
-      for (std::size_t r = 0; r < R; ++r) {
-        for (std::size_t jj = 0; jj < W; ++jj) term[r][jj] = madd(v[r], brow[jj], term[r][jj]);
-      }
-    }
-    for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t jj = 0; jj < W; ++jj) acc[r][jj] += term[r][jj];
-    }
-  }
-  for (std::size_t r = 0; r < R; ++r) std::copy(acc[r], acc[r] + W, g + (i + r) * n + j0);
-}
-
-/// Output rows [i, i + R) of accumulate_gemm_tn_steps, tiled like
-/// gemm_rows_block.
-template <std::size_t R>
-void gemm_tn_steps_block(const float* a, const float* b, float* g, std::size_t steps,
-                         std::size_t k, std::size_t m, std::size_t n, std::size_t i) {
-  std::size_t j0 = 0;
-  for (; j0 + 32 <= n; j0 += 32) gemm_tn_steps_tile<R, 32>(a, b, g, steps, k, m, n, i, j0);
-  for (std::size_t r = 0; r < R; ++r) {
-    std::size_t j = j0;
-    if (j + 16 <= n) {
-      gemm_tn_steps_tile<1, 16>(a, b, g, steps, k, m, n, i + r, j);
-      j += 16;
-    }
-    if (j + 8 <= n) {
-      gemm_tn_steps_tile<1, 8>(a, b, g, steps, k, m, n, i + r, j);
-      j += 8;
-    }
-    with_edge_width(n - j, [&](auto w) {
-      gemm_tn_steps_tile<1, w()>(a, b, g, steps, k, m, n, i + r, j);
-    });
-  }
-}
-
-}  // namespace
-
 void gemm_rows(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) gemm_rows_block<4>(a + i * k, b, c + i * n, k, n);
-  for (; i < m; ++i) gemm_rows_block<1>(a + i * k, b, c + i * n, k, n);
+  strip_cols<false>({a, k, b, n, c, n, k}, m, n);
 }
 
 void accumulate_gemm_tn_steps(const float* a, const float* b, float* g, std::size_t steps,
                               std::size_t k, std::size_t m, std::size_t n) {
-  // Two rows per tile: each tile holds its sums and the current step's terms
-  // in registers, and four rows of both spill (measured 2-4x slower at the
-  // controller's batch sizes, 1 to 4).
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) gemm_tn_steps_block<2>(a, b, g, steps, k, m, n, i);
-  for (; i < m; ++i) gemm_tn_steps_block<1>(a, b, g, steps, k, m, n, i);
+  for (std::size_t s = steps; s-- > 0;) {
+    strip_cols<true, /*Add=*/true>({a + s * k * m, m, b + s * k * n, n, g, n, k}, m, n);
+  }
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -19,6 +19,7 @@
 // FAILING SEED line — replay that one run with --seed=S, no --runs needed.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -48,6 +49,22 @@ bool bytes_equal(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          (a.size() == 0 ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// bytes_equal, except that a NaN matches a NaN of either sign or payload.
+/// IEEE 754 leaves open which NaN an add of two NaNs returns, and x86 returns
+/// one operand's by instruction operand order, which the compiler picks:
+/// where a +NaN input and a -NaN made by Inf - Inf or 0 * Inf meet,
+/// accumulate_gemm_tn_steps's g += term and add_inplace's fused axpy keep
+/// different ones. Every other element must match to the bit.
+bool bytes_equal_any_nan(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const bool nan_a = std::isnan(a[i]), nan_b = std::isnan(b[i]);
+    if (nan_a != nan_b) return false;
+    if (!nan_a && std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) return false;
+  }
+  return true;
 }
 
 /// One fuzzing stream, salted per-op so the ops explore independent spaces
@@ -159,6 +176,53 @@ TEST(KernelFuzz, GemmNtAllTiersBitwiseVsReference) {
 TEST(KernelFuzz, GemmTnAllTiersBitwiseVsReference) {
   fuzz_gemm(0x676D746E, "gemm_tn", nk_km, nk_kn, ncnas::tensor::gemm_tn,
             ncnas::tensor::gemm_tn_ref);
+}
+
+// The controller's raw-buffer kernels have no tier and no configuration:
+// gemm_rows must give gemm_ref's bytes, written over a poisoned output.
+TEST(KernelFuzz, GemmRowsBitwiseVsReference) {
+  Fuzz fz(0x676D7277);
+  for (int it = 0; it < kIters; ++it) {
+    const std::size_t m = fz.dim(), k = fz.dim(), n = fz.dim();
+    const Tensor a = fz.tensor({m, k});
+    const Tensor b = fz.tensor({k, n});
+    Tensor want({m, n});
+    ncnas::tensor::gemm_ref(a, b, want);
+    Tensor got({m, n});
+    fz.poison(got);
+    ncnas::tensor::gemm_rows(a.data(), b.data(), got.data(), m, k, n);
+    ASSERT_TRUE(bytes_equal(want, got))
+        << "gemm_rows iter=" << it << " " << m << "x" << k << "x" << n
+        << " (replay with --seed=" << g_seed << ")";
+  }
+}
+
+// accumulate_gemm_tn_steps from a random g must give the bytes of one
+// gemm_tn_ref into scratch plus add_inplace per step, steps descending, up
+// to the sign of a NaN (see bytes_equal_any_nan).
+TEST(KernelFuzz, AccumulateGemmTnStepsBitwiseVsPerStepReference) {
+  Fuzz fz(0x61677473);
+  for (int it = 0; it < kIters; ++it) {
+    const std::size_t m = fz.dim(), k = fz.dim(), n = fz.dim();
+    const std::size_t steps = 1 + fz.uniform_int(12);
+    // Step s reads a_s(k, m) and b_s(k, n), stored back to back.
+    const Tensor a = fz.tensor({steps * k, m});
+    const Tensor b = fz.tensor({steps * k, n});
+    const Tensor g0 = fz.tensor({m, n});
+    Tensor want = g0;
+    for (std::size_t s = steps; s-- > 0;) {
+      const Tensor as({k, m}, std::vector<float>(a.data() + s * k * m, a.data() + (s + 1) * k * m));
+      const Tensor bs({k, n}, std::vector<float>(b.data() + s * k * n, b.data() + (s + 1) * k * n));
+      Tensor term({m, n});
+      ncnas::tensor::gemm_tn_ref(as, bs, term);
+      ncnas::tensor::add_inplace(want, term);
+    }
+    Tensor got = g0;
+    ncnas::tensor::accumulate_gemm_tn_steps(a.data(), b.data(), got.data(), steps, k, m, n);
+    ASSERT_TRUE(bytes_equal_any_nan(want, got))
+        << "accumulate_gemm_tn_steps iter=" << it << " steps=" << steps << " " << m << "x" << k
+        << "x" << n << " (replay with --seed=" << g_seed << ")";
+  }
 }
 
 TEST(KernelFuzz, AxpyScaleAllTiersBitwiseVsReference) {

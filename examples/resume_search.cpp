@@ -208,24 +208,32 @@ int main(int argc, char** argv) {
   }
   if (mode == "run") {
     cfg.checkpoint = &ckpt_cfg;
-    ckpt_cfg.abort_after_snapshots = kill_after;
-    try {
-      const nas::SearchResult res = nas::SearchDriver(sp, ds, cfg, &pool).run();
-      // Interval longer than the search: nothing to kill, run just finishes.
+    // Each pause at a checkpoint boundary writes one snapshot.
+    nas::SearchDriver driver(sp, ds, cfg, &pool);
+    std::size_t pauses = 0;
+    while (pauses < kill_after &&
+           !driver.advance(
+               ckpt::next_checkpoint_time(driver.virtual_time(), ckpt_cfg.interval_seconds))) {
+      ++pauses;
+    }
+    if (pauses == 0 || pauses < kill_after) {
+      // Interval longer than the search (or --kill-after 0): nothing to
+      // kill, the run just finishes.
+      const nas::SearchResult res = driver.run();
       nas::save_result(dir + "/resumed.log", res, fingerprint);
       export_journal(telemetry, dir + "/journal-0.jsonl");
       std::cout << "run finished before writing " << kill_after
                 << " snapshot(s); nothing to resume\n";
       return 0;
-    } catch (const ckpt::SearchInterrupted& e) {
-      // The snapshot is on disk; journal out, then die the way a preempted
-      // job does. Exit code 137 = 128 + SIGKILL, which the CI job asserts.
-      export_journal(telemetry, dir + "/journal-0.jsonl");
-      std::cout << "interrupted after snapshot " << e.snapshot_path() << "; dying\n";
-      std::cout.flush();
-      std::raise(SIGKILL);
-      return 1;  // unreachable
     }
+    // The snapshot is on disk; journal out, then die the way a preempted
+    // job does. Exit code 137 = 128 + SIGKILL, which the CI job asserts.
+    export_journal(telemetry, dir + "/journal-0.jsonl");
+    std::cout << "interrupted after snapshot " << *ckpt::latest_checkpoint(snap_dir)
+              << "; dying\n";
+    std::cout.flush();
+    std::raise(SIGKILL);
+    return 1;  // unreachable
   }
   if (mode == "resume") {
     cfg.checkpoint = &ckpt_cfg;

@@ -1,6 +1,6 @@
 // serve_nas — NAS-as-a-service demo: one SearchServer hosting several
 // tenants over a shared evaluation-slot pool, with fair-share scheduling,
-// checkpoint-based preemption, and a cross-tenant evaluation cache.
+// preemption by pausing each live search, and a cross-tenant evaluation cache.
 //
 //   ./examples/serve_nas [--serve <port>] [--linger <s>] [--quantum <s>]
 //                        [--wall <s>] [--state-dir <dir>]
@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
     for (std::uint32_t id : {alice, bob, carol}) {
       const serve::TenantSession& s = server.session(id);
       std::cout << "  " << s.name() << "=" << serve::tenant_state_name(s.state()) << " ("
-                << s.slices() << " slices, " << s.evals() << " evals, "
-                << s.shared_cache_hits() << " shared hits)";
+                << s.slices() << " slices, " << s.summary().evals << " evals, "
+                << s.summary().shared_cache_hits << " shared hits)";
     }
     std::cout << "\n";
   }
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
               << " cached (" << r.shared_cache_hits << " shared), best ";
     const auto best = r.best_so_far();
     std::cout << (best.empty() ? 0.0f : best.back().second) << ", " << s.preemptions()
-              << " preemption(s), " << r.resumes << " resume(s)\n";
+              << " preemption(s)\n";
   }
   const exec::SharedEvalCache::Stats totals = shared.totals();
   std::cout << "shared cache: " << shared.size() << " entries, " << totals.hits << " hits ("

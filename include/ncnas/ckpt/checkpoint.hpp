@@ -11,6 +11,11 @@
 // cumulative snapshot count, so a resumed process continues the numbering of
 // the process it replaced and rotation (keep the newest K) works across
 // process generations.
+//
+// A snapshot is what survives a killed process (nas::resume_search). A
+// search preempted inside its process needs none: SearchDriver::advance
+// pauses it at the same safe point, on the same cadence
+// (next_checkpoint_time), and the live driver goes on from there.
 #pragma once
 
 #include <cstddef>
@@ -30,27 +35,16 @@ struct CheckpointConfig {
   double interval_seconds = 1800.0;
   /// Newest snapshots kept on disk; 0 keeps all.
   std::size_t keep_last = 3;
-  /// Test hook: after this many snapshots written *by this process*, the
-  /// driver throws SearchInterrupted — a deterministic stand-in for a
-  /// preemption signal, used by the kill-and-resume tests and by
-  /// examples/resume_search --kill-after (which escalates to a real
-  /// SIGKILL). 0 disables.
-  std::size_t abort_after_snapshots = 0;
 };
 
-/// Thrown by the driver when CheckpointConfig::abort_after_snapshots fires.
-/// Carries the path of the snapshot that was just made durable, so the
-/// catcher can hand it straight to resume_search().
-class SearchInterrupted : public std::runtime_error {
- public:
-  explicit SearchInterrupted(std::string snapshot_path)
-      : std::runtime_error("search interrupted after snapshot " + snapshot_path),
-        path_(std::move(snapshot_path)) {}
-  [[nodiscard]] const std::string& snapshot_path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-};
+/// The checkpoint cadence: the first interval boundary strictly after `t`,
+/// (floor(t / interval) + 1) * interval. The driver schedules its first
+/// snapshot at next_checkpoint_time(0) and each next one from the time of the
+/// last, and a resumed run restarts the rule from its snapshot's time, so
+/// its snapshots land on the completions an uninterrupted run's do. A caller
+/// that pauses a search on the same boundaries (SearchDriver::advance) stops
+/// it exactly where a snapshot is written.
+[[nodiscard]] double next_checkpoint_time(double t, double interval);
 
 class CheckpointWriter {
  public:
@@ -59,17 +53,13 @@ class CheckpointWriter {
   explicit CheckpointWriter(CheckpointConfig config);
 
   /// Writes snap-<header.ordinal>.ckpt atomically, then rotates (deletes
-  /// all but the newest keep_last snapshots). Returns the snapshot path.
-  std::string write(const SnapshotHeader& header, const std::vector<std::uint8_t>& payload);
+  /// all but the newest keep_last snapshots).
+  void write(const SnapshotHeader& header, const std::vector<std::uint8_t>& payload);
 
-  /// Snapshots written by this writer (i.e. this process), which is what
-  /// abort_after_snapshots counts against — not the run-cumulative ordinal.
-  [[nodiscard]] std::size_t session_writes() const noexcept { return session_writes_; }
   [[nodiscard]] const CheckpointConfig& config() const noexcept { return config_; }
 
  private:
   CheckpointConfig config_;
-  std::size_t session_writes_ = 0;
 };
 
 /// Snapshot files in `directory`, sorted by ordinal ascending. Non-snapshot

@@ -1,4 +1,4 @@
-// Evaluator — the reward-estimation strategy (paper §3.3).
+// TrainingEvaluator — the reward estimation (paper §3.3).
 //
 // TrainingEvaluator performs a genuine low-fidelity training of the generated
 // architecture (configurable epochs and training-data fraction, agent-seeded
@@ -15,7 +15,7 @@
 // worker nodes. The reward is a pure function of (arch, seed, fidelity), so
 // when and where train() runs never changes a result bit.
 //
-// CachedEvaluator adds the paper's per-agent evaluation cache: re-generated
+// CachedEvaluator is the paper's per-agent evaluation cache: re-generated
 // architectures return their stored reward instantly (no worker task), which
 // is the mechanism behind A3C's late-search utilization decay and the
 // all-agents-converged stopping rule.
@@ -91,21 +91,6 @@ struct EvalResult {
   void join();
 };
 
-class Evaluator {
- public:
-  virtual ~Evaluator() = default;
-  /// Estimates the reward of `arch`; `seed` is the agent-specific weight
-  /// initialization seed (same arch + different seed may differ, per paper).
-  [[nodiscard]] virtual EvalResult evaluate(const space::ArchEncoding& arch,
-                                            std::uint64_t seed) const = 0;
-  /// Canonical identity of everything besides (arch, seed) that determines
-  /// this evaluator's results — dataset + fidelity + cost model for
-  /// TrainingEvaluator (see exec::eval_context_key). Caches layered on top
-  /// fold this into their keys so rewards can never leak between different
-  /// data or budgets. Empty when the evaluator has no such identity.
-  [[nodiscard]] virtual std::string context_key() const { return {}; }
-};
-
 /// Raw measurements handed to a custom reward function.
 struct RewardInputs {
   float metric = 0.0f;        ///< validation R2 / ACC
@@ -123,7 +108,7 @@ using RewardFn = std::function<float(const RewardInputs&)>;
 /// params above `ref_params`, unchanged below.
 [[nodiscard]] RewardFn size_penalized_reward(float weight, std::size_t ref_params);
 
-class TrainingEvaluator final : public Evaluator {
+class TrainingEvaluator {
  public:
   /// Both referents must outlive the evaluator.
   TrainingEvaluator(const space::SearchSpace& space, const data::Dataset& dataset,
@@ -137,9 +122,10 @@ class TrainingEvaluator final : public Evaluator {
   /// pool-parallel evaluations share one sink.
   void set_telemetry(obs::Telemetry* telemetry);
 
-  /// submit() without a pool: the training runs inline.
-  [[nodiscard]] EvalResult evaluate(const space::ArchEncoding& arch,
-                                    std::uint64_t seed) const override;
+  /// submit() without a pool: the training runs inline. `seed` is the
+  /// agent-specific weight initialization seed (same arch + different seed
+  /// may differ, per paper).
+  [[nodiscard]] EvalResult evaluate(const space::ArchEncoding& arch, std::uint64_t seed) const;
 
   /// Builds the model to count its parameters and fills `params`,
   /// `sim_duration` and `timed_out` — everything a simulated dispatch reads
@@ -158,8 +144,9 @@ class TrainingEvaluator final : public Evaluator {
                                   std::function<void()> on_final = {}) const;
 
   /// eval_context_key(dataset, fidelity, cost_model) — the full recipe that
-  /// determines a reward besides (arch, seed).
-  [[nodiscard]] std::string context_key() const override;
+  /// determines a reward besides (arch, seed). Caches fold it into their
+  /// keys, so rewards can never leak between different data or budgets.
+  [[nodiscard]] std::string context_key() const;
 
   /// Builds the model for `arch` without training (used for post-training).
   [[nodiscard]] nn::Graph build(const space::ArchEncoding& arch, std::uint64_t seed) const;
@@ -190,28 +177,23 @@ class TrainingEvaluator final : public Evaluator {
 };
 
 /// Per-agent cache keyed by (evaluation context, architecture encoding). The
-/// context prefix — the inner evaluator's context_key(), i.e. dataset +
-/// fidelity + cost model for TrainingEvaluator — means a cache state carried
-/// across runs (checkpoint restore, shared backing stores) can never serve a
-/// reward computed for different data or a different budget. NOT thread-safe
-/// by design: each agent owns one (a global cache would defeat agent-specific
-/// seeds, as the paper notes — that cross-tenant role is SharedEvalCache's).
-class CachedEvaluator final : public Evaluator {
+/// context prefix — the evaluator's context_key(), i.e. dataset + fidelity +
+/// cost model for TrainingEvaluator — means a cache state carried across
+/// runs (checkpoint restore, shared backing stores) can never serve a reward
+/// computed for different data or a different budget. The driver evaluates
+/// misses itself and stores them here. NOT thread-safe by design: each agent
+/// owns one (a global cache would defeat agent-specific seeds, as the paper
+/// notes — that cross-tenant role is SharedEvalCache's).
+class CachedEvaluator {
  public:
-  /// `inner` must outlive the cache. The cache key context is taken from
-  /// `inner.context_key()`.
-  explicit CachedEvaluator(const Evaluator& inner)
-      : inner_(&inner), context_key_(inner.context_key()) {}
+  /// `context_key` prefixes every key: the evaluator's context_key().
+  explicit CachedEvaluator(std::string context_key) : context_key_(std::move(context_key)) {}
 
   /// Attach a telemetry sink (null to detach) counting hits/misses/inserts/
   /// erases across all caches sharing the sink.
   void set_telemetry(obs::Telemetry* telemetry);
 
-  [[nodiscard]] EvalResult evaluate(const space::ArchEncoding& arch,
-                                    std::uint64_t seed) const override;
-
-  /// Split-phase access for drivers that dispatch misses themselves: lookup()
-  /// returns the cached result (marked cache_hit) or nullopt; insert() stores
+  /// lookup() returns the cached result (marked cache_hit) or nullopt; insert() stores
   /// a dispatched miss, whose training may still be pending (a hit then
   /// shares its handle). erase() drops an entry whose evaluation ultimately
   /// failed (retry exhaustion), so a later regeneration re-evaluates instead
@@ -224,8 +206,8 @@ class CachedEvaluator final : public Evaluator {
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
   [[nodiscard]] std::size_t erases() const noexcept { return erases_; }
   [[nodiscard]] std::size_t unique_archs() const noexcept { return cache_.size(); }
-  /// The inner evaluator's context at construction time (key prefix).
-  [[nodiscard]] std::string context_key() const override { return context_key_; }
+  /// The key prefix given at construction.
+  [[nodiscard]] const std::string& context_key() const noexcept { return context_key_; }
   void clear();
 
   /// --- checkpoint/restore ---------------------------------------------------
@@ -243,7 +225,6 @@ class CachedEvaluator final : public Evaluator {
  private:
   [[nodiscard]] std::string map_key(const space::ArchEncoding& arch) const;
 
-  const Evaluator* inner_;
   std::string context_key_;
   mutable std::unordered_map<std::string, EvalResult> cache_;
   mutable std::size_t hits_ = 0;

@@ -87,11 +87,11 @@ struct LadderOutcome {
   std::size_t trainings = 0;
 };
 
-/// Multi-fidelity evaluator. Implements Evaluator so CachedEvaluator can
-/// wrap it (the ladder-level context key is disjoint from any flat key);
-/// a single-candidate evaluate() is successive halving with n = 1, i.e. the
+/// Multi-fidelity evaluator. Its ladder-level context key is disjoint from
+/// any flat key, so an agent cache keyed on it never mixes the two; a
+/// single-candidate evaluate() is successive halving with n = 1, i.e. the
 /// candidate climbs every rung via warm starts.
-class FidelityLadder final : public Evaluator {
+class FidelityLadder {
  public:
   /// `space` and `dataset` must outlive the ladder. `config` must validate.
   FidelityLadder(const space::SearchSpace& space, const data::Dataset& dataset,
@@ -121,12 +121,11 @@ class FidelityLadder final : public Evaluator {
       std::vector<LadderRungStats>* stats = nullptr,
       tensor::ThreadPool* pool = nullptr) const;
 
-  [[nodiscard]] EvalResult evaluate(const space::ArchEncoding& arch,
-                                    std::uint64_t seed) const override;
+  [[nodiscard]] EvalResult evaluate(const space::ArchEncoding& arch, std::uint64_t seed) const;
 
   /// Ladder-level context: the top rung's flat context plus the full ladder
   /// shape — never equal to any flat evaluator's key.
-  [[nodiscard]] std::string context_key() const override;
+  [[nodiscard]] std::string context_key() const;
   /// Context for rung r's cached results (see file comment).
   [[nodiscard]] std::string rung_context_key(std::size_t rung) const;
 

@@ -217,6 +217,13 @@ struct SearchResult {
 [[nodiscard]] std::vector<std::string> reconcile(const SearchResult& result,
                                                  const obs::RunSummary& sum);
 
+class SearchRun;
+
+/// One search, driven to its end by run() or in pieces by advance(). A
+/// paused search keeps all of its state in the driver, so advance() calls at
+/// any times, followed by run(), return the result run() alone returns, bit
+/// for bit. Trainings and updates a pause leaves in flight keep running on
+/// the pool.
 class SearchDriver {
  public:
   /// `space` and `dataset` must outlive the driver. `pool` (optional) runs
@@ -225,16 +232,39 @@ class SearchDriver {
   /// update runs inline at dispatch.
   SearchDriver(const space::SearchSpace& space, const data::Dataset& dataset,
                SearchConfig config, tensor::ThreadPool* pool = nullptr);
+  ~SearchDriver();
 
+  /// Runs the search until it has harvested the first batch completing at
+  /// or after virtual time `until`, with that completion's snapshot and
+  /// exporter tick, and pauses there (returns false); or until the search
+  /// ends first (returns true). Pausing at the checkpoint boundaries,
+  /// ckpt::next_checkpoint_time(virtual_time(), interval), pauses exactly
+  /// where the snapshots are written.
+  bool advance(double until);
+  /// Runs the search to its end, from the start or from a pause. Throws
+  /// std::logic_error once run() has returned, for this and advance().
   [[nodiscard]] SearchResult run();
+
+  /// Virtual time of the last harvested completion; 0 before the first
+  /// and once run() has returned.
+  [[nodiscard]] double virtual_time() const noexcept;
+  /// The run's event fold, live: every count SearchResult and /progress
+  /// read. Empty before the first advance(); the final counts after run().
+  [[nodiscard]] const obs::RunSummary& summary() const noexcept;
 
   [[nodiscard]] const SearchConfig& config() const noexcept { return config_; }
 
  private:
+  /// The run, bootstrapped on first use. Throws once run() has returned.
+  SearchRun& live();
+
   const space::SearchSpace* space_;
   const data::Dataset* dataset_;
   SearchConfig config_;
   tensor::ThreadPool* pool_;
+  std::unique_ptr<SearchRun> run_;
+  /// The finished run's fold; has_run_finished marks a spent driver.
+  obs::RunSummary finished_;
 };
 
 /// Resumes a search from a snapshot written under SearchConfig::checkpoint.

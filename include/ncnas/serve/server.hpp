@@ -3,7 +3,7 @@
 //
 // The server loop is round-based on the virtual clock: each round the
 // DrrScheduler hands out gang grants, every granted tenant runs exactly one
-// quantum-bounded time slice (suspending at a checkpoint when the quantum
+// quantum-bounded time slice (its live search pauses when the quantum
 // expires — see session.hpp), the slots come back, and the observability
 // plane is refreshed (per-tenant `ncnas_tenant_*` metrics, the /tenants
 // JSON endpoint, one exporter tick at `rounds x quantum` virtual seconds).
@@ -32,8 +32,8 @@ namespace ncnas::serve {
 struct ServeConfig {
   /// The shared evaluation-slot pool all tenants compete for.
   std::size_t total_slots = 0;
-  /// Virtual seconds per time slice (the checkpoint interval a slice runs
-  /// under). Smaller quanta preempt faster but write more snapshots.
+  /// Virtual seconds per time slice, and the tenants' checkpoint interval.
+  /// Smaller quanta preempt faster but write more snapshots.
   double quantum_seconds = 1800.0;
   /// Admission cap on concurrently hosted unfinished tenants.
   std::size_t max_tenants = 8;
@@ -44,8 +44,8 @@ struct ServeConfig {
   exec::SharedEvalCache* shared_cache = nullptr;
   /// Optional server-level telemetry (not owned): receives the per-tenant
   /// labeled metrics, and — when its exporter is enabled — the /tenants
-  /// endpoint and per-round publications. Distinct from any per-slice
-  /// telemetry the sessions create internally.
+  /// endpoint and per-round publications. Distinct from the journal-on
+  /// telemetry each session keeps for its own search.
   obs::Telemetry* telemetry = nullptr;
   /// Optional thread pool shared by all tenants' real trainings.
   tensor::ThreadPool* pool = nullptr;
@@ -66,7 +66,8 @@ class SearchServer {
 
   /// Admits a tenant and returns its id (stable for the server's lifetime).
   /// Throws AdmissionError when the server is at capacity or the spec is
-  /// unschedulable; every rejection is counted.
+  /// unschedulable (a config the driver rejects included); every rejection
+  /// is counted.
   std::uint32_t submit(TenantSpec spec);
 
   /// Runs one scheduling round: DRR grants, one slice per granted tenant
@@ -80,8 +81,8 @@ class SearchServer {
   [[nodiscard]] TenantState state(std::uint32_t id) const;
   /// The finished tenant's SearchResult; throws std::logic_error otherwise.
   [[nodiscard]] const nas::SearchResult& result(std::uint32_t id) const;
-  /// The tenant's stitched cross-slice journal.
-  [[nodiscard]] const std::vector<obs::JournalEvent>& journal(std::uint32_t id) const;
+  /// The tenant's journal so far.
+  [[nodiscard]] std::vector<obs::JournalEvent> journal(std::uint32_t id) const;
   [[nodiscard]] const TenantSession& session(std::uint32_t id) const;
 
   /// The /tenants endpoint body: a JSON document with server totals and one

@@ -1,26 +1,27 @@
 // TenantSession — one tenant's search, executed as a sequence of
-// checkpoint-bounded time slices under the SearchServer's scheduler.
+// quantum-bounded time slices under the SearchServer's scheduler.
 //
-// The suspend/resume mechanism is the existing ckpt plane, unmodified: a
-// slice runs the driver with `abort_after_snapshots = 1` and
-// `interval_seconds = quantum`, so after one quantum of virtual time the
-// driver makes a snapshot durable and throws ckpt::SearchInterrupted — that
-// is the preemption point. The next grant resumes from that snapshot
-// bit-identically (the kill-and-resume guarantee), so a sliced multi-tenant
-// run returns exactly the standalone SearchResult, `resumes` aside.
+// The session holds one live SearchDriver for the tenant's whole lifetime.
+// A slice advances it to the next quantum boundary,
+// ckpt::next_checkpoint_time(virtual_time, quantum), and the driver pauses
+// right after the first completion at or past it: that is the preemption
+// point. The next grant continues the same driver from there, so a sliced
+// multi-tenant run returns exactly the standalone SearchResult.
 //
-// Each slice gets a fresh obs::Telemetry whose journal opens with the
-// run_resumed watermark, and the session stitches slices together with
-// obs::merge_resumed_journal — per-tenant journal streams stay one
-// continuous, contiguous-seq story across any number of preemptions.
+// The driver also checkpoints every quantum into the tenant's state
+// directory, so each pause leaves a snapshot a separate process could
+// resume from. One journal-on obs::Telemetry records the whole search; the
+// tenant's /tenants progress is the run's own event fold.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "ncnas/ckpt/checkpoint.hpp"
 #include "ncnas/nas/driver.hpp"
 #include "ncnas/obs/journal.hpp"
+#include "ncnas/obs/telemetry.hpp"
 
 namespace ncnas::serve {
 
@@ -50,15 +51,12 @@ struct TenantSpec {
   /// Opt into the server's cross-tenant SharedEvalCache (result-affecting;
   /// see SearchConfig::shared_cache).
   bool use_shared_cache = true;
-  /// Keep a stitched per-tenant journal (needed for eval accounting and the
-  /// /tenants progress fields; costs one journal per slice).
-  bool enable_journal = true;
 };
 
 enum class TenantState : std::uint8_t {
   kQueued,     ///< admitted, not yet granted a first slice
   kRunning,    ///< holds a gang this round (transient within a round)
-  kPreempted,  ///< suspended at a checkpoint, awaiting its next grant
+  kPreempted,  ///< paused at a quantum boundary, awaiting its next grant
   kFinished,   ///< search completed; result() is available
   kFailed,     ///< slice threw; error() has the reason
 };
@@ -67,22 +65,22 @@ enum class TenantState : std::uint8_t {
 
 /// What one time slice did.
 enum class SliceOutcome : std::uint8_t {
-  kExpired,    ///< quantum elapsed: checkpointed and suspended
+  kExpired,    ///< quantum elapsed: the search paused
   kCompleted,  ///< search ran to its natural end inside the slice
-  kFailed,     ///< the driver threw something other than SearchInterrupted
+  kFailed,     ///< the driver threw
 };
 
 class TenantSession {
  public:
   /// `spec.space` / `spec.dataset` / `shared_cache` / `pool` must outlive
   /// the session. `state_dir` is this tenant's private checkpoint directory.
+  /// Throws std::invalid_argument on a config the driver rejects.
   TenantSession(std::uint32_t id, TenantSpec spec, double quantum_seconds,
                 std::string state_dir, exec::SharedEvalCache* shared_cache,
                 tensor::ThreadPool* pool);
 
-  /// Runs one time slice: a fresh driver on the first call, resume_search
-  /// from the latest suspension snapshot afterwards. Returns what happened;
-  /// kExpired counts as one preemption.
+  /// Runs one time slice: advances the search to the next quantum boundary.
+  /// Returns what happened; kExpired counts as one preemption.
   SliceOutcome run_slice();
 
   [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
@@ -90,7 +88,7 @@ class TenantSession {
   [[nodiscard]] const TenantSpec& spec() const noexcept { return spec_; }
   /// Slots one grant occupies: the spec's cluster gang size.
   [[nodiscard]] std::size_t slot_request() const noexcept {
-    return config_.cluster.total_workers();
+    return driver_.config().cluster.total_workers();
   }
 
   [[nodiscard]] TenantState state() const noexcept { return state_; }
@@ -101,51 +99,32 @@ class TenantSession {
 
   [[nodiscard]] std::size_t slices() const noexcept { return slices_; }
   [[nodiscard]] std::size_t preemptions() const noexcept { return preemptions_; }
-  /// Journal-derived progress (zeros when the journal is disabled).
-  [[nodiscard]] std::size_t evals() const noexcept { return evals_; }
-  [[nodiscard]] std::size_t cache_hits() const noexcept { return cache_hits_; }
-  [[nodiscard]] std::size_t shared_cache_hits() const noexcept { return shared_hits_; }
-  /// Fidelity-ladder rung trainings across all slices (0 on flat configs) —
-  /// the rung-weighted cost the tenant's eval budget is charged in.
-  [[nodiscard]] std::size_t rung_trainings() const noexcept { return rung_trainings_; }
-  [[nodiscard]] bool has_best() const noexcept { return has_best_; }
-  [[nodiscard]] float best_reward() const noexcept { return best_reward_; }
-
-  /// Snapshot the session is suspended at (empty before the first slice and
-  /// after completion).
-  [[nodiscard]] const std::string& snapshot_path() const noexcept { return snapshot_path_; }
+  /// The search's progress so far: its event fold (evals, cache and
+  /// shared-cache hits, ladder_trainings — the rung-weighted cost the eval
+  /// budget is charged in — and the best reward).
+  [[nodiscard]] const obs::RunSummary& summary() const noexcept { return driver_.summary(); }
   /// Only valid in kFinished; throws std::logic_error otherwise.
   [[nodiscard]] const nas::SearchResult& result() const;
   /// Only non-empty in kFailed.
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
-  /// The stitched cross-slice journal (empty when disabled).
-  [[nodiscard]] const std::vector<obs::JournalEvent>& journal() const noexcept {
-    return journal_;
-  }
+  /// The search's journal so far.
+  [[nodiscard]] std::vector<obs::JournalEvent> journal() const;
 
  private:
-  void absorb_slice_journal(const obs::Telemetry& slice_telemetry);
-
   std::uint32_t id_;
   TenantSpec spec_;
-  nas::SearchConfig config_;  ///< spec.config with quota/cache/tenant wiring applied
-  double quantum_seconds_;
-  std::string state_dir_;
-  tensor::ThreadPool* pool_;
+  /// Snapshots every quantum, the pause points; keeps the newest two.
+  ckpt::CheckpointConfig checkpoint_;
+  obs::Telemetry telemetry_;
+  /// spec.config with the quota, cache, tenant, checkpoint and telemetry
+  /// wiring applied. Declared after what its config points at.
+  nas::SearchDriver driver_;
 
   TenantState state_ = TenantState::kQueued;
-  std::string snapshot_path_;
   std::size_t slices_ = 0;
   std::size_t preemptions_ = 0;
-  std::size_t evals_ = 0;
-  std::size_t cache_hits_ = 0;
-  std::size_t shared_hits_ = 0;
-  std::size_t rung_trainings_ = 0;
-  bool has_best_ = false;
-  float best_reward_ = 0.0f;
   nas::SearchResult result_;
   std::string error_;
-  std::vector<obs::JournalEvent> journal_;
 };
 
 }  // namespace ncnas::serve

@@ -1,6 +1,7 @@
 #include "ncnas/ckpt/checkpoint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
@@ -48,6 +49,10 @@ std::vector<std::pair<std::uint64_t, std::string>> scan(const std::string& direc
 
 }  // namespace
 
+double next_checkpoint_time(double t, double interval) {
+  return (std::floor(t / interval) + 1.0) * interval;
+}
+
 CheckpointWriter::CheckpointWriter(CheckpointConfig config) : config_(std::move(config)) {
   if (config_.interval_seconds <= 0.0) {
     throw SnapshotError("checkpoint: interval_seconds must be positive");
@@ -63,12 +68,11 @@ CheckpointWriter::CheckpointWriter(CheckpointConfig config) : config_(std::move(
   }
 }
 
-std::string CheckpointWriter::write(const SnapshotHeader& header,
-                                    const std::vector<std::uint8_t>& payload) {
+void CheckpointWriter::write(const SnapshotHeader& header,
+                             const std::vector<std::uint8_t>& payload) {
   const std::string path =
       (std::filesystem::path(config_.directory) / snapshot_name(header.ordinal)).string();
   write_snapshot(path, header, payload);
-  ++session_writes_;
 
   if (config_.keep_last > 0) {
     auto found = scan(config_.directory);
@@ -79,7 +83,6 @@ std::string CheckpointWriter::write(const SnapshotHeader& header,
       }
     }
   }
-  return path;
 }
 
 std::vector<std::string> list_checkpoints(const std::string& directory) {

@@ -201,23 +201,6 @@ std::string CachedEvaluator::map_key(const space::ArchEncoding& arch) const {
   return out;
 }
 
-EvalResult CachedEvaluator::evaluate(const space::ArchEncoding& arch, std::uint64_t seed) const {
-  const std::string key = map_key(arch);
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    ++hits_;
-    if (lookup_hits_ != nullptr) lookup_hits_->inc();
-    EvalResult hit = it->second;
-    hit.cache_hit = true;
-    return hit;
-  }
-  ++misses_;
-  if (lookup_misses_ != nullptr) lookup_misses_->inc();
-  EvalResult result = inner_->evaluate(arch, seed);
-  cache_.emplace(key, result);
-  if (inserts_ != nullptr) inserts_->inc();
-  return result;
-}
-
 std::optional<EvalResult> CachedEvaluator::lookup(const space::ArchEncoding& arch) const {
   const auto it = cache_.find(map_key(arch));
   if (it == cache_.end()) {

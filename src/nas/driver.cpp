@@ -385,13 +385,15 @@ SearchConfig normalized(SearchConfig config) {
   return config;
 }
 
-/// The whole search as a resumable object: everything SearchDriver::run()
-/// used to hold in locals is a member, so the event loop can serialize it at
-/// a safe point (between completions) and a later process can reload it and
-/// continue the exact event sequence. Construction rebuilds the pure,
-/// config-derived parts (evaluator, PS skeleton, agent seeding); bootstrap()
-/// starts a fresh run, restore() overwrites the mutable state from a
-/// snapshot payload instead.
+}  // namespace
+
+/// The whole search as a resumable object: all of its state is a member, so
+/// the event loop can stop between two completions and go on later in the
+/// same process (advance), or serialize the state at that point and let a
+/// later process reload it and continue the exact event sequence.
+/// Construction rebuilds the pure, config-derived parts (evaluator, PS
+/// skeleton, agent seeding); bootstrap() starts a fresh run, restore()
+/// overwrites the mutable state from a snapshot payload instead.
 class SearchRun {
  public:
   SearchRun(const space::SearchSpace& space, const data::Dataset& dataset,
@@ -403,7 +405,14 @@ class SearchRun {
 
   void bootstrap();
   void restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in);
-  SearchResult run();
+  /// SearchDriver::advance: false when paused at the first completion at or
+  /// after `until`, true when the event loop is done.
+  bool advance(double until);
+  /// Closes a run whose advance() returned true: joins what is still in
+  /// flight and assembles the result. Once per run.
+  SearchResult finish();
+  [[nodiscard]] double virtual_time() const noexcept { return last_completion_; }
+  [[nodiscard]] const obs::RunSummary& summary() const noexcept { return fold_; }
 
  private:
   bool process_completion(const Completion& done);  // true = converged, stop
@@ -532,6 +541,9 @@ SearchRun::SearchRun(const space::SearchSpace& space, const data::Dataset& datas
     if (fx_ != nullptr) ps_->set_absent_timeout(fx_->plan().barrier_timeout_seconds);
   }
 
+  // With a ladder the agent caches key on its ladder-level context, which
+  // is disjoint from every flat key and every rung key.
+  const std::string cache_ctx = ladder_ ? ladder_->context_key() : evaluator_.context_key();
   tensor::Rng seeder(config_.seed);
   agents_.resize(N_);
   for (std::size_t i = 0; i < N_; ++i) {
@@ -539,12 +551,7 @@ SearchRun::SearchRun(const space::SearchSpace& space, const data::Dataset& datas
     agents_[i].rng = seeder.split(1000 + i);
     agents_[i].eval_seed = seeder.split(5000 + i).next_u64();
     agents_[i].crash_at.assign(W_, std::numeric_limits<double>::infinity());
-    // With a ladder the agent cache wraps it instead of the flat evaluator,
-    // so the cache namespace is the ladder-level context — disjoint from
-    // every flat key and every rung key.
-    agents_[i].cache = std::make_unique<exec::CachedEvaluator>(
-        ladder_ ? static_cast<const exec::Evaluator&>(*ladder_)
-                : static_cast<const exec::Evaluator&>(evaluator_));
+    agents_[i].cache = std::make_unique<exec::CachedEvaluator>(cache_ctx);
     agents_[i].cache->set_telemetry(config_.telemetry);
     if (rl_enabled_) {
       agents_[i].controller.emplace(space_->arities(), config_.seed + 17 * i);
@@ -597,7 +604,6 @@ void SearchRun::bootstrap() {
     }
   }
 
-  journal_base_ = 0;
   init_checkpointing(0.0);
 
   // ---- bootstrap: every agent starts at t = 0 ----
@@ -608,30 +614,33 @@ void SearchRun::bootstrap() {
   }
 }
 
-SearchResult SearchRun::run() {
-  // ---- event loop over batch completions ----
-  // The scope closes with this block, before the telemetry snapshot below —
-  // a still-open scope would show up with zero calls in the profile.
-  {
-    NCNAS_PROF_SCOPE("driver/run");
-    while (!queue_.empty()) {
-      const Completion done = queue_.top();
-      queue_.pop();
-      if (process_completion(done)) break;
-      // The gap between two completions is the one point where no batch is
-      // half-harvested: the members above, with the in-flight trainings
-      // joined, are the complete search state, which is what makes this the
-      // snapshot point.
-      maybe_checkpoint(done.time);
-      // Same safe point feeds the live exporter. The due() guard is one
-      // relaxed atomic load, and publication only *reads* search state, so
-      // the exporter-off and exporter-on event sequences are identical.
-      if (inst_ && inst_->exporter != nullptr && inst_->exporter->due(done.time)) {
-        publish_progress(done.time, /*finished=*/false);
-      }
+// ---- event loop over batch completions ----
+// The scope closes when advance() returns, before finish() takes the
+// telemetry snapshot — a still-open scope would show up with zero calls in
+// the profile.
+bool SearchRun::advance(double until) {
+  NCNAS_PROF_SCOPE("driver/run");
+  while (!result_.converged_early && !queue_.empty()) {
+    const Completion done = queue_.top();
+    queue_.pop();
+    if (process_completion(done)) break;
+    // The gap between two completions is the one point where no batch is
+    // half-harvested: the members above, with the in-flight trainings
+    // joined, are the complete search state, which is what makes this the
+    // snapshot point, and the pause point.
+    maybe_checkpoint(done.time);
+    // Same safe point feeds the live exporter. The due() guard is one
+    // relaxed atomic load, and publication only *reads* search state, so
+    // the exporter-off and exporter-on event sequences are identical.
+    if (inst_ && inst_->exporter != nullptr && inst_->exporter->due(done.time)) {
+      publish_progress(done.time, /*finished=*/false);
     }
+    if (done.time >= until) return false;
   }
+  return true;
+}
 
+SearchResult SearchRun::finish() {
   // Batches still queued when the run stops are never harvested, but their
   // trainings and updates ran: join them before the telemetry snapshot
   // below counts them. An update that is never harvested is neither
@@ -1141,8 +1150,7 @@ bool SearchRun::process_completion(const Completion& done) {
   const bool converged =
       std::ranges::all_of(agents_,
                           [&](const AgentState& a) {
-                            return (fx_ != nullptr && a.dead) ||
-                                   a.cached_streak >= config_.convergence_streak;
+                            return a.dead || a.cached_streak >= config_.convergence_streak;
                           }) &&
       std::ranges::any_of(agents_, [](const AgentState& a) { return !a.dead; });
   if (converged) {
@@ -1156,7 +1164,7 @@ bool SearchRun::process_completion(const Completion& done) {
     return false;
   }
 
-  if (fx_ != nullptr && agent.dead) {
+  if (agent.dead) {
     // The dead agent's final (floored) batch was harvested above; there is
     // no controller state worth updating and nothing to submit. In A2C the
     // barrier must stop waiting for it — its removal may itself complete
@@ -1186,62 +1194,49 @@ bool SearchRun::process_completion(const Completion& done) {
   std::vector<float> delta = agent.controller->get_flat();
   for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= agent.theta_pull[i];
 
+  // Without a plan the exchange neither drops nor delays.
+  const exec::FaultInjector::ExchangeFault ef =
+      fx_ != nullptr ? fx_->exchange_fault(agent.id, agent.exchange_seq++)
+                     : exec::FaultInjector::ExchangeFault{};
   if (config_.strategy == SearchStrategy::kA3C) {
-    if (fx_ == nullptr) {
-      ps_->submit(agent.id, delta, t);
-      start_cycle(agent, t + config_.agent_overhead_seconds);
+    double resume = t + config_.agent_overhead_seconds;
+    if (ef.drop) {
+      // The delta is lost in flight; the agent carries on with the stale
+      // parameters it already holds.
+      emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
+           {{"mode", 1.0}});
     } else {
-      const exec::FaultInjector::ExchangeFault ef =
-          fx_->exchange_fault(agent.id, agent.exchange_seq++);
-      double resume = t + config_.agent_overhead_seconds;
-      if (ef.drop) {
-        // The delta is lost in flight; the agent carries on with the stale
-        // parameters it already holds.
-        emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
-             {{"mode", 1.0}});
-      } else {
-        if (ef.delay_seconds > 0.0) {
-          resume += ef.delay_seconds;  // the exchange round trip stretches
-          emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
-               {{"mode", 1.0}, {"delay_s", ef.delay_seconds}});
-        }
-        ps_->submit(agent.id, delta, t);
+      if (ef.delay_seconds > 0.0) {
+        resume += ef.delay_seconds;  // the exchange round trip stretches
+        emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
+             {{"mode", 1.0}, {"delay_s", ef.delay_seconds}});
       }
-      start_cycle(agent, resume);
+      ps_->submit(agent.id, delta, t);
     }
+    start_cycle(agent, resume);
   } else {
     a2c_round_time_ = std::max(a2c_round_time_, t);
-    if (fx_ == nullptr) {
-      const bool round_complete = ps_->submit(agent.id, delta, t);
-      if (round_complete) {
-        const double resume = a2c_round_time_ + config_.agent_overhead_seconds;
-        a2c_begin_round(resume);
-      }
+    if (a2c_outstanding_ > 0) --a2c_outstanding_;
+    bool round_complete = false;
+    if (ef.drop) {
+      // The delta never reaches the barrier; the agent idles while the
+      // round is resolved for it (submit next round as usual).
+      emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
+           {{"mode", 0.0}});
     } else {
-      if (a2c_outstanding_ > 0) --a2c_outstanding_;
-      const exec::FaultInjector::ExchangeFault ef =
-          fx_->exchange_fault(agent.id, agent.exchange_seq++);
-      bool round_complete = false;
-      if (ef.drop) {
-        // The delta never reaches the barrier; the agent idles while the
-        // round is resolved for it (submit next round as usual).
-        emit(obs::JournalEventType::kPsDropped, t, static_cast<std::uint32_t>(agent.id),
-             {{"mode", 0.0}});
-      } else {
-        double arrival = t;
-        if (ef.delay_seconds > 0.0) {
-          arrival += ef.delay_seconds;
-          emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
-               {{"mode", 0.0}, {"delay_s", ef.delay_seconds}});
-        }
-        a2c_round_time_ = std::max(a2c_round_time_, arrival);
-        round_complete = ps_->submit(agent.id, delta, arrival);
+      double arrival = t;
+      if (ef.delay_seconds > 0.0) {
+        arrival += ef.delay_seconds;
+        emit(obs::JournalEventType::kPsDelayed, t, static_cast<std::uint32_t>(agent.id),
+             {{"mode", 0.0}, {"delay_s", ef.delay_seconds}});
       }
-      if (round_complete) {
-        a2c_begin_round(a2c_round_time_ + config_.agent_overhead_seconds);
-      } else {
-        a2c_release_stuck(t);
-      }
+      a2c_round_time_ = std::max(a2c_round_time_, arrival);
+      round_complete = ps_->submit(agent.id, delta, arrival);
+    }
+    if (round_complete) {
+      a2c_begin_round(a2c_round_time_ + config_.agent_overhead_seconds);
+    } else {
+      a2c_release_stuck(t);
     }
   }
   return false;
@@ -1251,10 +1246,7 @@ void SearchRun::init_checkpointing(double from_t) {
   if (config_.checkpoint == nullptr) return;
   writer_.emplace(*config_.checkpoint);
   fingerprint_ = config_fingerprint(config_, space_->name());
-  // The same formula runs after every write and on restore, so the snapshot
-  // cadence of a resumed run lines up exactly with the uninterrupted one.
-  const double interval = writer_->config().interval_seconds;
-  next_due_ = (std::floor(from_t / interval) + 1.0) * interval;
+  next_due_ = ckpt::next_checkpoint_time(from_t, writer_->config().interval_seconds);
 }
 
 void SearchRun::maybe_checkpoint(double t) {
@@ -1281,13 +1273,8 @@ void SearchRun::maybe_checkpoint(double t) {
   header.journal_events =
       journal_base_ + (tel_ != nullptr && tel_->journal() != nullptr ? tel_->journal()->size() : 0);
   header.ordinal = fold_.checkpoints;
-  const std::string path = writer_->write(header, payload.bytes());
-  const double interval = writer_->config().interval_seconds;
-  next_due_ = (std::floor(t / interval) + 1.0) * interval;
-  const std::size_t abort_after = writer_->config().abort_after_snapshots;
-  if (abort_after != 0 && writer_->session_writes() >= abort_after) {
-    throw ckpt::SearchInterrupted(path);
-  }
+  writer_->write(header, payload.bytes());
+  next_due_ = ckpt::next_checkpoint_time(t, writer_->config().interval_seconds);
 }
 
 template <class IO, class Self>
@@ -1422,6 +1409,20 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
   init_checkpointing(header.virtual_time);
 }
 
+namespace {
+
+constexpr double kNoPause = std::numeric_limits<double>::infinity();
+
+/// The telemetry's profiler, installed as the process-wide sink around each
+/// call into a run: bootstrap() already dispatches the first round of
+/// evaluations, so the guard covers it, not just the event loop. The layers
+/// below SearchConfig (tensor kernels, nn, exec) record through the
+/// installed sink; a null profiler makes the guard a no-op and leaves every
+/// scope macro at one atomic load.
+obs::Profiler* profiler_of(const SearchConfig& config) {
+  return config.telemetry != nullptr ? config.telemetry->profiler() : nullptr;
+}
+
 }  // namespace
 
 SearchDriver::SearchDriver(const space::SearchSpace& space, const data::Dataset& dataset,
@@ -1431,18 +1432,40 @@ SearchDriver::SearchDriver(const space::SearchSpace& space, const data::Dataset&
       config_(normalized(std::move(config))),
       pool_(pool) {}
 
+SearchDriver::~SearchDriver() = default;
+
+SearchRun& SearchDriver::live() {
+  if (finished_.has_run_finished) {
+    throw std::logic_error("SearchDriver: the search has ended and run() returned its result");
+  }
+  if (!run_) {
+    run_ = std::make_unique<SearchRun>(*space_, *dataset_, config_, pool_);
+    run_->bootstrap();
+  }
+  return *run_;
+}
+
+bool SearchDriver::advance(double until) {
+  const obs::ProfilerInstallGuard guard(profiler_of(config_));
+  return live().advance(until);
+}
+
 SearchResult SearchDriver::run() {
-  // Install the telemetry's profiler (if enabled) as the process-wide sink
-  // for the whole search — bootstrap() already dispatches the first round of
-  // evaluations, so the guard must cover it, not just the event loop. The
-  // layers below SearchConfig (tensor kernels, nn, exec) record through the
-  // installed sink; a null profiler makes the guard a no-op and leaves every
-  // scope macro at one atomic load.
-  obs::ProfilerInstallGuard prof_guard(
-      config_.telemetry != nullptr ? config_.telemetry->profiler() : nullptr);
-  SearchRun search(*space_, *dataset_, config_, pool_);
-  search.bootstrap();
-  return search.run();
+  const obs::ProfilerInstallGuard guard(profiler_of(config_));
+  SearchRun& search = live();
+  (void)search.advance(kNoPause);
+  SearchResult result = search.finish();
+  finished_ = search.summary();
+  run_.reset();
+  return result;
+}
+
+double SearchDriver::virtual_time() const noexcept {
+  return run_ ? run_->virtual_time() : 0.0;
+}
+
+const obs::RunSummary& SearchDriver::summary() const noexcept {
+  return run_ ? run_->summary() : finished_;
 }
 
 SearchResult resume_search(const std::string& snapshot_path, const space::SearchSpace& space,
@@ -1463,12 +1486,12 @@ SearchResult resume_search(const std::string& snapshot_path, const space::Search
   }
   // The guard outlives the run, so trainings it joins on unwinding still
   // record into the installed profiler.
-  obs::ProfilerInstallGuard prof_guard(
-      config.telemetry != nullptr ? config.telemetry->profiler() : nullptr);
+  const obs::ProfilerInstallGuard guard(profiler_of(config));
   SearchRun search(space, dataset, std::move(config), pool);
   ckpt::ByteReader reader(snap.payload);
   search.restore(snap.header, reader);
-  return search.run();
+  (void)search.advance(kNoPause);
+  return search.finish();
 }
 
 }  // namespace ncnas::nas

@@ -87,9 +87,14 @@ std::uint32_t SearchServer::submit(TenantSpec spec) {
 
   const auto id = static_cast<std::uint32_t>(sessions_.size() + 1);
   const double priority = spec.priority;
-  sessions_.push_back(std::make_unique<TenantSession>(
-      id, std::move(spec), config_.quantum_seconds,
-      config_.state_dir + "/tenant-" + std::to_string(id), config_.shared_cache, config_.pool));
+  const std::string name = spec.name;
+  try {
+    sessions_.push_back(std::make_unique<TenantSession>(
+        id, std::move(spec), config_.quantum_seconds,
+        config_.state_dir + "/tenant-" + std::to_string(id), config_.shared_cache, config_.pool));
+  } catch (const std::invalid_argument& e) {
+    return reject("tenant '" + name + "': " + e.what());
+  }
   scheduler_.add_tenant(id, priority, request);
   refresh_observability();
   return id;
@@ -138,7 +143,7 @@ const nas::SearchResult& SearchServer::result(std::uint32_t id) const {
   return session_ref(id).result();
 }
 
-const std::vector<obs::JournalEvent>& SearchServer::journal(std::uint32_t id) const {
+std::vector<obs::JournalEvent> SearchServer::journal(std::uint32_t id) const {
   return session_ref(id).journal();
 }
 
@@ -153,17 +158,18 @@ std::string SearchServer::tenants_json() const {
      << ",\"tenants\":[";
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
     const TenantSession& s = *sessions_[i];
+    const obs::RunSummary& sum = s.summary();
     if (i != 0) os << ',';
     os << "{\"id\":" << s.id() << ",\"name\":\"" << s.name() << "\",\"state\":\""
        << tenant_state_name(s.state()) << "\",\"priority\":" << s.spec().priority
        << ",\"slots\":" << s.slot_request() << ",\"slices\":" << s.slices()
        << ",\"preemptions\":" << s.preemptions() << ",\"grants\":" << scheduler_.grants(s.id())
-       << ",\"evals\":" << s.evals() << ",\"cache_hits\":" << s.cache_hits()
-       << ",\"shared_cache_hits\":" << s.shared_cache_hits()
-       << ",\"rung_trainings\":" << s.rung_trainings()
+       << ",\"evals\":" << sum.evals << ",\"cache_hits\":" << sum.cache_hits
+       << ",\"shared_cache_hits\":" << sum.shared_cache_hits
+       << ",\"rung_trainings\":" << sum.ladder_trainings
        << ",\"eval_budget\":" << s.spec().quota.eval_budget << ",\"best_reward\":";
-    if (s.has_best()) {
-      os << s.best_reward();
+    if (sum.evals > 0) {
+      os << sum.best_reward;
     } else {
       os << "null";
     }
@@ -207,20 +213,21 @@ void SearchServer::refresh_observability() {
   float best = 0.0f;
   for (const auto& sp : sessions_) {
     const TenantSession& s = *sp;
+    const obs::RunSummary& sum = s.summary();
     bump_counter("ncnas_tenant_slices_total", s.name(), s.slices());
     bump_counter("ncnas_tenant_preemptions_total", s.name(), s.preemptions());
     bump_counter("ncnas_tenant_grants_total", s.name(), scheduler_.grants(s.id()));
-    bump_counter("ncnas_tenant_evals_total", s.name(), s.evals());
-    bump_counter("ncnas_tenant_cache_hits_total", s.name(), s.cache_hits());
-    bump_counter("ncnas_tenant_shared_cache_hits_total", s.name(), s.shared_cache_hits());
-    bump_counter("ncnas_tenant_rung_trainings_total", s.name(), s.rung_trainings());
+    bump_counter("ncnas_tenant_evals_total", s.name(), sum.evals);
+    bump_counter("ncnas_tenant_cache_hits_total", s.name(), sum.cache_hits);
+    bump_counter("ncnas_tenant_shared_cache_hits_total", s.name(), sum.shared_cache_hits);
+    bump_counter("ncnas_tenant_rung_trainings_total", s.name(), sum.ladder_trainings);
     reg.gauge("ncnas_tenant_state{tenant=\"" + s.name() + "\"}")
         .set(static_cast<double>(static_cast<std::uint8_t>(s.state())));
-    total_evals += s.evals();
-    total_shared += s.shared_cache_hits();
-    if (s.has_best() && (!any_best || s.best_reward() > best)) {
+    total_evals += sum.evals;
+    total_shared += sum.shared_cache_hits;
+    if (sum.evals > 0 && (!any_best || sum.best_reward > best)) {
       any_best = true;
-      best = s.best_reward();
+      best = sum.best_reward;
     }
   }
 

@@ -4,9 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ncnas/ckpt/checkpoint.hpp"
-#include "ncnas/obs/telemetry.hpp"
-
 namespace ncnas::serve {
 
 const char* tenant_state_name(TenantState s) {
@@ -20,27 +17,41 @@ const char* tenant_state_name(TenantState s) {
   return "unknown";
 }
 
+namespace {
+
+nas::SearchConfig tenant_config(const TenantSpec& spec, std::uint32_t id,
+                                exec::SharedEvalCache* shared_cache,
+                                const ckpt::CheckpointConfig* checkpoint,
+                                obs::Telemetry* telemetry) {
+  nas::SearchConfig cfg = spec.config;
+  cfg.tenant_id = id;
+  cfg.shared_cache = spec.use_shared_cache ? shared_cache : nullptr;
+  if (spec.quota.eval_budget != 0) {
+    cfg.max_evaluations = cfg.max_evaluations == 0
+                              ? spec.quota.eval_budget
+                              : std::min(cfg.max_evaluations, spec.quota.eval_budget);
+  }
+  // The session's checkpoint and telemetry replace whatever the spec
+  // carried; both are result-neutral, so the tenant's search is still the
+  // search its fingerprint describes.
+  cfg.checkpoint = checkpoint;
+  cfg.telemetry = telemetry;
+  return cfg;
+}
+
+}  // namespace
+
 TenantSession::TenantSession(std::uint32_t id, TenantSpec spec, double quantum_seconds,
                              std::string state_dir, exec::SharedEvalCache* shared_cache,
                              tensor::ThreadPool* pool)
     : id_(id),
       spec_(std::move(spec)),
-      config_(spec_.config),
-      quantum_seconds_(quantum_seconds),
-      state_dir_(std::move(state_dir)),
-      pool_(pool) {
-  config_.tenant_id = id_;
-  config_.shared_cache = spec_.use_shared_cache ? shared_cache : nullptr;
-  if (spec_.quota.eval_budget != 0) {
-    config_.max_evaluations = config_.max_evaluations == 0
-                                  ? spec_.quota.eval_budget
-                                  : std::min(config_.max_evaluations, spec_.quota.eval_budget);
-  }
-  // The server's per-slice checkpoint/telemetry wiring replaces whatever the
-  // spec carried; both are result-neutral, so the tenant's search is still
-  // the search its fingerprint describes.
-  config_.checkpoint = nullptr;
-  config_.telemetry = nullptr;
+      checkpoint_{.directory = std::move(state_dir),
+                  .interval_seconds = quantum_seconds,
+                  .keep_last = 2},
+      driver_(*spec_.space, *spec_.dataset,
+              tenant_config(spec_, id, shared_cache, &checkpoint_, &telemetry_), pool) {
+  telemetry_.enable_journal();
 }
 
 const nas::SearchResult& TenantSession::result() const {
@@ -51,64 +62,25 @@ const nas::SearchResult& TenantSession::result() const {
   return result_;
 }
 
-void TenantSession::absorb_slice_journal(const obs::Telemetry& slice_telemetry) {
-  if (!spec_.enable_journal) return;
-  const obs::Journal* journal = slice_telemetry.journal();
-  if (journal == nullptr) return;
-  std::vector<obs::JournalEvent> events = journal->snapshot();
-  if (journal_.empty()) {
-    journal_ = std::move(events);
-  } else {
-    // Later slices open with run_resumed at the snapshot's watermark; the
-    // merge truncates redone tail events and reassigns seq contiguously.
-    journal_ = obs::merge_resumed_journal(std::move(journal_), events);
-  }
-  // Recompute progress by replaying the stitched stream — the merge may
-  // have truncated events the previous slice counted, and summarize_journal
-  // applies the same deadline convention the final SearchResult uses, so
-  // /tenants and the result never disagree.
-  const obs::RunSummary sum = obs::summarize_journal(journal_);
-  evals_ = sum.evals;
-  cache_hits_ = sum.cache_hits;
-  shared_hits_ = sum.shared_cache_hits;
-  rung_trainings_ = sum.ladder_trainings;
-  has_best_ = sum.evals > 0;
-  best_reward_ = sum.best_reward;
+std::vector<obs::JournalEvent> TenantSession::journal() const {
+  return telemetry_.journal()->snapshot();
 }
 
 SliceOutcome TenantSession::run_slice() {
-  ckpt::CheckpointConfig slice_checkpoint;
-  slice_checkpoint.directory = state_dir_;
-  slice_checkpoint.interval_seconds = quantum_seconds_;
-  slice_checkpoint.keep_last = 2;
-  // One snapshot, then SearchInterrupted: the quantum expiry signal.
-  slice_checkpoint.abort_after_snapshots = 1;
-
-  obs::Telemetry slice_telemetry;
-  if (spec_.enable_journal) slice_telemetry.enable_journal();
-
-  nas::SearchConfig cfg = config_;
-  cfg.checkpoint = &slice_checkpoint;
-  cfg.telemetry = &slice_telemetry;
-
   try {
-    nas::SearchResult r =
-        snapshot_path_.empty()
-            ? nas::SearchDriver(*spec_.space, *spec_.dataset, cfg, pool_).run()
-            : nas::resume_search(snapshot_path_, *spec_.space, *spec_.dataset, cfg, pool_);
+    // The quantum boundaries are the checkpoint cadence, so every pause
+    // lands where a snapshot is written.
+    if (!driver_.advance(
+            ckpt::next_checkpoint_time(driver_.virtual_time(), checkpoint_.interval_seconds))) {
+      ++slices_;
+      ++preemptions_;
+      state_ = TenantState::kPreempted;
+      return SliceOutcome::kExpired;
+    }
+    result_ = driver_.run();
     ++slices_;
-    snapshot_path_.clear();
-    absorb_slice_journal(slice_telemetry);
-    result_ = std::move(r);
     state_ = TenantState::kFinished;
     return SliceOutcome::kCompleted;
-  } catch (const ckpt::SearchInterrupted& stop) {
-    ++slices_;
-    ++preemptions_;
-    snapshot_path_ = stop.snapshot_path();
-    absorb_slice_journal(slice_telemetry);
-    state_ = TenantState::kPreempted;
-    return SliceOutcome::kExpired;
   } catch (const std::exception& err) {
     error_ = err.what();
     state_ = TenantState::kFailed;

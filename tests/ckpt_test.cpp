@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "kill_after.hpp"
 #include "ncnas/ckpt/checkpoint.hpp"
 #include "ncnas/ckpt/snapshot.hpp"
 #include "ncnas/exec/fault.hpp"
@@ -109,23 +110,14 @@ void expect_bit_identical(const SearchResult& a, const SearchResult& b) {
   }
 }
 
-/// Runs checkpointed until the driver aborts after `kill_after` snapshots,
-/// then resumes from the snapshot that interruption left behind. Returns the
-/// resumed process's final result.
+/// Runs checkpointed until the search is killed after `kill_after`
+/// snapshots, then resumes from the snapshot that kill left behind. Returns
+/// the resumed process's final result.
 SearchResult kill_and_resume(const space::SearchSpace& s, const data::Dataset& ds,
                              SearchConfig cfg, ckpt::CheckpointConfig ckpt_cfg,
                              std::size_t kill_after, tensor::ThreadPool* pool = nullptr) {
-  ckpt_cfg.abort_after_snapshots = kill_after;
   cfg.checkpoint = &ckpt_cfg;
-  std::string snapshot_path;
-  try {
-    (void)SearchDriver(s, ds, cfg, pool).run();
-    ADD_FAILURE() << "search finished before writing " << kill_after << " snapshot(s)";
-  } catch (const ckpt::SearchInterrupted& e) {
-    snapshot_path = e.snapshot_path();
-  }
-  ckpt_cfg.abort_after_snapshots = 0;
-  cfg.checkpoint = &ckpt_cfg;
+  const std::string snapshot_path = testing::kill_after(s, ds, cfg, kill_after, pool);
   return resume_search(snapshot_path, s, ds, cfg, pool);
 }
 
@@ -308,7 +300,6 @@ TEST(CheckpointWriter, RotationKeepsNewestAndLatestFindsHighestOrdinal) {
     header.ordinal = ordinal;
     writer.write(header, {static_cast<std::uint8_t>(ordinal)});
   }
-  EXPECT_EQ(writer.session_writes(), 4u);
 
   const auto files = ckpt::list_checkpoints(dir);
   ASSERT_EQ(files.size(), 2u);
@@ -451,16 +442,9 @@ TEST(CheckpointDriver, ResumeRejectsMismatchedConfigAndSpace) {
   ckpt::CheckpointConfig ckpt_cfg;
   ckpt_cfg.directory = scratch_dir("mismatch");
   ckpt_cfg.interval_seconds = 120.0;
-  ckpt_cfg.abort_after_snapshots = 1;
   cfg.checkpoint = &ckpt_cfg;
-  std::string snapshot_path;
-  try {
-    (void)SearchDriver(s, ds, cfg).run();
-    FAIL() << "expected SearchInterrupted";
-  } catch (const ckpt::SearchInterrupted& e) {
-    snapshot_path = e.snapshot_path();
-  }
-  ckpt_cfg.abort_after_snapshots = 0;
+  const std::string snapshot_path = testing::kill_after(s, ds, cfg, 1);
+  ASSERT_FALSE(snapshot_path.empty());
 
   // Any config drift changes the fingerprint; the snapshot is refused.
   SearchConfig other_seed = cfg;
@@ -486,15 +470,9 @@ ckpt::Snapshot first_snapshot(const space::SearchSpace& s, const data::Dataset& 
   ckpt::CheckpointConfig ckpt_cfg;
   ckpt_cfg.directory = scratch_dir(name);
   ckpt_cfg.interval_seconds = 120.0;
-  ckpt_cfg.abort_after_snapshots = 1;
   cfg.checkpoint = &ckpt_cfg;
-  try {
-    (void)SearchDriver(s, ds, cfg).run();
-  } catch (const ckpt::SearchInterrupted& e) {
-    return ckpt::read_snapshot(e.snapshot_path());
-  }
-  ADD_FAILURE() << "search finished before its first snapshot";
-  return {};
+  const std::string path = testing::kill_after(s, ds, cfg, 1);
+  return path.empty() ? ckpt::Snapshot{} : ckpt::read_snapshot(path);
 }
 
 /// Writes `snap` under a fresh name with a recomputed integrity hash, as a
@@ -599,21 +577,14 @@ TEST(CheckpointDriver, MergedJournalLineageReconcilesWithResult) {
   ckpt::CheckpointConfig ckpt_cfg;
   ckpt_cfg.directory = scratch_dir("journal");
   ckpt_cfg.interval_seconds = 120.0;
-  ckpt_cfg.abort_after_snapshots = 2;
   cfg.checkpoint = &ckpt_cfg;
 
   obs::Telemetry first;
   first.enable_journal();
   cfg.telemetry = &first;
-  std::string snapshot_path;
-  try {
-    (void)SearchDriver(s, ds, cfg).run();
-    FAIL() << "expected SearchInterrupted";
-  } catch (const ckpt::SearchInterrupted& e) {
-    snapshot_path = e.snapshot_path();
-  }
+  const std::string snapshot_path = testing::kill_after(s, ds, cfg, 2);
+  ASSERT_FALSE(snapshot_path.empty());
 
-  ckpt_cfg.abort_after_snapshots = 0;
   obs::Telemetry second;
   second.enable_journal();
   cfg.telemetry = &second;

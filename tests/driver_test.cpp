@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "kill_after.hpp"
 #include "ncnas/nas/driver.hpp"
 #include "ncnas/space/spaces.hpp"
 #include "pending_training.hpp"
@@ -132,8 +133,11 @@ struct Observed {
   std::vector<obs::JournalEvent> journal;  ///< empty unless the variant journals
 };
 
+/// `slice` > 0 advances the search in slices of that many virtual seconds
+/// before run() takes it to its end.
 Observed run_variant(const space::SearchSpace& s, const data::Dataset& ds,
-                     SearchStrategy strategy, Variant variant, tensor::ThreadPool* pool) {
+                     SearchStrategy strategy, Variant variant, tensor::ThreadPool* pool,
+                     double slice = 0.0) {
   SearchConfig cfg = small_config(strategy);
   cfg.wall_time_seconds = 300.0;
   const exec::FaultInjector faults(pool_fault_plan());
@@ -153,31 +157,13 @@ Observed run_variant(const space::SearchSpace& s, const data::Dataset& ds,
       cfg.telemetry = &tel;
       break;
   }
-  Observed out{SearchDriver(s, ds, cfg, pool).run(), {}};
+  SearchDriver driver(s, ds, cfg, pool);
+  if (slice > 0.0) {
+    for (double until = slice; !driver.advance(until);) until += slice;
+  }
+  Observed out{driver.run(), {}};
   if (variant == Variant::kJournal) out.journal = tel.journal()->snapshot();
   return out;
-}
-
-/// Same events in the same order with the same payloads, except the host
-/// training time, which no two runs share.
-void expect_same_journal(const std::vector<obs::JournalEvent>& a,
-                         const std::vector<obs::JournalEvent>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  const auto virtual_fields = [](const obs::JournalEvent& e) {
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    for (const obs::JournalField& f : e.payload) {
-      if (f.key != "train_wall_ms") out.emplace_back(f.key, std::bit_cast<std::uint64_t>(f.value));
-    }
-    return out;
-  };
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("event " + std::to_string(i));
-    EXPECT_EQ(a[i].type, b[i].type);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].t), std::bit_cast<std::uint64_t>(b[i].t));
-    EXPECT_EQ(a[i].agent, b[i].agent);
-    EXPECT_EQ(a[i].seq, b[i].seq);
-    EXPECT_EQ(virtual_fields(a[i]), virtual_fields(b[i]));
-  }
 }
 
 class PoolInvariance : public ::testing::TestWithParam<SearchStrategy> {};
@@ -196,7 +182,7 @@ TEST_P(PoolInvariance, SameSearchInlineOnOneThreadAndOnFour) {
       SCOPED_TRACE(std::to_string(pool->thread_count()) + " pool thread(s)");
       const Observed pooled = run_variant(s, ds, GetParam(), variant, pool);
       pending::expect_same_search(inline_run.result, pooled.result);
-      expect_same_journal(inline_run.journal, pooled.journal);
+      pending::expect_same_journal(inline_run.journal, pooled.journal);
     }
   }
 }
@@ -207,6 +193,41 @@ INSTANTIATE_TEST_SUITE_P(Strategies, PoolInvariance,
                          [](const ::testing::TestParamInfo<SearchStrategy>& info) {
                            return std::string(strategy_name(info.param));
                          });
+
+// A paused driver keeps the whole search, so advancing it in slices and
+// then running it to the end is running it.
+TEST(Driver, AdvanceInSlicesMatchesRun) {
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  tensor::ThreadPool four(4);
+  for (const SearchStrategy strategy : {SearchStrategy::kA3C, SearchStrategy::kA2C,
+                                        SearchStrategy::kRandom, SearchStrategy::kEvolution}) {
+    for (const Variant variant :
+         {Variant::kPlain, Variant::kFaults, Variant::kLadder, Variant::kSharedCache}) {
+      SCOPED_TRACE(std::string(strategy_name(strategy)) + " " + variant_name(variant));
+      const Observed whole = run_variant(s, ds, strategy, variant, &four);
+      ASSERT_FALSE(whole.result.evals.empty());
+      const Observed sliced = run_variant(s, ds, strategy, variant, &four, /*slice=*/40.0);
+      pending::expect_same_search(whole.result, sliced.result);
+    }
+  }
+}
+
+TEST(Driver, AdvanceAndRunThrowOnceRunReturned) {
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  SearchConfig cfg = small_config(SearchStrategy::kA3C);
+  cfg.wall_time_seconds = 300.0;
+  SearchDriver driver(s, ds, cfg);
+  EXPECT_EQ(driver.summary().evals, 0u);
+  EXPECT_FALSE(driver.advance(60.0));
+  EXPECT_GE(driver.virtual_time(), 60.0);
+  EXPECT_GT(driver.summary().evals, 0u);
+  const SearchResult res = driver.run();
+  EXPECT_EQ(driver.summary().evals, res.evals.size());
+  EXPECT_THROW((void)driver.run(), std::logic_error);
+  EXPECT_THROW((void)driver.advance(600.0), std::logic_error);
+}
 
 // A shared-cache hit made while the entry's training is still pending
 // shares that training's handle and gets the inline run's reward. The gate
@@ -268,7 +289,7 @@ TEST(PendingTraining, UpdateWaitsForAnotherAgentsPendingTraining) {
   pending::GatedPool gate;
   const auto [gated, gated_journal] = run(gate.pool(), &gate, open_after);
   pending::expect_same_search(reference, gated);
-  expect_same_journal(reference_journal, gated_journal);
+  pending::expect_same_journal(reference_journal, gated_journal);
   EXPECT_GT(gated.ppo_updates, 0u);
 
   // The scenario this test exists for: a first-round batch holding a hit on
@@ -629,18 +650,11 @@ TEST(Driver, FoldCountersEqualJournalSummary) {
   ckpt_cfg.directory = ::testing::TempDir() + "ncnas_driver_fold_resume";
   std::filesystem::remove_all(ckpt_cfg.directory);
   ckpt_cfg.interval_seconds = 120.0;
-  ckpt_cfg.abort_after_snapshots = 2;
   SearchConfig resumed = small_config(SearchStrategy::kA3C);
   resumed.wall_time_seconds = 600.0;
   resumed.checkpoint = &ckpt_cfg;
-  std::string snapshot;
-  try {
-    (void)SearchDriver(s, ds, resumed).run();
-  } catch (const ckpt::SearchInterrupted& e) {
-    snapshot = e.snapshot_path();
-  }
+  const std::string snapshot = testing::kill_after(s, ds, resumed, 2);
   ASSERT_FALSE(snapshot.empty());
-  ckpt_cfg.abort_after_snapshots = 0;
   obs::Telemetry tel;
   tel.enable_journal();
   resumed.telemetry = &tel;

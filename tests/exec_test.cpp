@@ -184,14 +184,16 @@ TEST(CachedEvaluator, HitsAndMisses) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
   const TrainingEvaluator inner(s, ds, {.epochs = 1, .subset_fraction = 1.0}, CostModel{});
-  const CachedEvaluator cache(inner);
+  const CachedEvaluator cache(inner.context_key());
   tensor::Rng rng(5);
   const space::ArchEncoding arch = s.random_arch(rng);
-  const EvalResult first = cache.evaluate(arch, 1);
-  EXPECT_FALSE(first.cache_hit);
-  const EvalResult second = cache.evaluate(arch, 1);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(second.reward, first.reward);
+  EXPECT_FALSE(cache.lookup(arch).has_value());
+  const EvalResult first = inner.evaluate(arch, 1);
+  cache.insert(arch, first);
+  const std::optional<EvalResult> second = cache.lookup(arch);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(second->cache_hit);
+  EXPECT_EQ(second->reward, first.reward);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.unique_archs(), 1u);
@@ -201,7 +203,7 @@ TEST(CachedEvaluator, SplitPhaseLookupInsert) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
   const TrainingEvaluator inner(s, ds, {.epochs = 1, .subset_fraction = 1.0}, CostModel{});
-  const CachedEvaluator cache(inner);
+  const CachedEvaluator cache(inner.context_key());
   tensor::Rng rng(6);
   const space::ArchEncoding arch = s.random_arch(rng);
   EXPECT_FALSE(cache.lookup(arch).has_value());
@@ -223,7 +225,7 @@ TEST(CachedEvaluator, FailedThenRetriedEvalDoesNotPoisonCache) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
   const TrainingEvaluator inner(s, ds, {.epochs = 1, .subset_fraction = 1.0}, CostModel{});
-  const CachedEvaluator cache(inner);
+  const CachedEvaluator cache(inner.context_key());
   tensor::Rng rng(7);
   const space::ArchEncoding arch = s.random_arch(rng);
 
@@ -255,12 +257,15 @@ TEST(CachedEvaluator, StateRoundTripPreservesEntriesAndCounters) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
   const TrainingEvaluator inner(s, ds, {.epochs = 1, .subset_fraction = 1.0}, CostModel{});
-  const CachedEvaluator cache(inner);
+  const CachedEvaluator cache(inner.context_key());
   tensor::Rng rng(9);
   std::vector<space::ArchEncoding> archs;
   for (int i = 0; i < 4; ++i) archs.push_back(s.random_arch(rng));
-  for (const auto& a : archs) (void)cache.evaluate(a, 1);  // 4 misses
-  (void)cache.evaluate(archs[0], 1);                       // 1 hit
+  for (const auto& a : archs) {
+    EXPECT_FALSE(cache.lookup(a).has_value());  // 4 misses
+    cache.insert(a, inner.evaluate(a, 1));
+  }
+  EXPECT_TRUE(cache.lookup(archs[0]).has_value());  // 1 hit
 
   const CachedEvaluator::State st = cache.export_state();
   EXPECT_EQ(st.hits, 1u);
@@ -270,7 +275,7 @@ TEST(CachedEvaluator, StateRoundTripPreservesEntriesAndCounters) {
     EXPECT_LT(st.entries[i - 1].first, st.entries[i].first);
   }
 
-  CachedEvaluator restored(inner);
+  CachedEvaluator restored(inner.context_key());
   restored.import_state(st);
   EXPECT_EQ(restored.hits(), cache.hits());
   EXPECT_EQ(restored.misses(), cache.misses());

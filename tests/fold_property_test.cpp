@@ -3,8 +3,9 @@
 //
 // Each draw picks a strategy (A3C, A2C, RDM or EVO), a fault plan (none, or
 // one with failures, crashes, lost results and PS drops), the fidelity
-// ladder on or off, a shared evaluation cache on or off, and a mid-run
-// snapshot and resume or none. It then requires:
+// ladder on or off, a shared evaluation cache on or off, a mid-run
+// snapshot and resume or none, and a list of pause points. It then
+// requires:
 //   - the records and every SearchResult counter are identical with null
 //     telemetry and with a journal-on Telemetry;
 //   - cache_hits, shared_cache_hits and timeouts equal counts over the
@@ -12,7 +13,10 @@
 //   - reconcile(result, summarize_journal(journal)) is empty (for a resumed
 //     run, over the merged journal lineage);
 //   - a resumed run's counters equal the uninterrupted run's, except
-//     resumes.
+//     resumes;
+//   - a run advanced through the pause points, then run to its end, has
+//     the uninterrupted run's records, counters (resumes included) and
+//     journal (host training times aside).
 // The Pooled cases run their searches on a thread pool, so under TSan they
 // show that no pool worker touches the fold.
 //
@@ -28,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "fuzz_seed.hpp"
+#include "kill_after.hpp"
 #include "ncnas/ckpt/checkpoint.hpp"
 #include "ncnas/exec/fault.hpp"
 #include "ncnas/exec/shared_cache.hpp"
@@ -36,6 +41,7 @@
 #include "ncnas/space/search_space.hpp"
 #include "ncnas/tensor/rng.hpp"
 #include "ncnas/tensor/thread_pool.hpp"
+#include "pending_training.hpp"
 
 namespace {
 
@@ -51,13 +57,19 @@ struct Draw {
   bool ladder = false;
   bool shared_cache = false;
   std::size_t kill_after = 0;  ///< > 0: interrupt after that many snapshots, then resume
+  /// SearchDriver::advance targets, in call order: unsorted, so some lie
+  /// behind the search's clock, and some past its deadline.
+  std::vector<double> pauses;
 
   [[nodiscard]] std::string name() const {
     return std::string(nas::strategy_name(strategy)) + (fault_seed ? "+faults" : "") +
            (ladder ? "+ladder" : "") + (shared_cache ? "+shared" : "") +
-           (kill_after > 0 ? "+resume" + std::to_string(kill_after) : "");
+           (kill_after > 0 ? "+resume" + std::to_string(kill_after) : "") + "+pauses" +
+           std::to_string(pauses.size());
   }
 };
+
+constexpr double kWallTime = 1800.0;
 
 Draw draw(tensor::Rng& rng, std::optional<SearchStrategy> strategy = std::nullopt) {
   static constexpr SearchStrategy kStrategies[] = {SearchStrategy::kA3C, SearchStrategy::kA2C,
@@ -69,6 +81,8 @@ Draw draw(tensor::Rng& rng, std::optional<SearchStrategy> strategy = std::nullop
   d.ladder = rng.uniform_int(2) == 1;
   d.shared_cache = rng.uniform_int(2) == 1;
   d.kill_after = rng.uniform_int(2) == 1 ? 1 + rng.uniform_int(2) : 0;
+  d.pauses.resize(1 + rng.uniform_int(4));
+  for (double& until : d.pauses) until = rng.uniform(0.0, kWallTime * 1.1);
   return d;
 }
 
@@ -124,7 +138,7 @@ struct Scenario {
   explicit Scenario(const Draw& d) {
     cfg.strategy = d.strategy;
     cfg.cluster = {.num_agents = 2, .workers_per_agent = 2};
-    cfg.wall_time_seconds = 1800.0;
+    cfg.wall_time_seconds = kWallTime;
     cfg.fidelity = {.epochs = 1, .subset_fraction = 1.0};
     cfg.cost = {.startup_seconds = 20.0, .seconds_per_megaunit = 100.0, .timeout_seconds = 30.0};
     cfg.seed = 5;
@@ -158,12 +172,16 @@ struct Outcome {
   std::vector<obs::JournalEvent> journal;
 };
 
-/// Runs the draw once. `journal` turns a journal-on Telemetry on; `resume`
-/// interrupts after draw.kill_after snapshots and resumes from the last one.
-/// Every run gets a fresh shared cache, so runs do not feed each other; an
-/// interrupted run and its resume share one, like the process lineage of a
-/// tenant.
-Outcome run(const Draw& d, bool journal, bool resume, tensor::ThreadPool* pool,
+enum class Mode {
+  kWhole,    ///< SearchDriver::run()
+  kPaused,   ///< advance() through draw.pauses, then run()
+  kResumed,  ///< killed after draw.kill_after snapshots, resumed from the last
+};
+
+/// Runs the draw once. `journal` turns a journal-on Telemetry on. Every run
+/// gets a fresh shared cache, so runs do not feed each other; a killed run
+/// and its resume share one, like the process lineage of a tenant.
+Outcome run(const Draw& d, bool journal, Mode mode, tensor::ThreadPool* pool,
             const std::string& dir) {
   Scenario sc(d);
   const space::SearchSpace s = small_space();
@@ -181,21 +199,19 @@ Outcome run(const Draw& d, bool journal, bool resume, tensor::ThreadPool* pool,
     tel.enable_journal();
     sc.cfg.telemetry = &tel;
   }
-  if (!resume) {
-    out.result = nas::SearchDriver(s, ds, sc.cfg, pool).run();
+  if (mode != Mode::kResumed) {
+    nas::SearchDriver driver(s, ds, sc.cfg, pool);
+    if (mode == Mode::kPaused) {
+      for (const double until : d.pauses) {
+        if (driver.advance(until)) break;
+      }
+    }
+    out.result = driver.run();
     if (journal) out.journal = journal_of(tel);
     return out;
   }
-  ckpt_cfg.abort_after_snapshots = d.kill_after;
-  std::string snapshot;
-  try {
-    (void)nas::SearchDriver(s, ds, sc.cfg, pool).run();
-    ADD_FAILURE() << "search finished before snapshot " << d.kill_after;
-    return out;
-  } catch (const ckpt::SearchInterrupted& e) {
-    snapshot = e.snapshot_path();
-  }
-  ckpt_cfg.abort_after_snapshots = 0;
+  const std::string snapshot = ncnas::testing::kill_after(s, ds, sc.cfg, d.kill_after, pool);
+  if (snapshot.empty()) return out;
   obs::Telemetry resumed_tel;
   if (journal) {
     resumed_tel.enable_journal();
@@ -229,8 +245,8 @@ void expect_same_records(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.converged_early, b.converged_early);
 }
 
-/// Every SearchResult counter; `resumes` only when `with_resumes`.
-void expect_same_counters(const SearchResult& a, const SearchResult& b, bool with_resumes) {
+/// Every SearchResult counter but `resumes`.
+void expect_same_counters_but_resumes(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.shared_cache_hits, b.shared_cache_hits);
   EXPECT_EQ(a.timeouts, b.timeouts);
@@ -242,9 +258,6 @@ void expect_same_counters(const SearchResult& a, const SearchResult& b, bool wit
   EXPECT_EQ(a.crashed_workers, b.crashed_workers);
   EXPECT_EQ(a.dead_agents, b.dead_agents);
   EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
-  if (with_resumes) {
-    EXPECT_EQ(a.resumes, b.resumes);
-  }
   EXPECT_EQ(a.ladder_trainings, b.ladder_trainings);
   EXPECT_EQ(a.ladder_promotions, b.ladder_promotions);
   EXPECT_EQ(a.ladder_warm_starts, b.ladder_warm_starts);
@@ -270,24 +283,29 @@ void expect_counted_over_records(const SearchResult& r) {
 void check_draw(const Draw& d, tensor::ThreadPool* pool, const std::string& tag) {
   SCOPED_TRACE(tag + " " + d.name() + " (replay with --seed=" + std::to_string(g_seed) + ")");
   const bool resume = d.kill_after > 0;
-  const Outcome plain = run(d, /*journal=*/false, resume, pool, tag + "_plain");
-  const Outcome observed = run(d, /*journal=*/true, resume, pool, tag + "_observed");
+  const Mode mode = resume ? Mode::kResumed : Mode::kWhole;
+  const Outcome plain = run(d, /*journal=*/false, mode, pool, tag + "_plain");
+  const Outcome observed = run(d, /*journal=*/true, mode, pool, tag + "_observed");
   ASSERT_FALSE(plain.result.evals.empty());
 
-  expect_same_records(plain.result, observed.result);
-  expect_same_counters(plain.result, observed.result, /*with_resumes=*/true);
+  pending::expect_same_search(plain.result, observed.result);
   expect_counted_over_records(plain.result);
   expect_counted_over_records(observed.result);
   EXPECT_EQ(nas::reconcile(observed.result, obs::summarize_journal(observed.journal)),
             std::vector<std::string>{});
 
+  const Outcome whole =
+      resume ? run(d, /*journal=*/true, Mode::kWhole, pool, tag + "_whole") : observed;
   if (resume) {
-    const Outcome whole = run(d, /*journal=*/false, /*resume=*/false, pool, tag + "_whole");
     expect_same_records(whole.result, plain.result);
-    expect_same_counters(whole.result, plain.result, /*with_resumes=*/false);
+    expect_same_counters_but_resumes(whole.result, plain.result);
     EXPECT_EQ(whole.result.resumes, 0u);
     EXPECT_EQ(plain.result.resumes, 1u);
   }
+
+  const Outcome paused = run(d, /*journal=*/true, Mode::kPaused, pool, tag + "_paused");
+  pending::expect_same_search(whole.result, paused.result);
+  pending::expect_same_journal(whole.journal, paused.journal);
 }
 
 /// A few draws per tier-1 run; --runs=N rotates the seed for more.

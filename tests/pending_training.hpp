@@ -1,7 +1,8 @@
 // Test helpers for searches whose trainings are still running when the
 // driver reads its caches: a tiny search space whose agents keep sampling
 // the same architectures, a one-thread pool held shut until the test opens
-// it, and a field-by-field comparison of two search results.
+// it, and field-by-field comparisons of two search results and of two
+// journals.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -144,6 +145,28 @@ inline void expect_same_search(const nas::SearchResult& a, const nas::SearchResu
   EXPECT_EQ(a.ladder_warm_starts, b.ladder_warm_starts);
   EXPECT_EQ(a.ladder_rung_hits, b.ladder_rung_hits);
   EXPECT_EQ(a.utilization, b.utilization);
+}
+
+/// Same events in the same order with the same payloads, except the host
+/// training time, which no two runs share.
+inline void expect_same_journal(const std::vector<obs::JournalEvent>& a,
+                                const std::vector<obs::JournalEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  const auto virtual_fields = [](const obs::JournalEvent& e) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const obs::JournalField& f : e.payload) {
+      if (f.key != "train_wall_ms") out.emplace_back(f.key, std::bit_cast<std::uint64_t>(f.value));
+    }
+    return out;
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(a[i].type, b[i].type);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].t), std::bit_cast<std::uint64_t>(b[i].t));
+    EXPECT_EQ(a[i].agent, b[i].agent);
+    EXPECT_EQ(a[i].seq, b[i].seq);
+    EXPECT_EQ(virtual_fields(a[i]), virtual_fields(b[i]));
+  }
 }
 
 }  // namespace ncnas::pending

@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include "fuzz_seed.hpp"
+#include "kill_after.hpp"
 #include "ncnas/ckpt/checkpoint.hpp"
 #include "ncnas/ckpt/snapshot.hpp"
 #include "ncnas/exec/fault.hpp"
@@ -136,22 +137,16 @@ void write_file(const std::string& path, const Bytes& bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-/// The snapshot file the driver leaves behind when it is interrupted after
-/// its second snapshot.
+/// The snapshot file the driver leaves behind when it is killed after its
+/// second snapshot.
 Bytes mid_run_snapshot(nas::SearchConfig cfg, const std::string& name,
                        tensor::ThreadPool* pool = nullptr) {
   ckpt::CheckpointConfig ckpt_cfg;
   ckpt_cfg.directory = scratch(name);
   ckpt_cfg.interval_seconds = 40.0;
-  ckpt_cfg.abort_after_snapshots = 2;
   cfg.checkpoint = &ckpt_cfg;
-  try {
-    (void)nas::SearchDriver(fuzz_space(), fuzz_dataset(), cfg, pool).run();
-  } catch (const ckpt::SearchInterrupted& e) {
-    return read_file(e.snapshot_path());
-  }
-  ADD_FAILURE() << name << " search finished before its second snapshot";
-  return {};
+  const std::string path = ncnas::testing::kill_after(fuzz_space(), fuzz_dataset(), cfg, 2, pool);
+  return path.empty() ? Bytes{} : read_file(path);
 }
 
 struct Seed {

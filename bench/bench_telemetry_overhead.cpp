@@ -99,8 +99,8 @@ BENCHMARK(BM_SearchRun_WithJournalAndWatchdog)->Unit(benchmark::kMillisecond);
 
 void BM_SearchRun_WithExporter(benchmark::State& state) {
   // The live telemetry plane on top of journal + watchdog: a publication
-  // every 60 virtual seconds snapshotting metrics, shipping the journal
-  // delta, and rendering the OpenMetrics/JSON payloads (no HTTP socket —
+  // every 60 virtual seconds snapshotting metrics and the watchdog and
+  // rendering the OpenMetrics/JSON payloads (no HTTP socket —
   // serving is wall-clock-bound, not search-bound). Acceptance: within 5%
   // of NullTelemetry, same as the profiler configuration.
   const space::SearchSpace sp = space::nt3_small_space();

@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   obs::Telemetry telemetry;
   if (serve_port >= 0) {
     obs::ExporterConfig ecfg;
-    ecfg.cadence_seconds = quantum_seconds;  // publish every round
     ecfg.http_port = serve_port;
     telemetry.enable_exporter(std::move(ecfg));
     if (telemetry.exporter()->http_port() > 0) {

@@ -236,7 +236,7 @@ class SearchDriver {
 
   /// Runs the search until it has harvested the first batch completing at
   /// or after virtual time `until`, with that completion's snapshot and
-  /// exporter tick, and pauses there (returns false); or until the search
+  /// exporter publication, and pauses there (returns false); or until the search
   /// ends first (returns true). Pausing at the checkpoint boundaries,
   /// ckpt::next_checkpoint_time(virtual_time(), interval), pauses exactly
   /// where the snapshots are written.

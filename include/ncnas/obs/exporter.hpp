@@ -3,36 +3,35 @@
 // the search runs, the in-process analogue of the paper's live Theta
 // utilization monitoring (Figs. 5/6b/9).
 //
-// Three cooperating pieces, all strictly read-only over telemetry snapshots:
-//
-//   SnapshotBus — a lock-light publish/subscribe fan-out the driver ticks on
-//   the *virtual* clock. `due(t)` is one relaxed atomic load, so the null
-//   cadence path costs nothing on the event loop; a due tick snapshots the
-//   telemetry, computes the journal delta since the previous publication,
-//   and hands one PublishedSnapshot to every registered sink.
+// Two pieces, both strictly read-only over telemetry snapshots:
 //
 //   HttpExporter — a minimal embedded HTTP server (blocking sockets, no
-//   third-party deps) serving the latest published payloads: `/metrics` in
+//   third-party deps) serving the latest rendered payloads: `/metrics` in
 //   OpenMetrics text format, `/healthz` fed by the watchdog, and `/progress`
 //   as JSON. Requests never touch live telemetry — they read strings rendered
-//   at publish time, so a slow scraper cannot perturb the search.
+//   at publish time, and each connection's read is time-bounded, so a slow or
+//   silent scraper can neither perturb the search nor hold up other scrapes.
 //
 //   Live JSONL journal sink — see Journal::open_live_export: stream-flushed
-//   append so `tail -f` mid-run never sees torn lines.
+//   so `tail -f` mid-run never sees torn lines.
 //
-// Opt-in via Telemetry::enable_exporter(ExporterConfig) following the PR 1/3
-// convention: a Telemetry without an exporter is bit-identical to before, and
-// enabling it must not perturb results either — it only reads snapshots
+// The Exporter only renders: the caller that owns the clock decides when to
+// publish (the driver on its virtual clock at the configured cadence, the
+// SearchServer once per scheduling round). A publication snapshots the
+// metrics, the watchdog and the profiler and renders the three payloads.
+//
+// Opt-in via Telemetry::enable_exporter(ExporterConfig): a Telemetry without
+// an exporter is bit-identical to before, and enabling it must not perturb
+// results either — it only reads snapshots
 // (Exporter.OnOffLeavesResultsBitIdentical proves this for all 4 strategies).
-// Every failure mode (bind in use, write error, dead scraper) degrades
-// gracefully into the `ncnas_exporter_errors_total` counter; the search
-// never aborts because observation failed.
+// Every failure mode (bind in use, write error, dead or silent scraper)
+// degrades gracefully into the `ncnas_exporter_errors_total` counter; the
+// search never aborts because observation failed.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,19 +53,20 @@ namespace ncnas::obs {
 class Telemetry;  // telemetry.hpp includes this header; break the cycle
 
 struct ExporterConfig {
-  /// Virtual seconds between publications; 0 publishes on every driver tick.
+  /// Virtual seconds between the driver's publications; 0 publishes at every
+  /// completion. Read by the driver, not the exporter.
   double cadence_seconds = 60.0;
   /// TCP port for the embedded HTTP server: -1 disables it, 0 binds an
   /// ephemeral port (read it back via Exporter::http_port()).
   int http_port = -1;
   std::string bind_address = "127.0.0.1";
-  /// Non-empty: open this path as a stream-flushed live JSONL journal sink
-  /// (enables the journal). `tail -f` on it works mid-run.
+  /// Non-empty: open this path (truncated) as a stream-flushed live JSONL
+  /// journal sink (enables the journal). `tail -f` on it works mid-run.
   std::string live_journal_path;
-  bool live_journal_append = false;  ///< append to an existing file vs truncate
-  std::size_t top_k = 5;       ///< architectures listed in /progress
-  std::size_t hot_scopes = 5;  ///< profiler scopes listed in /progress
 };
+
+/// Architectures the driver lists in /progress.
+inline constexpr std::size_t kProgressTopK = 5;
 
 /// One of the top-k architectures by estimated reward, as /progress lists it.
 struct TopArchProgress {
@@ -99,12 +99,12 @@ struct HotScopeProgress {
 /// The live run state served at /progress. The counts come from a run's
 /// event fold (progress_from), so they apply the driver's deadline filter and
 /// equal the ncnas_*_total counters and summarize_journal, live and replayed.
-/// The driver adds what the fold cannot know when it ticks the exporter; the
+/// The driver adds what the fold cannot know when it publishes; the
 /// exporter adds the watchdog verdict, profiler hot scopes, and its own
 /// bookkeeping at publish time.
 struct ProgressSnapshot {
   std::uint64_t seq = 0;        ///< publication ordinal (exporter-assigned)
-  double virtual_time = 0.0;    ///< driver tick time, simulated seconds
+  double virtual_time = 0.0;    ///< publication time, simulated seconds
   double wall_time_seconds = 0.0;
   std::string strategy;         ///< filled by the caller (obs does not know strategies)
   bool finished = false;        ///< run_finished has been folded
@@ -149,62 +149,24 @@ struct ProgressSnapshot {
 /// caller fills those in (the driver live, nas_top from a journal replay).
 [[nodiscard]] ProgressSnapshot progress_from(const RunSummary& sum);
 
-/// What a SnapshotBus sink receives per publication: the full metrics
-/// snapshot (counters are cumulative — consumers diff), the journal events
-/// appended since the previous publication, and the progress view.
-struct PublishedSnapshot {
-  std::uint64_t seq = 0;
-  double virtual_time = 0.0;
-  MetricsSnapshot metrics;
-  std::size_t journal_offset = 0;  ///< index of journal_delta.front() in the journal
-  std::vector<JournalEvent> journal_delta;
-  ProgressSnapshot progress;
-};
+/// status, content-type, body for a GET of `path`.
+using HttpHandler = std::function<std::tuple<int, std::string, std::string>(const std::string&)>;
 
-/// Lock-light periodic fan-out on the driver's virtual clock. `due()` is one
-/// relaxed atomic load (the event-loop fast path); `publish()` stamps the
-/// sequence number, advances the cadence, and dispatches under a mutex.
-class SnapshotBus {
- public:
-  using Sink = std::function<void(const PublishedSnapshot&)>;
-
-  explicit SnapshotBus(double cadence_seconds) : cadence_(cadence_seconds) {}
-  SnapshotBus(const SnapshotBus&) = delete;
-  SnapshotBus& operator=(const SnapshotBus&) = delete;
-
-  void add_sink(Sink sink);
-
-  /// True when a publication is due at virtual time `vt`. A cadence of 0
-  /// is always due (publish on every tick).
-  [[nodiscard]] bool due(double vt) const noexcept {
-    return vt >= next_due_.load(std::memory_order_relaxed);
-  }
-
-  /// Stamps `snap.seq` (and the nested progress.seq), advances the cadence
-  /// so the next publication lands on the following cadence boundary, and
-  /// dispatches to every sink in registration order. Returns the seq.
-  std::uint64_t publish(PublishedSnapshot snap);
-
-  [[nodiscard]] std::uint64_t publications() const noexcept {
-    return seq_.load(std::memory_order_relaxed);
-  }
-
- private:
-  double cadence_;
-  std::atomic<double> next_due_{0.0};
-  std::atomic<std::uint64_t> seq_{0};
-  mutable std::mutex mu_;  // guards sinks_ and serializes dispatch
-  std::vector<Sink> sinks_;
-};
+/// The whole response (status line, headers, body) to one raw request: a
+/// `GET <path> ...` goes to `handler`; a GET without a path is 400, any
+/// other non-empty request 405, and an empty one 400. The handler is called
+/// for requests that start with "GET " only.
+[[nodiscard]] std::string http_response(std::string_view request, const HttpHandler& handler);
 
 /// Minimal embedded HTTP/1.1 server: blocking sockets, one short-lived
-/// connection at a time, Connection: close. The handler maps a request path
-/// to (status, content-type, body). A bind failure does not throw — port()
-/// reports -1 and every failure increments the error counter.
+/// connection at a time, Connection: close. Reading a request is bounded by
+/// a fixed deadline: a client that connects and stalls is dropped (and
+/// counted as an error) instead of holding up other scrapes or stop(). A
+/// bind failure does not throw — port() reports -1 and every failure
+/// increments the error counter.
 class HttpExporter {
  public:
-  /// status, content-type, body for a GET of `path`.
-  using Handler = std::function<std::tuple<int, std::string, std::string>(const std::string&)>;
+  using Handler = HttpHandler;
 
   HttpExporter(const std::string& bind_address, int port, Handler handler,
                Counter* error_counter);
@@ -265,7 +227,7 @@ void render_openmetrics(const MetricsSnapshot& m, std::ostream& os,
 
 class Exporter {
  public:
-  /// Wires the bus, the optional HTTP server, and the optional live journal
+  /// Wires the optional HTTP server and the optional live journal
   /// sink against `telemetry` (must outlive the exporter). Registers
   /// `ncnas_exporter_errors_total` immediately so a clean run still exports
   /// the zero. Construction never throws on environmental failure (port in
@@ -277,16 +239,16 @@ class Exporter {
   Exporter& operator=(const Exporter&) = delete;
 
   [[nodiscard]] const ExporterConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] bool due(double vt) const noexcept { return bus_.due(vt); }
 
-  /// Publish-if-due; the driver calls this between completions.
-  void tick(double vt, ProgressSnapshot progress);
-  /// Unconditional publish (the driver's final flush at end of run).
+  /// Renders /metrics, /progress and /healthz from the current telemetry,
+  /// with `progress` completed by the exporter's own fields (seq, the
+  /// watchdog verdict, hot scopes, journal length, error count). The
+  /// caller owns the clock: the driver publishes at its cadence and once
+  /// more at the end of the run, the SearchServer once per round. `vt` is
+  /// clamped so publication times never rewind.
   void publish(double vt, ProgressSnapshot progress);
 
-  void add_sink(SnapshotBus::Sink sink) { bus_.add_sink(std::move(sink)); }
-
-  [[nodiscard]] std::uint64_t publications() const noexcept { return bus_.publications(); }
+  [[nodiscard]] std::uint64_t publications() const noexcept { return seq_; }
   /// Actual HTTP port; -1 when disabled or the bind failed.
   [[nodiscard]] int http_port() const noexcept { return http_ ? http_->port() : -1; }
   [[nodiscard]] std::uint64_t errors() const noexcept { return errors_->value(); }
@@ -309,14 +271,11 @@ class Exporter {
   [[nodiscard]] std::string payload(const std::string& path) const;
 
  private:
-  void render_payloads(const PublishedSnapshot& snap);  // the bus's first sink
-
   ExporterConfig cfg_;
   Telemetry* telemetry_;
   Counter* errors_;
-  SnapshotBus bus_;
-  std::size_t journal_seen_ = 0;  // events already shipped in a delta
-  double last_vt_ = 0.0;          // publication clock floor (see publish())
+  std::uint64_t seq_ = 0;  // publications so far
+  double last_vt_ = 0.0;   // publication clock floor (see publish())
   std::unique_ptr<HttpExporter> http_;
 
   mutable std::mutex payload_mu_;

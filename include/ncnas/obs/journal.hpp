@@ -122,9 +122,6 @@ class Journal {
   [[nodiscard]] std::size_t size() const;
   /// Copies the retained events in emission (seq) order.
   [[nodiscard]] std::vector<JournalEvent> snapshot() const;
-  /// Copies events with index >= `start` only (the exporter's delta path;
-  /// avoids re-copying the whole journal on every publication).
-  [[nodiscard]] std::vector<JournalEvent> snapshot_since(std::size_t start) const;
   void clear();
 
   // ---- live streaming (opt-in; the default buffered path is untouched) ----
@@ -132,13 +129,12 @@ class Journal {
   /// Opens `path` as a live JSONL sink: writes the schema header and every
   /// already-buffered event immediately, then one line per subsequent
   /// append(), each written as a single unbuffered line and flushed before
-  /// the appender returns — `tail -f` never sees torn lines. `append` opens
-  /// the file in append mode instead of truncating. `error_counter`
+  /// the appender returns — `tail -f` never sees torn lines. The file is
+  /// truncated first. `error_counter`
   /// (optional) is incremented on write failures; after the first failure
   /// the sink closes itself and the search carries on unobserved. Returns
   /// false (and counts one error) when the file cannot be opened.
-  bool open_live_export(const std::string& path, bool append = false,
-                        Counter* error_counter = nullptr);
+  bool open_live_export(const std::string& path, Counter* error_counter = nullptr);
   void close_live_export();
   [[nodiscard]] bool live_export_open() const;
   /// Write failures the live sink swallowed (0 on a healthy stream).

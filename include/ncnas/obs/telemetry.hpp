@@ -93,11 +93,12 @@ class Telemetry {
   [[nodiscard]] Profiler* profiler() noexcept { return profiler_.get(); }
   [[nodiscard]] const Profiler* profiler() const noexcept { return profiler_.get(); }
 
-  /// Opt into the live telemetry plane (SnapshotBus + optional /metrics
-  /// HTTP endpoint + optional stream-flushed live journal). Idempotent;
-  /// `cfg` applies on first call only. The driver ticks the exporter on the
-  /// virtual clock; publication is read-only over snapshots, so enabling it
-  /// leaves SearchResult bit-identical (Exporter tests prove it).
+  /// Opt into the live telemetry plane (payloads rendered at each
+  /// publication + optional /metrics HTTP endpoint + optional stream-flushed
+  /// live journal). Idempotent; `cfg` applies on first call only. The driver
+  /// publishes on its virtual clock at cfg.cadence_seconds; publication is
+  /// read-only over snapshots, so enabling it leaves SearchResult
+  /// bit-identical (Exporter tests prove it).
   Exporter& enable_exporter(ExporterConfig cfg = {}) {
     if (!exporter_) exporter_ = std::make_unique<Exporter>(std::move(cfg), *this);
     return *exporter_;

@@ -6,7 +6,8 @@
 // quantum-bounded time slice (its live search pauses when the quantum
 // expires — see session.hpp), the slots come back, and the observability
 // plane is refreshed (per-tenant `ncnas_tenant_*` metrics, the /tenants
-// JSON endpoint, one exporter tick at `rounds x quantum` virtual seconds).
+// JSON endpoint, one exporter publication at `rounds x quantum` virtual
+// seconds).
 // Slices execute sequentially in grant order, so the whole multi-tenant
 // schedule — including every cross-tenant SharedEvalCache interaction — is
 // a pure function of the submission sequence: reruns are bit-identical.

@@ -488,6 +488,10 @@ class SearchRun {
   // Checkpointing (all inert when SearchConfig::checkpoint is null).
   std::optional<ckpt::CheckpointWriter> writer_;
   double next_due_ = std::numeric_limits<double>::infinity();
+  /// Virtual time of the next exporter publication: the first completion at
+  /// or past it publishes. Not part of the snapshot: a resumed run publishes
+  /// at its first completion, like any fresh exporter.
+  double next_publish_ = 0.0;
   /// Journal events that existed before this process (snapshot watermark);
   /// journal_base_ + journal->size() is the run-cumulative event count.
   std::uint64_t journal_base_ = 0;
@@ -629,11 +633,13 @@ bool SearchRun::advance(double until) {
     // joined, are the complete search state, which is what makes this the
     // snapshot point, and the pause point.
     maybe_checkpoint(done.time);
-    // Same safe point feeds the live exporter. The due() guard is one
-    // relaxed atomic load, and publication only *reads* search state, so
-    // the exporter-off and exporter-on event sequences are identical.
-    if (inst_ && inst_->exporter != nullptr && inst_->exporter->due(done.time)) {
+    // Same safe point feeds the live exporter, at its cadence on the
+    // virtual clock. Publication only *reads* search state, so the
+    // exporter-off and exporter-on event sequences are identical.
+    if (inst_ && inst_->exporter != nullptr && done.time >= next_publish_) {
       publish_progress(done.time, /*finished=*/false);
+      const double cadence = inst_->exporter->config().cadence_seconds;
+      if (cadence > 0.0) next_publish_ = ckpt::next_checkpoint_time(done.time, cadence);
     }
     if (done.time >= until) return false;
   }
@@ -693,9 +699,9 @@ SearchResult SearchRun::finish() {
         {"converged", result_.converged_early ? 1.0 : 0.0},
         {"wall_time_s", config_.wall_time_seconds}});
 
-  // Final unconditional publication, after run_finished hits the journal so
-  // the last delta carries it: scrape-at-end totals reconcile with
-  // summarize_journal, and /healthz flips to "run finished".
+  // Final unconditional publication, after run_finished hits the journal:
+  // scrape-at-end totals reconcile with summarize_journal, and /healthz
+  // flips to "run finished".
   if (inst_ && inst_->exporter != nullptr) {
     publish_progress(result_.end_time, /*finished=*/true);
   }
@@ -712,7 +718,6 @@ SearchResult SearchRun::finish() {
 // touches, no reordering — which is what keeps exporter-on runs
 // bit-identical to exporter-off runs.
 void SearchRun::publish_progress(double t, bool finished) {
-  obs::Exporter& exporter = *inst_->exporter;
   obs::ProgressSnapshot p = obs::progress_from(fold_);
   p.strategy = strategy_name(config_.strategy);
   p.batches_in_flight = queue_.size();
@@ -731,15 +736,11 @@ void SearchRun::publish_progress(double t, bool finished) {
     agents[i].cached_streak = agents_[i].cached_streak;
   }
   p.agents = std::move(agents);
-  for (const EvalRecord& e : result_.top_k(exporter.config().top_k)) {
+  for (const EvalRecord& e : result_.top_k(obs::kProgressTopK)) {
     p.top.push_back({space::arch_key(e.arch), e.reward, e.params,
                      static_cast<std::uint32_t>(e.agent)});
   }
-  if (finished) {
-    exporter.publish(t, std::move(p));
-  } else {
-    exporter.tick(t, std::move(p));
-  }
+  inst_->exporter->publish(t, std::move(p));
 }
 
 // ---- dispatch: one real task, with retries and backoff under a plan -----

@@ -16,6 +16,9 @@ namespace ncnas::obs {
 
 namespace {
 
+/// Profiler scopes listed in /progress, ranked by self time.
+constexpr std::size_t kHotScopes = 5;
+
 // Same round-trip-exact number formatting the journal uses, as a string.
 std::string fmt_number(double v) {
   std::ostringstream os;
@@ -561,40 +564,15 @@ ProgressSnapshot parse_progress_json(std::string_view json) {
   return p;
 }
 
-// ---- SnapshotBus ------------------------------------------------------------
-
-void SnapshotBus::add_sink(Sink sink) {
-  const std::scoped_lock lock(mu_);
-  sinks_.push_back(std::move(sink));
-}
-
-std::uint64_t SnapshotBus::publish(PublishedSnapshot snap) {
-  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  snap.seq = seq;
-  snap.progress.seq = seq;
-  if (cadence_ > 0.0) {
-    // Land the next publication on the first cadence boundary strictly after
-    // this tick — pure arithmetic on the virtual clock, so the schedule is
-    // deterministic regardless of wall time.
-    const double next = (std::floor(snap.virtual_time / cadence_) + 1.0) * cadence_;
-    next_due_.store(next, std::memory_order_relaxed);
-  }
-  const std::scoped_lock lock(mu_);
-  for (const Sink& sink : sinks_) sink(snap);
-  return seq;
-}
-
 // ---- Exporter facade --------------------------------------------------------
 
 Exporter::Exporter(ExporterConfig cfg, Telemetry& telemetry)
     : cfg_(std::move(cfg)),
       telemetry_(&telemetry),
-      errors_(&telemetry.metrics().counter("ncnas_exporter_errors_total")),
-      bus_(cfg_.cadence_seconds) {
-  bus_.add_sink([this](const PublishedSnapshot& snap) { render_payloads(snap); });
+      errors_(&telemetry.metrics().counter("ncnas_exporter_errors_total")) {
   if (!cfg_.live_journal_path.empty()) {
     Journal& journal = telemetry.enable_journal();
-    if (!journal.open_live_export(cfg_.live_journal_path, cfg_.live_journal_append, errors_)) {
+    if (!journal.open_live_export(cfg_.live_journal_path, errors_)) {
       std::cerr << "ncnas exporter: cannot open live journal '" << cfg_.live_journal_path
                 << "'; live tailing disabled, search continues\n";
     }
@@ -636,26 +614,14 @@ Exporter::~Exporter() {
   }
 }
 
-void Exporter::tick(double vt, ProgressSnapshot progress) {
-  if (!bus_.due(vt)) return;
-  publish(vt, std::move(progress));
-}
-
 void Exporter::publish(double vt, ProgressSnapshot progress) {
   // Publication times never rewind. The driver keeps harvesting in-flight
-  // completions past the wall-time deadline (their ticks publish at t >
+  // completions past the wall-time deadline (it publishes at t >
   // wall_time), but the final flush comes in at the deadline-clamped
   // end_time; clamping here keeps every consumer's timeline monotone.
   vt = std::max(vt, last_vt_);
   last_vt_ = vt;
-  PublishedSnapshot snap;
-  snap.virtual_time = vt;
-  snap.metrics = telemetry_->metrics_snapshot();
-  if (const Journal* journal = telemetry_->journal(); journal != nullptr) {
-    snap.journal_offset = journal_seen_;
-    snap.journal_delta = journal->snapshot_since(journal_seen_);
-    journal_seen_ += snap.journal_delta.size();
-  }
+  const MetricsSnapshot metrics = telemetry_->metrics_snapshot();
   if (const HealthWatchdog* watchdog = telemetry_->watchdog(); watchdog != nullptr) {
     const WatchdogReport report = watchdog->report();
     progress.healthy = report.healthy();
@@ -664,35 +630,33 @@ void Exporter::publish(double vt, ProgressSnapshot progress) {
   }
   if (Profiler* profiler = telemetry_->profiler(); profiler != nullptr) {
     const std::vector<FlatProfileEntry> flat = profiler->snapshot().flat();
-    for (std::size_t i = 0; i < flat.size() && i < cfg_.hot_scopes; ++i) {
+    for (std::size_t i = 0; i < flat.size() && i < kHotScopes; ++i) {
       progress.hot_scopes.push_back({flat[i].name, flat[i].calls, flat[i].total_ms,
                                      flat[i].self_ms});
     }
   }
+  progress.seq = ++seq_;
   progress.virtual_time = vt;
-  progress.journal_events = journal_seen_;
+  const Journal* journal = telemetry_->journal();
+  progress.journal_events = journal != nullptr ? journal->size() : 0;
   progress.exporter_errors = errors_->value();
-  snap.progress = std::move(progress);
-  bus_.publish(std::move(snap));
-}
 
-void Exporter::render_payloads(const PublishedSnapshot& snap) {
   std::vector<std::pair<std::string, std::string>> info;
-  if (!snap.progress.strategy.empty()) info.emplace_back("strategy", snap.progress.strategy);
-  std::string metrics = openmetrics_text(snap.metrics, info);
-  std::string progress = progress_to_json(snap.progress);
+  if (!progress.strategy.empty()) info.emplace_back("strategy", progress.strategy);
+  std::string metrics_body = openmetrics_text(metrics, info);
+  std::string progress_body = progress_to_json(progress);
   std::string health;
   int status = 200;
-  if (snap.progress.healthy) {
-    health = snap.progress.finished ? "ok: run finished\n" : "ok\n";
+  if (progress.healthy) {
+    health = progress.finished ? "ok: run finished\n" : "ok\n";
   } else {
     status = 503;
-    health = "unhealthy: " + std::to_string(snap.progress.stragglers) + " straggler(s), " +
-             std::to_string(snap.progress.stalls) + " stall(s)\n";
+    health = "unhealthy: " + std::to_string(progress.stragglers) + " straggler(s), " +
+             std::to_string(progress.stalls) + " stall(s)\n";
   }
   const std::scoped_lock lock(payload_mu_);
-  metrics_text_ = std::move(metrics);
-  progress_json_ = std::move(progress);
+  metrics_text_ = std::move(metrics_body);
+  progress_json_ = std::move(progress_body);
   healthz_body_ = std::move(health);
   healthz_status_ = status;
 }

@@ -1,14 +1,18 @@
 // Minimal blocking-socket HTTP/1.1 server + client for the exporter. One
 // short-lived connection at a time, Connection: close — the endpoints serve
 // pre-rendered strings, so there is nothing to gain from concurrency and
-// everything to lose (a slow scraper must never hold telemetry locks).
+// everything to lose (a slow scraper must never hold telemetry locks). Each
+// connection gets a fixed time budget for its request, so a client that
+// connects and sends nothing costs one budget, not the server.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -19,6 +23,16 @@
 namespace ncnas::obs {
 
 namespace {
+
+/// How long a connection may take to deliver its request head before the
+/// server drops it. Scrapers send their GET in one packet at once; the bound
+/// only has to stay below their own timeouts.
+constexpr std::chrono::milliseconds kRequestBudget{500};
+/// Poll slice while waiting on the listener or a connection, so stop() is
+/// prompt.
+constexpr int kPollSliceMs = 50;
+/// A request head larger than this is answered from what has arrived.
+constexpr std::size_t kMaxRequestBytes = 16384;
 
 void count_error(Counter* counter) {
   if (counter != nullptr) counter->inc();
@@ -48,7 +62,53 @@ const char* status_text(int status) {
   }
 }
 
+/// Reads `conn` until the request head is complete, the peer closes, or the
+/// head reaches kMaxRequestBytes. Returns false when the budget runs out or
+/// the server is stopping first.
+bool read_request(int conn, const std::atomic<bool>& stop, std::string& request) {
+  const auto deadline = std::chrono::steady_clock::now() + kRequestBudget;
+  char buf[2048];
+  while (request.find("\r\n\r\n") == std::string::npos && request.size() < kMaxRequestBytes) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0 || stop.load(std::memory_order_relaxed)) return false;
+    pollfd pfd{conn, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(std::min<long long>(left, kPollSliceMs)));
+    if (ready < 0 && errno != EINTR) return false;
+    if (ready <= 0) continue;
+    const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // the peer closed (or failed): answer what arrived
+    request.append(buf, static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
 }  // namespace
+
+std::string http_response(std::string_view request, const HttpHandler& handler) {
+  int status = 400;
+  std::string content_type = "text/plain; charset=utf-8";
+  std::string body = "bad request\n";
+  if (request.starts_with("GET ")) {
+    const std::size_t path_end = request.find(' ', 4);
+    if (path_end != std::string_view::npos) {
+      std::tie(status, content_type, body) =
+          handler(std::string(request.substr(4, path_end - 4)));
+    }
+  } else if (!request.empty()) {
+    status = 405;
+    body = "only GET is supported\n";
+  }
+  std::ostringstream out;
+  out << "HTTP/1.1 " << status << ' ' << status_text(status) << "\r\n"
+      << "Content-Type: " << content_type << "\r\n"
+      << "Content-Length: " << body.size() << "\r\n"
+      << "Connection: close\r\n\r\n"
+      << body;
+  return out.str();
+}
 
 HttpExporter::HttpExporter(const std::string& bind_address, int port, Handler handler,
                            Counter* error_counter)
@@ -107,7 +167,7 @@ void HttpExporter::stop() {
 void HttpExporter::serve() {
   while (!stop_.load(std::memory_order_relaxed)) {
     pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 50);  // short timeout so stop() is prompt
+    const int ready = ::poll(&pfd, 1, kPollSliceMs);
     if (ready <= 0) continue;
     const int conn = ::accept(listen_fd_, nullptr, nullptr);
     if (conn < 0) {
@@ -115,34 +175,13 @@ void HttpExporter::serve() {
       continue;
     }
     std::string request;
-    char buf[2048];
-    while (request.find("\r\n\r\n") == std::string::npos && request.size() < 16384) {
-      const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
-      if (n <= 0) break;
-      request.append(buf, static_cast<std::size_t>(n));
+    if (!read_request(conn, stop_, request)) {
+      if (!stop_.load(std::memory_order_relaxed)) count_error(errors_);
+      ::close(conn);
+      continue;
     }
-    int status = 400;
-    std::string content_type = "text/plain; charset=utf-8";
-    std::string body = "bad request\n";
-    if (request.rfind("GET ", 0) == 0) {
-      const std::size_t path_end = request.find(' ', 4);
-      if (path_end != std::string::npos) {
-        std::tie(status, content_type, body) = handler_(request.substr(4, path_end - 4));
-      }
-    } else if (!request.empty()) {
-      status = 405;
-      body = "only GET is supported\n";
-    }
-    std::ostringstream head;
-    head << "HTTP/1.1 " << status << ' ' << status_text(status) << "\r\n"
-         << "Content-Type: " << content_type << "\r\n"
-         << "Content-Length: " << body.size() << "\r\n"
-         << "Connection: close\r\n\r\n";
-    const std::string head_str = head.str();
-    if (!send_all(conn, head_str.data(), head_str.size()) ||
-        !send_all(conn, body.data(), body.size())) {
-      count_error(errors_);
-    }
+    const std::string response = http_response(request, handler_);
+    if (!send_all(conn, response.data(), response.size())) count_error(errors_);
     ::close(conn);
   }
 }

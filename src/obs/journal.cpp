@@ -150,12 +150,6 @@ std::vector<JournalEvent> Journal::snapshot() const {
   return events_;
 }
 
-std::vector<JournalEvent> Journal::snapshot_since(std::size_t start) const {
-  const std::scoped_lock lock(mu_);
-  if (start >= events_.size()) return {};
-  return {events_.begin() + static_cast<std::ptrdiff_t>(start), events_.end()};
-}
-
 void Journal::clear() {
   const std::scoped_lock lock(mu_);
   events_.clear();
@@ -164,12 +158,12 @@ void Journal::clear() {
 
 // ---- live streaming ---------------------------------------------------------
 
-bool Journal::open_live_export(const std::string& path, bool append, Counter* error_counter) {
+bool Journal::open_live_export(const std::string& path, Counter* error_counter) {
   const std::scoped_lock lock(mu_);
   if (live_.is_open()) live_.close();
   live_errors_sink_ = error_counter;
   live_.clear();
-  live_.open(path, append ? (std::ios::out | std::ios::app) : std::ios::out);
+  live_.open(path, std::ios::out);
   if (!live_.is_open()) {
     ++live_errors_;
     if (live_errors_sink_ != nullptr) live_errors_sink_->inc();

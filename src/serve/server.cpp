@@ -241,7 +241,7 @@ void SearchServer::refresh_observability() {
     progress.cache_hits = total_shared;
     progress.best_reward = best;
     progress.has_best = any_best;
-    exporter->tick(virtual_time(), std::move(progress));
+    exporter->publish(virtual_time(), std::move(progress));
   }
 }
 

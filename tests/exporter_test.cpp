@@ -1,7 +1,14 @@
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -151,50 +158,6 @@ TEST(OpenMetrics, ValidatorRejectsMalformedPayloads) {
           "negative _count");
   rejects("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1.5\nh_count 1.5\nh_sum 1\n# EOF\n",
           "fractional bucket count");
-}
-
-// ---- SnapshotBus cadence and sequencing ------------------------------------
-
-TEST(SnapshotBus, CadenceGatesPublications) {
-  SnapshotBus bus(60.0);
-  EXPECT_TRUE(bus.due(0.0));  // first publication is always due
-  bus.publish({});
-  EXPECT_FALSE(bus.due(30.0));
-  EXPECT_FALSE(bus.due(59.9));
-  EXPECT_TRUE(bus.due(60.0));
-  // Publishing at t=130 skips straight past the missed boundary: the next
-  // one lands on the *following* cadence multiple, not 60s after 130.
-  PublishedSnapshot at130;
-  at130.virtual_time = 130.0;
-  bus.publish(std::move(at130));
-  EXPECT_FALSE(bus.due(150.0));
-  EXPECT_TRUE(bus.due(180.0));
-}
-
-TEST(SnapshotBus, ZeroCadencePublishesEveryTick) {
-  SnapshotBus bus(0.0);
-  for (double t : {0.0, 0.001, 5.0}) {
-    EXPECT_TRUE(bus.due(t));
-    PublishedSnapshot s;
-    s.virtual_time = t;
-    bus.publish(std::move(s));
-  }
-  EXPECT_EQ(bus.publications(), 3u);
-}
-
-TEST(SnapshotBus, SequenceNumbersAreMonotonicAcrossSinks) {
-  SnapshotBus bus(0.0);
-  std::vector<std::uint64_t> seen_a;
-  std::vector<std::uint64_t> seen_b;
-  bus.add_sink([&](const PublishedSnapshot& s) {
-    seen_a.push_back(s.seq);
-    EXPECT_EQ(s.progress.seq, s.seq);  // nested progress carries the same seq
-  });
-  bus.add_sink([&](const PublishedSnapshot& s) { seen_b.push_back(s.seq); });
-  for (int i = 0; i < 5; ++i) bus.publish({});
-  const std::vector<std::uint64_t> want{1, 2, 3, 4, 5};
-  EXPECT_EQ(seen_a, want);
-  EXPECT_EQ(seen_b, want);
 }
 
 // ---- progress JSON round-trip ----------------------------------------------
@@ -395,6 +358,58 @@ TEST(Exporter, BindFailureDegradesGracefully) {
             second.errors());
 }
 
+/// A TCP client connected to a local port that sends nothing; -1 on failure.
+int connect_silently(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(Exporter, SilentClientHoldsUpNeitherScrapesNorStop) {
+  MetricsRegistry reg;
+  Counter& errors = reg.counter("ncnas_exporter_errors_total");
+  HttpExporter server(
+      "127.0.0.1", 0,
+      [](const std::string&) -> std::tuple<int, std::string, std::string> {
+        return {200, "text/plain; charset=utf-8", "ok\n"};
+      },
+      &errors);
+  ASSERT_GT(server.port(), 0);
+  constexpr auto kWithin = std::chrono::seconds(2);
+
+  // The server accepts the silent client first; the scrape queued behind it
+  // must still be answered.
+  const int silent = connect_silently(server.port());
+  ASSERT_GE(silent, 0);
+  auto scrape = std::async(std::launch::async, [port = server.port()] {
+    return http_get("127.0.0.1", port, "/metrics").value_or("<no answer>");
+  });
+  const bool answered = scrape.wait_for(kWithin) == std::future_status::ready;
+
+  // A second silent client is being read when stop() comes.
+  const int silent_at_stop = connect_silently(server.port());
+  auto stopping = std::async(std::launch::async, [&server] { server.stop(); });
+  const bool stopped = stopping.wait_for(kWithin) == std::future_status::ready;
+
+  // Closing the clients frees a server that waits on them, so a regression
+  // fails the expectations below instead of hanging the test.
+  ::close(silent);
+  if (silent_at_stop >= 0) ::close(silent_at_stop);
+  EXPECT_TRUE(answered) << "a silent client blocked another scrape";
+  EXPECT_TRUE(stopped) << "a silent client blocked stop()";
+  EXPECT_EQ(scrape.get(), "ok\n");
+  stopping.get();
+  EXPECT_GE(errors.value(), 1u);  // the dropped silent client is counted
+}
+
 // ---- live journal sink ------------------------------------------------------
 
 TEST(Journal, LiveExportStreamsAndCatchesUp) {
@@ -437,7 +452,7 @@ TEST(Journal, LiveExportFailureCountsAndDisables) {
   Journal journal;
   MetricsRegistry reg;
   Counter& errors = reg.counter("ncnas_exporter_errors_total");
-  EXPECT_FALSE(journal.open_live_export("/nonexistent-dir/live.jsonl", false, &errors));
+  EXPECT_FALSE(journal.open_live_export("/nonexistent-dir/live.jsonl", &errors));
   EXPECT_FALSE(journal.live_export_open());
   EXPECT_GE(errors.value(), 1u);
   EXPECT_GE(journal.live_export_errors(), 1u);
@@ -448,68 +463,30 @@ TEST(Journal, LiveExportFailureCountsAndDisables) {
 
 // ---- the full loop: exporter on a real search ------------------------------
 
-struct CapturedRun {
-  nas::SearchResult result;
-  std::vector<std::uint64_t> seqs;
-  std::vector<double> times;
-  std::vector<std::size_t> offsets;
-  std::vector<std::size_t> delta_sizes;
-  std::vector<std::uint64_t> evals_counter;
-  std::size_t journal_total = 0;
-  MetricsSnapshot final_metrics;
-  ProgressSnapshot final_progress;
-};
-
-CapturedRun run_with_exporter(nas::SearchStrategy strategy, const std::string& live_path) {
-  const space::SearchSpace s = space::nt3_small_space();
-  const data::Dataset ds = tiny_nt3();
-  Telemetry t;
-  t.enable_journal();
-  ExporterConfig ecfg;
-  ecfg.cadence_seconds = 0.0;  // publish on every driver tick: worst case
-  ecfg.live_journal_path = live_path;
-  Exporter& exporter = t.enable_exporter(std::move(ecfg));
-  CapturedRun cap;
-  exporter.add_sink([&cap](const PublishedSnapshot& snap) {
-    cap.seqs.push_back(snap.seq);
-    cap.times.push_back(snap.virtual_time);
-    cap.offsets.push_back(snap.journal_offset);
-    cap.delta_sizes.push_back(snap.journal_delta.size());
-    cap.evals_counter.push_back(snap.metrics.counter_value("ncnas_evals_total"));
-    cap.final_metrics = snap.metrics;
-    cap.final_progress = snap.progress;
-  });
-  nas::SearchConfig cfg = small_config(strategy);
-  cfg.telemetry = &t;
-  cap.result = nas::SearchDriver(s, ds, cfg).run();
-  cap.journal_total = t.journal()->size();
-  return cap;
-}
-
-TEST(Exporter, SnapshotDeltasAreMonotonicAndStitchTheJournal) {
-  const CapturedRun cap = run_with_exporter(nas::SearchStrategy::kA3C, "");
-  ASSERT_GT(cap.seqs.size(), 2u);
-  std::size_t stitched = 0;
-  for (std::size_t i = 0; i < cap.seqs.size(); ++i) {
-    EXPECT_EQ(cap.seqs[i], i + 1);  // strictly monotonic, gap-free
-    if (i > 0) {
-      EXPECT_GE(cap.times[i], cap.times[i - 1]);
-      EXPECT_GE(cap.evals_counter[i], cap.evals_counter[i - 1]);  // counters only grow
-    }
-    EXPECT_EQ(cap.offsets[i], stitched);  // each delta starts where the last ended
-    stitched += cap.delta_sizes[i];
+/// The value of the sample `name` (a counter's `..._total` line) in an
+/// OpenMetrics payload; -1 when absent.
+long long sample_value(const std::string& text, const std::string& name) {
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(name + ' ', 0) == 0) return std::stoll(line.substr(name.size() + 1));
   }
-  // Concatenated deltas reconstruct the whole journal: nothing lost, nothing
-  // duplicated, including the final kRunFinished flush.
-  EXPECT_EQ(stitched, cap.journal_total);
-  EXPECT_TRUE(cap.final_progress.finished);
+  return -1;
 }
 
 TEST(Exporter, FinalScrapeReconcilesWithJournalSummary) {
   TempFile live("final_live.jsonl");
-  const CapturedRun cap = run_with_exporter(nas::SearchStrategy::kA2C, live.path);
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  Telemetry t;
+  t.enable_journal();
+  ExporterConfig ecfg = every_tick();  // publish at every completion: worst case
+  ecfg.live_journal_path = live.path;
+  Exporter& exporter = t.enable_exporter(std::move(ecfg));
+  nas::SearchConfig cfg = small_config(nas::SearchStrategy::kA2C);
+  cfg.telemetry = &t;
+  const nas::SearchResult res = nas::SearchDriver(s, ds, cfg).run();
 
-  // The counters in the last published metrics snapshot must agree exactly
+  // The counters in the last published /metrics payload must agree exactly
   // with a replay of the live-streamed journal file — the "scrape at run end
   // == summarize_journal" contract.
   std::ifstream in(live.path);
@@ -520,16 +497,21 @@ TEST(Exporter, FinalScrapeReconcilesWithJournalSummary) {
 
   // The counters are a view of the same event fold summarize_journal runs,
   // deadline filter included, so they equal its totals — and the result's.
-  const MetricsSnapshot& m = cap.final_metrics;
-  EXPECT_EQ(m.counter_value("ncnas_evals_total"), sum.evals);
-  EXPECT_EQ(m.counter_value("ncnas_real_evals_total"), sum.real_evals);
-  EXPECT_EQ(m.counter_value("ncnas_cache_hits_total"), sum.cache_hits);
-  EXPECT_EQ(m.counter_value("ncnas_eval_timeouts_total"), sum.timeouts);
-  EXPECT_EQ(m.counter_value("ncnas_ppo_updates_total"), sum.ppo_updates);
-  EXPECT_EQ(m.counter_value("ncnas_ps_exchanges_total"), sum.ps_exchanges);
-  EXPECT_EQ(m.counter_value("ncnas_exporter_errors_total"), 0u);
-  EXPECT_EQ(nas::reconcile(cap.result, sum), std::vector<std::string>{});
-  EXPECT_EQ(cap.final_progress.evals_done, cap.result.evals.size());
+  const std::string m = exporter.metrics_text();
+  const auto want = [](std::size_t n) { return static_cast<long long>(n); };
+  EXPECT_EQ(sample_value(m, "ncnas_evals_total"), want(sum.evals));
+  EXPECT_EQ(sample_value(m, "ncnas_real_evals_total"), want(sum.real_evals));
+  EXPECT_EQ(sample_value(m, "ncnas_cache_hits_total"), want(sum.cache_hits));
+  EXPECT_EQ(sample_value(m, "ncnas_eval_timeouts_total"), want(sum.timeouts));
+  EXPECT_EQ(sample_value(m, "ncnas_ppo_updates_total"), want(sum.ppo_updates));
+  EXPECT_EQ(sample_value(m, "ncnas_ps_exchanges_total"), want(sum.ps_exchanges));
+  EXPECT_EQ(sample_value(m, "ncnas_exporter_errors_total"), 0);
+  EXPECT_EQ(nas::reconcile(res, sum), std::vector<std::string>{});
+  const ProgressSnapshot last = parse_progress_json(exporter.progress_json());
+  EXPECT_TRUE(last.finished);
+  EXPECT_EQ(last.evals_done, res.evals.size());
+  EXPECT_EQ(last.journal_events, events.size());
+  EXPECT_EQ(last.seq, exporter.publications());
 }
 
 TEST(Exporter, ProgressCountsEqualTheJournalReplayAtEveryPublication) {
@@ -540,26 +522,109 @@ TEST(Exporter, ProgressCountsEqualTheJournalReplayAtEveryPublication) {
   Telemetry t;
   t.enable_journal();
   Exporter& exporter = t.enable_exporter(every_tick());
-  std::vector<JournalEvent> journal;
-  PublishedSnapshot last;
-  exporter.add_sink([&](const PublishedSnapshot& snap) {
-    journal.insert(journal.end(), snap.journal_delta.begin(), snap.journal_delta.end());
-    const RunSummary sum = summarize_journal(journal);
-    EXPECT_EQ(snap.progress.real_evals, sum.real_evals) << "publication " << snap.seq;
-    EXPECT_EQ(snap.progress.evals_done, sum.evals) << "publication " << snap.seq;
-    last = snap;
-  });
   nas::SearchConfig cfg = small_config(nas::SearchStrategy::kA3C);
   cfg.ladder.eta = 2;
   cfg.ladder.rungs = {{.epochs = 1, .subset_fraction = 0.5}, {.epochs = 2, .subset_fraction = 1.0}};
   cfg.telemetry = &t;
-  const nas::SearchResult res = nas::SearchDriver(s, ds, cfg).run();
+  nas::SearchDriver driver(s, ds, cfg);
 
-  ASSERT_GT(last.seq, 2u);
+  // Pause every 100 virtual seconds: each pause follows a completion that
+  // published, so /progress is the journal replayed up to the pause.
+  std::uint64_t last_seq = 0;
+  int pauses = 0;
+  while (!driver.advance(driver.virtual_time() + 100.0)) {
+    ++pauses;
+    const ProgressSnapshot p = parse_progress_json(exporter.progress_json());
+    const std::vector<JournalEvent> journal = t.journal()->snapshot();
+    const RunSummary sum = summarize_journal(journal);
+    SCOPED_TRACE("pause " + std::to_string(pauses) + " at t=" +
+                 std::to_string(driver.virtual_time()));
+    EXPECT_GT(p.seq, last_seq);
+    last_seq = p.seq;
+    EXPECT_DOUBLE_EQ(p.virtual_time, driver.virtual_time());
+    EXPECT_EQ(p.evals_done, sum.evals);
+    EXPECT_EQ(p.real_evals, sum.real_evals);
+    EXPECT_EQ(p.cache_hits, sum.cache_hits);
+    EXPECT_EQ(p.timeouts, sum.timeouts);
+    EXPECT_EQ(p.ppo_updates, sum.ppo_updates);
+    EXPECT_EQ(p.journal_events, journal.size());
+    EXPECT_FALSE(p.finished);
+  }
+  const nas::SearchResult res = driver.run();
+
+  ASSERT_GT(pauses, 2);
   ASSERT_GT(res.ladder_trainings, res.evals.size());  // the meter runs ahead of the count
-  EXPECT_TRUE(last.progress.finished);
-  EXPECT_EQ(last.progress.real_evals, last.metrics.counter_value("ncnas_real_evals_total"));
-  EXPECT_EQ(last.progress.evals_done, last.metrics.counter_value("ncnas_evals_total"));
+  const ProgressSnapshot last = parse_progress_json(exporter.progress_json());
+  const std::string m = exporter.metrics_text();
+  EXPECT_GT(last.seq, last_seq);
+  EXPECT_TRUE(last.finished);
+  EXPECT_EQ(static_cast<long long>(last.real_evals), sample_value(m, "ncnas_real_evals_total"));
+  EXPECT_EQ(static_cast<long long>(last.evals_done), sample_value(m, "ncnas_evals_total"));
+}
+
+/// Steps `driver` one completion at a time and records, per completion,
+/// whether the exporter published and at which virtual time.
+struct Steps {
+  std::vector<double> times;       // completion times, in harvest order
+  std::vector<bool> published;     // the completion published
+  std::uint64_t during_run = 0;    // publications before the final flush
+  std::uint64_t total = 0;
+};
+
+Steps step_by_completion(double cadence) {
+  const space::SearchSpace s = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  Telemetry t;
+  ExporterConfig ecfg;
+  ecfg.cadence_seconds = cadence;
+  Exporter& exporter = t.enable_exporter(std::move(ecfg));
+  nas::SearchConfig cfg = small_config(nas::SearchStrategy::kA3C);
+  cfg.telemetry = &t;
+  nas::SearchDriver driver(s, ds, cfg);
+  Steps steps;
+  // advance(0) pauses right after the next completion: every one is >= 0.
+  while (!driver.advance(0.0)) {
+    const std::uint64_t before = steps.during_run;
+    steps.during_run = exporter.publications();
+    steps.times.push_back(driver.virtual_time());
+    steps.published.push_back(steps.during_run > before);
+    EXPECT_LE(steps.during_run, before + 1);
+    if (steps.published.back()) {
+      EXPECT_DOUBLE_EQ(parse_progress_json(exporter.progress_json()).virtual_time,
+                       driver.virtual_time());
+    }
+  }
+  (void)driver.run();
+  steps.total = exporter.publications();
+  return steps;
+}
+
+TEST(Exporter, CadencePublishesAtTheFirstCompletionPastEachBoundary) {
+  const Steps steps = step_by_completion(60.0);
+  ASSERT_GT(steps.times.size(), 10u);
+  // A completion publishes exactly when it is the first one in its 60 s
+  // window of the virtual clock (the very first completion included).
+  std::size_t windows = 0;
+  for (std::size_t i = 0; i < steps.times.size(); ++i) {
+    const bool first_in_window =
+        i == 0 || std::floor(steps.times[i] / 60.0) > std::floor(steps.times[i - 1] / 60.0);
+    EXPECT_EQ(steps.published[i], first_in_window) << "completion " << i << " at t="
+                                                   << steps.times[i];
+    windows += first_in_window ? 1 : 0;
+  }
+  EXPECT_LT(windows, steps.times.size());  // the cadence actually skipped some
+  EXPECT_EQ(steps.during_run, windows);
+  EXPECT_EQ(steps.total, windows + 1);  // plus the unconditional final flush
+}
+
+TEST(Exporter, ZeroCadencePublishesAtEveryCompletion) {
+  const Steps steps = step_by_completion(0.0);
+  ASSERT_GT(steps.times.size(), 10u);
+  for (std::size_t i = 0; i < steps.times.size(); ++i) {
+    EXPECT_TRUE(steps.published[i]) << "completion " << i;
+  }
+  EXPECT_EQ(steps.during_run, steps.times.size());
+  EXPECT_EQ(steps.total, steps.times.size() + 1);
 }
 
 TEST(Exporter, OnOffLeavesResultsBitIdentical) {

@@ -16,6 +16,10 @@
 // The same search's telemetry, rendered by openmetrics_text, is the corpus
 // for validate_openmetrics: every unmutated body validates, and every
 // mutated one returns true, or false with an error, and never throws.
+// Raw HTTP requests are the corpus for http_response, the exporter's
+// request-to-response step: every answer has a status line the server
+// sends, a Content-Length equal to the body's size, and only a GET reaches
+// the handler.
 // Run under ASan+UBSan, "never crash" includes undefined behaviour.
 //
 // --seed=N / --runs=N / FAILING SEED replay as in fuzz_seed.hpp.
@@ -25,6 +29,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -456,6 +461,110 @@ TEST(OpenMetricsFuzz, Truncations) { fuzz_openmetrics(0x0256, "truncation", trun
 TEST(OpenMetricsFuzz, LineSplices) { fuzz_openmetrics(0x0911CE, "line splice", splice_lines); }
 
 TEST(OpenMetricsFuzz, MutationsCompose) { fuzz_openmetrics(0x0CA1, "composed", composed); }
+
+// ---- HTTP request path ---------------------------------------------------------
+
+/// Raw requests as scrapers (and strangers) send them: a GET for each
+/// exporter endpoint and an unknown path, a POST, an empty request, a 16 KiB
+/// request head, and the opening bytes of a TLS handshake.
+const std::vector<std::string>& request_corpora() {
+  static const std::vector<std::string> requests = [] {
+    const auto get = [](const std::string& path) {
+      return "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
+    };
+    return std::vector<std::string>{
+        get("/metrics"),
+        get("/progress"),
+        get("/healthz"),
+        get("/tenants"),
+        get("/no/such/path"),
+        "POST /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 4\r\n\r\nbody",
+        "",
+        "GET /metrics HTTP/1.1\r\nX-Pad: " + std::string(16384, 'x') + "\r\n\r\n",
+        std::string("\x16\x03\x01\x02\x00\x01\x00\x01\xfc\x03\x03\r\n", 13)};
+  }();
+  return requests;
+}
+
+/// The exporter's route table in miniature: /healthz answers 503 so every
+/// status the server can send appears, and a 404 echoes the path so the
+/// body holds whatever bytes the request carried.
+std::tuple<int, std::string, std::string> route(const std::string& path, int& calls) {
+  ++calls;
+  if (path == "/metrics") return {200, "application/openmetrics-text", "# EOF\n"};
+  if (path == "/progress" || path == "/tenants") return {200, "application/json", "{}\n"};
+  if (path == "/healthz") return {503, "text/plain", "unhealthy\n"};
+  return {404, "text/plain", "not found: " + path + "\n"};
+}
+
+/// The server's contract on one request: a well-formed status line with a
+/// status the server sends, a Content-Length equal to the body's byte
+/// count, and the handler reached by GETs only.
+void check_http(const std::string& request, const char* mutation, int iter) {
+  SCOPED_TRACE(std::string(mutation) + " iteration " + std::to_string(iter) +
+               " (replay with --seed=" + std::to_string(g_seed) + ")");
+  int calls = 0;
+  const std::string response =
+      obs::http_response(request, [&calls](const std::string& path) { return route(path, calls); });
+
+  EXPECT_LE(calls, 1);
+  if (!request.starts_with("GET ")) {
+    EXPECT_EQ(calls, 0) << "handler reached by a non-GET request";
+  } else if (request.find(' ', 4) != std::string::npos) {
+    EXPECT_EQ(calls, 1) << "a GET with a path never reached the handler";
+  }
+
+  const std::size_t line_end = response.find("\r\n");
+  ASSERT_NE(line_end, std::string::npos) << response;
+  const std::string status_line = response.substr(0, line_end);
+  static const std::vector<std::string> kStatusLines = {
+      "HTTP/1.1 200 OK", "HTTP/1.1 400 Bad Request", "HTTP/1.1 404 Not Found",
+      "HTTP/1.1 405 Method Not Allowed", "HTTP/1.1 503 Service Unavailable"};
+  EXPECT_NE(std::find(kStatusLines.begin(), kStatusLines.end(), status_line), kStatusLines.end())
+      << status_line;
+
+  const std::size_t head_end = response.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos) << response;
+  const std::string head = response.substr(0, head_end + 2);
+  const std::string kLength = "\r\nContent-Length: ";
+  const std::size_t at = head.find(kLength);
+  ASSERT_NE(at, std::string::npos) << head;
+  ASSERT_EQ(head.find(kLength, at + 1), std::string::npos) << "two Content-Length headers";
+  const std::size_t digits = at + kLength.size();
+  const std::size_t digits_end = head.find("\r\n", digits);
+  const std::string length = head.substr(digits, digits_end - digits);
+  ASSERT_FALSE(length.empty());
+  ASSERT_EQ(length.find_first_not_of("0123456789"), std::string::npos) << length;
+  EXPECT_EQ(std::stoull(length), response.size() - (head_end + 4));
+}
+
+template <typename Mutate>
+void fuzz_http(std::uint64_t salt, const char* mutation, Mutate mutate) {
+  for (std::size_t i = 0; i < request_corpora().size(); ++i) {
+    fuzz(salt + i, mutation, mutate, request_corpora()[i], check_http);
+  }
+}
+
+TEST(HttpRequestFuzz, CorpusAnswers) {
+  const std::vector<int> want = {200, 200, 503, 200, 404, 405, 400, 200, 405};
+  ASSERT_EQ(request_corpora().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    check_http(request_corpora()[i], "corpus", static_cast<int>(i));
+    int calls = 0;
+    const std::string response = obs::http_response(
+        request_corpora()[i], [&calls](const std::string& path) { return route(path, calls); });
+    EXPECT_TRUE(response.starts_with("HTTP/1.1 " + std::to_string(want[i]) + ' '))
+        << "request " << i << ": " << response.substr(0, 40);
+  }
+}
+
+TEST(HttpRequestFuzz, BitFlips) { fuzz_http(0x4B17, "bit flip", flip_bits); }
+
+TEST(HttpRequestFuzz, Truncations) { fuzz_http(0x4256, "truncation", truncate); }
+
+TEST(HttpRequestFuzz, LineSplices) { fuzz_http(0x4911CE, "line splice", splice_lines); }
+
+TEST(HttpRequestFuzz, MutationsCompose) { fuzz_http(0x4CA1, "composed", composed); }
 
 }  // namespace
 

@@ -17,6 +17,12 @@
 //    enough to be obviously correct, and the bit-exact ground truth
 //    kernel_diff_test compares against.
 //
+// conv1d and conv1d_dw, Conv1D's forward pass and weight gradient, run the
+// same strip steps with no tier: each output element's chain starts from
+// its current value (the bias preset, or the gradient so far) instead of
+// +0, so it continues the chain the direct conv loops ran through memory,
+// term for term, and the bits are theirs.
+//
 // Both gemm and gemm_nt share one packed-panel driver: gemm_nt packs B^T
 // into the same k-major panel layout and runs the exact same micro-kernels,
 // rather than a separate strided kernel.
@@ -64,6 +70,18 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c);
 void gemm_ref(const Tensor& a, const Tensor& b, Tensor& c);
 void gemm_nt_ref(const Tensor& a, const Tensor& b, Tensor& c);
 void gemm_tn_ref(const Tensor& a, const Tensor& b, Tensor& c);
+
+/// y(batch, out_len, filters) = bias + the valid, stride-1 1-D convolution
+/// of x(batch, len, cin) with w(kernel * cin, filters), out_len = len -
+/// kernel + 1, where w's row t * cin + c holds offset t of channel c. Each
+/// element starts from bias[f] and adds its kernel * cin terms window-offset
+/// ascending. Shapes validated; y must already have its shape.
+void conv1d(const Tensor& x, const Tensor& w, const Tensor& bias, Tensor& y);
+
+/// dw(kernel * cin, filters) += the weight gradient of conv1d for x and the
+/// output gradient grad(batch, out_len, filters): each element's chain runs
+/// over (b, p) ascending from dw's current value.
+void conv1d_dw(const Tensor& x, const Tensor& grad, Tensor& dw);
 
 /// Returns A * B freshly allocated.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -277,11 +278,17 @@ const Tensor& Dropout::forward(std::span<const tensor::Tensor* const> inputs, Te
   out.reset(x.shape());
   const float keep = 1.0f - rate_;
   const float inv_keep = 1.0f / keep;
+  // uniform() < keep without the double: uniform() is u * 2^-53 for the
+  // 53-bit draw u, so it is below keep exactly when u < ceil(keep * 2^53)
+  // (keep * 2^53 is exact in a double).
+  const auto threshold = static_cast<std::uint64_t>(std::ceil(keep * 0x1.0p53));
+  float* pm = mask_.data();
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const float m = ctx.rng->uniform() < keep ? inv_keep : 0.0f;
-    mask_[i] = m;
-    out[i] = x[i] * m;
+    pm[i] = (ctx.rng->next_u64() >> 11) < threshold ? inv_keep : 0.0f;
   }
+  const float* px = x.data();
+  float* po = out.data();
+  for (std::size_t i = 0; i < x.size(); ++i) po[i] = px[i] * pm[i];
   masked_ = true;
   return out;
 }
@@ -354,27 +361,8 @@ const Tensor& Conv1D::forward(std::span<const tensor::Tensor* const> inputs, Ten
     throw std::invalid_argument("conv1d: input channels do not match bound weights");
   }
   x_ = &x;
-  const std::size_t out_len = len - kernel_ + 1;
-  out.reset({batch, out_len, filters_});
-  float* py = out.data();
-  const float* pw = w_->value.data();
-  const float* pb = b_->value.data();
-  // No zero-operand skip on xv: it made FLOPs data-dependent and masked NaN
-  // in the weights (0 * NaN must stay NaN) — see the kernel NaN-semantics
-  // note in tensor/ops.hpp.
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t p = 0; p < out_len; ++p) {
-      float* yrow = py + (b * out_len + p) * filters_;
-      for (std::size_t f = 0; f < filters_; ++f) yrow[f] = pb[f];
-      // Window [p, p + kernel) flattened over (offset, channel) pairs.
-      const float* xwin = x.data() + (b * len + p) * cin;
-      for (std::size_t t = 0; t < kernel_ * cin; ++t) {
-        const float xv = xwin[t];
-        const float* wrow = pw + t * filters_;
-        for (std::size_t f = 0; f < filters_; ++f) yrow[f] += xv * wrow[f];
-      }
-    }
-  }
+  out.reset({batch, len - kernel_ + 1, filters_});
+  tensor::conv1d(x, w_->value, b_->value, out);
   return out;
 }
 
@@ -382,27 +370,21 @@ void Conv1D::backward(Tensor& grad, std::span<Tensor* const> dx) {
   const Tensor& x = *x_;
   const std::size_t batch = x.dim(0), len = x.dim(1), cin = x.dim(2);
   const std::size_t out_len = len - kernel_ + 1;
-  // Windows overlap, so dx accumulates from zero.
-  float* pdx = nullptr;
-  if (dx[0] != nullptr) {
-    dx[0]->reset(x.shape());
-    dx[0]->zero();
-    pdx = dx[0]->data();
-  }
-  float* pdw = w_->grad.data();
+  tensor::conv1d_dw(x, grad, w_->grad);
   float* pdb = b_->grad.data();
+  for (std::size_t r = 0; r < batch * out_len; ++r) {
+    const float* grow = grad.data() + r * filters_;
+    for (std::size_t f = 0; f < filters_; ++f) pdb[f] += grow[f];
+  }
+  if (dx[0] == nullptr) return;
+  // Windows overlap, so dx accumulates from zero.
+  dx[0]->reset(x.shape());
+  dx[0]->zero();
+  float* pdx = dx[0]->data();
   const float* pw = w_->value.data();
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t p = 0; p < out_len; ++p) {
       const float* grow = grad.data() + (b * out_len + p) * filters_;
-      for (std::size_t f = 0; f < filters_; ++f) pdb[f] += grow[f];
-      const float* xwin = x.data() + (b * len + p) * cin;
-      for (std::size_t t = 0; t < kernel_ * cin; ++t) {
-        float* dwrow = pdw + t * filters_;
-        const float xv = xwin[t];
-        for (std::size_t f = 0; f < filters_; ++f) dwrow[f] += xv * grow[f];
-      }
-      if (pdx == nullptr) continue;
       float* dxwin = pdx + (b * len + p) * cin;
       for (std::size_t t = 0; t < kernel_ * cin; ++t) {
         const float* wrow = pw + t * filters_;

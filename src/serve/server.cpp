@@ -192,9 +192,12 @@ std::string SearchServer::tenants_json() const {
 void SearchServer::bump_counter(const std::string& name, const std::string& tenant,
                                 std::uint64_t target) {
   const std::string full = name + "{tenant=\"" + tenant + "\"}";
+  // Looked up even at target 0: submit() refreshes right after admission,
+  // so every tenant series is in the exposition, at 0, from then on.
+  obs::Counter& counter = config_.telemetry->metrics().counter(full);
   std::uint64_t& mark = counter_marks_[full];
   if (target > mark) {
-    config_.telemetry->metrics().counter(full).inc(target - mark);
+    counter.inc(target - mark);
     mark = target;
   }
 }

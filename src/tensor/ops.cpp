@@ -126,7 +126,8 @@ void gemm_tn_ref_impl(const float* pa, const float* pb, float* pc, const GemmDim
 // the controller's gemm_rows and accumulate_gemm_tn_steps. Determinism
 // rule: a C element's value is a single register accumulation chain over k
 // ascending — the same chain the reference kernel performs through memory —
-// so bits match the reference for any block geometry.
+// so bits match the reference for any block geometry. The conv runs the
+// strip steps too, from C's current value (StripMode::kLoad below).
 
 constexpr std::size_t kPanelWidth = 32;  // NR: columns per packed B panel
 constexpr std::size_t kMicroRows = 4;    // MR: C rows per micro-kernel step
@@ -235,10 +236,11 @@ void with_edge_width(std::size_t w, Fn&& fn) {
 /// of C at c + r * ldc, and element (r, kk) of A at a[r * lda + kk] — or,
 /// when the steps' TransA is set, at a[r + kk * lda]. gemm reads its tail
 /// panel this way (ldb = the panel's width), gemm_tn its operands in place
-/// (TransA, lda = m, ldb = n), and gemm_rows its row-major operands in
-/// place (ldb = n). TransA is a template parameter so that one of A's two
-/// strides is a compile-time 1: with both at run time the gemm tail
-/// measured ~30 % slower.
+/// (TransA, lda = m, ldb = n), gemm_rows its row-major operands in place
+/// (ldb = n), and the conv its input's overlapping windows (lda = the
+/// channel count, TransA for the weight gradient). TransA is a template
+/// parameter so that one of A's two strides is a compile-time 1: with both
+/// at run time the gemm tail measured ~30 % slower.
 struct Strip {
   const float* a;
   std::size_t lda;
@@ -253,12 +255,28 @@ const float* strip_row(const Strip& s, std::size_t r) {
   return TransA ? s.a + r : s.a + r * s.lda;
 }
 
-/// Stores one C row's W chains: c = acc, or, when the steps' Add is set,
-/// c += acc — one rounding of c + term, the add_inplace that
-/// accumulate_gemm_tn_steps folds in.
-template <bool Add, std::size_t W>
+/// How a strip step starts and stores each C element's chain:
+///  * kSet: from +0, then c = acc — the gemms' zeroed C.
+///  * kAdd: from +0, then c += acc — one rounding of c + term, the
+///    add_inplace that accumulate_gemm_tn_steps folds in.
+///  * kLoad: from c's current value, then c = acc — the chain a loop's
+///    `c += a * b` runs through memory, continued in registers and fused by
+///    madd the way the build fuses that loop (the conv's bias preset and
+///    its weight gradient).
+enum class StripMode { kSet, kAdd, kLoad };
+
+template <StripMode Mode, std::size_t W>
+void start_row(const float* c, float* acc) {
+  if constexpr (Mode == StripMode::kLoad) {
+    std::copy(c, c + W, acc);
+  } else {
+    std::fill(acc, acc + W, 0.0f);
+  }
+}
+
+template <StripMode Mode, std::size_t W>
 void store_row(const float* acc, float* c) {
-  if constexpr (Add) {
+  if constexpr (Mode == StripMode::kAdd) {
     for (std::size_t jj = 0; jj < W; ++jj) c[jj] += acc[jj];
   } else {
     std::copy(acc, acc + W, c);
@@ -273,12 +291,16 @@ void store_row(const float* acc, float* c) {
 /// GF/s. Kept out of line: GCC 12 inlines it into the row loop when nothing
 /// stops it, and gemm_tn 128^3 then measured ~45 instead of ~58 GFLOP/s on a
 /// 4-core AVX-512 VM.
-template <bool TransA, bool Add, std::size_t W>
+template <bool TransA, StripMode Mode, std::size_t W>
 [[gnu::noinline]] void strip_step_r4(const Strip& s) {
   const float *a0 = strip_row<TransA>(s, 0), *a1 = strip_row<TransA>(s, 1),
               *a2 = strip_row<TransA>(s, 2), *a3 = strip_row<TransA>(s, 3);
   const std::size_t ak = TransA ? s.lda : 1;  // A's stride along k
-  float acc0[W] = {}, acc1[W] = {}, acc2[W] = {}, acc3[W] = {};
+  float acc0[W], acc1[W], acc2[W], acc3[W];
+  start_row<Mode, W>(s.c, acc0);
+  start_row<Mode, W>(s.c + s.ldc, acc1);
+  start_row<Mode, W>(s.c + 2 * s.ldc, acc2);
+  start_row<Mode, W>(s.c + 3 * s.ldc, acc3);
   for (std::size_t kk = 0; kk < s.k; ++kk) {
     const float* brow = s.b + kk * s.ldb;
     const float v0 = a0[kk * ak], v1 = a1[kk * ak], v2 = a2[kk * ak], v3 = a3[kk * ak];
@@ -290,36 +312,37 @@ template <bool TransA, bool Add, std::size_t W>
       acc3[jj] = madd(v3, bv, acc3[jj]);
     }
   }
-  store_row<Add, W>(acc0, s.c);
-  store_row<Add, W>(acc1, s.c + s.ldc);
-  store_row<Add, W>(acc2, s.c + 2 * s.ldc);
-  store_row<Add, W>(acc3, s.c + 3 * s.ldc);
+  store_row<Mode, W>(acc0, s.c);
+  store_row<Mode, W>(acc1, s.c + s.ldc);
+  store_row<Mode, W>(acc2, s.c + 2 * s.ldc);
+  store_row<Mode, W>(acc3, s.c + 3 * s.ldc);
 }
 
 /// 1-row step over W columns of a strip.
-template <bool TransA, bool Add, std::size_t W>
+template <bool TransA, StripMode Mode, std::size_t W>
 [[gnu::noinline]] void strip_step_r1(const Strip& s) {
   const std::size_t ak = TransA ? s.lda : 1;
-  float acc[W] = {};
+  float acc[W];
+  start_row<Mode, W>(s.c, acc);
   for (std::size_t kk = 0; kk < s.k; ++kk) {
     const float av = s.a[kk * ak];
     const float* brow = s.b + kk * s.ldb;
     for (std::size_t jj = 0; jj < W; ++jj) acc[jj] = madd(av, brow[jj], acc[jj]);
   }
-  store_row<Add, W>(acc, s.c);
+  store_row<Mode, W>(acc, s.c);
 }
 
 /// Rows [0, rows) of W strip columns: 4-row steps, then single rows.
-template <bool TransA, bool Add, std::size_t W>
+template <bool TransA, StripMode Mode, std::size_t W>
 void strip_rows(Strip s, std::size_t rows) {
   std::size_t i = 0;
   for (; i + kMicroRows <= rows; i += kMicroRows) {
-    strip_step_r4<TransA, Add, W>(s);
+    strip_step_r4<TransA, Mode, W>(s);
     s.a = strip_row<TransA>(s, kMicroRows);
     s.c += kMicroRows * s.ldc;
   }
   for (; i < rows; ++i) {
-    strip_step_r1<TransA, Add, W>(s);
+    strip_step_r1<TransA, Mode, W>(s);
     s.a = strip_row<TransA>(s, 1);
     s.c += s.ldc;
   }
@@ -328,16 +351,16 @@ void strip_rows(Strip s, std::size_t rows) {
 /// Columns [0, w) of the strip's rows [0, rows): 32-wide tiles, then the
 /// rest split 16 -> 8 -> under 8, so every step has a compile-time width
 /// and keeps its accumulators in registers. The one column-split rule: the
-/// gemm tail panel, gemm_tn and the controller's gemm_rows and
+/// gemm tail panel, gemm_tn, the conv and the controller's gemm_rows and
 /// accumulate_gemm_tn_steps all run it.
-template <bool TransA, bool Add = false>
+template <bool TransA, StripMode Mode = StripMode::kSet>
 void strip_cols(const Strip& s, std::size_t rows, std::size_t w) {
   std::size_t j = 0;
   const auto tiles = [&](auto width) {
     Strip part = s;
     part.b += j;
     part.c += j;
-    strip_rows<TransA, Add, width()>(part, rows);
+    strip_rows<TransA, Mode, width()>(part, rows);
     j += width();
   };
   while (j + kPanelWidth <= w) tiles(std::integral_constant<std::size_t, kPanelWidth>{});
@@ -411,6 +434,38 @@ void gemm_tn_blocked(const float* pa, const float* pb, float* pc, const GemmDims
 GemmPath plan_path(const GemmDims& d, const KernelConfig& cfg) {
   return d.m * d.k * d.n < cfg.min_blocked_flops ? GemmPath::kReference : GemmPath::kBlocked;
 }
+
+struct ConvDims {
+  std::size_t batch, len, cin, kernel, filters, out_len;
+};
+
+/// Checks x(batch, len, cin) against w(kernel * cin, filters), the layout of
+/// Conv1D's weight and its gradient, and derives kernel and out_len.
+ConvDims check_conv(const Tensor& x, const Tensor& w, const char* what) {
+  if (x.rank() != 3) {
+    throw std::invalid_argument(std::string(what) +
+                                ": expected rank-3 [batch, length, channels] input, got " +
+                                to_string(x.shape()));
+  }
+  require_rank2(w, what);
+  const std::size_t batch = x.dim(0), len = x.dim(1), cin = x.dim(2);
+  if (cin == 0 || w.dim(0) == 0 || w.dim(0) % cin != 0 || w.dim(0) / cin > len) {
+    throw std::invalid_argument(std::string(what) + ": weight " + to_string(w.shape()) +
+                                " is no [kernel * channels, filters] window over input " +
+                                to_string(x.shape()));
+  }
+  const std::size_t kernel = w.dim(0) / cin;
+  return {batch, len, cin, kernel, w.dim(1), len - kernel + 1};
+}
+
+// 2 * batch * out_len * kernel * cin * filters: one multiply-add per window
+// element and filter.
+double conv_flops(const ConvDims& d) {
+  return 2.0 * static_cast<double>(d.batch * d.out_len) *
+         static_cast<double>(d.kernel * d.cin) * static_cast<double>(d.filters);
+}
+
+double float_bytes(std::size_t floats) { return 4.0 * static_cast<double>(floats); }
 
 // 2*m*k*n multiply-adds; bytes = read A, read B, write C (float32).
 double gemm_flops(const GemmDims& d) {
@@ -488,7 +543,45 @@ void gemm_rows(const float* a, const float* b, float* c, std::size_t m, std::siz
 void accumulate_gemm_tn_steps(const float* a, const float* b, float* g, std::size_t steps,
                               std::size_t k, std::size_t m, std::size_t n) {
   for (std::size_t s = steps; s-- > 0;) {
-    strip_cols<true, /*Add=*/true>({a + s * k * m, m, b + s * k * n, n, g, n, k}, m, n);
+    strip_cols<true, StripMode::kAdd>({a + s * k * m, m, b + s * k * n, n, g, n, k}, m, n);
+  }
+}
+
+void conv1d(const Tensor& x, const Tensor& w, const Tensor& bias, Tensor& y) {
+  const ConvDims d = check_conv(x, w, "conv1d");
+  if (bias.rank() != 1 || bias.dim(0) != d.filters) {
+    throw std::invalid_argument("conv1d: bias shape " + to_string(bias.shape()) +
+                                " incompatible with weight " + to_string(w.shape()));
+  }
+  y.require_shape({d.batch, d.out_len, d.filters}, "conv1d y");
+  obs::ProfileScope prof("conv1d");
+  prof.add_work(conv_flops(d), float_bytes(x.size() + w.size() + bias.size() + y.size()));
+  float* py = y.data();
+  for (std::size_t r = 0; r < d.batch * d.out_len; ++r) {
+    std::copy(bias.data(), bias.data() + d.filters, py + r * d.filters);
+  }
+  // Output row p of sample b reads the kernel * cin floats from x row p on:
+  // A's rows are those windows, overlapping at stride lda = cin.
+  for (std::size_t b = 0; b < d.batch; ++b) {
+    strip_cols<false, StripMode::kLoad>({x.data() + b * d.len * d.cin, d.cin, w.data(), d.filters,
+                                         py + b * d.out_len * d.filters, d.filters,
+                                         d.kernel * d.cin},
+                                        d.out_len, d.filters);
+  }
+}
+
+void conv1d_dw(const Tensor& x, const Tensor& grad, Tensor& dw) {
+  const ConvDims d = check_conv(x, dw, "conv1d_dw");
+  grad.require_shape({d.batch, d.out_len, d.filters}, "conv1d_dw grad");
+  obs::ProfileScope prof("conv1d_dw");
+  prof.add_work(conv_flops(d), float_bytes(x.size() + grad.size() + 2 * dw.size()));
+  // dw(t, f) += sum over p of x_b(p, t) * grad_b(p, f): gemm_tn with A's
+  // element (t, p) at x_b[p * cin + t], i.e. lda = cin.
+  for (std::size_t b = 0; b < d.batch; ++b) {
+    strip_cols<true, StripMode::kLoad>({x.data() + b * d.len * d.cin, d.cin,
+                                        grad.data() + b * d.out_len * d.filters, d.filters,
+                                        dw.data(), d.filters, d.out_len},
+                                       d.kernel * d.cin, d.filters);
   }
 }
 

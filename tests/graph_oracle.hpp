@@ -1105,4 +1105,37 @@ inline Graph mirror_graph(const nn::Graph& g, std::span<const Tensor> probe) {
   return o;
 }
 
+/// The oracle Conv1D's direct loops on given operands, for the kernel
+/// tests: a layer that has run forward over x(batch, len, cin) once, with
+/// w(kernel * cin, filters) and bias(filters) then set as its parameters.
+inline Conv1D conv1d_with(const Tensor& x, const Tensor& w, const Tensor& bias) {
+  tensor::Rng unused(0);
+  Conv1D conv(w.dim(1), w.dim(0) / x.dim(2), unused);
+  const Tensor* inputs[] = {&x};
+  ForwardCtx ctx{};
+  (void)conv.forward(inputs, ctx);  // creates the parameters, keeps x
+  const std::vector<ParamPtr> params = conv.parameters();
+  params[0]->value = w;
+  params[1]->value = bias;
+  return conv;
+}
+
+/// bias + x (*) w by the oracle's forward loop.
+inline Tensor conv1d_forward(const Tensor& x, const Tensor& w, const Tensor& bias) {
+  Conv1D conv = conv1d_with(x, w, bias);
+  const Tensor* inputs[] = {&x};
+  ForwardCtx ctx{};
+  return conv.forward(inputs, ctx);
+}
+
+/// dw plus the weight gradient of each of `grads` in turn, by one oracle
+/// backward per gradient.
+inline Tensor conv1d_dw(const Tensor& x, const std::vector<Tensor>& grads, const Tensor& dw) {
+  Conv1D conv = conv1d_with(x, dw, Tensor({dw.dim(1)}));
+  const ParamPtr w = conv.parameters()[0];
+  w->grad = dw;
+  for (const Tensor& g : grads) (void)conv.backward(g);
+  return w->grad;
+}
+
 }  // namespace ncnas::oracle

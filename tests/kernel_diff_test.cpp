@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph_oracle.hpp"
 #include "ncnas/tensor/kernel_config.hpp"
 #include "ncnas/tensor/ops.hpp"
 #include "ncnas/tensor/rng.hpp"
@@ -536,6 +537,90 @@ TEST_F(KernelDiff, NanPropagationMatchesReference) {
     ncnas::tensor::gemm(a, b, got);
     EXPECT_TRUE(bytes_equal(want, got)) << "min_blocked_flops=" << cfg.min_blocked_flops;
   }
+}
+
+// --- conv1d / conv1d_dw vs the oracle layer's direct loops ----------------
+
+/// NT3's convolutions (filters 8, one input channel or the eight of a
+/// previous conv) and every strip width: 1-7, 8, 16, 17 = 16 + 1 and
+/// 33 = 32 + 1 filters, over kernels 3-6 of a length-64 signal, at the
+/// training batch and at one sample.
+TEST_F(KernelDiff, ConvMatchesOracleLoopsBitwise) {
+  for (const std::size_t batch : {32u, 1u}) {
+    for (const std::size_t cin : {1u, 8u}) {
+      for (std::size_t kernel = 3; kernel <= 6; ++kernel) {
+        for (const std::size_t filters : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 16u, 17u, 33u}) {
+          SCOPED_TRACE(::testing::Message() << "batch=" << batch << " cin=" << cin
+                                            << " kernel=" << kernel << " filters=" << filters);
+          constexpr std::size_t len = 64;
+          const std::size_t out_len = len - kernel + 1;
+          const Tensor x = random_tensor({batch, len, cin}, rng_);
+          const Tensor w = random_tensor({kernel * cin, filters}, rng_);
+          const Tensor bias = random_tensor({filters}, rng_);
+          Tensor y({batch, out_len, filters}, -123.75f);
+          ncnas::tensor::conv1d(x, w, bias, y);
+          EXPECT_TRUE(bytes_equal(ncnas::oracle::conv1d_forward(x, w, bias), y));
+
+          // Two backward passes into a gradient that already holds a value.
+          const std::vector<Tensor> grads = {random_tensor({batch, out_len, filters}, rng_),
+                                             random_tensor({batch, out_len, filters}, rng_)};
+          const Tensor dw0 = random_tensor({kernel * cin, filters}, rng_);
+          Tensor dw = dw0;
+          for (const Tensor& g : grads) ncnas::tensor::conv1d_dw(x, g, dw);
+          EXPECT_TRUE(bytes_equal(ncnas::oracle::conv1d_dw(x, grads, dw0), dw));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelDiff, ConvNanPropagationMatchesOracle) {
+  // NaN and Inf in every operand, 0 * Inf included: the strip steps skip no
+  // term, so every non-finite value lands where the direct loops put it.
+  const std::size_t batch = 3, len = 12, cin = 2, kernel = 3, filters = 17;
+  const std::size_t out_len = len - kernel + 1;
+  Tensor x = random_tensor({batch, len, cin}, rng_);
+  Tensor w = random_tensor({kernel * cin, filters}, rng_);
+  Tensor bias = random_tensor({filters}, rng_);
+  Tensor grad = random_tensor({batch, out_len, filters}, rng_);
+  x(1, 4, 1) = std::numeric_limits<float>::quiet_NaN();
+  x(2, 7, 0) = 0.0f;
+  w(0, 16) = std::numeric_limits<float>::infinity();  // the 1-wide edge strip
+  w(2 * cin, 3) = -std::numeric_limits<float>::infinity();
+  bias[5] = std::numeric_limits<float>::quiet_NaN();
+  grad(0, 2, 9) = std::numeric_limits<float>::infinity();
+  Tensor y({batch, out_len, filters});
+  ncnas::tensor::conv1d(x, w, bias, y);
+  const Tensor want = ncnas::oracle::conv1d_forward(x, w, bias);
+  EXPECT_TRUE(bytes_equal(want, y));
+  EXPECT_TRUE(std::isnan(y(1, 4, 0)));   // the NaN input is in window 4 at offset 0
+  EXPECT_TRUE(std::isnan(y(0, 0, 5)));   // the NaN bias reaches every row
+  EXPECT_TRUE(std::isnan(y(2, 7, 16)));  // 0 * Inf
+  Tensor dw({kernel * cin, filters}, 0.5f);
+  const Tensor dw0 = dw;
+  ncnas::tensor::conv1d_dw(x, grad, dw);
+  EXPECT_TRUE(bytes_equal(ncnas::oracle::conv1d_dw(x, {grad}, dw0), dw));
+  EXPECT_TRUE(std::isnan(dw(cin + 1, 0)));  // x(1, 4, 1) * grad(1, 3, 0)
+}
+
+TEST_F(KernelDiff, ConvShapeValidationThrows) {
+  const Tensor x({2, 8, 3});
+  Tensor y({2, 6, 4});
+  EXPECT_THROW(ncnas::tensor::conv1d(Tensor({8, 3}), Tensor({9, 4}), Tensor({4}), y),
+               std::invalid_argument);  // rank-2 input
+  EXPECT_THROW(ncnas::tensor::conv1d(x, Tensor({8, 4}), Tensor({4}), y),
+               std::invalid_argument);  // 8 weight rows are no whole window of 3 channels
+  EXPECT_THROW(ncnas::tensor::conv1d(x, Tensor({27, 4}), Tensor({4}), y),
+               std::invalid_argument);  // kernel 9 over length 8
+  EXPECT_THROW(ncnas::tensor::conv1d(x, Tensor({9, 4}), Tensor({5}), y),
+               std::invalid_argument);  // bias width
+  Tensor y_short({2, 5, 4});
+  EXPECT_THROW(ncnas::tensor::conv1d(x, Tensor({9, 4}), Tensor({4}), y_short),
+               std::invalid_argument);
+  Tensor dw({9, 4});
+  EXPECT_THROW(ncnas::tensor::conv1d_dw(x, Tensor({2, 6, 5}), dw), std::invalid_argument);
+  EXPECT_NO_THROW(ncnas::tensor::conv1d(x, Tensor({9, 4}), Tensor({4}), y));
+  EXPECT_NO_THROW(ncnas::tensor::conv1d_dw(x, y, dw));
 }
 
 TEST_F(KernelDiff, SetKernelConfigRejectsZeroBlocks) {

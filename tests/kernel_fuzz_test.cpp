@@ -5,7 +5,8 @@
 // geometry, dispatch threshold), then requires the result to be
 // byte-for-byte identical to the serial reference: the reference kernels for
 // the gemms, plain loops over every index for the elementwise and row-wise
-// ops.
+// ops, and the oracle Conv1D layer's direct loops (graph_oracle.hpp) for
+// the convolution.
 // 1000 iterations per op; the base seed prints at startup and can be
 // overridden with --seed=N to replay a failing run exactly.
 //
@@ -30,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include "fuzz_seed.hpp"
+#include "graph_oracle.hpp"
 #include "ncnas/tensor/kernel_config.hpp"
 #include "ncnas/tensor/ops.hpp"
 #include "ncnas/tensor/rng.hpp"
@@ -222,6 +224,35 @@ TEST(KernelFuzz, AccumulateGemmTnStepsBitwiseVsPerStepReference) {
     ASSERT_TRUE(bytes_equal_any_nan(want, got))
         << "accumulate_gemm_tn_steps iter=" << it << " steps=" << steps << " " << m << "x" << k
         << "x" << n << " (replay with --seed=" << g_seed << ")";
+  }
+}
+
+// conv1d over a poisoned output and two conv1d_dw calls into a random
+// gradient must give the oracle layer's forward and backward bytes. The
+// conv has no tier and no configuration.
+TEST(KernelFuzz, ConvBitwiseVsOracleLoops) {
+  Fuzz fz(0x636F6E76);
+  for (int it = 0; it < kIters; ++it) {
+    const std::size_t batch = fz.uniform_int(5), cin = 1 + fz.uniform_int(9);
+    const std::size_t kernel = 1 + fz.uniform_int(8);
+    const std::size_t len = kernel + fz.uniform_int(40), out_len = len - kernel + 1;
+    const std::size_t filters = std::max<std::size_t>(1, fz.dim());
+    const Tensor x = fz.tensor({batch, len, cin});
+    const Tensor w = fz.tensor({kernel * cin, filters});
+    const Tensor bias = fz.tensor({filters});
+    Tensor y({batch, out_len, filters});
+    fz.poison(y);
+    ncnas::tensor::conv1d(x, w, bias, y);
+    const std::vector<Tensor> grads = {fz.tensor({batch, out_len, filters}),
+                                       fz.tensor({batch, out_len, filters})};
+    const Tensor dw0 = fz.tensor({kernel * cin, filters});
+    Tensor dw = dw0;
+    for (const Tensor& g : grads) ncnas::tensor::conv1d_dw(x, g, dw);
+    ASSERT_TRUE(bytes_equal(ncnas::oracle::conv1d_forward(x, w, bias), y) &&
+                bytes_equal(ncnas::oracle::conv1d_dw(x, grads, dw0), dw))
+        << "conv iter=" << it << " batch=" << batch << " len=" << len << " cin=" << cin
+        << " kernel=" << kernel << " filters=" << filters << " (replay with --seed=" << g_seed
+        << ")";
   }
 }
 

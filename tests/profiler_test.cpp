@@ -12,6 +12,7 @@
 #include "json_check.hpp"
 #include "ncnas/data/dataset.hpp"
 #include "ncnas/exec/evaluator.hpp"
+#include "ncnas/nn/layers.hpp"
 #include "ncnas/obs/journal.hpp"
 #include "ncnas/obs/profiler.hpp"
 #include "ncnas/obs/telemetry.hpp"
@@ -157,6 +158,28 @@ TEST(Profiler, KernelWorkAndAllocationsAttributeToScopes) {
   ASSERT_NE(phase, nullptr);
   EXPECT_EQ(phase->alloc_count, 3u);
   EXPECT_EQ(phase->alloc_bytes, sizeof(float) * (4 * 8 + 8 * 5 + 4 * 5));
+}
+
+TEST(Profiler, Conv1DForwardRecordsItsKernelScopeAndFlops) {
+  constexpr std::size_t kBatch = 5, kLen = 64, kCin = 8, kKernel = 4, kFilters = 8;
+  tensor::Rng rng(3);
+  nn::Conv1D conv(kFilters, kKernel, rng);
+  const nn::FeatShape in = {kLen, kCin};
+  ASSERT_EQ(conv.bind({&in, 1}), (nn::FeatShape{kLen - kKernel + 1, kFilters}));
+  const tensor::Tensor x({kBatch, kLen, kCin}, 0.5f);
+  const tensor::Tensor* inputs[] = {&x};
+  tensor::Tensor out;
+  nn::ForwardCtx ctx{};
+  Profiler prof;
+  {
+    ProfilerInstallGuard guard(&prof);
+    (void)conv.forward(inputs, out, ctx);
+  }
+  const std::vector<FlatProfileEntry> flat = prof.snapshot().flat();
+  const FlatProfileEntry* entry = find_entry(flat, "conv1d");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->calls, 1u);
+  EXPECT_DOUBLE_EQ(entry->flops, 2.0 * kBatch * (kLen - kKernel + 1) * kKernel * kCin * kFilters);
 }
 
 TEST(Profiler, UnscopedWorkSurfacesAsPseudoNode) {

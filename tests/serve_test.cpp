@@ -723,5 +723,43 @@ TEST(SearchServer, TenantMetricsAndEndpointStayValidOpenMetrics) {
   EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
 }
 
+TEST(SearchServer, TenantCountersAreExposedAtZeroFromAdmission) {
+  // A scrape between admission and the tenant's first slice must already
+  // find its series: a dashboard or a gate grepping for the tenant would
+  // otherwise see nothing until it has an evaluation.
+  const space::SearchSpace space = space::nt3_small_space();
+  const data::Dataset ds = tiny_nt3();
+  obs::Telemetry telemetry;
+  const obs::Exporter& exporter = telemetry.enable_exporter();
+  ServeConfig scfg;
+  scfg.total_slots = 12;
+  scfg.quantum_seconds = 200.0;
+  scfg.state_dir = scratch_dir("zero_counters");
+  scfg.telemetry = &telemetry;
+  SearchServer server(scfg);
+  TenantSpec spec;
+  spec.name = "early";
+  spec.space = &space;
+  spec.dataset = &ds;
+  spec.config = small_config(nas::SearchStrategy::kRandom);
+  const std::uint32_t id = server.submit(std::move(spec));
+  ASSERT_EQ(server.session(id).summary().evals, 0u);
+  const std::string text = exporter.metrics_text();
+  for (const char* family : {"ncnas_tenant_evals_total", "ncnas_tenant_slices_total",
+                             "ncnas_tenant_preemptions_total", "ncnas_tenant_grants_total"}) {
+    EXPECT_NE(text.find(std::string(family) + "{tenant=\"early\"} 0\n"), std::string::npos)
+        << family << " missing from\n" << text;
+  }
+  std::string error;
+  EXPECT_TRUE(obs::validate_openmetrics(text, &error)) << error;
+
+  ASSERT_TRUE(server.step());
+  const std::uint64_t evals = server.session(id).summary().evals;
+  ASSERT_GT(evals, 0u);
+  EXPECT_EQ(telemetry.metrics().snapshot().counter_value(
+                "ncnas_tenant_evals_total{tenant=\"early\"}"),
+            evals);
+}
+
 }  // namespace
 }  // namespace ncnas::serve

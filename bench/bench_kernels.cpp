@@ -9,9 +9,11 @@
 // 96-wide cells) and NT3's (20 rows; units 8/24/96; inputs 152 and 488,
 // flattened convolutions). Each is timed on the serial reference and on the
 // blocked tier, both on the calling thread (the only thread kernels run
-// on). Every blocked measurement is first verified bitwise against the
-// reference result — a bench that reports speed on wrong bits is worse
-// than no bench.
+// on). Every swept shape clears KernelConfig::min_blocked_flops, so the
+// dispatching entry points run blocked; the sweep checks that through
+// planned_gemm_path. Every blocked measurement is first verified bitwise
+// against the reference result — a bench that reports speed on wrong bits
+// is worse than no bench.
 //
 // It also times the RL controller's raw-buffer products (rl/controller.cpp,
 // nn/lstm.cpp) at the widths its LSTM runs: hidden H = 32, embedding
@@ -28,17 +30,19 @@
 //   bench_kernels [--json PATH] [--require-speedup X] [--max-size N]
 //
 // Writes a JSON record per (op, size or shape, config) to PATH (default
-// BENCH_kernels.json) and prints a GF/s + speedup table. A square record
-// carries "size": n; a shape record carries "shape": "MxKxN", which
-// perf_diff keys as e.g. gemm/256x48x16/t1. Exits nonzero if any blocked
-// result mismatches the reference, or if the blocked ("t1") gemm speedup at
-// the largest square size falls below --require-speedup (default 1.0 —
-// "never slower than the reference"; CI passes 1.0, the acceptance target
-// for sizes >= 256 is 2.0). The shape and controller records are
-// informational.
+// BENCH_kernels.json), under a header naming the host (hardware_threads,
+// simd_isa, compiler, cpu_model), and prints a GF/s + speedup table. A
+// square record carries "size": n; a shape record carries "shape":
+// "MxKxN", which perf_diff keys as e.g. gemm/256x48x16/t1. Exits nonzero if
+// any blocked result mismatches the reference, if a swept shape would not
+// run blocked, or if the blocked ("t1") gemm speedup at the largest square
+// size falls below --require-speedup (default 1.0 — "never slower than the
+// reference"; CI passes 1.0, the acceptance target for sizes >= 256 is
+// 2.0). The shape and controller records are informational.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -49,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "ncnas/obs/json.hpp"
 #include "ncnas/space/spaces.hpp"
 #include "ncnas/tensor/kernel_config.hpp"
 #include "ncnas/tensor/ops.hpp"
@@ -58,7 +63,6 @@
 namespace {
 
 using ncnas::tensor::KernelConfig;
-using ncnas::tensor::KernelConfigGuard;
 using ncnas::tensor::Rng;
 using ncnas::tensor::Shape;
 using ncnas::tensor::Tensor;
@@ -116,9 +120,23 @@ double now_seconds() {
       .count();
 }
 
-/// Best-of-reps timing of fn(), with iteration count scaled so one rep does
-/// meaningful work even at small sizes.
-double time_best_seconds(std::size_t iters, const std::function<void()>& fn) {
+/// Best-of-5 per-call time of fn(). Each rep runs enough calls for about
+/// kRepSeconds of work, so a rep spans many scheduler ticks and one tick's
+/// hiccup cannot decide a record. The count is found once: doubled until a
+/// pass takes a tenth of kRepSeconds, then scaled up from that pass's rate.
+double time_best_seconds(const std::function<void()>& fn) {
+  constexpr double kRepSeconds = 0.02;
+  std::size_t iters = 1;
+  for (;;) {
+    const double t0 = now_seconds();
+    for (std::size_t i = 0; i < iters; ++i) fn();
+    const double dt = now_seconds() - t0;
+    if (dt >= kRepSeconds / 10) {
+      iters = static_cast<std::size_t>(std::ceil(static_cast<double>(iters) * kRepSeconds / dt));
+      break;
+    }
+    iters *= 2;
+  }
   double best = 1e300;
   for (int rep = 0; rep < 5; ++rep) {
     const double t0 = now_seconds();
@@ -168,6 +186,30 @@ std::vector<ControllerProduct> controller_products(std::size_t arity, std::size_
       {decisions, kH, B, kGates},
       {decisions, kH, B, arity},
   };
+}
+
+/// The compiler that built the kernels, by name and version.
+const char* compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "";
+#endif
+}
+
+/// The host's CPU model from /proc/cpuinfo, or "" where it names none.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "";
 }
 
 }  // namespace
@@ -235,18 +277,18 @@ int main(int argc, char** argv) {
       for (float& v : a.flat()) v = static_cast<float>(rng.normal());
       for (float& v : b.flat()) v = static_cast<float>(rng.normal());
       const double flops = 2.0 * static_cast<double>(p.m) * p.k * p.n;
-      const std::size_t iters =
-          std::max<std::size_t>(1, static_cast<std::size_t>(2e8 / flops));
 
       Tensor want({p.m, p.n});
-      const double ref_dt =
-          time_best_seconds(iters, [&] { op.ref(a, b, want); });
+      const double ref_dt = time_best_seconds([&] { op.ref(a, b, want); });
       report(op.name, p, "ref", flops / ref_dt / 1e9, 1.0);
 
       // The blocked tier.
-      KernelConfig cfg;
-      cfg.min_blocked_flops = 0;
-      KernelConfigGuard guard(cfg);
+      if (ncnas::tensor::planned_gemm_path(p.m, p.k, p.n) != ncnas::tensor::GemmPath::kBlocked) {
+        std::cerr << "NOT BLOCKED: " << op.name << " " << p.label << " is below "
+                  << KernelConfig::min_blocked_flops << " flops\n";
+        bits_ok = false;
+        continue;
+      }
       Tensor got({p.m, p.n});
       op.kernel(a, b, got);
       if (!bytes_equal(want, got)) {
@@ -254,7 +296,7 @@ int main(int argc, char** argv) {
         bits_ok = false;
         continue;
       }
-      const double dt = time_best_seconds(iters, [&] { op.kernel(a, b, got); });
+      const double dt = time_best_seconds([&] { op.kernel(a, b, got); });
       report(op.name, p, "t1", flops / dt / 1e9, ref_dt / dt);
       if (std::string(op.name) == "gemm" && p.square && p.n == largest) gate_speedup = ref_dt / dt;
     }
@@ -277,7 +319,6 @@ int main(int argc, char** argv) {
     const Problem p{c.m, c.k, c.n, label, false};
     const double flops = 2.0 * static_cast<double>(std::max<std::size_t>(1, c.steps)) *
                          static_cast<double>(c.m) * c.k * c.n;
-    const std::size_t iters = std::max<std::size_t>(1, static_cast<std::size_t>(2e8 / flops));
     Rng rng(0xC7A1ULL + c.steps * 1000 + c.m * 100 + c.n);
     std::function<void()> ref, kernel;
     Tensor want({c.m, c.n}), got({c.m, c.n});
@@ -320,17 +361,24 @@ int main(int argc, char** argv) {
       bits_ok = false;
       continue;
     }
-    const double ref_dt = time_best_seconds(iters, ref);
+    const double ref_dt = time_best_seconds(ref);
     report(op, p, "ref", flops / ref_dt / 1e9, 1.0);
-    const double dt = time_best_seconds(iters, kernel);
+    const double dt = time_best_seconds(kernel);
     report(op, p, "t1", flops / dt / 1e9, ref_dt / dt);
   }
 
-  // hardware_threads describes the machine; no measurement depends on it.
-  const unsigned hw = std::thread::hardware_concurrency();
+  // The header describes the host, so two files are known to come from the
+  // same kind of machine before their records are compared; no measurement
+  // depends on hardware_threads.
   std::ostringstream json;
-  json << "{\n  \"schema_version\": 1,\n  \"hardware_threads\": " << hw
-       << ",\n  \"records\": [\n";
+  json << "{\n  \"schema_version\": 1,\n  \"hardware_threads\": "
+       << std::thread::hardware_concurrency() << ",\n  \"simd_isa\": ";
+  ncnas::obs::write_json_string(json, KernelConfig::simd_isa());
+  json << ",\n  \"compiler\": ";
+  ncnas::obs::write_json_string(json, compiler());
+  json << ",\n  \"cpu_model\": ";
+  ncnas::obs::write_json_string(json, cpu_model());
+  json << ",\n  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     json << "    {\"op\": \"" << r.op << "\", ";

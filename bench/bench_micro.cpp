@@ -8,7 +8,6 @@
 #include "ncnas/rl/controller.hpp"
 #include "ncnas/space/builder.hpp"
 #include "ncnas/space/spaces.hpp"
-#include "ncnas/tensor/kernel_config.hpp"
 #include "ncnas/tensor/ops.hpp"
 
 namespace {
@@ -27,25 +26,9 @@ void BM_Gemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * n * n);
 }
-BENCHMARK(BM_Gemm)->Arg(32)->Arg(96)->Arg(256);
-
-// Blocked-kernel sweep over sizes, on the default config. bench_kernels
-// produces the full GF/s + speedup-over-reference table and
-// BENCH_kernels.json.
-void BM_GemmBlocked(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  tensor::KernelConfigGuard guard(tensor::KernelConfig{});
-  tensor::Rng rng(1);
-  tensor::Tensor a({n, n}), b({n, n}), c({n, n});
-  for (float& v : a.flat()) v = static_cast<float>(rng.normal());
-  for (float& v : b.flat()) v = static_cast<float>(rng.normal());
-  for (auto _ : state) {
-    tensor::gemm(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * n * n);
-}
-BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+// Square gemms, blocked at every size here. bench_kernels produces the full
+// GF/s + speedup-over-reference table and BENCH_kernels.json.
+BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(96)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_Conv1dForward(benchmark::State& state) {
   tensor::Rng rng(2);

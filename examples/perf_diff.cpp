@@ -1,11 +1,13 @@
 // perf_diff — baseline-compare tool for the two perf artifacts the repo
 // produces:
 //
-//   bench JSON    BENCH_kernels.json written by bench/bench_kernels
+//   bench JSON    BENCH_kernels.json written by bench/bench_kernels, or
+//                 BENCH_fidelity.json by bench/bench_fidelity_ladder
 //                 (records keyed op/size/config, or op/MxKxN/config for a
 //                 record with a "shape", higher is better; metric =
 //                 speedup_vs_ref for a record whose sweep has a "ref" row at
-//                 its op/size or shape, else GFLOP/s)
+//                 its op/size or shape, else the record's "value" in its
+//                 "unit", or its GFLOP/s when it has no "value")
 //   profile JSON  written by Telemetry::export_profile_json or
 //                 examples/telemetry_dump (records keyed by scope name,
 //                 metric = self ms, lower is better)
@@ -65,7 +67,7 @@ std::map<std::string, Record> load_bench(const std::string& content) {
   struct Row {
     std::string key;  // op/size or op/shape, without the config
     std::string config;
-    double gflops = 0.0;
+    double value = 0.0;  // "value", or else "gflops"
     double speedup = 0.0;
     bool has_speedup = false;
   };
@@ -77,8 +79,9 @@ std::map<std::string, Record> load_bench(const std::string& content) {
     std::string op, shape;
     const bool keyed = r.get("size", size) || r.get("shape", shape);
     if (!r.get("op", op) || !keyed || !r.get("config", row.config) ||
-        !r.get("gflops", row.gflops)) {
-      throw std::runtime_error("bench json: record without op, size or shape, config or gflops");
+        !(r.get("value", row.value) || r.get("gflops", row.value))) {
+      throw std::runtime_error(
+          "bench json: record without op, size or shape, config, or value or gflops");
     }
     row.key = op + "/" + (shape.empty() ? std::to_string(size) : shape);
     row.has_speedup = r.get("speedup_vs_ref", row.speedup);
@@ -87,11 +90,11 @@ std::map<std::string, Record> load_bench(const std::string& content) {
   }
   // A record measured against a reference row of its own sweep compares its
   // speedup over that row; every other record, the reference rows included,
-  // compares its GFLOP/s.
+  // compares its value.
   std::map<std::string, Record> out;
   for (const Row& row : rows) {
     const bool vs_ref = row.config != "ref" && row.has_speedup && has_ref.count(row.key) != 0;
-    out[row.key + "/" + row.config] = {vs_ref ? row.speedup : row.gflops,
+    out[row.key + "/" + row.config] = {vs_ref ? row.speedup : row.value,
                                        /*higher_is_better=*/true};
   }
   return out;
@@ -177,7 +180,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const char* metric = kind == Kind::kBench ? "speedup_vs_ref (blocked rows), else GFLOP/s" : "self_ms";
+  const char* metric =
+      kind == Kind::kBench ? "speedup_vs_ref (blocked rows), else value or GFLOP/s" : "self_ms";
   std::cout << "perf_diff (" << (kind == Kind::kBench ? "bench" : "profile") << ", metric "
             << metric << ", threshold " << fmt(100.0 * threshold) << "%)\n";
   std::cout << "  baseline: " << paths[0] << " (" << base.size() << " records)\n";

@@ -261,7 +261,10 @@ void print_result_report(std::ostream& os, bool markdown, const std::string& pat
   for (const auto& e : res.evals) rewards.emplace_back(e.time, e.reward);
   analytics::print_sparkline(os, "mean reward ",
                              analytics::reward_trajectory(rewards, res.end_time), -1.0, 1.0);
-  analytics::print_sparkline(os, "utilization ", res.utilization, 0.0, 1.0);
+  analytics::print_sparkline(
+      os, "utilization ",
+      analytics::utilization_trajectory(res.utilization, res.utilization_bucket, res.end_time),
+      0.0, 1.0);
 
   os << "\ntop-5 architectures by estimated reward:\n";
   for (const auto& rec : res.top_k(5)) {

@@ -29,6 +29,15 @@ namespace ncnas::analytics {
 [[nodiscard]] std::vector<double> reward_trajectory(
     const std::vector<std::pair<double, float>>& rewards, double t_end);
 
+/// A per-bucket series (one value per `series_bucket` seconds, such as
+/// SearchResult::utilization) redrawn on reward_trajectory's time axis for
+/// the same t_end, so a report's reward and utilization lines line up
+/// glyph for glyph: each reward bucket takes the mean of the series buckets
+/// that start inside it, or else the series bucket that covers its start.
+/// Empty when t_end <= 0 or the series is empty.
+[[nodiscard]] std::vector<double> utilization_trajectory(const std::vector<double>& series,
+                                                         double series_bucket, double t_end);
+
 struct QuantileBands {
   std::vector<double> q10, q50, q90;
 };

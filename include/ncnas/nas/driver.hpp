@@ -127,10 +127,9 @@ struct SearchConfig {
   /// trained an entry, per-tenant hit/miss stats). Accounting only — never
   /// part of cache keys or config_fingerprint().
   std::uint32_t tenant_id = 0;
-  // Note: the tensor kernel policy is process-wide (tensor::KernelConfig),
-  // not a SearchConfig field — the blocked kernels are bit-identical to the
-  // serial reference at every block geometry, so it belongs with the
-  // result-neutral toggles above and stays out of config_fingerprint().
+  // Note: the tensor kernel policy is compile-time (tensor::KernelConfig),
+  // not a SearchConfig field; the blocked kernels are bit-identical to the
+  // serial reference, so there is nothing for config_fingerprint() to hash.
 };
 
 /// One completed reward estimation, stamped with its virtual completion time.

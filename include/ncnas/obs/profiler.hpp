@@ -16,7 +16,7 @@
 // pointer; they consult one relaxed atomic instead. With no profiler
 // installed, NCNAS_PROF_SCOPE is one atomic load and a branch: results stay
 // bit-identical and config_fingerprint() never includes profiling state
-// (same contract as the rest of Telemetry and KernelConfig).
+// (same contract as the rest of Telemetry).
 //
 // Scopes are strictly nested per thread (RAII); a scope opened on a pool
 // worker roots at that worker's tree, so the kernel time of a training run

@@ -9,9 +9,8 @@
 //    1-7 columns wide, so the search spaces' 16-, 48- and 144-wide layers
 //    run near the full panels' speed; gemm_tn runs the same steps on A and
 //    B in place. Deterministic by construction — each output element is
-//    accumulated in the same k-ascending order as the reference loop, for
-//    any block geometry — so results stay bit-identical against the
-//    reference kernels.
+//    accumulated in the same k-ascending order as the reference loop — so
+//    results stay bit-identical against the reference kernels.
 //  * Reference kernels (`*_ref`, and every problem below the threshold): the
 //    original single-threaded triple loops. These are the oracles — simple
 //    enough to be obviously correct, and the bit-exact ground truth
@@ -48,10 +47,10 @@ enum class GemmPath {
   kBlocked = 1,    ///< packed-panel micro-kernels
 };
 
-/// The tier a gemm/gemm_nt/gemm_tn of dims (m, k, n) would run on under the
-/// currently installed KernelConfig. Pure planning — no work is done. All
-/// three variants share one dispatch rule, so one introspection covers them;
-/// tests use this to pin the reference/blocked crossover.
+/// The tier a gemm/gemm_nt/gemm_tn of dims (m, k, n) runs on. Pure
+/// planning — no work is done. All three variants share one dispatch rule,
+/// so one introspection covers them; tests use this to pin the
+/// reference/blocked crossover.
 [[nodiscard]] GemmPath planned_gemm_path(std::size_t m, std::size_t k, std::size_t n);
 
 /// C = A(m,k) * B(k,n). Shapes validated; C is overwritten. Runs on the
@@ -64,7 +63,7 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c);
 /// C = A(k,m)^T * B(k,n).
 void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c);
 
-/// Serial reference kernels — ignore KernelConfig entirely. The differential
+/// Serial reference kernels, whatever the problem size. The differential
 /// oracles for the blocked kernels, and the baseline bench_kernels measures
 /// speedup against.
 void gemm_ref(const Tensor& a, const Tensor& b, Tensor& c);

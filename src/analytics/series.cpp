@@ -57,6 +57,19 @@ std::vector<double> reward_trajectory(const std::vector<std::pair<double, float>
   return resample_mean(rewards, t_end, std::max(t_end / 60.0, 1.0), -1.0);
 }
 
+std::vector<double> utilization_trajectory(const std::vector<double>& series,
+                                           double series_bucket, double t_end) {
+  if (series.empty()) return {};
+  // Each series bucket is an observation at its start time; the first one
+  // starts at 0, so no report bucket is left at reward_trajectory's fill.
+  std::vector<std::pair<double, float>> starts;
+  starts.reserve(series.size());
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    starts.emplace_back(static_cast<double>(i) * series_bucket, static_cast<float>(series[i]));
+  }
+  return reward_trajectory(starts, t_end);
+}
+
 double quantile(std::vector<double> values, double q) {
   if (values.empty()) throw std::invalid_argument("quantile: empty sample");
   q = std::clamp(q, 0.0, 1.0);

@@ -126,7 +126,7 @@ void gemm_tn_ref_impl(const float* pa, const float* pb, float* pc, const GemmDim
 // the controller's gemm_rows and accumulate_gemm_tn_steps. Determinism
 // rule: a C element's value is a single register accumulation chain over k
 // ascending — the same chain the reference kernel performs through memory —
-// so bits match the reference for any block geometry. The conv runs the
+// so bits match the reference wherever the blocks cut a problem. The conv runs the
 // strip steps too, from C's current value (StripMode::kLoad below).
 
 constexpr std::size_t kPanelWidth = 32;  // NR: columns per packed B panel
@@ -379,7 +379,7 @@ void strip_cols(const Strip& s, std::size_t rows, std::size_t w) {
 /// The pack buffer comes from the per-thread arena: steady-state calls do
 /// zero heap allocations (the old std::vector alloc'd k*n floats per call).
 void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const GemmDims& d,
-                         const KernelConfig& cfg, bool b_transposed) {
+                         bool b_transposed) {
   const std::size_t npanels = div_up(d.n, kPanelWidth);
   // Panel p covers columns [p*W, p*W + w); packing it at offset j0*k keeps
   // the buffer exactly k*n floats with no holes.
@@ -396,9 +396,10 @@ void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const Gemm
     }
   }
 
-  const std::size_t panels_per_pass = std::max<std::size_t>(1, cfg.block_cols / kPanelWidth);
-  for (std::size_t i0 = 0; i0 < d.m; i0 += cfg.block_rows) {
-    const std::size_t i1 = std::min(i0 + cfg.block_rows, d.m);
+  constexpr std::size_t panels_per_pass = KernelConfig::block_cols / kPanelWidth;
+  static_assert(panels_per_pass > 0 && KernelConfig::block_cols % kPanelWidth == 0);
+  for (std::size_t i0 = 0; i0 < d.m; i0 += KernelConfig::block_rows) {
+    const std::size_t i1 = std::min(i0 + KernelConfig::block_rows, d.m);
     for (std::size_t pc0 = 0; pc0 < npanels; pc0 += panels_per_pass) {
       const std::size_t pc1 = std::min(pc0 + panels_per_pass, npanels);
       for (std::size_t p = pc0; p < pc1; ++p) {
@@ -418,21 +419,21 @@ void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const Gemm
 
 /// gemm_tn needs no packing: A columns i..i+3 are adjacent floats within
 /// each A row, and B rows are contiguous, so each row block is one strip.
-void gemm_tn_blocked(const float* pa, const float* pb, float* pc, const GemmDims& d,
-                     const KernelConfig& cfg) {
-  for (std::size_t i0 = 0; i0 < d.m; i0 += cfg.block_rows) {
-    const std::size_t i1 = std::min(i0 + cfg.block_rows, d.m);
+void gemm_tn_blocked(const float* pa, const float* pb, float* pc, const GemmDims& d) {
+  for (std::size_t i0 = 0; i0 < d.m; i0 += KernelConfig::block_rows) {
+    const std::size_t i1 = std::min(i0 + KernelConfig::block_rows, d.m);
     strip_cols<true>({pa + i0, d.m, pb, d.n, pc + i0 * d.n, d.n, d.k}, i1 - i0, d.n);
   }
 }
 
-/// Which tier a gemm of these dims runs under cfg. One rule for all three
+/// Which tier a gemm of these dims runs on. One rule for all three
 /// variants, on problem size alone: below min_blocked_flops the
 /// blocking/packing overhead loses to the plain reference loop (this is what
 /// fixes the small-size gemm_nt regression — tiny matmuls take the reference
 /// path outright), at or above it the blocked drivers run.
-GemmPath plan_path(const GemmDims& d, const KernelConfig& cfg) {
-  return d.m * d.k * d.n < cfg.min_blocked_flops ? GemmPath::kReference : GemmPath::kBlocked;
+GemmPath plan_path(const GemmDims& d) {
+  return d.m * d.k * d.n < KernelConfig::min_blocked_flops ? GemmPath::kReference
+                                                            : GemmPath::kBlocked;
 }
 
 struct ConvDims {
@@ -481,16 +482,15 @@ double gemm_bytes(const GemmDims& d) {
 }  // namespace
 
 GemmPath planned_gemm_path(std::size_t m, std::size_t k, std::size_t n) {
-  return plan_path({m, k, n}, kernel_config());
+  return plan_path({m, k, n});
 }
 
 void gemm(const Tensor& a, const Tensor& b, Tensor& c) {
   const GemmDims d = check_gemm(a, b, c);
   obs::ProfileScope prof("gemm");
   prof.add_work(gemm_flops(d), gemm_bytes(d));
-  const KernelConfig cfg = kernel_config();
-  if (plan_path(d, cfg) != GemmPath::kReference) {
-    gemm_panels_blocked(a.data(), b.data(), c.data(), d, cfg, /*b_transposed=*/false);
+  if (plan_path(d) != GemmPath::kReference) {
+    gemm_panels_blocked(a.data(), b.data(), c.data(), d, /*b_transposed=*/false);
   } else {
     gemm_ref_impl(a.data(), b.data(), c.data(), d);
   }
@@ -500,9 +500,8 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) {
   const GemmDims d = check_gemm_nt(a, b, c);
   obs::ProfileScope prof("gemm_nt");
   prof.add_work(gemm_flops(d), gemm_bytes(d));
-  const KernelConfig cfg = kernel_config();
-  if (plan_path(d, cfg) != GemmPath::kReference) {
-    gemm_panels_blocked(a.data(), b.data(), c.data(), d, cfg, /*b_transposed=*/true);
+  if (plan_path(d) != GemmPath::kReference) {
+    gemm_panels_blocked(a.data(), b.data(), c.data(), d, /*b_transposed=*/true);
   } else {
     gemm_nt_ref_impl(a.data(), b.data(), c.data(), d);
   }
@@ -512,9 +511,8 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
   const GemmDims d = check_gemm_tn(a, b, c);
   obs::ProfileScope prof("gemm_tn");
   prof.add_work(gemm_flops(d), gemm_bytes(d));
-  const KernelConfig cfg = kernel_config();
-  if (plan_path(d, cfg) != GemmPath::kReference) {
-    gemm_tn_blocked(a.data(), b.data(), c.data(), d, cfg);
+  if (plan_path(d) != GemmPath::kReference) {
+    gemm_tn_blocked(a.data(), b.data(), c.data(), d);
   } else {
     gemm_tn_ref_impl(a.data(), b.data(), c.data(), d);
   }

@@ -75,6 +75,42 @@ TEST(Series, RewardTrajectorySizesItsBucketsFromTheSpan) {
   EXPECT_TRUE(reward_trajectory(rewards, 0.0).empty());
 }
 
+/// The glyphs print_sparkline draws between its bars, over [0, 1].
+std::string glyphs(const std::vector<double>& series) {
+  std::ostringstream spark;
+  print_sparkline(spark, "line ", series, 0.0, 1.0);
+  const std::string line = spark.str();
+  return line.substr(line.find('|') + 1, line.rfind('|') - line.find('|') - 1);
+}
+
+TEST(Series, UtilizationTrajectoryDrawsOnTheRewardAxis) {
+  // A 1.2-minute search has two 60 s utilization buckets, a 60-minute one
+  // has sixty; both reward lines have 60 glyphs, and so do both utilization
+  // lines.
+  std::vector<std::pair<double, float>> rewards;
+  for (int t = 0; t < 3600; t += 10) rewards.emplace_back(t, 0.5f);
+  const std::vector<double> short_util = {0.9, 0.3};
+  std::vector<double> long_util;
+  for (int b = 0; b < 60; ++b) long_util.push_back(static_cast<double>(b % 10) / 9.0);
+
+  const auto short_line = utilization_trajectory(short_util, 60.0, 72.0);
+  EXPECT_EQ(glyphs(short_line).size(), glyphs(reward_trajectory(rewards, 72.0)).size());
+  EXPECT_EQ(glyphs(short_line).size(), 60u);
+  // Reward buckets of 1.2 s: the first 50 start in [0, 60 s).
+  std::vector<double> want(50, 0.9);
+  want.resize(60, 0.3);
+  EXPECT_EQ(glyphs(short_line), glyphs(want));
+
+  // A 60-minute run's reward buckets are the utilization buckets: its line
+  // is the one the series itself draws.
+  const auto long_line = utilization_trajectory(long_util, 60.0, 3600.0);
+  EXPECT_EQ(glyphs(long_line).size(), glyphs(reward_trajectory(rewards, 3600.0)).size());
+  EXPECT_EQ(glyphs(long_line), glyphs(long_util));
+
+  EXPECT_TRUE(utilization_trajectory(long_util, 60.0, 0.0).empty());
+  EXPECT_TRUE(utilization_trajectory({}, 60.0, 3600.0).empty());
+}
+
 TEST(Series, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile({1, 2, 3, 4, 5}, 0.5), 3.0);
   EXPECT_DOUBLE_EQ(quantile({1, 2, 3, 4}, 0.5), 2.5);

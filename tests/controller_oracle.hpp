@@ -1,11 +1,14 @@
 // Test-only oracle for rl::Controller: the controller's math written step by
 // step on tensor:: ops, the way the library computed it before the LSTM moved
-// to a sequence workspace. Every product runs through tensor::gemm /
-// gemm_nt / gemm_tn into a fresh tensor and is added into its gradient with
+// to a sequence workspace. Every product runs through gemm / gemm_nt /
+// gemm_tn into a fresh tensor and is added into its gradient with
 // add_inplace, one time step at a time, so each element's operation sequence
 // is spelled out as plainly as possible. controller_oracle_test holds the
 // production controller to these bits, the same way kernel_diff_test holds
-// the blocked kernels to the reference ones.
+// the blocked kernels to the reference ones. The products run either on the
+// dispatching tensor::gemm* (each on the tier its size selects) or on the
+// serial *_ref kernels alone, so the controller is held both to its own
+// structure and to the reference kernels' bits.
 //
 // The oracle is built from a controller's flat parameter vector and keeps
 // its own Adam (the scalar per-element loop), keyed by the same parameter
@@ -33,6 +36,39 @@ using tensor::Tensor;
 
 inline float sigmoidf(float v) { return 1.0f / (1.0f + std::exp(-v)); }
 
+/// The kernels the oracle's products run on. The values are the ones
+/// controller_oracle_test's instance names were registered with.
+enum class Kernels { kDefault = 0, kReference = 2 };
+
+/// gemm / gemm_nt / gemm_tn on the chosen kernels: kDefault dispatches by
+/// size as the library does, kReference runs every product on the serial
+/// reference kernels.
+struct Products {
+  Kernels kernels = Kernels::kDefault;
+
+  void gemm(const Tensor& a, const Tensor& b, Tensor& c) const {
+    if (kernels == Kernels::kReference) {
+      tensor::gemm_ref(a, b, c);
+    } else {
+      tensor::gemm(a, b, c);
+    }
+  }
+  void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) const {
+    if (kernels == Kernels::kReference) {
+      tensor::gemm_nt_ref(a, b, c);
+    } else {
+      tensor::gemm_nt(a, b, c);
+    }
+  }
+  void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) const {
+    if (kernels == Kernels::kReference) {
+      tensor::gemm_tn_ref(a, b, c);
+    } else {
+      tensor::gemm_tn(a, b, c);
+    }
+  }
+};
+
 struct Param {
   std::string name;
   Tensor value;
@@ -48,8 +84,9 @@ struct LstmState {
 /// LstmCell with a per-step cache stack: step() pushes, backward_step() pops.
 class Lstm {
  public:
-  Lstm(std::size_t input_dim, std::size_t hidden_dim, Param& wx, Param& wh, Param& b)
-      : input_dim_(input_dim), hidden_dim_(hidden_dim), wx_(wx), wh_(wh), b_(b) {}
+  Lstm(std::size_t input_dim, std::size_t hidden_dim, Param& wx, Param& wh, Param& b,
+       Products mm)
+      : input_dim_(input_dim), hidden_dim_(hidden_dim), wx_(wx), wh_(wh), b_(b), mm_(mm) {}
 
   [[nodiscard]] LstmState initial_state(std::size_t batch) const {
     return {Tensor({batch, hidden_dim_}), Tensor({batch, hidden_dim_})};
@@ -125,16 +162,16 @@ class Lstm {
       }
     }
     Tensor dwx({input_dim_, 4 * H});
-    tensor::gemm_tn(cache.x, dz, dwx);
+    mm_.gemm_tn(cache.x, dz, dwx);
     tensor::add_inplace(wx_.grad, dwx);
     Tensor dwh({H, 4 * H});
-    tensor::gemm_tn(cache.h_prev, dz, dwh);
+    mm_.gemm_tn(cache.h_prev, dz, dwh);
     tensor::add_inplace(wh_.grad, dwh);
     tensor::accumulate_col_sums(dz, b_.grad);
     Tensor dx({batch, input_dim_});
-    tensor::gemm_nt(dz, wx_.value, dx);
+    mm_.gemm_nt(dz, wx_.value, dx);
     grad_h_prev = Tensor({batch, H});
-    tensor::gemm_nt(dz, wh_.value, grad_h_prev);
+    mm_.gemm_nt(dz, wh_.value, grad_h_prev);
     return dx;
   }
 
@@ -151,9 +188,9 @@ class Lstm {
   [[nodiscard]] Tensor gates(const Tensor& x, const LstmState& prev) const {
     const std::size_t batch = x.dim(0);
     Tensor z({batch, 4 * hidden_dim_});
-    tensor::gemm(x, wx_.value, z);
+    mm_.gemm(x, wx_.value, z);
     Tensor zh({batch, 4 * hidden_dim_});
-    tensor::gemm(prev.h, wh_.value, zh);
+    mm_.gemm(prev.h, wh_.value, zh);
     tensor::add_inplace(z, zh);
     tensor::add_row_bias(z, b_.value);
     return z;
@@ -164,6 +201,7 @@ class Lstm {
   Param& wx_;
   Param& wh_;
   Param& b_;
+  Products mm_;
   std::vector<StepCache> cache_;
 };
 
@@ -172,10 +210,12 @@ class Controller {
  public:
   /// `flat` is rl::Controller::get_flat() of a controller built with the same
   /// arities and dims; the oracle starts from those parameters and a fresh
-  /// Adam.
+  /// Adam. `kernels` picks what its products run on.
   Controller(std::vector<std::size_t> arities, std::span<const float> flat,
-             std::size_t hidden = 32, std::size_t embed = 16)
-      : arities_(std::move(arities)),
+             Kernels kernels = Kernels::kDefault, std::size_t hidden = 32,
+             std::size_t embed = 16)
+      : mm_{kernels},
+        arities_(std::move(arities)),
         hidden_(hidden),
         embed_dim_(embed),
         max_arity_(*std::max_element(arities_.begin(), arities_.end())),
@@ -187,7 +227,7 @@ class Controller {
                 make("ctrl.bpi", {max_arity_}),
                 make("ctrl.wv", {hidden_, 1}),
                 make("ctrl.bv", {1})},
-        lstm_(embed_dim_, hidden_, params_[1], params_[2], params_[3]) {
+        lstm_(embed_dim_, hidden_, params_[1], params_[2], params_[3], mm_) {
     // lstm_ refers into params_, so the oracle is neither copied nor moved.
     std::size_t offset = 0;
     for (Param& p : params_) {
@@ -209,7 +249,7 @@ class Controller {
     rl::Rollout roll;
     const std::size_t T = arities_.size();
     // A cell of its own, so sampling never touches the training cell's cache.
-    Lstm lstm(embed_dim_, hidden_, params_[1], params_[2], params_[3]);
+    Lstm lstm(embed_dim_, hidden_, params_[1], params_[2], params_[3], mm_);
     LstmState state = lstm.initial_state(1);
     std::size_t prev_token = 0;  // start token
     for (std::size_t t = 0; t < T; ++t) {
@@ -325,11 +365,11 @@ class Controller {
       for (std::size_t t = T; t-- > 0;) {
         Tensor dh = dh_carry;
         Tensor dwpi({hidden_, max_arity_});
-        tensor::gemm_tn(h_t[t], dlogits_t[t], dwpi);
+        mm_.gemm_tn(h_t[t], dlogits_t[t], dwpi);
         tensor::add_inplace(wpi().grad, dwpi);
         tensor::accumulate_col_sums(dlogits_t[t], bpi().grad);
         Tensor dh_pi({B, hidden_});
-        tensor::gemm_nt(dlogits_t[t], wpi().value, dh_pi);
+        mm_.gemm_nt(dlogits_t[t], wpi().value, dh_pi);
         tensor::add_inplace(dh, dh_pi);
         for (std::size_t b = 0; b < B; ++b) {
           const float dv = dvalue_t[t][b];
@@ -399,7 +439,7 @@ class Controller {
   [[nodiscard]] Tensor head_probs(const Tensor& h, std::size_t arity) const {
     const std::size_t batch = h.dim(0);
     Tensor logits({batch, max_arity_});
-    tensor::gemm(h, wpi().value, logits);
+    mm_.gemm(h, wpi().value, logits);
     tensor::add_row_bias(logits, bpi().value);
     Tensor probs({batch, max_arity_});
     for (std::size_t b = 0; b < batch; ++b) {
@@ -443,6 +483,7 @@ class Controller {
     }
   }
 
+  Products mm_;
   std::vector<std::size_t> arities_;
   std::size_t hidden_;
   std::size_t embed_dim_;

@@ -1,7 +1,10 @@
 // Holds rl::Controller to the step-by-step oracle in controller_oracle.hpp,
 // bit for bit: sampled rollouts, PPO statistics, parameters and Adam moments
 // after several updates, for every batch size the driver uses, on the
-// search spaces the benchmarks run, under each kernel configuration.
+// search spaces the benchmarks run. The "_default" instances run the
+// oracle's products on the size-dispatched kernels, as the controller's run;
+// the "_reference" instances run them on the serial reference kernels alone,
+// so the controller's blocked products are held to the reference bits.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -13,13 +16,12 @@
 #include "controller_oracle.hpp"
 #include "ncnas/rl/controller.hpp"
 #include "ncnas/space/spaces.hpp"
-#include "ncnas/tensor/kernel_config.hpp"
 
 namespace ncnas::rl {
 namespace {
 
-using tensor::KernelConfig;
 using tensor::Rng;
+using testing::oracle::Kernels;
 
 /// Bitwise float equality (NaN payloads and the sign of zero included).
 bool same_bits(float a, float b) { return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b); }
@@ -33,36 +35,18 @@ long first_diff(const std::vector<float>& a, const std::vector<float>& b) {
   return -1;
 }
 
-// gtest prints a parameter's value into every discovered test name, so the
-// values stay the ones those names were registered with.
-enum class Kernels { kDefault = 0, kReference = 2 };
-
-KernelConfig kernel_config_for(Kernels k) {
-  switch (k) {
-    case Kernels::kReference: {
-      KernelConfig cfg;
-      cfg.min_blocked_flops = SIZE_MAX;
-      return cfg;
-    }
-    case Kernels::kDefault:
-      break;
-  }
-  return {};
-}
-
 using Case = std::tuple<std::string, std::size_t, Kernels>;
 
 class ControllerOracle : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ControllerOracle, BitIdenticalAfterUpdates) {
   const auto& [space_name, batch, kernels] = GetParam();
-  const tensor::KernelConfigGuard guard(kernel_config_for(kernels));
   const std::vector<std::size_t> arities = space::space_by_name(space_name).arities();
   constexpr int kUpdates = 3;
   constexpr std::uint64_t kSeed = 29;
 
   Controller ctrl(arities, kSeed);
-  testing::oracle::Controller oracle(arities, ctrl.get_flat());
+  testing::oracle::Controller oracle(arities, ctrl.get_flat(), kernels);
   Rng ctrl_rng(kSeed + batch);
   Rng oracle_rng(kSeed + batch);
   Rng reward_rng(kSeed * 3 + batch);
@@ -107,13 +91,7 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   for (char& ch : name) {
     if (ch == '-') ch = '_';
   }
-  switch (kernels) {
-    case Kernels::kDefault:
-      return name + "_default";
-    case Kernels::kReference:
-      return name + "_reference";
-  }
-  return name;
+  return name + (kernels == Kernels::kReference ? "_reference" : "_default");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,8 +1,9 @@
 // Seeded property test for the driver's event fold: every count a search
 // reports is the fold of the events it emits, whatever the search looks like.
 //
-// Each draw picks a strategy (A3C, A2C, RDM or EVO), a fault plan (none, or
-// one with failures, crashes, lost results and PS drops), the fidelity
+// Each draw picks a strategy (A3C, A2C, RDM or EVO), a cluster of 1-4
+// agents with 1-4 workers each, a fault plan (none, or one with failures,
+// crashes, lost results and PS drops), the fidelity
 // ladder on or off, a shared evaluation cache on or off, a mid-run
 // snapshot and resume or none, and a list of pause points. It then
 // requires:
@@ -22,6 +23,7 @@
 //
 // --seed=N / --runs=N / FAILING SEED replay as in fuzz_seed.hpp.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
@@ -53,6 +55,7 @@ std::uint64_t g_seed = 0xF01DULL;
 
 struct Draw {
   SearchStrategy strategy = SearchStrategy::kA3C;
+  nas::ClusterConfig cluster;
   std::optional<std::uint64_t> fault_seed;  ///< engaged: run under a fault plan
   bool ladder = false;
   bool shared_cache = false;
@@ -62,7 +65,9 @@ struct Draw {
   std::vector<double> pauses;
 
   [[nodiscard]] std::string name() const {
-    return std::string(nas::strategy_name(strategy)) + (fault_seed ? "+faults" : "") +
+    return std::string(nas::strategy_name(strategy)) + "+" +
+           std::to_string(cluster.num_agents) + "x" + std::to_string(cluster.workers_per_agent) +
+           (fault_seed ? "+faults" : "") +
            (ladder ? "+ladder" : "") + (shared_cache ? "+shared" : "") +
            (kill_after > 0 ? "+resume" + std::to_string(kill_after) : "") + "+pauses" +
            std::to_string(pauses.size());
@@ -77,6 +82,7 @@ Draw draw(tensor::Rng& rng, std::optional<SearchStrategy> strategy = std::nullop
                                                    SearchStrategy::kEvolution};
   Draw d;
   d.strategy = strategy ? *strategy : kStrategies[rng.uniform_int(4)];
+  d.cluster = {.num_agents = 1 + rng.uniform_int(4), .workers_per_agent = 1 + rng.uniform_int(4)};
   if (rng.uniform_int(2) == 1) d.fault_seed = rng.next_u64();
   d.ladder = rng.uniform_int(2) == 1;
   d.shared_cache = rng.uniform_int(2) == 1;
@@ -112,7 +118,7 @@ data::Dataset tiny_nt3() {
   return data::make_nt3(5, {.train = 32, .valid = 16, .length = 64, .motif = 6});
 }
 
-exec::FaultPlan fault_plan(std::uint64_t seed) {
+exec::FaultPlan fault_plan(std::uint64_t seed, const nas::ClusterConfig& cluster) {
   exec::FaultPlan plan;
   plan.seed = seed;
   plan.eval_failure_prob = 0.2;
@@ -124,9 +130,17 @@ exec::FaultPlan fault_plan(std::uint64_t seed) {
   plan.ps_delay_seconds = 15.0;
   plan.max_retries = 1;
   plan.barrier_timeout_seconds = 60.0;
-  plan.worker_crashes.push_back({.agent = 1, .worker = 0, .time = 150.0});
-  // Every other plan also takes agent 1's last worker, so the agent dies.
-  if (seed % 2 == 1) plan.worker_crashes.push_back({.agent = 1, .worker = 1, .time = 300.0});
+  // The last agent loses worker 0, and every other plan all of its workers,
+  // one each 150 s, so the agent dies; a lone agent keeps its last worker.
+  const std::size_t agent = cluster.num_agents - 1;
+  const std::size_t spare = cluster.num_agents == 1 ? 1 : 0;
+  const std::size_t lost =
+      std::min<std::size_t>(seed % 2 == 1 ? cluster.workers_per_agent : 1,
+                            cluster.workers_per_agent - spare);
+  for (std::size_t w = 0; w < lost; ++w) {
+    plan.worker_crashes.push_back(
+        {.agent = agent, .worker = w, .time = 150.0 * static_cast<double>(w + 1)});
+  }
   return plan;
 }
 
@@ -137,13 +151,13 @@ struct Scenario {
 
   explicit Scenario(const Draw& d) {
     cfg.strategy = d.strategy;
-    cfg.cluster = {.num_agents = 2, .workers_per_agent = 2};
+    cfg.cluster = d.cluster;
     cfg.wall_time_seconds = kWallTime;
     cfg.fidelity = {.epochs = 1, .subset_fraction = 1.0};
     cfg.cost = {.startup_seconds = 20.0, .seconds_per_megaunit = 100.0, .timeout_seconds = 30.0};
     cfg.seed = 5;
     if (d.fault_seed) {
-      faults.emplace(fault_plan(*d.fault_seed));
+      faults.emplace(fault_plan(*d.fault_seed, d.cluster));
       cfg.faults = &*faults;
     }
     if (d.ladder) {
@@ -190,7 +204,9 @@ Outcome run(const Draw& d, bool journal, Mode mode, tensor::ThreadPool* pool,
   if (d.shared_cache) sc.cfg.shared_cache = &shared;
   ckpt::CheckpointConfig ckpt_cfg;
   ckpt_cfg.directory = scratch_dir(dir);
-  ckpt_cfg.interval_seconds = 90.0;
+  // Short enough that every drawn cluster reaches kill_after's snapshots:
+  // four one-worker A3C agents with a shared cache converge before 180 s.
+  ckpt_cfg.interval_seconds = 30.0;
   if (d.kill_after > 0) sc.cfg.checkpoint = &ckpt_cfg;
 
   Outcome out;

@@ -17,10 +17,6 @@ using tensor::Tensor;
 using testing::numeric_derivative;
 using testing::rel_err;
 
-// Parameterized over kernel modes: the end-to-end backward pass is verified
-// under the reference and blocked kernels alike.
-using GraphGradCheck = ncnas::testing::KernelModeTest;
-
 /// Branchy model: two inputs, a shared dense encoder on both, a conv path on
 /// input 1, concat + add combiners, tanh head.
 struct Model {
@@ -59,7 +55,7 @@ struct Model {
   }
 };
 
-TEST_P(GraphGradCheck, EndToEndParametersMatchFiniteDifferences) {
+TEST(GraphGradCheck, EndToEndParametersMatchFiniteDifferences) {
   Model m(3);
   m.g.zero_grad();
   ForwardCtx ctx{};
@@ -79,7 +75,7 @@ TEST_P(GraphGradCheck, EndToEndParametersMatchFiniteDifferences) {
   EXPECT_GT(checked, 20u);  // the sweep actually covered the model
 }
 
-TEST_P(GraphGradCheck, SharedEncoderGetsBothBranchGradients) {
+TEST(GraphGradCheck, SharedEncoderGetsBothBranchGradients) {
   Model m(5);
   m.g.zero_grad();
   ForwardCtx ctx{};
@@ -97,10 +93,6 @@ TEST_P(GraphGradCheck, SharedEncoderGetsBothBranchGradients) {
   m.xb = xb_saved;
   EXPECT_GT(tensor::max_abs_diff(grad_full, shared->grad), 1e-6f);
 }
-
-INSTANTIATE_TEST_SUITE_P(KernelModes, GraphGradCheck,
-                         ::testing::ValuesIn(ncnas::testing::kernel_mode_params()),
-                         ncnas::testing::kernel_mode_name);
 
 }  // namespace
 }  // namespace ncnas::nn

@@ -1,9 +1,10 @@
 // The planned, copy-free graph executor against the copying executor it
 // replaced (graph_oracle.hpp): forward outputs, every parameter gradient and
 // every layer's input gradients must match bit for bit, across random
-// architectures from all five search spaces, batch sizes, training and eval
-// mode, and kernel configurations. A run of steps on one graph pair also
-// covers slot reuse as the batch size shrinks and grows.
+// architectures from all five search spaces, batch sizes (batch 256 runs
+// the layers' gemms on the blocked tier, batches 7 and 1 mostly on the
+// reference one), and training and eval mode. A run of steps on one graph
+// pair also covers slot reuse as the batch size shrinks and grows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,6 @@
 #include "ncnas/exec/evaluator.hpp"
 #include "ncnas/space/builder.hpp"
 #include "ncnas/space/spaces.hpp"
-#include "ncnas/tensor/kernel_config.hpp"
 
 namespace ncnas {
 namespace {
@@ -46,23 +46,6 @@ Tensor loss_grad(const Tensor& y) {
     g[i] = scale * (0.5f * y[i] - (0.1f + 0.01f * static_cast<float>(i % 17)));
   }
   return g;
-}
-
-struct KernelCase {
-  const char* name;
-  std::function<tensor::KernelConfig()> make;
-};
-
-std::vector<KernelCase> kernel_cases() {
-  return {
-      {"default", [] { return tensor::KernelConfig{}; }},
-      {"reference",
-       [] {
-         tensor::KernelConfig cfg;
-         cfg.min_blocked_flops = SIZE_MAX;
-         return cfg;
-       }},
-  };
 }
 
 /// One forward + backward + plain gradient step on both graphs, checking
@@ -94,7 +77,7 @@ void expect_same_step(nn::Graph& g, oracle::Graph& o, std::span<const Tensor> x,
   }
 }
 
-/// Runs the batch/mode sequence on a twin pair under every kernel case.
+/// Runs the batch/mode sequence on a twin pair.
 void expect_twins_agree(nn::Graph& g, std::span<const std::size_t> dims, Rng& rng,
                         const std::string& what) {
   std::vector<Tensor> probe;
@@ -102,17 +85,14 @@ void expect_twins_agree(nn::Graph& g, std::span<const std::size_t> dims, Rng& rn
   nn::ForwardCtx ctx{};
   (void)g.forward(probe, ctx);
   oracle::Graph o = oracle::mirror_graph(g, probe);
-  for (const KernelCase& kc : kernel_cases()) {
-    const tensor::KernelConfigGuard guard(kc.make());
-    for (std::size_t batch : {256, 7, 1}) {
-      std::vector<Tensor> x;
-      for (std::size_t d : dims) x.push_back(random_tensor({batch, d}, rng));
-      for (bool training : {true, false}) {
-        const std::string step = what + " [" + kc.name + ", batch " + std::to_string(batch) +
-                                 (training ? ", train]" : ", eval]");
-        expect_same_step(g, o, x, training, rng.next_u64(), step);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+  for (std::size_t batch : {256, 7, 1}) {
+    std::vector<Tensor> x;
+    for (std::size_t d : dims) x.push_back(random_tensor({batch, d}, rng));
+    for (bool training : {true, false}) {
+      const std::string step =
+          what + " [batch " + std::to_string(batch) + (training ? ", train]" : ", eval]");
+      expect_same_step(g, o, x, training, rng.next_u64(), step);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }

@@ -1,12 +1,16 @@
 // Differential oracle suite for the blocked tensor kernels.
 //
-// The contract under test (tensor/kernel_config.hpp): blocked kernels — at
-// any block geometry, and whichever thread calls them while other threads
-// run kernels too — produce bytes identical to the serial reference kernels.
+// The contract under test (tensor/kernel_config.hpp): blocked kernels —
+// whichever thread calls them while other threads run kernels too — produce
+// bytes identical to the serial reference kernels. The dispatching entry
+// points pick the tier from the problem size, so the shapes below sit on
+// both sides of KernelConfig::min_blocked_flops and, on the blocked side,
+// across the fixed row block (64) and column block (256).
 // Equality below is exact (EXPECT_EQ on floats / Tensor::operator== which is
 // bitwise), never approximate: a one-ULP drift is a determinism bug, not
 // noise.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -29,7 +33,7 @@ namespace {
 
 using ncnas::tensor::GemmPath;
 using ncnas::tensor::KernelConfig;
-using ncnas::tensor::KernelConfigGuard;
+using ncnas::tensor::planned_gemm_path;
 using ncnas::tensor::Rng;
 using ncnas::tensor::Tensor;
 using ncnas::tensor::ThreadPool;
@@ -37,25 +41,6 @@ using ncnas::tensor::ThreadPool;
 std::size_t hardware_threads() {
   return std::max<std::size_t>(2, std::thread::hardware_concurrency());
 }
-
-/// The blocked tier with small blocks.
-KernelConfig test_config() {
-  KernelConfig cfg;
-  cfg.block_rows = 8;    // small enough that every sweep shape spans blocks
-  cfg.block_cols = 32;   // two packed panels per cache pass
-  cfg.min_blocked_flops = 0;    // force the blocked path even for 1x1x1
-  return cfg;
-}
-
-/// Every gemm on the reference kernels: the oracle configuration.
-KernelConfig reference_config() {
-  KernelConfig cfg;
-  cfg.min_blocked_flops = SIZE_MAX;
-  return cfg;
-}
-
-/// The reference tier, then the blocked tier.
-std::vector<KernelConfig> tier_configs() { return {reference_config(), test_config()}; }
 
 Tensor random_tensor(const ncnas::tensor::Shape& shape, Rng& rng) {
   Tensor t(shape);
@@ -82,8 +67,8 @@ void on_pool_workers(std::size_t workers, std::size_t n, const Fn& fn) {
 }
 
 /// Shapes stressing every dispatch edge: empty dims, unit dims, exact
-/// block/panel multiples, off-by-one around the panel (32), strip (16, 8)
-/// and block (8/32) boundaries, tall/thin and short/wide extremes. Then the
+/// panel multiples, off-by-one around the panel (32) and strip (16, 8)
+/// boundaries, tall/thin and short/wide extremes. Then the
 /// shapes Combo's Dense layers run (batch 256; widths 16, 48, 96 and a
 /// 144-wide concat): m = 256 rows over k, n in {16, 48, 96, 144} for the
 /// forward and input-gradient gemms, and k = 256 for the weight gradient's
@@ -96,10 +81,16 @@ void on_pool_workers(std::size_t workers, std::size_t n, const Fn& fn) {
 /// and a dense grid of small shapes: every width from 1 to 70 crosses each
 /// tile and strip width (32, 16, 8, 1-7) and edge, at row counts on and off
 /// the 4-row step, where a kernel left to the compiler's contraction was
-/// seen to drift.
+/// seen to drift. Most of these run below min_blocked_flops;
+/// dispatch_shapes() adds the ones the blocked tier runs.
 struct GemmShape {
   std::size_t m, k, n;
 };
+
+/// The smallest depth at which an m x k x n gemm runs blocked.
+std::size_t blocked_depth(std::size_t m, std::size_t n) {
+  return (KernelConfig::min_blocked_flops + m * n - 1) / (m * n);
+}
 
 std::vector<GemmShape> sweep_shapes() {
   std::vector<GemmShape> shapes = {
@@ -126,6 +117,47 @@ std::vector<GemmShape> sweep_shapes() {
   return shapes;
 }
 
+/// sweep_shapes(), then the small grid again at the depth that lifts each
+/// shape onto the blocked tier, which covers every n % 32 residue there;
+/// rows 63-65 and 129 cross the 64-row block, and widths 255-257, 288 and
+/// 513 the 256-column one. The dispatching gemms run these.
+std::vector<GemmShape> dispatch_shapes() {
+  std::vector<GemmShape> shapes = sweep_shapes();
+  for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 63u, 64u, 65u, 129u}) {
+    for (std::size_t n = 1; n <= 70; ++n) shapes.push_back({m, blocked_depth(m, n), n});
+  }
+  for (const std::size_t n : {255u, 256u, 257u, 288u, 513u}) {
+    shapes.push_back({5, blocked_depth(5, n), n});
+    shapes.push_back({65, 7, n});
+  }
+  shapes.push_back({130, 20, 300});
+  return shapes;
+}
+
+/// What a sweep sent down the blocked tier: rows past one row block,
+/// columns past one column block, and each n % 32 residue.
+struct BlockedCoverage {
+  std::size_t shapes = 0;
+  bool rows_past_block = false;
+  bool cols_past_block = false;
+  std::vector<bool> residues = std::vector<bool>(32, false);
+
+  void add(std::size_t m, std::size_t k, std::size_t n) {
+    if (planned_gemm_path(m, k, n) != GemmPath::kBlocked) return;
+    ++shapes;
+    rows_past_block = rows_past_block || m > KernelConfig::block_rows;
+    cols_past_block = cols_past_block || n > KernelConfig::block_cols;
+    residues[n % 32] = true;
+  }
+
+  void expect_complete() const {
+    EXPECT_GT(shapes, 0u);
+    EXPECT_TRUE(rows_past_block);
+    EXPECT_TRUE(cols_past_block);
+    for (std::size_t r = 0; r < residues.size(); ++r) EXPECT_TRUE(residues[r]) << "n % 32 = " << r;
+  }
+};
+
 class KernelDiff : public ::testing::Test {
  protected:
   Rng rng_{0xC0FFEEULL};
@@ -134,61 +166,55 @@ class KernelDiff : public ::testing::Test {
 // --- blocked vs reference, exact ------------------------------------------
 
 TEST_F(KernelDiff, GemmMatchesReferenceBitwiseAcrossShapesAndThreads) {
-  for (const GemmShape& s : sweep_shapes()) {
+  BlockedCoverage coverage;
+  for (const GemmShape& s : dispatch_shapes()) {
     const Tensor a = random_tensor({s.m, s.k}, rng_);
     const Tensor b = random_tensor({s.k, s.n}, rng_);
     Tensor want({s.m, s.n});
     ncnas::tensor::gemm_ref(a, b, want);
-    for (const KernelConfig& cfg : tier_configs()) {
-      KernelConfigGuard guard(cfg);
-      Tensor got({s.m, s.n});
-      // Poison the output first: the blocked kernel must fully overwrite C.
-      for (float& v : got.flat()) v = -123.75f;
-      ncnas::tensor::gemm(a, b, got);
-      EXPECT_TRUE(bytes_equal(want, got))
-          << "gemm " << s.m << "x" << s.k << "x" << s.n
-          << " min_blocked_flops=" << cfg.min_blocked_flops
-          << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
-    }
+    // Poison the output first: the blocked kernel must fully overwrite C.
+    Tensor got({s.m, s.n}, -123.75f);
+    ncnas::tensor::gemm(a, b, got);
+    EXPECT_TRUE(bytes_equal(want, got))
+        << "gemm " << s.m << "x" << s.k << "x" << s.n
+        << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
+    coverage.add(s.m, s.k, s.n);
   }
+  coverage.expect_complete();
 }
 
 TEST_F(KernelDiff, GemmNtMatchesReferenceBitwiseAcrossShapesAndThreads) {
-  for (const GemmShape& s : sweep_shapes()) {
+  BlockedCoverage coverage;
+  for (const GemmShape& s : dispatch_shapes()) {
     const Tensor a = random_tensor({s.m, s.k}, rng_);
     const Tensor b = random_tensor({s.n, s.k}, rng_);
     Tensor want({s.m, s.n});
     ncnas::tensor::gemm_nt_ref(a, b, want);
-    for (const KernelConfig& cfg : tier_configs()) {
-      KernelConfigGuard guard(cfg);
-      Tensor got({s.m, s.n});
-      for (float& v : got.flat()) v = -123.75f;
-      ncnas::tensor::gemm_nt(a, b, got);
-      EXPECT_TRUE(bytes_equal(want, got))
-          << "gemm_nt " << s.m << "x" << s.k << "x" << s.n
-          << " min_blocked_flops=" << cfg.min_blocked_flops
-          << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
-    }
+    Tensor got({s.m, s.n}, -123.75f);
+    ncnas::tensor::gemm_nt(a, b, got);
+    EXPECT_TRUE(bytes_equal(want, got))
+        << "gemm_nt " << s.m << "x" << s.k << "x" << s.n
+        << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
+    coverage.add(s.m, s.k, s.n);
   }
+  coverage.expect_complete();
 }
 
 TEST_F(KernelDiff, GemmTnMatchesReferenceBitwiseAcrossShapesAndThreads) {
-  for (const GemmShape& s : sweep_shapes()) {
+  BlockedCoverage coverage;
+  for (const GemmShape& s : dispatch_shapes()) {
     const Tensor a = random_tensor({s.k, s.m}, rng_);
     const Tensor b = random_tensor({s.k, s.n}, rng_);
     Tensor want({s.m, s.n});
     ncnas::tensor::gemm_tn_ref(a, b, want);
-    for (const KernelConfig& cfg : tier_configs()) {
-      KernelConfigGuard guard(cfg);
-      Tensor got({s.m, s.n});
-      for (float& v : got.flat()) v = -123.75f;
-      ncnas::tensor::gemm_tn(a, b, got);
-      EXPECT_TRUE(bytes_equal(want, got))
-          << "gemm_tn " << s.m << "x" << s.k << "x" << s.n
-          << " min_blocked_flops=" << cfg.min_blocked_flops
-          << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
-    }
+    Tensor got({s.m, s.n}, -123.75f);
+    ncnas::tensor::gemm_tn(a, b, got);
+    EXPECT_TRUE(bytes_equal(want, got))
+        << "gemm_tn " << s.m << "x" << s.k << "x" << s.n
+        << " max|diff|=" << ncnas::tensor::max_abs_diff(want, got);
+    coverage.add(s.m, s.k, s.n);
   }
+  coverage.expect_complete();
 }
 
 // --- few-row kernels on raw buffers vs the Tensor ops, exact ----------------
@@ -227,24 +253,6 @@ TEST_F(KernelDiff, AccumulateGemmTnStepsMatchesPerStepReference) {
                                               s.n);
       EXPECT_TRUE(bytes_equal(want, got))
           << "steps=" << steps << " " << s.m << "x" << s.k << "x" << s.n;
-    }
-  }
-}
-
-TEST_F(KernelDiff, BlockGeometryNeverChangesBits) {
-  const Tensor a = random_tensor({37, 23}, rng_);
-  const Tensor b = random_tensor({23, 41}, rng_);
-  Tensor want({37, 41});
-  ncnas::tensor::gemm_ref(a, b, want);
-  for (std::size_t br : {1UL, 3UL, 8UL, 64UL, 256UL}) {
-    for (std::size_t bc : {1UL, 16UL, 48UL, 256UL}) {
-      KernelConfig cfg = test_config();
-      cfg.block_rows = br;
-      cfg.block_cols = bc;
-      KernelConfigGuard guard(cfg);
-      Tensor got({37, 41});
-      ncnas::tensor::gemm(a, b, got);
-      EXPECT_TRUE(bytes_equal(want, got)) << "block_rows=" << br << " block_cols=" << bc;
     }
   }
 }
@@ -288,7 +296,6 @@ TEST_F(KernelDiff, ThreadCountNeverChangesBits) {
   // compute.
   const std::vector<KernelInputs> inputs = {random_inputs(31, 47, 29, rng_),
                                             random_inputs(70, 9, 45, rng_)};
-  KernelConfigGuard guard(test_config());
   std::vector<std::vector<Tensor>> want;
   for (const KernelInputs& in : inputs) want.push_back(run_kernels(in));
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, hardware_threads()}) {
@@ -318,7 +325,6 @@ TEST_F(KernelDiff, RepeatedRunsAreIdenticalUnderPool) {
   const Tensor a = random_tensor({26, 33}, rng_);
   const Tensor b = random_tensor({33, 50}, rng_);
   const Tensor bt = random_tensor({50, 33}, rng_);
-  KernelConfigGuard guard(test_config());
   Tensor first({26, 50}), first_nt({26, 50});
   ncnas::tensor::gemm(a, b, first);
   ncnas::tensor::gemm_nt(a, bt, first_nt);
@@ -340,18 +346,44 @@ TEST_F(KernelDiff, RepeatedRunsAreIdenticalUnderPool) {
 // --- inputs unchanged (no in-place scribbling) ----------------------------
 
 TEST_F(KernelDiff, InputsAreNotModified) {
-  const Tensor a = random_tensor({19, 21}, rng_);
+  const Tensor a = random_tensor({70, 21}, rng_);
   const Tensor b = random_tensor({21, 35}, rng_);
+  ASSERT_EQ(planned_gemm_path(70, 21, 35), GemmPath::kBlocked);
   const Tensor a_copy = a;
   const Tensor b_copy = b;
-  KernelConfigGuard guard(test_config());
-  Tensor c({19, 35});
+  Tensor c({70, 35});
   ncnas::tensor::gemm(a, b, c);
   EXPECT_TRUE(bytes_equal(a, a_copy));
   EXPECT_TRUE(bytes_equal(b, b_copy));
 }
 
 // --- NaN/Inf semantics (the removed zero-skip fast path) ------------------
+
+/// A product's output dims on each tier: as given, below min_blocked_flops,
+/// then with rows and columns padded past one row block and one column
+/// block, which lifts it onto the blocked tier. Padding never touches the
+/// contracted dimension, so the original elements keep their sums.
+struct TierDims {
+  std::size_t m, n;
+  GemmPath path;
+};
+
+std::vector<TierDims> tier_dims(std::size_t m, std::size_t k, std::size_t n) {
+  const std::vector<TierDims> dims = {
+      {m, n, GemmPath::kReference},
+      {KernelConfig::block_rows + 1, KernelConfig::block_cols + 1, GemmPath::kBlocked}};
+  for (const TierDims& d : dims) EXPECT_EQ(planned_gemm_path(d.m, k, d.n), d.path);
+  return dims;
+}
+
+/// `t` in the top-left corner of a rows x cols tensor of ones.
+Tensor padded(const Tensor& t, std::size_t rows, std::size_t cols) {
+  Tensor out({rows, cols}, 1.0f);
+  for (std::size_t i = 0; i < t.dim(0); ++i) {
+    for (std::size_t j = 0; j < t.dim(1); ++j) out(i, j) = t(i, j);
+  }
+  return out;
+}
 
 TEST_F(KernelDiff, ZeroTimesNanPropagatesNan) {
   // A has an explicit 0.0 in the slot that multiplies B's NaN. The old
@@ -363,11 +395,10 @@ TEST_F(KernelDiff, ZeroTimesNanPropagatesNan) {
   Tensor b({3, 2});
   for (float& v : b.flat()) v = 1.0f;
   b(1, 0) = std::numeric_limits<float>::quiet_NaN();
-  for (const KernelConfig& cfg : tier_configs()) {
-    KernelConfigGuard guard(cfg);
-    SCOPED_TRACE(::testing::Message() << "min_blocked_flops=" << cfg.min_blocked_flops);
-    Tensor c({2, 2});
-    ncnas::tensor::gemm(a, b, c);
+  for (const TierDims& d : tier_dims(2, 3, 2)) {
+    SCOPED_TRACE(::testing::Message() << d.m << "x3x" << d.n);
+    Tensor c({d.m, d.n});
+    ncnas::tensor::gemm(padded(a, d.m, 3), padded(b, 3, d.n), c);
     EXPECT_TRUE(std::isnan(c(0, 0)));  // 0 * NaN in play
     EXPECT_TRUE(std::isnan(c(1, 0)));  // 4 * NaN in play
     EXPECT_FLOAT_EQ(c(0, 1), 3.0f);    // NaN column only
@@ -382,11 +413,10 @@ TEST_F(KernelDiff, ZeroTimesInfPropagatesNan) {
   Tensor b({2, 1});
   b(0, 0) = std::numeric_limits<float>::infinity();
   b(1, 0) = 7.0f;
-  for (const KernelConfig& cfg : tier_configs()) {
-    KernelConfigGuard guard(cfg);
-    SCOPED_TRACE(::testing::Message() << "min_blocked_flops=" << cfg.min_blocked_flops);
-    Tensor c({1, 1});
-    ncnas::tensor::gemm(a, b, c);
+  for (const TierDims& d : tier_dims(1, 2, 1)) {
+    SCOPED_TRACE(::testing::Message() << d.m << "x2x" << d.n);
+    Tensor c({d.m, d.n});
+    ncnas::tensor::gemm(padded(a, d.m, 2), padded(b, 2, d.n), c);
     EXPECT_TRUE(std::isnan(c(0, 0)));  // 0 * inf = NaN
   }
 }
@@ -399,12 +429,31 @@ TEST_F(KernelDiff, GemmTnZeroTimesNanPropagatesNan) {
   Tensor b({2, 1});
   b(0, 0) = std::numeric_limits<float>::quiet_NaN();
   b(1, 0) = 2.0f;
-  for (const KernelConfig& cfg : tier_configs()) {
-    KernelConfigGuard guard(cfg);
-    SCOPED_TRACE(::testing::Message() << "min_blocked_flops=" << cfg.min_blocked_flops);
-    Tensor c({1, 1});
-    ncnas::tensor::gemm_tn(a, b, c);
+  for (const TierDims& d : tier_dims(1, 2, 1)) {
+    SCOPED_TRACE(::testing::Message() << d.m << "x2x" << d.n);
+    Tensor c({d.m, d.n});
+    ncnas::tensor::gemm_tn(padded(a, 2, d.m), padded(b, 2, d.n), c);
     EXPECT_TRUE(std::isnan(c(0, 0)));
+  }
+}
+
+TEST_F(KernelDiff, NanPropagationMatchesReference) {
+  // NaN/Inf travel through the blocked micro-kernels exactly as through the
+  // reference loops — including values that only touch a full-width panel
+  // vs only the edge panel of the same product (47 = one full panel + an
+  // edge of 15; 257 = eight full panels + an edge of 1).
+  const std::size_t k = 13;
+  for (const TierDims& d : tier_dims(9, k, 47)) {
+    Tensor a = random_tensor({d.m, k}, rng_);
+    Tensor b = random_tensor({k, d.n}, rng_);
+    a(3, 5) = std::numeric_limits<float>::quiet_NaN();
+    b(7, 2) = std::numeric_limits<float>::infinity();           // full-panel column
+    b(2, d.n - 1) = -std::numeric_limits<float>::infinity();    // edge column
+    Tensor want({d.m, d.n});
+    ncnas::tensor::gemm_ref(a, b, want);
+    Tensor got({d.m, d.n});
+    ncnas::tensor::gemm(a, b, got);
+    EXPECT_TRUE(bytes_equal(want, got)) << d.m << "x" << k << "x" << d.n;
   }
 }
 
@@ -455,9 +504,9 @@ TEST_F(KernelDiff, RowwiseOpsMatchSerialBitwise) {
 // --- dispatch & validation -------------------------------------------------
 
 TEST_F(KernelDiff, TinyProblemsFallBackToReferenceBelowThreshold) {
-  KernelConfigGuard guard{KernelConfig{}};  // default thresholds
   // 2x2x2 is far below min_blocked_flops; both paths are bit-identical
   // anyway, so just sanity-check the result.
+  EXPECT_EQ(planned_gemm_path(2, 2, 2), GemmPath::kReference);
   Tensor a({2, 2});
   a(0, 0) = 1.0f; a(0, 1) = 2.0f; a(1, 0) = 3.0f; a(1, 1) = 4.0f;
   Tensor c({2, 2});
@@ -467,76 +516,50 @@ TEST_F(KernelDiff, TinyProblemsFallBackToReferenceBelowThreshold) {
 }
 
 TEST_F(KernelDiff, ShapeValidationStillThrowsInBlockedMode) {
-  KernelConfigGuard guard(test_config());
-  Tensor a({2, 3});
-  Tensor b({4, 5});  // inner mismatch
-  Tensor c({2, 5});
+  // Shapes big enough for the blocked tier: validation runs before dispatch.
+  Tensor a({64, 16});
+  Tensor b({17, 64});  // inner mismatch
+  Tensor c({64, 64});
+  ASSERT_EQ(planned_gemm_path(64, 16, 64), GemmPath::kBlocked);
   EXPECT_THROW(ncnas::tensor::gemm(a, b, c), std::invalid_argument);
   EXPECT_THROW(ncnas::tensor::gemm_nt(a, b, c), std::invalid_argument);
-  Tensor bad_c({3, 5});
-  Tensor ok_b({3, 5});
+  Tensor bad_c({65, 64});
+  Tensor ok_b({16, 64});
   EXPECT_THROW(ncnas::tensor::gemm(a, ok_b, bad_c), std::invalid_argument);
 }
 
 TEST_F(KernelDiff, ReferenceBlockedCrossoverPinned) {
   // Pins the small-size cutoff that fixed the gemm_nt regression: below
-  // min_blocked_flops every gemm variant takes the reference path outright
-  // (no blocking/packing overhead), at or above it the blocked tier runs.
-  KernelConfig cfg;
-  cfg.min_blocked_flops = 1000;
-  KernelConfigGuard guard(cfg);
-  using ncnas::tensor::planned_gemm_path;
-  EXPECT_EQ(planned_gemm_path(9, 9, 9), GemmPath::kReference);     // 729 < 1000
-  EXPECT_EQ(planned_gemm_path(10, 10, 10), GemmPath::kBlocked);    // exactly 1000
-  EXPECT_EQ(planned_gemm_path(16, 16, 16), GemmPath::kBlocked);
-  {
-    // The default config runs the blocked tier on anything past the
-    // threshold and keeps genuinely tiny products on the reference path.
-    KernelConfigGuard defaults{KernelConfig{}};
-    EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked);
-    EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference);
-  }
+  // min_blocked_flops = 16 Ki every gemm variant takes the reference path
+  // outright (no blocking/packing overhead), at or above it the blocked
+  // tier runs.
+  static_assert(KernelConfig::min_blocked_flops == 16 * 1024);
+  EXPECT_EQ(planned_gemm_path(3, 43, 127), GemmPath::kReference);  // 16383
+  EXPECT_EQ(planned_gemm_path(16, 32, 31), GemmPath::kReference);  // 15872
+  EXPECT_EQ(planned_gemm_path(16, 32, 32), GemmPath::kBlocked);    // exactly 16384
+  EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked);
+  EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference);
+  EXPECT_EQ(planned_gemm_path(0, 512, 512), GemmPath::kReference);
 }
 
 TEST_F(KernelDiff, GemmTierDependsOnlyOnSizeThreshold) {
   // There are two tiers, reference and blocked, and the choice between them
-  // is made by min_blocked_flops alone: the block geometry only shapes the
-  // blocked tier's loops, never which tier runs.
-  using ncnas::tensor::planned_gemm_path;
-  for (const std::size_t block : {std::size_t{1}, std::size_t{512}}) {
-    KernelConfig cfg;
-    cfg.block_rows = block;
-    cfg.block_cols = block;
-    KernelConfigGuard guard(cfg);
-    EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kBlocked) << block;
-    EXPECT_EQ(planned_gemm_path(8, 8, 8), GemmPath::kReference) << block;
+  // is made by m*k*n alone: any order of the same three dims gets the same
+  // tier.
+  const GemmShape blocked = {16, 32, 32}, reference = {3, 43, 127};
+  for (const GemmShape& s : {blocked, reference}) {
+    const GemmPath want = planned_gemm_path(s.m, s.k, s.n);
+    EXPECT_EQ(planned_gemm_path(s.m, s.n, s.k), want);
+    EXPECT_EQ(planned_gemm_path(s.k, s.m, s.n), want);
+    EXPECT_EQ(planned_gemm_path(s.k, s.n, s.m), want);
+    EXPECT_EQ(planned_gemm_path(s.n, s.m, s.k), want);
+    EXPECT_EQ(planned_gemm_path(s.n, s.k, s.m), want);
   }
-  // SIZE_MAX is the reference-only oracle configuration.
-  KernelConfigGuard reference{reference_config()};
-  EXPECT_EQ(planned_gemm_path(512, 512, 512), GemmPath::kReference);
+  EXPECT_EQ(planned_gemm_path(1, 16384, 1), GemmPath::kBlocked);
+  EXPECT_EQ(planned_gemm_path(1, 16383, 1), GemmPath::kReference);
   // The ISA label is informational only: it names the build, not a tier.
   const std::string isa = KernelConfig::simd_isa();
   EXPECT_TRUE(isa.empty() || isa == "avx2" || isa == "neon") << isa;
-}
-
-TEST_F(KernelDiff, NanPropagationMatchesReference) {
-  // NaN/Inf travel through the blocked micro-kernels exactly as through the
-  // reference loops — including values that only touch a full-width panel
-  // vs only the edge panel of the same product.
-  const std::size_t m = 9, k = 13, n = 47;  // 47 = one full panel + edge 15
-  Tensor a = random_tensor({m, k}, rng_);
-  Tensor b = random_tensor({k, n}, rng_);
-  a(3, 5) = std::numeric_limits<float>::quiet_NaN();
-  b(7, 2) = std::numeric_limits<float>::infinity();   // full-panel column
-  b(2, 40) = -std::numeric_limits<float>::infinity();  // edge column
-  Tensor want({m, n});
-  ncnas::tensor::gemm_ref(a, b, want);
-  for (const KernelConfig& cfg : tier_configs()) {
-    KernelConfigGuard guard(cfg);
-    Tensor got({m, n});
-    ncnas::tensor::gemm(a, b, got);
-    EXPECT_TRUE(bytes_equal(want, got)) << "min_blocked_flops=" << cfg.min_blocked_flops;
-  }
 }
 
 // --- conv1d / conv1d_dw vs the oracle layer's direct loops ----------------
@@ -621,28 +644,6 @@ TEST_F(KernelDiff, ConvShapeValidationThrows) {
   EXPECT_THROW(ncnas::tensor::conv1d_dw(x, Tensor({2, 6, 5}), dw), std::invalid_argument);
   EXPECT_NO_THROW(ncnas::tensor::conv1d(x, Tensor({9, 4}), Tensor({4}), y));
   EXPECT_NO_THROW(ncnas::tensor::conv1d_dw(x, y, dw));
-}
-
-TEST_F(KernelDiff, SetKernelConfigRejectsZeroBlocks) {
-  KernelConfig cfg;
-  cfg.block_rows = 0;
-  EXPECT_THROW(ncnas::tensor::set_kernel_config(cfg), std::invalid_argument);
-  cfg = KernelConfig{};
-  cfg.block_cols = 0;
-  EXPECT_THROW(ncnas::tensor::set_kernel_config(cfg), std::invalid_argument);
-}
-
-TEST_F(KernelDiff, GuardRestoresPreviousConfig) {
-  const KernelConfig before = ncnas::tensor::kernel_config();
-  {
-    KernelConfigGuard guard(test_config());
-    EXPECT_EQ(ncnas::tensor::kernel_config().block_rows, 8u);
-    EXPECT_EQ(ncnas::tensor::kernel_config().min_blocked_flops, 0u);
-  }
-  const KernelConfig after = ncnas::tensor::kernel_config();
-  EXPECT_EQ(after.block_rows, before.block_rows);
-  EXPECT_EQ(after.block_cols, before.block_cols);
-  EXPECT_EQ(after.min_blocked_flops, before.min_blocked_flops);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Seeded randomized differential fuzz harness for the kernel tiers.
 //
 // Every iteration draws a random problem (shape, construction path, special
-// values, aliasing) and, for the gemms, a random kernel configuration (block
-// geometry, dispatch threshold), then requires the result to be
-// byte-for-byte identical to the serial reference: the reference kernels for
-// the gemms, plain loops over every index for the elementwise and row-wise
-// ops, and the oracle Conv1D layer's direct loops (graph_oracle.hpp) for
-// the convolution.
+// values, aliasing), then requires the result to be byte-for-byte identical
+// to the serial reference: the reference kernels for the gemms, plain loops
+// over every index for the elementwise and row-wise ops, and the oracle
+// Conv1D layer's direct loops (graph_oracle.hpp) for the convolution. The
+// gemm draws mostly clear KernelConfig::min_blocked_flops, so they fuzz the
+// blocked tier at the geometry the library ships, across its 64-row and
+// 256-column blocks and every n % 32 residue; the rest fuzz the reference
+// tier and the crossover.
 // 1000 iterations per op; the base seed prints at startup and can be
 // overridden with --seed=N to replay a failing run exactly.
 //
@@ -40,7 +42,7 @@
 namespace {
 
 using ncnas::tensor::KernelConfig;
-using ncnas::tensor::KernelConfigGuard;
+using ncnas::tensor::GemmPath;
 using ncnas::tensor::Rng;
 using ncnas::tensor::Tensor;
 
@@ -69,6 +71,10 @@ bool bytes_equal_any_nan(const Tensor& a, const Tensor& b) {
   return true;
 }
 
+struct GemmDims {
+  std::size_t m = 0, k = 0, n = 0;
+};
+
 /// One fuzzing stream, salted per-op so the ops explore independent spaces
 /// while staying reproducible from the single base seed.
 class Fuzz {
@@ -91,17 +97,20 @@ class Fuzz {
     return 66 + static_cast<std::size_t>(rng_.uniform_int(80));
   }
 
-  /// A random kernel configuration.
-  KernelConfig config() {
-    KernelConfig cfg;
-    static constexpr std::size_t kRows[] = {1, 3, 4, 8, 16, 64, 256};
-    static constexpr std::size_t kCols[] = {1, 16, 32, 48, 64, 256};
-    cfg.block_rows = kRows[rng_.uniform_int(std::size(kRows))];
-    cfg.block_cols = kCols[rng_.uniform_int(std::size(kCols))];
-    // Mostly force the blocked tier; sometimes leave real thresholds in so
-    // the reference fallback and its crossover get fuzzed too.
-    cfg.min_blocked_flops = rng_.uniform() < 0.8 ? 0 : KernelConfig{}.min_blocked_flops;
-    return cfg;
+  /// A gemm's dims: rows from dim() plus the row blocks' edges, columns as
+  /// a whole number of 32-wide panels (0-9, so up to past the 256-column
+  /// block) plus a uniform residue, and a depth that nine draws in ten lift
+  /// to the blocked tier's threshold.
+  GemmDims gemm_dims() {
+    GemmDims d;
+    d.m = rng_.uniform() < 0.1 ? 127 + rng_.uniform_int(4) : dim();
+    d.n = rng_.uniform() < 0.02 ? 0 : 32 * rng_.uniform_int(10) + rng_.uniform_int(32);
+    d.k = dim();
+    if (d.m != 0 && d.n != 0 && rng_.uniform() < 0.9) {
+      const std::size_t depth = (KernelConfig::min_blocked_flops + d.m * d.n - 1) / (d.m * d.n);
+      d.k = std::max(d.k, depth);
+    }
+    return d;
   }
 
   /// Random tensor; sometimes built flat and reshaped into place (exercising
@@ -136,28 +145,45 @@ class Fuzz {
 
 /// Shared driver for the three gemm variants. `shape_a` / `shape_b` map the
 /// logical (m, k, n) onto storage shapes; `op` / `op_ref` are the entry
-/// points under test and the oracle.
+/// points under test and the oracle. At least 80 % of the draws must run
+/// blocked, among them rows past the row block, columns past the column
+/// block and every n % 32 residue.
 void fuzz_gemm(std::uint64_t salt, const char* name,
                std::vector<std::size_t> (*shape_a)(std::size_t, std::size_t, std::size_t),
                std::vector<std::size_t> (*shape_b)(std::size_t, std::size_t, std::size_t),
                void (*op)(const Tensor&, const Tensor&, Tensor&),
                void (*op_ref)(const Tensor&, const Tensor&, Tensor&)) {
   Fuzz fz(salt);
+  int blocked = 0;
+  bool rows_past_block = false, cols_past_block = false;
+  std::vector<bool> residues(32, false);
   for (int it = 0; it < kIters; ++it) {
-    const std::size_t m = fz.dim(), k = fz.dim(), n = fz.dim();
+    const auto [m, k, n] = fz.gemm_dims();
+    const bool on_blocked = ncnas::tensor::planned_gemm_path(m, k, n) == GemmPath::kBlocked;
+    if (on_blocked) {
+      ++blocked;
+      rows_past_block = rows_past_block || m > KernelConfig::block_rows;
+      cols_past_block = cols_past_block || n > KernelConfig::block_cols;
+      residues[n % 32] = true;
+    }
     const Tensor a = fz.tensor(shape_a(m, k, n));
     const Tensor b = fz.tensor(shape_b(m, k, n));
     Tensor want({m, n});
     op_ref(a, b, want);
-    const KernelConfig cfg = fz.config();
-    KernelConfigGuard guard(cfg);
     Tensor got({m, n});
     fz.poison(got);
     op(a, b, got);
     ASSERT_TRUE(bytes_equal(want, got))
         << name << " iter=" << it << " " << m << "x" << k << "x" << n
-        << " blocks=" << cfg.block_rows << "x" << cfg.block_cols
-        << " min_flops=" << cfg.min_blocked_flops << " (replay with --seed=" << g_seed << ")";
+        << (on_blocked ? " blocked" : " reference") << " (replay with --seed=" << g_seed << ")";
+  }
+  const std::string replay =
+      std::string(name) + " (replay with --seed=" + std::to_string(g_seed) + ")";
+  EXPECT_GE(blocked, kIters * 8 / 10) << replay;
+  EXPECT_TRUE(rows_past_block) << replay;
+  EXPECT_TRUE(cols_past_block) << replay;
+  for (std::size_t r = 0; r < residues.size(); ++r) {
+    EXPECT_TRUE(residues[r]) << "n % 32 = " << r << " " << replay;
   }
 }
 

@@ -17,10 +17,6 @@ using testing::probe_grad;
 using testing::probe_loss;
 using testing::rel_err;
 
-// Parameterized over kernel modes so the controller's LSTM math is checked
-// under the production (blocked/parallel) kernels, not just the oracles.
-using Lstm = ncnas::testing::KernelModeTest;
-
 Tensor random_tensor(tensor::Shape shape, Rng& rng) {
   Tensor t(std::move(shape));
   for (float& v : t.flat()) v = 0.5f * static_cast<float>(rng.normal());
@@ -38,7 +34,7 @@ Tensor output(const LstmWorkspace& ws, std::size_t t) {
   return {{ws.batch, ws.hidden_dim}, std::vector<float>(h, h + ws.batch * ws.hidden_dim)};
 }
 
-TEST_P(Lstm, ShapesAndInitialState) {
+TEST(Lstm, ShapesAndInitialState) {
   Rng rng(1);
   LstmCell cell(3, 5, rng);
   EXPECT_EQ(cell.input_dim(), 3u);
@@ -61,7 +57,7 @@ TEST_P(Lstm, ShapesAndInitialState) {
 // Training runs the whole sequence with forward(); sampling decodes one step
 // at a time with forward_step() and takes no gradient. Both must record the
 // same bits.
-TEST_P(Lstm, StepAndNogradAgree) {
+TEST(Lstm, StepAndNogradAgree) {
   Rng rng(2);
   LstmCell cell(3, 4, rng);
   std::vector<Tensor> xs;
@@ -83,7 +79,7 @@ TEST_P(Lstm, StepAndNogradAgree) {
   EXPECT_THROW(cell.forward_step(stepped, 1), std::logic_error);
 }
 
-TEST_P(Lstm, HiddenStateBounded) {
+TEST(Lstm, HiddenStateBounded) {
   // h = o * tanh(c) is bounded by (-1, 1).
   Rng rng(3);
   LstmCell cell(2, 6, rng);
@@ -100,7 +96,7 @@ TEST_P(Lstm, HiddenStateBounded) {
   }
 }
 
-TEST_P(Lstm, BpttGradcheckThreeSteps) {
+TEST(Lstm, BpttGradcheckThreeSteps) {
   Rng rng(4);
   LstmCell cell(2, 3, rng);
   std::vector<Tensor> xs;
@@ -143,7 +139,7 @@ TEST_P(Lstm, BpttGradcheckThreeSteps) {
 }
 
 // backward() needs every step of the sequence recorded by a forward pass.
-TEST_P(Lstm, BackwardWithoutCacheThrows) {
+TEST(Lstm, BackwardWithoutCacheThrows) {
   Rng rng(5);
   LstmCell cell(2, 3, rng);
   LstmWorkspace ws;
@@ -156,17 +152,13 @@ TEST_P(Lstm, BackwardWithoutCacheThrows) {
   EXPECT_THROW(cell.backward(ws, no_head), std::logic_error);
 }
 
-TEST_P(Lstm, ForgetGateBiasInitializedToOne) {
+TEST(Lstm, ForgetGateBiasInitializedToOne) {
   Rng rng(6);
   LstmCell cell(2, 4, rng);
   const ParamPtr b = cell.parameters()[2];
   for (std::size_t j = 4; j < 8; ++j) EXPECT_FLOAT_EQ(b->value[j], 1.0f);
   EXPECT_FLOAT_EQ(b->value[0], 0.0f);
 }
-
-INSTANTIATE_TEST_SUITE_P(KernelModes, Lstm,
-                         ::testing::ValuesIn(ncnas::testing::kernel_mode_params()),
-                         ncnas::testing::kernel_mode_name);
 
 }  // namespace
 }  // namespace ncnas::nn

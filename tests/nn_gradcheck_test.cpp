@@ -17,11 +17,6 @@ using testing::probe_grad;
 using testing::probe_loss;
 using testing::rel_err;
 
-// Every check runs once per kernel mode (reference / blocked serial /
-// blocked parallel), so gradients are verified under the kernels production
-// actually uses — not just the serial oracles.
-using GradCheck = ncnas::testing::KernelModeTest;
-
 Tensor random_tensor(tensor::Shape shape, Rng& rng, float scale = 1.0f) {
   Tensor t(std::move(shape));
   for (float& v : t.flat()) v = scale * static_cast<float>(rng.normal());
@@ -58,25 +53,25 @@ void check_layer(Layer& layer, Tensor x, float tol = 2e-2f) {
   }
 }
 
-TEST_P(GradCheck, DenseLinear) {
+TEST(GradCheck, DenseLinear) {
   Rng rng(1);
   Dense layer(5, Act::kLinear, rng);
   check_layer(layer, random_tensor({3, 4}, rng));
 }
 
-TEST_P(GradCheck, DenseTanh) {
+TEST(GradCheck, DenseTanh) {
   Rng rng(2);
   Dense layer(6, Act::kTanh, rng);
   check_layer(layer, random_tensor({2, 3}, rng));
 }
 
-TEST_P(GradCheck, DenseSigmoid) {
+TEST(GradCheck, DenseSigmoid) {
   Rng rng(3);
   Dense layer(4, Act::kSigmoid, rng);
   check_layer(layer, random_tensor({2, 5}, rng));
 }
 
-TEST_P(GradCheck, DenseRelu) {
+TEST(GradCheck, DenseRelu) {
   Rng rng(4);
   Dense layer(8, Act::kRelu, rng);
   // Offset inputs away from the relu kink so finite differences are clean.
@@ -85,7 +80,7 @@ TEST_P(GradCheck, DenseRelu) {
   check_layer(layer, std::move(x));
 }
 
-TEST_P(GradCheck, DenseSoftmax) {
+TEST(GradCheck, DenseSoftmax) {
   Rng rng(5);
   Dense layer(5, Act::kSoftmax, rng);
   // Softmax couples every output; float32 central differences carry a bit
@@ -93,25 +88,25 @@ TEST_P(GradCheck, DenseSoftmax) {
   check_layer(layer, random_tensor({2, 3}, rng), /*tol=*/4e-2f);
 }
 
-TEST_P(GradCheck, StandaloneActivationTanh) {
+TEST(GradCheck, StandaloneActivationTanh) {
   Rng rng(6);
   Activation layer(Act::kTanh);
   check_layer(layer, random_tensor({4, 6}, rng));
 }
 
-TEST_P(GradCheck, Conv1D) {
+TEST(GradCheck, Conv1D) {
   Rng rng(7);
   Conv1D layer(3, 4, rng);
   check_layer(layer, random_tensor({2, 9, 2}, rng));
 }
 
-TEST_P(GradCheck, MaxPool1D) {
+TEST(GradCheck, MaxPool1D) {
   Rng rng(8);
   MaxPool1D layer(3);
   check_layer(layer, random_tensor({2, 10, 2}, rng));
 }
 
-TEST_P(GradCheck, FlattenAndReshape) {
+TEST(GradCheck, FlattenAndReshape) {
   Rng rng(9);
   Flatten flat;
   check_layer(flat, random_tensor({2, 4, 3}, rng));
@@ -119,7 +114,7 @@ TEST_P(GradCheck, FlattenAndReshape) {
   check_layer(lift, random_tensor({3, 5}, rng));
 }
 
-TEST_P(GradCheck, MultiInputConcat) {
+TEST(GradCheck, MultiInputConcat) {
   Rng rng(10);
   Concat layer;
   Tensor a = random_tensor({2, 3}, rng);
@@ -142,7 +137,7 @@ TEST_P(GradCheck, MultiInputConcat) {
   }
 }
 
-TEST_P(GradCheck, MultiInputAddWithPadding) {
+TEST(GradCheck, MultiInputAddWithPadding) {
   Rng rng(11);
   Add layer;
   Tensor a = random_tensor({2, 5}, rng);
@@ -166,7 +161,7 @@ TEST_P(GradCheck, MultiInputAddWithPadding) {
   }
 }
 
-TEST_P(GradCheck, SharedDenseAccumulatesBothBranches) {
+TEST(GradCheck, SharedDenseAccumulatesBothBranches) {
   // A mirrored Dense must receive gradient contributions from both uses.
   Rng rng(12);
   Dense donor(4, Act::kLinear, rng);
@@ -197,10 +192,6 @@ TEST_P(GradCheck, SharedDenseAccumulatesBothBranches) {
     EXPECT_LT(rel_err(w->grad[i], num), 2e-2f) << "shared w slot " << i;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(KernelModes, GradCheck,
-                         ::testing::ValuesIn(ncnas::testing::kernel_mode_params()),
-                         ncnas::testing::kernel_mode_name);
 
 }  // namespace
 }  // namespace ncnas::nn

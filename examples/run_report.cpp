@@ -476,6 +476,15 @@ int main(int argc, char** argv) {
       std::cerr << "cannot read " << result_path << "\n";
       return 1;
     }
+    // The decision histogram indexes each record's choices by the space's
+    // decisions, so a log of another space is refused here, not mid-report.
+    for (const nas::EvalRecord& e : res->evals) {
+      if (!sp->is_valid(e.arch)) {
+        std::cerr << result_path << " holds an architecture that is not in space '" << space_name
+                  << "'\n";
+        return 1;
+      }
+    }
   }
 
   std::vector<obs::JournalEvent> events;

@@ -38,7 +38,8 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E434B50u;
 /// longer stored; they are counted over the records at the end of the run.
 /// v5: an agent's in-flight RL batch carries its PPO update's outcome, and
 /// its controller is stored as that update left it.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// v6: an agent cache's state no longer carries hit and miss counts.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Raised on any malformed, truncated, corrupted, or mismatched snapshot.
 /// Never silently loads bad state — the error message says what failed.

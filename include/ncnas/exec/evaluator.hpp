@@ -202,13 +202,9 @@ class CachedEvaluator {
   void insert(const space::ArchEncoding& arch, const EvalResult& result) const;
   void erase(const space::ArchEncoding& arch) const;
 
-  [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
-  [[nodiscard]] std::size_t erases() const noexcept { return erases_; }
   [[nodiscard]] std::size_t unique_archs() const noexcept { return cache_.size(); }
   /// The key prefix given at construction.
   [[nodiscard]] const std::string& context_key() const noexcept { return context_key_; }
-  void clear();
 
   /// --- checkpoint/restore ---------------------------------------------------
   /// Serializable cache contents. Entries are sorted by architecture key so
@@ -216,8 +212,6 @@ class CachedEvaluator {
   /// joined, so export waits for any training an entry still holds.
   struct State {
     std::vector<std::pair<std::string, EvalResult>> entries;
-    std::size_t hits = 0;
-    std::size_t misses = 0;
   };
   [[nodiscard]] State export_state() const;
   void import_state(const State& state);
@@ -227,9 +221,6 @@ class CachedEvaluator {
 
   std::string context_key_;
   mutable std::unordered_map<std::string, EvalResult> cache_;
-  mutable std::size_t hits_ = 0;
-  mutable std::size_t misses_ = 0;
-  mutable std::size_t erases_ = 0;
   obs::Counter* lookup_hits_ = nullptr;
   obs::Counter* lookup_misses_ = nullptr;
   obs::Counter* inserts_ = nullptr;

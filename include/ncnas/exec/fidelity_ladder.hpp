@@ -49,10 +49,6 @@ struct LadderConfig {
   std::vector<FidelityConfig> rungs;
   /// Promotion divisor: `ceil(alive / eta)` candidates survive each rung.
   std::size_t eta = 3;
-  /// Inherit trained weights across rungs (successive halving with weight
-  /// inheritance). When false every rung trains from scratch at its
-  /// cumulative epoch count — the classic, costlier SH variant.
-  bool warm_start = true;
 
   [[nodiscard]] bool enabled() const noexcept { return rungs.size() >= 2; }
   /// Canonical encoding for config_fingerprint / context keys.

@@ -44,24 +44,14 @@ class SharedEvalCache {
  public:
   /// Per-tenant accounting. `cross_tenant_hits` counts hits served from an
   /// entry that a *different* tenant trained — the train-once/serve-many
-  /// savings the cache exists for. `evictions` counts entries of this
-  /// tenant's ownership that the size bound pushed out.
+  /// savings the cache exists for.
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t inserts = 0;
     std::size_t cross_tenant_hits = 0;
     std::size_t erases = 0;
-    std::size_t evictions = 0;
   };
-
-  /// `max_entries` bounds the store: when an insert would exceed it, the
-  /// oldest-inserted entries are evicted (deterministic FIFO — insertion
-  /// order is a pure function of the request sequence, so two identical
-  /// scenarios evict identically). 0 keeps the classic unbounded store.
-  explicit SharedEvalCache(std::size_t max_entries = 0) : max_entries_(max_entries) {}
-
-  [[nodiscard]] std::size_t max_entries() const noexcept { return max_entries_; }
 
   /// Returns the stored result (marked cache_hit + shared_hit) or nullopt.
   /// Records a hit/miss against `tenant`.
@@ -83,25 +73,17 @@ class SharedEvalCache {
   [[nodiscard]] Stats stats(std::uint32_t tenant) const;
   /// Sum over all tenants.
   [[nodiscard]] Stats totals() const;
-  void clear();
 
  private:
   struct Entry {
     EvalResult result;
     std::uint32_t owner = 0;
-    std::uint64_t ins = 0;  ///< insertion sequence (FIFO eviction order)
   };
   [[nodiscard]] static std::string map_key(const std::string& context_key,
                                            const std::string& arch_key);
-  void evict_to_bound_locked();  // requires mu_
 
-  std::size_t max_entries_ = 0;
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
-  /// Insertion sequence → key, mirroring entries_: the eviction policy pops
-  /// the smallest sequence (oldest insert) without scanning the whole map.
-  std::map<std::uint64_t, std::string> order_;
-  std::uint64_t next_ins_ = 0;
   mutable std::map<std::uint32_t, Stats> stats_;
 };
 

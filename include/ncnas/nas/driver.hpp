@@ -66,6 +66,12 @@ struct ClusterConfig {
   }
 };
 
+/// Simulated seconds for the PPO update + PS round trip between an agent's
+/// cycles.
+inline constexpr double kAgentOverheadSeconds = 2.0;
+/// Consecutive fully-cached cycles after which an agent has converged.
+inline constexpr std::size_t kConvergenceStreak = 5;
+
 struct SearchConfig {
   SearchStrategy strategy = SearchStrategy::kA3C;
   ClusterConfig cluster;
@@ -85,10 +91,6 @@ struct SearchConfig {
   std::uint64_t seed = 42;
   /// Architectures generated per agent cycle; 0 means workers_per_agent.
   std::size_t batch_per_agent = 0;
-  /// Simulated seconds for the PPO update + PS round trip between cycles.
-  double agent_overhead_seconds = 2.0;
-  /// Consecutive fully-cached cycles per agent before declaring convergence.
-  std::size_t convergence_streak = 5;
   /// Hard cap on evaluations (0 = none); a safety valve for tests.
   std::size_t max_evaluations = 0;
   /// A3C recent-gradient averaging window (1 = apply each delta directly).

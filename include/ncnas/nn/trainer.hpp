@@ -1,12 +1,10 @@
 // Trainer — minibatch gradient-descent training of a Graph model.
 //
 // Mirrors the paper's reward-estimation recipe: Adam (lr 1e-3), a configurable
-// number of epochs (1 during the search, 20 in post-training), an optional
-// subset fraction of the training data (Combo searches on 10–40 %), and a
-// stop predicate used to model evaluation timeouts.
+// number of epochs (1 during the search, 20 in post-training) and an optional
+// subset fraction of the training data (Combo searches on 10–40 %).
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -26,14 +24,11 @@ struct TrainOptions {
   /// Fraction of the training rows actually used (sampled once, then shuffled
   /// every epoch). 1.0 = full data.
   double subset_fraction = 1.0;
-  /// Invoked before every batch; returning true aborts training (timeout).
-  std::function<bool()> should_stop;
 };
 
 struct TrainResult {
   std::vector<float> epoch_losses;  ///< mean train loss per completed epoch
   std::size_t batches_run = 0;
-  bool stopped_early = false;       ///< true when should_stop fired
 };
 
 /// Extracts rows [begin, end) from a rank-2 tensor.

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -189,9 +190,13 @@ class HttpExporter {
   std::unique_ptr<std::thread> thread_;
 };
 
+/// How long http_get waits for a whole response.
+inline constexpr std::chrono::milliseconds kHttpGetBudget{2000};
+
 /// Blocking HTTP GET against a local exporter (used by nas_top and tests).
-/// Returns the body, or nullopt on connect/transport failure; `status_out`
-/// (optional) receives the HTTP status code.
+/// Returns the body, or nullopt on connect/transport failure, on a server
+/// that has not closed the response within kHttpGetBudget, or on one over
+/// 8 MiB; `status_out` (optional) receives the HTTP status code.
 [[nodiscard]] std::optional<std::string> http_get(const std::string& host, int port,
                                                   const std::string& path,
                                                   int* status_out = nullptr);

@@ -69,11 +69,11 @@ class Telemetry {
 
   /// Opt into health watching (enables the journal too). The watchdog
   /// subscribes to the journal and emits its verdicts back through emit().
-  /// Idempotent; `cfg` applies on first call only.
-  HealthWatchdog& enable_watchdog(WatchdogConfig cfg = {}) {
+  /// Idempotent.
+  HealthWatchdog& enable_watchdog() {
     if (!watchdog_) {
       Journal& journal = enable_journal();
-      watchdog_ = std::make_unique<HealthWatchdog>(cfg, this);
+      watchdog_ = std::make_unique<HealthWatchdog>(this);
       HealthWatchdog* w = watchdog_.get();
       journal.subscribe([w](const JournalEvent& e) { w->on_event(e); });
     }

@@ -3,15 +3,14 @@
 // for stuck workers (the paper's 10-minute-timeout discipline):
 //
 //   straggler — a finished evaluation whose simulated duration exceeded
-//   `straggler_multiple` x the expected task duration. The expectation is
-//   either pinned (`expected_seconds`, the cost model's nominal duration for
-//   the configured workload) or self-calibrated as the running mean of
-//   completed evaluations after `min_samples` warm-up. Every eval_timeout is
-//   a straggler by definition: it blew the paper's kill timer.
+//   kStragglerMultiple x the expected task duration. The expectation is the
+//   running mean of completed evaluations, once kMinSamples of them have
+//   finished. Every eval_timeout is a straggler by definition: it blew the
+//   paper's kill timer.
 //
 //   stall — an agent that stays silent (no journal event) while the rest of
-//   the run advances past its last activity by more than the stall window
-//   (`stall_seconds`, or `stall_multiple` x expected duration when 0).
+//   the run advances past its last activity by more than kStallMultiple x
+//   the expected duration.
 //
 // Verdicts go into the WatchdogReport (for tooling) and back into the event
 // stream as straggler_detected / agent_stalled events through
@@ -33,20 +32,13 @@ namespace ncnas::obs {
 
 class Telemetry;  // telemetry.hpp includes this header; break the cycle
 
-struct WatchdogConfig {
-  /// Finished evals slower than multiple x expected duration are stragglers.
-  double straggler_multiple = 3.0;
-  /// Pinned expected task duration in simulated seconds; 0 self-calibrates
-  /// from the running mean of completed evaluations.
-  double expected_seconds = 0.0;
-  /// Completed evaluations required before self-calibrated flagging starts.
-  std::size_t min_samples = 8;
-  /// Agent silence window as a multiple of the expected duration.
-  double stall_multiple = 20.0;
-  /// Explicit silence window in simulated seconds; 0 derives it from
-  /// stall_multiple x expected duration.
-  double stall_seconds = 0.0;
-};
+/// Finished evals slower than this multiple of the expected duration are
+/// stragglers.
+inline constexpr double kStragglerMultiple = 3.0;
+/// Completed evaluations that calibrate the expectation before any flagging.
+inline constexpr std::size_t kMinSamples = 8;
+/// Agent silence window as a multiple of the expected duration.
+inline constexpr double kStallMultiple = 20.0;
 
 struct StragglerVerdict {
   std::uint32_t agent = kNoAgent;
@@ -76,7 +68,7 @@ class HealthWatchdog {
   /// `telemetry` (optional, must outlive the watchdog) receives the verdict
   /// events and the expectation gauge. With null the watchdog only
   /// accumulates its report — the replay configuration run_report uses.
-  explicit HealthWatchdog(WatchdogConfig cfg = {}, Telemetry* telemetry = nullptr);
+  explicit HealthWatchdog(Telemetry* telemetry = nullptr);
   HealthWatchdog(const HealthWatchdog&) = delete;
   HealthWatchdog& operator=(const HealthWatchdog&) = delete;
 
@@ -85,13 +77,10 @@ class HealthWatchdog {
   void on_event(const JournalEvent& e);
 
   [[nodiscard]] WatchdogReport report() const;
-  [[nodiscard]] const WatchdogConfig& config() const noexcept { return cfg_; }
 
  private:
   [[nodiscard]] double expected_locked() const;
-  [[nodiscard]] double stall_window_locked() const;
 
-  WatchdogConfig cfg_;
   Telemetry* telemetry_;
   Gauge* expected_gauge_ = nullptr;
 

@@ -27,13 +27,19 @@ struct Rollout {
   std::vector<float> values;     ///< V_old(s_t), per step
 };
 
+/// LSTM units of the controller (the paper's 32).
+inline constexpr std::size_t kControllerHidden = 32;
+/// Width of the learned action embedding fed back at each step.
+inline constexpr std::size_t kControllerEmbed = 16;
+/// Weight of the value loss in the PPO objective. The advantages are always
+/// normalized to zero mean and unit variance over a batch.
+inline constexpr float kValueCoef = 0.5f;
+
 struct PpoConfig {
   int epochs = 4;           ///< the paper's PPO epochs
   float clip = 0.2f;        ///< the paper's clip epsilon
   float learning_rate = 0.001f;
-  float value_coef = 0.5f;
   float entropy_coef = 0.01f;
-  bool normalize_advantages = true;
 };
 
 struct PpoStats {
@@ -46,8 +52,7 @@ struct PpoStats {
 class Controller {
  public:
   /// `arities[t]` is the option count of decision t (SearchSpace::arities()).
-  Controller(std::vector<std::size_t> arities, std::uint64_t seed,
-             std::size_t hidden = 32, std::size_t embed = 16);
+  Controller(std::vector<std::size_t> arities, std::uint64_t seed);
 
   [[nodiscard]] std::size_t num_steps() const noexcept { return arities_.size(); }
   [[nodiscard]] const std::vector<std::size_t>& arities() const noexcept { return arities_; }
@@ -114,15 +119,13 @@ class Controller {
   [[nodiscard]] float head_value(const float* h) const;
 
   std::vector<std::size_t> arities_;
-  std::size_t hidden_;
-  std::size_t embed_dim_;
   std::size_t max_arity_;
 
-  nn::ParamPtr embed_;  // [max_arity + 1, embed_dim]; row 0 = start token
+  nn::ParamPtr embed_;  // [max_arity + 1, kControllerEmbed]; row 0 = start token
   nn::LstmCell lstm_;
-  nn::ParamPtr wpi_;    // [hidden, max_arity]
+  nn::ParamPtr wpi_;    // [kControllerHidden, max_arity]
   nn::ParamPtr bpi_;    // [max_arity]
-  nn::ParamPtr wv_;     // [hidden, 1]
+  nn::ParamPtr wv_;     // [kControllerHidden, 1]
   nn::ParamPtr bv_;     // [1]
   std::vector<nn::ParamPtr> params_;  // flat-vector order: embed, lstm, wpi, bpi, wv, bv
   nn::Adam adam_;

@@ -204,11 +204,9 @@ std::string CachedEvaluator::map_key(const space::ArchEncoding& arch) const {
 std::optional<EvalResult> CachedEvaluator::lookup(const space::ArchEncoding& arch) const {
   const auto it = cache_.find(map_key(arch));
   if (it == cache_.end()) {
-    ++misses_;
     if (lookup_misses_ != nullptr) lookup_misses_->inc();
     return std::nullopt;
   }
-  ++hits_;
   if (lookup_hits_ != nullptr) lookup_hits_->inc();
   EvalResult hit = it->second;
   hit.cache_hit = true;
@@ -221,17 +219,7 @@ void CachedEvaluator::insert(const space::ArchEncoding& arch, const EvalResult& 
 }
 
 void CachedEvaluator::erase(const space::ArchEncoding& arch) const {
-  if (cache_.erase(map_key(arch)) != 0) {
-    ++erases_;
-    if (erases_counter_ != nullptr) erases_counter_->inc();
-  }
-}
-
-void CachedEvaluator::clear() {
-  cache_.clear();
-  hits_ = 0;
-  misses_ = 0;
-  erases_ = 0;
+  if (cache_.erase(map_key(arch)) != 0 && erases_counter_ != nullptr) erases_counter_->inc();
 }
 
 CachedEvaluator::State CachedEvaluator::export_state() const {
@@ -240,16 +228,12 @@ CachedEvaluator::State CachedEvaluator::export_state() const {
   for (auto& entry : out.entries) entry.second.join();
   std::sort(out.entries.begin(), out.entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.hits = hits_;
-  out.misses = misses_;
   return out;
 }
 
 void CachedEvaluator::import_state(const State& state) {
   cache_.clear();
   for (const auto& [key, result] : state.entries) cache_.emplace(key, result);
-  hits_ = state.hits;
-  misses_ = state.misses;
 }
 
 }  // namespace ncnas::exec

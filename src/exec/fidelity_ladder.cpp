@@ -24,8 +24,6 @@ std::string canon(double v) {
 std::string LadderConfig::fingerprint() const {
   std::string out = "eta";
   out += std::to_string(eta);
-  out += ":ws";
-  out += warm_start ? '1' : '0';
   for (std::size_t r = 0; r < rungs.size(); ++r) {
     const FidelityConfig& f = rungs[r];
     out += r == 0 ? ":" : ";";
@@ -137,7 +135,7 @@ void FidelityLadder::run_rung(std::vector<Candidate>& cands, std::size_t rung,
 
   // Serial phase 1: rung-cache lookups. A hit serves the rung reward but not
   // the weights — a later promotion trains from scratch at the cumulative
-  // epoch count (the warm-vs-scratch parity the tests bound).
+  // epoch count.
   std::vector<std::size_t> work;
   for (Candidate& c : cands) {
     if (c.eliminated) continue;
@@ -168,7 +166,7 @@ void FidelityLadder::run_rung(std::vector<Candidate>& cands, std::size_t rung,
 
   const auto train_one = [&](std::size_t i) {
     Candidate& c = cands[work[i]];
-    const bool warm = config_.warm_start && c.model.has_value();
+    const bool warm = c.model.has_value();
     std::size_t epochs = fid.epochs;
     if (warm && rung > 0) epochs -= config_.rungs[rung - 1].epochs;
 
@@ -194,8 +192,8 @@ void FidelityLadder::run_rung(std::vector<Candidate>& cands, std::size_t rung,
 
     // Rung r's optimizer stream: split(1 + r) of the agent seed. Rung 0
     // therefore replays the flat evaluator's stream exactly (split(1)),
-    // and a scratch training at rung r (rung-hit gap, warm_start=false)
-    // draws the same stream a warm rung-r continuation would.
+    // and a scratch training at rung r (after a rung hit, which carries no
+    // weights) draws the same stream a warm rung-r continuation would.
     const TrainOutcome out = fit_and_score(*c.model, *dataset_, fid, epochs,
                                            tensor::Rng(seed).split(1 + rung), reward_fn_, c.res,
                                            train_wall_ms_);

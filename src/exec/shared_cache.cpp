@@ -85,28 +85,9 @@ void SharedEvalCache::insert(const std::string& context_key, const std::string& 
   EvalResult stored = result;
   stored.cache_hit = false;
   stored.shared_hit = false;
-  const auto [it, inserted] = entries_.emplace(map_key(context_key, arch_key),
-                                               Entry{stored, tenant, next_ins_});
-  if (!inserted) return;  // first writer wins; no new insertion slot
-  order_.emplace(next_ins_, it->first);
-  ++next_ins_;
-  ++stats_[tenant].inserts;
-  evict_to_bound_locked();
-}
-
-// FIFO eviction down to the bound. The just-inserted entry carries the
-// largest sequence, so it is never the victim (a cache of max_entries >= 1
-// always retains what it just stored).
-void SharedEvalCache::evict_to_bound_locked() {
-  if (max_entries_ == 0) return;
-  while (entries_.size() > max_entries_ && !order_.empty()) {
-    const auto oldest = order_.begin();
-    const auto it = entries_.find(oldest->second);
-    if (it != entries_.end()) {
-      ++stats_[it->second.owner].evictions;
-      entries_.erase(it);
-    }
-    order_.erase(oldest);
+  // First writer wins: a duplicate insert leaves the entry and its owner.
+  if (entries_.emplace(map_key(context_key, arch_key), Entry{stored, tenant}).second) {
+    ++stats_[tenant].inserts;
   }
 }
 
@@ -115,7 +96,6 @@ void SharedEvalCache::erase(const std::string& context_key, const std::string& a
   const auto it = entries_.find(map_key(context_key, arch_key));
   if (it == entries_.end()) return;
   ++stats_[it->second.owner].erases;
-  order_.erase(it->second.ins);
   entries_.erase(it);
 }
 
@@ -140,17 +120,8 @@ SharedEvalCache::Stats SharedEvalCache::totals() const {
     out.inserts += s.inserts;
     out.cross_tenant_hits += s.cross_tenant_hits;
     out.erases += s.erases;
-    out.evictions += s.evictions;
   }
   return out;
-}
-
-void SharedEvalCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  order_.clear();
-  next_ins_ = 0;
-  stats_.clear();
 }
 
 }  // namespace ncnas::exec

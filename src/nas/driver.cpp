@@ -268,7 +268,7 @@ NCNAS_SNAPSHOT_FIELDS(nas::EvalRecord, e, e.time, e.reward, e.params, e.sim_dura
                       e.shared_hit, e.timed_out, e.failed, e.agent, e.attempts, e.rung, e.arch);
 NCNAS_SNAPSHOT_FIELDS(exec::EvalResult, r, r.reward, r.sim_duration, r.params, r.timed_out,
                       r.cache_hit, r.shared_hit, r.train_wall_ms, r.rung);
-NCNAS_SNAPSHOT_FIELDS(exec::CachedEvaluator::State, c, c.entries, c.hits, c.misses);
+NCNAS_SNAPSHOT_FIELDS(exec::CachedEvaluator::State, c, c.entries);
 NCNAS_SNAPSHOT_FIELDS(exec::UtilizationMonitor::State, m, m.intervals, m.losses, m.busy_seconds);
 NCNAS_SNAPSHOT_FIELDS(nas::ParameterServer::State, s, s.params, s.pending, s.submitted, s.active,
                       s.active_count, s.pending_count, s.last_arrival, s.recent, s.recent_next,
@@ -1087,7 +1087,7 @@ void SearchRun::a2c_release_stuck(double now) {
   const double release_t =
       std::max(a2c_round_time_, now) + fx_->plan().barrier_timeout_seconds;
   (void)ps_->try_release(release_t);
-  a2c_begin_round(release_t + config_.agent_overhead_seconds);
+  a2c_begin_round(release_t + kAgentOverheadSeconds);
 }
 
 void SearchRun::emit(obs::JournalEventType type, double t, std::uint32_t agent,
@@ -1126,7 +1126,7 @@ bool SearchRun::process_completion(const Completion& done) {
     result_.evals.push_back(rec);
   }
   agent.cached_streak = all_cached ? agent.cached_streak + 1 : 0;
-  if (agent.cached_streak == config_.convergence_streak) {
+  if (agent.cached_streak == kConvergenceStreak) {
     emit(obs::JournalEventType::kAgentConverged, t, static_cast<std::uint32_t>(agent.id),
          {{"streak", static_cast<double>(agent.cached_streak)}});
   }
@@ -1151,7 +1151,7 @@ bool SearchRun::process_completion(const Completion& done) {
   const bool converged =
       std::ranges::all_of(agents_,
                           [&](const AgentState& a) {
-                            return a.dead || a.cached_streak >= config_.convergence_streak;
+                            return a.dead || a.cached_streak >= kConvergenceStreak;
                           }) &&
       std::ranges::any_of(agents_, [](const AgentState& a) { return !a.dead; });
   if (converged) {
@@ -1161,7 +1161,7 @@ bool SearchRun::process_completion(const Completion& done) {
   }
 
   if (!rl_enabled_) {
-    start_cycle(agent, t + config_.agent_overhead_seconds);
+    start_cycle(agent, t + kAgentOverheadSeconds);
     return false;
   }
 
@@ -1174,7 +1174,7 @@ bool SearchRun::process_completion(const Completion& done) {
       if (a2c_outstanding_ > 0) --a2c_outstanding_;
       a2c_round_time_ = std::max(a2c_round_time_, t);
       if (ps_->deactivate(agent.id, t)) {
-        a2c_begin_round(a2c_round_time_ + config_.agent_overhead_seconds);
+        a2c_begin_round(a2c_round_time_ + kAgentOverheadSeconds);
       } else {
         a2c_release_stuck(t);
       }
@@ -1200,7 +1200,7 @@ bool SearchRun::process_completion(const Completion& done) {
       fx_ != nullptr ? fx_->exchange_fault(agent.id, agent.exchange_seq++)
                      : exec::FaultInjector::ExchangeFault{};
   if (config_.strategy == SearchStrategy::kA3C) {
-    double resume = t + config_.agent_overhead_seconds;
+    double resume = t + kAgentOverheadSeconds;
     if (ef.drop) {
       // The delta is lost in flight; the agent carries on with the stale
       // parameters it already holds.
@@ -1235,7 +1235,7 @@ bool SearchRun::process_completion(const Completion& done) {
       round_complete = ps_->submit(agent.id, delta, arrival);
     }
     if (round_complete) {
-      a2c_begin_round(a2c_round_time_ + config_.agent_overhead_seconds);
+      a2c_begin_round(a2c_round_time_ + kAgentOverheadSeconds);
     } else {
       a2c_release_stuck(t);
     }

@@ -153,7 +153,6 @@ std::string config_fingerprint(const SearchConfig& cfg, const std::string& space
      << cfg.fidelity.valid_fraction << '|' << cfg.cost.startup_seconds << ','
      << cfg.cost.seconds_per_megaunit << ',' << cfg.cost.jitter_frac << ','
      << cfg.cost.timeout_seconds << '|' << cfg.seed << '|' << cfg.batch_per_agent << '|'
-     << cfg.agent_overhead_seconds << '|' << cfg.convergence_streak << '|'
      << cfg.max_evaluations << '|' << cfg.async_window << '|' << cfg.use_cache;
   if (cfg.strategy == SearchStrategy::kEvolution) {
     // Appended only for EVO so fingerprints of existing RL/RDM logs stay

@@ -87,13 +87,6 @@ TrainResult fit(Graph& model, std::span<const Tensor> inputs, const Tensor& targ
     double epoch_loss = 0.0;
     std::size_t epoch_batches = 0;
     for (std::size_t start = 0; start < index.size(); start += opts.batch_size) {
-      if (opts.should_stop && opts.should_stop()) {
-        result.stopped_early = true;
-        if (epoch_batches > 0) {
-          result.epoch_losses.push_back(static_cast<float>(epoch_loss / epoch_batches));
-        }
-        return result;
-      }
       const std::size_t stop = std::min(start + opts.batch_size, index.size());
       const std::span<const std::size_t> batch_rows(index.data() + start, stop - start);
       {

@@ -3,7 +3,8 @@
 // pre-rendered strings, so there is nothing to gain from concurrency and
 // everything to lose (a slow scraper must never hold telemetry locks). Each
 // connection gets a fixed time budget for its request, so a client that
-// connects and sends nothing costs one budget, not the server.
+// connects and sends nothing costs one budget, not the server; the client
+// likewise gives a server that accepts and never answers one budget.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -33,6 +34,8 @@ constexpr std::chrono::milliseconds kRequestBudget{500};
 constexpr int kPollSliceMs = 50;
 /// A request head larger than this is answered from what has arrived.
 constexpr std::size_t kMaxRequestBytes = 16384;
+/// http_get refuses a response larger than this.
+constexpr std::size_t kMaxResponseBytes = std::size_t{8} << 20;
 
 void count_error(Counter* counter) {
   if (counter != nullptr) counter->inc();
@@ -62,25 +65,28 @@ const char* status_text(int status) {
   }
 }
 
-/// Reads `conn` until the request head is complete, the peer closes, or the
-/// head reaches kMaxRequestBytes. Returns false when the budget runs out or
-/// the server is stopping first.
-bool read_request(int conn, const std::atomic<bool>& stop, std::string& request) {
-  const auto deadline = std::chrono::steady_clock::now() + kRequestBudget;
-  char buf[2048];
-  while (request.find("\r\n\r\n") == std::string::npos && request.size() < kMaxRequestBytes) {
+/// Appends what `fd` delivers to `out` until `done(out)` holds, the peer
+/// closes, or `out` reaches `cap` bytes. Waits in kPollSliceMs slices so a
+/// set `stop` (optional) ends it promptly. Returns false when `budget` runs
+/// out or `stop` is set first.
+template <class Done>
+bool recv_within(int fd, std::chrono::milliseconds budget, std::size_t cap,
+                 const std::atomic<bool>* stop, Done done, std::string& out) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  char buf[4096];
+  while (!done(out) && out.size() < cap) {
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
                           deadline - std::chrono::steady_clock::now())
                           .count();
-    if (left <= 0 || stop.load(std::memory_order_relaxed)) return false;
-    pollfd pfd{conn, POLLIN, 0};
+    if (left <= 0 || (stop != nullptr && stop->load(std::memory_order_relaxed))) return false;
+    pollfd pfd{fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, static_cast<int>(std::min<long long>(left, kPollSliceMs)));
     if (ready < 0 && errno != EINTR) return false;
     if (ready <= 0) continue;
-    const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // the peer closed (or failed): answer what arrived
-    request.append(buf, static_cast<std::size_t>(n));
+    if (n <= 0) break;  // the peer closed (or failed): keep what arrived
+    out.append(buf, static_cast<std::size_t>(n));
   }
   return true;
 }
@@ -174,8 +180,13 @@ void HttpExporter::serve() {
       if (!stop_.load(std::memory_order_relaxed)) count_error(errors_);
       continue;
     }
+    // Read until the request head is complete; a head that reaches
+    // kMaxRequestBytes is answered from what has arrived.
     std::string request;
-    if (!read_request(conn, stop_, request)) {
+    const auto head_done = [](const std::string& r) {
+      return r.find("\r\n\r\n") != std::string::npos;
+    };
+    if (!recv_within(conn, kRequestBudget, kMaxRequestBytes, &stop_, head_done, request)) {
       if (!stop_.load(std::memory_order_relaxed)) count_error(errors_);
       ::close(conn);
       continue;
@@ -205,15 +216,13 @@ std::optional<std::string> http_get(const std::string& host, int port, const std
     ::close(fd);
     return std::nullopt;
   }
+  // Connection: close, so the response ends when the server closes.
   std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
+  const bool closed = recv_within(
+      fd, kHttpGetBudget, kMaxResponseBytes, nullptr, [](const std::string&) { return false; },
+      response);
   ::close(fd);
+  if (!closed || response.size() >= kMaxResponseBytes) return std::nullopt;
   if (response.rfind("HTTP/", 0) != 0) return std::nullopt;
   if (status_out != nullptr) {
     const std::size_t sp = response.find(' ');

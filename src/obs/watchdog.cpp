@@ -6,25 +6,15 @@
 
 namespace ncnas::obs {
 
-HealthWatchdog::HealthWatchdog(WatchdogConfig cfg, Telemetry* telemetry)
-    : cfg_(cfg), telemetry_(telemetry) {
+HealthWatchdog::HealthWatchdog(Telemetry* telemetry) : telemetry_(telemetry) {
   if (telemetry_ != nullptr) {
     expected_gauge_ = &telemetry_->metrics().gauge("ncnas_watchdog_expected_eval_seconds");
   }
 }
 
 double HealthWatchdog::expected_locked() const {
-  if (cfg_.expected_seconds > 0.0) return cfg_.expected_seconds;
-  if (duration_count_ >= cfg_.min_samples && duration_count_ > 0) {
-    return duration_sum_ / static_cast<double>(duration_count_);
-  }
-  return 0.0;
-}
-
-double HealthWatchdog::stall_window_locked() const {
-  if (cfg_.stall_seconds > 0.0) return cfg_.stall_seconds;
-  const double expected = expected_locked();
-  return expected > 0.0 ? cfg_.stall_multiple * expected : 0.0;
+  if (duration_count_ < kMinSamples) return 0.0;
+  return duration_sum_ / static_cast<double>(duration_count_);
 }
 
 void HealthWatchdog::on_event(const JournalEvent& e) {
@@ -57,7 +47,7 @@ void HealthWatchdog::on_event(const JournalEvent& e) {
         new_stragglers.push_back({e.agent, e.t, duration, expected, true});
       } else if (!timed_out) {
         ++report_.evals_seen;
-        if (expected > 0.0 && duration > cfg_.straggler_multiple * expected) {
+        if (expected > 0.0 && duration > kStragglerMultiple * expected) {
           new_stragglers.push_back({e.agent, e.t, duration, expected, false});
         }
         duration_sum_ += duration;
@@ -67,7 +57,7 @@ void HealthWatchdog::on_event(const JournalEvent& e) {
       report_.expected_eval_seconds = expected_now;
     }
 
-    const double window = stall_window_locked();
+    const double window = kStallMultiple * expected_locked();
     if (window > 0.0) {
       for (auto& [id, track] : agents_) {
         if (id == e.agent || track.stalled) continue;
@@ -91,7 +81,7 @@ void HealthWatchdog::on_event(const JournalEvent& e) {
     telemetry_->emit(T::kStragglerDetected, v.t, v.agent,
                      {{"duration_s", v.duration_s},
                       {"expected_s", v.expected_s},
-                      {"multiple", cfg_.straggler_multiple},
+                      {"multiple", kStragglerMultiple},
                       {"timed_out", v.timed_out ? 1.0 : 0.0}});
   }
   for (const StallVerdict& v : new_stalls) {

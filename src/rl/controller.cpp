@@ -28,36 +28,33 @@ void masked_softmax_row(const float* logits, std::size_t arity, std::size_t widt
   for (std::size_t j = arity; j < width; ++j) probs[j] = 0.0f;
 }
 
-nn::LstmCell make_cell(std::size_t embed, std::size_t hidden, std::uint64_t seed) {
+nn::LstmCell make_cell(std::uint64_t seed) {
   tensor::Rng rng(seed ^ 0xA5A5A5A5A5A5A5A5ull);
-  return {embed, hidden, rng};
+  return {kControllerEmbed, kControllerHidden, rng};
 }
 
 }  // namespace
 
-Controller::Controller(std::vector<std::size_t> arities, std::uint64_t seed, std::size_t hidden,
-                       std::size_t embed)
+Controller::Controller(std::vector<std::size_t> arities, std::uint64_t seed)
     : arities_(std::move(arities)),
-      hidden_(hidden),
-      embed_dim_(embed),
       max_arity_(arities_.empty() ? 0
                                   : *std::max_element(arities_.begin(), arities_.end())),
-      lstm_(make_cell(embed, hidden, seed)),
+      lstm_(make_cell(seed)),
       adam_(0.001f) {
   if (arities_.empty()) throw std::invalid_argument("Controller: empty arity list");
   for (std::size_t a : arities_) {
     if (a == 0) throw std::invalid_argument("Controller: zero-arity decision");
   }
   tensor::Rng rng(seed);
-  Tensor emb({max_arity_ + 1, embed_dim_});
+  Tensor emb({max_arity_ + 1, kControllerEmbed});
   nn::scaled_normal(emb, 0.1f, rng);
   embed_ = std::make_shared<nn::Parameter>("ctrl.embed", std::move(emb));
-  Tensor wpi({hidden_, max_arity_});
-  nn::glorot_uniform(wpi, hidden_, max_arity_, rng);
+  Tensor wpi({kControllerHidden, max_arity_});
+  nn::glorot_uniform(wpi, kControllerHidden, max_arity_, rng);
   wpi_ = std::make_shared<nn::Parameter>("ctrl.wpi", std::move(wpi));
   bpi_ = std::make_shared<nn::Parameter>("ctrl.bpi", Tensor({max_arity_}));
-  Tensor wv({hidden_, 1});
-  nn::glorot_uniform(wv, hidden_, 1, rng);
+  Tensor wv({kControllerHidden, 1});
+  nn::glorot_uniform(wv, kControllerHidden, 1, rng);
   wv_ = std::make_shared<nn::Parameter>("ctrl.wv", std::move(wv));
   bv_ = std::make_shared<nn::Parameter>("ctrl.bv", Tensor({1}));
   params_.push_back(embed_);
@@ -74,16 +71,16 @@ void Controller::policy_row(float* row, std::size_t arity) const {
 float Controller::head_value(const float* h) const {
   const float* w = wv_->value.data();
   float v = bv_->value[0];
-  for (std::size_t j = 0; j < hidden_; ++j) v += h[j] * w[j];
+  for (std::size_t j = 0; j < kControllerHidden; ++j) v += h[j] * w[j];
   return v;
 }
 
 const float* Controller::decode_step(std::size_t t, std::size_t token) const {
   nn::LstmWorkspace& lw = ws_.lstm;
-  std::copy_n(embed_->value.data() + token * embed_dim_, embed_dim_, lw.input(t));
+  std::copy_n(embed_->value.data() + token * kControllerEmbed, kControllerEmbed, lw.input(t));
   lstm_.forward_step(lw, t);
   float* row = ws_.probs.data() + t * max_arity_;
-  tensor::gemm_rows(lw.output(t), wpi_->value.data(), row, 1, hidden_, max_arity_);
+  tensor::gemm_rows(lw.output(t), wpi_->value.data(), row, 1, kControllerHidden, max_arity_);
   policy_row(row, arities_[t]);
   return row;
 }
@@ -151,7 +148,7 @@ PpoStats Controller::ppo_update(std::span<const Rollout> rollouts,
     }
   }
   adam_.set_learning_rate(cfg.learning_rate);
-  const std::size_t H = hidden_, A = max_arity_, E = embed_dim_;
+  const std::size_t H = kControllerHidden, A = max_arity_, E = kControllerEmbed;
   Workspace& ws = ws_;
   nn::grow_buffer(ws.probs, T * B * A);
   nn::grow_buffer(ws.values, T * B);
@@ -169,7 +166,7 @@ PpoStats Controller::ppo_update(std::span<const Rollout> rollouts,
   for (std::size_t b = 0; b < B; ++b) {
     for (std::size_t t = 0; t < T; ++t) adv[b * T + t] = rewards[b] - rollouts[b].values[t];
   }
-  if (cfg.normalize_advantages && n_adv > 1) {
+  if (n_adv > 1) {
     double mean = 0.0;
     for (std::size_t i = 0; i < n_adv; ++i) mean += adv[i];
     mean /= static_cast<double>(n_adv);
@@ -247,8 +244,8 @@ PpoStats Controller::ppo_update(std::span<const Rollout> rollouts,
 
         // Value loss: 0.5 * c_v * (V - R)^2.
         const float verr = ws.values[t * B + b] - rewards[b];
-        value_loss += 0.5f * cfg.value_coef * verr * verr * inv_bt;
-        ws.dvalues[t * B + b] = cfg.value_coef * verr * inv_bt;
+        value_loss += 0.5f * kValueCoef * verr * verr * inv_bt;
+        ws.dvalues[t * B + b] = kValueCoef * verr * inv_bt;
       }
     }
 

@@ -209,15 +209,12 @@ class Lstm {
 class Controller {
  public:
   /// `flat` is rl::Controller::get_flat() of a controller built with the same
-  /// arities and dims; the oracle starts from those parameters and a fresh
-  /// Adam. `kernels` picks what its products run on.
+  /// arities; the oracle starts from those parameters and a fresh Adam.
+  /// `kernels` picks what its products run on.
   Controller(std::vector<std::size_t> arities, std::span<const float> flat,
-             Kernels kernels = Kernels::kDefault, std::size_t hidden = 32,
-             std::size_t embed = 16)
+             Kernels kernels = Kernels::kDefault)
       : mm_{kernels},
         arities_(std::move(arities)),
-        hidden_(hidden),
-        embed_dim_(embed),
         max_arity_(*std::max_element(arities_.begin(), arities_.end())),
         params_{make("ctrl.embed", {max_arity_ + 1, embed_dim_}),
                 make("lstm.wx", {embed_dim_, 4 * hidden_}),
@@ -284,7 +281,7 @@ class Controller {
     for (std::size_t b = 0; b < B; ++b) {
       for (std::size_t t = 0; t < T; ++t) adv[b * T + t] = rewards[b] - rollouts[b].values[t];
     }
-    if (cfg.normalize_advantages && B * T > 1) {
+    if (B * T > 1) {
       double mean = 0.0;
       for (float a : adv) mean += a;
       mean /= static_cast<double>(adv.size());
@@ -354,8 +351,8 @@ class Controller {
             }
           }
           const float verr = value_t[t][b] - rewards[b];
-          value_loss += 0.5f * cfg.value_coef * verr * verr * inv_bt;
-          dvalue_t[t][b] = cfg.value_coef * verr * inv_bt;
+          value_loss += 0.5f * rl::kValueCoef * verr * verr * inv_bt;
+          dvalue_t[t][b] = rl::kValueCoef * verr * inv_bt;
         }
       }
 
@@ -485,8 +482,8 @@ class Controller {
 
   Products mm_;
   std::vector<std::size_t> arities_;
-  std::size_t hidden_;
-  std::size_t embed_dim_;
+  static constexpr std::size_t hidden_ = rl::kControllerHidden;
+  static constexpr std::size_t embed_dim_ = rl::kControllerEmbed;
   std::size_t max_arity_;
   std::vector<Param> params_;  // embed, wx, wh, b, wpi, bpi, wv, bv: get_flat() order
   Lstm lstm_;

@@ -609,7 +609,7 @@ TEST(Driver, FoldCountersEqualJournalSummary) {
   };
   const auto run = [&](SearchConfig cfg, const std::string& what) {
     obs::Telemetry tel;
-    tel.enable_watchdog({.expected_seconds = 30.0});  // verdicts are folded too
+    tel.enable_watchdog();  // verdicts are folded too
     cfg.telemetry = &tel;
     (void)SearchDriver(s, ds, cfg).run();
     expect_counters_match(tel, what);

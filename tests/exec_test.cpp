@@ -180,11 +180,18 @@ TEST(TrainingEvaluator, R2FloorIsMinusOne) {
   EXPECT_EQ(r.reward, -1.0f);
 }
 
+/// The value of one of the `ncnas_eval_cache_*_total` registry counters.
+std::uint64_t cache_counter(const obs::Telemetry& tel, const std::string& name) {
+  return tel.metrics_snapshot().counter_value("ncnas_eval_cache_" + name + "_total");
+}
+
 TEST(CachedEvaluator, HitsAndMisses) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
   const TrainingEvaluator inner(s, ds, {.epochs = 1, .subset_fraction = 1.0}, CostModel{});
-  const CachedEvaluator cache(inner.context_key());
+  obs::Telemetry tel;
+  CachedEvaluator cache(inner.context_key());
+  cache.set_telemetry(&tel);
   tensor::Rng rng(5);
   const space::ArchEncoding arch = s.random_arch(rng);
   EXPECT_FALSE(cache.lookup(arch).has_value());
@@ -194,8 +201,9 @@ TEST(CachedEvaluator, HitsAndMisses) {
   ASSERT_TRUE(second.has_value());
   EXPECT_TRUE(second->cache_hit);
   EXPECT_EQ(second->reward, first.reward);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache_counter(tel, "hits"), 1u);
+  EXPECT_EQ(cache_counter(tel, "misses"), 1u);
+  EXPECT_EQ(cache_counter(tel, "inserts"), 1u);
   EXPECT_EQ(cache.unique_archs(), 1u);
 }
 
@@ -225,7 +233,9 @@ TEST(CachedEvaluator, FailedThenRetriedEvalDoesNotPoisonCache) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
   const TrainingEvaluator inner(s, ds, {.epochs = 1, .subset_fraction = 1.0}, CostModel{});
-  const CachedEvaluator cache(inner.context_key());
+  obs::Telemetry tel;
+  CachedEvaluator cache(inner.context_key());
+  cache.set_telemetry(&tel);
   tensor::Rng rng(7);
   const space::ArchEncoding arch = s.random_arch(rng);
 
@@ -241,9 +251,9 @@ TEST(CachedEvaluator, FailedThenRetriedEvalDoesNotPoisonCache) {
   EXPECT_EQ(hit->reward, 0.9f);
   EXPECT_TRUE(hit->cache_hit);
 
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits() + cache.misses(), 3u);  // one per lookup, exactly
+  EXPECT_EQ(cache_counter(tel, "hits"), 1u);
+  EXPECT_EQ(cache_counter(tel, "misses"), 2u);  // one count per lookup, exactly
+  EXPECT_EQ(cache_counter(tel, "erases"), 1u);
   EXPECT_EQ(cache.unique_archs(), 1u);
 
   // Erasing an absent key is a harmless no-op (exhaustion after the driver
@@ -251,13 +261,16 @@ TEST(CachedEvaluator, FailedThenRetriedEvalDoesNotPoisonCache) {
   cache.erase(arch);
   cache.erase(arch);
   EXPECT_EQ(cache.unique_archs(), 0u);
+  EXPECT_EQ(cache_counter(tel, "erases"), 2u);
 }
 
 TEST(CachedEvaluator, StateRoundTripPreservesEntriesAndCounters) {
   const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
   const TrainingEvaluator inner(s, ds, {.epochs = 1, .subset_fraction = 1.0}, CostModel{});
-  const CachedEvaluator cache(inner.context_key());
+  obs::Telemetry tel;
+  CachedEvaluator cache(inner.context_key());
+  cache.set_telemetry(&tel);
   tensor::Rng rng(9);
   std::vector<space::ArchEncoding> archs;
   for (int i = 0; i < 4; ++i) archs.push_back(s.random_arch(rng));
@@ -268,17 +281,19 @@ TEST(CachedEvaluator, StateRoundTripPreservesEntriesAndCounters) {
   EXPECT_TRUE(cache.lookup(archs[0]).has_value());  // 1 hit
 
   const CachedEvaluator::State st = cache.export_state();
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.misses, 4u);
+  EXPECT_EQ(st.entries.size(), 4u);
   // Canonical form: entries sorted by key, so equal caches serialize equally.
   for (std::size_t i = 1; i < st.entries.size(); ++i) {
     EXPECT_LT(st.entries[i - 1].first, st.entries[i].first);
   }
 
+  // The counts live in the registry, not in the state: a restored cache on
+  // the same sink keeps counting where the original left off.
   CachedEvaluator restored(inner.context_key());
+  restored.set_telemetry(&tel);
   restored.import_state(st);
-  EXPECT_EQ(restored.hits(), cache.hits());
-  EXPECT_EQ(restored.misses(), cache.misses());
+  EXPECT_EQ(cache_counter(tel, "hits"), 1u);
+  EXPECT_EQ(cache_counter(tel, "misses"), 4u);
   EXPECT_EQ(restored.unique_archs(), cache.unique_archs());
   for (const auto& a : archs) {
     const auto orig = cache.lookup(a);
@@ -290,6 +305,8 @@ TEST(CachedEvaluator, StateRoundTripPreservesEntriesAndCounters) {
     EXPECT_DOUBLE_EQ(back->sim_duration, orig->sim_duration);
     EXPECT_EQ(back->timed_out, orig->timed_out);
   }
+  EXPECT_EQ(cache_counter(tel, "hits"), 1u + 2u * archs.size());
+  EXPECT_EQ(cache_counter(tel, "misses"), 4u);
 }
 
 TEST(Utilization, StateRoundTripReproducesSeriesBitForBit) {

@@ -255,22 +255,22 @@ TEST(ProgressJson, ParserRejectsGarbage) {
 
 TEST(Exporter, HealthzFollowsWatchdogVerdicts) {
   Telemetry t;
-  WatchdogConfig wcfg;
-  wcfg.expected_seconds = 10.0;  // pinned: no warm-up needed
-  wcfg.straggler_multiple = 3.0;
-  t.enable_watchdog(wcfg);
+  t.enable_watchdog();
   Exporter& exporter = t.enable_exporter(every_tick());
 
   EXPECT_EQ(exporter.healthz_status(), 200);  // before any publication
 
+  // Eight 10 s evals calibrate the watchdog's expectation.
   Journal& journal = *t.journal();
-  journal.append(JournalEventType::kEvalFinished, 10.0, 0,
-                 {{"reward", 0.5}, {"duration_s", 10.0}, {"timed_out", 0.0}});
-  exporter.publish(10.0, {});
+  for (int i = 0; i < 8; ++i) {
+    journal.append(JournalEventType::kEvalFinished, 10.0 * (i + 1), 0,
+                   {{"reward", 0.5}, {"duration_s", 10.0}, {"timed_out", 0.0}});
+  }
+  exporter.publish(80.0, {});
   EXPECT_EQ(exporter.healthz_status(), 200);
   EXPECT_EQ(exporter.healthz_body(), "ok\n");
 
-  // A 100s eval against a pinned 10s expectation is a straggler: 503.
+  // A 100s eval against the 10s mean is a straggler: 503.
   journal.append(JournalEventType::kEvalFinished, 120.0, 1,
                  {{"reward", 0.4}, {"duration_s", 100.0}, {"timed_out", 0.0}});
   exporter.publish(120.0, {});
@@ -408,6 +408,36 @@ TEST(Exporter, SilentClientHoldsUpNeitherScrapesNorStop) {
   EXPECT_EQ(scrape.get(), "ok\n");
   stopping.get();
   EXPECT_GE(errors.value(), 1u);  // the dropped silent client is counted
+}
+
+TEST(Exporter, HttpGetGivesUpOnASilentServer) {
+  // A listener that never accepts: the kernel completes the connection and
+  // buffers the request, and no response ever comes.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  using Clock = std::chrono::steady_clock;
+  auto get = std::async(std::launch::async, [port = ntohs(addr.sin_port)] {
+    const Clock::time_point start = Clock::now();
+    const std::optional<std::string> body = http_get("127.0.0.1", port, "/progress");
+    return std::make_pair(body, Clock::now() - start);
+  });
+  const bool returned =
+      get.wait_for(kHttpGetBudget + std::chrono::seconds(2)) == std::future_status::ready;
+  // Closing the listener resets the queued connection, so a regression fails
+  // the expectations below instead of hanging the test.
+  ::close(listener);
+  const auto [body, waited] = get.get();
+  EXPECT_TRUE(returned) << "http_get outlived its budget";
+  EXPECT_FALSE(body.has_value());
+  EXPECT_LT(waited, kHttpGetBudget + std::chrono::seconds(1));
 }
 
 // ---- live journal sink ------------------------------------------------------

@@ -86,7 +86,7 @@ const SearchCorpus& search_corpus() {
     cfg.ladder.rungs = {{.epochs = 1, .subset_fraction = 1.0},
                         {.epochs = 2, .subset_fraction = 1.0}};
     obs::Telemetry tel;
-    tel.enable_watchdog({.expected_seconds = 20.0});
+    tel.enable_watchdog();
     cfg.telemetry = &tel;
     (void)nas::SearchDriver(s, ds, cfg).run();
     // train_wall_ms is host wall time; pin it so a seed replays the exact

@@ -56,7 +56,6 @@ TEST(Trainer, LearnsLinearRegression) {
   Rng train_rng(2);
   const TrainResult res =
       fit(model, std::vector<Tensor>{prob.x_train}, prob.y_train, opts, train_rng);
-  EXPECT_FALSE(res.stopped_early);
   EXPECT_EQ(res.epoch_losses.size(), 30u);
   EXPECT_LT(res.epoch_losses.back(), res.epoch_losses.front());
   const float r2 =
@@ -99,22 +98,6 @@ TEST(Trainer, SubsetFractionUsesFewerRows) {
   const TrainResult res =
       fit(model, std::vector<Tensor>{prob.x_train}, prob.y_train, opts, train_rng);
   EXPECT_EQ(res.batches_run, 2u);  // 100 rows / 50 per batch
-}
-
-TEST(Trainer, ShouldStopAbortsTraining) {
-  const LinearProblem prob = make_linear(256, 4, 10);
-  Rng rng(1);
-  Graph model = linear_model(4, rng);
-  TrainOptions opts;
-  opts.epochs = 50;
-  opts.batch_size = 32;
-  int budget = 3;
-  opts.should_stop = [&budget] { return budget-- <= 0; };
-  Rng train_rng(2);
-  const TrainResult res =
-      fit(model, std::vector<Tensor>{prob.x_train}, prob.y_train, opts, train_rng);
-  EXPECT_TRUE(res.stopped_early);
-  EXPECT_EQ(res.batches_run, 3u);
 }
 
 TEST(Trainer, DeterministicGivenSeeds) {

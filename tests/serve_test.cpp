@@ -303,88 +303,6 @@ TEST(SharedEvalCache, FirstWriterWinsWithPerTenantAccounting) {
   EXPECT_FALSE(cache.lookup("ctx", "arch", 1).has_value());
 }
 
-TEST(SharedEvalCache, ZeroCapKeepsTheClassicUnboundedStore) {
-  exec::SharedEvalCache cache;  // default max_entries = 0
-  EXPECT_EQ(cache.max_entries(), 0u);
-  exec::EvalResult r;
-  for (int i = 0; i < 100; ++i) {
-    r.reward = static_cast<float>(i);
-    cache.insert("ctx", "arch" + std::to_string(i), 1, r);
-  }
-  EXPECT_EQ(cache.size(), 100u);
-  EXPECT_EQ(cache.stats(1).evictions, 0u);
-  EXPECT_TRUE(cache.lookup("ctx", "arch0", 1).has_value()) << "nothing may be evicted at cap 0";
-}
-
-TEST(SharedEvalCache, BoundedStoreEvictsOldestInsertFirst) {
-  exec::SharedEvalCache cache(2);
-  EXPECT_EQ(cache.max_entries(), 2u);
-  exec::EvalResult r;
-  r.reward = 0.1f;
-  cache.insert("ctx", "a", 1, r);
-  r.reward = 0.2f;
-  cache.insert("ctx", "b", 2, r);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Third insert exceeds the bound: the oldest entry ("a") goes, and the
-  // entry just inserted ("c") must survive its own insert.
-  r.reward = 0.3f;
-  cache.insert("ctx", "c", 1, r);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.lookup("ctx", "a", 1).has_value());
-  ASSERT_TRUE(cache.lookup("ctx", "b", 1).has_value());
-  ASSERT_TRUE(cache.lookup("ctx", "c", 1).has_value());
-  EXPECT_EQ(cache.lookup("ctx", "c", 1)->reward, 0.3f);
-
-  // The eviction is charged to the evicted entry's owner, not the inserter.
-  EXPECT_EQ(cache.stats(1).evictions, 1u);
-  EXPECT_EQ(cache.stats(2).evictions, 0u);
-  EXPECT_EQ(cache.totals().evictions, 1u);
-
-  // A losing duplicate insert consumes no slot and evicts nothing.
-  r.reward = 0.9f;
-  cache.insert("ctx", "b", 1, r);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.totals().evictions, 1u);
-  EXPECT_EQ(cache.lookup("ctx", "b", 1)->reward, 0.2f);
-}
-
-TEST(SharedEvalCache, EvictionOrderIsAPureFunctionOfTheRequestSequence) {
-  // Two caches fed the identical request sequence must retain the identical
-  // entry set — the determinism clause the driver's bit-identity contract
-  // leans on when a bounded cache is shared across tenants.
-  const auto drive = [](exec::SharedEvalCache& cache) {
-    exec::EvalResult r;
-    for (int i = 0; i < 12; ++i) {
-      r.reward = static_cast<float>(i) * 0.125f;
-      const std::uint32_t tenant = 1 + static_cast<std::uint32_t>(i % 3);
-      (void)cache.lookup("ctx", "arch" + std::to_string(i / 2), tenant);
-      cache.insert("ctx", "arch" + std::to_string(i), tenant, r);
-    }
-  };
-  exec::SharedEvalCache first(5);
-  exec::SharedEvalCache second(5);
-  drive(first);
-  drive(second);
-  ASSERT_EQ(first.size(), 5u);
-  ASSERT_EQ(second.size(), 5u);
-  for (int i = 0; i < 12; ++i) {
-    const std::string arch = "arch" + std::to_string(i);
-    const auto a = first.lookup("ctx", arch, 9);
-    const auto b = second.lookup("ctx", arch, 9);
-    EXPECT_EQ(a.has_value(), b.has_value()) << arch << " retained in one cache but not the other";
-    if (a.has_value() && b.has_value()) EXPECT_EQ(a->reward, b->reward);
-    // FIFO with 12 inserts and cap 5 keeps exactly the newest five.
-    EXPECT_EQ(a.has_value(), i >= 7) << arch;
-  }
-  for (std::uint32_t tenant = 1; tenant <= 3; ++tenant) {
-    EXPECT_EQ(first.stats(tenant).evictions, second.stats(tenant).evictions);
-    EXPECT_EQ(first.stats(tenant).hits, second.stats(tenant).hits);
-    EXPECT_EQ(first.stats(tenant).misses, second.stats(tenant).misses);
-  }
-  EXPECT_EQ(first.totals().evictions, 7u);
-}
-
 // ------------------------------------------------------------------ server
 
 TEST(SearchServer, AdmissionControlAndBackpressure) {

@@ -1,5 +1,7 @@
-// Seeded mutation fuzz harness for the snapshot loader, the trust boundary
-// every resumed search and every serve-plane slice sits behind.
+// Seeded mutation fuzz harness for the two loaders of saved search state:
+// the snapshot loader, the trust boundary every resumed search sits behind,
+// and the search-log reader (nas::load_result, nas::read_fingerprint) that
+// `run_report --result` and the benches' log cache read files with.
 //
 // The corpus is three real mid-run snapshots: an A2C search with a fault
 // plan and a fidelity ladder (parameter server, controllers, retries, a dead
@@ -15,6 +17,12 @@
 // either returns a result or throws ckpt::SnapshotError: nothing else is
 // thrown and, run under ASan+UBSan, nothing reads out of bounds or hits
 // undefined behaviour.
+//
+// The search-log corpus is the saved result of the A2C and EVO searches.
+// The same byte mutations, plus swapping a number for an extreme one, must
+// leave both readers returning a value or nullopt, never throwing; and a
+// log that loads must save to a fixed point: saving what it loaded, then
+// loading and saving that, writes the same bytes twice.
 //
 // --seed=N / --runs=N / FAILING SEED replay as in fuzz_seed.hpp.
 
@@ -36,6 +44,7 @@
 #include "ncnas/ckpt/snapshot.hpp"
 #include "ncnas/exec/fault.hpp"
 #include "ncnas/nas/driver.hpp"
+#include "ncnas/nas/result_io.hpp"
 #include "ncnas/space/spaces.hpp"
 #include "ncnas/tensor/rng.hpp"
 #include "ncnas/tensor/thread_pool.hpp"
@@ -326,6 +335,117 @@ TEST(SnapshotFuzz, SplicedFields) { fuzz(0x5911CE, "splice", splice); }
 TEST(SnapshotFuzz, MutationsCompose) {
   fuzz(0xC0A1, "composed", [](const Bytes& b, tensor::Rng& rng) {
     return flip_bits(huge_prefix(splice(b, rng), rng), rng);
+  });
+}
+
+// ---- search logs -------------------------------------------------------------
+
+struct LogSeed {
+  const char* name;
+  Bytes bytes;  ///< the file nas::save_result wrote
+};
+
+const std::vector<LogSeed>& log_corpus() {
+  static const std::vector<LogSeed> seeds = [] {
+    std::vector<LogSeed> out;
+    for (const auto& [name, cfg] : {std::pair{"a2c-faults-ladder", a2c_config()},
+                                    std::pair{"evo", evo_config()}}) {
+      const nas::SearchResult res = nas::SearchDriver(fuzz_space(), fuzz_dataset(), cfg).run();
+      const std::string path = scratch("logs") + "/" + name + ".log";
+      nas::save_result(path, res, nas::config_fingerprint(cfg, fuzz_space().name()));
+      out.push_back({name, read_file(path)});
+    }
+    return out;
+  }();
+  return seeds;
+}
+
+/// Replaces one whitespace-separated token with a number at or past the
+/// edge of what its field can hold, or with something that is no number.
+Bytes extreme_token(Bytes b, tensor::Rng& rng) {
+  static const char* const kTokens[] = {
+      "0",    "-1",   "1e308",      "-1e308", "1e-320", "18446744073709551615", "18446744073709551616",
+      "4294967296", "65536", "nan", "inf", "1.5", "0x10", "", "-0"};
+  const auto space = [](std::uint8_t c) { return c == ' ' || c == '\n'; };
+  if (b.empty()) return b;
+  std::size_t from = rng.uniform_int(b.size());
+  while (from > 0 && !space(b[from - 1])) --from;
+  std::size_t to = from;
+  while (to < b.size() && !space(b[to])) ++to;
+  const std::string token = kTokens[rng.uniform_int(std::size(kTokens))];
+  b.erase(b.begin() + static_cast<std::ptrdiff_t>(from), b.begin() + static_cast<std::ptrdiff_t>(to));
+  b.insert(b.begin() + static_cast<std::ptrdiff_t>(from), token.begin(), token.end());
+  return b;
+}
+
+/// The invariant, checked on one mutated log file.
+void check_log(const LogSeed& seed, const Bytes& file, const char* mutation, int iter) {
+  SCOPED_TRACE(std::string(seed.name) + " " + mutation + " iteration " + std::to_string(iter) +
+               " (replay with --seed=" + std::to_string(g_seed) + ")");
+  // Fresh files, removed afterwards: rewriting one path in place makes some
+  // file systems flush every close, which slows a run a hundredfold.
+  const std::string dir = scratch("mutated-log-" + std::to_string(iter));
+  const std::string path = dir + "/run.log";
+  write_file(path, file);
+  const struct Cleanup {
+    std::string dir;
+    ~Cleanup() { std::filesystem::remove_all(dir); }
+  } cleanup{dir};
+  try {
+    // Accept whatever fingerprint the log carries, as run_report does.
+    const std::optional<std::string> fp = nas::read_fingerprint(path);
+    if (!fp) return;
+    const std::optional<nas::SearchResult> res = nas::load_result(path, *fp);
+    if (!res) return;
+    const std::string once = dir + "/once.log";
+    const std::string twice = dir + "/twice.log";
+    nas::save_result(once, *res, *fp);
+    const std::optional<nas::SearchResult> again = nas::load_result(once, *fp);
+    ASSERT_TRUE(again.has_value()) << "a log saved from a loaded result does not load";
+    nas::save_result(twice, *again, *fp);
+    EXPECT_EQ(read_file(once), read_file(twice)) << "saving a loaded log is not a fixed point";
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "a search-log reader threw: " << e.what();
+  }
+}
+
+constexpr int kLogIters = 256;
+
+template <typename Mutate>
+void fuzz_logs(std::uint64_t salt, const char* mutation, Mutate mutate) {
+  tensor::Rng rng(g_seed ^ salt);
+  for (const LogSeed& seed : log_corpus()) {
+    for (int i = 0; i < kLogIters; ++i) check_log(seed, mutate(seed.bytes, rng), mutation, i);
+  }
+}
+
+TEST(ResultLogFuzz, CorpusRoundTripsByteForByte) {
+  ASSERT_EQ(log_corpus().size(), 2u);
+  for (const LogSeed& seed : log_corpus()) {
+    SCOPED_TRACE(seed.name);
+    const std::string path = scratch("intact-log") + "/run.log";
+    write_file(path, seed.bytes);
+    const std::optional<std::string> fp = nas::read_fingerprint(path);
+    ASSERT_TRUE(fp.has_value());
+    const std::optional<nas::SearchResult> res = nas::load_result(path, *fp);
+    ASSERT_TRUE(res.has_value());
+    EXPECT_GT(res->evals.size(), 0u);
+    nas::save_result(path, *res, *fp);
+    EXPECT_EQ(read_file(path), seed.bytes);
+  }
+}
+
+TEST(ResultLogFuzz, BitFlips) { fuzz_logs(0x10B17F, "bit flip", flip_bits); }
+
+TEST(ResultLogFuzz, Truncations) { fuzz_logs(0x107256, "truncation", truncate); }
+
+TEST(ResultLogFuzz, SplicedRanges) { fuzz_logs(0x105911CE, "splice", splice); }
+
+TEST(ResultLogFuzz, ExtremeNumbers) { fuzz_logs(0x10E7, "extreme number", extreme_token); }
+
+TEST(ResultLogFuzz, MutationsCompose) {
+  fuzz_logs(0x10C0A1, "composed", [](const Bytes& b, tensor::Rng& rng) {
+    return flip_bits(extreme_token(splice(b, rng), rng), rng);
   });
 }
 
